@@ -210,14 +210,14 @@ struct RecyclingSink : sim::FrameSink {
 /// PacketView parse, in-place NAT rewrite, forwarding service model,
 /// link transmission of the same buffer, sink recycling it into the
 /// pool. This is the datapath a LAN->WAN UDP packet takes through
-/// HomeGateway's fast hook, minus routing/ARP (constant-time lookups).
+/// HomeGateway's NIC frame hook, minus routing/ARP (constant-time
+/// lookups).
 void BM_ForwardPipelineUdp(benchmark::State& state) {
     sim::EventLoop loop;
     gateway::DeviceProfile profile;
     profile.tag = "bench";
     gateway::NatEngine nat(loop, profile);
-    nat.set_addresses(net::Ipv4Addr(192, 168, 1, 1), 24,
-                      net::Ipv4Addr(10, 0, 1, 10));
+    nat.set_wan_addr(net::Ipv4Addr(10, 0, 1, 10));
     gateway::FwdPath fwd(loop, profile.fwd);
     sim::Link link(loop, 100'000'000, std::chrono::microseconds(10));
     RecyclingSink sink;
@@ -236,9 +236,8 @@ void BM_ForwardPipelineUdp(benchmark::State& state) {
             std::copy(wire.begin(), wire.begin() + 42, frame.begin());
         auto v = net::PacketView::parse(
             std::span<std::uint8_t>(frame.data() + 14, frame.size() - 14));
-        if (nat.outbound_fast(*v) !=
-            gateway::NatEngine::FastVerdict::kForwarded) {
-            state.SkipWithError("fast path bailed");
+        if (nat.outbound(*v) != gateway::NatEngine::Verdict::kForwarded) {
+            state.SkipWithError("translation dropped the packet");
             return;
         }
         fwd.submit(gateway::Direction::Up, v->total_len(),
@@ -267,8 +266,7 @@ void BM_ForwardPipelineUdpObserved(benchmark::State& state) {
     profile.tag = "bench";
     gateway::NatEngine nat(loop, profile);
     nat.bind_observability(reg, "bench#1");
-    nat.set_addresses(net::Ipv4Addr(192, 168, 1, 1), 24,
-                      net::Ipv4Addr(10, 0, 1, 10));
+    nat.set_wan_addr(net::Ipv4Addr(10, 0, 1, 10));
     gateway::FwdPath fwd(loop, profile.fwd);
     fwd.bind_observability(reg, "bench#1");
     sim::Link link(loop, 100'000'000, std::chrono::microseconds(10));
@@ -286,9 +284,8 @@ void BM_ForwardPipelineUdpObserved(benchmark::State& state) {
             std::copy(wire.begin(), wire.begin() + 42, frame.begin());
         auto v = net::PacketView::parse(
             std::span<std::uint8_t>(frame.data() + 14, frame.size() - 14));
-        if (nat.outbound_fast(*v) !=
-            gateway::NatEngine::FastVerdict::kForwarded) {
-            state.SkipWithError("fast path bailed");
+        if (nat.outbound(*v) != gateway::NatEngine::Verdict::kForwarded) {
+            state.SkipWithError("translation dropped the packet");
             return;
         }
         fwd.submit(gateway::Direction::Up, v->total_len(),
@@ -311,8 +308,7 @@ void BM_NatOutboundUdp(benchmark::State& state) {
     gateway::DeviceProfile profile;
     profile.tag = "bench";
     gateway::NatEngine nat(loop, profile);
-    nat.set_addresses(net::Ipv4Addr(192, 168, 1, 1), 24,
-                      net::Ipv4Addr(10, 0, 1, 10));
+    nat.set_wan_addr(net::Ipv4Addr(10, 0, 1, 10));
     net::Ipv4Packet pkt;
     pkt.h.protocol = net::proto::kUdp;
     pkt.h.src = net::Ipv4Addr(192, 168, 1, 100);
@@ -331,7 +327,7 @@ void BM_NatOutboundUdp(benchmark::State& state) {
         std::copy(pristine.begin(), pristine.end(), dgram.begin());
         auto v = net::PacketView::parse(
             std::span<std::uint8_t>(dgram.data(), dgram.size()));
-        benchmark::DoNotOptimize(nat.outbound_fast(*v));
+        benchmark::DoNotOptimize(nat.outbound(*v));
     }
 }
 BENCHMARK(BM_NatOutboundUdp);

@@ -1,9 +1,6 @@
 #include "gateway/cgn.hpp"
 
-#include "net/checksum.hpp"
 #include "net/icmp.hpp"
-#include "net/tcp_header.hpp"
-#include "net/udp.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::gateway {
@@ -11,53 +8,6 @@ namespace gatekit::gateway {
 namespace {
 constexpr sim::Duration kIcmpQueryTimeout = std::chrono::seconds(60);
 constexpr std::size_t kMaxIcmpQueries = 4096;
-
-/// Rewrite one (address, port) half of an ICMP error quote — `src_side`
-/// selects the quoted source or destination — keeping the quote's IP
-/// header checksum and, when the quote reaches it, its UDP checksum
-/// incrementally correct (RFC 1624). A computed UDP checksum of zero is
-/// written as 0xffff (RFC 768); a raw 0x0000 would read as "disabled" to
-/// the next NAT layer of the cascade. TCP's checksum at transport offset
-/// 16 lies beyond the RFC 792 8-byte quote and is left alone.
-void rewrite_quote(net::Bytes& q, bool src_side, net::Ipv4Addr new_addr,
-                   std::uint16_t new_port, bool rewrite_port) {
-    if (q.size() < 20) return;
-    const std::size_t ihl = static_cast<std::size_t>(q[0] & 0xf) * 4;
-    if (ihl < 20 || q.size() < ihl) return;
-
-    const std::size_t ao = src_side ? 12 : 16;
-    const auto old_addr = static_cast<std::uint32_t>(
-        (q[ao] << 24) | (q[ao + 1] << 16) | (q[ao + 2] << 8) | q[ao + 3]);
-    const std::uint32_t na = new_addr.value();
-    for (int i = 0; i < 4; ++i)
-        q[ao + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(na >> (24 - 8 * i));
-    auto ip_ck = static_cast<std::uint16_t>((q[10] << 8) | q[11]);
-    ip_ck = net::checksum_update32(ip_ck, old_addr, na);
-    q[10] = static_cast<std::uint8_t>(ip_ck >> 8);
-    q[11] = static_cast<std::uint8_t>(ip_ck);
-
-    std::uint16_t old_port = 0;
-    std::uint16_t port = 0;
-    const std::size_t po = ihl + (src_side ? 0u : 2u);
-    const bool port_done = rewrite_port && q.size() >= po + 2;
-    if (port_done) {
-        old_port = static_cast<std::uint16_t>((q[po] << 8) | q[po + 1]);
-        port = new_port;
-        q[po] = static_cast<std::uint8_t>(port >> 8);
-        q[po + 1] = static_cast<std::uint8_t>(port);
-    }
-    if (q[9] == net::proto::kUdp && q.size() >= ihl + 8) {
-        auto ck = static_cast<std::uint16_t>((q[ihl + 6] << 8) | q[ihl + 7]);
-        if (ck != 0) { // zero means the quoted datagram had no checksum
-            ck = net::checksum_update32(ck, old_addr, na);
-            if (port_done) ck = net::checksum_update16(ck, old_port, port);
-            if (ck == 0) ck = 0xffff;
-            q[ihl + 6] = static_cast<std::uint8_t>(ck >> 8);
-            q[ihl + 7] = static_cast<std::uint8_t>(ck);
-        }
-    }
-}
 } // namespace
 
 CgnEngine::CgnEngine(sim::EventLoop& loop, CgnConfig cfg)
@@ -140,15 +90,17 @@ CgnEngine::Slice* CgnEngine::slice_for_subscriber(net::Ipv4Addr src) {
         auto& s = blocks_[0];
         if (!s)
             s = std::make_unique<Slice>(
-                loop_, net::Ipv4Addr{}, -1,
-                make_profile(cfg_.pool_begin, cfg_.pool_end));
+                loop_, net::Ipv4Addr{},
+                make_profile(cfg_.pool_begin, cfg_.pool_end),
+                external_addr_);
         return s.get();
     }
     const auto info = block_of(src);
     auto& s = blocks_[static_cast<std::size_t>(info->index)];
     if (!s) {
-        s = std::make_unique<Slice>(loop_, src, info->index,
-                                    make_profile(info->begin, info->end));
+        s = std::make_unique<Slice>(loop_, src,
+                                    make_profile(info->begin, info->end),
+                                    external_addr_);
         return s.get();
     }
     if (s->owner != src) {
@@ -172,20 +124,6 @@ CgnEngine::Slice* CgnEngine::slice_for_port(std::uint16_t external_port) {
     return blocks_[idx].get();
 }
 
-void CgnEngine::refresh_udp(Slice& s, Binding& b, bool inbound_packet) {
-    sim::Duration d = cfg_.udp.initial;
-    if (inbound_packet)
-        d = cfg_.udp.inbound_refresh;
-    else if (b.confirmed)
-        d = cfg_.udp.outbound_refresh;
-    s.udp.refresh(b, d);
-}
-
-void CgnEngine::refresh_tcp(Slice& s, Binding& b) {
-    s.tcp.refresh(b, b.established ? cfg_.tcp_established_timeout
-                                   : cfg_.tcp_transitory_timeout);
-}
-
 std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
     GK_EXPECTS(configured());
     if (pkt.h.ttl <= 1) return std::nullopt; // caller emits Time Exceeded
@@ -195,8 +133,20 @@ std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
     }
     switch (pkt.h.protocol) {
     case net::proto::kUdp:
-    case net::proto::kTcp:
-        return outbound_l4(pkt);
+    case net::proto::kTcp: {
+        Slice* s = slice_for_subscriber(pkt.h.src);
+        if (s == nullptr) return std::nullopt; // block collision (counted)
+        net::Bytes bytes = pkt.serialize();
+        auto v = net::PacketView::of(bytes);
+        const auto refused = s->nat.stats().dropped_capacity;
+        if (s->nat.outbound(v) != NatEngine::Verdict::kForwarded) {
+            if (s->nat.stats().dropped_capacity != refused)
+                ++stats_.pool_exhausted;
+            return std::nullopt;
+        }
+        ++stats_.translated_out;
+        return bytes;
+    }
     case net::proto::kIcmp:
         return outbound_icmp(pkt);
     default:
@@ -205,72 +155,6 @@ std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
         ++stats_.dropped_policy;
         return std::nullopt;
     }
-}
-
-std::optional<net::Bytes> CgnEngine::outbound_l4(const net::Ipv4Packet& pkt) {
-    const bool udp = pkt.h.protocol == net::proto::kUdp;
-    net::UdpDatagram dgram;
-    net::TcpSegment seg;
-    std::uint16_t sport = 0;
-    std::uint16_t dport = 0;
-    try {
-        if (udp) {
-            dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src,
-                                            pkt.h.dst);
-            sport = dgram.src_port;
-            dport = dgram.dst_port;
-        } else {
-            seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-            sport = seg.src_port;
-            dport = seg.dst_port;
-        }
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-
-    Slice* s = slice_for_subscriber(pkt.h.src);
-    if (s == nullptr) return std::nullopt; // block collision (counted)
-    BindingTable& table = udp ? s->udp : s->tcp;
-    const FlowKey key{pkt.h.protocol,
-                      {pkt.h.src, sport},
-                      {pkt.h.dst, dport}};
-    Binding* b = table.find_or_create_outbound(key);
-    if (b == nullptr) {
-        ++stats_.pool_exhausted;
-        return std::nullopt;
-    }
-
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.src = external_addr_;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-
-    if (udp) {
-        ++b->packets_out;
-        if (cfg_.udp.outbound_refreshes || b->packets_out == 1)
-            refresh_udp(*s, *b, false);
-        dgram.src_port = b->external_port;
-        out.payload = dgram.serialize(out.h.src, out.h.dst);
-        ++stats_.translated_out;
-        return out.serialize();
-    }
-
-    if (seg.flags.syn && !seg.flags.ack)
-        table.set_expiry(*b, loop_.now() + cfg_.tcp_transitory_timeout);
-    ++b->packets_out;
-    if (b->packets_in > 0 && !seg.flags.syn) b->established = true;
-    refresh_tcp(*s, *b);
-    if (seg.flags.fin) b->fin_out = true;
-    seg.src_port = b->external_port;
-    out.payload = seg.serialize(out.h.src, out.h.dst);
-    auto bytes = out.serialize();
-    if (seg.flags.rst) {
-        table.remove(key); // b invalid past this point
-    } else if (b->fin_in && b->fin_out) {
-        table.set_expiry(*b, loop_.now() + cfg_.tcp_fin_linger);
-    }
-    ++stats_.translated_out;
-    return bytes;
 }
 
 std::optional<net::Bytes> CgnEngine::outbound_icmp(
@@ -315,7 +199,7 @@ std::optional<net::Bytes> CgnEngine::outbound_icmp(
         // saw it: destination = subscriber address and internal port.
         // Rewrite that half to the external view so the upstream sender
         // can attribute the error to its own flow through both layers.
-        net::Bytes quoted = msg.payload;
+        net::IcmpMessage fwd = msg;
         net::Ipv4Packet embedded;
         bool parsed = true;
         try {
@@ -333,15 +217,16 @@ std::optional<net::Bytes> CgnEngine::outbound_icmp(
             const auto int_port = static_cast<std::uint16_t>(
                 (embedded.payload[2] << 8) | embedded.payload[3]);
             if (Slice* s = slice_for_subscriber(embedded.h.dst)) {
-                BindingTable& table =
-                    embedded.h.protocol == net::proto::kUdp ? s->udp
-                                                            : s->tcp;
+                BindingTable& table = embedded.h.protocol == net::proto::kUdp
+                                          ? s->nat.udp_table()
+                                          : s->nat.tcp_table();
                 const FlowKey key{embedded.h.protocol,
                                   {embedded.h.dst, int_port},
                                   {embedded.h.src, remote_port}};
                 if (const Binding* b = table.find_outbound(key))
-                    rewrite_quote(quoted, /*src_side=*/false,
-                                  external_addr_, b->external_port, true);
+                    translate_quote(fwd.payload, /*src_side=*/false,
+                                    {external_addr_, b->external_port},
+                                    true, true);
             }
         } else if (parsed && embedded.h.frag_offset == 0 &&
                    embedded.h.protocol == net::proto::kIcmp &&
@@ -349,11 +234,9 @@ std::optional<net::Bytes> CgnEngine::outbound_icmp(
             // Error about an inbound echo reply: the quote's destination
             // is the subscriber that sent the query; only the address
             // needs the external view (the query id is preserved).
-            rewrite_quote(quoted, /*src_side=*/false, external_addr_, 0,
-                          false);
+            translate_quote(fwd.payload, /*src_side=*/false,
+                            {external_addr_, 0}, true, true);
         }
-        net::IcmpMessage fwd = msg;
-        fwd.payload = std::move(quoted);
         out.payload = fwd.serialize(); // outer ICMP checksum recomputed
         ++stats_.icmp_relayed;
         return out.serialize();
@@ -372,77 +255,27 @@ std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
     if (pkt.h.dst != external_addr_) return std::nullopt;
     switch (pkt.h.protocol) {
     case net::proto::kUdp:
-    case net::proto::kTcp:
-        return inbound_l4(pkt, handled);
+    case net::proto::kTcp: {
+        net::Bytes bytes = pkt.serialize();
+        auto v = net::PacketView::of(bytes);
+        if (!v.has_l4()) return std::nullopt;
+        Slice* s = slice_for_port(v.dst_port());
+        if (s == nullptr) return std::nullopt; // outside the pool: host-local
+        // The block profile forwards WAN SYNs, so a packet is either
+        // translated or claimed by no binding.
+        if (s->nat.inbound(v) != NatEngine::Verdict::kForwarded) {
+            ++stats_.dropped_no_binding;
+            return std::nullopt; // unsolicited: falls to the CGN's own stack
+        }
+        handled = true;
+        ++stats_.translated_in;
+        return bytes;
+    }
     case net::proto::kIcmp:
         return inbound_icmp(pkt, handled);
     default:
         return std::nullopt; // CGN-host local (none expected)
     }
-}
-
-std::optional<net::Bytes> CgnEngine::inbound_l4(const net::Ipv4Packet& pkt,
-                                                bool& handled) {
-    const bool udp = pkt.h.protocol == net::proto::kUdp;
-    net::UdpDatagram dgram;
-    net::TcpSegment seg;
-    std::uint16_t sport = 0;
-    std::uint16_t dport = 0;
-    try {
-        if (udp) {
-            dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src,
-                                            pkt.h.dst);
-            sport = dgram.src_port;
-            dport = dgram.dst_port;
-        } else {
-            seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-            sport = seg.src_port;
-            dport = seg.dst_port;
-        }
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-
-    Slice* s = slice_for_port(dport);
-    if (s == nullptr) return std::nullopt; // outside the pool: host-local
-    BindingTable& table = udp ? s->udp : s->tcp;
-    Binding* b = table.find_inbound(dport, {pkt.h.src, sport});
-    if (b == nullptr) {
-        ++stats_.dropped_no_binding;
-        return std::nullopt; // unsolicited: falls to the CGN's own stack
-    }
-    handled = true;
-    ++b->packets_in;
-
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.dst = b->key.internal.addr;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-
-    if (udp) {
-        const bool first_inbound = !b->confirmed;
-        b->confirmed = true;
-        if (cfg_.udp.inbound_refreshes || first_inbound)
-            refresh_udp(*s, *b, true);
-        dgram.dst_port = b->key.internal.port;
-        out.payload = dgram.serialize(out.h.src, out.h.dst);
-        ++stats_.translated_in;
-        return out.serialize();
-    }
-
-    if (b->packets_out > 1 && !seg.flags.syn) b->established = true;
-    refresh_tcp(*s, *b);
-    if (seg.flags.fin) b->fin_in = true;
-    seg.dst_port = b->key.internal.port;
-    out.payload = seg.serialize(out.h.src, out.h.dst);
-    const auto bytes = out.serialize();
-    if (seg.flags.rst) {
-        table.remove(b->key); // b invalid past this point
-    } else if (b->fin_in && b->fin_out) {
-        table.set_expiry(*b, loop_.now() + cfg_.tcp_fin_linger);
-    }
-    ++stats_.translated_in;
-    return bytes;
 }
 
 std::optional<net::Bytes> CgnEngine::inbound_icmp(const net::Ipv4Packet& pkt,
@@ -500,11 +333,9 @@ std::optional<net::Bytes> CgnEngine::inbound_icmp(const net::Ipv4Packet& pkt,
         for (const auto& [key, expires] : icmp_queries_) {
             if (key.id != id || key.remote != embedded.h.dst) continue;
             handled = true;
-            net::Bytes quoted = msg.payload;
-            rewrite_quote(quoted, /*src_side=*/true, key.internal, 0,
-                          false);
             net::IcmpMessage fwd = msg;
-            fwd.payload = std::move(quoted);
+            translate_quote(fwd.payload, /*src_side=*/true,
+                            {key.internal, 0}, true, true);
             net::Ipv4Packet out;
             out.h = pkt.h;
             out.h.dst = key.internal;
@@ -527,17 +358,16 @@ std::optional<net::Bytes> CgnEngine::inbound_icmp(const net::Ipv4Packet& pkt,
         (embedded.payload[2] << 8) | embedded.payload[3]);
     Slice* s = slice_for_port(ext_port);
     if (s == nullptr) return std::nullopt;
-    BindingTable& table =
-        embedded.h.protocol == net::proto::kUdp ? s->udp : s->tcp;
+    BindingTable& table = embedded.h.protocol == net::proto::kUdp
+                              ? s->nat.udp_table()
+                              : s->nat.tcp_table();
     Binding* b = table.find_inbound(ext_port, {embedded.h.dst, remote_port});
     if (b == nullptr) return std::nullopt;
     handled = true;
 
-    net::Bytes quoted = msg.payload;
-    rewrite_quote(quoted, /*src_side=*/true, b->key.internal.addr,
-                  b->key.internal.port, true);
     net::IcmpMessage fwd = msg;
-    fwd.payload = std::move(quoted);
+    translate_quote(fwd.payload, /*src_side=*/true, b->key.internal, true,
+                    true);
     net::Ipv4Packet out;
     out.h = pkt.h;
     out.h.dst = b->key.internal.addr;
@@ -551,40 +381,23 @@ std::optional<net::Bytes> CgnEngine::hairpin(const net::Ipv4Packet& pkt) {
     GK_EXPECTS(configured());
     if (!cfg_.hairpin || pkt.h.protocol != net::proto::kUdp)
         return std::nullopt;
-    net::UdpDatagram dgram;
-    try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    Slice* ts = slice_for_port(dgram.dst_port);
-    Binding* target =
-        ts != nullptr ? ts->udp.find_by_external(dgram.dst_port) : nullptr;
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    if (!v.has_l4()) return std::nullopt;
+    Slice* ts = slice_for_port(v.dst_port());
+    const Binding* target =
+        ts != nullptr ? ts->nat.udp_table().find_by_external(v.dst_port())
+                      : nullptr;
     if (target == nullptr) return std::nullopt;
 
     Slice* ss = slice_for_subscriber(pkt.h.src);
     if (ss == nullptr) return std::nullopt;
-    const FlowKey key{net::proto::kUdp,
-                      {pkt.h.src, dgram.src_port},
-                      {external_addr_, dgram.dst_port}};
-    Binding* sender = ss->udp.find_or_create_outbound(key);
-    if (sender == nullptr) {
+    if (!ss->nat.hairpin_to(v, target->key.internal)) {
         ++stats_.pool_exhausted;
         return std::nullopt;
     }
-    ++sender->packets_out;
-    refresh_udp(*ss, *sender, false);
-
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.src = external_addr_;
-    out.h.dst = target->key.internal.addr;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-    dgram.src_port = sender->external_port;
-    dgram.dst_port = target->key.internal.port;
-    out.payload = dgram.serialize(out.h.src, out.h.dst);
     ++stats_.hairpinned;
-    return out.serialize();
+    return bytes;
 }
 
 std::size_t CgnEngine::live_bindings(net::Ipv4Addr subscriber) {
@@ -594,20 +407,31 @@ std::size_t CgnEngine::live_bindings(net::Ipv4Addr subscriber) {
         // walk; report the pool-wide total (what exhaustion is felt
         // against).
         auto* s = blocks_[0].get();
-        return s == nullptr ? 0 : s->udp.size() + s->tcp.size();
+        return s == nullptr ? 0
+                            : s->nat.udp_table().size() +
+                                  s->nat.tcp_table().size();
     }
     const auto info = block_of(subscriber);
     auto* s = blocks_[static_cast<std::size_t>(info->index)].get();
     if (s == nullptr || s->owner != subscriber) return 0;
-    return s->udp.size() + s->tcp.size();
+    return s->nat.udp_table().size() + s->nat.tcp_table().size();
+}
+
+const NatEngine* CgnEngine::engine_for(net::Ipv4Addr subscriber) const {
+    GK_EXPECTS(configured());
+    const std::size_t idx =
+        cfg_.block_size == 0
+            ? 0
+            : static_cast<std::size_t>(block_of(subscriber)->index);
+    const Slice* s = blocks_[idx].get();
+    if (s == nullptr || (cfg_.block_size != 0 && s->owner != subscriber))
+        return nullptr;
+    return &s->nat;
 }
 
 void CgnEngine::flush() {
-    for (auto& s : blocks_) {
-        if (!s) continue;
-        s->udp.clear();
-        s->tcp.clear();
-    }
+    for (auto& s : blocks_)
+        if (s) s->nat.flush();
     icmp_queries_.clear();
 }
 

@@ -9,10 +9,10 @@
 // TTL is decremented per hop. Its knobs are the deployment parameters an
 // operator chooses: the port pool, the per-subscriber block carve
 // (RFC 7422 deterministic NAT), EIM vs. EDM mapping, and hairpinning.
-// The engine reuses the BindingTable slab/timer-wheel machinery (one
-// UDP + TCP table pair per subscriber block, or one shared pair), and
-// the gateway's datapath rides the same Host/NetIf packet-pool stack as
-// every other device.
+// UDP and TCP go through NatEngine's in-place translator — one engine
+// per subscriber block (or one for the shared pool), each built from
+// the block's DeviceProfile — and the gateway's datapath rides the same
+// Host/NetIf packet-pool stack as every other device.
 #pragma once
 
 #include <functional>
@@ -21,7 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "gateway/binding_table.hpp"
+#include "gateway/nat_engine.hpp"
 #include "gateway/profile.hpp"
 #include "stack/dhcp_service.hpp"
 #include "stack/host.hpp"
@@ -68,8 +68,8 @@ struct CgnConfig {
     int max_bindings = 0;
 };
 
-/// The translation core. Pure packet-in/bytes-out like NatEngine; the
-/// CgnGateway below owns the wires.
+/// The translation core. Pure packet-in/bytes-out like NatEngine (which
+/// translates its UDP/TCP); the CgnGateway below owns the wires.
 class CgnEngine {
 public:
     CgnEngine(sim::EventLoop& loop, CgnConfig cfg);
@@ -104,6 +104,11 @@ public:
     /// Live bindings a subscriber currently holds (UDP + TCP).
     std::size_t live_bindings(net::Ipv4Addr subscriber);
 
+    /// The translator serving `subscriber`'s block (the shared pool's in
+    /// shared mode); nullptr until its first packet, or when the block
+    /// belongs to another subscriber.
+    const NatEngine* engine_for(net::Ipv4Addr subscriber) const;
+
     /// Drop all translation state (maintenance restart).
     void flush();
 
@@ -126,18 +131,17 @@ public:
 
 private:
     /// One port block's translation state. In shared-pool mode a single
-    /// instance (block -1, full pool) carries every subscriber — FlowKey
+    /// instance (the full pool) carries every subscriber — FlowKey
     /// internals keep them apart, but they compete for ports.
     struct Slice {
         net::Ipv4Addr owner; ///< unspecified in shared mode
-        int block = -1;
-        DeviceProfile prof; ///< stable: the tables hold a reference
-        BindingTable udp;
-        BindingTable tcp;
-        Slice(sim::EventLoop& loop, net::Ipv4Addr a, int blk,
-              DeviceProfile p)
-            : owner(a), block(blk), prof(std::move(p)),
-              udp(loop, prof, 17), tcp(loop, prof, 6) {}
+        DeviceProfile prof;  ///< stable: the engine holds a reference
+        NatEngine nat;
+        Slice(sim::EventLoop& loop, net::Ipv4Addr a, DeviceProfile p,
+              net::Ipv4Addr external)
+            : owner(a), prof(std::move(p)), nat(loop, prof) {
+            nat.set_wan_addr(external);
+        }
     };
 
     Slice* slice_for_subscriber(net::Ipv4Addr src);
@@ -147,14 +151,9 @@ private:
         return a.same_subnet(access_addr_, access_prefix_len_);
     }
 
-    std::optional<net::Bytes> outbound_l4(const net::Ipv4Packet& pkt);
     std::optional<net::Bytes> outbound_icmp(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> inbound_l4(const net::Ipv4Packet& pkt,
-                                         bool& handled);
     std::optional<net::Bytes> inbound_icmp(const net::Ipv4Packet& pkt,
                                            bool& handled);
-    void refresh_udp(Slice& s, Binding& b, bool inbound_packet);
-    void refresh_tcp(Slice& s, Binding& b);
 
     sim::EventLoop& loop_;
     CgnConfig cfg_;

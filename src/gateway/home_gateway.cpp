@@ -8,7 +8,7 @@ namespace gatekit::gateway {
 
 namespace {
 
-/// Filter key for the legacy (parsed-packet) path, matching
+/// Filter key for the packet path (parsed packets), matching
 /// RuleChain::key_of(PacketView) exactly: ports are present only for
 /// non-fragment UDP/TCP whose transport geometry is sound.
 RuleChain::Key filter_key_of(const net::Ipv4Packet& pkt) {
@@ -106,18 +106,13 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
         }
         return false;
     });
-    install_fast_hooks();
-}
-
-void HomeGateway::install_fast_hooks() {
-    if (!config_.enable_fast_path) return;
     host_.nic().set_fast_ip_hook(
         [this](net::PacketView& v, sim::Frame& f) {
-            return fast_from_lan(v, f);
+            return frame_from_lan(v, f);
         });
     wan_nic_.set_fast_ip_hook(
         [this](net::PacketView& v, sim::Frame& f) {
-            return fast_from_wan(v, f);
+            return frame_from_wan(v, f);
         });
 }
 
@@ -133,29 +128,28 @@ static bool filter_active(const RuleChain& f) {
     return !f.empty() || f.default_verdict() != RuleVerdict::kAccept;
 }
 
-bool HomeGateway::fast_from_lan(net::PacketView& v, sim::Frame& frame) {
-    // Both legacy hooks swallow all traffic during a fault stall.
+/// The frame hooks translate UDP and TCP; ICMP and other transports
+/// take the packet path.
+static bool udp_or_tcp(const net::PacketView& v) {
+    return v.protocol() == net::proto::kUdp ||
+           v.protocol() == net::proto::kTcp;
+}
+
+bool HomeGateway::frame_from_lan(net::PacketView& v, sim::Frame& frame) {
+    // Like the packet-path hooks, swallow everything during a stall.
     if (stalled()) {
         host_.nic().pool().release(std::move(frame));
         return true;
     }
-    if (!nat_.configured()) return false;
+    if (!nat_.configured() || !udp_or_tcp(v)) return false;
     const net::Ipv4Addr dst = v.dst();
     if (dst.is_broadcast() || host_.is_local_addr(dst))
-        return false; // gateway-local / hairpin: legacy delivery path
-    // Rule out a kSlow replay before the filter sees the packet — a
-    // replay would walk the chain a second time and double its counters.
-    if (!NatEngine::fast_eligible(v)) return false;
+        return false; // gateway-local / hairpin
     // TTL expiry needs the pristine parsed packet for the ICMP quote:
-    // defer to the legacy path before anything rewrites the frame.
+    // defer to the packet path before anything rewrites the frame.
     if (config_.profile.decrement_ttl && v.ttl() <= 1) return false;
-    if (filter_active(filter_) && !filter_pass(RuleChain::key_of(v))) {
-        host_.nic().pool().release(std::move(frame));
-        return true;
-    }
-    const auto verdict = nat_.outbound_fast(v);
-    if (verdict == NatEngine::FastVerdict::kSlow) return false;
-    if (verdict == NatEngine::FastVerdict::kDropped) {
+    if ((filter_active(filter_) && !filter_pass(RuleChain::key_of(v))) ||
+        nat_.outbound(v) == NatEngine::Verdict::kDropped) {
         host_.nic().pool().release(std::move(frame));
         return true;
     }
@@ -167,26 +161,23 @@ bool HomeGateway::fast_from_lan(net::PacketView& v, sim::Frame& frame) {
     return true;
 }
 
-bool HomeGateway::fast_from_wan(net::PacketView& v, sim::Frame& frame) {
+bool HomeGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
     if (stalled()) {
         wan_nic_.pool().release(std::move(frame));
         return true;
     }
-    if (!nat_.configured()) return false;
+    if (!nat_.configured() || !udp_or_tcp(v)) return false;
     const net::Ipv4Addr wire_dst = v.dst();
     if (wire_dst.is_broadcast() || !host_.is_local_addr(wire_dst))
-        return false; // plain-router fallback (or not ours): legacy
-    if (!NatEngine::fast_eligible(v)) return false;
+        return false; // plain-router fallback (or not ours)
     // Same deferral as the LAN side: an expiring TTL must reach the
-    // legacy path unrewritten so the Time Exceeded quote is faithful.
+    // packet path unrewritten so the Time Exceeded quote is faithful.
     if (config_.profile.decrement_ttl && v.ttl() <= 1) return false;
-    bool handled = false;
-    const auto verdict = nat_.inbound_fast(v, handled);
-    if (verdict == NatEngine::FastVerdict::kSlow)
-        return false; // unknown flow: gateway-local delivery via legacy
-    // Like the legacy path, the FORWARD chain sees the internal (post-
-    // DNAT) view of the flow.
-    if (verdict == NatEngine::FastVerdict::kDropped ||
+    const auto verdict = nat_.inbound(v);
+    if (verdict == NatEngine::Verdict::kNotOurs)
+        return false; // gateway-local delivery via the host stack
+    // The FORWARD chain sees the internal (post-DNAT) view of the flow.
+    if (verdict == NatEngine::Verdict::kDropped ||
         (filter_active(filter_) && !filter_pass(RuleChain::key_of(v)))) {
         wan_nic_.pool().release(std::move(frame));
         return true;
@@ -262,8 +253,7 @@ void HomeGateway::start(std::function<void(net::Ipv4Addr)> on_ready) {
             // the final destination.
             wan_if_.set_gateway(lease.router);
         }
-        nat_.set_addresses(config_.lan_addr, config_.lan_prefix_len,
-                           lease.addr);
+        nat_.set_wan_addr(lease.addr);
 
         // LAN-side services come up once the uplink works.
         stack::DhcpServerConfig lan_cfg;

@@ -39,12 +39,6 @@ public:
         net::Ipv4Addr lan_pool_base{192, 168, 1, 100};
         /// Base index for deterministic MAC assignment.
         std::uint32_t mac_index = 1000;
-        /// Zero-copy datapath: untagged unicast IPv4 frames to the
-        /// gateway's own MAC are translated in place and forwarded
-        /// without the parse/serialize round trip. Off forces every
-        /// packet through the legacy path (equivalence tests rely on
-        /// the two producing byte-identical wire traffic).
-        bool enable_fast_path = true;
     };
 
     HomeGateway(sim::EventLoop& loop, Config config);
@@ -100,9 +94,12 @@ public:
     void set_filter_compiled(bool on) { filter_compiled_ = on; }
 
 private:
-    void install_fast_hooks();
-    bool fast_from_lan(net::PacketView& v, sim::Frame& frame);
-    bool fast_from_wan(net::PacketView& v, sim::Frame& frame);
+    /// NIC frame hooks: UDP/TCP in untagged unicast frames to the
+    /// gateway's MAC is translated in place and forwarded in the same
+    /// buffer. Anything declined takes the packet path (on_lan_ip /
+    /// on_wan_local) through the host stack.
+    bool frame_from_lan(net::PacketView& v, sim::Frame& frame);
+    bool frame_from_wan(net::PacketView& v, sim::Frame& frame);
     void emit_wan_frame(sim::Frame frame, net::Ipv4Addr dst);
     void emit_lan_frame(sim::Frame frame, net::Ipv4Addr dst);
     bool filter_pass(const RuleChain::Key& key);

@@ -2,7 +2,6 @@
 
 #include "net/checksum.hpp"
 #include "net/tcp_header.hpp"
-#include "net/udp.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::gateway {
@@ -34,13 +33,6 @@ NatEngine::NatEngine(sim::EventLoop& loop, const DeviceProfile& profile)
     : loop_(loop), profile_(profile), udp_(loop, profile, net::proto::kUdp),
       tcp_(loop, profile, net::proto::kTcp) {}
 
-void NatEngine::set_addresses(net::Ipv4Addr lan_addr, int lan_prefix_len,
-                              net::Ipv4Addr wan_addr) {
-    lan_addr_ = lan_addr;
-    lan_prefix_len_ = lan_prefix_len;
-    wan_addr_ = wan_addr;
-}
-
 net::Ipv4Packet NatEngine::translated_header(const net::Ipv4Packet& pkt,
                                              net::Ipv4Addr new_src,
                                              net::Ipv4Addr new_dst) const {
@@ -52,6 +44,12 @@ net::Ipv4Packet NatEngine::translated_header(const net::Ipv4Packet& pkt,
         out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
     if (profile_.honor_record_route) out.record_route(wan_addr_);
     return out;
+}
+
+void NatEngine::finish(net::PacketView& v) const {
+    if (profile_.decrement_ttl) v.decrement_ttl();
+    if (profile_.honor_record_route && v.has_options())
+        v.record_route(wan_addr_);
 }
 
 sim::Duration NatEngine::udp_timeout_for(const Binding& b,
@@ -108,9 +106,12 @@ std::optional<net::Bytes> NatEngine::outbound(const net::Ipv4Packet& pkt) {
     if (profile_.decrement_ttl && pkt.h.ttl <= 1) return std::nullopt;
     switch (pkt.h.protocol) {
     case net::proto::kUdp:
-        return outbound_udp(pkt);
-    case net::proto::kTcp:
-        return outbound_tcp(pkt);
+    case net::proto::kTcp: {
+        net::Bytes bytes = pkt.serialize();
+        auto v = net::PacketView::of(bytes);
+        if (outbound(v) != Verdict::kForwarded) return std::nullopt;
+        return bytes;
+    }
     case net::proto::kIcmp:
         return outbound_icmp(pkt);
     default:
@@ -118,19 +119,15 @@ std::optional<net::Bytes> NatEngine::outbound(const net::Ipv4Packet& pkt) {
     }
 }
 
-NatEngine::FastVerdict NatEngine::outbound_fast(net::PacketView& v) {
+NatEngine::Verdict NatEngine::outbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    // Anything the legacy path treats specially goes back through it:
-    // IP options (record-route handling), fragments, transports other
-    // than plain UDP/TCP, L4 geometry the legacy serializer would trim
-    // or reject, and checksum-less UDP (re-serialization computes a
-    // fresh checksum; an in-place rewrite cannot). None of these checks
-    // touch translation state, so a kSlow replay is exact.
-    if (v.has_options() || v.is_fragment() || !v.has_l4() ||
-        v.l4_checksum_disabled())
-        return FastVerdict::kSlow;
-    if (profile_.decrement_ttl && v.ttl() <= 1)
-        return FastVerdict::kDropped; // outbound(): pre-dispatch TTL drop
+    GK_EXPECTS(v.protocol() == net::proto::kUdp ||
+               v.protocol() == net::proto::kTcp);
+    if (profile_.decrement_ttl && v.ttl() <= 1) return Verdict::kDropped;
+    if (!v.has_l4()) { // a fragment, or geometry the view rejects
+        ++stats_.dropped_malformed;
+        return Verdict::kDropped;
+    }
     const bool udp = v.protocol() == net::proto::kUdp;
     BindingTable& table = udp ? udp_ : tcp_;
     const FlowKey key{v.protocol(),
@@ -140,14 +137,14 @@ NatEngine::FastVerdict NatEngine::outbound_fast(net::PacketView& v) {
     if (b == nullptr) {
         ++stats_.dropped_capacity;
         obs::inc(m_drop_capacity_);
-        return FastVerdict::kDropped;
+        return Verdict::kDropped;
     }
+    const std::uint8_t flags = v.tcp_flags();
     if (udp) {
         ++b->packets_out;
         if (profile_.udp.outbound_refreshes || b->packets_out == 1)
             udp_.refresh(*b, udp_timeout_for(*b, false, key.remote.port));
     } else {
-        const std::uint8_t flags = v.tcp_flags();
         const bool syn = (flags & 0x02) != 0;
         if (syn && (flags & 0x10) == 0)
             tcp_.set_expiry(*b,
@@ -159,58 +156,48 @@ NatEngine::FastVerdict NatEngine::outbound_fast(net::PacketView& v) {
     }
     v.set_src(wan_addr_);
     v.set_src_port(b->external_port);
-    if (profile_.decrement_ttl) v.decrement_ttl();
-    if (!udp) {
-        const std::uint8_t flags = v.tcp_flags();
-        if ((flags & 0x04) != 0) {
-            tcp_.remove(key); // b invalid past this point
-        } else if (b->fin_in && b->fin_out) {
-            tcp_.set_expiry(*b, loop_.now() + profile_.tcp_fin_linger);
-        }
-    }
-    return FastVerdict::kForwarded;
+    finish(v);
+    if (!udp) close_tcp(*b, flags);
+    return Verdict::kForwarded;
 }
 
-NatEngine::FastVerdict NatEngine::inbound_fast(net::PacketView& v,
-                                               bool& handled) {
+NatEngine::Verdict NatEngine::inbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    handled = false;
-    if (v.has_options() || v.is_fragment() || !v.has_l4() ||
-        v.l4_checksum_disabled())
-        return FastVerdict::kSlow;
+    GK_EXPECTS(v.protocol() == net::proto::kUdp ||
+               v.protocol() == net::proto::kTcp);
+    if (!v.has_l4()) return Verdict::kNotOurs;
     const bool udp = v.protocol() == net::proto::kUdp;
     BindingTable& table = udp ? udp_ : tcp_;
-    // Mirror of inbound_tcp()'s unsolicited-SYN policy and strict
-    // handshake tracking; one untaken branch per TCP packet while the
-    // knob stays at Forward.
-    if (!udp && profile_.wan_syn_policy != WanSynPolicy::Forward) {
-        const std::uint8_t flags = v.tcp_flags();
-        if ((flags & 0x02) != 0 && (flags & 0x10) == 0) {
-            handled = true;
-            if (profile_.wan_syn_policy == WanSynPolicy::Tarpit) {
-                ++stats_.wan_syn_tarpitted;
-                obs::inc(m_wan_syn_tarpitted_);
-            } else {
-                ++stats_.wan_syn_dropped;
-                obs::inc(m_wan_syn_dropped_);
-            }
-            return FastVerdict::kDropped;
+    const std::uint8_t flags = v.tcp_flags();
+    // Unsolicited-SYN policy: Drop/Tarpit devices swallow any inbound
+    // plain SYN before it can touch binding state or draw a gateway-
+    // local RST, and additionally track the handshake strictly: until a
+    // binding has seen an inbound SYN-ACK (or is established), nothing
+    // else from the WAN is accepted on it. Forward (every calibrated
+    // device) takes neither branch.
+    const bool strict =
+        !udp && profile_.wan_syn_policy != WanSynPolicy::Forward;
+    if (strict && (flags & 0x12) == 0x02) {
+        if (profile_.wan_syn_policy == WanSynPolicy::Tarpit) {
+            ++stats_.wan_syn_tarpitted;
+            obs::inc(m_wan_syn_tarpitted_);
+        } else {
+            ++stats_.wan_syn_dropped;
+            obs::inc(m_wan_syn_dropped_);
         }
+        return Verdict::kDropped;
     }
     Binding* b = table.find_inbound(v.dst_port(), {v.src(), v.src_port()});
-    if (b == nullptr) return FastVerdict::kSlow; // maybe gateway-local
-    if (!udp && profile_.wan_syn_policy != WanSynPolicy::Forward) {
-        const std::uint8_t flags = v.tcp_flags();
+    if (b == nullptr) return Verdict::kNotOurs; // maybe gateway-local
+    if (strict) {
         const bool synack = (flags & 0x12) == 0x12;
         if (!b->established && !b->synack_in && !synack) {
-            handled = true;
             ++stats_.wan_stray_dropped;
             obs::inc(m_wan_stray_dropped_);
-            return FastVerdict::kDropped;
+            return Verdict::kDropped;
         }
         if (synack) b->synack_in = true;
     }
-    handled = true;
     ++b->packets_in;
     if (udp) {
         const bool first_inbound = !b->confirmed;
@@ -218,87 +205,25 @@ NatEngine::FastVerdict NatEngine::inbound_fast(net::PacketView& v,
         if (profile_.udp.inbound_refreshes || first_inbound)
             udp_.refresh(*b, udp_timeout_for(*b, true, b->key.remote.port));
     } else {
-        const std::uint8_t flags = v.tcp_flags();
-        // Mirror of inbound_tcp(): only non-SYN traffic past the
-        // handshake promotes to the established timeout.
+        // Mirror of the outbound rule: only non-SYN traffic past the
+        // handshake promotes. A retransmitted SYN followed by the
+        // SYN-ACK must not jump to the established timeout.
         if (b->packets_out > 1 && (flags & 0x02) == 0) b->established = true;
         refresh_tcp(*b);
         if ((flags & 0x01) != 0) b->fin_in = true;
     }
     v.set_dst(b->key.internal.addr);
     v.set_dst_port(b->key.internal.port);
-    if (profile_.decrement_ttl) v.decrement_ttl();
-    if (!udp) {
-        const std::uint8_t flags = v.tcp_flags();
-        if ((flags & 0x04) != 0) {
-            tcp_.remove(b->key); // b invalid past this point
-        } else if (b->fin_in && b->fin_out) {
-            tcp_.set_expiry(*b, loop_.now() + profile_.tcp_fin_linger);
-        }
-    }
-    return FastVerdict::kForwarded;
+    finish(v);
+    if (!udp) close_tcp(*b, flags);
+    return Verdict::kForwarded;
 }
 
-std::optional<net::Bytes> NatEngine::outbound_udp(const net::Ipv4Packet& pkt) {
-    net::UdpDatagram dgram;
-    try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    const FlowKey key{net::proto::kUdp,
-                      {pkt.h.src, dgram.src_port},
-                      {pkt.h.dst, dgram.dst_port}};
-    Binding* b = udp_.find_or_create_outbound(key);
-    if (b == nullptr) {
-        ++stats_.dropped_capacity;
-        obs::inc(m_drop_capacity_);
-        return std::nullopt;
-    }
-    ++b->packets_out;
-    if (profile_.udp.outbound_refreshes || b->packets_out == 1)
-        udp_.refresh(*b, udp_timeout_for(*b, false, key.remote.port));
-
-    auto out = translated_header(pkt, wan_addr_, pkt.h.dst);
-    dgram.src_port = b->external_port;
-    out.payload = dgram.serialize(out.h.src, out.h.dst);
-    return out.serialize();
-}
-
-std::optional<net::Bytes> NatEngine::outbound_tcp(const net::Ipv4Packet& pkt) {
-    net::TcpSegment seg;
-    try {
-        seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    const FlowKey key{net::proto::kTcp,
-                      {pkt.h.src, seg.src_port},
-                      {pkt.h.dst, seg.dst_port}};
-    Binding* b = tcp_.find_or_create_outbound(key);
-    if (b == nullptr) {
-        ++stats_.dropped_capacity;
-        obs::inc(m_drop_capacity_);
-        return std::nullopt;
-    }
-    if (seg.flags.syn && !seg.flags.ack)
-        tcp_.set_expiry(*b, loop_.now() + profile_.tcp_transitory_timeout);
-    ++b->packets_out;
-    if (b->packets_in > 0 && !seg.flags.syn) b->established = true;
-    refresh_tcp(*b);
-    if (seg.flags.fin) b->fin_out = true;
-
-    auto out = translated_header(pkt, wan_addr_, pkt.h.dst);
-    seg.src_port = b->external_port;
-    out.payload = seg.serialize(out.h.src, out.h.dst);
-    const auto bytes = out.serialize();
-
-    if (seg.flags.rst) {
-        tcp_.remove(key);
-    } else if (b->fin_in && b->fin_out) {
-        tcp_.set_expiry(*b, loop_.now() + profile_.tcp_fin_linger);
-    }
-    return bytes;
+void NatEngine::close_tcp(Binding& b, std::uint8_t flags) {
+    if ((flags & 0x04) != 0)
+        tcp_.remove(b.key);
+    else if (b.fin_in && b.fin_out)
+        tcp_.set_expiry(b, loop_.now() + profile_.tcp_fin_linger);
 }
 
 void NatEngine::flush() {
@@ -386,30 +311,29 @@ std::optional<net::Bytes> NatEngine::outbound_unknown(
 std::optional<net::Bytes> NatEngine::hairpin(const net::Ipv4Packet& pkt) {
     if (!profile_.hairpin || pkt.h.protocol != net::proto::kUdp)
         return std::nullopt;
-    net::UdpDatagram dgram;
-    try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    if (!v.has_l4()) return std::nullopt;
+    const Binding* target = udp_.find_by_external(v.dst_port());
+    if (target == nullptr || !hairpin_to(v, target->key.internal))
         return std::nullopt;
-    }
-    Binding* target = udp_.find_by_external(dgram.dst_port);
-    if (target == nullptr) return std::nullopt;
+    return bytes;
+}
 
-    // The sender gets its own external mapping too, so the target sees
-    // hairpinned traffic from the same endpoint an outside peer would.
+bool NatEngine::hairpin_to(net::PacketView& v, net::Endpoint target) {
     const FlowKey key{net::proto::kUdp,
-                      {pkt.h.src, dgram.src_port},
-                      {wan_addr_, dgram.dst_port}};
+                      {v.src(), v.src_port()},
+                      {wan_addr_, v.dst_port()}};
     Binding* sender = udp_.find_or_create_outbound(key);
-    if (sender == nullptr) return std::nullopt;
+    if (sender == nullptr) return false;
     ++sender->packets_out;
-    udp_.refresh(*sender, udp_timeout_for(*sender, false, dgram.dst_port));
-
-    auto out = translated_header(pkt, wan_addr_, target->key.internal.addr);
-    dgram.src_port = sender->external_port;
-    dgram.dst_port = target->key.internal.port;
-    out.payload = dgram.serialize(out.h.src, out.h.dst);
-    return out.serialize();
+    udp_.refresh(*sender, udp_timeout_for(*sender, false, v.dst_port()));
+    v.set_src(wan_addr_);
+    v.set_dst(target.addr);
+    v.set_src_port(sender->external_port);
+    v.set_dst_port(target.port);
+    finish(v);
+    return true;
 }
 
 std::optional<net::Bytes> NatEngine::inbound(const net::Ipv4Packet& pkt,
@@ -418,97 +342,19 @@ std::optional<net::Bytes> NatEngine::inbound(const net::Ipv4Packet& pkt,
     handled = false;
     switch (pkt.h.protocol) {
     case net::proto::kUdp:
-        return inbound_udp(pkt, handled);
-    case net::proto::kTcp:
-        return inbound_tcp(pkt, handled);
+    case net::proto::kTcp: {
+        net::Bytes bytes = pkt.serialize();
+        auto v = net::PacketView::of(bytes);
+        const Verdict verdict = inbound(v);
+        handled = verdict != Verdict::kNotOurs;
+        if (verdict != Verdict::kForwarded) return std::nullopt;
+        return bytes;
+    }
     case net::proto::kIcmp:
         return inbound_icmp(pkt, handled);
     default:
         return inbound_unknown(pkt, handled);
     }
-}
-
-std::optional<net::Bytes> NatEngine::inbound_udp(const net::Ipv4Packet& pkt,
-                                                 bool& handled) {
-    net::UdpDatagram dgram;
-    try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    Binding* b = udp_.find_inbound(dgram.dst_port,
-                                   {pkt.h.src, dgram.src_port});
-    if (b == nullptr) return std::nullopt; // not ours: maybe gateway-local
-    handled = true;
-    ++b->packets_in;
-    const bool first_inbound = !b->confirmed;
-    b->confirmed = true;
-    if (profile_.udp.inbound_refreshes || first_inbound)
-        udp_.refresh(*b, udp_timeout_for(*b, true, b->key.remote.port));
-
-    auto out = translated_header(pkt, pkt.h.src, b->key.internal.addr);
-    dgram.dst_port = b->key.internal.port;
-    out.payload = dgram.serialize(out.h.src, out.h.dst);
-    return out.serialize();
-}
-
-std::optional<net::Bytes> NatEngine::inbound_tcp(const net::Ipv4Packet& pkt,
-                                                 bool& handled) {
-    net::TcpSegment seg;
-    try {
-        seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    // Unsolicited-SYN policy: Drop/Tarpit devices swallow any inbound
-    // plain SYN before it can touch binding state or draw a gateway-
-    // local RST, and additionally track the handshake strictly: until a
-    // binding has seen an inbound SYN-ACK (or is established), nothing
-    // else from the WAN is accepted on it. Forward (every calibrated
-    // device) takes neither branch.
-    if (profile_.wan_syn_policy != WanSynPolicy::Forward &&
-        seg.flags.syn && !seg.flags.ack) {
-        handled = true;
-        if (profile_.wan_syn_policy == WanSynPolicy::Tarpit) {
-            ++stats_.wan_syn_tarpitted;
-            obs::inc(m_wan_syn_tarpitted_);
-        } else {
-            ++stats_.wan_syn_dropped;
-            obs::inc(m_wan_syn_dropped_);
-        }
-        return std::nullopt;
-    }
-    Binding* b = tcp_.find_inbound(seg.dst_port, {pkt.h.src, seg.src_port});
-    if (b == nullptr) return std::nullopt;
-    handled = true;
-    if (profile_.wan_syn_policy != WanSynPolicy::Forward) {
-        const bool synack = seg.flags.syn && seg.flags.ack;
-        if (!b->established && !b->synack_in && !synack) {
-            ++stats_.wan_stray_dropped;
-            obs::inc(m_wan_stray_dropped_);
-            return std::nullopt;
-        }
-        if (synack) b->synack_in = true;
-    }
-    ++b->packets_in;
-    // Mirror of the outbound rule at outbound_tcp(): only non-SYN traffic
-    // past the handshake promotes. A retransmitted SYN followed by the
-    // SYN-ACK must not jump to the established timeout.
-    if (b->packets_out > 1 && !seg.flags.syn) b->established = true;
-    refresh_tcp(*b);
-    if (seg.flags.fin) b->fin_in = true;
-
-    auto out = translated_header(pkt, pkt.h.src, b->key.internal.addr);
-    seg.dst_port = b->key.internal.port;
-    out.payload = seg.serialize(out.h.src, out.h.dst);
-    const auto bytes = out.serialize();
-
-    if (seg.flags.rst) {
-        tcp_.remove(b->key);
-    } else if (b->fin_in && b->fin_out) {
-        tcp_.set_expiry(*b, loop_.now() + profile_.tcp_fin_linger);
-    }
-    return bytes;
 }
 
 std::optional<IcmpKind> NatEngine::classify_icmp(const net::IcmpMessage& m) {
@@ -578,56 +424,43 @@ bool NatEngine::embedded_quote_valid(const net::Ipv4Packet& embedded) {
     return true;
 }
 
-net::Bytes NatEngine::translate_embedded(const net::Bytes& quoted,
-                                         const Binding& binding,
-                                         std::uint8_t proto) const {
-    net::Bytes out = quoted;
-    if (out.size() < 20) return out;
-    const std::size_t ihl = static_cast<std::size_t>(out[0] & 0xf) * 4;
-    if (out.size() < ihl) return out;
+void translate_quote(std::span<std::uint8_t> q, bool src_side,
+                     net::Endpoint to, bool fix_ip_checksum,
+                     bool fix_transport) {
+    const auto read16 = [&q](std::size_t at) {
+        return static_cast<std::uint16_t>((q[at] << 8) | q[at + 1]);
+    };
+    const auto write16 = [&q](std::size_t at, std::uint16_t v) {
+        q[at] = static_cast<std::uint8_t>(v >> 8);
+        q[at + 1] = static_cast<std::uint8_t>(v);
+    };
+    if (q.size() < 20) return;
+    const std::size_t ihl = static_cast<std::size_t>(q[0] & 0xf) * 4;
+    if (ihl < 20 || q.size() < ihl) return;
 
-    // Rewrite the embedded source address (external -> internal).
-    const std::uint32_t old_addr = wan_addr_.value();
-    const std::uint32_t new_addr = binding.key.internal.addr.value();
-    for (int i = 0; i < 4; ++i)
-        out[12 + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(new_addr >> (24 - 8 * i));
+    const std::size_t ao = src_side ? 12 : 16;
+    const std::uint32_t old_addr =
+        (std::uint32_t{read16(ao)} << 16) | read16(ao + 2);
+    const std::uint32_t new_addr = to.addr.value();
+    write16(ao, static_cast<std::uint16_t>(new_addr >> 16));
+    write16(ao + 2, static_cast<std::uint16_t>(new_addr));
+    if (fix_ip_checksum)
+        write16(10, net::checksum_update32(read16(10), old_addr, new_addr));
 
-    if (profile_.fix_embedded_ip_checksum) {
-        const auto old_ck =
-            static_cast<std::uint16_t>((quoted[10] << 8) | quoted[11]);
-        const auto new_ck = net::checksum_update32(old_ck, old_addr, new_addr);
-        out[10] = static_cast<std::uint8_t>(new_ck >> 8);
-        out[11] = static_cast<std::uint8_t>(new_ck);
-    }
-
-    if (profile_.fix_embedded_transport && out.size() >= ihl + 2) {
-        // Rewrite the embedded source port (external -> internal).
-        const std::uint16_t old_port = binding.external_port;
-        const std::uint16_t new_port = binding.key.internal.port;
-        out[ihl] = static_cast<std::uint8_t>(new_port >> 8);
-        out[ihl + 1] = static_cast<std::uint8_t>(new_port);
-        // Fix the embedded transport checksum when it is inside the quote
-        // (UDP: offset 6; TCP's checksum at offset 16 is beyond the
-        // 8-byte quote). Account for both the port and the pseudo-header
-        // address change.
-        if (proto == net::proto::kUdp && out.size() >= ihl + 8) {
-            auto ck = static_cast<std::uint16_t>((out[ihl + 6] << 8) |
-                                                 out[ihl + 7]);
-            if (ck != 0) { // zero means checksum disabled
-                ck = net::checksum_update32(ck, old_addr, new_addr);
-                ck = net::checksum_update16(ck, old_port, new_port);
-                // A computed zero must be written as 0xffff (RFC 768):
-                // a raw 0x0000 here reads as "checksum disabled" to the
-                // next NAT layer in a cascade, which then skips its own
-                // rewrite and delivers a quote with a stale checksum.
-                if (ck == 0) ck = 0xffff;
-                out[ihl + 6] = static_cast<std::uint8_t>(ck >> 8);
-                out[ihl + 7] = static_cast<std::uint8_t>(ck);
-            }
-        }
-    }
-    return out;
+    const std::uint8_t proto = q[9];
+    if (!fix_transport ||
+        (proto != net::proto::kUdp && proto != net::proto::kTcp))
+        return;
+    const std::size_t po = ihl + (src_side ? 0u : 2u);
+    if (q.size() < po + 2) return;
+    const std::uint16_t old_port = read16(po);
+    write16(po, to.port);
+    if (proto != net::proto::kUdp || q.size() < ihl + 8) return;
+    std::uint16_t ck = read16(ihl + 6);
+    if (ck == 0) return; // the quoted datagram had no checksum
+    ck = net::checksum_update32(ck, old_addr, new_addr);
+    ck = net::checksum_update16(ck, old_port, to.port);
+    write16(ihl + 6, ck == 0 ? 0xffff : ck);
 }
 
 net::Bytes NatEngine::synthesize_rst_from_icmp(
@@ -726,28 +559,15 @@ std::optional<net::Bytes> NatEngine::inbound_icmp(const net::Ipv4Packet& pkt,
             if (key.id == id && key.remote == embedded.h.dst) {
                 ++stats_.icmp_translated;
                 obs::inc(m_icmp_translated_);
-                net::Bytes quoted = msg.payload;
-                // Rewrite the embedded source address back.
-                const std::uint32_t v = key.internal.value();
-                for (int i = 0; i < 4; ++i)
-                    quoted[12 + static_cast<std::size_t>(i)] =
-                        static_cast<std::uint8_t>(v >> (24 - 8 * i));
                 // The quote's IP checksum covers the rewritten address;
                 // leaving it stale survives one NAT layer (end hosts
                 // rarely verify quotes) but a downstream home NAT that
-                // validates embedded quotes discards the error. Same
-                // incremental update the UDP/TCP path applies, behind
-                // the same profile knob.
-                if (profile_.fix_embedded_ip_checksum && quoted.size() >= 12) {
-                    const auto old_ck = static_cast<std::uint16_t>(
-                        (quoted[10] << 8) | quoted[11]);
-                    const auto new_ck = net::checksum_update32(
-                        old_ck, wan_addr_.value(), v);
-                    quoted[10] = static_cast<std::uint8_t>(new_ck >> 8);
-                    quoted[11] = static_cast<std::uint8_t>(new_ck);
-                }
+                // validates embedded quotes discards the error.
                 net::IcmpMessage fwd = msg;
-                fwd.payload = std::move(quoted);
+                translate_quote(fwd.payload, /*src_side=*/true,
+                                {key.internal, 0},
+                                profile_.fix_embedded_ip_checksum,
+                                profile_.fix_embedded_transport);
                 auto out = translated_header(pkt, pkt.h.src, key.internal);
                 out.payload = fwd.serialize();
                 return out.serialize();
@@ -804,8 +624,9 @@ std::optional<net::Bytes> NatEngine::inbound_icmp(const net::Ipv4Packet& pkt,
         ++stats_.icmp_translated;
         obs::inc(m_icmp_translated_);
         net::IcmpMessage fwd = msg;
-        fwd.payload =
-            translate_embedded(msg.payload, *b, embedded.h.protocol);
+        translate_quote(fwd.payload, /*src_side=*/true, b->key.internal,
+                        profile_.fix_embedded_ip_checksum,
+                        profile_.fix_embedded_transport);
         auto out = translated_header(pkt, pkt.h.src, b->key.internal.addr);
         out.payload = fwd.serialize(); // outer ICMP checksum recomputed
         result = out.serialize();

@@ -20,15 +20,16 @@ class NatEngine {
 public:
     NatEngine(sim::EventLoop& loop, const DeviceProfile& profile);
 
-    /// Configure after DHCP: addresses the translator rewrites between.
-    void set_addresses(net::Ipv4Addr lan_addr, int lan_prefix_len,
-                       net::Ipv4Addr wan_addr);
+    /// Configure after DHCP: the external address the translator
+    /// rewrites inside sources to.
+    void set_wan_addr(net::Ipv4Addr wan_addr) { wan_addr_ = wan_addr; }
     bool configured() const { return !wan_addr_.is_unspecified(); }
     net::Ipv4Addr wan_addr() const { return wan_addr_; }
 
     /// Translate a LAN->WAN datagram. Returns the datagram to emit on the
     /// WAN side, or nullopt when the packet is dropped (no binding
-    /// capacity, unknown protocol policy, TTL exhausted, ...).
+    /// capacity, unknown protocol policy, TTL exhausted, ...). UDP and
+    /// TCP are copied once and run through the in-place translator.
     std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
 
     /// Translate a WAN->LAN datagram addressed to the WAN address (or, for
@@ -39,38 +40,27 @@ public:
     std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
                                       bool& handled);
 
-    /// Verdicts of the in-place translators. kSlow guarantees that no
-    /// translation state was touched, so the caller can replay the same
-    /// packet through the legacy outbound()/inbound() path and observe
-    /// byte-identical behaviour. kDropped matches a legacy nullopt with
-    /// the same counters bumped.
-    enum class FastVerdict : std::uint8_t { kForwarded, kDropped, kSlow };
+    /// Verdicts of the in-place UDP/TCP translator. kNotOurs (inbound
+    /// only) means no NAT flow claims the packet: it is untouched and
+    /// belongs to the gateway's own stack.
+    enum class Verdict : std::uint8_t { kForwarded, kDropped, kNotOurs };
 
-    /// Translate a LAN->WAN UDP/TCP packet in place via `view` (binding
-    /// lookup + address/port rewrite + incremental checksums). Bails to
-    /// kSlow on anything the legacy path treats specially: IP options,
-    /// fragments, non-UDP/TCP transports, inconsistent L4 geometry, or
-    /// checksum-less UDP.
-    FastVerdict outbound_fast(net::PacketView& view);
-    /// WAN->LAN counterpart. `handled` mirrors inbound()'s flag; an
-    /// unknown flow returns kSlow untouched (the packet may be for the
-    /// gateway's own stack).
-    FastVerdict inbound_fast(net::PacketView& view, bool& handled);
-
-    /// True when a packet is structurally eligible for the in-place fast
-    /// path: no IP options or fragments, plain UDP/TCP with sound L4
-    /// geometry, and a live checksum. Lets callers rule out a kSlow
-    /// replay before touching state the replay would touch again (e.g.
-    /// filter hit counters).
-    static bool fast_eligible(const net::PacketView& v) {
-        return !v.has_options() && !v.is_fragment() && v.has_l4() &&
-               !v.l4_checksum_disabled();
-    }
+    /// Translate a LAN->WAN UDP/TCP packet in place via `view`: binding
+    /// lookup, address/port rewrite with incremental checksums, TTL and
+    /// Record Route. A fragment, or a datagram whose transport geometry
+    /// the view rejects, is a drop counted in Stats::dropped_malformed.
+    Verdict outbound(net::PacketView& view);
+    /// WAN->LAN counterpart. Fragments and unsound geometry are kNotOurs.
+    Verdict inbound(net::PacketView& view);
 
     /// Hairpin a LAN->WAN-address datagram back into the LAN (UDP only;
     /// returns nullopt when the device does not hairpin or no binding
     /// matches the targeted external port).
     std::optional<net::Bytes> hairpin(const net::Ipv4Packet& pkt);
+    /// Hairpin's sender half, in place: give the sender its own external
+    /// mapping (so the target sees it as an outside peer would) and
+    /// rewrite `view` toward `target`. False when no mapping is left.
+    bool hairpin_to(net::PacketView& view, net::Endpoint target);
 
     BindingTable& udp_table() { return udp_; }
     BindingTable& tcp_table() { return tcp_; }
@@ -86,7 +76,6 @@ public:
     void flush();
 
     struct Stats {
-        std::uint64_t dropped_no_binding = 0;
         std::uint64_t dropped_capacity = 0;
         std::uint64_t dropped_policy = 0;
         std::uint64_t icmp_translated = 0;
@@ -100,6 +89,9 @@ public:
         std::uint64_t wan_syn_dropped = 0;
         std::uint64_t wan_syn_tarpitted = 0;
         std::uint64_t wan_stray_dropped = 0;
+        /// Outbound UDP/TCP fragments and datagrams with unsound
+        /// transport geometry (no registry series).
+        std::uint64_t dropped_malformed = 0;
     };
     const Stats& stats() const { return stats_; }
 
@@ -110,33 +102,27 @@ public:
                             const std::string& device);
 
 private:
-    /// Common IP header rewrite for fully translated packets.
+    /// Common IP header rewrite for translated ICMP.
     net::Ipv4Packet translated_header(const net::Ipv4Packet& pkt,
                                       net::Ipv4Addr new_src,
                                       net::Ipv4Addr new_dst) const;
+    /// Last step of every in-place rewrite: TTL and Record Route, as
+    /// translated_header() applies them to ICMP.
+    void finish(net::PacketView& v) const;
     sim::Duration udp_timeout_for(const Binding& b, bool inbound_packet,
                                   std::uint16_t service_port) const;
     void refresh_tcp(Binding& b);
+    /// After the rewrite: a RST ends the binding, a FIN pair starts the
+    /// linger. `b` is invalid once this returns.
+    void close_tcp(Binding& b, std::uint8_t flags);
 
-    std::optional<net::Bytes> outbound_udp(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> outbound_tcp(const net::Ipv4Packet& pkt);
     std::optional<net::Bytes> outbound_icmp(const net::Ipv4Packet& pkt);
     std::optional<net::Bytes> outbound_unknown(const net::Ipv4Packet& pkt);
-
-    std::optional<net::Bytes> inbound_udp(const net::Ipv4Packet& pkt,
-                                          bool& handled);
-    std::optional<net::Bytes> inbound_tcp(const net::Ipv4Packet& pkt,
-                                          bool& handled);
     std::optional<net::Bytes> inbound_icmp(const net::Ipv4Packet& pkt,
                                            bool& handled);
     std::optional<net::Bytes> inbound_unknown(const net::Ipv4Packet& pkt,
                                               bool& handled);
 
-    /// Translate the datagram quoted inside an inbound ICMP error back to
-    /// the internal host's view, honoring the device's bug knobs.
-    net::Bytes translate_embedded(const net::Bytes& quoted,
-                                  const Binding& binding,
-                                  std::uint8_t proto) const;
     net::Bytes synthesize_rst_from_icmp(const net::Ipv4Packet& embedded,
                                         const Binding& binding) const;
     static std::optional<IcmpKind> classify_icmp(const net::IcmpMessage& m);
@@ -152,8 +138,6 @@ private:
     const DeviceProfile& profile_;
     BindingTable udp_;
     BindingTable tcp_;
-    net::Ipv4Addr lan_addr_;
-    int lan_prefix_len_ = 24;
     net::Ipv4Addr wan_addr_;
     Stats stats_;
 
@@ -207,5 +191,19 @@ private:
     };
     std::map<IpOnlyKey, IpOnlyBinding> ip_only_;
 };
+
+/// Rewrite one endpoint of the datagram quoted in an ICMP error, in
+/// place. `src_side` picks the quoted source (errors coming in: external
+/// view back to internal) or destination (errors an inside host sends
+/// about traffic it received). The address always changes; with
+/// `fix_ip_checksum` the quote's IP header checksum follows it (RFC
+/// 1624). With `fix_transport` a UDP/TCP quote's port changes too, and a
+/// UDP checksum inside the quote follows both, a computed zero written
+/// as 0xffff (RFC 768) so the next NAT layer does not read "disabled".
+/// TCP's checksum at transport offset 16 lies beyond the RFC 792 8-byte
+/// quote and is left alone.
+void translate_quote(std::span<std::uint8_t> quote, bool src_side,
+                     net::Endpoint to, bool fix_ip_checksum,
+                     bool fix_transport);
 
 } // namespace gatekit::gateway

@@ -106,7 +106,7 @@ namespace {
 
 /// Locate the Record Route option inside raw option bytes; returns the
 /// offset of its type octet or npos.
-std::size_t find_record_route(const Bytes& options) {
+std::size_t find_record_route(std::span<const std::uint8_t> options) {
     std::size_t i = 0;
     while (i < options.size()) {
         const std::uint8_t type = options[i];
@@ -143,18 +143,24 @@ std::vector<Ipv4Addr> Ipv4Packet::recorded_route() const {
 }
 
 void Ipv4Packet::record_route(Ipv4Addr router) {
-    const auto at = find_record_route(h.options);
-    if (at == static_cast<std::size_t>(-1)) return;
-    const std::uint8_t len = h.options[at + 1];
-    const std::uint8_t ptr = h.options[at + 2];
-    if (ptr + 3 > len + 1) return; // full
+    stamp_record_route(h.options, router);
+}
+
+bool stamp_record_route(std::span<std::uint8_t> options, Ipv4Addr router) {
+    const auto at = find_record_route(options);
+    if (at == static_cast<std::size_t>(-1)) return false;
+    const std::uint8_t len = options[at + 1];
+    if (len < 3) return false; // no room for a pointer
+    const std::uint8_t ptr = options[at + 2];
+    // The next slot spans option bytes [ptr-1, ptr+3): it must exist.
+    if (ptr < 4 || ptr + 3 > len) return false; // malformed or full
     const std::size_t slot = at + ptr - 1;
-    if (slot + 4 > at + len) return;
     const std::uint32_t v = router.value();
     for (int i = 0; i < 4; ++i)
-        h.options[slot + static_cast<std::size_t>(i)] =
+        options[slot + static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(v >> (24 - 8 * i));
-    h.options[at + 2] = static_cast<std::uint8_t>(ptr + 4);
+    options[at + 2] = static_cast<std::uint8_t>(ptr + 4);
+    return true;
 }
 
 } // namespace gatekit::net

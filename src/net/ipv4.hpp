@@ -75,6 +75,12 @@ struct Ipv4Packet {
     void record_route(Ipv4Addr router);
 };
 
+/// Stamp `router` into the Record Route option found in raw IPv4 option
+/// bytes, if there is one with room left, and advance its pointer.
+/// Returns whether anything was written. A pointer below the first slot
+/// (RFC 791 minimum 4) marks a malformed option and is left alone.
+bool stamp_record_route(std::span<std::uint8_t> options, Ipv4Addr router);
+
 /// Read the destination address straight out of a serialized datagram —
 /// the routing fast path only needs these four bytes, not a full parse.
 /// Throws ParseError when the buffer is shorter than an IPv4 header.

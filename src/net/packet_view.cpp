@@ -1,6 +1,7 @@
 #include "net/packet_view.hpp"
 
 #include "net/checksum.hpp"
+#include "util/assert.hpp"
 
 namespace gatekit::net {
 
@@ -32,9 +33,9 @@ std::optional<PacketView> PacketView::parse(
 
     const std::size_t l4_len = total - ihl;
     if (!v.fragment_ && v.proto_ == proto::kUdp && l4_len >= 8) {
-        // The UDP length field must span the IP payload exactly: the
-        // legacy path trims trailing bytes to the UDP length on
-        // re-serialization, which in-place forwarding cannot mimic.
+        // The UDP length field must span the IP payload exactly; a
+        // datagram that disagrees with its IP header has no sound
+        // geometry to translate.
         const std::uint16_t udp_len =
             static_cast<std::uint16_t>((d[ihl + 4] << 8) | d[ihl + 5]);
         if (udp_len == l4_len) {
@@ -45,9 +46,7 @@ std::optional<PacketView> PacketView::parse(
                 static_cast<std::uint16_t>((d[ihl + 2] << 8) | d[ihl + 3]);
             const std::uint16_t ck =
                 static_cast<std::uint16_t>((d[ihl + 6] << 8) | d[ihl + 7]);
-            if (ck == 0)
-                v.l4_ck_disabled_ = true;
-            else
+            if (ck != 0) // zero: disabled by the sender, stays disabled
                 v.l4_ck_off_ = static_cast<std::uint16_t>(ihl + 6);
         }
     } else if (!v.fragment_ && v.proto_ == proto::kTcp && l4_len >= 20) {
@@ -63,6 +62,12 @@ std::optional<PacketView> PacketView::parse(
         }
     }
     return v;
+}
+
+PacketView PacketView::of(std::span<std::uint8_t> datagram) {
+    auto v = parse(datagram);
+    GK_ASSERT(v.has_value());
+    return *v;
 }
 
 void PacketView::ip_fixup16(std::size_t off, std::uint16_t old_w,
@@ -124,6 +129,12 @@ void PacketView::decrement_ttl() {
     const std::uint16_t old_w = read16(8);
     data_[8] = static_cast<std::uint8_t>(data_[8] - 1);
     write16(10, checksum_update16(read16(10), old_w, read16(8)));
+}
+
+void PacketView::record_route(Ipv4Addr router) {
+    if (!stamp_record_route({data_ + 20, ihl_ - 20u}, router)) return;
+    write16(10, 0);
+    write16(10, internet_checksum({data_, ihl_}));
 }
 
 } // namespace gatekit::net

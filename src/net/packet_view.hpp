@@ -5,14 +5,12 @@
 // buffer and is invalidated by anything that reallocates or frees it
 // (see DESIGN.md §13 for the discipline).
 //
-// In-place updates are byte-identical to the legacy re-serialization for
-// any packet whose wire checksums were correct on arrival: the serializer
-// emits the unique representative of the checksum's residue class in
-// [0, 0xfffe] (IPv4/TCP) or [1, 0xffff] (UDP, where 0 means "disabled"),
-// and the incremental form is closed over exactly those ranges. Packets
-// with incorrect checksums (corrupt impairments) keep their badness in
-// place where re-serialization would have silently repaired it; the fast
-// path is only used where that distinction cannot matter.
+// Incremental updates preserve whatever the wire checksums said: a
+// correct checksum stays correct (the update is closed over the
+// representatives a serializer emits — [0, 0xfffe] for IPv4/TCP,
+// [1, 0xffff] for UDP, where 0 means "disabled"), a wrong one stays
+// wrong by the same amount, and a disabled UDP checksum stays 0. Only a
+// Record Route stamp recomputes the IP header checksum outright.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +30,9 @@ public:
     /// Ipv4Packet::parse. The view aliases `datagram`; the caller keeps
     /// the buffer alive and unmoved for the view's lifetime.
     static std::optional<PacketView> parse(std::span<std::uint8_t> datagram);
+    /// parse() for a buffer known to hold a well-formed header, such as
+    /// fresh Ipv4Packet::serialize() output: asserts instead of failing.
+    static PacketView of(std::span<std::uint8_t> datagram);
 
     // --- geometry ------------------------------------------------------
     std::uint8_t* data() const { return data_; }
@@ -53,10 +54,6 @@ public:
     std::uint16_t src_port() const { return sport_; }
     std::uint16_t dst_port() const { return dport_; }
 
-    /// Wire UDP checksum was zero ("no checksum"); in-place updates are
-    /// impossible because re-serialization would compute a fresh one.
-    bool l4_checksum_disabled() const { return l4_ck_disabled_; }
-
     /// TCP flag bits (byte 13 of the TCP header); 0 for non-TCP.
     std::uint8_t tcp_flags() const {
         return proto_ == proto::kTcp && has_l4_ ? data_[ihl_ + 13] : 0;
@@ -68,6 +65,9 @@ public:
     void set_src_port(std::uint16_t p);
     void set_dst_port(std::uint16_t p);
     void decrement_ttl();
+    /// Stamp `router` into a Record Route option with room left (see
+    /// net::stamp_record_route) and recompute the header checksum.
+    void record_route(Ipv4Addr router);
 
 private:
     void ip_fixup16(std::size_t off, std::uint16_t old_w, std::uint16_t new_w);
@@ -91,8 +91,9 @@ private:
     std::uint8_t proto_ = 0;
     bool fragment_ = false;
     bool has_l4_ = false;
-    bool l4_ck_disabled_ = false;
-    std::uint16_t l4_ck_off_ = 0; ///< absolute offset; 0 = no L4 checksum
+    /// Absolute offset of the L4 checksum; 0 = none (no L4 geometry, or
+    /// a UDP checksum disabled by the sender).
+    std::uint16_t l4_ck_off_ = 0;
     Ipv4Addr src_;
     Ipv4Addr dst_;
     std::uint16_t sport_ = 0;

@@ -76,6 +76,16 @@ const Route* Host::lookup_route(net::Ipv4Addr dst) const {
     return &routes_[static_cast<std::size_t>(idx)];
 }
 
+const Route* Host::same_prefix_route_from(net::Ipv4Addr src,
+                                          const Route& best) const {
+    for (const Route& r : routes_)
+        if (r.prefix_len == best.prefix_len &&
+            r.prefix.same_subnet(best.prefix, best.prefix_len) &&
+            r.iface->configured() && r.iface->addr() == src)
+            return &r;
+    return nullptr;
+}
+
 bool Host::send_ip(net::Ipv4Packet pkt) {
     if (pkt.h.dst.is_broadcast()) return false; // needs an iface-bound send
     // Local delivery without touching the wire (same-host traffic).
@@ -89,6 +99,14 @@ bool Host::send_ip(net::Ipv4Packet pkt) {
         return true;
     }
     const Route* route = lookup_route(pkt.h.dst);
+    // Several interfaces may carry the same prefix (every gateway behind
+    // one CGN reaches the CGN's uplink subnet) and the index keeps only
+    // the first, so a bound source address takes the tie to the
+    // interface that owns it.
+    if (route != nullptr && !pkt.h.src.is_unspecified() &&
+        route->iface->addr() != pkt.h.src)
+        if (const Route* own = same_prefix_route_from(pkt.h.src, *route))
+            route = own;
     if (route == nullptr || !route->iface->configured()) return false;
     if (pkt.h.src.is_unspecified()) pkt.h.src = route->iface->addr();
     if (pkt.h.id == 0) pkt.h.id = ip_id_++;

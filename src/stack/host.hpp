@@ -68,8 +68,10 @@ public:
     const Route* lookup_route(net::Ipv4Addr dst) const;
 
     /// Route and send a datagram. Fills in the source address from the
-    /// egress interface when unset. Returns false when no route exists or
-    /// the egress interface is unconfigured.
+    /// egress interface when unset. When several interfaces carry the
+    /// winning prefix, a bound source address picks the one that owns
+    /// it. Returns false when no route exists or the egress interface is
+    /// unconfigured.
     bool send_ip(net::Ipv4Packet pkt);
 
     /// Inject pre-serialized datagram bytes out of a specific interface
@@ -183,6 +185,10 @@ private:
     /// Re-index the LPM trie from routes_ (route removal shifts slab
     /// indexes, so bulk removals rebuild rather than patch).
     void reindex_routes();
+    /// The route for the same prefix as `best` through the interface
+    /// configured with `src`, or nullptr when that interface has none.
+    const Route* same_prefix_route_from(net::Ipv4Addr src,
+                                        const Route& best) const;
 
     sim::EventLoop& loop_;
     std::string name_;

@@ -18,7 +18,6 @@ using namespace gatekit::gateway;
 
 namespace {
 
-const net::Ipv4Addr kLan(192, 168, 1, 1);
 const net::Ipv4Addr kClient(192, 168, 1, 100);
 const net::Ipv4Addr kWan(10, 0, 1, 10);
 const net::Ipv4Addr kServer(10, 0, 1, 1);
@@ -87,7 +86,7 @@ TEST(AttackParsing, FragmentQuoteIsDropped) {
     sim::EventLoop loop;
     auto profile = base_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
     ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
 
     net::Ipv4Packet q;
@@ -111,7 +110,7 @@ TEST(AttackParsing, BogusTimeExceededCodeDoesNotClassify) {
     sim::EventLoop loop;
     auto profile = base_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
     ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
 
     const auto quote = well_formed_quote(40000, 7000);
@@ -135,7 +134,7 @@ TEST(AttackKnobs, IcmpErrorRateLimitWindow) {
     auto profile = base_profile();
     profile.icmp_error_rate_limit = 2;
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
     ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
 
     const auto err = port_unreachable(well_formed_quote(40000, 7000));
@@ -158,7 +157,7 @@ TEST(AttackKnobs, ValidateEmbeddedBindingRejectsStubQuote) {
     auto profile = base_profile();
     profile.validate_embedded_binding = true;
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
     ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
 
     // Four transport bytes: enough for the lax port-pair lookup, too
@@ -186,7 +185,7 @@ TEST(AttackKnobs, WanSynPolicyDropTarpitAndStrictStrays) {
     auto profile = base_profile();
     profile.wan_syn_policy = WanSynPolicy::Drop;
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     const auto tcp_in = [&](std::uint16_t dst_port, bool syn, bool ack) {
         net::Ipv4Packet pkt;
@@ -235,7 +234,7 @@ TEST(AttackKnobs, WanSynPolicyDropTarpitAndStrictStrays) {
     auto tarpit_profile = base_profile();
     tarpit_profile.wan_syn_policy = WanSynPolicy::Tarpit;
     NatEngine tarpit(loop, tarpit_profile);
-    tarpit.set_addresses(kLan, 24, kWan);
+    tarpit.set_wan_addr(kWan);
     handled = false;
     EXPECT_FALSE(
         tarpit.inbound(tcp_in(42000, true, false), handled).has_value());
@@ -248,7 +247,7 @@ TEST(AttackKnobs, PerHostBindingBudgetRefusesAndReleases) {
     auto profile = base_profile();
     profile.per_host_binding_budget = 3;
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     for (std::uint16_t i = 0; i < 5; ++i)
         nat.outbound(udp_packet(static_cast<std::uint16_t>(40000 + i), 7000));

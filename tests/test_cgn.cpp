@@ -1,17 +1,21 @@
 // Carrier-grade NAT and NAT444 cascaded topologies: CgnEngine unit tests
 // (deterministic port blocks, shared-pool exhaustion, EIM/EDM, hairpin,
-// embedded-quote rewriting) plus end-to-end regression tests for the
-// multi-hop bugs the cascade flushed out — off-subnet ARP blackholes,
-// missing Time Exceeded at the second hop, and stale checksums in
-// double-translated ICMP quotes.
+// embedded-quote rewriting, the translator's defined malformed-input
+// cases) plus end-to-end regression tests for the multi-hop bugs the
+// cascade flushed out — off-subnet ARP blackholes, missing Time Exceeded
+// at the second hop, stale checksums in double-translated ICMP quotes,
+// and several gateways sharing one CGN.
 #include "gateway/cgn.hpp"
 
 #include <gtest/gtest.h>
 
+#include "devices/profiles.hpp"
 #include "harness/holepunch.hpp"
+#include "harness/tcp_probes.hpp"
 #include "harness/testbed.hpp"
 #include "net/checksum.hpp"
 #include "net/icmp.hpp"
+#include "net/tcp_header.hpp"
 #include "net/udp.hpp"
 #include "testutil.hpp"
 
@@ -261,6 +265,97 @@ TEST(CgnEngine, UnsolicitedInboundIsNotHandled) {
     EXPECT_EQ(bed.engine.stats().dropped_no_binding, 1u);
 }
 
+// --- The cases the in-place translator defines -----------------------------
+
+namespace {
+
+/// Ones-complement residual of a UDP/TCP datagram's transport checksum:
+/// 0 when it is right, the error it carries otherwise.
+std::uint16_t l4_residual(const net::Bytes& datagram) {
+    const auto pkt = net::Ipv4Packet::parse(datagram);
+    net::ChecksumAccumulator acc;
+    net::add_pseudo_header(acc, pkt.h.src, pkt.h.dst, pkt.h.protocol,
+                           static_cast<std::uint16_t>(pkt.payload.size()));
+    acc.add_bytes(pkt.payload);
+    return acc.finalize();
+}
+
+net::Ipv4Packet tcp_syn(net::Ipv4Addr src, std::uint16_t sport,
+                        net::Ipv4Addr dst, std::uint16_t dport) {
+    net::Ipv4Packet pkt;
+    pkt.h.protocol = net::proto::kTcp;
+    pkt.h.src = src;
+    pkt.h.dst = dst;
+    net::TcpSegment seg;
+    seg.src_port = sport;
+    seg.dst_port = dport;
+    seg.flags.syn = true;
+    pkt.payload = seg.serialize(src, dst);
+    return pkt;
+}
+
+} // namespace
+
+TEST(CgnEngine, FragmentsAreAnOutboundDropAndNotOursInbound) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    auto frag = udp_pkt(sub, 40000, kRemote, 7000);
+    frag.h.more_fragments = true;
+    EXPECT_FALSE(bed.engine.outbound(frag).has_value());
+    ASSERT_NE(bed.engine.engine_for(sub), nullptr);
+    EXPECT_EQ(bed.engine.engine_for(sub)->stats().dropped_malformed, 1u);
+    EXPECT_EQ(bed.engine.stats().pool_exhausted, 0u);
+    EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
+
+    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    ASSERT_TRUE(out.has_value());
+    auto reply = udp_pkt(kRemote, 7000, kExternal, udp_src_port(*out));
+    reply.h.more_fragments = true;
+    bool handled = true;
+    EXPECT_FALSE(bed.engine.inbound(reply, handled).has_value());
+    EXPECT_FALSE(handled);
+}
+
+TEST(CgnEngine, UnsoundTransportGeometryIsACountedDrop) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    auto udp = udp_pkt(sub, 40000, kRemote, 7000, {1, 2, 3});
+    udp.payload[5] = static_cast<std::uint8_t>(udp.payload[5] - 1);
+    EXPECT_FALSE(bed.engine.outbound(udp).has_value());
+
+    auto tcp = tcp_syn(sub, 41000, kRemote, 80);
+    tcp.payload[12] = 0xf0; // data offset 60 over a 20-byte segment
+    EXPECT_FALSE(bed.engine.outbound(tcp).has_value());
+
+    EXPECT_EQ(bed.engine.engine_for(sub)->stats().dropped_malformed, 2u);
+    EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
+}
+
+TEST(CgnEngine, ChecksumlessUdpStaysChecksumless) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    auto pkt = udp_pkt(sub, 40000, kRemote, 7000);
+    pkt.payload[6] = pkt.payload[7] = 0;
+    const auto out = bed.engine.outbound(pkt);
+    ASSERT_TRUE(out.has_value());
+    const auto wire = net::Ipv4Packet::parse(*out);
+    EXPECT_EQ(wire.h.src, kExternal);
+    EXPECT_EQ(wire.payload[6], 0);
+    EXPECT_EQ(wire.payload[7], 0);
+}
+
+TEST(CgnEngine, WrongTcpChecksumKeepsItsError) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    auto pkt = tcp_syn(sub, 41000, kRemote, 80);
+    pkt.payload[16] ^= 0x5a; // damaged in flight
+    const auto in_error = l4_residual(pkt.serialize());
+    ASSERT_NE(in_error, 0);
+    const auto out = bed.engine.outbound(pkt);
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(l4_residual(*out), in_error);
+}
+
 // --- Satellite: embedded-quote rewriting (the double-NAT ICMP fix) --------
 
 // Regression: an inbound ICMP error's quote must be rewritten to the
@@ -435,6 +530,42 @@ TEST(Nat444, PortUnreachableQuoteSurvivesDoubleTranslation) {
     EXPECT_EQ(d.src_port, 46000);
     EXPECT_TRUE(ip_header_checksum_ok(got->payload));
     EXPECT_TRUE(d.checksum_ok);
+}
+
+// Regression: gateways behind one CGN share the group's uplink subnet,
+// so the test client holds one route to it per member and the route
+// table keeps the first. Every member's address-bound traffic left
+// through member 0's VLAN; gateway 0 translated it and dropped the
+// replies at its LAN egress, so TCP-2 on the other members never moved
+// a byte. Egress now follows the interface that owns the source address.
+TEST(Nat444, Tcp2CompletesForEveryMemberOfOneCgn) {
+    sim::EventLoop loop;
+    Testbed tb(loop);
+    const int g = tb.add_cgn_group();
+    const auto& profiles = devices::all_profiles();
+    std::vector<int> members;
+    for (std::size_t i = 0; i < 3; ++i)
+        members.push_back(tb.add_device_behind_cgn(profiles[i], g));
+    tb.start_and_wait();
+
+    std::uint16_t port = 5001;
+    for (const int m : members) {
+        harness::ThroughputConfig cfg;
+        cfg.bytes = 1'000'000;
+        cfg.port_base = port;
+        port = static_cast<std::uint16_t>(port + 10);
+        std::optional<harness::ThroughputResult> r;
+        harness::measure_throughput(
+            tb, m, cfg, [&r](harness::ThroughputResult res) { r = res; });
+        for (int s = 0; s < 1200 && !r; ++s)
+            loop.run_for(std::chrono::seconds(1));
+        ASSERT_TRUE(r.has_value()) << "member " << m;
+        for (const auto* leg : {&r->upload, &r->download, &r->upload_bidir,
+                                &r->download_bidir}) {
+            EXPECT_TRUE(leg->completed) << "member " << m;
+            EXPECT_EQ(leg->bytes, cfg.bytes) << "member " << m;
+        }
+    }
 }
 
 TEST(Nat444, HolePunchAcrossTwoCgns) {

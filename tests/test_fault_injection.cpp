@@ -587,7 +587,6 @@ TEST(DnsProxyRegression, ProxyTcpOrphanCleansUp) {
 
 namespace {
 
-const net::Ipv4Addr kLan(192, 168, 1, 1);
 const net::Ipv4Addr kClient(192, 168, 1, 100);
 const net::Ipv4Addr kWan(10, 0, 1, 10);
 const net::Ipv4Addr kServer(10, 0, 1, 1);
@@ -621,7 +620,7 @@ TEST(NatEngineRegression, SynRetransmitDoesNotEstablishOnSynAck) {
     sim::EventLoop loop;
     auto profile = unit_profile();
     gateway::NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     // Original SYN plus one retransmission (lossy WAN ate the SYN-ACK).
     const auto syn = tcp_packet(kClient, kServer, 41000, 80, true, false);
@@ -648,7 +647,7 @@ TEST(NatEngineRegression, FlushForgetsEveryTable) {
     sim::EventLoop loop;
     auto profile = unit_profile();
     gateway::NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     net::Ipv4Packet udp;
     udp.h.protocol = net::proto::kUdp;

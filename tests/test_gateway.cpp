@@ -420,8 +420,9 @@ TEST(GatewayDns, TcpProxyModes) {
 // Regression: routing decisions must come from the ingress parse, never
 // from re-reading header bytes after the NAT rewrite (or after a NAT
 // drop, when there are no rewritten bytes at all). A TTL-expiring packet
-// exercises the drop leg on both the fast path (plain UDP) and the
-// legacy path (IP options make the packet fast-ineligible).
+// is deferred from the NIC frame hook to the packet path, with or
+// without IP options (the Time Exceeded quote needs it unrewritten), and
+// must drop cleanly there; a surviving packet then takes the frame hook.
 TEST(GatewayNat, TtlExpiringPacketDropsCleanlyOnBothPaths) {
     Bed bed;
     auto& slot = bed.slot();
@@ -436,14 +437,14 @@ TEST(GatewayNat, TtlExpiringPacketDropsCleanlyOnBothPaths) {
         });
     auto& sock = bed.tb.client().udp_open(slot.client_addr, 0);
 
-    // Fast path: TTL exhausts inside the NAT, nothing may reach the WAN.
+    // TTL exhausts at the gateway: nothing may reach the WAN.
     stack::UdpSocket::SendOptions opts;
     opts.ttl = 1;
     sock.send_to({slot.server_addr, 7000}, {1}, opts);
     bed.loop.run();
     EXPECT_EQ(received, 0);
 
-    // Legacy path (IP options force fast-ineligibility): same drop.
+    // With IP options: the same deferral, the same drop.
     opts.ip_options = {0x01, 0x01, 0x01, 0x00}; // NOP NOP NOP EOL
     sock.send_to({slot.server_addr, 7000}, {2}, opts);
     bed.loop.run();

@@ -16,7 +16,6 @@ using namespace gatekit::gateway;
 
 namespace {
 
-const net::Ipv4Addr kLan(192, 168, 1, 1);
 const net::Ipv4Addr kClient(192, 168, 1, 100);
 const net::Ipv4Addr kWan(10, 0, 1, 10);
 const net::Ipv4Addr kServer(10, 0, 1, 1);
@@ -46,6 +45,51 @@ net::Ipv4Packet udp_packet(std::uint16_t sport, std::uint16_t dport,
     d.payload = std::move(payload);
     pkt.payload = d.serialize(pkt.h.src, pkt.h.dst);
     return pkt;
+}
+
+/// The ones-complement residual of a UDP/TCP datagram's transport
+/// checksum over its pseudo-header: 0 when the checksum is right, and
+/// otherwise the error it carries.
+std::uint16_t l4_residual(const net::Bytes& datagram) {
+    const auto pkt = net::Ipv4Packet::parse(datagram);
+    net::ChecksumAccumulator acc;
+    net::add_pseudo_header(acc, pkt.h.src, pkt.h.dst, pkt.h.protocol,
+                           static_cast<std::uint16_t>(pkt.payload.size()));
+    acc.add_bytes(pkt.payload);
+    return acc.finalize();
+}
+
+net::Ipv4Packet tcp_packet(std::uint16_t sport, std::uint16_t dport,
+                           bool syn) {
+    net::Ipv4Packet pkt;
+    pkt.h.protocol = net::proto::kTcp;
+    pkt.h.src = kClient;
+    pkt.h.dst = kServer;
+    net::TcpSegment seg;
+    seg.src_port = sport;
+    seg.dst_port = dport;
+    seg.flags.syn = syn;
+    seg.flags.ack = !syn;
+    seg.payload = {'d'};
+    pkt.payload = seg.serialize(pkt.h.src, pkt.h.dst);
+    return pkt;
+}
+
+/// A server reply toward the external endpoint `outbound` was given.
+net::Ipv4Packet reply_to(const net::Bytes& outbound, net::Bytes payload) {
+    const auto out = net::Ipv4Packet::parse(outbound);
+    net::Ipv4Packet reply;
+    reply.h.protocol = net::proto::kUdp;
+    reply.h.src = out.h.dst;
+    reply.h.dst = out.h.src;
+    net::UdpDatagram d;
+    d.src_port = static_cast<std::uint16_t>((out.payload[2] << 8) |
+                                            out.payload[3]);
+    d.dst_port = static_cast<std::uint16_t>((out.payload[0] << 8) |
+                                            out.payload[1]);
+    d.payload = std::move(payload);
+    reply.payload = d.serialize(reply.h.src, reply.h.dst);
+    return reply;
 }
 
 } // namespace
@@ -232,7 +276,7 @@ TEST(NatEngine, UdpOutboundTranslatesAndFixesChecksums) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     const auto out = nat.outbound(udp_packet(40000, 7000, {'h', 'i'}));
     ASSERT_TRUE(out.has_value());
@@ -251,7 +295,7 @@ TEST(NatEngine, RoundTripIsInvertible) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     const auto out = nat.outbound(udp_packet(40000, 7000, {'q'}));
     ASSERT_TRUE(out.has_value());
@@ -282,7 +326,7 @@ TEST(NatEngine, InboundWithoutBindingIsNotHandled) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     net::Ipv4Packet stray;
     stray.h.protocol = net::proto::kUdp;
@@ -302,7 +346,7 @@ TEST(NatEngine, TtlExhaustionDrops) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
     auto pkt = udp_packet(40000, 7000);
     pkt.h.ttl = 1;
     EXPECT_FALSE(nat.outbound(pkt).has_value());
@@ -312,7 +356,7 @@ TEST(NatEngine, TcpRstRemovesBindingImmediately) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     net::Ipv4Packet syn;
     syn.h.protocol = net::proto::kTcp;
@@ -338,7 +382,7 @@ TEST(NatEngine, HairpinRequiresKnobAndBinding) {
     auto profile = quick_profile();
     profile.hairpin = true;
     NatEngine nat(loop, profile);
-    nat.set_addresses(kLan, 24, kWan);
+    nat.set_wan_addr(kWan);
 
     // No binding yet: nothing to hairpin to.
     net::Ipv4Packet probe;
@@ -365,4 +409,116 @@ TEST(NatEngine, UnconfiguredEngineViolatesContract) {
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
     EXPECT_THROW(nat.outbound(udp_packet(1, 2)), gatekit::ContractViolation);
+}
+
+// --- The cases the in-place translator defines ------------------------------
+
+TEST(NatEngine, FragmentsAreAnOutboundDropAndNotOursInbound) {
+    sim::EventLoop loop;
+    auto profile = quick_profile();
+    NatEngine nat(loop, profile);
+    nat.set_wan_addr(kWan);
+
+    auto first = udp_packet(40000, 7000);
+    first.h.more_fragments = true;
+    EXPECT_FALSE(nat.outbound(first).has_value());
+    auto later = udp_packet(40000, 7000);
+    later.h.frag_offset = 185;
+    EXPECT_FALSE(nat.outbound(later).has_value());
+    EXPECT_EQ(nat.stats().dropped_malformed, 2u);
+    EXPECT_EQ(nat.udp_table().size(), 0u); // no state for a drop
+
+    const auto out = nat.outbound(udp_packet(40000, 7000));
+    ASSERT_TRUE(out.has_value());
+    auto frag = reply_to(*out, {'r'});
+    frag.h.more_fragments = true;
+    bool handled = true;
+    EXPECT_FALSE(nat.inbound(frag, handled).has_value());
+    EXPECT_FALSE(handled); // the gateway's own stack gets it
+}
+
+TEST(NatEngine, UnsoundTransportGeometryIsACountedDrop) {
+    sim::EventLoop loop;
+    auto profile = quick_profile();
+    NatEngine nat(loop, profile);
+    nat.set_wan_addr(kWan);
+
+    // UDP length one short of the IP payload (a trailing byte).
+    auto udp = udp_packet(40000, 7000, {1, 2, 3});
+    udp.payload[5] = static_cast<std::uint8_t>(udp.payload[5] - 1);
+    EXPECT_FALSE(nat.outbound(udp).has_value());
+    // TCP data offset of 60 bytes over a 21-byte segment.
+    auto tcp = tcp_packet(41000, 80, true);
+    tcp.payload[12] = 0xf0;
+    EXPECT_FALSE(nat.outbound(tcp).has_value());
+
+    EXPECT_EQ(nat.stats().dropped_malformed, 2u);
+    EXPECT_EQ(nat.udp_table().size() + nat.tcp_table().size(), 0u);
+}
+
+TEST(NatEngine, ChecksumlessUdpStaysChecksumless) {
+    sim::EventLoop loop;
+    auto profile = quick_profile();
+    NatEngine nat(loop, profile);
+    nat.set_wan_addr(kWan);
+
+    auto pkt = udp_packet(40000, 7000, {'z'});
+    pkt.payload[6] = pkt.payload[7] = 0; // sender disabled the checksum
+    const auto out = nat.outbound(pkt);
+    ASSERT_TRUE(out.has_value());
+    const auto wire = net::Ipv4Packet::parse(*out);
+    EXPECT_EQ(wire.payload[6], 0);
+    EXPECT_EQ(wire.payload[7], 0);
+
+    auto reply = reply_to(*out, {'y'});
+    reply.payload[6] = reply.payload[7] = 0;
+    bool handled = false;
+    const auto in = nat.inbound(reply, handled);
+    ASSERT_TRUE(in.has_value());
+    const auto lan = net::Ipv4Packet::parse(*in);
+    EXPECT_EQ(lan.h.dst, kClient);
+    EXPECT_EQ(lan.payload[6], 0);
+    EXPECT_EQ(lan.payload[7], 0);
+}
+
+TEST(NatEngine, WrongTcpChecksumKeepsItsError) {
+    sim::EventLoop loop;
+    auto profile = quick_profile();
+    NatEngine nat(loop, profile);
+    nat.set_wan_addr(kWan);
+
+    auto pkt = tcp_packet(41000, 80, true);
+    pkt.payload[16] ^= 0x5a; // damaged in flight
+    const auto in_error = l4_residual(pkt.serialize());
+    ASSERT_NE(in_error, 0);
+    const auto out = nat.outbound(pkt);
+    ASSERT_TRUE(out.has_value()); // forwarded, not repaired
+    EXPECT_EQ(net::Ipv4Packet::parse(*out).h.src, kWan);
+    EXPECT_EQ(l4_residual(*out), in_error);
+}
+
+TEST(NatEngine, RecordRouteIsStampedInPlace) {
+    sim::EventLoop loop;
+    auto profile = quick_profile();
+    profile.honor_record_route = true;
+    NatEngine nat(loop, profile);
+    nat.set_wan_addr(kWan);
+
+    auto pkt = udp_packet(40000, 7000, {'r'});
+    pkt.h.options = net::Ipv4Packet::make_record_route_option(2);
+    const auto out = nat.outbound(pkt);
+    ASSERT_TRUE(out.has_value());
+    const auto wire = net::Ipv4Packet::parse(*out);
+    EXPECT_TRUE(wire.h.checksum_ok);
+    EXPECT_EQ(wire.recorded_route(), std::vector<net::Ipv4Addr>{kWan});
+    EXPECT_EQ(l4_residual(*out), 0);
+
+    // A full route is left as it came; the header stays valid.
+    pkt.h.options = wire.h.options;
+    pkt.h.options[2] = static_cast<std::uint8_t>(pkt.h.options[1] + 1);
+    const auto full = nat.outbound(pkt);
+    ASSERT_TRUE(full.has_value());
+    const auto again = net::Ipv4Packet::parse(*full);
+    EXPECT_TRUE(again.h.checksum_ok);
+    EXPECT_EQ(again.h.options, pkt.h.options);
 }

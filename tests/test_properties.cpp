@@ -52,9 +52,9 @@ TEST_P(NatInvertibility, RandomDatagramsSurviveBothDirections) {
     gateway::DeviceProfile profile;
     profile.tag = "prop";
     gateway::NatEngine nat(loop, profile);
-    const net::Ipv4Addr lan(192, 168, 1, 1), client(192, 168, 1, 100),
-        wan(10, 0, 1, 10), server(10, 0, 1, 1);
-    nat.set_addresses(lan, 24, wan);
+    const net::Ipv4Addr client(192, 168, 1, 100), wan(10, 0, 1, 10),
+        server(10, 0, 1, 1);
+    nat.set_wan_addr(wan);
 
     for (int trial = 0; trial < 20; ++trial) {
         const auto sport = static_cast<std::uint16_t>(
