@@ -10,7 +10,11 @@
 // The mix: UDP and TCP with and without a Record Route option; TTL 1, 2
 // and 64; SYN/FIN/RST sequences; inbound ICMP errors quoting the full
 // datagram, the RFC 792 8-byte prefix, or the bare IP header; ICMP
-// echo; hairpin; SCTP and DCCP; unsolicited inbound traffic.
+// echo; hairpin; SCTP and DCCP; unsolicited inbound traffic. A second
+// leg with its own seeds and digests (IcmpMix) covers what the first
+// leaves thin: errors inside hosts send, truncated ICMP, late echo
+// replies and errors, undefined error codes, late SCTP/DCCP replies and
+// outside traffic addressed straight to an inside host.
 //
 // A digest that moves means observable behaviour moved. To regenerate
 // after a deliberate behaviour change, run with GATEKIT_GOLDEN_PRINT=1,
@@ -20,6 +24,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <span>
+#include <string>
 #include <tuple>
 
 #include "devices/profiles.hpp"
@@ -163,11 +169,25 @@ net::Bytes echo(const Hdr& h, net::Ipv4Addr src, net::Ipv4Addr dst,
                   .serialize());
 }
 
+using IcmpKindCode = std::pair<net::IcmpType, std::uint8_t>;
+
 /// An ICMP error from `src` quoting `original` in one of three styles:
-/// the whole datagram, the RFC 792 header + 8 bytes, or the bare header.
+/// 0 the whole datagram, 1 the RFC 792 header + 8 bytes, 2 the bare
+/// header.
+net::Bytes quote_error(const Hdr& h, net::Ipv4Addr src, net::Ipv4Addr dst,
+                       IcmpKindCode kind, const net::Bytes& original,
+                       std::uint32_t style) {
+    auto msg = net::IcmpMessage::make_error(kind.first, kind.second, 0,
+                                            original);
+    if (style == 0) msg.payload = original;                       // full
+    if (style == 2) msg.payload.resize((original[0] & 0xf) * 4u); // header
+    return ip(h, net::proto::kIcmp, src, dst, msg.serialize());
+}
+
+/// quote_error with a random defined kind and a random style.
 net::Bytes icmp_error(const Hdr& h, net::Ipv4Addr src, net::Ipv4Addr dst,
                       const net::Bytes& original, Rng& rng) {
-    static constexpr std::pair<net::IcmpType, std::uint8_t> kinds[] = {
+    static constexpr IcmpKindCode kinds[] = {
         {net::IcmpType::DestUnreachable, net::icmp_code::kPortUnreachable},
         {net::IcmpType::DestUnreachable, net::icmp_code::kHostUnreachable},
         {net::IcmpType::DestUnreachable, net::icmp_code::kNetUnreachable},
@@ -176,12 +196,8 @@ net::Bytes icmp_error(const Hdr& h, net::Ipv4Addr src, net::Ipv4Addr dst,
         {net::IcmpType::SourceQuench, 0},
         {net::IcmpType::ParamProblem, 0},
     };
-    const auto& [type, code] = kinds[rng.below(std::size(kinds))];
-    auto msg = net::IcmpMessage::make_error(type, code, 0, original);
-    const auto style = rng.below(3);
-    if (style == 0) msg.payload = original;                       // full
-    if (style == 2) msg.payload.resize((original[0] & 0xf) * 4u); // header
-    return ip(h, net::proto::kIcmp, src, dst, msg.serialize());
+    const auto kind = kinds[rng.below(std::size(kinds))];
+    return quote_error(h, src, dst, kind, original, rng.below(3));
 }
 
 // --- the mix ----------------------------------------------------------------
@@ -432,6 +448,285 @@ private:
     std::vector<FlowKey> udp_flows_;
 };
 
+/// The second mix: the ICMP and other-transport cases the first leaves
+/// thin. Errors an inside host sends about a UDP datagram, TCP segment or
+/// echo reply it received; ICMP messages shorter than their 8-byte
+/// header; echo replies and errors after the 60 s query timeout; error
+/// codes no RFC defines; SCTP/DCCP replies before and after the IP-only
+/// mapping times out; and outside traffic addressed straight to an
+/// inside host. Every datagram draws its TTL and options from
+/// random_hdr, like the first mix.
+class IcmpMix {
+public:
+    IcmpMix(Bed& d, std::uint64_t seed) : d_(d), rng_(seed) {}
+
+    void run(int rounds) {
+        for (int r = 0; r < rounds; ++r) {
+            const net::Endpoint in{
+                d_.clients[rng_.below(
+                    static_cast<std::uint32_t>(d_.clients.size()))],
+                static_cast<std::uint16_t>(30000 + rng_.below(20000))};
+            const net::Endpoint out{
+                d_.remotes[rng_.below(
+                    static_cast<std::uint32_t>(d_.remotes.size()))],
+                kPorts[rng_.below(std::size(kPorts))]};
+            switch (rng_.below(7)) {
+            case 0:
+                udp_then_inside_error(in, out);
+                break;
+            case 1:
+                tcp_then_inside_error(in, out);
+                break;
+            case 2:
+                echo_late(in.addr, out.addr);
+                break;
+            case 3:
+                short_icmp(in.addr, out.addr);
+                break;
+            case 4:
+                undefined_codes(in, out);
+                break;
+            case 5:
+                other_transport(in, out);
+                break;
+            default:
+                straight_to_inside(in, out);
+                break;
+            }
+            d_.wait(std::chrono::milliseconds(5 + rng_.below(50)));
+        }
+    }
+
+private:
+    static constexpr std::uint16_t kPorts[] = {7, 9, 5060, 33434};
+
+    void settle() { d_.wait(std::chrono::milliseconds(2 + rng_.below(20))); }
+    /// Past the 60 s ICMP query timeout.
+    void past_query_timeout() {
+        d_.wait(std::chrono::seconds(61 + rng_.below(30)));
+    }
+
+    std::uint16_t ext_or_random(const FlowKey& key) {
+        if (const auto p = d_.external_port(key)) return *p;
+        return static_cast<std::uint16_t>(1024 + rng_.below(60000));
+    }
+
+    IcmpKindCode inside_kind() {
+        static constexpr IcmpKindCode kinds[] = {
+            {net::IcmpType::DestUnreachable, net::icmp_code::kPortUnreachable},
+            {net::IcmpType::DestUnreachable, net::icmp_code::kHostUnreachable},
+            {net::IcmpType::TimeExceeded, net::icmp_code::kTtlExceeded},
+            {net::IcmpType::ParamProblem, 0},
+        };
+        return kinds[rng_.below(std::size(kinds))];
+    }
+
+    /// Mostly a code no RFC defines; now and then a defined one.
+    IcmpKindCode odd_kind() {
+        static constexpr IcmpKindCode kinds[] = {
+            {net::IcmpType::TimeExceeded, 2},
+            {net::IcmpType::DestUnreachable, 13},
+            {net::IcmpType::TimeExceeded, 2},
+            {net::IcmpType::DestUnreachable, 13},
+            {net::IcmpType::DestUnreachable, net::icmp_code::kPortUnreachable},
+            {net::IcmpType::TimeExceeded, net::icmp_code::kTtlExceeded},
+        };
+        return kinds[rng_.below(std::size(kinds))];
+    }
+
+    /// An inside host reports an error about `received`, the datagram as
+    /// it reached the host, back toward `remote`.
+    void inside_error(net::Ipv4Addr host, net::Ipv4Addr remote,
+                      const net::Bytes& received) {
+        const auto kind = inside_kind();
+        const auto h = random_hdr(rng_);
+        d_.lan(quote_error(h, host, remote, kind, received, rng_.below(3)));
+        settle();
+    }
+
+    /// A UDP datagram with a random header and payload. Each draw is its
+    /// own statement: argument evaluation order is unspecified.
+    net::Bytes random_udp(net::Endpoint src, net::Endpoint dst) {
+        const auto h = random_hdr(rng_);
+        return udp(h, src, dst, filler(rng_));
+    }
+
+    void udp_then_inside_error(net::Endpoint in, net::Endpoint out) {
+        d_.lan(random_udp(in, out));
+        settle();
+        const FlowKey key{net::proto::kUdp, in, out};
+        const auto body = filler(rng_);
+        const net::Endpoint ext{d_.external, ext_or_random(key)};
+        d_.wan(udp(random_hdr(rng_), out, ext, body));
+        settle();
+        Hdr q;
+        q.ttl = static_cast<std::uint8_t>(60 + rng_.below(4));
+        inside_error(in.addr, out.addr, udp(q, out, in, body));
+    }
+
+    void tcp_then_inside_error(net::Endpoint in, net::Endpoint out) {
+        const auto cseq = static_cast<std::uint32_t>(rng_.next());
+        const auto sseq = static_cast<std::uint32_t>(rng_.next());
+        d_.lan(tcp(random_hdr(rng_), in, out,
+                   flags_of(true, false, false, false), cseq, 0, {}));
+        settle();
+        const FlowKey key{net::proto::kTcp, in, out};
+        const auto synack = flags_of(true, true, false, false);
+        const net::Endpoint ext{d_.external, ext_or_random(key)};
+        d_.wan(tcp(random_hdr(rng_), out, ext, synack, sseq, cseq + 1, {}));
+        settle();
+        Hdr q;
+        q.ttl = static_cast<std::uint8_t>(60 + rng_.below(4));
+        inside_error(in.addr, out.addr,
+                     tcp(q, out, in, synack, sseq, cseq + 1, {}));
+    }
+
+    void echo_late(net::Ipv4Addr in, net::Ipv4Addr out) {
+        const auto id = static_cast<std::uint16_t>(rng_.next());
+        d_.lan(echo(random_hdr(rng_), in, out, false, id, 1));
+        settle();
+        if (rng_.chance(50)) past_query_timeout();
+        if (rng_.chance(80)) {
+            d_.wan(echo(random_hdr(rng_), out, d_.external, true, id, 1));
+            settle();
+            if (rng_.chance(50)) {
+                Hdr q;
+                q.ttl = static_cast<std::uint8_t>(60 + rng_.below(4));
+                inside_error(in, out, echo(q, out, in, true, id, 1));
+            }
+        }
+        if (rng_.chance(60)) {
+            if (rng_.chance(50)) past_query_timeout();
+            Hdr q;
+            q.ttl = 63;
+            const auto original = echo(q, d_.external, out, false, id, 2);
+            d_.wan(icmp_error(random_hdr(rng_), out, d_.external, original,
+                              rng_));
+            settle();
+        }
+    }
+
+    /// ICMP cut short of its 8-byte header, from either side.
+    void short_icmp(net::Ipv4Addr in, net::Ipv4Addr out) {
+        static constexpr std::uint8_t kTypes[] = {0, 3, 8, 11};
+        const auto body = [&] {
+            net::Bytes b(rng_.below(8));
+            for (auto& x : b) x = static_cast<std::uint8_t>(rng_.next());
+            if (!b.empty()) b[0] = kTypes[rng_.below(std::size(kTypes))];
+            return b;
+        };
+        const auto up = body();
+        d_.lan(ip(random_hdr(rng_), net::proto::kIcmp, in, out, up));
+        settle();
+        const auto down = body();
+        d_.wan(ip(random_hdr(rng_), net::proto::kIcmp, out, d_.external,
+                  down));
+        settle();
+    }
+
+    /// An outside error about a live UDP, TCP or echo flow, mostly with a
+    /// code no RFC defines.
+    void undefined_codes(net::Endpoint in, net::Endpoint out) {
+        const auto which = rng_.below(3);
+        Hdr q;
+        q.ttl = 63;
+        net::Bytes original;
+        if (which == 2) {
+            const auto id = static_cast<std::uint16_t>(rng_.next());
+            d_.lan(echo(random_hdr(rng_), in.addr, out.addr, false, id, 1));
+            original = echo(q, d_.external, out.addr, false, id, 1);
+        } else {
+            const std::uint8_t proto =
+                which == 0 ? net::proto::kUdp : net::proto::kTcp;
+            const auto seq = static_cast<std::uint32_t>(rng_.next());
+            const auto syn = flags_of(true, false, false, false);
+            d_.lan(proto == net::proto::kUdp
+                       ? random_udp(in, out)
+                       : tcp(random_hdr(rng_), in, out, syn, seq, 0, {}));
+            const net::Endpoint ext{
+                d_.external, ext_or_random(FlowKey{proto, in, out})};
+            original = proto == net::proto::kUdp
+                           ? udp(q, ext, out, filler(rng_))
+                           : tcp(q, ext, out, syn, seq, 0, {});
+        }
+        settle();
+        const auto kind = odd_kind();
+        const auto h = random_hdr(rng_);
+        d_.wan(quote_error(h, out.addr, d_.external, kind, original,
+                           rng_.below(3)));
+        settle();
+    }
+
+    void other_transport(net::Endpoint in, net::Endpoint out) {
+        const bool sctp = rng_.chance(50);
+        const std::uint8_t proto =
+            sctp ? net::proto::kSctp : net::proto::kDccp;
+        const auto packet = [&](net::Endpoint s, net::Endpoint t,
+                                net::Ipv4Addr dst) {
+            net::Bytes body;
+            if (sctp) {
+                net::SctpPacket p;
+                p.src_port = s.port;
+                p.dst_port = t.port;
+                p.verification_tag = static_cast<std::uint32_t>(rng_.next());
+                p.chunks.push_back(
+                    {net::SctpChunkType::Init, 0, filler(rng_)});
+                body = p.serialize();
+            } else {
+                net::DccpPacket p;
+                p.src_port = s.port;
+                p.dst_port = t.port;
+                p.seq = rng_.next() & 0xffffffffffffULL;
+                p.service_code = 7;
+                body = p.serialize(s.addr, t.addr);
+            }
+            return ip(random_hdr(rng_), proto, s.addr, dst, std::move(body));
+        };
+        d_.lan(packet(in, out, out.addr));
+        settle();
+        // None, one soon, one after the IP-only mapping's timeout (120 s
+        // on every calibrated device), or both.
+        const auto replies = rng_.below(4);
+        if ((replies & 1) != 0) {
+            d_.wan(packet(out, in, d_.external));
+            settle();
+        }
+        if ((replies & 2) != 0) {
+            d_.wait(std::chrono::seconds(121 + rng_.below(60)));
+            d_.wan(packet(out, in, d_.external));
+            settle();
+        }
+    }
+
+    /// Outside traffic addressed to an inside host rather than the
+    /// external address: only a plain-router fallback forwards it.
+    void straight_to_inside(net::Endpoint in, net::Endpoint out) {
+        switch (rng_.below(3)) {
+        case 0:
+            d_.wan(random_udp(out, in));
+            break;
+        case 1: {
+            const auto id = static_cast<std::uint16_t>(rng_.next());
+            d_.wan(echo(random_hdr(rng_), out.addr, in.addr, false, id, 1));
+            break;
+        }
+        default: {
+            net::SctpPacket p;
+            p.src_port = out.port;
+            p.dst_port = in.port;
+            p.chunks.push_back({net::SctpChunkType::Init, 0, filler(rng_)});
+            d_.wan(ip(random_hdr(rng_), net::proto::kSctp, out.addr, in.addr,
+                      p.serialize()));
+            break;
+        }
+        }
+        settle();
+    }
+
+    Bed& d_;
+    Rng rng_;
+};
+
 constexpr int kFlows = 40;
 
 std::uint64_t seed_for(std::size_t i) { return 0x60d5eedULL + i; }
@@ -677,18 +972,66 @@ constexpr CgnGolden kCgnGolden[] = {
     {"shared/edm", 0xf2c2614f57f3cf34ULL},
 };
 
+// The ICMP and other-transport leg (IcmpMix), same layout.
+// Generated with GATEKIT_GOLDEN_PRINT=1.
+constexpr ProfileGolden kIcmpProfileGolden[] = {
+    {"al", 0x949e6ea480f95bb4ULL, 0x80280a9fcab76415ULL},
+    {"ap", 0x5055541e71e9655bULL, 0x91af9ebc95f43987ULL},
+    {"as1", 0x584e57cb5d5c4d49ULL, 0x953ea3a2712865a2ULL},
+    {"be1", 0x0c13b2f3347018f1ULL, 0xc653216124ad5d30ULL},
+    {"be2", 0x5ecf0a75b0d31fbcULL, 0xbe653ae6d512bf77ULL},
+    {"bu1", 0xa16a3714ce179152ULL, 0x3c9c7942243b3282ULL},
+    {"dl1", 0xa5c93587e192aefbULL, 0xf6c1254872451a3aULL},
+    {"dl2", 0x929d1864273f2c8cULL, 0x9caaca81eaa3bbe4ULL},
+    {"dl3", 0x1b115f6d8e88e04eULL, 0x322379dff145e7d8ULL},
+    {"dl4", 0x60f6f3e3e1fcfcb8ULL, 0xd2f2dfc926342f1fULL},
+    {"dl5", 0xf8fb93508b72b690ULL, 0x71b501dc11d40b86ULL},
+    {"dl6", 0x565d772796249bfeULL, 0xfdaee147dce1e376ULL},
+    {"dl7", 0x8411fe4149e73a68ULL, 0x55b7ca7a20cf6f94ULL},
+    {"dl8", 0x9e8828e91b2d4463ULL, 0x75c82f0c9eb3afaaULL},
+    {"dl9", 0xa83331af847d7c5fULL, 0xe95b3abd76a225a7ULL},
+    {"dl10", 0xa8ab4a3e77daf5afULL, 0x834286b0059c3cf9ULL},
+    {"ed", 0x9e80db31d1cae7e8ULL, 0x812d6dcac362b31dULL},
+    {"je", 0x00a847949d6ea86cULL, 0x07789a4ab5c62f54ULL},
+    {"ls1", 0xeaf003ff3bfd3801ULL, 0xf6651a3255388123ULL},
+    {"ls2", 0xfa9d880cb8861a18ULL, 0x5d5f14ae5e3ca6c9ULL},
+    {"ls3", 0x533673dade70afbdULL, 0x06900031b0179a49ULL},
+    {"ls5", 0x209da87c465ad4f7ULL, 0xfa6b795aa41cbddaULL},
+    {"owrt", 0xe925e49fa5ad2315ULL, 0xb8870fadb56de9d2ULL},
+    {"to", 0x356de64baee7cf5bULL, 0xf7605daac0ef1f7fULL},
+    {"ng1", 0xe68680a3abbf16fbULL, 0x39a04d778084daf4ULL},
+    {"ng2", 0x3f9520c47769642aULL, 0x94c0f00e5d27c1d9ULL},
+    {"ng3", 0xb541885ea53cf4f9ULL, 0x422d8f899b7f43d4ULL},
+    {"ng4", 0xbcad59513a14f338ULL, 0x1969bf5aeddff289ULL},
+    {"ng5", 0xada64aebad56a1e4ULL, 0xfa03df4c630697a7ULL},
+    {"nw1", 0xf3180e4ba3c7017eULL, 0xcf9118c510fa4169ULL},
+    {"smc", 0x133fa79592e13c50ULL, 0xbb050b6eddb5fb3bULL},
+    {"te", 0x86859257de6cad41ULL, 0x4cfd2976f33eda56ULL},
+    {"we", 0x4c58fce3ca91df20ULL, 0xcde0cccae9added1ULL},
+    {"zy1", 0xd7fb095cdb31c492ULL, 0x4e280fa77a0a86aeULL},
+};
+
+constexpr CgnGolden kIcmpCgnGolden[] = {
+    {"block/eim", 0xacafe283ed2a809aULL},
+    {"block/edm", 0x62fadc9c9f7367e3ULL},
+    {"shared/eim", 0x059e26543f1b454bULL},
+    {"shared/edm", 0xeff7f781c5c47503ULL},
+};
+
 bool printing() { return std::getenv("GATEKIT_GOLDEN_PRINT") != nullptr; }
 
-} // namespace
-
-TEST(TranslateGolden, CalibratedProfilesWireAndEngine) {
+/// Run mix M over every calibrated profile, on the wire and engine-direct
+/// (seeds seed_for(first_seed + i)), and check or print `golden`.
+template <typename M>
+void check_profiles(std::span<const ProfileGolden> golden,
+                    std::size_t first_seed, const char* table) {
     const auto& profiles = devices::all_profiles();
-    if (printing()) std::printf("constexpr ProfileGolden kProfileGolden[] = {\n");
+    if (printing()) std::printf("constexpr ProfileGolden %s[] = {\n", table);
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         WireBed wire(profiles[i]);
-        Mix(wire, seed_for(i)).run(kFlows);
+        M(wire, seed_for(first_seed + i)).run(kFlows);
         EngineBed engine(profiles[i]);
-        Mix(engine, seed_for(i)).run(kFlows);
+        M(engine, seed_for(first_seed + i)).run(kFlows);
         const auto w = wire.digest();
         const auto e = engine.digest();
         if (printing()) {
@@ -698,17 +1041,20 @@ TEST(TranslateGolden, CalibratedProfilesWireAndEngine) {
                         static_cast<unsigned long long>(e));
             continue;
         }
-        ASSERT_EQ(std::size(kProfileGolden), profiles.size());
-        EXPECT_EQ(profiles[i].tag, kProfileGolden[i].tag);
-        EXPECT_EQ(w, kProfileGolden[i].wire) << profiles[i].tag << " (wire)";
-        EXPECT_EQ(e, kProfileGolden[i].engine)
-            << profiles[i].tag << " (engine)";
+        ASSERT_EQ(golden.size(), profiles.size());
+        EXPECT_EQ(profiles[i].tag, golden[i].tag);
+        EXPECT_EQ(w, golden[i].wire) << profiles[i].tag << " (wire)";
+        EXPECT_EQ(e, golden[i].engine) << profiles[i].tag << " (engine)";
     }
     if (printing()) std::printf("};\n");
 }
 
-TEST(TranslateGolden, CgnBlockAndSharedTimesEimEdm) {
-    if (printing()) std::printf("constexpr CgnGolden kCgnGolden[] = {\n");
+/// Run mix M through CgnEngine in block and shared-pool modes x EIM/EDM
+/// (seeds seed_for(first_seed + i)) and check or print `golden`.
+template <typename M>
+void check_cgn(std::span<const CgnGolden> golden, std::size_t first_seed,
+               const char* table) {
+    if (printing()) std::printf("constexpr CgnGolden %s[] = {\n", table);
     std::size_t i = 0;
     for (const std::uint16_t block : {std::uint16_t{2048}, std::uint16_t{0}})
         for (const bool eim : {true, false}) {
@@ -718,17 +1064,32 @@ TEST(TranslateGolden, CgnBlockAndSharedTimesEimEdm) {
             const std::string mode = std::string(block ? "block" : "shared") +
                                      (eim ? "/eim" : "/edm");
             CgnBed d(cfg);
-            Mix(d, seed_for(100 + i)).run(2 * kFlows);
+            M(d, seed_for(first_seed + i)).run(2 * kFlows);
             const auto h = d.digest();
             if (printing()) {
                 std::printf("    {\"%s\", 0x%016llxULL},\n", mode.c_str(),
                             static_cast<unsigned long long>(h));
             } else {
-                ASSERT_EQ(std::size(kCgnGolden), 4u);
-                EXPECT_EQ(mode, kCgnGolden[i].mode);
-                EXPECT_EQ(h, kCgnGolden[i].digest) << mode;
+                ASSERT_EQ(golden.size(), 4u);
+                EXPECT_EQ(mode, golden[i].mode);
+                EXPECT_EQ(h, golden[i].digest) << mode;
             }
             ++i;
         }
     if (printing()) std::printf("};\n");
+}
+
+} // namespace
+
+TEST(TranslateGolden, CalibratedProfilesWireAndEngine) {
+    check_profiles<Mix>(kProfileGolden, 0, "kProfileGolden");
+}
+
+TEST(TranslateGolden, CgnBlockAndSharedTimesEimEdm) {
+    check_cgn<Mix>(kCgnGolden, 100, "kCgnGolden");
+}
+
+TEST(TranslateGolden, IcmpAndOtherTransportsWireEngineAndCgn) {
+    check_profiles<IcmpMix>(kIcmpProfileGolden, 1000, "kIcmpProfileGolden");
+    check_cgn<IcmpMix>(kIcmpCgnGolden, 1100, "kIcmpCgnGolden");
 }
