@@ -331,7 +331,9 @@ std::optional<net::Bytes> CgnEngine::inbound_icmp(const net::Ipv4Packet& pkt,
         const auto id = static_cast<std::uint16_t>(
             (embedded.payload[4] << 8) | embedded.payload[5]);
         for (const auto& [key, expires] : icmp_queries_) {
-            if (key.id != id || key.remote != embedded.h.dst) continue;
+            if (key.id != id || key.remote != embedded.h.dst ||
+                loop_.now() >= expires)
+                continue;
             handled = true;
             net::IcmpMessage fwd = msg;
             translate_quote(fwd.payload, /*src_side=*/true,

@@ -546,8 +546,12 @@ std::optional<net::Bytes> NatEngine::inbound_icmp(const net::Ipv4Packet& pkt,
 
     if (embedded.h.protocol == net::proto::kIcmp) {
         // Error about an ICMP echo flow (Table 2 "ICMP: Host Unreach.").
-        handled = true;
+        // A device that never translates these drops every one; otherwise
+        // an error the NAT cannot pin to a live query (too short a quote,
+        // no query, an expired one) is not the NAT's and reaches the
+        // gateway's own stack — its own ping hears its errors.
         if (!profile_.icmp_query_errors_translated) {
+            handled = true;
             ++stats_.icmp_dropped;
             obs::inc(m_icmp_dropped_);
             return std::nullopt;
@@ -556,7 +560,9 @@ std::optional<net::Bytes> NatEngine::inbound_icmp(const net::Ipv4Packet& pkt,
         const auto id = static_cast<std::uint16_t>(
             (embedded.payload[4] << 8) | embedded.payload[5]);
         for (const auto& [key, qb] : icmp_queries_) {
-            if (key.id == id && key.remote == embedded.h.dst) {
+            if (key.id == id && key.remote == embedded.h.dst &&
+                loop_.now() < qb.expires_at) {
+                handled = true;
                 ++stats_.icmp_translated;
                 obs::inc(m_icmp_translated_);
                 // The quote's IP checksum covers the rewritten address;

@@ -400,6 +400,53 @@ TEST(CgnEngine, InboundErrorQuoteRewrittenWithValidChecksums) {
     EXPECT_TRUE(d.checksum_ok);
 }
 
+namespace {
+
+net::Ipv4Packet icmp_pkt(net::Ipv4Addr src, net::Ipv4Addr dst,
+                         const net::IcmpMessage& msg) {
+    net::Ipv4Packet pkt;
+    pkt.h.protocol = net::proto::kIcmp;
+    pkt.h.src = src;
+    pkt.h.dst = dst;
+    pkt.h.ttl = 64;
+    pkt.payload = msg.serialize();
+    return pkt;
+}
+
+net::Ipv4Packet echo_pkt(net::Ipv4Addr src, net::Ipv4Addr dst,
+                         std::uint16_t id) {
+    return icmp_pkt(src, dst, net::IcmpMessage::make_echo(false, id, 1));
+}
+
+/// An error from kRemote to the external address quoting `original`.
+net::Ipv4Packet error_pkt(net::IcmpType type, std::uint8_t code,
+                          std::span<const std::uint8_t> original) {
+    return icmp_pkt(kRemote, kExternal,
+                    net::IcmpMessage::make_error(type, code, 0, original));
+}
+
+} // namespace
+
+// Regression: the error path never read an echo query's expiry, so an
+// error naming a query that had timed out was still relayed.
+TEST(CgnEngine, ErrorAboutAnExpiredEchoQueryIsNotRelayed) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    ASSERT_TRUE(bed.engine.outbound(echo_pkt(sub, kRemote, 0x5151)));
+    const auto err = error_pkt(net::IcmpType::DestUnreachable,
+                               net::icmp_code::kHostUnreachable,
+                               echo_pkt(kExternal, kRemote, 0x5151).serialize());
+    bool handled = false;
+    EXPECT_TRUE(bed.engine.inbound(err, handled).has_value());
+    EXPECT_TRUE(handled);
+
+    bed.loop.run_until(bed.loop.now() + std::chrono::seconds(61));
+    handled = true;
+    EXPECT_FALSE(bed.engine.inbound(err, handled).has_value());
+    EXPECT_FALSE(handled); // the CGN's own stack gets it
+    EXPECT_EQ(bed.engine.stats().icmp_relayed, 1u);
+}
+
 // --- NAT444 end-to-end ----------------------------------------------------
 
 namespace {

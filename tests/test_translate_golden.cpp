@@ -929,34 +929,34 @@ constexpr ProfileGolden kProfileGolden[] = {
     {"as1", 0x6d7066eba1a9907bULL, 0x2b0e9d9f7ad39314ULL},
     {"be1", 0xba1d1350ab884515ULL, 0x8f4e7798513dde46ULL},
     {"be2", 0x3f96ff6e559a6263ULL, 0xdbca03925019a86dULL},
-    {"bu1", 0x40f86a52530696a6ULL, 0x59ae89adb9d07a01ULL},
+    {"bu1", 0x40f86a52530696a6ULL, 0x1ec30eb29be7b4fbULL},
     {"dl1", 0x93c38bcf37ae3558ULL, 0x24133be0606c77a7ULL},
-    {"dl2", 0x448dc2773e8b16bfULL, 0xceb83672dbd180faULL},
+    {"dl2", 0x448dc2773e8b16bfULL, 0x0eac68788fca3f43ULL},
     {"dl3", 0xaf2fabe8f76dfcc1ULL, 0x827a88f85ab6644cULL},
-    {"dl4", 0x2699952e0d1e0f75ULL, 0xaad054fda7d16dceULL},
+    {"dl4", 0x2699952e0d1e0f75ULL, 0x5927e3872158545bULL},
     {"dl5", 0x612bccdd90450d62ULL, 0xd69d1ba1ea2979daULL},
     {"dl6", 0xf82c2e17da721e08ULL, 0x8170a8926a2efd04ULL},
     {"dl7", 0xc608e5fc3165bef4ULL, 0xd0892b9da7892875ULL},
-    {"dl8", 0x7bf9d2800c6f1391ULL, 0x08a606ecff8f83e4ULL},
+    {"dl8", 0x7bf9d2800c6f1391ULL, 0x446727f517506bc7ULL},
     {"dl9", 0xd207abb6d56f5fc5ULL, 0xd48eebacd9502a2dULL},
     {"dl10", 0x53d65a3de587ad12ULL, 0x9f60a5e91dad9b27ULL},
-    {"ed", 0x77578a6d3bc9aef1ULL, 0xa01c8ec7b43dbbffULL},
-    {"je", 0x8e7a79e4f1ebae48ULL, 0x6d955ecd06c4d1b3ULL},
+    {"ed", 0x77578a6d3bc9aef1ULL, 0x9e10c11bf63761a8ULL},
+    {"je", 0x8e7a79e4f1ebae48ULL, 0x99ac8685eaa726f6ULL},
     {"ls1", 0x76d2274d0a3bdcb5ULL, 0x8e3db2b1cc8189aaULL},
-    {"ls2", 0x4e76abc64b18ba53ULL, 0x129ce1f27e5b1484ULL},
-    {"ls3", 0xa0ea7392a69eb217ULL, 0x2974f281f888d143ULL},
+    {"ls2", 0x4e76abc64b18ba53ULL, 0x8dd67bffb2911675ULL},
+    {"ls3", 0xa0ea7392a69eb217ULL, 0x7ceea0ba86eb1780ULL},
     {"ls5", 0xddaacff4ad0a8cfeULL, 0x2dd701d7daf4d06dULL},
     {"owrt", 0x14bfef2f4087fb07ULL, 0x1af0d7f16db362e8ULL},
-    {"to", 0x1ef1d6ff4b63e223ULL, 0x7b519e1da6c464f1ULL},
+    {"to", 0x1ef1d6ff4b63e223ULL, 0x9de338824545451aULL},
     {"ng1", 0xc81e90b5d6536f9fULL, 0x42f852f4beb2f8bfULL},
     {"ng2", 0xc2ce4adac77b55d8ULL, 0x6553f88c8fbc905cULL},
     {"ng3", 0x7a0f367dee21c807ULL, 0x29cf55de4db62643ULL},
-    {"ng4", 0x4d541809f8f74e7bULL, 0xf1bbcf2ab8c55c1bULL},
-    {"ng5", 0xa9419623e5a8ff84ULL, 0x51da9b8f4d0b2885ULL},
+    {"ng4", 0x4d541809f8f74e7bULL, 0x573ca997a1dd544aULL},
+    {"ng5", 0xa9419623e5a8ff84ULL, 0x17e968536acef21eULL},
     {"nw1", 0x9ce60f52b893da29ULL, 0x7699c3d2684435d9ULL},
     {"smc", 0xc90ede6e06a282baULL, 0xa347ec905b9682f2ULL},
-    {"te", 0x1872f6edff13c264ULL, 0xa38d3fdd62bbf8aeULL},
-    {"we", 0xd44d2024c5e1cbaeULL, 0xb74014aa71aa8d78ULL},
+    {"te", 0x1872f6edff13c264ULL, 0xec6de8a1970adacfULL},
+    {"we", 0xd44d2024c5e1cbaeULL, 0xbe758587c81c81cbULL},
     {"zy1", 0x6efb4d80f45d54eeULL, 0xdcc204b017317cb7ULL},
 };
 
@@ -975,47 +975,47 @@ constexpr CgnGolden kCgnGolden[] = {
 // The ICMP and other-transport leg (IcmpMix), same layout.
 // Generated with GATEKIT_GOLDEN_PRINT=1.
 constexpr ProfileGolden kIcmpProfileGolden[] = {
-    {"al", 0x949e6ea480f95bb4ULL, 0x80280a9fcab76415ULL},
-    {"ap", 0x5055541e71e9655bULL, 0x91af9ebc95f43987ULL},
-    {"as1", 0x584e57cb5d5c4d49ULL, 0x953ea3a2712865a2ULL},
-    {"be1", 0x0c13b2f3347018f1ULL, 0xc653216124ad5d30ULL},
-    {"be2", 0x5ecf0a75b0d31fbcULL, 0xbe653ae6d512bf77ULL},
-    {"bu1", 0xa16a3714ce179152ULL, 0x3c9c7942243b3282ULL},
-    {"dl1", 0xa5c93587e192aefbULL, 0xf6c1254872451a3aULL},
-    {"dl2", 0x929d1864273f2c8cULL, 0x9caaca81eaa3bbe4ULL},
-    {"dl3", 0x1b115f6d8e88e04eULL, 0x322379dff145e7d8ULL},
-    {"dl4", 0x60f6f3e3e1fcfcb8ULL, 0xd2f2dfc926342f1fULL},
-    {"dl5", 0xf8fb93508b72b690ULL, 0x71b501dc11d40b86ULL},
-    {"dl6", 0x565d772796249bfeULL, 0xfdaee147dce1e376ULL},
-    {"dl7", 0x8411fe4149e73a68ULL, 0x55b7ca7a20cf6f94ULL},
-    {"dl8", 0x9e8828e91b2d4463ULL, 0x75c82f0c9eb3afaaULL},
-    {"dl9", 0xa83331af847d7c5fULL, 0xe95b3abd76a225a7ULL},
-    {"dl10", 0xa8ab4a3e77daf5afULL, 0x834286b0059c3cf9ULL},
-    {"ed", 0x9e80db31d1cae7e8ULL, 0x812d6dcac362b31dULL},
-    {"je", 0x00a847949d6ea86cULL, 0x07789a4ab5c62f54ULL},
-    {"ls1", 0xeaf003ff3bfd3801ULL, 0xf6651a3255388123ULL},
-    {"ls2", 0xfa9d880cb8861a18ULL, 0x5d5f14ae5e3ca6c9ULL},
-    {"ls3", 0x533673dade70afbdULL, 0x06900031b0179a49ULL},
-    {"ls5", 0x209da87c465ad4f7ULL, 0xfa6b795aa41cbddaULL},
-    {"owrt", 0xe925e49fa5ad2315ULL, 0xb8870fadb56de9d2ULL},
-    {"to", 0x356de64baee7cf5bULL, 0xf7605daac0ef1f7fULL},
+    {"al", 0x949e6ea480f95bb4ULL, 0xfaf8a3013da4ed66ULL},
+    {"ap", 0x5055541e71e9655bULL, 0x2b2541992bd7f1b8ULL},
+    {"as1", 0x584e57cb5d5c4d49ULL, 0xa568c2bec8029959ULL},
+    {"be1", 0xb8fdca7829325967ULL, 0xeaf9409af7468a79ULL},
+    {"be2", 0x5ecf0a75b0d31fbcULL, 0x42336074e53b9fc2ULL},
+    {"bu1", 0x940a3c97618b5558ULL, 0xdb03aa36454ab275ULL},
+    {"dl1", 0xa5c93587e192aefbULL, 0xa4020b504cc2f8a3ULL},
+    {"dl2", 0x929d1864273f2c8cULL, 0x9a94733b319af556ULL},
+    {"dl3", 0xe8d487d3275dfd29ULL, 0x9ca954f7b8821847ULL},
+    {"dl4", 0x146298a3c549170dULL, 0x16c22ec34534e052ULL},
+    {"dl5", 0xf8fb93508b72b690ULL, 0x5712eb05ec381af3ULL},
+    {"dl6", 0xf966b3f2bd17e797ULL, 0xec6a4e221fb3ff03ULL},
+    {"dl7", 0x2641a7ff276bec51ULL, 0x1bcfd3e41665b6d4ULL},
+    {"dl8", 0x0c5475437c69bd19ULL, 0xb5bfd685b9d51983ULL},
+    {"dl9", 0xa83331af847d7c5fULL, 0xbdc363bc635ed473ULL},
+    {"dl10", 0xcf48fd68fec2c4d4ULL, 0x4d04aa6e9c8e9f29ULL},
+    {"ed", 0xe442e37d740f7966ULL, 0x64b16d14218c31fbULL},
+    {"je", 0x00a847949d6ea86cULL, 0x31e8a1c28e6e86bcULL},
+    {"ls1", 0xeaf003ff3bfd3801ULL, 0x0c86b815571e51c5ULL},
+    {"ls2", 0x00cd1ad778b9b540ULL, 0x7149838ce421ad56ULL},
+    {"ls3", 0x533673dade70afbdULL, 0x6b14c3c52be44a40ULL},
+    {"ls5", 0xdb4fa36d11478b03ULL, 0xfa6b795aa41cbddaULL},
+    {"owrt", 0xe925e49fa5ad2315ULL, 0x81b5ce95631950beULL},
+    {"to", 0x323be955905473c3ULL, 0x67a288ed98355a33ULL},
     {"ng1", 0xe68680a3abbf16fbULL, 0x39a04d778084daf4ULL},
-    {"ng2", 0x3f9520c47769642aULL, 0x94c0f00e5d27c1d9ULL},
-    {"ng3", 0xb541885ea53cf4f9ULL, 0x422d8f899b7f43d4ULL},
-    {"ng4", 0xbcad59513a14f338ULL, 0x1969bf5aeddff289ULL},
-    {"ng5", 0xada64aebad56a1e4ULL, 0xfa03df4c630697a7ULL},
+    {"ng2", 0x3f9520c47769642aULL, 0x3c507f7c1b16e213ULL},
+    {"ng3", 0x6ce61bfdcbc0aff7ULL, 0x8d6b6c738e7bf27eULL},
+    {"ng4", 0x6ca9c741d09c3eecULL, 0x7dd591f8526a2077ULL},
+    {"ng5", 0xada64aebad56a1e4ULL, 0x35166bd60a2299c8ULL},
     {"nw1", 0xf3180e4ba3c7017eULL, 0xcf9118c510fa4169ULL},
-    {"smc", 0x133fa79592e13c50ULL, 0xbb050b6eddb5fb3bULL},
-    {"te", 0x86859257de6cad41ULL, 0x4cfd2976f33eda56ULL},
-    {"we", 0x4c58fce3ca91df20ULL, 0xcde0cccae9added1ULL},
-    {"zy1", 0xd7fb095cdb31c492ULL, 0x4e280fa77a0a86aeULL},
+    {"smc", 0xf1e354a620f0ed4bULL, 0x08629483209bf631ULL},
+    {"te", 0x1a37df1a759c0263ULL, 0x9bc39c9763ab3818ULL},
+    {"we", 0x6cbc97ce78ffcfe8ULL, 0x66f62dff98496aadULL},
+    {"zy1", 0xd7fb095cdb31c492ULL, 0x078998a1e223d274ULL},
 };
 
 constexpr CgnGolden kIcmpCgnGolden[] = {
-    {"block/eim", 0xacafe283ed2a809aULL},
-    {"block/edm", 0x62fadc9c9f7367e3ULL},
-    {"shared/eim", 0x059e26543f1b454bULL},
-    {"shared/edm", 0xeff7f781c5c47503ULL},
+    {"block/eim", 0x5107df46dafe68c0ULL},
+    {"block/edm", 0x2145441278854f64ULL},
+    {"shared/eim", 0xd642aad7f28241cbULL},
+    {"shared/edm", 0xaac7cae393f76a1cULL},
 };
 
 bool printing() { return std::getenv("GATEKIT_GOLDEN_PRINT") != nullptr; }
