@@ -325,6 +325,8 @@ std::optional<net::Bytes> CgnEngine::inbound_icmp(const net::Ipv4Packet& pkt,
         ++stats_.icmp_dropped;
         return std::nullopt;
     }
+    // Like the home NAT, relay only the error codes RFCs define.
+    if (!NatEngine::classify_icmp(msg)) return std::nullopt;
 
     if (embedded.h.protocol == net::proto::kIcmp) {
         if (embedded.payload.size() < 8) return std::nullopt;

@@ -62,6 +62,10 @@ public:
     /// rewrite `view` toward `target`. False when no mapping is left.
     bool hairpin_to(net::PacketView& view, net::Endpoint target);
 
+    /// The Table 2 kind of an error message; nullopt for queries and for
+    /// codes no RFC defines.
+    static std::optional<IcmpKind> classify_icmp(const net::IcmpMessage& m);
+
     BindingTable& udp_table() { return udp_; }
     BindingTable& tcp_table() { return tcp_; }
 
@@ -125,7 +129,6 @@ private:
 
     net::Bytes synthesize_rst_from_icmp(const net::Ipv4Packet& embedded,
                                         const Binding& binding) const;
-    static std::optional<IcmpKind> classify_icmp(const net::IcmpMessage& m);
     /// Consume one unit of the per-second inbound-error budget; false
     /// once the window's icmp_error_rate_limit is spent.
     bool icmp_error_admitted();

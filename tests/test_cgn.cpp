@@ -447,6 +447,33 @@ TEST(CgnEngine, ErrorAboutAnExpiredEchoQueryIsNotRelayed) {
     EXPECT_EQ(bed.engine.stats().icmp_relayed, 1u);
 }
 
+// Regression: the CGN relayed every error type whatever its code, while
+// the home NAT refuses codes no RFC defines.
+TEST(CgnEngine, UndefinedErrorCodesAreNotRelayed) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    ASSERT_TRUE(out.has_value());
+    for (const auto& [type, code] :
+         {std::pair{net::IcmpType::TimeExceeded, std::uint8_t{2}},
+          std::pair{net::IcmpType::DestUnreachable, std::uint8_t{13}}}) {
+        bool handled = true;
+        EXPECT_FALSE(
+            bed.engine.inbound(error_pkt(type, code, *out), handled)
+                .has_value());
+        EXPECT_FALSE(handled);
+    }
+    EXPECT_EQ(bed.engine.stats().icmp_relayed, 0u);
+
+    bool handled = false;
+    EXPECT_TRUE(bed.engine
+                    .inbound(error_pkt(net::IcmpType::TimeExceeded,
+                                       net::icmp_code::kTtlExceeded, *out),
+                             handled)
+                    .has_value());
+    EXPECT_EQ(bed.engine.stats().icmp_relayed, 1u);
+}
+
 // --- NAT444 end-to-end ----------------------------------------------------
 
 namespace {

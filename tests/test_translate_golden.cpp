@@ -1012,10 +1012,10 @@ constexpr ProfileGolden kIcmpProfileGolden[] = {
 };
 
 constexpr CgnGolden kIcmpCgnGolden[] = {
-    {"block/eim", 0x5107df46dafe68c0ULL},
-    {"block/edm", 0x2145441278854f64ULL},
-    {"shared/eim", 0xd642aad7f28241cbULL},
-    {"shared/edm", 0xaac7cae393f76a1cULL},
+    {"block/eim", 0xce47ad4d2f25826eULL},
+    {"block/edm", 0xf59c58b424f9b1ddULL},
+    {"shared/eim", 0xdf075c6b1827b5caULL},
+    {"shared/edm", 0xbf44cc3df2fe5bc6ULL},
 };
 
 bool printing() { return std::getenv("GATEKIT_GOLDEN_PRINT") != nullptr; }
