@@ -5,11 +5,6 @@
 
 namespace gatekit::gateway {
 
-namespace {
-constexpr sim::Duration kIcmpQueryTimeout = std::chrono::seconds(60);
-constexpr std::size_t kMaxIcmpQueries = 4096;
-} // namespace
-
 CgnEngine::CgnEngine(sim::EventLoop& loop, CgnConfig cfg)
     : loop_(loop), cfg_(cfg) {
     GK_EXPECTS(cfg_.pool_begin >= 1 && cfg_.pool_begin <= cfg_.pool_end);
@@ -32,7 +27,9 @@ void CgnEngine::set_addresses(net::Ipv4Addr access_addr,
     blocks_.resize(cfg_.block_size == 0
                        ? 1u
                        : static_cast<std::size_t>(num_blocks()));
-    icmp_queries_.clear();
+    queries_ = std::make_unique<Slice>(
+        loop_, net::Ipv4Addr{}, make_profile(cfg_.pool_begin, cfg_.pool_end),
+        external_addr_);
     stats_ = Stats{};
 }
 
@@ -147,8 +144,22 @@ std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
         ++stats_.translated_out;
         return bytes;
     }
-    case net::proto::kIcmp:
-        return outbound_icmp(pkt);
+    case net::proto::kIcmp: {
+        net::Bytes bytes = pkt.serialize();
+        auto v = net::PacketView::of(bytes);
+        const bool error = quote_external_view(v.payload());
+        NatEngine& nat = queries_->nat;
+        const auto refused = nat.stats().dropped_capacity;
+        if (nat.outbound(v) != NatEngine::Verdict::kForwarded) {
+            // A full query table refuses by policy; a message shorter
+            // than its header is the engine's counted malformed drop.
+            if (nat.stats().dropped_capacity != refused)
+                ++stats_.dropped_policy;
+            return std::nullopt;
+        }
+        ++(error ? stats_.icmp_relayed : stats_.translated_out);
+        return bytes;
+    }
     default:
         // RFC 6888 scopes a CGN to the transports it can multiplex;
         // anything else cannot share the external address and is dropped.
@@ -157,95 +168,41 @@ std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
     }
 }
 
-std::optional<net::Bytes> CgnEngine::outbound_icmp(
-    const net::Ipv4Packet& pkt) {
-    net::IcmpMessage msg;
-    try {
-        msg = net::IcmpMessage::parse(pkt.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.src = external_addr_;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-
-    if (msg.type == net::IcmpType::Echo) {
-        const QueryKey key{pkt.h.src, msg.echo_id(), pkt.h.dst};
-        if (!icmp_queries_.contains(key) &&
-            icmp_queries_.size() >= kMaxIcmpQueries) {
-            for (auto it = icmp_queries_.begin();
-                 it != icmp_queries_.end();) {
-                if (loop_.now() >= it->second)
-                    it = icmp_queries_.erase(it);
-                else
-                    ++it;
-            }
-            if (icmp_queries_.size() >= kMaxIcmpQueries) {
-                ++stats_.dropped_policy;
-                return std::nullopt;
-            }
-        }
-        icmp_queries_[key] = loop_.now() + kIcmpQueryTimeout;
-        out.payload = pkt.payload; // id preserved
-        ++stats_.translated_out;
-        return out.serialize();
-    }
-
-    if (msg.is_error()) {
-        // A subscriber-originated error (a home gateway's Time Exceeded,
-        // a port unreachable) quotes the inbound packet as the subscriber
-        // saw it: destination = subscriber address and internal port.
-        // Rewrite that half to the external view so the upstream sender
-        // can attribute the error to its own flow through both layers.
-        net::IcmpMessage fwd = msg;
-        net::Ipv4Packet embedded;
-        bool parsed = true;
-        try {
-            embedded = net::Ipv4Packet::parse_prefix(msg.payload);
-        } catch (const net::ParseError&) {
-            parsed = false;
-        }
-        if (parsed && embedded.h.frag_offset == 0 &&
-            (embedded.h.protocol == net::proto::kUdp ||
-             embedded.h.protocol == net::proto::kTcp) &&
-            embedded.payload.size() >= 4 &&
-            on_access_subnet(embedded.h.dst)) {
-            const auto remote_port = static_cast<std::uint16_t>(
-                (embedded.payload[0] << 8) | embedded.payload[1]);
-            const auto int_port = static_cast<std::uint16_t>(
-                (embedded.payload[2] << 8) | embedded.payload[3]);
-            if (Slice* s = slice_for_subscriber(embedded.h.dst)) {
-                BindingTable& table = embedded.h.protocol == net::proto::kUdp
+bool CgnEngine::quote_external_view(std::span<std::uint8_t> icmp) {
+    if (icmp.size() < 8 || !net::is_icmp_error(icmp[0])) return false;
+    // A subscriber-originated error (a home gateway's Time Exceeded, a
+    // port unreachable) quotes the inbound packet as the subscriber saw
+    // it: destination = subscriber address and internal port. Rewrite
+    // that half to the external view so the upstream sender can
+    // attribute the error to its own flow through both layers.
+    const auto quote = icmp.subspan(8);
+    const auto q = IcmpQuote::parse(quote);
+    if (q && q->frag_offset == 0 && on_access_subnet(q->dst)) {
+        if ((q->protocol == net::proto::kUdp ||
+             q->protocol == net::proto::kTcp) &&
+            q->l4.size() >= 4) {
+            if (Slice* s = slice_for_subscriber(q->dst)) {
+                BindingTable& table = q->protocol == net::proto::kUdp
                                           ? s->nat.udp_table()
                                           : s->nat.tcp_table();
-                const FlowKey key{embedded.h.protocol,
-                                  {embedded.h.dst, int_port},
-                                  {embedded.h.src, remote_port}};
+                const FlowKey key{q->protocol,
+                                  {q->dst, q->word(2)},
+                                  {q->src, q->word(0)}};
                 if (const Binding* b = table.find_outbound(key))
-                    translate_quote(fwd.payload, /*src_side=*/false,
+                    translate_quote(quote, /*src_side=*/false,
                                     {external_addr_, b->external_port},
                                     true, true);
             }
-        } else if (parsed && embedded.h.frag_offset == 0 &&
-                   embedded.h.protocol == net::proto::kIcmp &&
-                   on_access_subnet(embedded.h.dst)) {
+        } else if (q->protocol == net::proto::kIcmp) {
             // Error about an inbound echo reply: the quote's destination
             // is the subscriber that sent the query; only the address
             // needs the external view (the query id is preserved).
-            translate_quote(fwd.payload, /*src_side=*/false,
-                            {external_addr_, 0}, true, true);
+            translate_quote(quote, /*src_side=*/false, {external_addr_, 0},
+                            true, true);
         }
-        out.payload = fwd.serialize(); // outer ICMP checksum recomputed
-        ++stats_.icmp_relayed;
-        return out.serialize();
     }
-
-    // Remaining query types cross with outer translation only.
-    out.payload = pkt.payload;
-    ++stats_.translated_out;
-    return out.serialize();
+    net::refresh_icmp_checksum(icmp);
+    return true;
 }
 
 std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
@@ -271,114 +228,37 @@ std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
         ++stats_.translated_in;
         return bytes;
     }
-    case net::proto::kIcmp:
-        return inbound_icmp(pkt, handled);
+    case net::proto::kIcmp: {
+        net::Bytes bytes = pkt.serialize();
+        auto v = net::PacketView::of(bytes);
+        NatEngine* nat = icmp_engine(v.payload());
+        if (nat == nullptr) return std::nullopt; // outside the pool
+        const auto relayed = nat->stats().icmp_translated;
+        const auto verdict = nat->inbound(v);
+        handled = verdict != NatEngine::Verdict::kNotOurs;
+        if (verdict == NatEngine::Verdict::kDropped) ++stats_.icmp_dropped;
+        if (verdict != NatEngine::Verdict::kForwarded) return std::nullopt;
+        ++(nat->stats().icmp_translated != relayed ? stats_.icmp_relayed
+                                                   : stats_.translated_in);
+        return bytes;
+    }
     default:
         return std::nullopt; // CGN-host local (none expected)
     }
 }
 
-std::optional<net::Bytes> CgnEngine::inbound_icmp(const net::Ipv4Packet& pkt,
-                                                  bool& handled) {
-    net::IcmpMessage msg;
-    try {
-        msg = net::IcmpMessage::parse(pkt.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-
-    if (msg.type == net::IcmpType::EchoReply) {
-        for (auto it = icmp_queries_.begin(); it != icmp_queries_.end();) {
-            if (loop_.now() >= it->second) {
-                it = icmp_queries_.erase(it);
-                continue;
-            }
-            if (it->first.id == msg.echo_id() &&
-                it->first.remote == pkt.h.src) {
-                handled = true;
-                net::Ipv4Packet out;
-                out.h = pkt.h;
-                out.h.dst = it->first.internal;
-                out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-                out.payload = pkt.payload;
-                ++stats_.translated_in;
-                return out.serialize();
-            }
-            ++it;
+NatEngine* CgnEngine::icmp_engine(std::span<const std::uint8_t> icmp) {
+    if (icmp.size() >= 8 && net::is_icmp_error(icmp[0])) {
+        const auto q = IcmpQuote::parse(icmp.subspan(8));
+        if (q && q->frag_offset == 0 &&
+            (q->protocol == net::proto::kUdp ||
+             q->protocol == net::proto::kTcp) &&
+            q->l4.size() >= 4) {
+            Slice* s = slice_for_port(q->word(0));
+            return s == nullptr ? nullptr : &s->nat;
         }
-        return std::nullopt; // the CGN's own ping, if any
     }
-
-    if (!msg.is_error()) return std::nullopt;
-
-    net::Ipv4Packet embedded;
-    try {
-        embedded = net::Ipv4Packet::parse_prefix(msg.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    if (embedded.h.src != external_addr_) return std::nullopt; // not ours
-    if (embedded.h.frag_offset != 0) {
-        // Unattributable: the bytes where ports would sit are mid-stream
-        // payload.
-        handled = true;
-        ++stats_.icmp_dropped;
-        return std::nullopt;
-    }
-    // Like the home NAT, relay only the error codes RFCs define.
-    if (!NatEngine::classify_icmp(msg)) return std::nullopt;
-
-    if (embedded.h.protocol == net::proto::kIcmp) {
-        if (embedded.payload.size() < 8) return std::nullopt;
-        const auto id = static_cast<std::uint16_t>(
-            (embedded.payload[4] << 8) | embedded.payload[5]);
-        for (const auto& [key, expires] : icmp_queries_) {
-            if (key.id != id || key.remote != embedded.h.dst ||
-                loop_.now() >= expires)
-                continue;
-            handled = true;
-            net::IcmpMessage fwd = msg;
-            translate_quote(fwd.payload, /*src_side=*/true,
-                            {key.internal, 0}, true, true);
-            net::Ipv4Packet out;
-            out.h = pkt.h;
-            out.h.dst = key.internal;
-            out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-            out.payload = fwd.serialize();
-            ++stats_.icmp_relayed;
-            return out.serialize();
-        }
-        return std::nullopt;
-    }
-
-    if (embedded.h.protocol != net::proto::kUdp &&
-        embedded.h.protocol != net::proto::kTcp)
-        return std::nullopt;
-    if (embedded.payload.size() < 4) return std::nullopt;
-
-    const auto ext_port = static_cast<std::uint16_t>(
-        (embedded.payload[0] << 8) | embedded.payload[1]);
-    const auto remote_port = static_cast<std::uint16_t>(
-        (embedded.payload[2] << 8) | embedded.payload[3]);
-    Slice* s = slice_for_port(ext_port);
-    if (s == nullptr) return std::nullopt;
-    BindingTable& table = embedded.h.protocol == net::proto::kUdp
-                              ? s->nat.udp_table()
-                              : s->nat.tcp_table();
-    Binding* b = table.find_inbound(ext_port, {embedded.h.dst, remote_port});
-    if (b == nullptr) return std::nullopt;
-    handled = true;
-
-    net::IcmpMessage fwd = msg;
-    translate_quote(fwd.payload, /*src_side=*/true, b->key.internal, true,
-                    true);
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.dst = b->key.internal.addr;
-    out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-    out.payload = fwd.serialize();
-    ++stats_.icmp_relayed;
-    return out.serialize();
+    return &queries_->nat;
 }
 
 std::optional<net::Bytes> CgnEngine::hairpin(const net::Ipv4Packet& pkt) {
@@ -436,7 +316,7 @@ const NatEngine* CgnEngine::engine_for(net::Ipv4Addr subscriber) const {
 void CgnEngine::flush() {
     for (auto& s : blocks_)
         if (s) s->nat.flush();
-    icmp_queries_.clear();
+    if (queries_) queries_->nat.flush();
 }
 
 CgnGateway::CgnGateway(sim::EventLoop& loop, Config config)

@@ -9,16 +9,20 @@
 // TTL is decremented per hop. Its knobs are the deployment parameters an
 // operator chooses: the port pool, the per-subscriber block carve
 // (RFC 7422 deterministic NAT), EIM vs. EDM mapping, and hairpinning.
-// UDP and TCP go through NatEngine's in-place translator — one engine
-// per subscriber block (or one for the shared pool), each built from
-// the block's DeviceProfile — and the gateway's datapath rides the same
-// Host/NetIf packet-pool stack as every other device.
+// Every packet goes through NatEngine's in-place translator: UDP and TCP
+// through one engine per subscriber block (or one for the shared pool),
+// each built from the block's DeviceProfile, as do inbound errors
+// quoting them; echo queries and all other ICMP through one more engine
+// built from the full-pool profile. The only ICMP step of the CGN's own
+// is the external view of the quote in errors subscribers send. The
+// gateway's datapath rides the same Host/NetIf packet-pool stack as
+// every other device.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "gateway/nat_engine.hpp"
@@ -69,7 +73,7 @@ struct CgnConfig {
 };
 
 /// The translation core. Pure packet-in/bytes-out like NatEngine (which
-/// translates its UDP/TCP); the CgnGateway below owns the wires.
+/// translates for it); the CgnGateway below owns the wires.
 class CgnEngine {
 public:
     CgnEngine(sim::EventLoop& loop, CgnConfig cfg);
@@ -151,9 +155,15 @@ private:
         return a.same_subnet(access_addr_, access_prefix_len_);
     }
 
-    std::optional<net::Bytes> outbound_icmp(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> inbound_icmp(const net::Ipv4Packet& pkt,
-                                           bool& handled);
+    /// An error a subscriber sends quotes the inbound packet as the
+    /// subscriber saw it; rewrite the quote's destination half to the
+    /// external view and recompute the ICMP checksum. False when `icmp`
+    /// is no error.
+    bool quote_external_view(std::span<std::uint8_t> icmp);
+    /// The engine an inbound ICMP message belongs to: an error quoting
+    /// UDP/TCP goes to the slice owning the quoted port (nullptr: none),
+    /// anything else to the echo-query engine.
+    NatEngine* icmp_engine(std::span<const std::uint8_t> icmp);
 
     sim::EventLoop& loop_;
     CgnConfig cfg_;
@@ -164,25 +174,9 @@ private:
     /// Block index -> slice (created on first use); shared mode uses
     /// blocks_[0] as the single full-pool slice.
     std::vector<std::unique_ptr<Slice>> blocks_;
-
-    struct QueryKey {
-        net::Ipv4Addr internal;
-        std::uint16_t id = 0;
-        net::Ipv4Addr remote;
-        friend constexpr auto operator<=>(const QueryKey&,
-                                          const QueryKey&) = default;
-    };
-    struct QueryKeyHash {
-        std::size_t operator()(const QueryKey& k) const noexcept {
-            std::uint64_t x = (std::uint64_t{k.internal.value()} << 32) |
-                              k.remote.value();
-            x ^= std::uint64_t{k.id} << 13;
-            x *= 0x9e3779b97f4a7c15ULL;
-            x ^= x >> 29;
-            return static_cast<std::size_t>(x);
-        }
-    };
-    std::unordered_map<QueryKey, sim::TimePoint, QueryKeyHash> icmp_queries_;
+    /// The carrier's echo queries (full-pool profile, created with the
+    /// addresses).
+    std::unique_ptr<Slice> queries_;
 
     Stats stats_;
 };

@@ -2,37 +2,10 @@
 
 #include <algorithm>
 
+#include "net/icmp.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::gateway {
-
-namespace {
-
-/// Filter key for the packet path (parsed packets), matching
-/// RuleChain::key_of(PacketView) exactly: ports are present only for
-/// non-fragment UDP/TCP whose transport geometry is sound.
-RuleChain::Key filter_key_of(const net::Ipv4Packet& pkt) {
-    RuleChain::Key k{pkt.h.protocol, pkt.h.src.value(), pkt.h.dst.value(), 0,
-                     0};
-    if (pkt.h.more_fragments || pkt.h.frag_offset != 0) return k;
-    const auto& p = pkt.payload;
-    bool have_ports = false;
-    if (pkt.h.protocol == net::proto::kUdp && p.size() >= 8) {
-        const std::size_t udp_len =
-            static_cast<std::size_t>((p[4] << 8) | p[5]);
-        have_ports = udp_len == p.size();
-    } else if (pkt.h.protocol == net::proto::kTcp && p.size() >= 20) {
-        const std::size_t doff = static_cast<std::size_t>(p[12] >> 4) * 4;
-        have_ports = doff >= 20 && doff <= p.size();
-    }
-    if (have_ports) {
-        k.sport = static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-        k.dport = static_cast<std::uint16_t>((p[2] << 8) | p[3]);
-    }
-    return k;
-}
-
-} // namespace
 
 HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
     : loop_(loop), config_(std::move(config)),
@@ -52,13 +25,17 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
         filter_.add_rule(r);
     filter_compiled_ = config_.profile.firewall_compiled;
 
-    // Datapath hooks: LAN->WAN via the forward hook (dst is never local),
-    // WAN->LAN via local intercept (inbound packets target the WAN addr).
+    // The NIC frame hooks translate; the host stack's hooks keep what
+    // is not translation. A LAN packet reaching the forward hook never
+    // passed the LAN frame hook (a broadcast-MAC frame, say): it takes
+    // the frame code on one copy.
     host_.set_forward_hook([this](stack::Iface& in,
                                   const net::Ipv4Packet& pkt,
-                                  std::span<const std::uint8_t>) {
+                                  std::span<const std::uint8_t> raw) {
         if (stalled()) return; // faulted device forwards nothing
-        if (&in == &lan_if_) on_lan_ip(in, pkt);
+        if (&in == &lan_if_) {
+            if (nat_.configured()) from_lan_copy(raw);
+        }
         // WAN-side packets for non-local destinations: only the plain
         // router fallback forwards into the LAN subnet.
         else if (config_.profile.unknown_proto ==
@@ -68,7 +45,8 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
             net::Ipv4Packet out = pkt;
             if (config_.profile.decrement_ttl) {
                 if (pkt.h.ttl <= 1) {
-                    ttl_expired(pkt);
+                    ttl_expired(raw.first(pkt.h.header_len() +
+                                          pkt.payload.size()));
                     return;
                 }
                 out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
@@ -88,12 +66,13 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
         // During a fault stall the device is dead to the wire: swallow
         // everything (NAT'd and gateway-local alike) until it recovers.
         if (stalled()) return true;
-        if (!nat_.configured()) return false;
-        if (&in == &wan_if_) return on_wan_local(pkt);
-        // LAN-side packets addressed to the WAN address: hairpin
-        // candidates on devices that support it; otherwise they reach
-        // the gateway's own stack (e.g. pinging the WAN address).
-        if (&in == &lan_if_ && pkt.h.dst == nat_.wan_addr()) {
+        // WAN-side packets here are the gateway's own: the WAN frame
+        // hook already offered them to the NAT. LAN-side packets
+        // addressed to the WAN address: hairpin candidates on devices
+        // that support it; otherwise they reach the gateway's own stack
+        // (e.g. pinging the WAN address).
+        if (nat_.configured() && &in == &lan_if_ &&
+            pkt.h.dst == nat_.wan_addr()) {
             auto out = nat_.hairpin(pkt);
             if (!out) return false;
             const auto dst = net::ipv4_dst(*out);
@@ -128,26 +107,25 @@ static bool filter_active(const RuleChain& f) {
     return !f.empty() || f.default_verdict() != RuleVerdict::kAccept;
 }
 
-/// The frame hooks translate UDP and TCP; ICMP and other transports
-/// take the packet path.
-static bool udp_or_tcp(const net::PacketView& v) {
-    return v.protocol() == net::proto::kUdp ||
-           v.protocol() == net::proto::kTcp;
-}
-
 bool HomeGateway::frame_from_lan(net::PacketView& v, sim::Frame& frame) {
     // Like the packet-path hooks, swallow everything during a stall.
     if (stalled()) {
         host_.nic().pool().release(std::move(frame));
         return true;
     }
-    if (!nat_.configured() || !udp_or_tcp(v)) return false;
+    if (!nat_.configured()) return false;
     const net::Ipv4Addr dst = v.dst();
     if (dst.is_broadcast() || host_.is_local_addr(dst))
         return false; // gateway-local / hairpin
-    // TTL expiry needs the pristine parsed packet for the ICMP quote:
-    // defer to the packet path before anything rewrites the frame.
-    if (config_.profile.decrement_ttl && v.ttl() <= 1) return false;
+    // Linux order: the forwarding path's TTL check precedes the FORWARD
+    // chain and the NAT, and its Time Exceeded quotes the datagram as it
+    // arrived (the NAT's own ttl<=1 drop is a backstop for direct
+    // engine users).
+    if (config_.profile.decrement_ttl && v.ttl() <= 1) {
+        ttl_expired({v.data(), v.total_len()});
+        host_.nic().pool().release(std::move(frame));
+        return true;
+    }
     if ((filter_active(filter_) && !filter_pass(RuleChain::key_of(v))) ||
         nat_.outbound(v) == NatEngine::Verdict::kDropped) {
         host_.nic().pool().release(std::move(frame));
@@ -166,16 +144,24 @@ bool HomeGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
         wan_nic_.pool().release(std::move(frame));
         return true;
     }
-    if (!nat_.configured() || !udp_or_tcp(v)) return false;
+    if (!nat_.configured()) return false;
     const net::Ipv4Addr wire_dst = v.dst();
     if (wire_dst.is_broadcast() || !host_.is_local_addr(wire_dst))
         return false; // plain-router fallback (or not ours)
-    // Same deferral as the LAN side: an expiring TTL must reach the
-    // packet path unrewritten so the Time Exceeded quote is faithful.
-    if (config_.profile.decrement_ttl && v.ttl() <= 1) return false;
+    // Only a packet the NAT claims is a forwarding event, so an expiring
+    // TTL is known only after translation: keep the datagram as it
+    // arrived for the Time Exceeded quote.
+    net::Bytes arrived;
+    if (config_.profile.decrement_ttl && v.ttl() <= 1)
+        arrived.assign(v.data(), v.data() + v.total_len());
     const auto verdict = nat_.inbound(v);
     if (verdict == NatEngine::Verdict::kNotOurs)
         return false; // gateway-local delivery via the host stack
+    if (verdict == NatEngine::Verdict::kForwarded && !arrived.empty()) {
+        ttl_expired(arrived);
+        wan_nic_.pool().release(std::move(frame));
+        return true;
+    }
     // The FORWARD chain sees the internal (post-DNAT) view of the flow.
     if (verdict == NatEngine::Verdict::kDropped ||
         (filter_active(filter_) && !filter_pass(RuleChain::key_of(v)))) {
@@ -189,6 +175,16 @@ bool HomeGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
                     emit_lan_frame(std::move(f), dst);
                 });
     return true;
+}
+
+void HomeGateway::from_lan_copy(std::span<const std::uint8_t> datagram) {
+    sim::Frame frame = host_.nic().pool().acquire();
+    frame.assign(14, 0); // MACs are written at egress
+    frame[12] = 0x08;    // ethertype IPv4
+    frame.insert(frame.end(), datagram.begin(), datagram.end());
+    // The host stack parsed the same bytes, so the view parses too.
+    auto v = net::PacketView::of({frame.data() + 14, datagram.size()});
+    if (!frame_from_lan(v, frame)) host_.nic().pool().release(std::move(frame));
 }
 
 void HomeGateway::emit_wan_frame(sim::Frame frame, net::Ipv4Addr dst) {
@@ -300,78 +296,15 @@ void HomeGateway::inject_fault(const GatewayFault& fault) {
     if (obs::trace_on(tracer_)) tracer_->trigger(obs_device_, "gateway.fault");
 }
 
-void HomeGateway::on_lan_ip(stack::Iface&, const net::Ipv4Packet& pkt) {
-    if (!nat_.configured()) return;
-    // Linux order: the forwarding path's TTL check (and its Time
-    // Exceeded) precedes the FORWARD chain. The NAT engine's own
-    // ttl<=1 drop stays as a backstop for direct engine users.
-    if (config_.profile.decrement_ttl && pkt.h.ttl <= 1) {
-        ttl_expired(pkt);
-        return;
-    }
-    if (filter_active(filter_) && !filter_pass(filter_key_of(pkt)))
-        return; // FORWARD chain, pre-SNAT (internal view of the flow)
-    // Outbound translation never rewrites the destination, so route on
-    // the ingress parse instead of re-reading the header out of the
-    // rewritten bytes — drop accounting and forwarding then agree on
-    // one view of the packet.
-    const auto dst = pkt.h.dst;
-    auto out = nat_.outbound(pkt);
-    if (!out) return;
-    // Read the size before the lambda capture moves the buffer out.
-    const std::size_t len = out->size();
-    fwd_.submit(Direction::Up, len,
-                [this, bytes = std::move(*out), dst]() mutable {
-                    emit_wan(std::move(bytes), dst);
-                });
-}
-
-bool HomeGateway::on_wan_local(const net::Ipv4Packet& pkt) {
-    bool handled = false;
-    auto out = nat_.inbound(pkt, handled);
-    if (!handled) return false; // gateway-local traffic (DHCP, DNS, ping)
-    // The engine answered "this flow is NAT'd and would be forwarded";
-    // only now is a TTL of 1 a forwarding event rather than local
-    // delivery. Pre-fix the translated packet left here with TTL 0.
-    if (out && config_.profile.decrement_ttl && pkt.h.ttl <= 1) {
-        ttl_expired(pkt);
-        return true;
-    }
-    if (out) {
-        if (filter_active(filter_)) {
-            // FORWARD chain, post-DNAT: key off the translated bytes so
-            // the chain sees the internal view in both directions.
-            const auto iv = net::PacketView::parse(
-                std::span<std::uint8_t>(out->data(), out->size()));
-            if (iv && !filter_pass(RuleChain::key_of(*iv)))
-                return true; // filtered; the packet was still ours
-        }
-        const auto dst = net::ipv4_dst(*out);
-        const std::size_t len = out->size();
-        fwd_.submit(Direction::Down, len,
-                    [this, bytes = std::move(*out), dst]() mutable {
-                        emit_lan(std::move(bytes), dst);
-                    });
-    }
-    return true;
-}
-
-void HomeGateway::ttl_expired(const net::Ipv4Packet& pkt) {
-    if (pkt.h.src.is_unspecified() || pkt.h.src.is_broadcast()) return;
-    const auto original = pkt.serialize();
+void HomeGateway::ttl_expired(std::span<const std::uint8_t> datagram) {
+    const net::Ipv4Addr src = net::ipv4_src(datagram);
+    if (src.is_unspecified() || src.is_broadcast()) return;
     const auto err = net::IcmpMessage::make_error(
         net::IcmpType::TimeExceeded, net::icmp_code::kTtlExceeded, 0,
-        original);
+        datagram);
     // Routed back toward the source; the egress interface's address
     // becomes the ICMP source (LAN address upstream, WAN downstream).
-    host_.send_icmp(net::Ipv4Addr::any(), pkt.h.src, err);
-}
-
-void HomeGateway::emit_wan(net::Bytes datagram, net::Ipv4Addr dst) {
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr || route->iface != &wan_if_) return;
-    const auto next_hop = route->via ? *route->via : dst;
-    host_.send_raw(wan_if_, std::move(datagram), next_hop);
+    host_.send_icmp(net::Ipv4Addr::any(), src, err);
 }
 
 void HomeGateway::emit_lan(net::Bytes datagram, net::Ipv4Addr dst) {

@@ -94,24 +94,26 @@ public:
     void set_filter_compiled(bool on) { filter_compiled_ = on; }
 
 private:
-    /// NIC frame hooks: UDP/TCP in untagged unicast frames to the
+    /// NIC frame hooks: every protocol in untagged unicast frames to the
     /// gateway's MAC is translated in place and forwarded in the same
-    /// buffer. Anything declined takes the packet path (on_lan_ip /
-    /// on_wan_local) through the host stack.
+    /// buffer, and an expiring TTL draws its Time Exceeded here. They
+    /// decline gateway-local traffic, hairpin and kNotOurs, which take
+    /// the host stack: local delivery, hairpin, and (WAN side, to a LAN
+    /// host) the Untranslated router fallback.
     bool frame_from_lan(net::PacketView& v, sim::Frame& frame);
     bool frame_from_wan(net::PacketView& v, sim::Frame& frame);
+    /// frame_from_lan on a copy of a datagram the LAN hook never saw.
+    void from_lan_copy(std::span<const std::uint8_t> datagram);
     void emit_wan_frame(sim::Frame frame, net::Ipv4Addr dst);
     void emit_lan_frame(sim::Frame frame, net::Ipv4Addr dst);
     bool filter_pass(const RuleChain::Key& key);
 
-    void on_lan_ip(stack::Iface& in, const net::Ipv4Packet& pkt);
-    bool on_wan_local(const net::Ipv4Packet& pkt);
-    /// Emit ICMP Time Exceeded toward `pkt`'s source (RFC 792): this hop
-    /// would have decremented the TTL to zero. Both datapath directions
-    /// land here, so cascaded (NAT444) chains report the expiring hop
-    /// instead of silently eating traceroute probes.
-    void ttl_expired(const net::Ipv4Packet& pkt);
-    void emit_wan(net::Bytes datagram, net::Ipv4Addr dst);
+    /// Emit ICMP Time Exceeded toward `datagram`'s source (RFC 792),
+    /// quoting it as it arrived: this hop would have decremented the TTL
+    /// to zero. Both datapath directions land here, so cascaded (NAT444)
+    /// chains report the expiring hop instead of silently eating
+    /// traceroute probes.
+    void ttl_expired(std::span<const std::uint8_t> datagram);
     void emit_lan(net::Bytes datagram, net::Ipv4Addr dst);
 
     sim::EventLoop& loop_;

@@ -1,6 +1,9 @@
 #include "gateway/nat_engine.hpp"
 
+#include <algorithm>
+
 #include "net/checksum.hpp"
+#include "net/icmp.hpp"
 #include "net/tcp_header.hpp"
 #include "util/assert.hpp"
 
@@ -27,24 +30,15 @@ void prune_expired(Map& m, sim::TimePoint now) {
             ++it;
     }
 }
+
+std::uint16_t word_at(std::span<const std::uint8_t> b, std::size_t at) {
+    return static_cast<std::uint16_t>((b[at] << 8) | b[at + 1]);
+}
 } // namespace
 
 NatEngine::NatEngine(sim::EventLoop& loop, const DeviceProfile& profile)
     : loop_(loop), profile_(profile), udp_(loop, profile, net::proto::kUdp),
       tcp_(loop, profile, net::proto::kTcp) {}
-
-net::Ipv4Packet NatEngine::translated_header(const net::Ipv4Packet& pkt,
-                                             net::Ipv4Addr new_src,
-                                             net::Ipv4Addr new_dst) const {
-    net::Ipv4Packet out;
-    out.h = pkt.h;
-    out.h.src = new_src;
-    out.h.dst = new_dst;
-    if (profile_.decrement_ttl)
-        out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-    if (profile_.honor_record_route) out.record_route(wan_addr_);
-    return out;
-}
 
 void NatEngine::finish(net::PacketView& v) const {
     if (profile_.decrement_ttl) v.decrement_ttl();
@@ -102,28 +96,18 @@ void NatEngine::bind_observability(obs::MetricsRegistry& reg,
 }
 
 std::optional<net::Bytes> NatEngine::outbound(const net::Ipv4Packet& pkt) {
-    GK_EXPECTS(configured());
-    if (profile_.decrement_ttl && pkt.h.ttl <= 1) return std::nullopt;
-    switch (pkt.h.protocol) {
-    case net::proto::kUdp:
-    case net::proto::kTcp: {
-        net::Bytes bytes = pkt.serialize();
-        auto v = net::PacketView::of(bytes);
-        if (outbound(v) != Verdict::kForwarded) return std::nullopt;
-        return bytes;
-    }
-    case net::proto::kIcmp:
-        return outbound_icmp(pkt);
-    default:
-        return outbound_unknown(pkt);
-    }
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    if (outbound(v) != Verdict::kForwarded) return std::nullopt;
+    return bytes;
 }
 
 NatEngine::Verdict NatEngine::outbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    GK_EXPECTS(v.protocol() == net::proto::kUdp ||
-               v.protocol() == net::proto::kTcp);
     if (profile_.decrement_ttl && v.ttl() <= 1) return Verdict::kDropped;
+    if (v.protocol() == net::proto::kIcmp) return icmp_outbound(v);
+    if (v.protocol() != net::proto::kUdp && v.protocol() != net::proto::kTcp)
+        return other_outbound(v);
     if (!v.has_l4()) { // a fragment, or geometry the view rejects
         ++stats_.dropped_malformed;
         return Verdict::kDropped;
@@ -163,8 +147,9 @@ NatEngine::Verdict NatEngine::outbound(net::PacketView& v) {
 
 NatEngine::Verdict NatEngine::inbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    GK_EXPECTS(v.protocol() == net::proto::kUdp ||
-               v.protocol() == net::proto::kTcp);
+    if (v.protocol() == net::proto::kIcmp) return icmp_inbound(v);
+    if (v.protocol() != net::proto::kUdp && v.protocol() != net::proto::kTcp)
+        return other_inbound(v);
     if (!v.has_l4()) return Verdict::kNotOurs;
     const bool udp = v.protocol() == net::proto::kUdp;
     BindingTable& table = udp ? udp_ : tcp_;
@@ -238,74 +223,63 @@ void NatEngine::refresh_tcp(Binding& b) {
                                   : profile_.tcp_transitory_timeout);
 }
 
-std::optional<net::Bytes> NatEngine::outbound_icmp(
-    const net::Ipv4Packet& pkt) {
-    net::IcmpMessage msg;
-    try {
-        msg = net::IcmpMessage::parse(pkt.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
+NatEngine::Verdict NatEngine::icmp_outbound(net::PacketView& v) {
+    const auto icmp = v.payload();
+    if (icmp.size() < 8) {
+        ++stats_.dropped_malformed;
+        return Verdict::kDropped;
     }
-    if (msg.type == net::IcmpType::Echo) {
-        const IcmpQueryKey key{pkt.h.src, msg.echo_id(), pkt.h.dst};
+    if (icmp[0] == static_cast<std::uint8_t>(net::IcmpType::Echo)) {
+        const IcmpQueryKey key{v.src(), word_at(icmp, 4), v.dst()};
         if (!icmp_queries_.contains(key) &&
             icmp_queries_.size() >= kMaxIcmpQueries) {
             prune_expired(icmp_queries_, loop_.now());
             if (icmp_queries_.size() >= kMaxIcmpQueries) {
                 ++stats_.dropped_capacity;
                 obs::inc(m_drop_capacity_);
-                return std::nullopt;
+                return Verdict::kDropped;
             }
         }
         icmp_queries_[key] =
             IcmpQueryBinding{key, loop_.now() + kIcmpQueryTimeout};
-        auto out = translated_header(pkt, wan_addr_, pkt.h.dst);
-        out.payload = pkt.payload; // id preserved
-        return out.serialize();
     }
-    // Outbound errors from LAN hosts: forward with outer translation.
-    auto out = translated_header(pkt, wan_addr_, pkt.h.dst);
-    out.payload = pkt.payload;
-    return out.serialize();
+    // The echo id is preserved; every other message, errors LAN hosts
+    // send included, crosses with only the outer header translated.
+    v.set_src(wan_addr_);
+    finish(v);
+    return Verdict::kForwarded;
 }
 
-std::optional<net::Bytes> NatEngine::outbound_unknown(
-    const net::Ipv4Packet& pkt) {
+NatEngine::Verdict NatEngine::other_outbound(net::PacketView& v) {
     switch (profile_.unknown_proto) {
     case UnknownProtocolPolicy::Drop:
         ++stats_.dropped_policy;
         obs::inc(m_drop_policy_);
-        return std::nullopt;
-    case UnknownProtocolPolicy::Untranslated: {
-        // Behave as a plain router: forward verbatim (TTL per profile).
-        net::Ipv4Packet out = pkt;
-        if (profile_.decrement_ttl)
-            out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-        return out.serialize();
-    }
+        return Verdict::kDropped;
+    case UnknownProtocolPolicy::Untranslated:
+        break; // behave as a plain router: forward verbatim
     case UnknownProtocolPolicy::TranslateIpOnly: {
-        const IpOnlyKey key{pkt.h.protocol, pkt.h.dst};
+        const IpOnlyKey key{v.protocol(), v.dst()};
         if (!ip_only_.contains(key) && ip_only_.size() >= kMaxIpOnly) {
             prune_expired(ip_only_, loop_.now());
             if (ip_only_.size() >= kMaxIpOnly) {
                 ++stats_.dropped_capacity;
                 obs::inc(m_drop_capacity_);
-                return std::nullopt;
+                return Verdict::kDropped;
             }
         }
         ip_only_[key] = IpOnlyBinding{
-            pkt.h.src, loop_.now() + profile_.unknown_proto_timeout};
+            v.src(), loop_.now() + profile_.unknown_proto_timeout};
         // Rewrite only the source address and the IP header checksum,
-        // leaving the transport payload bytes untouched: SCTP's CRC
-        // survives this, DCCP's pseudo-header checksum does not.
-        net::Ipv4Packet out = pkt;
-        out.h.src = wan_addr_;
-        if (profile_.decrement_ttl)
-            out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-        return out.serialize(); // payload bytes preserved verbatim
+        // leaving the transport bytes untouched: SCTP's CRC survives
+        // this, DCCP's pseudo-header checksum does not.
+        v.set_src(wan_addr_);
+        break;
     }
     }
-    return std::nullopt;
+    // Neither policy stamps Record Route.
+    if (profile_.decrement_ttl) v.decrement_ttl();
+    return Verdict::kForwarded;
 }
 
 std::optional<net::Bytes> NatEngine::hairpin(const net::Ipv4Packet& pkt) {
@@ -338,31 +312,22 @@ bool NatEngine::hairpin_to(net::PacketView& v, net::Endpoint target) {
 
 std::optional<net::Bytes> NatEngine::inbound(const net::Ipv4Packet& pkt,
                                              bool& handled) {
-    GK_EXPECTS(configured());
-    handled = false;
-    switch (pkt.h.protocol) {
-    case net::proto::kUdp:
-    case net::proto::kTcp: {
-        net::Bytes bytes = pkt.serialize();
-        auto v = net::PacketView::of(bytes);
-        const Verdict verdict = inbound(v);
-        handled = verdict != Verdict::kNotOurs;
-        if (verdict != Verdict::kForwarded) return std::nullopt;
-        return bytes;
-    }
-    case net::proto::kIcmp:
-        return inbound_icmp(pkt, handled);
-    default:
-        return inbound_unknown(pkt, handled);
-    }
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    const Verdict verdict = inbound(v);
+    handled = verdict != Verdict::kNotOurs;
+    if (verdict != Verdict::kForwarded) return std::nullopt;
+    bytes.resize(v.total_len()); // an error may have become a shorter RST
+    return bytes;
 }
 
-std::optional<IcmpKind> NatEngine::classify_icmp(const net::IcmpMessage& m) {
+std::optional<IcmpKind> NatEngine::classify_icmp(std::uint8_t type,
+                                                 std::uint8_t code_) {
     using net::IcmpType;
     namespace code = net::icmp_code;
-    switch (m.type) {
+    switch (static_cast<IcmpType>(type)) {
     case IcmpType::DestUnreachable:
-        switch (m.code) {
+        switch (code_) {
         case code::kNetUnreachable:
             return IcmpKind::NetUnreachable;
         case code::kHostUnreachable:
@@ -384,7 +349,7 @@ std::optional<IcmpKind> NatEngine::classify_icmp(const net::IcmpMessage& m) {
         // Only the two defined codes classify; anything else used to be
         // lumped in with TtlExceeded, which let a spoofed error with a
         // nonsense code ride a device's TTL-translation posture.
-        switch (m.code) {
+        switch (code_) {
         case code::kTtlExceeded:
             return IcmpKind::TtlExceeded;
         case code::kReassemblyTimeExceeded:
@@ -410,18 +375,29 @@ bool NatEngine::icmp_error_admitted() {
     return true;
 }
 
-bool NatEngine::embedded_quote_valid(const net::Ipv4Packet& embedded) {
+std::optional<IcmpQuote> IcmpQuote::parse(std::span<const std::uint8_t> q) {
+    if (q.size() < 20 || (q[0] >> 4) != 4) return std::nullopt;
+    const std::size_t ihl = static_cast<std::size_t>(q[0] & 0xf) * 4;
+    const std::size_t total = word_at(q, 2);
+    if (ihl < 20 || ihl > q.size() || total < ihl) return std::nullopt;
+    IcmpQuote out;
+    out.protocol = q[9];
+    out.frag_offset = word_at(q, 6) & 0x1fff;
+    out.src = net::Ipv4Addr{(std::uint32_t{word_at(q, 12)} << 16) |
+                            word_at(q, 14)};
+    out.dst = net::Ipv4Addr{(std::uint32_t{word_at(q, 16)} << 16) |
+                            word_at(q, 18)};
+    out.l4 = q.subspan(ihl, std::min(total, q.size()) - ihl);
+    return out;
+}
+
+bool IcmpQuote::complete() const {
     // RFC 792 quotes carry the embedded IP header plus at least the
     // first 8 transport bytes; a shorter quote cannot be checked against
     // a binding beyond the bare port pair, which is exactly the sloppy
     // acceptance attack class 4 exploits.
-    if (embedded.payload.size() < 8) return false;
-    if (embedded.h.protocol == net::proto::kUdp) {
-        const auto udp_len = static_cast<std::uint16_t>(
-            (embedded.payload[4] << 8) | embedded.payload[5]);
-        if (udp_len < 8) return false; // impossible UDP header
-    }
-    return true;
+    if (l4.size() < 8) return false;
+    return protocol != net::proto::kUdp || word(4) >= 8; // UDP length
 }
 
 void translate_quote(std::span<std::uint8_t> q, bool src_side,
@@ -463,8 +439,8 @@ void translate_quote(std::span<std::uint8_t> q, bool src_side,
     write16(ihl + 6, ck == 0 ? 0xffff : ck);
 }
 
-net::Bytes NatEngine::synthesize_rst_from_icmp(
-    const net::Ipv4Packet& embedded, const Binding& binding) const {
+void NatEngine::rst_from_icmp(net::PacketView& v, net::Ipv4Addr remote,
+                              const Binding& binding) const {
     // ls2 behavior: instead of relaying the ICMP error, fabricate a TCP
     // RST toward the internal host. The RST is invalid: sequence and ack
     // numbers are zero, so a correct TCP stack ignores it.
@@ -474,200 +450,174 @@ net::Bytes NatEngine::synthesize_rst_from_icmp(
     rst.flags.rst = true;
     net::Ipv4Packet out;
     out.h.protocol = net::proto::kTcp;
-    out.h.src = embedded.h.dst; // the remote the flow was talking to
+    out.h.src = remote; // the remote the flow was talking to
     out.h.dst = binding.key.internal.addr;
     out.h.ttl = 64;
     out.payload = rst.serialize(out.h.src, out.h.dst);
-    return out.serialize();
+    const net::Bytes bytes = out.serialize();
+    // Any error that gets here quotes at least an IP header and 4
+    // transport bytes after its own 28 header bytes: more than 40.
+    GK_ASSERT(bytes.size() <= v.total_len());
+    std::copy(bytes.begin(), bytes.end(), v.data());
+    v = net::PacketView::of({v.data(), bytes.size()});
 }
 
-std::optional<net::Bytes> NatEngine::inbound_icmp(const net::Ipv4Packet& pkt,
-                                                  bool& handled) {
-    net::IcmpMessage msg;
-    try {
-        msg = net::IcmpMessage::parse(pkt.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
+void NatEngine::relay_error(net::PacketView& v, std::span<std::uint8_t> icmp,
+                            net::Endpoint to) const {
+    // The quote's IP checksum covers the rewritten address; leaving it
+    // stale survives one NAT layer (end hosts rarely verify quotes) but
+    // a downstream NAT that validates embedded quotes discards the error.
+    translate_quote(icmp.subspan(8), /*src_side=*/true, to,
+                    profile_.fix_embedded_ip_checksum,
+                    profile_.fix_embedded_transport);
+    net::refresh_icmp_checksum(icmp);
+    v.set_dst(to.addr);
+    finish(v);
+}
 
-    if (msg.type == net::IcmpType::EchoReply) {
+NatEngine::Verdict NatEngine::icmp_inbound(net::PacketView& v) {
+    const auto icmp = v.payload();
+    if (icmp.size() < 8) return Verdict::kNotOurs;
+    const std::uint8_t type = icmp[0];
+
+    if (type == static_cast<std::uint8_t>(net::IcmpType::EchoReply)) {
+        const std::uint16_t id = word_at(icmp, 4);
         for (auto it = icmp_queries_.begin(); it != icmp_queries_.end();) {
             if (loop_.now() >= it->second.expires_at) {
                 it = icmp_queries_.erase(it);
                 continue;
             }
-            if (it->first.id == msg.echo_id() &&
-                it->first.remote == pkt.h.src) {
-                handled = true;
-                auto out = translated_header(pkt, pkt.h.src,
-                                             it->first.internal);
-                out.payload = pkt.payload;
-                return out.serialize();
+            if (it->first.id == id && it->first.remote == v.src()) {
+                v.set_dst(it->first.internal); // checksum untouched
+                finish(v);
+                return Verdict::kForwarded;
             }
             ++it;
         }
-        return std::nullopt; // unsolicited reply: gateway-local (its ping)
+        return Verdict::kNotOurs; // unsolicited reply: gateway-local
     }
 
-    if (!msg.is_error()) return std::nullopt;
+    if (!net::is_icmp_error(type)) return Verdict::kNotOurs;
 
     // Hardened devices budget how many inbound WAN errors they process
     // per second; once spent, errors are dropped before any quote parse
     // or binding lookup, so an attacker's port sweep starves itself.
     if (profile_.icmp_error_rate_limit > 0 && !icmp_error_admitted()) {
-        handled = true;
         ++stats_.icmp_rate_limited;
         obs::inc(m_icmp_rate_limited_);
-        return std::nullopt;
+        return Verdict::kDropped;
     }
 
-    // Parse the quoted datagram to identify the binding it concerns.
-    net::Ipv4Packet embedded;
-    try {
-        embedded = net::Ipv4Packet::parse_prefix(msg.payload);
-    } catch (const net::ParseError&) {
-        return std::nullopt;
-    }
-    if (embedded.h.src != wan_addr_) return std::nullopt; // not our flow
+    // Identify the binding the quoted datagram concerns.
+    const auto quote = IcmpQuote::parse(icmp.subspan(8));
+    if (!quote || quote->src != wan_addr_) return Verdict::kNotOurs;
 
     // A quote of a non-first fragment carries mid-stream payload where
     // the transport header would sit; reading those bytes as ports could
     // alias an unrelated live binding on attacker-chosen data. The quote
     // is unattributable, so drop the error outright.
-    if (embedded.h.frag_offset != 0) {
-        handled = true;
+    if (quote->frag_offset != 0) {
         ++stats_.icmp_dropped;
         obs::inc(m_icmp_dropped_);
-        return std::nullopt;
+        return Verdict::kDropped;
     }
 
-    const auto kind = classify_icmp(msg);
-    if (!kind) return std::nullopt;
+    const auto kind = classify_icmp(type, icmp[1]);
+    if (!kind) return Verdict::kNotOurs;
 
-    if (embedded.h.protocol == net::proto::kIcmp) {
+    if (quote->protocol == net::proto::kIcmp) {
         // Error about an ICMP echo flow (Table 2 "ICMP: Host Unreach.").
         // A device that never translates these drops every one; otherwise
         // an error the NAT cannot pin to a live query (too short a quote,
         // no query, an expired one) is not the NAT's and reaches the
         // gateway's own stack — its own ping hears its errors.
         if (!profile_.icmp_query_errors_translated) {
-            handled = true;
             ++stats_.icmp_dropped;
             obs::inc(m_icmp_dropped_);
-            return std::nullopt;
+            return Verdict::kDropped;
         }
-        if (embedded.payload.size() < 8) return std::nullopt;
-        const auto id = static_cast<std::uint16_t>(
-            (embedded.payload[4] << 8) | embedded.payload[5]);
+        if (quote->l4.size() < 8) return Verdict::kNotOurs;
+        const std::uint16_t id = quote->word(4);
         for (const auto& [key, qb] : icmp_queries_) {
-            if (key.id == id && key.remote == embedded.h.dst &&
+            if (key.id == id && key.remote == quote->dst &&
                 loop_.now() < qb.expires_at) {
-                handled = true;
                 ++stats_.icmp_translated;
                 obs::inc(m_icmp_translated_);
-                // The quote's IP checksum covers the rewritten address;
-                // leaving it stale survives one NAT layer (end hosts
-                // rarely verify quotes) but a downstream home NAT that
-                // validates embedded quotes discards the error.
-                net::IcmpMessage fwd = msg;
-                translate_quote(fwd.payload, /*src_side=*/true,
-                                {key.internal, 0},
-                                profile_.fix_embedded_ip_checksum,
-                                profile_.fix_embedded_transport);
-                auto out = translated_header(pkt, pkt.h.src, key.internal);
-                out.payload = fwd.serialize();
-                return out.serialize();
+                relay_error(v, icmp, {key.internal, 0});
+                return Verdict::kForwarded;
             }
         }
-        return std::nullopt;
+        return Verdict::kNotOurs;
     }
 
-    if (embedded.h.protocol != net::proto::kUdp &&
-        embedded.h.protocol != net::proto::kTcp)
-        return std::nullopt;
-    if (embedded.payload.size() < 4) return std::nullopt;
-    if (profile_.validate_embedded_binding &&
-        !embedded_quote_valid(embedded)) {
-        handled = true;
+    if (quote->protocol != net::proto::kUdp &&
+        quote->protocol != net::proto::kTcp)
+        return Verdict::kNotOurs;
+    if (quote->l4.size() < 4) return Verdict::kNotOurs;
+    if (profile_.validate_embedded_binding && !quote->complete()) {
         ++stats_.icmp_quote_rejected;
         obs::inc(m_icmp_quote_rejected_);
-        return std::nullopt;
+        return Verdict::kDropped;
     }
 
-    const auto ext_port = static_cast<std::uint16_t>(
-        (embedded.payload[0] << 8) | embedded.payload[1]);
-    const auto remote_port = static_cast<std::uint16_t>(
-        (embedded.payload[2] << 8) | embedded.payload[3]);
-    const net::Endpoint remote{embedded.h.dst, remote_port};
-
-    const bool is_tcp = embedded.h.protocol == net::proto::kTcp;
+    const bool is_tcp = quote->protocol == net::proto::kTcp;
+    const net::Ipv4Addr remote = quote->dst;
     BindingTable& table = is_tcp ? tcp_ : udp_;
-    Binding* b = table.find_inbound(ext_port, remote);
-    if (b == nullptr) return std::nullopt;
-    handled = true;
+    Binding* b = table.find_inbound(quote->word(0), {remote, quote->word(2)});
+    if (b == nullptr) return Verdict::kNotOurs;
 
     // Conntrack-style teardown posture: an accepted hard error purges
     // the binding it names, whether or not the device also relays the
     // error into the LAN. This is the ReDAN off-path DoS surface; the
-    // purge runs after the relay bytes are built (the binding is read
-    // there) and before every return below.
+    // purge runs after the relay is written (the binding is read there).
     const bool purge =
         profile_.icmp_error_teardown &&
         (*kind == IcmpKind::PortUnreachable ||
          *kind == IcmpKind::HostUnreachable ||
          *kind == IcmpKind::ProtoUnreachable);
-    std::optional<net::Bytes> result;
+    Verdict verdict = Verdict::kForwarded;
 
     const auto& set = is_tcp ? profile_.icmp_tcp : profile_.icmp_udp;
     if (!set.translates(*kind)) {
         ++stats_.icmp_dropped;
         obs::inc(m_icmp_dropped_);
+        verdict = Verdict::kDropped;
     } else if (is_tcp && profile_.tcp_icmp_becomes_rst) {
         ++stats_.icmp_translated;
         obs::inc(m_icmp_translated_);
-        result = synthesize_rst_from_icmp(embedded, *b);
+        rst_from_icmp(v, remote, *b); // the quote is gone past here
     } else {
         ++stats_.icmp_translated;
         obs::inc(m_icmp_translated_);
-        net::IcmpMessage fwd = msg;
-        translate_quote(fwd.payload, /*src_side=*/true, b->key.internal,
-                        profile_.fix_embedded_ip_checksum,
-                        profile_.fix_embedded_transport);
-        auto out = translated_header(pkt, pkt.h.src, b->key.internal.addr);
-        out.payload = fwd.serialize(); // outer ICMP checksum recomputed
-        result = out.serialize();
+        relay_error(v, icmp, b->key.internal);
     }
     if (purge) {
         ++stats_.icmp_teardowns;
         obs::inc(m_icmp_teardown_);
         table.remove(b->key); // b invalid past this point
     }
-    return result;
+    return verdict;
 }
 
-std::optional<net::Bytes> NatEngine::inbound_unknown(
-    const net::Ipv4Packet& pkt, bool& handled) {
+NatEngine::Verdict NatEngine::other_inbound(net::PacketView& v) {
     if (profile_.unknown_proto != UnknownProtocolPolicy::TranslateIpOnly)
-        return std::nullopt;
-    auto it = ip_only_.find(IpOnlyKey{pkt.h.protocol, pkt.h.src});
-    if (it == ip_only_.end()) return std::nullopt;
+        return Verdict::kNotOurs;
+    auto it = ip_only_.find(IpOnlyKey{v.protocol(), v.src()});
+    if (it == ip_only_.end()) return Verdict::kNotOurs;
     if (loop_.now() >= it->second.expires_at) {
         ip_only_.erase(it);
-        return std::nullopt;
+        return Verdict::kNotOurs;
     }
-    handled = true;
     if (!profile_.unknown_proto_inbound_allowed) {
         ++stats_.dropped_policy;
         obs::inc(m_drop_policy_);
-        return std::nullopt;
+        return Verdict::kDropped;
     }
     it->second.expires_at = loop_.now() + profile_.unknown_proto_timeout;
     // IP-only rewrite of the destination; transport bytes untouched.
-    net::Ipv4Packet out = pkt;
-    out.h.dst = it->second.internal;
-    if (profile_.decrement_ttl)
-        out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-    return out.serialize();
+    v.set_dst(it->second.internal);
+    if (profile_.decrement_ttl) v.decrement_ttl();
+    return Verdict::kForwarded;
 }
 
 } // namespace gatekit::gateway

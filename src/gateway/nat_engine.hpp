@@ -7,10 +7,10 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "gateway/binding_table.hpp"
 #include "gateway/profile.hpp"
-#include "net/icmp.hpp"
 #include "net/ipv4.hpp"
 #include "net/packet_view.hpp"
 
@@ -28,29 +28,36 @@ public:
 
     /// Translate a LAN->WAN datagram. Returns the datagram to emit on the
     /// WAN side, or nullopt when the packet is dropped (no binding
-    /// capacity, unknown protocol policy, TTL exhausted, ...). UDP and
-    /// TCP are copied once and run through the in-place translator.
+    /// capacity, unknown protocol policy, TTL exhausted, ...). The packet
+    /// is serialized once and run through the in-place translator.
     std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
 
-    /// Translate a WAN->LAN datagram addressed to the WAN address (or, for
-    /// untranslated unknown-protocol flows, to a LAN host directly).
+    /// Translate a WAN->LAN datagram addressed to the WAN address.
     /// Returns the datagram to emit on the LAN side. `handled` is set when
     /// the packet belonged to the NAT (even if dropped); when false the
-    /// caller should deliver it to the gateway's own stack.
+    /// caller should deliver it to the gateway's own stack. One copy, as
+    /// outbound().
     std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
                                       bool& handled);
 
-    /// Verdicts of the in-place UDP/TCP translator. kNotOurs (inbound
-    /// only) means no NAT flow claims the packet: it is untouched and
-    /// belongs to the gateway's own stack.
+    /// Verdicts of the in-place translator. kNotOurs (inbound only) means
+    /// no NAT flow claims the packet: it is untouched and belongs to the
+    /// gateway's own stack.
     enum class Verdict : std::uint8_t { kForwarded, kDropped, kNotOurs };
 
-    /// Translate a LAN->WAN UDP/TCP packet in place via `view`: binding
-    /// lookup, address/port rewrite with incremental checksums, TTL and
-    /// Record Route. A fragment, or a datagram whose transport geometry
-    /// the view rejects, is a drop counted in Stats::dropped_malformed.
+    /// Translate a LAN->WAN packet of any protocol in place via `view`,
+    /// with incremental checksums. UDP/TCP: binding lookup, address/port
+    /// rewrite, TTL and Record Route; a fragment, or a datagram whose
+    /// transport geometry the view rejects, is a drop counted in
+    /// Stats::dropped_malformed, as is ICMP shorter than its 8-byte
+    /// header. ICMP: an echo opens a query mapping, and every message
+    /// crosses with its outer header translated. Other transports follow
+    /// the profile's UnknownProtocolPolicy.
     Verdict outbound(net::PacketView& view);
-    /// WAN->LAN counterpart. Fragments and unsound geometry are kNotOurs.
+    /// WAN->LAN counterpart. Fragments, unsound geometry and truncated
+    /// ICMP are kNotOurs. A relayed ICMP error gets its quote rewritten
+    /// and its ICMP checksum recomputed; ls2's RST quirk replaces the
+    /// error with a 40-byte RST in the same buffer and re-points `view`.
     Verdict inbound(net::PacketView& view);
 
     /// Hairpin a LAN->WAN-address datagram back into the LAN (UDP only;
@@ -61,10 +68,6 @@ public:
     /// mapping (so the target sees it as an outside peer would) and
     /// rewrite `view` toward `target`. False when no mapping is left.
     bool hairpin_to(net::PacketView& view, net::Endpoint target);
-
-    /// The Table 2 kind of an error message; nullopt for queries and for
-    /// codes no RFC defines.
-    static std::optional<IcmpKind> classify_icmp(const net::IcmpMessage& m);
 
     BindingTable& udp_table() { return udp_; }
     BindingTable& tcp_table() { return tcp_; }
@@ -93,8 +96,9 @@ public:
         std::uint64_t wan_syn_dropped = 0;
         std::uint64_t wan_syn_tarpitted = 0;
         std::uint64_t wan_stray_dropped = 0;
-        /// Outbound UDP/TCP fragments and datagrams with unsound
-        /// transport geometry (no registry series).
+        /// Outbound UDP/TCP fragments, datagrams with unsound transport
+        /// geometry, and ICMP shorter than its header (no registry
+        /// series).
         std::uint64_t dropped_malformed = 0;
     };
     const Stats& stats() const { return stats_; }
@@ -106,12 +110,7 @@ public:
                             const std::string& device);
 
 private:
-    /// Common IP header rewrite for translated ICMP.
-    net::Ipv4Packet translated_header(const net::Ipv4Packet& pkt,
-                                      net::Ipv4Addr new_src,
-                                      net::Ipv4Addr new_dst) const;
-    /// Last step of every in-place rewrite: TTL and Record Route, as
-    /// translated_header() applies them to ICMP.
+    /// Last step of every UDP/TCP/ICMP rewrite: TTL and Record Route.
     void finish(net::PacketView& v) const;
     sim::Duration udp_timeout_for(const Binding& b, bool inbound_packet,
                                   std::uint16_t service_port) const;
@@ -120,22 +119,25 @@ private:
     /// linger. `b` is invalid once this returns.
     void close_tcp(Binding& b, std::uint8_t flags);
 
-    std::optional<net::Bytes> outbound_icmp(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> outbound_unknown(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> inbound_icmp(const net::Ipv4Packet& pkt,
-                                           bool& handled);
-    std::optional<net::Bytes> inbound_unknown(const net::Ipv4Packet& pkt,
-                                              bool& handled);
-
-    net::Bytes synthesize_rst_from_icmp(const net::Ipv4Packet& embedded,
-                                        const Binding& binding) const;
+    Verdict icmp_outbound(net::PacketView& v);
+    Verdict other_outbound(net::PacketView& v);
+    Verdict icmp_inbound(net::PacketView& v);
+    Verdict other_inbound(net::PacketView& v);
+    /// Hand an inbound error to `to`: quote rewritten, ICMP checksum
+    /// recomputed, outer header translated.
+    void relay_error(net::PacketView& v, std::span<std::uint8_t> icmp,
+                     net::Endpoint to) const;
+    /// ls2's quirk: overwrite the error in `v` with a bogus RST from
+    /// `remote` toward the binding's internal endpoint.
+    void rst_from_icmp(net::PacketView& v, net::Ipv4Addr remote,
+                       const Binding& binding) const;
+    /// The Table 2 kind of an error; nullopt for queries and for codes no
+    /// RFC defines.
+    static std::optional<IcmpKind> classify_icmp(std::uint8_t type,
+                                                 std::uint8_t code);
     /// Consume one unit of the per-second inbound-error budget; false
     /// once the window's icmp_error_rate_limit is spent.
     bool icmp_error_admitted();
-    /// Structural check of an error's embedded quote for the
-    /// validate_embedded_binding knob: full 8 transport bytes and, for
-    /// UDP, a sane embedded length field.
-    static bool embedded_quote_valid(const net::Ipv4Packet& embedded);
 
     sim::EventLoop& loop_;
     const DeviceProfile& profile_;
@@ -193,6 +195,28 @@ private:
         sim::TimePoint expires_at{};
     };
     std::map<IpOnlyKey, IpOnlyBinding> ip_only_;
+};
+
+/// The datagram prefix an ICMP error quotes, located in place with the
+/// acceptance rules of Ipv4Packet::parse_prefix: the quote may stop
+/// anywhere after its IP header, and `l4` holds the transport bytes that
+/// made it in (never past the quoted total length).
+struct IcmpQuote {
+    std::uint8_t protocol = 0;
+    std::uint16_t frag_offset = 0; ///< in 8-byte units
+    net::Ipv4Addr src;
+    net::Ipv4Addr dst;
+    std::span<const std::uint8_t> l4;
+
+    static std::optional<IcmpQuote> parse(std::span<const std::uint8_t> q);
+    /// The big-endian 16-bit word at `at` in l4 (ports at 0 and 2, the
+    /// echo id at 4); the caller checks l4's size.
+    std::uint16_t word(std::size_t at) const {
+        return static_cast<std::uint16_t>((l4[at] << 8) | l4[at + 1]);
+    }
+    /// Full 8 transport bytes and, for UDP, a length field of at least 8:
+    /// what the validate_embedded_binding knob requires.
+    bool complete() const;
 };
 
 /// Rewrite one endpoint of the datagram quoted in an ICMP error, in

@@ -13,8 +13,17 @@ Bytes IcmpMessage::serialize() const {
     w.u16(0); // checksum placeholder
     w.u32(rest);
     w.bytes(payload);
-    w.patch_u16(2, internet_checksum(w.view()));
-    return w.take();
+    auto out = w.take();
+    refresh_icmp_checksum(out);
+    return out;
+}
+
+void refresh_icmp_checksum(std::span<std::uint8_t> message) {
+    GK_EXPECTS(message.size() >= 4);
+    message[2] = message[3] = 0;
+    const std::uint16_t ck = internet_checksum(message);
+    message[2] = static_cast<std::uint8_t>(ck >> 8);
+    message[3] = static_cast<std::uint8_t>(ck);
 }
 
 IcmpMessage IcmpMessage::parse(std::span<const std::uint8_t> data) {

@@ -32,6 +32,19 @@ inline constexpr std::uint8_t kTtlExceeded = 0;
 inline constexpr std::uint8_t kReassemblyTimeExceeded = 1;
 } // namespace icmp_code
 
+/// True for the four error types, whose body quotes the offending
+/// datagram.
+constexpr bool is_icmp_error(std::uint8_t type) {
+    return type == static_cast<std::uint8_t>(IcmpType::DestUnreachable) ||
+           type == static_cast<std::uint8_t>(IcmpType::SourceQuench) ||
+           type == static_cast<std::uint8_t>(IcmpType::TimeExceeded) ||
+           type == static_cast<std::uint8_t>(IcmpType::ParamProblem);
+}
+
+/// Recompute the checksum of a serialized ICMP message in place, over
+/// the whole message.
+void refresh_icmp_checksum(std::span<std::uint8_t> message);
+
 struct IcmpMessage {
     IcmpType type = IcmpType::Echo;
     std::uint8_t code = 0;
@@ -48,10 +61,7 @@ struct IcmpMessage {
     static IcmpMessage parse(std::span<const std::uint8_t> data);
 
     bool is_error() const {
-        return type == IcmpType::DestUnreachable ||
-               type == IcmpType::SourceQuench ||
-               type == IcmpType::TimeExceeded ||
-               type == IcmpType::ParamProblem;
+        return is_icmp_error(static_cast<std::uint8_t>(type));
     }
 
     // Echo helpers.

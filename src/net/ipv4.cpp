@@ -81,11 +81,21 @@ Ipv4Packet Ipv4Packet::parse(std::span<const std::uint8_t> data) {
     return parse_impl(data, /*truncated_ok=*/false);
 }
 
-Ipv4Addr ipv4_dst(std::span<const std::uint8_t> data) {
+namespace {
+Ipv4Addr addr_at(std::span<const std::uint8_t> data, std::size_t at) {
     if (data.size() < 20) throw ParseError("short IPv4 datagram");
-    return Ipv4Addr{(std::uint32_t{data[16]} << 24) |
-                    (std::uint32_t{data[17]} << 16) |
-                    (std::uint32_t{data[18]} << 8) | data[19]};
+    return Ipv4Addr{(std::uint32_t{data[at]} << 24) |
+                    (std::uint32_t{data[at + 1]} << 16) |
+                    (std::uint32_t{data[at + 2]} << 8) | data[at + 3]};
+}
+} // namespace
+
+Ipv4Addr ipv4_dst(std::span<const std::uint8_t> data) {
+    return addr_at(data, 16);
+}
+
+Ipv4Addr ipv4_src(std::span<const std::uint8_t> data) {
+    return addr_at(data, 12);
 }
 
 Ipv4Packet Ipv4Packet::parse_prefix(std::span<const std::uint8_t> data) {

@@ -85,5 +85,7 @@ bool stamp_record_route(std::span<std::uint8_t> options, Ipv4Addr router);
 /// the routing fast path only needs these four bytes, not a full parse.
 /// Throws ParseError when the buffer is shorter than an IPv4 header.
 Ipv4Addr ipv4_dst(std::span<const std::uint8_t> data);
+/// ipv4_dst's counterpart for the source address.
+Ipv4Addr ipv4_src(std::span<const std::uint8_t> data);
 
 } // namespace gatekit::net

@@ -45,6 +45,11 @@ public:
     bool has_options() const { return ihl_ > 20; }
     bool is_fragment() const { return fragment_; }
 
+    /// Everything after the IP header, up to total_len.
+    std::span<std::uint8_t> payload() const {
+        return {data_ + ihl_, static_cast<std::size_t>(total_ - ihl_)};
+    }
+
     Ipv4Addr src() const { return src_; }
     Ipv4Addr dst() const { return dst_; }
 

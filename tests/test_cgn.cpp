@@ -474,6 +474,91 @@ TEST(CgnEngine, UndefinedErrorCodesAreNotRelayed) {
     EXPECT_EQ(bed.engine.stats().icmp_relayed, 1u);
 }
 
+// --- ICMP through NatEngine: the cases the in-place path defines ----------
+
+namespace {
+
+/// An ICMP message's checksum error over its whole length.
+std::uint16_t icmp_residual(const net::Bytes& datagram) {
+    const auto pkt = net::Ipv4Packet::parse(datagram);
+    return net::internet_checksum(pkt.payload);
+}
+
+} // namespace
+
+// Errors the CGN relays, either way, get an ICMP checksum computed over
+// the rewritten quote; an echo crosses with the checksum it came with.
+TEST(CgnEngine, RelayedErrorsGetAFreshIcmpChecksumQueriesKeepTheirs) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    auto echo = echo_pkt(sub, kRemote, 0x6161);
+    echo.payload[2] ^= 0x11; // wrong ICMP checksum
+    const auto echo_error = net::internet_checksum(echo.payload);
+    const auto sent = bed.engine.outbound(echo);
+    ASSERT_TRUE(sent.has_value());
+    EXPECT_EQ(icmp_residual(*sent), echo_error);
+    EXPECT_EQ(bed.engine.stats().translated_out, 1u);
+
+    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    ASSERT_TRUE(out.has_value());
+    auto in_err = error_pkt(net::IcmpType::DestUnreachable,
+                            net::icmp_code::kPortUnreachable, *out);
+    in_err.payload[3] ^= 0x22;
+    bool handled = false;
+    const auto relayed_in = bed.engine.inbound(in_err, handled);
+    ASSERT_TRUE(relayed_in.has_value());
+    EXPECT_EQ(icmp_residual(*relayed_in), 0);
+
+    // A subscriber's error about the inbound datagram it received.
+    const auto received = udp_pkt(kRemote, 7000, sub, 40000).serialize();
+    auto out_err = icmp_pkt(
+        sub, kRemote,
+        net::IcmpMessage::make_error(net::IcmpType::DestUnreachable,
+                                     net::icmp_code::kPortUnreachable, 0,
+                                     received));
+    out_err.payload[2] ^= 0x44;
+    const auto relayed_out = bed.engine.outbound(out_err);
+    ASSERT_TRUE(relayed_out.has_value());
+    EXPECT_EQ(icmp_residual(*relayed_out), 0);
+    EXPECT_EQ(bed.engine.stats().icmp_relayed, 2u);
+}
+
+// ICMP shorter than its header: dropped going out (the echo-query
+// engine's malformed drop; no CGN counter moves), not ours coming in.
+TEST(CgnEngine, TruncatedIcmpIsDroppedOutAndNotOursIn) {
+    EngineBed bed;
+    net::Ipv4Packet stub;
+    stub.h.protocol = net::proto::kIcmp;
+    stub.h.src = net::Ipv4Addr(100, 64, 0, 5);
+    stub.h.dst = kRemote;
+    stub.payload = {8, 0, 0, 0};
+    EXPECT_FALSE(bed.engine.outbound(stub).has_value());
+    stub.h.src = kRemote;
+    stub.h.dst = kExternal;
+    stub.payload = {0, 0, 0};
+    bool handled = true;
+    EXPECT_FALSE(bed.engine.inbound(stub, handled).has_value());
+    EXPECT_FALSE(handled);
+    const auto& s = bed.engine.stats();
+    EXPECT_EQ(s.translated_out + s.translated_in + s.dropped_policy +
+                  s.icmp_relayed + s.icmp_dropped,
+              0u);
+}
+
+// The carrier's echo queries live in a NatEngine, so its cap of 1024
+// live queries is the CGN's; refusals still count as dropped_policy.
+TEST(CgnEngine, EchoQueryCapIsNatEngines) {
+    EngineBed bed;
+    const net::Ipv4Addr sub(100, 64, 0, 5);
+    for (std::uint16_t id = 0; id < 1024; ++id)
+        ASSERT_TRUE(bed.engine.outbound(echo_pkt(sub, kRemote, id)));
+    EXPECT_FALSE(bed.engine.outbound(echo_pkt(sub, kRemote, 1024)));
+    EXPECT_EQ(bed.engine.stats().dropped_policy, 1u);
+    // Once the queries time out, the table has room again.
+    bed.loop.run_until(bed.loop.now() + std::chrono::seconds(61));
+    EXPECT_TRUE(bed.engine.outbound(echo_pkt(sub, kRemote, 1024)));
+}
+
 // --- NAT444 end-to-end ----------------------------------------------------
 
 namespace {

@@ -420,9 +420,9 @@ TEST(GatewayDns, TcpProxyModes) {
 // Regression: routing decisions must come from the ingress parse, never
 // from re-reading header bytes after the NAT rewrite (or after a NAT
 // drop, when there are no rewritten bytes at all). A TTL-expiring packet
-// is deferred from the NIC frame hook to the packet path, with or
-// without IP options (the Time Exceeded quote needs it unrewritten), and
-// must drop cleanly there; a surviving packet then takes the frame hook.
+// draws its Time Exceeded in the NIC frame hook before anything rewrites
+// it, with or without IP options, and must drop cleanly there; a
+// surviving packet on the same flow then translates.
 TEST(GatewayNat, TtlExpiringPacketDropsCleanlyOnBothPaths) {
     Bed bed;
     auto& slot = bed.slot();
