@@ -322,12 +322,12 @@ std::optional<net::Bytes> NatEngine::inbound(const net::Ipv4Packet& pkt,
 }
 
 std::optional<IcmpKind> NatEngine::classify_icmp(std::uint8_t type,
-                                                 std::uint8_t code_) {
+                                                 std::uint8_t code_value) {
     using net::IcmpType;
     namespace code = net::icmp_code;
     switch (static_cast<IcmpType>(type)) {
     case IcmpType::DestUnreachable:
-        switch (code_) {
+        switch (code_value) {
         case code::kNetUnreachable:
             return IcmpKind::NetUnreachable;
         case code::kHostUnreachable:
@@ -349,7 +349,7 @@ std::optional<IcmpKind> NatEngine::classify_icmp(std::uint8_t type,
         // Only the two defined codes classify; anything else used to be
         // lumped in with TtlExceeded, which let a spoofed error with a
         // nonsense code ride a device's TTL-translation posture.
-        switch (code_) {
+        switch (code_value) {
         case code::kTtlExceeded:
             return IcmpKind::TtlExceeded;
         case code::kReassemblyTimeExceeded:
