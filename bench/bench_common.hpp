@@ -43,12 +43,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "devices/profiles.hpp"
 #include "harness/testrund.hpp"
-#include "obs/obs.hpp"
 #include "report/ascii_plot.hpp"
 #include "report/csv.hpp"
 #include "report/table.hpp"
@@ -120,90 +118,6 @@ inline sim::Duration env_ts_interval() {
     }
     return std::chrono::milliseconds(n);
 }
-
-/// Optional observability sidecar, driven entirely by environment. With
-/// neither variable set nothing is allocated and every instrumentation
-/// pointer in the stack stays null, so the campaign's virtual-time
-/// behavior (and its rendered figures) is byte-identical either way —
-/// metrics and traces only *record*, they never schedule or draw RNG.
-class ObsSession {
-public:
-    explicit ObsSession(sim::EventLoop& loop) {
-        const char* metrics = std::getenv("GATEKIT_METRICS");
-        const char* trace = std::getenv("GATEKIT_TRACE");
-        if (metrics != nullptr) metrics_path_ = metrics;
-        if (metrics == nullptr && trace == nullptr) return;
-        if (metrics != nullptr) {
-            // Fail fast: an unwritable snapshot path should abort the
-            // run before hours of campaign, not after (the snapshot
-            // itself is rewritten at finish()).
-            std::ofstream probe(metrics_path_,
-                                std::ios::binary | std::ios::trunc);
-            if (!probe.good()) {
-                std::cerr << "[gatekit] cannot open GATEKIT_METRICS path '"
-                          << metrics_path_ << "'\n";
-                std::exit(2);
-            }
-        }
-        obs_ = std::make_unique<obs::Observability>(loop);
-        if (trace != nullptr) {
-            sink_ = std::make_unique<obs::JsonlSink>(std::string(trace));
-            if (!sink_->ok()) {
-                std::cerr << "[gatekit] cannot open GATEKIT_TRACE path '"
-                          << trace << "'\n";
-                std::exit(2);
-            }
-            recorder_ = std::make_unique<obs::FlightRecorder>();
-            recorder_->set_dump_path(std::string(trace) + ".flight");
-            obs_->tracer().add_sink(recorder_.get());
-            obs_->tracer().add_sink(sink_.get());
-        }
-    }
-
-    ObsSession(const ObsSession&) = delete;
-    ObsSession& operator=(const ObsSession&) = delete;
-    ~ObsSession() { finish(); }
-
-    bool enabled() const { return obs_ != nullptr; }
-    obs::Observability* get() { return obs_.get(); }
-
-    /// Bind the whole testbed. The session must outlive the testbed
-    /// (declare it first), since components keep raw counter pointers.
-    void attach(harness::Testbed& tb) {
-        if (obs_ != nullptr) tb.attach_observability(obs_.get());
-    }
-
-    /// Write the metrics snapshot (idempotent; also runs at destruction).
-    void finish() {
-        if (finished_) return;
-        finished_ = true;
-        if (obs_ == nullptr || metrics_path_.empty()) return;
-        bool ok = false;
-        const auto n = metrics_path_.size();
-        if (n >= 4 && metrics_path_.compare(n - 4, 4, ".csv") == 0) {
-            std::ofstream out(metrics_path_,
-                              std::ios::binary | std::ios::trunc);
-            out << obs_->metrics().to_csv();
-            ok = out.good();
-        } else {
-            ok = obs_->metrics().save_json(metrics_path_);
-        }
-        if (ok)
-            std::cerr << "[gatekit] wrote metrics snapshot ("
-                      << obs_->metrics().size() << " series) to "
-                      << metrics_path_ << "\n";
-        else
-            std::cerr << "[gatekit] FAILED to write metrics snapshot to "
-                      << metrics_path_ << "\n";
-    }
-
-private:
-    std::string metrics_path_;
-    std::unique_ptr<obs::Observability> obs_;
-    std::unique_ptr<obs::JsonlSink> sink_;
-    std::unique_ptr<obs::FlightRecorder> recorder_;
-    bool finished_ = false;
-};
 
 /// Build the Figure-1 testbed with every profiled device and run the
 /// campaign, device-sharded across GATEKIT_WORKERS threads; returns

@@ -2,8 +2,12 @@
 // UDP-1, TCP-1 and DNS probes across a grid of WAN impairment levels
 // (seeded loss + reordering + jitter) with the harness retry/backoff
 // knobs enabled, and checks that every measured binding timeout stays
-// within one search-resolution step of the lossless ground truth. Ends
-// with a scripted-fault demo: a reboot plus stall injected mid-search,
+// within one search-resolution step of the lossless ground truth. The
+// ground truth and every level are campaigns of their own through
+// bench::run_campaign; a level's impairments are declared in
+// CampaignConfig::impair under a per-level seed, so each device draws
+// from its own impair_seed_for streams. Ends with a scripted-fault demo
+// on a one-device testbed: a reboot plus stall injected mid-search,
 // which the hardened harness must survive without hanging.
 //
 // Exit code 0 = every device at every level within tolerance; 1 = not.
@@ -22,32 +26,19 @@ struct Level {
     double loss;
     double reorder;
     sim::Duration jitter;
+
+    sim::LinkImpairments wan() const {
+        sim::LinkImpairments imp;
+        imp.loss = loss;
+        imp.reorder = reorder;
+        imp.jitter = jitter;
+        return imp;
+    }
 };
 
-std::uint64_t wan_seed(int device, std::size_t level, int dir) {
-    return 0x5eedULL + static_cast<std::uint64_t>(device) * 131 +
-           level * 17 + static_cast<std::uint64_t>(dir);
-}
-
-void apply_level(harness::Testbed& tb, const Level& lvl, std::size_t li) {
-    sim::LinkImpairments imp;
-    imp.loss = lvl.loss;
-    imp.reorder = lvl.reorder;
-    imp.jitter = lvl.jitter;
-    for (int i = 0; i < static_cast<int>(tb.device_count()); ++i) {
-        auto& link = *tb.slot(i).wan_link;
-        link.set_impairments(sim::Link::Side::A, imp, wan_seed(i, li, 0));
-        link.set_impairments(sim::Link::Side::B, imp, wan_seed(i, li, 1));
-    }
-}
-
-void clear_impairments(harness::Testbed& tb) {
-    for (int i = 0; i < static_cast<int>(tb.device_count()); ++i) {
-        auto& link = *tb.slot(i).wan_link;
-        link.set_impairments(sim::Link::Side::A, {});
-        link.set_impairments(sim::Link::Side::B, {});
-    }
-}
+/// Campaign seed of impairment level `li`; every device's streams derive
+/// from it through harness::impair_seed_for.
+std::uint64_t level_seed(std::size_t li) { return 0x5eedULL + li; }
 
 double median_of(const harness::UdpTimeoutResult& r) {
     return r.summary().median;
@@ -59,23 +50,6 @@ double median_of(const harness::TcpTimeoutResult& r) {
 } // namespace
 
 int main() {
-    sim::EventLoop loop;
-    ObsSession obs(loop); // declared before tb: components keep pointers
-    harness::Testbed tb(loop);
-    const auto& profiles = devices::all_profiles();
-    const int limit = env_device_limit(static_cast<int>(profiles.size()));
-    int added = 0;
-    for (const auto& profile : profiles) {
-        if (limit > 0 && added >= limit) break;
-        tb.add_device(profile);
-        ++added;
-    }
-    obs.attach(tb);
-    std::cerr << "[fault_sweep] bringing up testbed with " << added
-              << " devices...\n";
-    tb.start_and_wait();
-    harness::Testrund rund(tb);
-
     const int reps = env_int("GATEKIT_REPS", 3);
     harness::CampaignConfig truth_cfg;
     truth_cfg.udp1 = truth_cfg.tcp1 = truth_cfg.dns = true;
@@ -83,7 +57,7 @@ int main() {
     truth_cfg.tcp_timeout.repetitions = std::max(1, reps / 3);
 
     std::cerr << "[fault_sweep] lossless ground-truth campaign...\n";
-    const auto truth = rund.run_blocking(truth_cfg);
+    const auto truth = run_campaign(truth_cfg);
 
     // The impaired campaign adds the full retry/backoff hardening. The
     // UDP watchdog slack must exceed the trial's gap-proportional
@@ -124,10 +98,11 @@ int main() {
     bool all_ok = true;
     for (std::size_t li = 0; li < levels.size(); ++li) {
         const auto& lvl = levels[li];
-        apply_level(tb, lvl, li);
+        hard_cfg.impair.wan = lvl.wan();
+        hard_cfg.impair.seed = level_seed(li);
         std::cerr << "[fault_sweep] campaign at loss="
                   << lvl.loss * 100.0 << "%...\n";
-        const auto impaired = rund.run_blocking(hard_cfg);
+        const auto impaired = run_campaign(hard_cfg);
 
         const double udp_tol =
             sim::to_sec(hard_cfg.udp.search.resolution) + 1e-9;
@@ -167,14 +142,23 @@ int main() {
                          ok ? "1" : "0"});
         }
     }
-    clear_impairments(tb);
 
-    // Scripted-fault demo: reboot + 1 s stall injected into device 0 two
-    // minutes into a UDP-1 search over a mildly lossy WAN. The converged
-    // value is meaningless (the reboot flushed the binding under test);
-    // the requirement is that the hardened search terminates.
+    // Scripted-fault demo: reboot + 1 s stall injected into the first
+    // device two minutes into a UDP-1 search over a mildly lossy WAN, on
+    // a one-device testbed of its own. The converged value is
+    // meaningless (the reboot flushed the binding under test); the
+    // requirement is that the hardened search terminates.
     std::cerr << "[fault_sweep] scripted reboot/stall mid-search demo...\n";
-    apply_level(tb, {0.02, 0.1, std::chrono::microseconds(500)}, 99);
+    sim::EventLoop loop;
+    harness::Testbed tb(loop);
+    tb.add_device(devices::all_profiles().front());
+    tb.start_and_wait();
+    const Level demo_level{0.02, 0.1, std::chrono::microseconds(500)};
+    auto& wan = *tb.slot(0).wan_link;
+    wan.set_impairments(sim::Link::Side::A, demo_level.wan(),
+                        harness::impair_seed_for(level_seed(99), 0, true, 0));
+    wan.set_impairments(sim::Link::Side::B, demo_level.wan(),
+                        harness::impair_seed_for(level_seed(99), 0, true, 1));
     auto demo_cfg = hard_cfg.udp;
     demo_cfg.repetitions = 1;
     bool demo_done = false;
@@ -191,7 +175,6 @@ int main() {
         tb.slot(0).gw->inject_fault(fault);
     });
     loop.run();
-    clear_impairments(tb);
     all_ok = all_ok && demo_done;
     std::cout << "\nscripted fault demo: "
               << (demo_done ? "search terminated" : "SEARCH HUNG")
@@ -202,6 +185,5 @@ int main() {
     std::cout << "\nfault_sweep overall: " << (all_ok ? "PASS" : "FAIL")
               << "\n";
     maybe_csv("fault_sweep", csv);
-    obs.finish();
     return all_ok ? 0 : 1;
 }

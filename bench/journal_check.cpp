@@ -1,15 +1,17 @@
 // journal_check: end-to-end validation of the campaign write-ahead
 // journal (schema gatekit.journal.v1) and its crash/resume determinism
-// guarantee. On a three-device roster (one sequential-allocation device,
-// one coarse-granularity device) it:
+// guarantee. Every campaign runs through ShardScheduler, the executor
+// the figure benches use. On a three-device roster (one
+// sequential-allocation device, one coarse-granularity device) it:
 //
-//   1. runs a baseline campaign with no supervisor, then the same
+//   1. runs a baseline campaign with no journal, then the same
 //      campaign journaled, and checks the per-device results are
 //      byte-identical (journaling must not perturb the measurement);
-//   2. validates the journal against the schema;
+//   2. validates the merged journal against the schema;
 //   3. simulates a crash after EVERY unit boundary: truncates the
-//      journal to its first k records, resumes, and checks both the
-//      merged per-device results and the regrown journal are
+//      merged journal to its first k records, resumes (the scheduler
+//      carves the prefix into per-shard segments), and checks both the
+//      per-device results and the regrown merged journal are
 //      byte-identical to the uninterrupted run;
 //   4. checks the failure modes: a corrupted record fails validation,
 //      and a journal from a different campaign (fingerprint mismatch)
@@ -33,7 +35,6 @@
 
 #include "devices/profiles.hpp"
 #include "harness/results_io.hpp"
-#include "harness/testbed.hpp"
 #include "harness/testrund.hpp"
 #include "report/journal.hpp"
 
@@ -86,13 +87,23 @@ harness::CampaignConfig impaired_campaign() {
 }
 
 std::vector<harness::DeviceResults>
-run_once(const harness::CampaignConfig& cfg) {
-    sim::EventLoop loop;
-    harness::Testbed tb(loop);
-    for (const auto& p : roster()) tb.add_device(p);
-    tb.start_and_wait();
-    harness::Testrund rund(tb);
-    return rund.run_blocking(cfg);
+run_once(const harness::CampaignConfig& cfg,
+         const std::string& journal_path = "", bool resume = false) {
+    harness::ShardScheduler::Options opts;
+    opts.roster = roster();
+    opts.config = cfg;
+    opts.journal_path = journal_path;
+    opts.resume = resume;
+    return harness::ShardScheduler::run(opts).results;
+}
+
+/// Remove a merged journal and any shard segments a failed run left.
+void remove_journal(const std::string& path) {
+    std::remove(path.c_str());
+    for (std::size_t k = 0; k < roster().size(); ++k)
+        std::remove(harness::ShardScheduler::segment_path(
+                        path, static_cast<int>(k))
+                        .c_str());
 }
 
 std::string slurp(const std::string& path) {
@@ -128,16 +139,14 @@ std::string results_json(const std::vector<harness::DeviceResults>& rs) {
 std::string run_suite(const std::string& mode,
                       const harness::CampaignConfig& cfg,
                       const std::string& path) {
-    std::remove(path.c_str());
+    remove_journal(path);
 
     std::cerr << "journal_check[" << mode << "]: baseline campaign...\n";
     const auto baseline = run_once(cfg);
     const std::string baseline_json = results_json(baseline);
 
     std::cerr << "journal_check[" << mode << "]: journaled campaign...\n";
-    auto jcfg = cfg;
-    jcfg.supervisor.journal_path = path;
-    const auto journaled = run_once(jcfg);
+    const auto journaled = run_once(cfg, path);
     check(results_json(journaled) == baseline_json,
           mode + ": journaling perturbed the campaign results");
 
@@ -148,14 +157,12 @@ std::string run_suite(const std::string& mode,
 
     const auto lines = lines_of(journal_text);
     check(lines.size() > 1, mode + ": journal is unexpectedly empty");
-    auto rcfg = jcfg;
-    rcfg.supervisor.resume = true;
     int boundaries = 0;
     for (std::size_t k = 1; k <= lines.size(); ++k) {
         std::string prefix;
         for (std::size_t i = 0; i < k; ++i) prefix += lines[i] + "\n";
         spit(path, prefix);
-        const auto resumed = run_once(rcfg);
+        const auto resumed = run_once(cfg, path, /*resume=*/true);
         if (results_json(resumed) != baseline_json) {
             // Leave both sides on disk for diffing.
             spit(path + ".expected.json", baseline_json);
@@ -216,19 +223,17 @@ int main() {
     // 4b. A journal from a different campaign refuses to resume.
     spit(path, journal_text);
     auto other = campaign();
-    other.supervisor.journal_path = path;
-    other.supervisor.resume = true;
     other.binding_rate_count = 51; // changes the fingerprint
     bool threw = false;
     try {
-        run_once(other);
+        run_once(other, path, /*resume=*/true);
     } catch (const std::exception& e) {
         threw = true;
         std::cerr << "journal_check: fingerprint mismatch rejected: "
                   << e.what() << "\n";
     }
     check(threw, "fingerprint mismatch was not rejected");
-    std::remove(path.c_str());
+    remove_journal(path);
 
     // Phase B: the impaired grid. Same sweep with loss/duplicate/jitter
     // active on every WAN link — the regression that motivated journaling
@@ -241,7 +246,7 @@ int main() {
     check(has_nonzero_draws(itext),
           "impaired journal rng stamps never saw a draw — the sweep "
           "exercised nothing");
-    std::remove(ipath.c_str());
+    remove_journal(ipath);
 
     std::cout << "journal_check: " << (failures == 0 ? "PASS" : "FAIL")
               << "\n";

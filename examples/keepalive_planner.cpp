@@ -16,25 +16,21 @@ using namespace gatekit;
 int main(int argc, char** argv) {
     const int count = argc > 1 ? std::atoi(argv[1]) : 8;
 
-    sim::EventLoop loop;
-    harness::Testbed tb(loop);
-    int added = 0;
+    harness::ShardScheduler::Options opts;
     for (const auto& p : devices::all_profiles()) {
-        if (added++ >= count) break;
-        tb.add_device(p);
+        if (static_cast<int>(opts.roster.size()) >= count) break;
+        opts.roster.push_back(p);
     }
-    tb.start_and_wait();
-    std::cout << "Probing " << tb.device_count()
+    std::cout << "Probing " << opts.roster.size()
               << " home gateway models...\n\n";
 
-    harness::CampaignConfig cfg;
+    harness::CampaignConfig& cfg = opts.config;
     cfg.udp1 = cfg.udp3 = true;
     cfg.udp.repetitions = 3;
     cfg.tcp1 = true;
     cfg.tcp_timeout.repetitions = 1;
 
-    harness::Testrund rund(tb);
-    const auto results = rund.run_blocking(cfg);
+    const auto results = harness::ShardScheduler::run(opts).results;
 
     report::TextTable table(
         {"device", "UDP idle timeout [s]", "UDP active timeout [s]",

@@ -35,25 +35,22 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) tags.emplace_back(argv[i]);
     if (tags.empty()) tags = {"owrt", "ap", "be1", "ng3", "ls1", "nw1"};
 
-    sim::EventLoop loop;
-    harness::Testbed tb(loop);
+    harness::ShardScheduler::Options opts;
     for (const auto& tag : tags) {
         auto p = devices::find_profile(tag);
         if (!p) {
             std::cerr << "unknown device tag '" << tag << "'\n";
             return 1;
         }
-        tb.add_device(*p);
+        opts.roster.push_back(*p);
     }
-    tb.start_and_wait();
 
-    harness::CampaignConfig cfg;
+    harness::CampaignConfig& cfg = opts.config;
     cfg.udp1 = cfg.udp4 = true;
     cfg.udp.repetitions = 3;
     cfg.transports = true;
 
-    harness::Testrund rund(tb);
-    const auto results = rund.run_blocking(cfg);
+    const auto results = harness::ShardScheduler::run(opts).results;
 
     report::TextTable table({"device", "preserves port", "reuses binding",
                              "UDP timeout [s]", "unknown transports",

@@ -72,9 +72,9 @@ public:
     BindingTable& udp_table() { return udp_; }
     BindingTable& tcp_table() { return tcp_; }
 
-    /// Side-table occupancy, for the adversarial exhaustion audits: both
-    /// are hard-capped, so a flood of distinct ICMP query ids or unknown-
-    /// protocol remotes cannot grow translation state without bound.
+    /// Side-table occupancy: both are hard-capped, so a flood of
+    /// distinct ICMP query ids or unknown-protocol remotes cannot grow
+    /// translation state without bound (tests/test_nat_caps.cpp).
     std::size_t icmp_query_count() const { return icmp_queries_.size(); }
     std::size_t ip_only_count() const { return ip_only_.size(); }
 

@@ -1,6 +1,5 @@
-// Off-path attack battery (second generation). Unlike run_adversary's
-// engine-direct on-path floods, every packet here is delivered through
-// the real WAN-side path — netif -> rule chain -> NAT -> forward — from
+// Off-path attack battery: every packet is delivered through the real
+// WAN-side path — netif -> rule chain -> NAT -> forward — from
 // spoofed sources the gateway has no reason to trust, reproducing the
 // ReDAN remote-DoS scenarios (Feng et al., arXiv:2410.21984):
 //

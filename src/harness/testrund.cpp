@@ -62,7 +62,7 @@ bool unit_status_from_string(std::string_view s, UnitStatus& out) {
     return true;
 }
 
-/// Campaign supervisor: walks the unit plan device by device, launching
+/// Campaign supervisor for one device: walks the unit plan, launching
 /// one probe attempt at a time. Each attempt carries a fresh cancel token
 /// and a generation stamp; deadline watchdogs flip the token (the probe
 /// quiesces at its next trial boundary) and bump the generation (a late
@@ -71,17 +71,17 @@ bool unit_status_from_string(std::string_view s, UnitStatus& out) {
 /// completes through the same callback chain as the unsupervised runner,
 /// so the event stream is bit-for-bit identical.
 struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
-    Runner(Testbed& tb, CampaignConfig config,
-           std::function<void(std::vector<DeviceResults>)> done)
-        : tb(tb), config(std::move(config)), done(std::move(done)),
-          plan(unit_plan(this->config)) {}
+    /// Testbed slot of the measured device (the testbed holds only it).
+    static constexpr int kSlot = 0;
+
+    Runner(Testbed& tb, CampaignConfig config)
+        : tb(tb), config(std::move(config)), plan(unit_plan(this->config)) {}
 
     Testbed& tb;
     CampaignConfig config;
-    std::function<void(std::vector<DeviceResults>)> done;
     std::vector<std::string> plan;
-    std::vector<DeviceResults> results;
-    int device = 0;
+    DeviceResults result;
+    bool finished = false;
     std::size_t unit_idx = 0;
 
     // Per-unit supervisor state.
@@ -93,7 +93,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     bool unit_done = false;
     sim::EventId soft_ev{}, hard_ev{}, force_ev{};
 
-    // Per-device quarantine state.
+    // Quarantine state.
     int device_failures = 0;
     bool device_quarantined = false;
 
@@ -111,104 +111,69 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     report::JournalWriter journal;
     bool journaling = false;
 
-    // Supervisor instruments, re-registered per device; branch-on-null.
+    // Supervisor instruments; branch-on-null.
     obs::Counter* m_retry = nullptr;
     obs::Counter* m_degraded = nullptr;
     obs::Counter* m_quarantined = nullptr;
 
-    DeviceResults& cur() { return results.back(); }
+    Testbed::DeviceSlot& slot() { return tb.slot(kSlot); }
     sim::EventLoop& loop() { return tb.loop(); }
     const std::string& unit() const { return plan[unit_idx]; }
-    std::string label() { return Testbed::device_label(tb.slot(device)); }
+    std::string label() { return Testbed::device_label(slot()); }
 
     bool supervision_active() const {
         return config.supervisor.soft_enabled() ||
                config.supervisor.hard_enabled() || journaling;
     }
 
-    /// Device range this runner measures ([first_dev, last_dev]); the
-    /// whole roster unless a ShardSpec narrows it.
-    int first_dev() const { return std::max(0, config.shard.first_device); }
-    int last_dev() const {
-        const int max = static_cast<int>(tb.device_count()) - 1;
-        const int l = config.shard.last_device;
-        return (l >= 0 && l < max) ? l : max;
-    }
-
-    /// Global roster index of local testbed slot d. Journal entries and
-    /// impairment RNG streams always use global indices, so a shard's
-    /// segment stays carve/merge-compatible with a sequential journal
-    /// of the whole roster.
-    int global_dev(int d) const { return d + config.shard.device_base; }
+    /// The device's global roster index. Journal entries and impairment
+    /// RNG streams always use it, so a shard's segment stays
+    /// carve/merge-compatible with the merged journal of the campaign.
+    int global_dev() const { return config.shard.device_base; }
 
     /// The campaign fingerprint this journal binds to: precomputed by
     /// the shard scheduler (which hashes the full roster's profile
-    /// identities once), or derived here when the testbed itself holds
-    /// the full roster. Hashing profile identities rather than tags is
-    /// what makes the fingerprint cover sampled rosters, whose tags
-    /// ("p0", "p1", ...) say nothing about behavior.
-    std::string fingerprint() const {
+    /// identities once), or derived here for a one-device campaign.
+    /// Hashing profile identities rather than tags is what makes the
+    /// fingerprint cover sampled rosters, whose tags ("p0", "p1", ...)
+    /// say nothing about behavior.
+    std::string fingerprint() {
         if (!config.shard.fingerprint.empty())
             return config.shard.fingerprint;
-        std::vector<std::string> ids;
-        ids.reserve(tb.device_count());
-        for (std::size_t i = 0; i < tb.device_count(); ++i)
-            ids.push_back(gateway::profile_identity(
-                tb.slot(static_cast<int>(i)).gw->profile()));
-        return campaign_fingerprint(config, ids);
+        return campaign_fingerprint(
+            config, {gateway::profile_identity(slot().gw->profile())});
     }
 
-    /// Install the campaign's declarative impairments on every device's
+    /// Install the campaign's declarative impairments on the device's
     /// WAN link, each direction seeded from its own derived stream. Runs
     /// before any measurement traffic (bring-up is already complete and
-    /// unimpaired), so a device's fate sequence is a pure function of
-    /// (campaign seed, device, direction) — identical whether the
-    /// campaign runs sequentially or sharded at any worker count.
+    /// unimpaired), so the device's fate sequence is a pure function of
+    /// (campaign seed, global device index, direction).
     void apply_impairments() {
         if (!config.impair.any()) return;
-        for (std::size_t i = 0; i < tb.device_count(); ++i) {
-            const int d = static_cast<int>(i);
-            auto& link = *tb.slot(d).wan_link;
-            link.set_impairments(
-                sim::Link::Side::A, config.impair.wan,
-                impair_seed_for(config.impair.seed, global_dev(d), true, 0));
-            link.set_impairments(
-                sim::Link::Side::B, config.impair.wan,
-                impair_seed_for(config.impair.seed, global_dev(d), true, 1));
-        }
+        auto& link = *slot().wan_link;
+        link.set_impairments(
+            sim::Link::Side::A, config.impair.wan,
+            impair_seed_for(config.impair.seed, global_dev(), true, 0));
+        link.set_impairments(
+            sim::Link::Side::B, config.impair.wan,
+            impair_seed_for(config.impair.seed, global_dev(), true, 1));
     }
 
-    std::vector<std::string> roster() const {
-        std::vector<std::string> tags;
-        for (std::size_t i = 0; i < tb.device_count(); ++i)
-            tags.push_back(
-                tb.slot(static_cast<int>(i)).gw->profile().tag);
-        return tags;
-    }
+    std::vector<std::string> roster() { return {result.tag}; }
 
     void start() {
         const auto& sup = config.supervisor;
-        std::int64_t resume_at_ns = -1;
-        if (!sup.journal_path.empty()) {
-            journaling = true; // before enter_device: gates the counters
-        }
+        journaling = !sup.journal_path.empty(); // gates the instruments
         apply_impairments(); // before replay: RNG restore needs them live
-        if (tb.device_count() == 0 || first_dev() > last_dev()) {
-            finish_campaign();
-            return;
-        }
-        device = first_dev();
+        result.tag = slot().gw->profile().tag;
         if (plan.empty()) {
-            // Nothing to measure: enumerate the devices, as before.
-            for (int d = first_dev(); d <= last_dev(); ++d) {
-                results.emplace_back();
-                results.back().tag = tb.slot(d).gw->profile().tag;
-            }
-            finish_campaign();
+            finished = true; // nothing to measure
             return;
         }
-        enter_device();
-        if (!sup.journal_path.empty()) {
+        bind_instruments();
+        std::int64_t resume_at_ns = -1;
+        if (journaling) {
             if (sup.resume) {
                 resume_at_ns = load_and_replay();
                 if (!journal.open_append(sup.journal_path))
@@ -227,8 +192,8 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
                         sup.journal_path + "'");
             }
         }
-        if (device > last_dev()) {
-            finish_campaign(); // journal already covered every unit
+        if (unit_idx >= plan.size()) {
+            finished = true; // journal already covered every unit
             return;
         }
         if (resume_at_ns >= 0) {
@@ -246,7 +211,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         start_unit();
     }
 
-    /// Replay the journal prefix into `results`, advancing the campaign
+    /// Replay the journal prefix into `result`, advancing the campaign
     /// pointer past every completed unit. Returns the sim time (ns) at
     /// which the first live unit must start, or -1 with nothing replayed.
     std::int64_t load_and_replay() {
@@ -273,14 +238,15 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         if (entries.empty()) return -1;
 
         for (const auto& e : entries) {
-            if (device > last_dev())
+            if (unit_idx >= plan.size())
                 throw std::runtime_error(
                     "campaign journal: more entries than planned units");
-            if (e.device != global_dev(device) || e.unit != unit())
+            if (e.device != global_dev() || e.unit != unit())
                 throw std::runtime_error(
                     "campaign journal: entry order diverges from the "
-                    "campaign plan at device " + std::to_string(device) +
-                    " unit '" + unit() + "'");
+                    "campaign plan at device " +
+                    std::to_string(global_dev()) + " unit '" + unit() +
+                    "'");
             UnitReport rep;
             rep.unit = e.unit;
             if (!unit_status_from_string(e.status, rep.status))
@@ -291,39 +257,34 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
             rep.t_start_ns = e.t_start_ns;
             rep.t_end_ns = e.t_end_ns;
             if (e.payload.type != report::JsonValue::Type::Null)
-                apply_unit_payload(cur(), e.unit, e.payload);
-            cur().units.push_back(std::move(rep));
-            note_unit_outcome(cur().units.back().status);
-            advance_pointer();
+                apply_unit_payload(result, e.unit, e.payload);
+            result.units.push_back(std::move(rep));
+            note_unit_outcome(result.units.back().status);
+            ++unit_idx;
         }
         const auto& last = entries.back();
         // Restore the allocator cursors the probes observe across unit
-        // boundaries. Earlier devices are finished (their cursors are
-        // dead state); only the globals and, mid-device, the current
-        // device's port pools matter.
+        // boundaries.
+        auto& s = slot();
+        auto& gw = *s.gw;
         tb.client().set_ephemeral_cursor(
             static_cast<std::uint16_t>(last.state.client_eph));
         tb.server().set_ephemeral_cursor(
             static_cast<std::uint16_t>(last.state.server_eph));
-        if (device <= last_dev() && unit_idx > 0) {
-            auto& gw = *tb.slot(device).gw;
-            gw.nat().udp_table().set_pool_cursor(
-                static_cast<std::uint16_t>(last.state.udp_pool));
-            gw.nat().tcp_table().set_pool_cursor(
-                static_cast<std::uint16_t>(last.state.tcp_pool));
-        }
+        gw.nat().udp_table().set_pool_cursor(
+            static_cast<std::uint16_t>(last.state.udp_pool));
+        gw.nat().tcp_table().set_pool_cursor(
+            static_cast<std::uint16_t>(last.state.tcp_pool));
         // Restore the impairment RNG streams exactly where the replayed
         // traffic left them. The impairers were installed by
         // apply_impairments() before replay; a stamp for a link with no
         // impairer means the campaign configs diverged.
         for (const auto& st : last.state.rng) {
-            const int local = st.device - config.shard.device_base;
-            if (local < 0 || local >= static_cast<int>(tb.device_count()))
+            if (st.device != global_dev())
                 throw std::runtime_error(
-                    "campaign journal: rng stamp device out of roster");
-            auto& slot = tb.slot(local);
-            sim::Link* link = st.link == "wan"   ? slot.wan_link.get()
-                              : st.link == "lan" ? slot.lan_link.get()
+                    "campaign journal: rng stamp for another device");
+            sim::Link* link = st.link == "wan"   ? s.wan_link.get()
+                              : st.link == "lan" ? s.lan_link.get()
                                                  : nullptr;
             if (link == nullptr || (st.dir != "a2b" && st.dir != "b2a"))
                 throw std::runtime_error(
@@ -337,35 +298,19 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
                     "impairer (campaign impairments changed since the "
                     "journal was written)");
         }
-        // Re-warm the ARP state the replayed traffic left behind: every
-        // device's first unit resolves the client<->gateway and
-        // gateway<->server pairs, and entries never expire. Without this
-        // the first live unit pays ARP exchanges the uninterrupted run
-        // already paid, shifting every later timestamp.
-        const int last_local = last.device - config.shard.device_base;
-        for (int d = first_dev(); d <= last_local &&
-                                  d < static_cast<int>(tb.device_count());
-             ++d) {
-            auto& slot = tb.slot(d);
-            auto& gw = *slot.gw;
-            slot.client_if->arp_cache().insert(gw.lan_addr(),
-                                               gw.lan_if().mac());
-            gw.lan_if().arp_cache().insert(slot.client_addr,
-                                           slot.client_if->mac());
-            gw.wan_if().arp_cache().insert(slot.server_addr,
-                                           slot.server_if->mac());
-            slot.server_if->arp_cache().insert(slot.gw_wan_addr,
-                                               gw.wan_if().mac());
-        }
+        // Re-warm the ARP state the replayed traffic left behind: the
+        // first unit resolves the client<->gateway and gateway<->server
+        // pairs, and entries never expire. Without this the first live
+        // unit pays ARP exchanges the uninterrupted run already paid,
+        // shifting every later timestamp.
+        s.client_if->arp_cache().insert(gw.lan_addr(), gw.lan_if().mac());
+        gw.lan_if().arp_cache().insert(s.client_addr, s.client_if->mac());
+        gw.wan_if().arp_cache().insert(s.server_addr, s.server_if->mac());
+        s.server_if->arp_cache().insert(s.gw_wan_addr, gw.wan_if().mac());
         return last.t_end_ns;
     }
 
-    void enter_device() {
-        results.emplace_back();
-        cur().tag = tb.slot(device).gw->profile().tag;
-        device_failures = 0;
-        device_quarantined = false;
-        m_retry = m_degraded = m_quarantined = nullptr;
+    void bind_instruments() {
         if (auto* o = tb.observability(); o && supervision_active()) {
             auto& reg = o->metrics();
             m_retry = reg.counter("unit.retry", {{"device", label()}});
@@ -375,27 +320,13 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         }
     }
 
-    /// Move to the next planned unit; false when the campaign is done.
-    bool advance_pointer() {
-        ++unit_idx;
-        if (unit_idx >= plan.size()) {
-            unit_idx = 0;
-            ++device;
-            if (device > last_dev()) return false;
-            enter_device();
-        }
-        return true;
-    }
-
     void next_unit() {
-        if (!advance_pointer()) {
-            finish_campaign();
+        if (++unit_idx >= plan.size()) {
+            finished = true;
             return;
         }
         start_unit();
     }
-
-    void finish_campaign() { done(std::move(results)); }
 
     void start_unit() {
         if (device_quarantined) {
@@ -405,7 +336,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
             UnitReport rep{unit(),  UnitStatus::Quarantined,
                            0,       "device_quarantined",
                            now_ns,  now_ns};
-            cur().units.push_back(rep);
+            result.units.push_back(rep);
             journal_unit(rep, "null");
             if (config.profiler != nullptr) {
                 config.profiler->begin_unit(); // zero-length span
@@ -413,7 +344,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
                                           to_string(rep.status), 0, now_ns,
                                           now_ns);
             }
-            next_unit(); // bounded recursion: at most one plan per device
+            next_unit(); // recursion bounded by the plan length
             return;
         }
         unit_start = loop().now();
@@ -447,7 +378,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     template <typename Apply>
     void complete(std::uint64_t g, Apply apply) {
         if (g != gen || unit_done) return; // superseded or force-advanced
-        apply(cur());
+        apply(result);
         if (hard_hit)
             finish_unit(UnitStatus::Degraded, "hard_deadline");
         else
@@ -455,7 +386,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     }
 
     AttackSnap attack_counters() {
-        auto& nat = tb.slot(device).gw->nat();
+        auto& nat = slot().gw->nat();
         const auto& st = nat.stats();
         AttackSnap s;
         s.icmp_hostile =
@@ -495,8 +426,8 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         UnitReport rep{unit(),    status,
                        attempts,  std::move(reason),
                        unit_start.count(), loop().now().count()};
-        cur().units.push_back(rep);
-        journal_unit(rep, unit_payload_json(cur(), rep.unit));
+        result.units.push_back(rep);
+        journal_unit(rep, unit_payload_json(result, rep.unit));
         if (config.profiler != nullptr)
             config.profiler->end_unit(label(), rep.unit,
                                       to_string(rep.status), rep.attempts,
@@ -562,8 +493,8 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     void journal_unit(const UnitReport& rep, const std::string& payload) {
         if (!journaling) return;
         report::JournalEntry e;
-        e.device = global_dev(device);
-        e.tag = cur().tag;
+        e.device = global_dev();
+        e.tag = result.tag;
         e.unit = rep.unit;
         e.status = to_string(rep.status);
         e.attempts = rep.attempts;
@@ -572,24 +503,22 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         e.t_end_ns = rep.t_end_ns;
         e.state.client_eph = tb.client().ephemeral_cursor();
         e.state.server_eph = tb.server().ephemeral_cursor();
-        auto& slot = tb.slot(device);
-        auto& gw = *slot.gw;
+        auto& s = slot();
+        auto& gw = *s.gw;
         e.state.udp_pool = gw.nat().udp_table().pool_cursor();
         e.state.tcp_pool = gw.nat().tcp_table().pool_cursor();
-        // Stamp the current device's impairment RNG streams (the only
-        // impairers whose state the remaining units can observe: earlier
-        // devices are finished, later devices carry no traffic yet).
+        // Stamp the device's impairment RNG streams.
         auto stamp = [&](sim::Link& link, const char* lname,
                          sim::Link::Side side, const char* dname) {
             std::uint64_t seed = 0, draws = 0;
             if (link.impair_rng_state(side, seed, draws))
                 e.state.rng.push_back(
-                    {global_dev(device), lname, dname, seed, draws});
+                    {global_dev(), lname, dname, seed, draws});
         };
-        stamp(*slot.wan_link, "wan", sim::Link::Side::A, "a2b");
-        stamp(*slot.wan_link, "wan", sim::Link::Side::B, "b2a");
-        stamp(*slot.lan_link, "lan", sim::Link::Side::A, "a2b");
-        stamp(*slot.lan_link, "lan", sim::Link::Side::B, "b2a");
+        stamp(*s.wan_link, "wan", sim::Link::Side::A, "a2b");
+        stamp(*s.wan_link, "wan", sim::Link::Side::B, "b2a");
+        stamp(*s.lan_link, "lan", sim::Link::Side::A, "a2b");
+        stamp(*s.lan_link, "lan", sim::Link::Side::B, "b2a");
         if (!journal.append(e, payload))
             throw std::runtime_error(
                 "campaign journal: write failed for '" +
@@ -607,7 +536,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
             auto cfg = config.udp;
             cfg.search.cancel = cancel;
             measure_udp_timeout(
-                tb, device, pattern, cfg,
+                tb, kSlot, pattern, cfg,
                 [self, g, u](UdpTimeoutResult r) {
                     self->complete(g, [&](DeviceResults& d) {
                         (u == "udp1"   ? d.udp1
@@ -620,7 +549,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         if (u == "udp4") {
             auto cfg = config.udp;
             cfg.search.cancel = cancel;
-            measure_port_reuse(tb, device, cfg,
+            measure_port_reuse(tb, kSlot, cfg,
                                [self, g](PortReuseResult r) {
                                    self->complete(g, [&](DeviceResults& d) {
                                        d.udp4 = std::move(r);
@@ -635,7 +564,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
             for (const auto& [name, port] : config.udp5_services)
                 if (name == svc) cfg.server_port = port;
             measure_udp_timeout(
-                tb, device, UdpPattern::InboundRefresh, cfg,
+                tb, kSlot, UdpPattern::InboundRefresh, cfg,
                 [self, g, svc](UdpTimeoutResult r) {
                     self->complete(g, [&](DeviceResults& d) {
                         d.udp5[svc] = std::move(r);
@@ -646,7 +575,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         if (u == "tcp1") {
             auto cfg = config.tcp_timeout;
             cfg.search.cancel = cancel;
-            measure_tcp_timeout(tb, device, cfg,
+            measure_tcp_timeout(tb, kSlot, cfg,
                                 [self, g](TcpTimeoutResult r) {
                                     self->complete(g, [&](DeviceResults& d) {
                                         d.tcp1 = std::move(r);
@@ -657,7 +586,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         if (u == "tcp2") {
             auto cfg = config.throughput;
             cfg.cancel = cancel;
-            measure_throughput(tb, device, cfg,
+            measure_throughput(tb, kSlot, cfg,
                                [self, g](ThroughputResult r) {
                                    self->complete(g, [&](DeviceResults& d) {
                                        d.tcp2 = r;
@@ -668,7 +597,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         if (u == "tcp4") {
             auto cfg = config.max_bindings;
             cfg.cancel = cancel;
-            measure_max_bindings(tb, device, cfg,
+            measure_max_bindings(tb, kSlot, cfg,
                                  [self, g](MaxBindingsResult r) {
                                      self->complete(g, [&](DeviceResults& d) {
                                          d.tcp4 = r;
@@ -677,7 +606,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
             return;
         }
         if (u == "icmp") {
-            measure_icmp(tb, device, [self, g](IcmpProbeResult r) {
+            measure_icmp(tb, kSlot, [self, g](IcmpProbeResult r) {
                 self->complete(g,
                                [&](DeviceResults& d) { d.icmp = r; });
             });
@@ -685,34 +614,34 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         }
         if (u == "transports") {
             measure_transport_support(
-                tb, device, [self, g](TransportSupportResult r) {
+                tb, kSlot, [self, g](TransportSupportResult r) {
                     self->complete(
                         g, [&](DeviceResults& d) { d.transports = r; });
                 });
             return;
         }
         if (u == "dns") {
-            measure_dns(tb, device, [self, g](DnsProbeResult r) {
+            measure_dns(tb, kSlot, [self, g](DnsProbeResult r) {
                 self->complete(g, [&](DeviceResults& d) { d.dns = r; });
             });
             return;
         }
         if (u == "quirks") {
-            measure_quirks(tb, device, [self, g](QuirksResult r) {
+            measure_quirks(tb, kSlot, [self, g](QuirksResult r) {
                 self->complete(g,
                                [&](DeviceResults& d) { d.quirks = r; });
             });
             return;
         }
         if (u == "stun") {
-            measure_stun(tb, device, [self, g](StunProbeResult r) {
+            measure_stun(tb, kSlot, [self, g](StunProbeResult r) {
                 self->complete(g, [&](DeviceResults& d) { d.stun = r; });
             });
             return;
         }
         if (u == "binding_rate") {
             measure_binding_rate(
-                tb, device, config.binding_rate_count,
+                tb, kSlot, config.binding_rate_count,
                 [self, g](BindingRateResult r) {
                     self->complete(
                         g, [&](DeviceResults& d) { d.binding_rate = r; });
@@ -723,23 +652,26 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     }
 };
 
-void Testrund::run(const CampaignConfig& config,
-                   std::function<void(std::vector<DeviceResults>)> done) {
-    auto runner = std::make_shared<Runner>(tb_, config, std::move(done));
-    runner->start();
-}
-
 std::vector<DeviceResults>
 Testrund::run_blocking(const CampaignConfig& config) {
+    if (tb_.device_count() != 1)
+        throw std::invalid_argument(
+            "Testrund measures exactly one device (testbed holds " +
+            std::to_string(tb_.device_count()) +
+            "); run a multi-device campaign through ShardScheduler");
+    const ShardSpec& shard = config.shard;
+    if (shard.first_device != 0 ||
+        (shard.last_device != 0 && shard.last_device != -1))
+        throw std::invalid_argument(
+            "Testrund measures testbed slot 0 only (ShardSpec "
+            "first_device must be 0, last_device 0 or -1)");
     if (!tb_.all_ready()) tb_.start_and_wait();
-    std::vector<DeviceResults> out;
-    bool finished = false;
-    run(config, [&](std::vector<DeviceResults> r) {
-        out = std::move(r);
-        finished = true;
-    });
+    auto runner = std::make_shared<Runner>(tb_, config);
+    runner->start();
     tb_.loop().run();
-    GK_ENSURES(finished);
+    GK_ENSURES(runner->finished);
+    std::vector<DeviceResults> out;
+    out.push_back(std::move(runner->result));
     return out;
 }
 
@@ -905,6 +837,10 @@ void carve_all_segments(const std::string& merged_path,
             if (!report::decode_journal_header(*v, merged_header, &err))
                 throw std::runtime_error("shard scheduler: journal '" +
                                          merged_path + "': " + err);
+            if (merged_header.devices.size() != need.size())
+                throw std::runtime_error(
+                    "shard scheduler: journal '" + merged_path +
+                    "': device roster mismatch");
             have_header = true;
             continue;
         }
@@ -1002,9 +938,8 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     // Resume preparation runs serially before any worker spawns: shard k
     // resumes from its own segment when present, else from its device's
     // entries carved out of a previously merged journal (written at any
-    // worker count, including a pre-shard sequential journal), else
-    // starts fresh — a killed campaign legitimately leaves later shards
-    // with no segment at all. The merged journal is consumed by the
+    // worker count), else starts fresh — a killed campaign legitimately
+    // leaves later shards with no segment at all. The merged journal is consumed by the
     // carve and deleted: the incremental merge below rebuilds it from
     // scratch as the completion frontier advances, and when a segment
     // and the merged journal both cover a shard (a kill between segment

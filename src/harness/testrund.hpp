@@ -1,8 +1,9 @@
 // testrund: the measurement orchestrator (the paper's client/server
-// daemon pair). Runs any subset of the study's tests across every device
-// in a testbed and collects the per-device results the figures are built
-// from. Coordination uses the out-of-band management link, modeled as
-// direct invocation between the client- and server-side probe halves.
+// daemon pair). Testrund runs any subset of the study's tests against one
+// device; ShardScheduler runs it once per device of a roster and merges
+// the per-device results the figures are built from. Coordination uses
+// the out-of-band management link, modeled as direct invocation between
+// the client- and server-side probe halves.
 #pragma once
 
 #include <cstdint>
@@ -89,16 +90,14 @@ struct SupervisorPolicy {
 ///
 /// so a device's fate sequence depends only on the campaign seed and its
 /// own identity — never on which devices ran before it or on how the
-/// campaign is sharded across workers. (The sequential runner previously
-/// had no campaign-level seeding at all; links impaired by hand shared
-/// whatever draw order the caller's loop imposed.) The result is masked
-/// to 62 bits so journals round-trip it through JSON integers exactly.
+/// campaign is sharded across workers. The result is masked to 62 bits
+/// so journals round-trip it through JSON integers exactly.
 std::uint64_t impair_seed_for(std::uint64_t campaign_seed, int device,
                               bool wan_link, int direction);
 
 /// Declarative campaign-wide link impairments. When `wan.any()` the
-/// campaign runner installs them on every device's WAN link (both
-/// directions) at campaign start, seeded per device by impair_seed_for.
+/// runner installs them on its device's WAN link (both directions)
+/// before the first unit, seeded per device by impair_seed_for.
 /// Declaring impairments here — rather than poking Link::set_impairments
 /// by hand — is what lets a sharded campaign reproduce them inside each
 /// shard's private testbed, the journal fingerprint bind to them, and a
@@ -109,27 +108,30 @@ struct CampaignImpairments {
     bool any() const { return wan.any(); }
 };
 
-/// Device-range restriction for sharded execution: the runner measures
-/// only slots [first_device, last_device] of its testbed. A sharded
-/// campaign builds each shard a one-device testbed whose slot 0 is
-/// device number `device_base + 1` of the full roster (Testbed
-/// addressing derives from the global number, so the wire bytes match
-/// the device's slice of a full-roster bring-up); journal entries and
-/// impairment RNG streams always use global indices, which is what
-/// keeps segments carve/merge-compatible with sequential journals.
-/// Deliberately excluded from the campaign fingerprint — a shard's
-/// journal segment belongs to the same campaign as the merged whole.
+/// A shard's place in the campaign. ShardScheduler builds each shard a
+/// one-device testbed whose slot 0 is device number `device_base + 1`
+/// of the full roster (Testbed addressing derives from the global
+/// number, so the wire bytes match the device's slice of a full-roster
+/// bring-up); journal entries and impairment RNG streams always use
+/// global indices, which is what keeps segments carve/merge-compatible
+/// with the merged journal. Deliberately excluded from the campaign
+/// fingerprint — a shard's journal segment belongs to the same campaign
+/// as the merged whole.
 struct ShardSpec {
     int index = -1;       ///< shard id, recorded in the journal header
-    int first_device = 0; ///< first slot this runner measures
-    int last_device = -1; ///< inclusive; -1 = through the last slot
-    /// Global device index of testbed slot 0 (0 for a full-roster
-    /// testbed). Journaled entry/RNG device fields are slot + base.
+    /// Testrund measures testbed slot 0 only and throws on any other
+    /// range: first_device must be 0 and last_device 0 or -1. Both stay
+    /// declared because existing callers (the campaign benchmark) still
+    /// assign them.
+    int first_device = 0;
+    int last_device = -1;
+    /// Global device index of testbed slot 0. Journaled entry/RNG device
+    /// fields carry it.
     int device_base = 0;
     /// Precomputed whole-campaign fingerprint; "" = the runner derives
-    /// it from its own testbed (correct only when the testbed holds the
-    /// full roster). The scheduler computes it once per campaign so a
-    /// 10k-shard run does not hash a 10k-profile roster 10k times.
+    /// it from its own one-device testbed. The scheduler computes it
+    /// once per campaign so a 10k-shard run does not hash a 10k-profile
+    /// roster 10k times.
     std::string fingerprint;
     bool active() const { return index >= 0; }
 };
@@ -162,7 +164,7 @@ struct CampaignConfig {
     /// Campaign-wide WAN impairments (default: none installed).
     CampaignImpairments impair;
 
-    /// Device range for sharded execution (default: whole roster).
+    /// The shard this device is (default: a one-device campaign).
     ShardSpec shard;
 
     /// Harness self-profiler (non-owning; null = off). When set the
@@ -222,20 +224,19 @@ struct DeviceResults {
     }
 };
 
-/// Run a campaign over every device in the testbed. Tests run
-/// sequentially per device and devices sequentially (the paper ran most
-/// tests in parallel across devices and throughput alone — in virtual
-/// time the distinction costs nothing and sequential keeps flows apart).
+/// Run a campaign against the one device of a testbed; the testbed
+/// must hold exactly one device (ShardScheduler builds such a testbed
+/// per roster device). Tests run sequentially (the paper ran most tests
+/// in parallel across devices and throughput alone — in virtual time
+/// the distinction costs nothing and sequential keeps flows apart).
 class Testrund {
 public:
     explicit Testrund(Testbed& tb) : tb_(tb) {}
 
-    /// Asynchronous: drive the event loop until `done` fires.
-    void run(const CampaignConfig& config,
-             std::function<void(std::vector<DeviceResults>)> done);
-
-    /// Convenience: start the testbed if needed, run, and drive the loop
-    /// to completion.
+    /// Start the testbed if needed, run, and drive the loop to
+    /// completion. Returns the device's results as a one-element
+    /// vector. Throws std::invalid_argument when the testbed does not
+    /// hold exactly one device or `config.shard` names another slot.
     std::vector<DeviceResults> run_blocking(const CampaignConfig& config);
 
 private:
@@ -280,8 +281,8 @@ public:
         std::string journal_path;
         /// Resume: shard k replays its segment if present, else carves
         /// its device's entries out of an existing merged journal (from
-        /// a run at ANY worker count, including a pre-shard sequential
-        /// journal); with neither on disk it starts fresh.
+        /// a run at ANY worker count); with neither on disk it starts
+        /// fresh. A merged journal of another roster size is refused.
         bool resume = false;
         /// Collect per-shard metrics and merge them into Output::metrics.
         bool metrics = false;

@@ -27,9 +27,9 @@ struct JournalHeader {
     std::string fingerprint; ///< campaign config hash, hex
     std::vector<std::string> devices; ///< profile tags, slot order
     /// Shard index when this journal is one shard's segment of a
-    /// device-sharded campaign, -1 for a whole-campaign journal. The
-    /// field is omitted from the header line when absent, so sequential
-    /// journals are byte-identical to the pre-shard format.
+    /// device-sharded campaign, -1 for a merged whole-campaign journal.
+    /// The field is omitted from the header line when absent, so merged
+    /// journals keep the pre-shard format.
     int shard = -1;
 };
 

@@ -42,14 +42,24 @@ CampaignConfig quick_campaign() {
     return cfg;
 }
 
+// Every multi-device campaign runs through the shard scheduler; the
+// journal knobs in cfg.supervisor become its merged-journal options.
 std::vector<DeviceResults> run_roster(const CampaignConfig& cfg,
                                       std::vector<gateway::DeviceProfile> ps) {
-    sim::EventLoop loop;
-    Testbed tb(loop);
-    for (auto& p : ps) tb.add_device(std::move(p));
-    tb.start_and_wait();
-    Testrund rund(tb);
-    return rund.run_blocking(cfg);
+    ShardScheduler::Options opts;
+    opts.roster = std::move(ps);
+    opts.config = cfg;
+    opts.journal_path = cfg.supervisor.journal_path;
+    opts.resume = cfg.supervisor.resume;
+    return ShardScheduler::run(opts).results;
+}
+
+// Remove a merged journal and the shard segments a refused resume
+// leaves behind.
+void remove_journal(const std::string& path) {
+    std::remove(path.c_str());
+    for (int k = 0; k < 3; ++k)
+        std::remove(ShardScheduler::segment_path(path, k).c_str());
 }
 
 std::string results_json(const std::vector<DeviceResults>& rs) {
@@ -314,7 +324,7 @@ TEST(Supervisor, ResumeRejectsFingerprintMismatch) {
     other.supervisor.resume = true;
     other.dns = false; // different plan -> different fingerprint
     EXPECT_THROW(run_roster(other, roster3()), std::runtime_error);
-    std::remove(path.c_str());
+    remove_journal(path);
 }
 
 TEST(Supervisor, ResumeRejectsRosterMismatch) {
@@ -328,5 +338,28 @@ TEST(Supervisor, ResumeRejectsRosterMismatch) {
     rcfg.supervisor.resume = true;
     EXPECT_THROW(run_roster(rcfg, {*devices::find_profile("al")}),
                  std::runtime_error);
-    std::remove(path.c_str());
+    remove_journal(path);
+}
+
+TEST(Supervisor, TestrundRefusesAMultiDeviceTestbed) {
+    // Testrund measures one device; a roster runs through ShardScheduler.
+    sim::EventLoop loop;
+    Testbed tb(loop);
+    tb.add_device(*devices::find_profile("al"));
+    tb.add_device(*devices::find_profile("be1"));
+    Testrund rund(tb);
+    EXPECT_THROW(rund.run_blocking(quick_campaign()), std::invalid_argument);
+}
+
+TEST(Supervisor, TestrundRefusesAShardRangeBeyondSlotZero) {
+    sim::EventLoop loop;
+    Testbed tb(loop);
+    tb.add_device(*devices::find_profile("be1"));
+    Testrund rund(tb);
+    auto cfg = quick_campaign();
+    cfg.shard.first_device = 1;
+    EXPECT_THROW(rund.run_blocking(cfg), std::invalid_argument);
+    cfg.shard.first_device = 0;
+    cfg.shard.last_device = 1;
+    EXPECT_THROW(rund.run_blocking(cfg), std::invalid_argument);
 }
