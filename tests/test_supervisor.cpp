@@ -139,6 +139,181 @@ TEST(UnitPayload, RoundTripsByteIdentically) {
     }
 }
 
+namespace {
+
+// A record with every field away from its default: both ICMP verdict
+// arrays, all four transfers, every udp5 service of everything(), every
+// enum, and supervisor reports of every status.
+DeviceResults every_field_set() {
+    DeviceResults r;
+    r.tag = "xx";
+    const auto timeout = [](double base, int k) {
+        UdpTimeoutResult t;
+        t.samples_sec = {base, base + 0.5, base * 3.25};
+        t.creation_retries = k;
+        t.probe_retries = k + 1;
+        t.search_retries = k + 2;
+        t.search_giveups = k + 3;
+        return t;
+    };
+    r.udp1 = timeout(30.0, 1);
+    r.udp2 = timeout(0.1, 5);
+    r.udp3 = timeout(181.0, 9);
+    r.udp4.preserves_source_port = true;
+    r.udp4.reuses_expired_binding = true;
+    r.udp4.observed_ports = {1024, 40001, 65535};
+    int k = 13;
+    for (const auto& [svc, port] : CampaignConfig::everything().udp5_services)
+        r.udp5[svc] = timeout(port / 7.0, k += 4);
+    r.tcp1.samples_sec = {7440.0, 86400.0, 1e-7};
+    r.tcp1.exceeded_limit = true;
+    r.tcp1.connect_retries = 2;
+    r.tcp1.search_retries = 3;
+    r.tcp1.search_giveups = 4;
+    const auto transfer = [](double mbps, std::uint64_t bytes) {
+        TransferResult t;
+        t.mbps = mbps;
+        t.delay_ms = mbps / 7.0;
+        t.bytes = bytes;
+        t.duration_sec = 12.625;
+        t.completed = true;
+        return t;
+    };
+    r.tcp2.upload = transfer(94.5, 100'000'000);
+    r.tcp2.download = transfer(3.3, 1);
+    r.tcp2.upload_bidir = transfer(0.001, 5'000'000'000ULL);
+    r.tcp2.download_bidir = transfer(123456.789, 42);
+    r.tcp4.max_bindings = 1023;
+    r.tcp4.hit_probe_limit = true;
+    for (std::size_t i = 0; i < r.icmp.udp.size(); ++i) {
+        r.icmp.udp[i] = {i % 2 == 0, i % 3 == 0, i % 4 != 0, i % 5 != 0};
+        r.icmp.tcp[i] = {i % 2 != 0, i % 3 != 0, i % 4 == 0, i % 5 == 0};
+    }
+    r.icmp.query_error_forwarded = true;
+    r.icmp.flow_retries = 6;
+    r.transports.sctp_connects = true;
+    r.transports.sctp_data_ok = true;
+    r.transports.dccp_connects = true;
+    r.transports.sctp_action = NatAction::IpOnly;
+    r.transports.dccp_action = NatAction::Untranslated;
+    r.dns.udp_ok = r.dns.tcp_connects = r.dns.tcp_answers = true;
+    r.dns.tcp_upstream_udp = r.dns.big_udp_ok = r.dns.truncated_seen = true;
+    r.dns.dnssec_ready = true;
+    r.dns.big_udp_retries = 8;
+    r.quirks.decrements_ttl = true;
+    r.quirks.honors_record_route = true;
+    r.quirks.hairpins_udp = true;
+    r.stun.success = r.stun.reflexive_correct = r.stun.port_preserved = true;
+    r.stun.mapping = stun::Mapping::AddressDependent;
+    r.binding_rate.attempted = 200;
+    r.binding_rate.established = 128;
+    r.binding_rate.bindings_per_sec = 2.5e3;
+    r.units = {{"udp1", UnitStatus::Ok, 1, "", 10, 20},
+               {"udp2", UnitStatus::Degraded, 2, "hard_deadline", 30, 40},
+               {"udp3", UnitStatus::GaveUp, 3, "hard_deadline;attack=x", 50,
+                60},
+               {"udp4", UnitStatus::Quarantined, 0, "device_quarantined",
+                70, 70}};
+    return r;
+}
+
+// device_results_json of every_field_set(), pinned byte for byte.
+const char* const kEveryFieldJson =
+    R"({"tag":"xx","udp1":{"samples_sec":[30.0,30.5,97.5],"creation_retri)"
+    R"(es":1,"probe_retries":2,"search_retries":3,"search_giveups":4},"ud)"
+    R"(p2":{"samples_sec":[0.1,0.6,0.325],"creation_retries":5,"probe_ret)"
+    R"(ries":6,"search_retries":7,"search_giveups":8},"udp3":{"samples_se)"
+    R"(c":[181.0,181.5,588.25],"creation_retries":9,"probe_retries":10,"s)"
+    R"(earch_retries":11,"search_giveups":12},"udp4":{"preserves_source_p)"
+    R"(ort":true,"reuses_expired_binding":true,"observed_ports":[1024,400)"
+    R"(01,65535]},"udp5":{"dns":{"samples_sec":[7.571428571428571,8.07142)"
+    R"(8571428571,24.607142857142858],"creation_retries":17,"probe_retrie)"
+    R"(s":18,"search_retries":19,"search_giveups":20},"http":{"samples_se)"
+    R"(c":[11.428571428571429,11.928571428571429,37.142857142857146],"cre)"
+    R"(ation_retries":21,"probe_retries":22,"search_retries":23,"search_g)"
+    R"(iveups":24},"ntp":{"samples_sec":[17.571428571428573,18.0714285714)"
+    R"(28573,57.10714285714286],"creation_retries":25,"probe_retries":26,)"
+    R"("search_retries":27,"search_giveups":28},"snmp":{"samples_sec":[23)"
+    R"(.0,23.5,74.75],"creation_retries":29,"probe_retries":30,"search_re)"
+    R"(tries":31,"search_giveups":32},"tftp":{"samples_sec":[9.8571428571)"
+    R"(42858,10.357142857142858,32.035714285714285],"creation_retries":33)"
+    R"(,"probe_retries":34,"search_retries":35,"search_giveups":36}},"tcp)"
+    R"(1":{"samples_sec":[7440.0,86400.0,1e-07],"exceeded_limit":true,"co)"
+    R"(nnect_retries":2,"search_retries":3,"search_giveups":4},"tcp2":{"u)"
+    R"(pload":{"mbps":94.5,"delay_ms":13.5,"bytes":100000000,"duration_se)"
+    R"(c":12.625,"completed":true},"download":{"mbps":3.3,"delay_ms":0.47)"
+    R"(14285714285714,"bytes":1,"duration_sec":12.625,"completed":true},")"
+    R"(upload_bidir":{"mbps":0.001,"delay_ms":0.00014285714285714287,"byt)"
+    R"(es":5000000000,"duration_sec":12.625,"completed":true},"download_b)"
+    R"(idir":{"mbps":123456.789,"delay_ms":17636.684142857142,"bytes":42,)"
+    R"("duration_sec":12.625,"completed":true}},"tcp4":{"max_bindings":10)"
+    R"(23,"hit_probe_limit":true},"icmp":{"udp":[{"forwarded":true,"rst_i)"
+    R"(nstead":true,"embedded_transport_ok":false,"embedded_ip_checksum_o)"
+    R"(k":false},{"forwarded":false,"rst_instead":false,"embedded_transpo)"
+    R"(rt_ok":true,"embedded_ip_checksum_ok":true},{"forwarded":true,"rst)"
+    R"(_instead":false,"embedded_transport_ok":true,"embedded_ip_checksum)"
+    R"(_ok":true},{"forwarded":false,"rst_instead":true,"embedded_transpo)"
+    R"(rt_ok":true,"embedded_ip_checksum_ok":true},{"forwarded":true,"rst)"
+    R"(_instead":false,"embedded_transport_ok":false,"embedded_ip_checksu)"
+    R"(m_ok":true},{"forwarded":false,"rst_instead":false,"embedded_trans)"
+    R"(port_ok":true,"embedded_ip_checksum_ok":false},{"forwarded":true,")"
+    R"(rst_instead":true,"embedded_transport_ok":true,"embedded_ip_checks)"
+    R"(um_ok":true},{"forwarded":false,"rst_instead":false,"embedded_tran)"
+    R"(sport_ok":true,"embedded_ip_checksum_ok":true},{"forwarded":true,")"
+    R"(rst_instead":false,"embedded_transport_ok":false,"embedded_ip_chec)"
+    R"(ksum_ok":true},{"forwarded":false,"rst_instead":true,"embedded_tra)"
+    R"(nsport_ok":true,"embedded_ip_checksum_ok":true}],"tcp":[{"forwarde)"
+    R"(d":false,"rst_instead":false,"embedded_transport_ok":true,"embedde)"
+    R"(d_ip_checksum_ok":true},{"forwarded":true,"rst_instead":true,"embe)"
+    R"(dded_transport_ok":false,"embedded_ip_checksum_ok":false},{"forwar)"
+    R"(ded":false,"rst_instead":true,"embedded_transport_ok":false,"embed)"
+    R"(ded_ip_checksum_ok":false},{"forwarded":true,"rst_instead":false,")"
+    R"(embedded_transport_ok":false,"embedded_ip_checksum_ok":false},{"fo)"
+    R"(rwarded":false,"rst_instead":true,"embedded_transport_ok":true,"em)"
+    R"(bedded_ip_checksum_ok":false},{"forwarded":true,"rst_instead":true)"
+    R"(,"embedded_transport_ok":false,"embedded_ip_checksum_ok":true},{"f)"
+    R"(orwarded":false,"rst_instead":false,"embedded_transport_ok":false,)"
+    R"("embedded_ip_checksum_ok":false},{"forwarded":true,"rst_instead":t)"
+    R"(rue,"embedded_transport_ok":false,"embedded_ip_checksum_ok":false})"
+    R"(,{"forwarded":false,"rst_instead":true,"embedded_transport_ok":tru)"
+    R"(e,"embedded_ip_checksum_ok":false},{"forwarded":true,"rst_instead")"
+    R"(:false,"embedded_transport_ok":false,"embedded_ip_checksum_ok":fal)"
+    R"(se}],"query_error_forwarded":true,"flow_retries":6},"transports":{)"
+    R"("sctp_connects":true,"sctp_data_ok":true,"dccp_connects":true,"sct)"
+    R"(p_action":2,"dccp_action":1},"dns":{"udp_ok":true,"tcp_connects":t)"
+    R"(rue,"tcp_answers":true,"tcp_upstream_udp":true,"big_udp_ok":true,")"
+    R"(truncated_seen":true,"dnssec_ready":true,"big_udp_retries":8},"qui)"
+    R"(rks":{"decrements_ttl":true,"honors_record_route":true,"hairpins_u)"
+    R"(dp":true},"stun":{"success":true,"reflexive_correct":true,"port_pr)"
+    R"(eserved":true,"mapping":2},"binding_rate":{"attempted":200,"establ)"
+    R"(ished":128,"bindings_per_sec":2500.0},"units":[{"unit":"udp1","sta)"
+    R"(tus":"ok","attempts":1,"reason":"","t_start_ns":10,"t_end_ns":20},)"
+    R"({"unit":"udp2","status":"degraded","attempts":2,"reason":"hard_dea)"
+    R"(dline","t_start_ns":30,"t_end_ns":40},{"unit":"udp3","status":"gav)"
+    R"(e_up","attempts":3,"reason":"hard_deadline;attack=x","t_start_ns":)"
+    R"(50,"t_end_ns":60},{"unit":"udp4","status":"quarantined","attempts")"
+    R"(:0,"reason":"device_quarantined","t_start_ns":70,"t_end_ns":70}]})";
+
+} // namespace
+
+TEST(UnitPayload, EveryUnitRoundTripsByteIdentically) {
+    const DeviceResults r = every_field_set();
+    DeviceResults fresh;
+    fresh.tag = r.tag;
+    fresh.units = r.units;
+    for (const auto& unit : unit_plan(CampaignConfig::everything())) {
+        const std::string json = unit_payload_json(r, unit);
+        std::string err;
+        const auto v = report::json_parse(json, &err);
+        ASSERT_TRUE(v.has_value()) << unit << ": " << err;
+        ASSERT_TRUE(apply_unit_payload(fresh, unit, *v)) << unit;
+        EXPECT_EQ(unit_payload_json(fresh, unit), json) << unit;
+    }
+    // Replaying every unit rebuilds the whole record, byte for byte.
+    EXPECT_EQ(device_results_json(fresh), device_results_json(r));
+    EXPECT_EQ(device_results_json(r), kEveryFieldJson);
+}
+
 TEST(UnitPayload, UnknownUnitIsNull) {
     DeviceResults r;
     EXPECT_EQ(unit_payload_json(r, "nope"), "null");
