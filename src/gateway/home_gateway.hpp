@@ -89,9 +89,6 @@ public:
     /// router fallback bypass it. An empty chain with an ACCEPT default
     /// costs nothing and bumps no counters.
     RuleChain& filter() { return filter_; }
-    /// Evaluate the filter via the compiled single-pass classifier
-    /// instead of the sequential first-match walk (verdicts identical).
-    void set_filter_compiled(bool on) { filter_compiled_ = on; }
 
 private:
     /// NIC frame hooks: every protocol in untagged unicast frames to the
@@ -125,7 +122,7 @@ private:
     NatEngine nat_;
     FwdPath fwd_;
     RuleChain filter_;
-    bool filter_compiled_ = false;
+    bool filter_compiled_ = false; ///< profile.firewall_compiled
     DnsProxy dns_proxy_;
     std::unique_ptr<stack::DhcpClient> wan_dhcp_;
     std::unique_ptr<stack::DhcpServer> lan_dhcp_;

@@ -1,7 +1,16 @@
 #include "harness/results_io.hpp"
 
+#include <array>
+#include <concepts>
 #include <cstdint>
+#include <map>
+#include <ranges>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+
+#include "util/assert.hpp"
 
 namespace gatekit::harness {
 
@@ -10,434 +19,396 @@ using report::JsonWriter;
 
 namespace {
 
-std::int64_t i64(int v) { return static_cast<std::int64_t>(v); }
+// --- one field list per result struct ----------------------------------
+// `v(key, member)` once per JSON field, in output order. `R` is the struct,
+// const when writing and mutable when reading, so the writer and the
+// reader below walk the same list and cannot drift apart.
 
-// --- per-struct writers ----------------------------------------------------
+template <class R, class T>
+concept Is = std::same_as<std::remove_const_t<R>, T>;
 
-void write_udp_timeout(JsonWriter& jw, const UdpTimeoutResult& r) {
-    jw.begin_object();
-    jw.key("samples_sec").begin_array();
-    for (double s : r.samples_sec) jw.value(s);
-    jw.end_array();
-    jw.key("creation_retries").value(i64(r.creation_retries));
-    jw.key("probe_retries").value(i64(r.probe_retries));
-    jw.key("search_retries").value(i64(r.search_retries));
-    jw.key("search_giveups").value(i64(r.search_giveups));
-    jw.end_object();
+template <Is<UdpTimeoutResult> R, class V> void fields(R& r, V&& v) {
+    v("samples_sec", r.samples_sec);
+    v("creation_retries", r.creation_retries);
+    v("probe_retries", r.probe_retries);
+    v("search_retries", r.search_retries);
+    v("search_giveups", r.search_giveups);
 }
 
-void read_udp_timeout(const JsonValue& v, UdpTimeoutResult& r) {
-    if (const JsonValue* s = v.find("samples_sec")) {
-        r.samples_sec.clear();
-        for (const auto& x : s->array) r.samples_sec.push_back(x.as_double());
+template <Is<PortReuseResult> R, class V> void fields(R& r, V&& v) {
+    v("preserves_source_port", r.preserves_source_port);
+    v("reuses_expired_binding", r.reuses_expired_binding);
+    v("observed_ports", r.observed_ports);
+}
+
+template <Is<TcpTimeoutResult> R, class V> void fields(R& r, V&& v) {
+    v("samples_sec", r.samples_sec);
+    v("exceeded_limit", r.exceeded_limit);
+    v("connect_retries", r.connect_retries);
+    v("search_retries", r.search_retries);
+    v("search_giveups", r.search_giveups);
+}
+
+template <Is<TransferResult> R, class V> void fields(R& r, V&& v) {
+    v("mbps", r.mbps);
+    v("delay_ms", r.delay_ms);
+    v("bytes", r.bytes);
+    v("duration_sec", r.duration_sec);
+    v("completed", r.completed);
+}
+
+template <Is<ThroughputResult> R, class V> void fields(R& r, V&& v) {
+    v("upload", r.upload);
+    v("download", r.download);
+    v("upload_bidir", r.upload_bidir);
+    v("download_bidir", r.download_bidir);
+}
+
+template <Is<MaxBindingsResult> R, class V> void fields(R& r, V&& v) {
+    v("max_bindings", r.max_bindings);
+    v("hit_probe_limit", r.hit_probe_limit);
+}
+
+template <Is<IcmpVerdict> R, class V> void fields(R& r, V&& v) {
+    v("forwarded", r.forwarded);
+    v("rst_instead", r.rst_instead);
+    v("embedded_transport_ok", r.embedded_transport_ok);
+    v("embedded_ip_checksum_ok", r.embedded_ip_checksum_ok);
+}
+
+template <Is<IcmpProbeResult> R, class V> void fields(R& r, V&& v) {
+    v("udp", r.udp);
+    v("tcp", r.tcp);
+    v("query_error_forwarded", r.query_error_forwarded);
+    v("flow_retries", r.flow_retries);
+}
+
+template <Is<TransportSupportResult> R, class V> void fields(R& r, V&& v) {
+    v("sctp_connects", r.sctp_connects);
+    v("sctp_data_ok", r.sctp_data_ok);
+    v("dccp_connects", r.dccp_connects);
+    v("sctp_action", r.sctp_action);
+    v("dccp_action", r.dccp_action);
+}
+
+template <Is<DnsProbeResult> R, class V> void fields(R& r, V&& v) {
+    v("udp_ok", r.udp_ok);
+    v("tcp_connects", r.tcp_connects);
+    v("tcp_answers", r.tcp_answers);
+    v("tcp_upstream_udp", r.tcp_upstream_udp);
+    v("big_udp_ok", r.big_udp_ok);
+    v("truncated_seen", r.truncated_seen);
+    v("dnssec_ready", r.dnssec_ready);
+    v("big_udp_retries", r.big_udp_retries);
+}
+
+template <Is<QuirksResult> R, class V> void fields(R& r, V&& v) {
+    v("decrements_ttl", r.decrements_ttl);
+    v("honors_record_route", r.honors_record_route);
+    v("hairpins_udp", r.hairpins_udp);
+}
+
+template <Is<StunProbeResult> R, class V> void fields(R& r, V&& v) {
+    v("success", r.success);
+    v("reflexive_correct", r.reflexive_correct);
+    v("port_preserved", r.port_preserved);
+    v("mapping", r.mapping);
+}
+
+template <Is<BindingRateResult> R, class V> void fields(R& r, V&& v) {
+    v("attempted", r.attempted);
+    v("established", r.established);
+    v("bindings_per_sec", r.bindings_per_sec);
+}
+
+/// Supervisor reports are written (device_results_json) but never read
+/// back: the journal carries them in its own entry fields.
+template <Is<UnitReport> R, class V> void fields(R& r, V&& v) {
+    v("unit", r.unit);
+    v("status", r.status);
+    v("attempts", r.attempts);
+    v("reason", r.reason);
+    v("t_start_ns", r.t_start_ns);
+    v("t_end_ns", r.t_end_ns);
+}
+
+template <class T>
+concept Scalar = std::is_arithmetic_v<T> || std::is_enum_v<T>;
+
+/// Field-list visitor that serializes. Integers other than uint64, and
+/// enums, are written through int64; structs become objects.
+struct Writer {
+    JsonWriter& jw;
+
+    template <class T> void operator()(std::string_view key, const T& x) {
+        jw.key(key);
+        put(x);
     }
-    if (const JsonValue* x = v.find("creation_retries"))
-        r.creation_retries = static_cast<int>(x->as_int());
-    if (const JsonValue* x = v.find("probe_retries"))
-        r.probe_retries = static_cast<int>(x->as_int());
-    if (const JsonValue* x = v.find("search_retries"))
-        r.search_retries = static_cast<int>(x->as_int());
-    if (const JsonValue* x = v.find("search_giveups"))
-        r.search_giveups = static_cast<int>(x->as_int());
-}
 
-void write_port_reuse(JsonWriter& jw, const PortReuseResult& r) {
-    jw.begin_object();
-    jw.key("preserves_source_port").value(r.preserves_source_port);
-    jw.key("reuses_expired_binding").value(r.reuses_expired_binding);
-    jw.key("observed_ports").begin_array();
-    for (std::uint16_t p : r.observed_ports)
-        jw.value(static_cast<std::int64_t>(p));
-    jw.end_array();
-    jw.end_object();
-}
-
-void read_port_reuse(const JsonValue& v, PortReuseResult& r) {
-    if (const JsonValue* x = v.find("preserves_source_port"))
-        r.preserves_source_port = x->as_bool();
-    if (const JsonValue* x = v.find("reuses_expired_binding"))
-        r.reuses_expired_binding = x->as_bool();
-    if (const JsonValue* s = v.find("observed_ports")) {
-        r.observed_ports.clear();
-        for (const auto& x : s->array)
-            r.observed_ports.push_back(static_cast<std::uint16_t>(x.as_int()));
+    void put(bool b) { jw.value(b); }
+    void put(double d) { jw.value(d); }
+    void put(std::uint64_t u) { jw.value(u); }
+    template <Scalar T> void put(T x) {
+        jw.value(static_cast<std::int64_t>(x));
     }
-}
-
-void write_tcp_timeout(JsonWriter& jw, const TcpTimeoutResult& r) {
-    jw.begin_object();
-    jw.key("samples_sec").begin_array();
-    for (double s : r.samples_sec) jw.value(s);
-    jw.end_array();
-    jw.key("exceeded_limit").value(r.exceeded_limit);
-    jw.key("connect_retries").value(i64(r.connect_retries));
-    jw.key("search_retries").value(i64(r.search_retries));
-    jw.key("search_giveups").value(i64(r.search_giveups));
-    jw.end_object();
-}
-
-void read_tcp_timeout(const JsonValue& v, TcpTimeoutResult& r) {
-    if (const JsonValue* s = v.find("samples_sec")) {
-        r.samples_sec.clear();
-        for (const auto& x : s->array) r.samples_sec.push_back(x.as_double());
+    void put(UnitStatus s) { jw.value(to_string(s)); }
+    void put(const std::string& s) { jw.value(std::string_view(s)); }
+    template <std::ranges::range Xs> void put(const Xs& xs) {
+        jw.begin_array();
+        for (const auto& x : xs) put(x);
+        jw.end_array();
     }
-    if (const JsonValue* x = v.find("exceeded_limit"))
-        r.exceeded_limit = x->as_bool();
-    if (const JsonValue* x = v.find("connect_retries"))
-        r.connect_retries = static_cast<int>(x->as_int());
-    if (const JsonValue* x = v.find("search_retries"))
-        r.search_retries = static_cast<int>(x->as_int());
-    if (const JsonValue* x = v.find("search_giveups"))
-        r.search_giveups = static_cast<int>(x->as_int());
-}
-
-void write_transfer(JsonWriter& jw, const TransferResult& r) {
-    jw.begin_object();
-    jw.key("mbps").value(r.mbps);
-    jw.key("delay_ms").value(r.delay_ms);
-    jw.key("bytes").value(static_cast<std::uint64_t>(r.bytes));
-    jw.key("duration_sec").value(r.duration_sec);
-    jw.key("completed").value(r.completed);
-    jw.end_object();
-}
-
-void read_transfer(const JsonValue& v, TransferResult& r) {
-    if (const JsonValue* x = v.find("mbps")) r.mbps = x->as_double();
-    if (const JsonValue* x = v.find("delay_ms")) r.delay_ms = x->as_double();
-    if (const JsonValue* x = v.find("bytes"))
-        r.bytes = static_cast<std::uint64_t>(x->as_int());
-    if (const JsonValue* x = v.find("duration_sec"))
-        r.duration_sec = x->as_double();
-    if (const JsonValue* x = v.find("completed")) r.completed = x->as_bool();
-}
-
-void write_throughput(JsonWriter& jw, const ThroughputResult& r) {
-    jw.begin_object();
-    jw.key("upload");
-    write_transfer(jw, r.upload);
-    jw.key("download");
-    write_transfer(jw, r.download);
-    jw.key("upload_bidir");
-    write_transfer(jw, r.upload_bidir);
-    jw.key("download_bidir");
-    write_transfer(jw, r.download_bidir);
-    jw.end_object();
-}
-
-void read_throughput(const JsonValue& v, ThroughputResult& r) {
-    if (const JsonValue* x = v.find("upload")) read_transfer(*x, r.upload);
-    if (const JsonValue* x = v.find("download")) read_transfer(*x, r.download);
-    if (const JsonValue* x = v.find("upload_bidir"))
-        read_transfer(*x, r.upload_bidir);
-    if (const JsonValue* x = v.find("download_bidir"))
-        read_transfer(*x, r.download_bidir);
-}
-
-void write_max_bindings(JsonWriter& jw, const MaxBindingsResult& r) {
-    jw.begin_object();
-    jw.key("max_bindings").value(i64(r.max_bindings));
-    jw.key("hit_probe_limit").value(r.hit_probe_limit);
-    jw.end_object();
-}
-
-void read_max_bindings(const JsonValue& v, MaxBindingsResult& r) {
-    if (const JsonValue* x = v.find("max_bindings"))
-        r.max_bindings = static_cast<int>(x->as_int());
-    if (const JsonValue* x = v.find("hit_probe_limit"))
-        r.hit_probe_limit = x->as_bool();
-}
-
-void write_icmp_verdicts(JsonWriter& jw,
-                         const std::array<IcmpVerdict,
-                                          gateway::kIcmpKindCount>& vs) {
-    jw.begin_array();
-    for (const auto& v : vs) {
+    template <class T> void put(const std::map<std::string, T>& by_key) {
         jw.begin_object();
-        jw.key("forwarded").value(v.forwarded);
-        jw.key("rst_instead").value(v.rst_instead);
-        jw.key("embedded_transport_ok").value(v.embedded_transport_ok);
-        jw.key("embedded_ip_checksum_ok").value(v.embedded_ip_checksum_ok);
+        for (const auto& [k, x] : by_key) (*this)(k, x);
         jw.end_object();
     }
-    jw.end_array();
-}
-
-void read_icmp_verdicts(const JsonValue& v,
-                        std::array<IcmpVerdict,
-                                   gateway::kIcmpKindCount>& vs) {
-    for (std::size_t i = 0; i < vs.size() && i < v.array.size(); ++i) {
-        const JsonValue& e = v.array[i];
-        if (const JsonValue* x = e.find("forwarded"))
-            vs[i].forwarded = x->as_bool();
-        if (const JsonValue* x = e.find("rst_instead"))
-            vs[i].rst_instead = x->as_bool();
-        if (const JsonValue* x = e.find("embedded_transport_ok"))
-            vs[i].embedded_transport_ok = x->as_bool();
-        if (const JsonValue* x = e.find("embedded_ip_checksum_ok"))
-            vs[i].embedded_ip_checksum_ok = x->as_bool();
+    template <class T>
+        requires std::is_class_v<T> && (!std::ranges::range<T>)
+    void put(const T& r) {
+        jw.begin_object();
+        fields(r, *this);
+        jw.end_object();
     }
+};
+
+/// Field-list visitor that decodes. Absent fields keep their current
+/// values; an array shorter than a fixed-size member fills its prefix.
+struct Reader {
+    const JsonValue& v;
+
+    template <class T> void operator()(std::string_view key, T& x) const {
+        if (const JsonValue* f = v.find(key)) get(*f, x);
+    }
+
+    static void get(const JsonValue& j, bool& b) { b = j.as_bool(); }
+    static void get(const JsonValue& j, double& d) { d = j.as_double(); }
+    template <Scalar T> static void get(const JsonValue& j, T& x) {
+        x = static_cast<T>(j.as_int());
+    }
+    template <class T>
+    static void get(const JsonValue& j, std::vector<T>& xs) {
+        xs.clear();
+        for (const auto& x : j.array) get(x, xs.emplace_back());
+    }
+    template <class T, std::size_t N>
+    static void get(const JsonValue& j, std::array<T, N>& xs) {
+        for (std::size_t i = 0; i < N && i < j.array.size(); ++i)
+            get(j.array[i], xs[i]);
+    }
+    template <class T>
+        requires std::is_class_v<T>
+    static void get(const JsonValue& j, T& r) {
+        fields(r, Reader{j});
+    }
+};
+
+// --- the unit table ----------------------------------------------------
+
+/// What a unit's probe is launched with.
+struct ProbeCall {
+    Testbed& tb;
+    int slot;
+    const CampaignConfig& config;
+    std::shared_ptr<const bool> cancel;
+    const std::string* service; ///< the per-service unit's, else null
+
+    /// The UDP probe configuration with the attempt's cancel token and,
+    /// for the per-service unit, the service's server port.
+    UdpProbeConfig udp() const {
+        UdpProbeConfig cfg = config.udp;
+        cfg.search.cancel = cancel;
+        if (service != nullptr)
+            for (const auto& [name, port] : config.udp5_services)
+                if (name == *service) cfg.server_port = port;
+        return cfg;
+    }
+};
+
+template <class R> using Done = std::function<void(R)>;
+
+/// One measurement unit: its name, the CampaignConfig flag that plans
+/// it, the DeviceResults member its result lands in, and its probe.
+/// `Slice` differs from the probe's result type `R` only for the
+/// per-service unit, whose member maps service name -> result and whose
+/// plan holds one "<name>:<service>" unit per configured service.
+template <class R, class Slice = R> struct Unit {
+    static constexpr bool kPerService = !std::is_same_v<R, Slice>;
+    std::string_view name;
+    bool CampaignConfig::*flag;
+    Slice DeviceResults::*member;
+    void (*probe)(const ProbeCall&, Done<R>);
+
+    /// The result `service` names in `d`: the member itself, or one entry
+    /// of the per-service map (a default result when a const `d` lacks
+    /// it).
+    template <class D> auto& slice(D& d, const std::string& service) const {
+        auto& m = d.*member;
+        if constexpr (!kPerService) {
+            return m;
+        } else if constexpr (!std::is_const_v<D>) {
+            return m[service];
+        } else {
+            static const R kEmpty{};
+            const auto it = m.find(service);
+            return it != m.end() ? it->second : kEmpty;
+        }
+    }
+};
+
+template <UdpPattern P>
+void udp_timeout(const ProbeCall& c, Done<UdpTimeoutResult> done) {
+    measure_udp_timeout(c.tb, c.slot, P, c.udp(), std::move(done));
 }
 
-void write_icmp(JsonWriter& jw, const IcmpProbeResult& r) {
-    jw.begin_object();
-    jw.key("udp");
-    write_icmp_verdicts(jw, r.udp);
-    jw.key("tcp");
-    write_icmp_verdicts(jw, r.tcp);
-    jw.key("query_error_forwarded").value(r.query_error_forwarded);
-    jw.key("flow_retries").value(i64(r.flow_retries));
-    jw.end_object();
+/// A probe that takes neither a configuration nor a cancel token.
+template <class R, void (*Measure)(Testbed&, int, Done<R>)>
+void single_shot(const ProbeCall& c, Done<R> done) {
+    Measure(c.tb, c.slot, std::move(done));
 }
 
-void read_icmp(const JsonValue& v, IcmpProbeResult& r) {
-    if (const JsonValue* x = v.find("udp")) read_icmp_verdicts(*x, r.udp);
-    if (const JsonValue* x = v.find("tcp")) read_icmp_verdicts(*x, r.tcp);
-    if (const JsonValue* x = v.find("query_error_forwarded"))
-        r.query_error_forwarded = x->as_bool();
-    if (const JsonValue* x = v.find("flow_retries"))
-        r.flow_retries = static_cast<int>(x->as_int());
+/// The unit vocabulary, in execution order. unit_plan, launch_unit, the
+/// journal payload codecs, device_results_json and the fingerprint's
+/// flags all iterate this table; nothing else names a unit.
+constexpr std::tuple kUnits{
+    Unit<UdpTimeoutResult>{"udp1", &CampaignConfig::udp1,
+                           &DeviceResults::udp1,
+                           &udp_timeout<UdpPattern::SolitaryOutbound>},
+    Unit<UdpTimeoutResult>{"udp2", &CampaignConfig::udp2,
+                           &DeviceResults::udp2,
+                           &udp_timeout<UdpPattern::InboundRefresh>},
+    Unit<UdpTimeoutResult>{"udp3", &CampaignConfig::udp3,
+                           &DeviceResults::udp3,
+                           &udp_timeout<UdpPattern::Bidirectional>},
+    Unit<PortReuseResult>{
+        "udp4", &CampaignConfig::udp4, &DeviceResults::udp4,
+        [](const ProbeCall& c, Done<PortReuseResult> done) {
+            measure_port_reuse(c.tb, c.slot, c.udp(), std::move(done));
+        }},
+    Unit<UdpTimeoutResult, std::map<std::string, UdpTimeoutResult>>{
+        "udp5", &CampaignConfig::udp5, &DeviceResults::udp5,
+        &udp_timeout<UdpPattern::InboundRefresh>},
+    Unit<TcpTimeoutResult>{
+        "tcp1", &CampaignConfig::tcp1, &DeviceResults::tcp1,
+        [](const ProbeCall& c, Done<TcpTimeoutResult> done) {
+            TcpTimeoutConfig cfg = c.config.tcp_timeout;
+            cfg.search.cancel = c.cancel;
+            measure_tcp_timeout(c.tb, c.slot, cfg, std::move(done));
+        }},
+    Unit<ThroughputResult>{
+        "tcp2", &CampaignConfig::tcp2, &DeviceResults::tcp2,
+        [](const ProbeCall& c, Done<ThroughputResult> done) {
+            ThroughputConfig cfg = c.config.throughput;
+            cfg.cancel = c.cancel;
+            measure_throughput(c.tb, c.slot, cfg, std::move(done));
+        }},
+    Unit<MaxBindingsResult>{
+        "tcp4", &CampaignConfig::tcp4, &DeviceResults::tcp4,
+        [](const ProbeCall& c, Done<MaxBindingsResult> done) {
+            MaxBindingsConfig cfg = c.config.max_bindings;
+            cfg.cancel = c.cancel;
+            measure_max_bindings(c.tb, c.slot, cfg, std::move(done));
+        }},
+    Unit<IcmpProbeResult>{"icmp", &CampaignConfig::icmp, &DeviceResults::icmp,
+                          &single_shot<IcmpProbeResult, measure_icmp>},
+    Unit<TransportSupportResult>{
+        "transports", &CampaignConfig::transports, &DeviceResults::transports,
+        &single_shot<TransportSupportResult, measure_transport_support>},
+    Unit<DnsProbeResult>{"dns", &CampaignConfig::dns, &DeviceResults::dns,
+                         &single_shot<DnsProbeResult, measure_dns>},
+    Unit<QuirksResult>{"quirks", &CampaignConfig::quirks,
+                       &DeviceResults::quirks,
+                       &single_shot<QuirksResult, measure_quirks>},
+    Unit<StunProbeResult>{"stun", &CampaignConfig::stun, &DeviceResults::stun,
+                          &single_shot<StunProbeResult, measure_stun>},
+    Unit<BindingRateResult>{
+        "binding_rate", &CampaignConfig::binding_rate,
+        &DeviceResults::binding_rate,
+        [](const ProbeCall& c, Done<BindingRateResult> done) {
+            measure_binding_rate(c.tb, c.slot, c.config.binding_rate_count,
+                                 std::move(done));
+        }},
+};
+
+template <class F> void for_each_unit(F&& f) {
+    std::apply([&](const auto&... u) { (f(u), ...); }, kUnits);
 }
 
-void write_transports(JsonWriter& jw, const TransportSupportResult& r) {
-    jw.begin_object();
-    jw.key("sctp_connects").value(r.sctp_connects);
-    jw.key("sctp_data_ok").value(r.sctp_data_ok);
-    jw.key("dccp_connects").value(r.dccp_connects);
-    jw.key("sctp_action").value(i64(static_cast<int>(r.sctp_action)));
-    jw.key("dccp_action").value(i64(static_cast<int>(r.dccp_action)));
-    jw.end_object();
-}
-
-void read_transports(const JsonValue& v, TransportSupportResult& r) {
-    if (const JsonValue* x = v.find("sctp_connects"))
-        r.sctp_connects = x->as_bool();
-    if (const JsonValue* x = v.find("sctp_data_ok"))
-        r.sctp_data_ok = x->as_bool();
-    if (const JsonValue* x = v.find("dccp_connects"))
-        r.dccp_connects = x->as_bool();
-    if (const JsonValue* x = v.find("sctp_action"))
-        r.sctp_action = static_cast<NatAction>(x->as_int());
-    if (const JsonValue* x = v.find("dccp_action"))
-        r.dccp_action = static_cast<NatAction>(x->as_int());
-}
-
-void write_dns(JsonWriter& jw, const DnsProbeResult& r) {
-    jw.begin_object();
-    jw.key("udp_ok").value(r.udp_ok);
-    jw.key("tcp_connects").value(r.tcp_connects);
-    jw.key("tcp_answers").value(r.tcp_answers);
-    jw.key("tcp_upstream_udp").value(r.tcp_upstream_udp);
-    jw.key("big_udp_ok").value(r.big_udp_ok);
-    jw.key("truncated_seen").value(r.truncated_seen);
-    jw.key("dnssec_ready").value(r.dnssec_ready);
-    jw.key("big_udp_retries").value(i64(r.big_udp_retries));
-    jw.end_object();
-}
-
-void read_dns(const JsonValue& v, DnsProbeResult& r) {
-    if (const JsonValue* x = v.find("udp_ok")) r.udp_ok = x->as_bool();
-    if (const JsonValue* x = v.find("tcp_connects"))
-        r.tcp_connects = x->as_bool();
-    if (const JsonValue* x = v.find("tcp_answers"))
-        r.tcp_answers = x->as_bool();
-    if (const JsonValue* x = v.find("tcp_upstream_udp"))
-        r.tcp_upstream_udp = x->as_bool();
-    if (const JsonValue* x = v.find("big_udp_ok"))
-        r.big_udp_ok = x->as_bool();
-    if (const JsonValue* x = v.find("truncated_seen"))
-        r.truncated_seen = x->as_bool();
-    if (const JsonValue* x = v.find("dnssec_ready"))
-        r.dnssec_ready = x->as_bool();
-    if (const JsonValue* x = v.find("big_udp_retries"))
-        r.big_udp_retries = static_cast<int>(x->as_int());
-}
-
-void write_quirks(JsonWriter& jw, const QuirksResult& r) {
-    jw.begin_object();
-    jw.key("decrements_ttl").value(r.decrements_ttl);
-    jw.key("honors_record_route").value(r.honors_record_route);
-    jw.key("hairpins_udp").value(r.hairpins_udp);
-    jw.end_object();
-}
-
-void read_quirks(const JsonValue& v, QuirksResult& r) {
-    if (const JsonValue* x = v.find("decrements_ttl"))
-        r.decrements_ttl = x->as_bool();
-    if (const JsonValue* x = v.find("honors_record_route"))
-        r.honors_record_route = x->as_bool();
-    if (const JsonValue* x = v.find("hairpins_udp"))
-        r.hairpins_udp = x->as_bool();
-}
-
-void write_stun(JsonWriter& jw, const StunProbeResult& r) {
-    jw.begin_object();
-    jw.key("success").value(r.success);
-    jw.key("reflexive_correct").value(r.reflexive_correct);
-    jw.key("port_preserved").value(r.port_preserved);
-    jw.key("mapping").value(i64(static_cast<int>(r.mapping)));
-    jw.end_object();
-}
-
-void read_stun(const JsonValue& v, StunProbeResult& r) {
-    if (const JsonValue* x = v.find("success")) r.success = x->as_bool();
-    if (const JsonValue* x = v.find("reflexive_correct"))
-        r.reflexive_correct = x->as_bool();
-    if (const JsonValue* x = v.find("port_preserved"))
-        r.port_preserved = x->as_bool();
-    if (const JsonValue* x = v.find("mapping"))
-        r.mapping = static_cast<stun::Mapping>(x->as_int());
-}
-
-void write_binding_rate(JsonWriter& jw, const BindingRateResult& r) {
-    jw.begin_object();
-    jw.key("attempted").value(i64(r.attempted));
-    jw.key("established").value(i64(r.established));
-    jw.key("bindings_per_sec").value(r.bindings_per_sec);
-    jw.end_object();
-}
-
-void read_binding_rate(const JsonValue& v, BindingRateResult& r) {
-    if (const JsonValue* x = v.find("attempted"))
-        r.attempted = static_cast<int>(x->as_int());
-    if (const JsonValue* x = v.find("established"))
-        r.established = static_cast<int>(x->as_int());
-    if (const JsonValue* x = v.find("bindings_per_sec"))
-        r.bindings_per_sec = x->as_double();
-}
-
-constexpr std::string_view kUdp5Prefix = "udp5:";
-
-bool write_unit(JsonWriter& jw, const DeviceResults& r,
-                const std::string& unit) {
-    if (unit == "udp1") return write_udp_timeout(jw, r.udp1), true;
-    if (unit == "udp2") return write_udp_timeout(jw, r.udp2), true;
-    if (unit == "udp3") return write_udp_timeout(jw, r.udp3), true;
-    if (unit == "udp4") return write_port_reuse(jw, r.udp4), true;
-    if (unit.rfind(kUdp5Prefix, 0) == 0) {
-        const std::string svc = unit.substr(kUdp5Prefix.size());
-        auto it = r.udp5.find(svc);
-        static const UdpTimeoutResult kEmpty{};
-        write_udp_timeout(jw, it != r.udp5.end() ? it->second : kEmpty);
+/// Call `f(entry, service)` for the table entry `unit` names ("<name>",
+/// or "<name>:<service>" for the per-service unit); false when it names
+/// none.
+template <class F> bool with_unit(std::string_view unit, F&& f) {
+    const std::size_t colon = unit.find(':');
+    const bool has_service = colon != std::string_view::npos;
+    const std::string service(has_service ? unit.substr(colon + 1) : "");
+    const auto try_one = [&](const auto& u) {
+        if (unit.substr(0, colon) != u.name || has_service != u.kPerService)
+            return false;
+        f(u, service);
         return true;
-    }
-    if (unit == "tcp1") return write_tcp_timeout(jw, r.tcp1), true;
-    if (unit == "tcp2") return write_throughput(jw, r.tcp2), true;
-    if (unit == "tcp4") return write_max_bindings(jw, r.tcp4), true;
-    if (unit == "icmp") return write_icmp(jw, r.icmp), true;
-    if (unit == "transports") return write_transports(jw, r.transports), true;
-    if (unit == "dns") return write_dns(jw, r.dns), true;
-    if (unit == "quirks") return write_quirks(jw, r.quirks), true;
-    if (unit == "stun") return write_stun(jw, r.stun), true;
-    if (unit == "binding_rate")
-        return write_binding_rate(jw, r.binding_rate), true;
-    return false;
+    };
+    return std::apply(
+        [&](const auto&... u) { return (try_one(u) || ...); }, kUnits);
 }
 
 } // namespace
 
 std::vector<std::string> unit_plan(const CampaignConfig& config) {
     std::vector<std::string> plan;
-    if (config.udp1) plan.push_back("udp1");
-    if (config.udp2) plan.push_back("udp2");
-    if (config.udp3) plan.push_back("udp3");
-    if (config.udp4) plan.push_back("udp4");
-    if (config.udp5)
-        for (const auto& [name, port] : config.udp5_services)
-            plan.push_back(std::string(kUdp5Prefix) + name);
-    if (config.tcp1) plan.push_back("tcp1");
-    if (config.tcp2) plan.push_back("tcp2");
-    if (config.tcp4) plan.push_back("tcp4");
-    if (config.icmp) plan.push_back("icmp");
-    if (config.transports) plan.push_back("transports");
-    if (config.dns) plan.push_back("dns");
-    if (config.quirks) plan.push_back("quirks");
-    if (config.stun) plan.push_back("stun");
-    if (config.binding_rate) plan.push_back("binding_rate");
+    for_each_unit([&](const auto& u) {
+        if (!(config.*u.flag)) return;
+        if constexpr (std::remove_cvref_t<decltype(u)>::kPerService)
+            for (const auto& [service, port] : config.udp5_services)
+                plan.push_back(std::string(u.name) + ':' + service);
+        else
+            plan.emplace_back(u.name);
+    });
     return plan;
+}
+
+void launch_unit(const std::string& unit, Testbed& tb, int slot,
+                 const CampaignConfig& config,
+                 std::shared_ptr<const bool> cancel, UnitDone done) {
+    const bool known = with_unit(unit, [&](const auto& u,
+                                           const std::string& service) {
+        const ProbeCall call{tb, slot, config, std::move(cancel),
+                             u.kPerService ? &service : nullptr};
+        u.probe(call, [u, service, done = std::move(done)](auto r) {
+            done([&](DeviceResults& d) {
+                u.slice(d, service) = std::move(r);
+            });
+        });
+    });
+    GK_EXPECTS(known); // unit_plan names only table entries
 }
 
 std::string unit_payload_json(const DeviceResults& r,
                               const std::string& unit) {
     std::ostringstream out;
     JsonWriter jw(out);
-    if (!write_unit(jw, r, unit)) return "null";
+    Writer w{jw};
+    if (!with_unit(unit, [&](const auto& u, const std::string& service) {
+            w.put(u.slice(r, service));
+        }))
+        return "null";
     return out.str();
 }
 
 bool apply_unit_payload(DeviceResults& r, const std::string& unit,
                         const report::JsonValue& payload) {
-    if (unit == "udp1") return read_udp_timeout(payload, r.udp1), true;
-    if (unit == "udp2") return read_udp_timeout(payload, r.udp2), true;
-    if (unit == "udp3") return read_udp_timeout(payload, r.udp3), true;
-    if (unit == "udp4") return read_port_reuse(payload, r.udp4), true;
-    if (unit.rfind(kUdp5Prefix, 0) == 0) {
-        const std::string svc = unit.substr(kUdp5Prefix.size());
-        read_udp_timeout(payload, r.udp5[svc]);
-        return true;
-    }
-    if (unit == "tcp1") return read_tcp_timeout(payload, r.tcp1), true;
-    if (unit == "tcp2") return read_throughput(payload, r.tcp2), true;
-    if (unit == "tcp4") return read_max_bindings(payload, r.tcp4), true;
-    if (unit == "icmp") return read_icmp(payload, r.icmp), true;
-    if (unit == "transports")
-        return read_transports(payload, r.transports), true;
-    if (unit == "dns") return read_dns(payload, r.dns), true;
-    if (unit == "quirks") return read_quirks(payload, r.quirks), true;
-    if (unit == "stun") return read_stun(payload, r.stun), true;
-    if (unit == "binding_rate")
-        return read_binding_rate(payload, r.binding_rate), true;
-    return false;
+    return with_unit(unit, [&](const auto& u, const std::string& service) {
+        Reader::get(payload, u.slice(r, service));
+    });
 }
 
 std::string device_results_json(const DeviceResults& r) {
     std::ostringstream out;
     JsonWriter jw(out);
+    Writer w{jw};
     jw.begin_object();
-    jw.key("tag").value(std::string_view(r.tag));
-    jw.key("udp1");
-    write_udp_timeout(jw, r.udp1);
-    jw.key("udp2");
-    write_udp_timeout(jw, r.udp2);
-    jw.key("udp3");
-    write_udp_timeout(jw, r.udp3);
-    jw.key("udp4");
-    write_port_reuse(jw, r.udp4);
-    jw.key("udp5").begin_object();
-    for (const auto& [svc, res] : r.udp5) {
-        jw.key(svc);
-        write_udp_timeout(jw, res);
-    }
-    jw.end_object();
-    jw.key("tcp1");
-    write_tcp_timeout(jw, r.tcp1);
-    jw.key("tcp2");
-    write_throughput(jw, r.tcp2);
-    jw.key("tcp4");
-    write_max_bindings(jw, r.tcp4);
-    jw.key("icmp");
-    write_icmp(jw, r.icmp);
-    jw.key("transports");
-    write_transports(jw, r.transports);
-    jw.key("dns");
-    write_dns(jw, r.dns);
-    jw.key("quirks");
-    write_quirks(jw, r.quirks);
-    jw.key("stun");
-    write_stun(jw, r.stun);
-    jw.key("binding_rate");
-    write_binding_rate(jw, r.binding_rate);
-    jw.key("units").begin_array();
-    for (const auto& u : r.units) {
-        jw.begin_object();
-        jw.key("unit").value(std::string_view(u.unit));
-        jw.key("status").value(std::string_view(to_string(u.status)));
-        jw.key("attempts").value(i64(u.attempts));
-        jw.key("reason").value(std::string_view(u.reason));
-        jw.key("t_start_ns").value(u.t_start_ns);
-        jw.key("t_end_ns").value(u.t_end_ns);
-        jw.end_object();
-    }
-    jw.end_array();
+    w("tag", r.tag);
+    for_each_unit([&](const auto& u) { w(u.name, r.*u.member); });
+    w("units", r.units);
     jw.end_object();
     return out.str();
 }
@@ -449,11 +420,9 @@ std::string campaign_fingerprint(const CampaignConfig& config,
     // run and its resumed continuation share a fingerprint by design.
     std::ostringstream s;
     auto ns = [](sim::Duration d) { return d.count(); };
-    s << "flags:" << config.udp1 << config.udp2 << config.udp3 << config.udp4
-      << config.udp5 << config.tcp1 << config.tcp2 << config.tcp4
-      << config.icmp << config.transports << config.dns << config.quirks
-      << config.stun << config.binding_rate << ';'
-      << "binding_rate_count:" << config.binding_rate_count << ';'
+    s << "flags:";
+    for_each_unit([&](const auto& u) { s << config.*u.flag; });
+    s << ';' << "binding_rate_count:" << config.binding_rate_count << ';'
       << "udp:" << config.udp.repetitions << ',' << config.udp.server_port
       << ',' << ns(config.udp.grace) << ','
       << ns(config.udp.search.first_guess) << ','

@@ -1,11 +1,16 @@
-// Serialization glue between the typed harness results and the campaign
-// journal (report/journal.*). One JSON payload per (device, test) unit,
-// written with JsonWriter and decoded from JsonValue; doubles go through
-// json_double's shortest-round-trip formatting, so a payload that is
-// journaled, parsed, and re-serialized is byte-identical — the property
-// the kill/resume determinism tests assert.
+// The measurement-unit vocabulary and its serialization. One table in
+// results_io.cpp declares every unit once — name, CampaignConfig flag,
+// DeviceResults member, probe call — and the unit plan, the runner's
+// dispatch, the journal payload codecs, device_results_json and the
+// fingerprint's flags all iterate it. Each result struct has one field
+// list that both the JsonWriter side and the JsonValue side walk.
+// Doubles go through json_double's shortest-round-trip formatting, so a
+// payload that is journaled, parsed, and re-serialized is byte-identical
+// — the property the kill/resume determinism tests assert.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +24,21 @@ namespace gatekit::harness {
 /// "tcp1", "tcp2", "tcp4", "icmp", "transports", "dns", "quirks",
 /// "stun", "binding_rate". Disabled tests are absent.
 std::vector<std::string> unit_plan(const CampaignConfig& config);
+
+/// Writes a finished probe's result into its unit's slice of a record.
+using UnitStore = std::function<void(DeviceResults&)>;
+/// Receives a finished unit attempt. The store is valid only during the
+/// call; the caller decides whether to apply it (the supervisor drops
+/// superseded attempts).
+using UnitDone = std::function<void(const UnitStore&)>;
+
+/// Start the named unit's probe against testbed slot `slot`. UDP and
+/// TCP-1 searches, TCP-2 transfers and TCP-4 watch `cancel`; the
+/// single-shot probes run to completion. `unit` must be a name
+/// unit_plan produces (ContractViolation otherwise).
+void launch_unit(const std::string& unit, Testbed& tb, int slot,
+                 const CampaignConfig& config,
+                 std::shared_ptr<const bool> cancel, UnitDone done);
 
 /// Serialize the named unit's slice of `r` as one JSON value.
 /// Unknown unit names serialize as null.

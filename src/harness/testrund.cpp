@@ -247,15 +247,16 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
                     "campaign plan at device " +
                     std::to_string(global_dev()) + " unit '" + unit() +
                     "'");
-            UnitReport rep;
-            rep.unit = e.unit;
+            if (e.tag != result.tag)
+                throw std::runtime_error(
+                    "campaign journal: entry for unit '" + e.unit +
+                    "' carries tag '" + e.tag + "', device is '" +
+                    result.tag + "'");
+            UnitReport rep{e.unit,   UnitStatus::Ok, e.attempts,
+                           e.reason, e.t_start_ns,   e.t_end_ns};
             if (!unit_status_from_string(e.status, rep.status))
                 throw std::runtime_error(
                     "campaign journal: unknown status '" + e.status + "'");
-            rep.attempts = e.attempts;
-            rep.reason = e.reason;
-            rep.t_start_ns = e.t_start_ns;
-            rep.t_end_ns = e.t_end_ns;
             if (e.payload.type != report::JsonValue::Type::Null)
                 apply_unit_payload(result, e.unit, e.payload);
             result.units.push_back(std::move(rep));
@@ -337,7 +338,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
                            0,       "device_quarantined",
                            now_ns,  now_ns};
             result.units.push_back(rep);
-            journal_unit(rep, "null");
+            journal_unit(rep);
             if (config.profiler != nullptr) {
                 config.profiler->begin_unit(); // zero-length span
                 config.profiler->end_unit(label(), rep.unit,
@@ -375,10 +376,9 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         dispatch(g);
     }
 
-    template <typename Apply>
-    void complete(std::uint64_t g, Apply apply) {
+    void complete(std::uint64_t g, const UnitStore& store) {
         if (g != gen || unit_done) return; // superseded or force-advanced
-        apply(result);
+        store(result);
         if (hard_hit)
             finish_unit(UnitStatus::Degraded, "hard_deadline");
         else
@@ -427,7 +427,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
                        attempts,  std::move(reason),
                        unit_start.count(), loop().now().count()};
         result.units.push_back(rep);
-        journal_unit(rep, unit_payload_json(result, rep.unit));
+        journal_unit(rep);
         if (config.profiler != nullptr)
             config.profiler->end_unit(label(), rep.unit,
                                       to_string(rep.status), rep.attempts,
@@ -490,7 +490,10 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
             });
     }
 
-    void journal_unit(const UnitReport& rep, const std::string& payload) {
+    /// Append the unit's entry when journaling. The payload is built
+    /// only here, so an unjournaled campaign never serializes one; a
+    /// quarantined unit measured nothing and journals null.
+    void journal_unit(const UnitReport& rep) {
         if (!journaling) return;
         report::JournalEntry e;
         e.device = global_dev();
@@ -519,6 +522,10 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         stamp(*s.wan_link, "wan", sim::Link::Side::B, "b2a");
         stamp(*s.lan_link, "lan", sim::Link::Side::A, "a2b");
         stamp(*s.lan_link, "lan", sim::Link::Side::B, "b2a");
+        const std::string payload =
+            rep.status == UnitStatus::Quarantined
+                ? "null"
+                : unit_payload_json(result, rep.unit);
         if (!journal.append(e, payload))
             throw std::runtime_error(
                 "campaign journal: write failed for '" +
@@ -526,129 +533,10 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     }
 
     void dispatch(std::uint64_t g) {
-        auto self = shared_from_this();
-        const std::string& u = unit();
-        if (u == "udp1" || u == "udp2" || u == "udp3") {
-            const UdpPattern pattern =
-                u == "udp1" ? UdpPattern::SolitaryOutbound
-                : u == "udp2" ? UdpPattern::InboundRefresh
-                              : UdpPattern::Bidirectional;
-            auto cfg = config.udp;
-            cfg.search.cancel = cancel;
-            measure_udp_timeout(
-                tb, kSlot, pattern, cfg,
-                [self, g, u](UdpTimeoutResult r) {
-                    self->complete(g, [&](DeviceResults& d) {
-                        (u == "udp1"   ? d.udp1
-                         : u == "udp2" ? d.udp2
-                                       : d.udp3) = std::move(r);
+        launch_unit(unit(), tb, kSlot, config, cancel,
+                    [self = shared_from_this(), g](const UnitStore& store) {
+                        self->complete(g, store);
                     });
-                });
-            return;
-        }
-        if (u == "udp4") {
-            auto cfg = config.udp;
-            cfg.search.cancel = cancel;
-            measure_port_reuse(tb, kSlot, cfg,
-                               [self, g](PortReuseResult r) {
-                                   self->complete(g, [&](DeviceResults& d) {
-                                       d.udp4 = std::move(r);
-                                   });
-                               });
-            return;
-        }
-        if (u.rfind("udp5:", 0) == 0) {
-            const std::string svc = u.substr(5);
-            auto cfg = config.udp;
-            cfg.search.cancel = cancel;
-            for (const auto& [name, port] : config.udp5_services)
-                if (name == svc) cfg.server_port = port;
-            measure_udp_timeout(
-                tb, kSlot, UdpPattern::InboundRefresh, cfg,
-                [self, g, svc](UdpTimeoutResult r) {
-                    self->complete(g, [&](DeviceResults& d) {
-                        d.udp5[svc] = std::move(r);
-                    });
-                });
-            return;
-        }
-        if (u == "tcp1") {
-            auto cfg = config.tcp_timeout;
-            cfg.search.cancel = cancel;
-            measure_tcp_timeout(tb, kSlot, cfg,
-                                [self, g](TcpTimeoutResult r) {
-                                    self->complete(g, [&](DeviceResults& d) {
-                                        d.tcp1 = std::move(r);
-                                    });
-                                });
-            return;
-        }
-        if (u == "tcp2") {
-            auto cfg = config.throughput;
-            cfg.cancel = cancel;
-            measure_throughput(tb, kSlot, cfg,
-                               [self, g](ThroughputResult r) {
-                                   self->complete(g, [&](DeviceResults& d) {
-                                       d.tcp2 = r;
-                                   });
-                               });
-            return;
-        }
-        if (u == "tcp4") {
-            auto cfg = config.max_bindings;
-            cfg.cancel = cancel;
-            measure_max_bindings(tb, kSlot, cfg,
-                                 [self, g](MaxBindingsResult r) {
-                                     self->complete(g, [&](DeviceResults& d) {
-                                         d.tcp4 = r;
-                                     });
-                                 });
-            return;
-        }
-        if (u == "icmp") {
-            measure_icmp(tb, kSlot, [self, g](IcmpProbeResult r) {
-                self->complete(g,
-                               [&](DeviceResults& d) { d.icmp = r; });
-            });
-            return;
-        }
-        if (u == "transports") {
-            measure_transport_support(
-                tb, kSlot, [self, g](TransportSupportResult r) {
-                    self->complete(
-                        g, [&](DeviceResults& d) { d.transports = r; });
-                });
-            return;
-        }
-        if (u == "dns") {
-            measure_dns(tb, kSlot, [self, g](DnsProbeResult r) {
-                self->complete(g, [&](DeviceResults& d) { d.dns = r; });
-            });
-            return;
-        }
-        if (u == "quirks") {
-            measure_quirks(tb, kSlot, [self, g](QuirksResult r) {
-                self->complete(g,
-                               [&](DeviceResults& d) { d.quirks = r; });
-            });
-            return;
-        }
-        if (u == "stun") {
-            measure_stun(tb, kSlot, [self, g](StunProbeResult r) {
-                self->complete(g, [&](DeviceResults& d) { d.stun = r; });
-            });
-            return;
-        }
-        if (u == "binding_rate") {
-            measure_binding_rate(
-                tb, kSlot, config.binding_rate_count,
-                [self, g](BindingRateResult r) {
-                    self->complete(
-                        g, [&](DeviceResults& d) { d.binding_rate = r; });
-                });
-            return;
-        }
-        GK_ENSURES(false); // unit_plan and dispatch share one vocabulary
     }
 };
 

@@ -4,11 +4,9 @@
 #include "report/json.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 namespace gatekit::obs {
 
@@ -62,8 +60,7 @@ double LogHistogram::percentile(double q) const {
 }
 
 MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
-                                               Labels labels, Kind kind,
-                                               std::vector<double> bounds) {
+                                               Labels labels, Kind kind) {
     Key key{std::string(name), labels};
     if (auto it = index_.find(key); it != index_.end()) return *it->second;
     auto e = std::make_unique<Entry>();
@@ -73,9 +70,6 @@ MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
     switch (kind) {
     case Kind::kCounter: e->counter = std::make_unique<Counter>(); break;
     case Kind::kGauge: e->gauge = std::make_unique<Gauge>(); break;
-    case Kind::kHistogram:
-        e->histogram = std::make_unique<Histogram>(std::move(bounds));
-        break;
     case Kind::kLogHistogram:
         e->log_histogram = std::make_unique<LogHistogram>();
         break;
@@ -92,13 +86,6 @@ Counter* MetricsRegistry::counter(std::string_view name, Labels labels) {
 
 Gauge* MetricsRegistry::gauge(std::string_view name, Labels labels) {
     return entry(name, std::move(labels), Kind::kGauge).gauge.get();
-}
-
-Histogram* MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds,
-                                      Labels labels) {
-    return entry(name, std::move(labels), Kind::kHistogram, std::move(bounds))
-        .histogram.get();
 }
 
 LogHistogram* MetricsRegistry::log_histogram(std::string_view name,
@@ -125,12 +112,6 @@ const Gauge* MetricsRegistry::find_gauge(std::string_view name,
                                          const Labels& labels) const {
     const Entry* e = find(name, labels, Kind::kGauge);
     return e ? e->gauge.get() : nullptr;
-}
-
-const Histogram* MetricsRegistry::find_histogram(std::string_view name,
-                                                 const Labels& labels) const {
-    const Entry* e = find(name, labels, Kind::kHistogram);
-    return e ? e->histogram.get() : nullptr;
 }
 
 const LogHistogram*
@@ -176,19 +157,6 @@ void MetricsRegistry::merge_from(
         case Kind::kGauge:
             gauge(e->name, e->labels)->value = e->gauge->value;
             break;
-        case Kind::kHistogram: {
-            const Histogram& src = *e->histogram;
-            Histogram* dst = histogram(e->name, src.bounds, e->labels);
-            if (dst->bounds != src.bounds)
-                throw std::runtime_error(
-                    "metrics merge: histogram '" + e->name +
-                    "' bucket bounds differ between registries");
-            for (std::size_t i = 0; i < src.counts.size(); ++i)
-                dst->counts[i] += src.counts[i];
-            dst->total += src.total;
-            dst->sum += src.sum;
-            break;
-        }
         case Kind::kLogHistogram:
             log_histogram(e->name, e->labels)->merge(*e->log_histogram);
             break;
@@ -217,24 +185,6 @@ std::string MetricsRegistry::to_json() const {
             w.key("kind").value("gauge");
             w.key("value").value(e->gauge->value);
             break;
-        case Kind::kHistogram: {
-            const Histogram& h = *e->histogram;
-            w.key("kind").value("histogram");
-            w.key("count").value(h.total);
-            w.key("sum").value(h.sum);
-            w.key("buckets").begin_array();
-            for (std::size_t i = 0; i < h.counts.size(); ++i) {
-                w.begin_object();
-                if (i < h.bounds.size())
-                    w.key("le").value(h.bounds[i]);
-                else
-                    w.key("le").value("inf");
-                w.key("count").value(h.counts[i]);
-                w.end_object();
-            }
-            w.end_array();
-            break;
-        }
         case Kind::kLogHistogram: {
             const LogHistogram& h = *e->log_histogram;
             w.key("kind").value("log_histogram");
@@ -314,34 +264,9 @@ bool parse_label_cell(std::string_view cell, Labels& out) {
     return true;
 }
 
-namespace {
-
-/// Quantile from a fixed-bucket histogram: the upper bound of the
-/// bucket holding the ceil(q * total)-th observation. Observations in
-/// the +inf overflow bucket report the last finite bound (clipped —
-/// fixed bounds cannot say more; the log histogram exists for that).
-double fixed_percentile(const Histogram& h, double q) {
-    if (h.total == 0) return 0.0;
-    const auto rank = static_cast<std::uint64_t>(
-        std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(h.total)));
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-        cum += h.counts[i];
-        if (cum >= rank && cum > 0)
-            return i < h.bounds.size() ? h.bounds[i] : h.bounds.back();
-    }
-    return h.bounds.empty() ? 0.0 : h.bounds.back();
-}
-
-} // namespace
-
 std::string MetricsRegistry::to_csv() const {
     report::CsvWriter csv({"name", "kind", "labels", "value", "sum", "count",
                            "p50", "p90", "p99", "p999"});
-    const auto pcts = [](auto&& p) -> std::array<std::string, 4> {
-        return {report::json_double(p(0.50)), report::json_double(p(0.90)),
-                report::json_double(p(0.99)), report::json_double(p(0.999))};
-    };
     for (const auto& e : entries_) {
         const std::string labels = format_label_cell(e->labels);
         switch (e->kind) {
@@ -355,21 +280,14 @@ std::string MetricsRegistry::to_csv() const {
                          report::json_double(e->gauge->value), "", "", "",
                          "", "", ""});
             break;
-        case Kind::kHistogram: {
-            const Histogram& h = *e->histogram;
-            const auto p =
-                pcts([&](double q) { return fixed_percentile(h, q); });
-            csv.add_row({e->name, "histogram", labels, "",
-                         report::json_double(h.sum),
-                         std::to_string(h.total), p[0], p[1], p[2], p[3]});
-            break;
-        }
         case Kind::kLogHistogram: {
             const LogHistogram& h = *e->log_histogram;
-            const auto p = pcts([&](double q) { return h.percentile(q); });
+            const auto p = [&h](double q) {
+                return report::json_double(h.percentile(q));
+            };
             csv.add_row({e->name, "log_histogram", labels, "",
-                         report::json_double(h.sum),
-                         std::to_string(h.total), p[0], p[1], p[2], p[3]});
+                         report::json_double(h.sum), std::to_string(h.total),
+                         p(0.50), p(0.90), p(0.99), p(0.999)});
             break;
         }
         }
@@ -402,7 +320,6 @@ bool validate_metrics_json(std::string_view text, std::string* error) {
         pos += 8;
         std::string_view rest = text.substr(pos);
         if (rest.rfind("counter\"", 0) != 0 && rest.rfind("gauge\"", 0) != 0 &&
-            rest.rfind("histogram\"", 0) != 0 &&
             rest.rfind("log_histogram\"", 0) != 0)
             return fail("unknown metric kind");
         ++kinds;

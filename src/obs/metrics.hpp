@@ -1,4 +1,4 @@
-// Metrics registry for the testbed: counters, gauges, and fixed-bucket
+// Metrics registry for the testbed: counters, gauges, and log-bucketed
 // histograms registered by name + label pairs, snapshot-able to JSON and
 // CSV. Lock-free by construction — everything runs on the single-threaded
 // event loop, so instruments are plain structs with no atomics.
@@ -26,26 +26,6 @@ struct Counter {
 
 struct Gauge {
     double value = 0.0;
-};
-
-/// Fixed upper-bound buckets; counts has bounds.size() + 1 entries, the
-/// last being the overflow (+inf) bucket.
-struct Histogram {
-    explicit Histogram(std::vector<double> upper_bounds)
-        : bounds(std::move(upper_bounds)), counts(bounds.size() + 1, 0) {}
-
-    void observe(double v) {
-        std::size_t i = 0;
-        while (i < bounds.size() && v > bounds[i]) ++i;
-        ++counts[i];
-        ++total;
-        sum += v;
-    }
-
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t total = 0;
-    double sum = 0.0;
 };
 
 /// Log2-bucketed histogram with linear sub-buckets (HDR style): no
@@ -106,9 +86,6 @@ inline void add(Counter* c, std::uint64_t n) {
 inline void set(Gauge* g, double v) {
     if (g) g->value = v;
 }
-inline void observe(Histogram* h, double v) {
-    if (h) h->observe(v);
-}
 inline void observe(LogHistogram* h, double v) {
     if (h) h->observe(v);
 }
@@ -134,8 +111,6 @@ class MetricsRegistry {
 public:
     Counter* counter(std::string_view name, Labels labels = {});
     Gauge* gauge(std::string_view name, Labels labels = {});
-    Histogram* histogram(std::string_view name, std::vector<double> bounds,
-                         Labels labels = {});
     LogHistogram* log_histogram(std::string_view name, Labels labels = {});
 
     /// Lookup without creating; nullptr when absent. Used by tests.
@@ -143,8 +118,6 @@ public:
                                 const Labels& labels = {}) const;
     const Gauge* find_gauge(std::string_view name,
                             const Labels& labels = {}) const;
-    const Histogram* find_histogram(std::string_view name,
-                                    const Labels& labels = {}) const;
     const LogHistogram* find_log_histogram(std::string_view name,
                                            const Labels& labels = {}) const;
 
@@ -175,8 +148,8 @@ public:
     void visit_scalars(const std::function<void(const ScalarRef&)>& fn) const;
 
     /// Fold another registry into this one: counters add, gauges take
-    /// the other's value (last writer wins), histograms add bucket
-    /// counts and sums (mismatched bucket bounds throw). Series unseen
+    /// the other's value (last writer wins), log histograms merge
+    /// exactly (LogHistogram::merge). Series unseen
     /// here are appended in `other`'s registration order, so merging
     /// shard registries in canonical device order yields one
     /// deterministic, worker-count-independent snapshot. `keep` (when
@@ -196,7 +169,7 @@ public:
     bool save_json(const std::string& path) const;
 
 private:
-    enum class Kind { kCounter, kGauge, kHistogram, kLogHistogram };
+    enum class Kind { kCounter, kGauge, kLogHistogram };
 
     struct Entry {
         std::string name;
@@ -204,14 +177,12 @@ private:
         Kind kind;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
         std::unique_ptr<LogHistogram> log_histogram;
     };
 
     using Key = std::pair<std::string, Labels>;
 
-    Entry& entry(std::string_view name, Labels labels, Kind kind,
-                 std::vector<double> bounds = {});
+    Entry& entry(std::string_view name, Labels labels, Kind kind);
     const Entry* find(std::string_view name, const Labels& labels,
                       Kind kind) const;
 

@@ -49,7 +49,7 @@ struct JournalStateStamp {
     /// impairer from scratch and diverges from the uninterrupted run at
     /// the first fate draw.
     struct RngStamp {
-        int device = 0;    ///< slot index owning the link
+        int device = 0;    ///< global roster index of the link's device
         std::string link;  ///< "wan" | "lan"
         std::string dir;   ///< "a2b" | "b2a" (Link::Side A/B transmit)
         std::uint64_t seed = 0;
@@ -63,7 +63,7 @@ struct JournalStateStamp {
 };
 
 struct JournalEntry {
-    int device = 0;      ///< slot index
+    int device = 0;      ///< global roster index of the device
     std::string tag;     ///< profile tag (cross-checked on resume)
     std::string unit;    ///< e.g. "udp1", "tcp2", "binding_rate"
     std::string status;  ///< "ok" | "degraded" | "gave_up" | "quarantined"

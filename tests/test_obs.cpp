@@ -30,7 +30,7 @@ TEST(Metrics, NullSafeHelpersAreNoOpsWhenDisabled) {
     inc(static_cast<Counter*>(nullptr));
     add(static_cast<Counter*>(nullptr), 7);
     set(static_cast<Gauge*>(nullptr), 1.0);
-    observe(static_cast<Histogram*>(nullptr), 1.0);
+    observe(static_cast<LogHistogram*>(nullptr), 1.0);
 
     MetricsRegistry reg;
     Counter* c = reg.counter("c");
@@ -50,23 +50,11 @@ TEST(Metrics, CounterTotalSumsAcrossLabelSets) {
     EXPECT_EQ(reg.counter_total("nope"), 0u);
 }
 
-TEST(Metrics, HistogramBucketsIncludeOverflow) {
-    MetricsRegistry reg;
-    Histogram* h = reg.histogram("size", {10.0, 100.0});
-    for (double v : {5.0, 10.0, 50.0, 1000.0}) h->observe(v);
-    ASSERT_EQ(h->counts.size(), 3u);
-    EXPECT_EQ(h->counts[0], 2u); // <= 10
-    EXPECT_EQ(h->counts[1], 1u); // <= 100
-    EXPECT_EQ(h->counts[2], 1u); // +inf
-    EXPECT_EQ(h->total, 4u);
-    EXPECT_DOUBLE_EQ(h->sum, 1065.0);
-}
-
 TEST(Metrics, JsonSnapshotValidatesAgainstSchema) {
     MetricsRegistry reg;
     reg.counter("nat.binding.created", {{"device", "we#1"}})->value = 12;
     reg.gauge("nat.binding.occupancy", {{"device", "we#1"}})->value = 3.5;
-    reg.histogram("fwd.packet.bytes", {64.0, 1500.0})->observe(1400.0);
+    reg.log_histogram("fwd.packet.bytes")->observe(1400.0);
     const std::string json = reg.to_json();
 
     std::string error;

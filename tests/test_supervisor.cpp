@@ -516,6 +516,30 @@ TEST(Supervisor, ResumeRejectsRosterMismatch) {
     remove_journal(path);
 }
 
+TEST(Supervisor, ResumeRejectsEntryTagMismatch) {
+    // The header's roster and every entry's tag must agree: a segment
+    // whose one entry names another device is refused, not replayed.
+    const std::string path = journal_path_for("entry_tag");
+    std::remove(path.c_str());
+    auto cfg = quick_campaign();
+    cfg.supervisor.journal_path = path;
+    run_roster(cfg, roster3());
+    auto lines = lines_of(slurp(path));
+    ASSERT_EQ(lines.size(), 10u); // header + 3 units x 3 devices
+    const std::string from = "\"tag\":\"ap\"", to = "\"tag\":\"zz\"";
+    const std::size_t at = lines[5].find(from); // ap's second unit
+    ASSERT_NE(at, std::string::npos) << lines[5];
+    lines[5].replace(at, from.size(), to);
+    std::string edited;
+    for (const auto& l : lines) edited += l + "\n";
+    spit(path, edited);
+
+    auto rcfg = cfg;
+    rcfg.supervisor.resume = true;
+    EXPECT_THROW(run_roster(rcfg, roster3()), std::runtime_error);
+    remove_journal(path);
+}
+
 TEST(Supervisor, TestrundRefusesAMultiDeviceTestbed) {
     // Testrund measures one device; a roster runs through ShardScheduler.
     sim::EventLoop loop;
