@@ -1,6 +1,7 @@
 #include "harness/tcp_probes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 
 #include "stack/tcp_socket.hpp"
@@ -205,7 +206,9 @@ class PacedSender {
 public:
     PacedSender(sim::EventLoop& loop, stack::TcpSocket& conn,
                 std::size_t total)
-        : loop_(loop), conn_(conn), total_(total) {}
+        : loop_(loop), conn_(conn), total_(total) {
+        block_.fill(0x5a);
+    }
 
     void start() {
         conn_.on_progress = [this] { top_up(); };
@@ -224,19 +227,22 @@ private:
         while (written_ < total_ &&
                conn_.bytes_pending_send() < kPendingLimit) {
             const std::size_t n = std::min(kBlock, total_ - written_);
-            net::Bytes block(n, 0x5a);
+            // One block buffer, restamped in place: only its first 16
+            // bytes ever differ from the 0x5a fill.
             if (n >= 16) {
                 const auto now = static_cast<std::uint64_t>(
                     loop_.now().count());
                 for (int i = 0; i < 8; ++i)
-                    block[static_cast<std::size_t>(i)] =
+                    block_[static_cast<std::size_t>(i)] =
                         static_cast<std::uint8_t>(kStampMagic >>
                                                   (56 - 8 * i));
                 for (int i = 0; i < 8; ++i)
-                    block[static_cast<std::size_t>(8 + i)] =
+                    block_[static_cast<std::size_t>(8 + i)] =
                         static_cast<std::uint8_t>(now >> (56 - 8 * i));
+            } else {
+                std::fill_n(block_.begin(), 16, std::uint8_t{0x5a});
             }
-            conn_.send(std::move(block));
+            conn_.send(std::span<const std::uint8_t>(block_.data(), n));
             written_ += n;
         }
     }
@@ -245,6 +251,7 @@ private:
     stack::TcpSocket& conn_;
     std::size_t total_;
     std::size_t written_ = 0;
+    std::array<std::uint8_t, kBlock> block_;
 };
 
 /// Receiver side: tracks goodput and extracts the embedded timestamps.
@@ -255,13 +262,18 @@ public:
     void on_bytes(std::span<const std::uint8_t> d) {
         if (received_ == 0) first_byte_ = loop_.now();
         last_byte_ = loop_.now();
-        for (std::uint8_t b : d) {
-            const std::size_t in_block = received_ % kBlock;
+        // Jump from one block's 16-byte stamp to the next; the bytes in
+        // between are only counted.
+        while (!d.empty()) {
+            const auto in_block = static_cast<std::size_t>(received_ % kBlock);
+            const std::size_t n =
+                std::min(d.size(), (in_block < 16 ? 16 : kBlock) - in_block);
             if (in_block < 16) {
-                header_[in_block] = b;
-                if (in_block == 15) consume_header();
+                std::copy_n(d.begin(), n, header_.begin() + static_cast<long>(in_block));
+                if (in_block + n == 16) consume_header();
             }
-            ++received_;
+            received_ += n;
+            d = d.subspan(n);
         }
     }
 

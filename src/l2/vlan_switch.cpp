@@ -1,5 +1,8 @@
 #include "l2/vlan_switch.hpp"
 
+#include <algorithm>
+
+#include "net/ethernet.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::l2 {
@@ -24,51 +27,83 @@ void VlanSwitch::connect(int port, sim::Link& link, sim::Link::Side side) {
     link.attach(side, p);
 }
 
+namespace {
+
+net::MacAddr mac_at(const sim::Frame& f, std::size_t at) {
+    std::array<std::uint8_t, 6> m{};
+    std::copy_n(f.begin() + static_cast<long>(at), 6, m.begin());
+    return net::MacAddr{m};
+}
+
+bool tagged(const sim::Frame& f) {
+    return f[12] == (net::kEtherTypeVlan >> 8) &&
+           f[13] == (net::kEtherTypeVlan & 0xff);
+}
+
+} // namespace
+
 void VlanSwitch::ingress(Port& port, sim::Frame raw) {
-    net::EthernetFrame frame;
-    try {
-        frame = net::EthernetFrame::parse(raw);
-    } catch (const net::ParseError&) {
-        return;
-    }
+    // The accept rules of EthernetFrame::parse: a full header, plus the
+    // whole tag and inner EtherType when the frame is tagged.
+    if (raw.size() < 14) return;
+    const bool has_tag = tagged(raw);
+    if (has_tag && raw.size() < 18) return;
 
     std::uint16_t vlan = 0;
     if (port.trunk) {
-        if (!frame.vlan_id) return; // untagged on trunk: drop
-        vlan = *frame.vlan_id;
+        if (!has_tag) return; // untagged on trunk: drop
+        vlan = static_cast<std::uint16_t>(((raw[14] << 8) | raw[15]) & 0x0fff);
     } else {
-        if (frame.vlan_id) return; // tagged on access port: drop
+        if (has_tag) return; // tagged on access port: drop
         vlan = port.access_vlan;
     }
+    const net::MacAddr dst = mac_at(raw, 0);
+    const net::MacAddr src = mac_at(raw, 6);
 
     // Learn the source, then forward.
-    if (!frame.src.is_multicast()) fdb_[{vlan, frame.src}] = port.index;
+    if (!src.is_multicast()) fdb_[{vlan, src}] = port.index;
 
-    if (!frame.dst.is_multicast()) {
-        auto it = fdb_.find({vlan, frame.dst});
+    if (!dst.is_multicast()) {
+        auto it = fdb_.find({vlan, dst});
         if (it != fdb_.end()) {
             Port& out = *ports_[static_cast<std::size_t>(it->second)];
             if (out.index != port.index && member(out, vlan))
-                egress(out, vlan, frame);
+                egress(out, vlan, std::move(raw));
             return;
         }
     }
-    // Broadcast/multicast/unknown unicast: flood the VLAN.
+    // Broadcast/multicast/unknown unicast: flood the VLAN. Every member
+    // port but the last gets a copy; the last gets the frame itself.
+    Port* last = nullptr;
     for (auto& out : ports_) {
         if (out->index == port.index || !member(*out, vlan)) continue;
-        egress(*out, vlan, frame);
+        if (last != nullptr) egress(*last, vlan, raw);
+        last = out.get();
     }
+    if (last != nullptr) egress(*last, vlan, std::move(raw));
 }
 
-void VlanSwitch::egress(Port& port, std::uint16_t vlan,
-                        const net::EthernetFrame& frame) {
+void VlanSwitch::egress(Port& port, std::uint16_t vlan, sim::Frame frame) {
     if (!port.out.connected()) return;
-    net::EthernetFrame out = frame;
-    if (port.trunk)
-        out.vlan_id = vlan;
-    else
-        out.vlan_id.reset();
-    port.out.send(out.serialize());
+    const bool has_tag = tagged(frame);
+    if (port.trunk) {
+        // The TCI leaves with PCP/DEI zeroed, as the parse/serialize
+        // round trip this replaces wrote it.
+        const std::uint8_t tci[2] = {static_cast<std::uint8_t>(vlan >> 8),
+                                     static_cast<std::uint8_t>(vlan)};
+        if (has_tag) {
+            frame[14] = tci[0];
+            frame[15] = tci[1];
+        } else {
+            const std::uint8_t tag[4] = {net::kEtherTypeVlan >> 8,
+                                         net::kEtherTypeVlan & 0xff, tci[0],
+                                         tci[1]};
+            frame.insert(frame.begin() + 12, tag, tag + 4);
+        }
+    } else if (has_tag) {
+        frame.erase(frame.begin() + 12, frame.begin() + 16);
+    }
+    port.out.send(std::move(frame));
 }
 
 } // namespace gatekit::l2

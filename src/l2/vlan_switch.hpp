@@ -1,5 +1,7 @@
 // 802.1Q-aware learning switch, standing in for the paper's HP-2524s:
 // access ports (one VLAN, untagged) and trunk ports (all VLANs, tagged).
+// Frames are forwarded as the same buffer, read and retagged in place;
+// only a flood copies, once per extra egress port.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +10,6 @@
 #include <vector>
 
 #include "net/addr.hpp"
-#include "net/ethernet.hpp"
 #include "sim/link.hpp"
 
 namespace gatekit::l2 {
@@ -46,8 +47,9 @@ private:
     };
 
     void ingress(Port& port, sim::Frame raw);
-    void egress(Port& port, std::uint16_t vlan,
-                const net::EthernetFrame& frame);
+    /// Send `frame` out of `port`, rewriting, inserting or stripping
+    /// its outer 802.1Q tag for the port's mode.
+    void egress(Port& port, std::uint16_t vlan, sim::Frame frame);
     bool member(const Port& port, std::uint16_t vlan) const {
         return port.trunk || port.access_vlan == vlan;
     }

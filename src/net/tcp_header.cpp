@@ -95,7 +95,8 @@ namespace {
 
 /// Walk the option TLVs for `kind`; returns a view of its value bytes.
 std::optional<std::span<const std::uint8_t>>
-find_option(const Bytes& options, std::uint8_t want, std::uint8_t want_len) {
+find_option(std::span<const std::uint8_t> options, std::uint8_t want,
+            std::uint8_t want_len) {
     std::size_t i = 0;
     while (i < options.size()) {
         const std::uint8_t kind = options[i];
@@ -108,24 +109,76 @@ find_option(const Bytes& options, std::uint8_t want, std::uint8_t want_len) {
         const std::uint8_t len = options[i + 1];
         if (len < 2 || i + len > options.size()) break;
         if (kind == want && len == want_len)
-            return std::span<const std::uint8_t>(options).subspan(i + 2,
-                                                                  len - 2u);
+            return options.subspan(i + 2, len - 2u);
         i += len;
     }
+    return std::nullopt;
+}
+
+std::optional<std::uint16_t> mss_in(std::span<const std::uint8_t> options) {
+    if (auto v = find_option(options, 2, 4))
+        return static_cast<std::uint16_t>(((*v)[0] << 8) | (*v)[1]);
+    return std::nullopt;
+}
+
+std::optional<std::uint8_t> wscale_in(std::span<const std::uint8_t> options) {
+    if (auto v = find_option(options, 3, 3)) return (*v)[0];
     return std::nullopt;
 }
 
 } // namespace
 
 std::optional<std::uint16_t> TcpSegment::mss_option() const {
-    if (auto v = find_option(options, 2, 4))
-        return static_cast<std::uint16_t>(((*v)[0] << 8) | (*v)[1]);
-    return std::nullopt;
+    return mss_in(options);
 }
 
 std::optional<std::uint8_t> TcpSegment::wscale_option() const {
-    if (auto v = find_option(options, 3, 3)) return (*v)[0];
-    return std::nullopt;
+    return wscale_in(options);
+}
+
+std::optional<std::uint16_t> TcpSegmentView::mss_option() const {
+    return mss_in(options);
+}
+
+std::optional<std::uint8_t> TcpSegmentView::wscale_option() const {
+    return wscale_in(options);
+}
+
+std::optional<TcpSegmentView>
+TcpSegmentView::parse(std::span<const std::uint8_t> data, Ipv4Addr src,
+                      Ipv4Addr dst) {
+    if (data.size() < 20) return std::nullopt;
+    const std::uint8_t* d = data.data();
+    const auto u16 = [d](std::size_t at) {
+        return static_cast<std::uint16_t>((d[at] << 8) | d[at + 1]);
+    };
+    const auto u32 = [&u16](std::size_t at) {
+        return (std::uint32_t{u16(at)} << 16) | u16(at + 2);
+    };
+    const std::size_t hlen = static_cast<std::size_t>(d[12] >> 4) * 4;
+    if (hlen < 20 || hlen > data.size()) return std::nullopt;
+    TcpSegmentView s;
+    s.src_port = u16(0);
+    s.dst_port = u16(2);
+    s.seq = u32(4);
+    s.ack = u32(8);
+    const std::uint8_t f = d[13];
+    s.flags.urg = (f & 0x20) != 0;
+    s.flags.ack = (f & 0x10) != 0;
+    s.flags.psh = (f & 0x08) != 0;
+    s.flags.rst = (f & 0x04) != 0;
+    s.flags.syn = (f & 0x02) != 0;
+    s.flags.fin = (f & 0x01) != 0;
+    s.window = u16(14);
+    s.options = data.subspan(20, hlen - 20);
+    s.payload = data.subspan(hlen);
+
+    ChecksumAccumulator acc;
+    add_pseudo_header(acc, src, dst, proto::kTcp,
+                      static_cast<std::uint16_t>(data.size()));
+    acc.add_bytes(data);
+    s.checksum_ok = acc.finalize() == 0;
+    return s;
 }
 
 std::string TcpSegment::flag_string() const {

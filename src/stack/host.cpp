@@ -29,9 +29,9 @@ Iface& Host::add_iface(std::optional<std::uint16_t> vlan) {
 
 Iface& Host::add_iface_on(NetIf& nic, std::optional<std::uint16_t> vlan) {
     Iface& iface = nic.add_iface(vlan);
-    iface.set_ip_handler([this, &iface](const net::Ipv4Packet& pkt,
+    iface.set_ip_handler([this, &iface](const net::PacketView& view,
                                         std::span<const std::uint8_t> raw) {
-        on_ip(iface, pkt, raw);
+        on_ip(iface, view, raw);
     });
     ifaces_.push_back(&iface);
     return iface;
@@ -86,28 +86,37 @@ const Route* Host::same_prefix_route_from(net::Ipv4Addr src,
     return nullptr;
 }
 
-bool Host::send_ip(net::Ipv4Packet pkt) {
-    if (pkt.h.dst.is_broadcast()) return false; // needs an iface-bound send
-    // Local delivery without touching the wire (same-host traffic).
-    if (is_local_addr(pkt.h.dst)) {
-        GK_ASSERT(!ifaces_.empty());
-        const auto raw = pkt.serialize();
-        loop_.after(sim::Duration::zero(), [this, raw]() {
-            const auto parsed = net::Ipv4Packet::parse(raw);
-            deliver_local(*ifaces_.front(), parsed, raw);
-        });
-        return true;
-    }
-    const Route* route = lookup_route(pkt.h.dst);
+const Route* Host::egress_route(net::Ipv4Addr src,
+                                net::Ipv4Addr dst) const {
+    const Route* route = lookup_route(dst);
     // Several interfaces may carry the same prefix (every gateway behind
     // one CGN reaches the CGN's uplink subnet) and the index keeps only
     // the first, so a bound source address takes the tie to the
     // interface that owns it.
-    if (route != nullptr && !pkt.h.src.is_unspecified() &&
-        route->iface->addr() != pkt.h.src)
-        if (const Route* own = same_prefix_route_from(pkt.h.src, *route))
+    if (route != nullptr && !src.is_unspecified() &&
+        route->iface->addr() != src)
+        if (const Route* own = same_prefix_route_from(src, *route))
             route = own;
-    if (route == nullptr || !route->iface->configured()) return false;
+    if (route == nullptr || !route->iface->configured()) return nullptr;
+    return route;
+}
+
+void Host::deliver_loopback(net::Bytes datagram) {
+    GK_ASSERT(!ifaces_.empty());
+    loop_.after(sim::Duration::zero(), [this, raw = std::move(datagram)]() mutable {
+        deliver_local(*ifaces_.front(), net::PacketView::of(raw), raw);
+    });
+}
+
+bool Host::send_ip(net::Ipv4Packet pkt) {
+    if (pkt.h.dst.is_broadcast()) return false; // needs an iface-bound send
+    // Local delivery without touching the wire (same-host traffic).
+    if (is_local_addr(pkt.h.dst)) {
+        deliver_loopback(pkt.serialize());
+        return true;
+    }
+    const Route* route = egress_route(pkt.h.src, pkt.h.dst);
+    if (route == nullptr) return false;
     if (pkt.h.src.is_unspecified()) pkt.h.src = route->iface->addr();
     if (pkt.h.id == 0) pkt.h.id = ip_id_++;
     const net::Ipv4Addr next_hop = route->via ? *route->via : pkt.h.dst;
@@ -141,39 +150,45 @@ std::uint16_t Host::alloc_ephemeral_port() {
     return next_ephemeral_++;
 }
 
-void Host::on_ip(Iface& iface, const net::Ipv4Packet& pkt,
+void Host::on_ip(Iface& iface, const net::PacketView& view,
                  std::span<const std::uint8_t> raw) {
-    const bool local = pkt.h.dst.is_broadcast() || is_local_addr(pkt.h.dst);
+    const bool local = view.dst().is_broadcast() || is_local_addr(view.dst());
     if (!local) {
-        if (forward_hook_) forward_hook_(iface, pkt, raw);
+        // The view accepted the datagram, so the owning parse cannot fail.
+        if (forward_hook_) forward_hook_(iface, net::Ipv4Packet::parse(raw), raw);
         return; // hosts do not forward
     }
-    deliver_local(iface, pkt, raw);
+    deliver_local(iface, view, raw);
 }
 
-void Host::deliver_local(Iface& iface, const net::Ipv4Packet& pkt,
+void Host::deliver_local(Iface& iface, const net::PacketView& view,
                          std::span<const std::uint8_t> raw) {
-    if (local_intercept_ && local_intercept_(iface, pkt, raw)) return;
-    if (ip_observer_) ip_observer_(iface, pkt, raw);
-    switch (pkt.h.protocol) {
+    std::optional<net::Ipv4Packet> owned;
+    const auto pkt = [&owned, raw]() -> const net::Ipv4Packet& {
+        if (!owned) owned = net::Ipv4Packet::parse(raw);
+        return *owned;
+    };
+    if (local_intercept_ && local_intercept_(iface, pkt(), raw)) return;
+    if (ip_observer_) ip_observer_(iface, pkt(), raw);
+    switch (view.protocol()) {
     case net::proto::kIcmp:
-        handle_icmp(iface, pkt);
+        handle_icmp(iface, pkt());
         break;
     case net::proto::kUdp:
-        handle_udp(iface, pkt);
+        handle_udp(iface, pkt());
         break;
     case net::proto::kTcp:
-        handle_tcp(iface, pkt);
+        handle_tcp(view);
         break;
     case net::proto::kSctp:
-        handle_sctp(iface, pkt);
+        handle_sctp(iface, pkt());
         break;
     case net::proto::kDccp:
-        handle_dccp(iface, pkt);
+        handle_dccp(iface, pkt());
         break;
     default:
         if (icmp_enabled_)
-            send_icmp_error(pkt, net::IcmpType::DestUnreachable,
+            send_icmp_error(pkt(), net::IcmpType::DestUnreachable,
                             net::icmp_code::kProtoUnreachable);
         break;
     }
@@ -247,27 +262,23 @@ void Host::handle_udp(Iface& iface, const net::Ipv4Packet& pkt) {
                         net::icmp_code::kPortUnreachable);
 }
 
-void Host::handle_tcp(Iface&, const net::Ipv4Packet& pkt) {
-    net::TcpSegment seg;
-    try {
-        seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-    } catch (const net::ParseError&) {
-        return;
-    }
-    if (!seg.checksum_ok) return;
+void Host::handle_tcp(const net::PacketView& view) {
+    const auto seg =
+        net::TcpSegmentView::parse(view.payload(), view.src(), view.dst());
+    if (!seg || !seg->checksum_ok) return;
 
-    const net::Endpoint local{pkt.h.dst, seg.dst_port};
-    const net::Endpoint remote{pkt.h.src, seg.src_port};
+    const net::Endpoint local{view.dst(), seg->dst_port};
+    const net::Endpoint remote{view.src(), seg->src_port};
     auto it = tcp_conns_.find({local, remote});
     if (it != tcp_conns_.end()) {
-        it->second->on_segment(seg);
+        it->second->on_segment(*seg);
         // Finished sockets schedule their own reaping.
         return;
     }
 
     // No connection: a listener may take a SYN.
-    auto lit = tcp_listeners_.find(seg.dst_port);
-    if (lit != tcp_listeners_.end() && seg.flags.syn && !seg.flags.ack) {
+    auto lit = tcp_listeners_.find(seg->dst_port);
+    if (lit != tcp_listeners_.end() && seg->flags.syn && !seg->flags.ack) {
         auto sock = std::unique_ptr<TcpSocket>(new TcpSocket(
             *this, local, remote, /*active=*/false,
             /*iss=*/static_cast<std::uint32_t>(0x40000000u + ip_id_ * 7919u)));
@@ -277,11 +288,11 @@ void Host::handle_tcp(Iface&, const net::Ipv4Packet& pkt) {
         raw->on_established = [listener, raw] {
             if (listener->on_accept_) listener->on_accept_(*raw);
         };
-        raw->start_passive(seg.seq);
+        raw->start_passive(seg->seq);
         return;
     }
 
-    if (!seg.flags.rst) send_tcp_rst(pkt, seg);
+    if (!seg->flags.rst) send_tcp_rst(view.dst(), view.src(), *seg);
 }
 
 void Host::handle_sctp(Iface&, const net::Ipv4Packet& pkt) {
@@ -341,8 +352,8 @@ void Host::send_icmp_error(const net::Ipv4Packet& offending,
     send_icmp(offending.h.dst, offending.h.src, err);
 }
 
-void Host::send_tcp_rst(const net::Ipv4Packet& pkt,
-                        const net::TcpSegment& seg) {
+void Host::send_tcp_rst(net::Ipv4Addr local, net::Ipv4Addr remote,
+                        const net::TcpSegmentView& seg) {
     net::TcpSegment rst;
     rst.src_port = seg.dst_port;
     rst.dst_port = seg.src_port;
@@ -356,8 +367,8 @@ void Host::send_tcp_rst(const net::Ipv4Packet& pkt,
     }
     net::Ipv4Packet out;
     out.h.protocol = net::proto::kTcp;
-    out.h.src = pkt.h.dst;
-    out.h.dst = pkt.h.src;
+    out.h.src = local;
+    out.h.dst = remote;
     out.payload = rst.serialize(out.h.src, out.h.dst);
     send_ip(std::move(out));
 }

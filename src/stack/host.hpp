@@ -162,19 +162,31 @@ private:
     friend class SctpEndpoint;
     friend class DccpEndpoint;
 
-    void on_ip(Iface& iface, const net::Ipv4Packet& pkt,
+    void on_ip(Iface& iface, const net::PacketView& view,
                std::span<const std::uint8_t> raw);
-    void deliver_local(Iface& iface, const net::Ipv4Packet& pkt,
+    /// Local delivery. TCP is demuxed straight from `view`; everything
+    /// else, and every hook or observer, gets an owning Ipv4Packet.
+    void deliver_local(Iface& iface, const net::PacketView& view,
                        std::span<const std::uint8_t> raw);
+    /// Deliver a datagram this host addressed to itself, as the next
+    /// event (same-host traffic never touches the wire).
+    void deliver_loopback(net::Bytes datagram);
+    /// The route a datagram from `src` (unspecified: any) to `dst`
+    /// leaves by, or nullptr when there is none or its iface is
+    /// unconfigured. When several interfaces carry the winning prefix,
+    /// a bound source address picks the one that owns it.
+    const Route* egress_route(net::Ipv4Addr src, net::Ipv4Addr dst) const;
     void handle_icmp(Iface& iface, const net::Ipv4Packet& pkt);
     void handle_udp(Iface& iface, const net::Ipv4Packet& pkt);
-    void handle_tcp(Iface& iface, const net::Ipv4Packet& pkt);
+    void handle_tcp(const net::PacketView& view);
     void handle_sctp(Iface& iface, const net::Ipv4Packet& pkt);
     void handle_dccp(Iface& iface, const net::Ipv4Packet& pkt);
     void send_icmp_error(const net::Ipv4Packet& offending,
                          net::IcmpType type, std::uint8_t code);
-    void send_tcp_rst(const net::Ipv4Packet& pkt,
-                      const net::TcpSegment& seg);
+    /// Answer `seg`, which arrived from `remote` for `local` and found no
+    /// connection or listener, with a RST.
+    void send_tcp_rst(net::Ipv4Addr local, net::Ipv4Addr remote,
+                      const net::TcpSegmentView& seg);
     /// Remove a finished connection from the table (deferred from socket
     /// state transitions so handlers never delete a live socket).
     void tcp_reap(net::Endpoint local, net::Endpoint remote);

@@ -40,8 +40,35 @@ void Iface::send_ip(const net::Ipv4Packet& pkt, net::Ipv4Addr next_hop) {
 }
 
 void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
+    net::Bytes frame = make_frame(datagram.size());
+    std::copy(datagram.begin(), datagram.end(),
+              frame.begin() + static_cast<long>(l2_header_len()));
+    send_frame(std::move(frame), next_hop);
+}
+
+net::Bytes Iface::make_frame(std::size_t ip_len) {
+    net::Bytes frame = parent_.pool().acquire();
+    frame.resize(l2_header_len() + ip_len);
+    std::uint8_t* p = frame.data();
+    const net::MacAddr src = mac();
+    std::copy(src.octets().begin(), src.octets().end(), p + 6);
+    p += 12;
+    const auto put16 = [&p](std::uint16_t v) {
+        *p++ = static_cast<std::uint8_t>(v >> 8);
+        *p++ = static_cast<std::uint8_t>(v);
+    };
+    if (vlan_) {
+        GK_EXPECTS(*vlan_ < 4096);
+        put16(net::kEtherTypeVlan);
+        put16(*vlan_); // PCP/DEI zero
+    }
+    put16(net::kEtherTypeIpv4);
+    return frame;
+}
+
+void Iface::send_frame(net::Bytes frame, net::Ipv4Addr next_hop) {
     if (next_hop.is_broadcast()) {
-        transmit_ip(std::move(datagram), net::MacAddr::broadcast());
+        put_on_wire(std::move(frame), net::MacAddr::broadcast());
         return;
     }
     // Never ARP for an address outside this interface's subnet: no one
@@ -51,17 +78,23 @@ void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
     // the L2 next hop for everything off-link. (Callers that already
     // resolved a route pass an on-link `via`, which is unaffected.)
     if (configured_ && !next_hop.same_subnet(addr_, prefix_len_)) {
-        if (gateway_.is_unspecified()) return; // off-link, no router
+        if (gateway_.is_unspecified()) { // off-link, no router
+            parent_.pool().release(std::move(frame));
+            return;
+        }
         next_hop = gateway_;
     }
     if (auto mac = arp_.lookup(next_hop)) {
-        transmit_ip(std::move(datagram), *mac);
+        put_on_wire(std::move(frame), *mac);
         return;
     }
     // Queue behind an ARP request. Only the first packet triggers one; the
     // reply flushes the whole queue. Requests retransmit on a timer: an
     // impaired link can lose the request or the reply, and without retry
     // one lost ARP frame would blackhole the next hop forever.
+    net::Bytes datagram(frame.begin() + static_cast<long>(l2_header_len()),
+                        frame.end());
+    parent_.pool().release(std::move(frame));
     if (auto it = awaiting_arp_.find(next_hop); it != awaiting_arp_.end()) {
         it->second.queue.push_back(std::move(datagram));
         return;
@@ -107,35 +140,34 @@ void Iface::schedule_arp_retry(net::Ipv4Addr next_hop, std::uint64_t epoch) {
     });
 }
 
-void Iface::transmit_ip(net::Bytes datagram, net::MacAddr dst) {
-    net::EthernetFrame frame;
-    frame.dst = dst;
-    frame.src = mac();
-    frame.vlan_id = vlan_;
-    frame.ethertype = net::kEtherTypeIpv4;
-    frame.payload = std::move(datagram);
-    parent_.transmit(std::move(frame));
+void Iface::transmit_ip(const net::Bytes& datagram, net::MacAddr dst) {
+    net::Bytes frame = make_frame(datagram.size());
+    std::copy(datagram.begin(), datagram.end(),
+              frame.begin() + static_cast<long>(l2_header_len()));
+    put_on_wire(std::move(frame), dst);
 }
 
-void Iface::handle_frame(const net::EthernetFrame& frame) {
-    if (frame.ethertype == net::kEtherTypeArp) {
-        handle_arp(frame);
+void Iface::put_on_wire(net::Bytes frame, net::MacAddr dst) {
+    std::copy(dst.octets().begin(), dst.octets().end(), frame.begin());
+    parent_.send_raw_frame(std::move(frame));
+}
+
+void Iface::frame_in(std::uint16_t ethertype,
+                     std::span<std::uint8_t> payload) {
+    if (ethertype == net::kEtherTypeArp) {
+        handle_arp(payload);
         return;
     }
-    if (frame.ethertype != net::kEtherTypeIpv4) return;
-    net::Ipv4Packet pkt;
-    try {
-        pkt = net::Ipv4Packet::parse(frame.payload);
-    } catch (const net::ParseError&) {
-        return; // malformed input is dropped, as a real stack would
-    }
-    if (on_ip_) on_ip_(pkt, frame.payload);
+    if (ethertype != net::kEtherTypeIpv4) return;
+    const auto view = net::PacketView::parse(payload);
+    if (!view) return; // malformed input is dropped, as a real stack would
+    if (on_ip_) on_ip_(*view, payload);
 }
 
-void Iface::handle_arp(const net::EthernetFrame& frame) {
+void Iface::handle_arp(std::span<const std::uint8_t> payload) {
     net::ArpMessage msg;
     try {
-        msg = net::ArpMessage::parse(frame.payload);
+        msg = net::ArpMessage::parse(payload);
     } catch (const net::ParseError&) {
         return;
     }
@@ -201,29 +233,44 @@ void NetIf::send_raw_frame(sim::Frame frame) {
 }
 
 void NetIf::frame_in(sim::Frame raw) {
-    // Datapath intercept: untagged IPv4 unicast addressed to this port can
-    // skip the EthernetFrame/Ipv4Packet deep copies entirely. Anything the
-    // hook declines (or that fails the cheap shape checks) falls through to
-    // the generic demux below, so behaviour is unchanged — only faster.
-    if (fast_hook_ && raw.size() >= 34 && raw[12] == 0x08 && raw[13] == 0x00 &&
-        std::equal(raw.begin(), raw.begin() + 6, mac_.octets().begin())) {
+    // One read of the Ethernet header, tagged or not, with the accept
+    // rules of EthernetFrame::parse: a full header, plus the whole tag
+    // and inner EtherType when the frame is tagged.
+    const bool tagged = raw.size() >= 14 &&
+                        raw[12] == (net::kEtherTypeVlan >> 8) &&
+                        raw[13] == (net::kEtherTypeVlan & 0xff);
+    const std::size_t l2 = tagged ? 18 : 14;
+    if (raw.size() < l2) {
+        pool_.release(std::move(raw));
+        return;
+    }
+    std::optional<std::uint16_t> vlan;
+    if (tagged)
+        vlan = static_cast<std::uint16_t>(((raw[14] << 8) | raw[15]) & 0x0fff);
+    const auto ethertype =
+        static_cast<std::uint16_t>((raw[l2 - 2] << 8) | raw[l2 - 1]);
+    const bool to_me =
+        std::equal(raw.begin(), raw.begin() + 6, mac_.octets().begin());
+
+    // Datapath intercept: untagged IPv4 unicast addressed to this port
+    // goes to the hook first; anything it declines falls through to the
+    // subinterface demux below with the frame untouched.
+    if (fast_hook_ && !vlan && to_me && ethertype == net::kEtherTypeIpv4 &&
+        raw.size() >= 34) {
         auto view = net::PacketView::parse(
             std::span<std::uint8_t>(raw.data() + 14, raw.size() - 14));
         if (view && fast_hook_(*view, raw)) return; // consumed (or recycled)
     }
-    net::EthernetFrame frame;
-    try {
-        frame = net::EthernetFrame::parse(raw);
-    } catch (const net::ParseError&) {
-        pool_.release(std::move(raw));
-        return;
+    const bool broadcast =
+        std::all_of(raw.begin(), raw.begin() + 6,
+                    [](std::uint8_t b) { return b == 0xff; });
+    if (to_me || broadcast) {
+        if (Iface* iface = find_iface(vlan))
+            iface->frame_in(ethertype, std::span<std::uint8_t>(
+                                           raw.data() + l2, raw.size() - l2));
     }
-    if (frame.dst.is_broadcast() || frame.dst == mac_) {
-        if (Iface* iface = find_iface(frame.vlan_id))
-            iface->handle_frame(frame);
-    }
-    // The parse above copied the payload out, so the wire buffer is dead;
-    // park its capacity for the next transmit on this port.
+    // Every view and span handed up died with the handlers; park the
+    // buffer's capacity for the next transmit on this port.
     pool_.release(std::move(raw));
 }
 

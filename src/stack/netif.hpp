@@ -60,10 +60,11 @@ public:
     net::MacAddr mac() const;
     std::optional<std::uint16_t> vlan() const { return vlan_; }
 
-    /// Handler for IP datagrams addressed to (or broadcast at) this iface.
-    /// Receives the parsed packet plus the raw datagram bytes, which probes
-    /// and NAT bug-detection need verbatim.
-    using IpHandler = std::function<void(const net::Ipv4Packet&,
+    /// Handler for IPv4 datagrams arriving on this iface: a view over
+    /// the wire buffer plus the frame's whole payload (link padding
+    /// included), which probes and NAT bug-detection need verbatim. Both
+    /// die when the handler returns.
+    using IpHandler = std::function<void(const net::PacketView&,
                                          std::span<const std::uint8_t>)>;
     void set_ip_handler(IpHandler h) { on_ip_ = std::move(h); }
 
@@ -75,10 +76,23 @@ public:
     /// Send pre-serialized datagram bytes (raw injection for probes).
     void send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop);
 
+    /// Ethernet header bytes this iface writes: 18 tagged, 14 untagged.
+    std::size_t l2_header_len() const { return vlan_ ? 18 : 14; }
+    /// A frame from the NIC's pool sized for an `ip_len`-byte datagram,
+    /// with this iface's source MAC, tag and EtherType written. The
+    /// caller writes the datagram after l2_header_len() bytes and hands
+    /// the frame to send_frame, which fills in the destination MAC.
+    net::Bytes make_frame(std::size_t ip_len);
+    /// Transmit a make_frame frame toward `next_hop`, resolving it as
+    /// send_ip_raw does; a datagram that must wait for ARP is copied
+    /// out of the frame and parked.
+    void send_frame(net::Bytes frame, net::Ipv4Addr next_hop);
+
     ArpCache& arp_cache() { return arp_; }
 
-    /// Called by NetIf on a frame for this subinterface.
-    void handle_frame(const net::EthernetFrame& frame);
+    /// Called by NetIf with the payload of a frame for this
+    /// subinterface; the span aliases the wire buffer.
+    void frame_in(std::uint16_t ethertype, std::span<std::uint8_t> payload);
 
 private:
     /// Datagrams parked behind an in-flight ARP resolution, plus the
@@ -91,8 +105,9 @@ private:
         std::uint64_t epoch = 0;
     };
 
-    void transmit_ip(net::Bytes datagram, net::MacAddr dst);
-    void handle_arp(const net::EthernetFrame& frame);
+    void transmit_ip(const net::Bytes& datagram, net::MacAddr dst);
+    void put_on_wire(net::Bytes frame, net::MacAddr dst);
+    void handle_arp(std::span<const std::uint8_t> payload);
     void send_arp_request(net::Ipv4Addr next_hop);
     void schedule_arp_retry(net::Ipv4Addr next_hop, std::uint64_t epoch);
 
@@ -133,12 +148,12 @@ public:
     /// egress used by the gateway datapath after an in-place rewrite.
     void send_raw_frame(sim::Frame frame);
 
-    /// Datapath intercept, tried before the generic parse on untagged
-    /// unicast IPv4 frames addressed to this port. The hook receives a
-    /// parsed view aliasing `frame` and may rewrite it in place and take
-    /// ownership (return true = consumed); returning false falls through
-    /// to the normal parse/demux path with the frame untouched. Installed
-    /// by HomeGateway on its LAN/WAN ports; plain hosts have none.
+    /// Datapath intercept, tried before the subinterface demux on
+    /// untagged unicast IPv4 frames addressed to this port. The hook
+    /// receives a parsed view aliasing `frame` and may rewrite it in place
+    /// and take ownership (return true = consumed); returning false falls
+    /// through to the demux with the frame untouched. Installed by
+    /// HomeGateway on its LAN/WAN ports; plain hosts have none.
     using FastIpHook = std::function<bool(net::PacketView&, sim::Frame&)>;
     void set_fast_ip_hook(FastIpHook hook) { fast_hook_ = std::move(hook); }
 

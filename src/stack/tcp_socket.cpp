@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/checksum.hpp"
 #include "stack/host.hpp"
 #include "util/assert.hpp"
 
@@ -59,7 +60,7 @@ void TcpSocket::start_passive(std::uint32_t peer_isn) {
     arm_rto();
 }
 
-void TcpSocket::send(net::Bytes data) {
+void TcpSocket::send(std::span<const std::uint8_t> data) {
     send_buf_.insert(send_buf_.end(), data.begin(), data.end());
     try_send();
 }
@@ -79,7 +80,7 @@ void TcpSocket::abort() {
     fail("aborted");
 }
 
-void TcpSocket::on_segment(const net::TcpSegment& seg) {
+void TcpSocket::on_segment(const net::TcpSegmentView& seg) {
     if (state_ == State::Closed) return;
 
     if (seg.flags.rst) {
@@ -167,7 +168,7 @@ void TcpSocket::on_segment(const net::TcpSegment& seg) {
     if (snd_una_ > una_before && on_progress) on_progress();
 }
 
-void TcpSocket::handle_ack(const net::TcpSegment& seg) {
+void TcpSocket::handle_ack(const net::TcpSegmentView& seg) {
     const std::uint64_t ack_abs = unwrap(seg.ack, snd_una_);
     if (ack_abs > snd_max_) return; // acks data never sent: ignore
     // After an RTO rollback, a cumulative ACK can cover data sent before
@@ -182,14 +183,22 @@ void TcpSocket::handle_ack(const net::TcpSegment& seg) {
         }
         // Release acked bytes from the retransmission buffer. The FIN
         // occupies a sequence number past the data, so clamp.
-        const std::uint64_t data_end = send_buf_base_ + send_buf_.size();
+        const std::uint64_t data_end = send_buf_base_ + queued();
         const std::uint64_t acked_data = std::min(ack_abs, data_end);
         if (acked_data > send_buf_base_) {
-            send_buf_.erase(send_buf_.begin(),
-                            send_buf_.begin() +
-                                static_cast<long>(acked_data -
-                                                  send_buf_base_));
+            send_head_ += static_cast<std::size_t>(acked_data - send_buf_base_);
             send_buf_base_ = acked_data;
+            constexpr std::size_t kCompactAt = 64 * 1024;
+            if (send_head_ == send_buf_.size()) {
+                send_buf_.clear();
+                send_head_ = 0;
+            } else if (send_head_ >= kCompactAt &&
+                       send_head_ * 2 >= send_buf_.size()) {
+                send_buf_.erase(send_buf_.begin(),
+                                send_buf_.begin() +
+                                    static_cast<long>(send_head_));
+                send_head_ = 0;
+            }
         }
         snd_una_ = ack_abs;
         dup_acks_ = 0;
@@ -256,7 +265,7 @@ void TcpSocket::handle_ack(const net::TcpSegment& seg) {
     }
 }
 
-void TcpSocket::handle_payload(const net::TcpSegment& seg) {
+void TcpSocket::handle_payload(const net::TcpSegmentView& seg) {
     const std::uint64_t seq_abs = unwrap(seg.seq, rcv_nxt_);
     const std::uint64_t len = seg.payload.size();
     if (seq_abs > rcv_nxt_) {
@@ -264,7 +273,8 @@ void TcpSocket::handle_payload(const net::TcpSegment& seg) {
         // receivers keep the data; the cumulative ACK jumps once the
         // hole is filled) and emit a duplicate ACK.
         if (ooo_bytes_ + len <= kOooLimit && !ooo_.contains(seq_abs)) {
-            ooo_.emplace(seq_abs, seg.payload);
+            ooo_.emplace(seq_abs,
+                         net::Bytes(seg.payload.begin(), seg.payload.end()));
             ooo_bytes_ += len;
         }
         send_ack();
@@ -275,11 +285,14 @@ void TcpSocket::handle_payload(const net::TcpSegment& seg) {
         send_ack(); // complete duplicate
         return;
     }
-    net::Bytes fresh(seg.payload.begin() + static_cast<long>(overlap),
-                     seg.payload.end());
+    // In-order data goes up as a span of the wire buffer. Only a filled
+    // hole, which joins it to buffered segments, needs a buffer of its own.
+    std::span<const std::uint8_t> fresh =
+        seg.payload.subspan(static_cast<std::size_t>(overlap));
     rcv_nxt_ += fresh.size();
     // Drain any now-contiguous buffered segments before acking, so the
     // cumulative ACK reports the full jump.
+    net::Bytes joined;
     while (!ooo_.empty()) {
         auto it = ooo_.begin();
         if (it->first > rcv_nxt_) break;
@@ -287,20 +300,22 @@ void TcpSocket::handle_payload(const net::TcpSegment& seg) {
         if (seg_end > rcv_nxt_) {
             const auto skip =
                 static_cast<std::size_t>(rcv_nxt_ - it->first);
-            fresh.insert(fresh.end(),
-                         it->second.begin() + static_cast<long>(skip),
-                         it->second.end());
+            if (joined.empty()) joined.assign(fresh.begin(), fresh.end());
+            joined.insert(joined.end(),
+                          it->second.begin() + static_cast<long>(skip),
+                          it->second.end());
             rcv_nxt_ = seg_end;
         }
         ooo_bytes_ -= it->second.size();
         ooo_.erase(it);
     }
+    if (!joined.empty()) fresh = joined;
     bytes_rx_ += fresh.size();
     send_ack();
     if (on_data) on_data(fresh);
 }
 
-void TcpSocket::handle_fin(const net::TcpSegment& seg) {
+void TcpSocket::handle_fin(const net::TcpSegmentView& seg) {
     const std::uint64_t fin_seq =
         unwrap(seg.seq, rcv_nxt_) + seg.payload.size();
     if (fin_seq > rcv_nxt_) {
@@ -334,7 +349,7 @@ void TcpSocket::handle_fin(const net::TcpSegment& seg) {
 
 bool TcpSocket::fin_ready() const {
     if (!close_requested_ || fin_sent_) return false;
-    if (snd_nxt_ != send_buf_base_ + send_buf_.size()) return false;
+    if (snd_nxt_ != send_buf_base_ + queued()) return false;
     switch (state_) {
     case State::Established:
     case State::CloseWait:
@@ -359,7 +374,7 @@ void TcpSocket::try_send() {
         return;
     }
 
-    const std::uint64_t data_end = send_buf_base_ + send_buf_.size();
+    const std::uint64_t data_end = send_buf_base_ + queued();
     const std::uint64_t wnd = std::min<std::uint64_t>(cwnd_, rwnd_);
     bool sent_any = false;
     while (snd_nxt_ < data_end) {
@@ -409,31 +424,90 @@ void TcpSocket::try_send() {
 
 void TcpSocket::send_segment(net::TcpFlags flags, std::uint64_t seq_abs,
                              std::size_t payload_len, bool with_mss) {
-    net::TcpSegment seg;
-    seg.src_port = local_.port;
-    seg.dst_port = remote_.port;
-    seg.seq = static_cast<std::uint32_t>(seq_abs);
-    seg.flags = flags;
-    seg.window = 65535;
-    if (flags.ack) seg.ack = static_cast<std::uint32_t>(rcv_nxt_);
+    // Routing as Host::send_ip does it, then one frame written in place:
+    // the bytes Ethernet/IPv4/TcpSegment serialization would produce.
+    if (remote_.addr.is_broadcast()) return;
+    const bool loopback = host_.is_local_addr(remote_.addr);
+    const Route* route =
+        loopback ? nullptr : host_.egress_route(local_.addr, remote_.addr);
+    if (!loopback && route == nullptr) return;
+
+    const std::size_t tcp_hlen = with_mss ? 28 : 20;
+    const std::size_t tcp_len = tcp_hlen + payload_len;
+    const std::size_t ip_len = 20 + tcp_len;
+    GK_ASSERT(ip_len <= 0xffff);
+    net::Bytes buf;
+    std::size_t at = 0;
+    if (loopback) {
+        buf.resize(ip_len);
+    } else {
+        buf = route->iface->make_frame(ip_len);
+        at = route->iface->l2_header_len();
+    }
+    std::uint8_t* ip = buf.data() + at;
+    std::uint8_t* tcp = ip + 20;
+    const auto put16 = [](std::uint8_t* p, std::uint16_t v) {
+        p[0] = static_cast<std::uint8_t>(v >> 8);
+        p[1] = static_cast<std::uint8_t>(v);
+    };
+    const auto put32 = [&put16](std::uint8_t* p, std::uint32_t v) {
+        put16(p, static_cast<std::uint16_t>(v >> 16));
+        put16(p + 2, static_cast<std::uint16_t>(v));
+    };
+
+    // IPv4: no options, TOS 0, no fragmentation, TTL 64. Same-host
+    // delivery keeps id 0, as send_ip leaves it.
+    ip[0] = 0x45;
+    ip[1] = 0;
+    put16(ip + 2, static_cast<std::uint16_t>(ip_len));
+    put16(ip + 4, loopback ? 0 : host_.ip_id_++);
+    put16(ip + 6, 0);
+    ip[8] = 64;
+    ip[9] = net::proto::kTcp;
+    put16(ip + 10, 0);
+    put32(ip + 12, local_.addr.value());
+    put32(ip + 16, remote_.addr.value());
+    put16(ip + 10, net::internet_checksum({ip, 20}));
+
+    put16(tcp, local_.port);
+    put16(tcp + 2, remote_.port);
+    put32(tcp + 4, static_cast<std::uint32_t>(seq_abs));
+    put32(tcp + 8, flags.ack ? static_cast<std::uint32_t>(rcv_nxt_) : 0u);
+    tcp[12] = static_cast<std::uint8_t>((tcp_hlen / 4) << 4);
+    tcp[13] = static_cast<std::uint8_t>(
+        (flags.urg ? 0x20 : 0) | (flags.ack ? 0x10 : 0) |
+        (flags.psh ? 0x08 : 0) | (flags.rst ? 0x04 : 0) |
+        (flags.syn ? 0x02 : 0) | (flags.fin ? 0x01 : 0));
+    put16(tcp + 14, 65535); // window
+    put16(tcp + 16, 0);     // checksum, filled below
+    put16(tcp + 18, 0);     // urgent pointer
     if (with_mss) {
-        seg.add_mss_option(mss_);
-        seg.add_wscale_option(kWscaleShift);
+        // MSS (kind 2) and window scale (kind 3), padded with End.
+        const std::uint8_t opts[8] = {2, 4,
+                                      static_cast<std::uint8_t>(mss_ >> 8),
+                                      static_cast<std::uint8_t>(mss_),
+                                      3, 3, kWscaleShift, 0};
+        std::copy(opts, opts + 8, tcp + 20);
     }
     if (payload_len > 0) {
         GK_ASSERT(seq_abs >= send_buf_base_);
         const auto off = static_cast<std::size_t>(seq_abs - send_buf_base_);
-        GK_ASSERT(off + payload_len <= send_buf_.size());
-        seg.payload.assign(send_buf_.begin() + static_cast<long>(off),
-                           send_buf_.begin() +
-                               static_cast<long>(off + payload_len));
+        GK_ASSERT(off + payload_len <= queued());
+        const auto* src = send_buf_.data() + send_head_ + off;
+        std::copy(src, src + payload_len, tcp + tcp_hlen);
     }
-    net::Ipv4Packet pkt;
-    pkt.h.protocol = net::proto::kTcp;
-    pkt.h.src = local_.addr;
-    pkt.h.dst = remote_.addr;
-    pkt.payload = seg.serialize(local_.addr, remote_.addr);
-    host_.send_ip(std::move(pkt));
+    net::ChecksumAccumulator acc;
+    net::add_pseudo_header(acc, local_.addr, remote_.addr, net::proto::kTcp,
+                           static_cast<std::uint16_t>(tcp_len));
+    acc.add_bytes({tcp, tcp_len});
+    put16(tcp + 16, acc.finalize());
+
+    if (loopback) {
+        host_.deliver_loopback(std::move(buf));
+        return;
+    }
+    route->iface->send_frame(std::move(buf),
+                             route->via ? *route->via : remote_.addr);
 }
 
 void TcpSocket::send_ack() {
@@ -462,7 +536,7 @@ void TcpSocket::retransmit_head(const char* why) {
         host_.tracer_->emit(ev);
     }
     timed_seq_ = 0; // Karn: never time retransmitted segments
-    const std::uint64_t data_end = send_buf_base_ + send_buf_.size();
+    const std::uint64_t data_end = send_buf_base_ + queued();
     if (state_ == State::SynSent) {
         net::TcpFlags syn;
         syn.syn = true;

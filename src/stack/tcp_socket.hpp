@@ -6,9 +6,9 @@
 // go-back-N after an RTO. Window scaling is enabled (see DESIGN.md).
 #pragma once
 
-#include <deque>
-#include <map>
 #include <functional>
+#include <initializer_list>
+#include <map>
 #include <string>
 
 #include "net/addr.hpp"
@@ -39,7 +39,9 @@ public:
 
     // --- callbacks -----------------------------------------------------
     std::function<void()> on_established;
-    /// In-order application data.
+    /// In-order application data. The span usually aliases the received
+    /// frame and dies when the callback returns: copy what must outlive
+    /// it (DESIGN.md §13).
     std::function<void(std::span<const std::uint8_t>)> on_data;
     /// Peer sent FIN (half close).
     std::function<void()> on_remote_close;
@@ -51,8 +53,12 @@ public:
     std::function<void()> on_progress;
 
     // --- API -------------------------------------------------------------
-    /// Queue application data for transmission.
-    void send(net::Bytes data);
+    /// Queue application data for transmission (copied into the send
+    /// queue; `data` may alias anything, a received frame included).
+    void send(std::span<const std::uint8_t> data);
+    void send(std::initializer_list<std::uint8_t> data) {
+        send(std::span<const std::uint8_t>(data.begin(), data.size()));
+    }
     /// Graceful close: FIN once the send queue drains.
     void close();
     /// Hard close: RST immediately.
@@ -66,10 +72,10 @@ public:
     std::uint64_t bytes_received() const { return bytes_rx_; }
     std::uint64_t bytes_acked() const { return snd_una_ - iss_ - 1; }
     /// Unacked + unsent bytes held for (re)transmission.
-    std::uint64_t bytes_unsent() const { return send_buf_.size(); }
+    std::uint64_t bytes_unsent() const { return queued(); }
     /// Bytes queued but not yet put on the wire (application pacing).
     std::uint64_t bytes_pending_send() const {
-        return send_buf_base_ + send_buf_.size() - snd_nxt_;
+        return send_buf_base_ + queued() - snd_nxt_;
     }
     std::uint32_t cwnd() const { return cwnd_; }
     std::uint64_t retransmissions() const { return retransmits_; }
@@ -82,12 +88,14 @@ private:
 
     void start_connect();                       // active open: send SYN
     void start_passive(std::uint32_t peer_isn); // from listener: send SYN|ACK
-    void on_segment(const net::TcpSegment& seg);
+    void on_segment(const net::TcpSegmentView& seg);
 
-    void handle_ack(const net::TcpSegment& seg);
-    void handle_payload(const net::TcpSegment& seg);
-    void handle_fin(const net::TcpSegment& seg);
+    void handle_ack(const net::TcpSegmentView& seg);
+    void handle_payload(const net::TcpSegmentView& seg);
+    void handle_fin(const net::TcpSegmentView& seg);
     void try_send();
+    /// Write one segment straight into a frame from the egress NIC's
+    /// pool (payload from the send queue) and transmit it.
     void send_segment(net::TcpFlags flags, std::uint64_t seq_abs,
                       std::size_t payload_len, bool with_mss);
     void send_ack();
@@ -120,8 +128,13 @@ private:
     std::uint64_t snd_nxt_ = 0;
     std::uint64_t snd_max_ = 0; ///< highest sequence ever sent
     std::uint64_t rcv_nxt_ = 0;
-    std::deque<std::uint8_t> send_buf_; ///< unsent + unacked app bytes
-    std::uint64_t send_buf_base_ = 0;   ///< absolute seq of send_buf_[0]
+    /// Unsent + unacked app bytes: send_buf_[send_head_..] is the queue,
+    /// starting at absolute seq send_buf_base_. Acked bytes advance the
+    /// head; the dead prefix is compacted away once it outweighs the rest.
+    net::Bytes send_buf_;
+    std::size_t send_head_ = 0;
+    std::uint64_t send_buf_base_ = 0;
+    std::size_t queued() const { return send_buf_.size() - send_head_; }
     /// Out-of-order reassembly queue: segment start seq -> payload.
     /// Bounded; segments beyond the bound are dropped (sender resends).
     std::map<std::uint64_t, net::Bytes> ooo_;
