@@ -29,7 +29,9 @@ int main(int argc, char** argv) {
     const int idx = tb.add_device(*profile);
     tb.start_and_wait();
     auto& slot = tb.slot(idx);
-    slot.wan_tap.clear(); // drop the DHCP bring-up chatter
+    // The WAN capture records only once armed; arming after bring-up
+    // leaves the DHCP chatter out.
+    slot.wan_tap.attach(*slot.wan_link);
 
     // Workload: a ping, a DNS lookup through the proxy, and a short TCP
     // exchange — a miniature of what a home network actually does.

@@ -91,7 +91,6 @@ Testbed::make_slot(gateway::DeviceProfile profile, int number) {
     // WAN link (the caller wires its far end to a switch port).
     slot->wan_link = std::make_unique<sim::Link>(loop_, kLinkRate, kLinkProp);
     slot->gw->connect_wan(*slot->wan_link, sim::Link::Side::A);
-    slot->wan_tap.attach(*slot->wan_link);
     return slot;
 }
 
@@ -232,6 +231,7 @@ void Testbed::bind_slot_observability(DeviceSlot& slot) {
     // tap records at wire time before any impairment draw, so at the
     // moment an impairment event fires, the affected frame is the last
     // record. The tap outlives the link (both live in the slot).
+    if (!slot.wan_tap.attached()) slot.wan_tap.attach(*slot.wan_link);
     const pcap::CaptureTap* tap = &slot.wan_tap;
     slot.wan_link->bind_observability(
         &obs_->metrics(), &obs_->tracer(), device + ".wan", [tap] {

@@ -36,7 +36,11 @@ public:
         net::Ipv4Addr server_addr; ///< 10.0.n.1
         net::Ipv4Addr client_addr; ///< leased from the gateway
         net::Ipv4Addr gw_wan_addr; ///< leased from the test server
-        pcap::CaptureTap wan_tap;  ///< capture on the gateway's WAN link
+        /// Capture on the gateway's WAN link. It copies every frame, so
+        /// it records only once attached to wan_link: trace frame refs
+        /// (attach_observability) and the transport-support probe arm
+        /// it, and anything else that reads it must arm it too.
+        pcap::CaptureTap wan_tap;
         /// CGN group (0-based) this gateway's WAN sits behind, or -1 for
         /// a direct (single-NAT) uplink to the test server.
         int cgn_group = -1;

@@ -54,7 +54,15 @@ public:
         : tb_(tb), slot_(tb.slot(slot)), done_(std::move(done)),
           loop_(tb.loop()) {}
 
-    void start() { run_sctp(); }
+    void start() {
+        // The verdicts read the WAN capture; arm it for this unit unless
+        // something else already keeps it.
+        if (!slot_.wan_tap.attached()) {
+            slot_.wan_tap.attach(*slot_.wan_link);
+            armed_here_ = true;
+        }
+        run_sctp();
+    }
 
 private:
     static constexpr std::uint16_t kPort = 38000;
@@ -102,6 +110,10 @@ private:
                 classify(self->slot_, net::proto::kDccp, tap_mark);
             self->tb_.server().dccp_close(server);
             self->tb_.client().dccp_close(client);
+            if (self->armed_here_) {
+                self->slot_.wan_tap.detach();
+                self->slot_.wan_tap.clear();
+            }
             self->done_(self->result_);
         });
     }
@@ -111,6 +123,7 @@ private:
     std::function<void(TransportSupportResult)> done_;
     sim::EventLoop& loop_;
     TransportSupportResult result_;
+    bool armed_here_ = false;
 };
 
 } // namespace

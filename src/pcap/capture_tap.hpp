@@ -19,6 +19,9 @@ public:
 
     /// Install on a link (replaces any previous tap on that link).
     void attach(sim::Link& link);
+    /// Stop recording; the records so far are kept.
+    void detach();
+    bool attached() const { return link_ != nullptr; }
 
     const std::vector<Record>& records() const { return records_; }
     void clear() { records_.clear(); }
@@ -30,6 +33,7 @@ public:
 
 private:
     Filter filter_;
+    sim::Link* link_ = nullptr;
     std::vector<Record> records_;
 };
 

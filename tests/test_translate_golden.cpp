@@ -754,6 +754,7 @@ public:
         : tb_(loop_), idx_(tb_.add_device(profile)) {
         auto& s = tb_.slot(idx_);
         lan_tap_.attach(*s.lan_link);
+        s.wan_tap.attach(*s.wan_link);
         tb_.start_and_wait();
         clients = {s.client_addr};
         remotes = {s.server_addr};
