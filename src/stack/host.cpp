@@ -361,9 +361,12 @@ void Host::send_tcp_rst(net::Ipv4Addr local, net::Ipv4Addr remote,
     if (seg.flags.ack) {
         rst.seq = seg.ack;
     } else {
+        // Acknowledge the whole segment: SYN and FIN each occupy a
+        // sequence number (RFC 793; Linux's tcp_v4_send_reset).
         rst.flags.ack = true;
         rst.ack = seg.seq + (seg.flags.syn ? 1 : 0) +
-                  static_cast<std::uint32_t>(seg.payload.size());
+                  static_cast<std::uint32_t>(seg.payload.size()) +
+                  (seg.flags.fin ? 1 : 0);
     }
     net::Ipv4Packet out;
     out.h.protocol = net::proto::kTcp;

@@ -369,7 +369,8 @@ std::optional<ExpectedRst> reference_reply(StandIn& si, const sim::Frame& raw) {
     } else {
         e.ack_flag = true;
         e.ack = seg.seq + (seg.flags.syn ? 1u : 0u) +
-                static_cast<std::uint32_t>(seg.payload.size());
+                static_cast<std::uint32_t>(seg.payload.size()) +
+                (seg.flags.fin ? 1u : 0u);
     }
     return e;
 }
@@ -427,9 +428,9 @@ std::vector<sim::Frame> receive_corpus() {
             odd[l4 + 12] = static_cast<std::uint8_t>((doff << 4) | (odd[l4 + 12] & 0x0f));
             corpus.push_back(std::move(odd));
         }
-        // Without ACK, the RST acknowledges seq + SYN + payload: the
-        // stand-in's reply then shows the payload length it read.
-        if ((f[l4 + 13] & 0x11) == 0x10) {
+        // Without ACK, the RST acknowledges seq + SYN + payload + FIN:
+        // the stand-in's reply then shows the payload length it read.
+        if ((f[l4 + 13] & 0x10) != 0) {
             sim::Frame no_ack = f;
             no_ack[l4 + 13] &= static_cast<std::uint8_t>(~0x10);
             refresh_tcp_checksum(no_ack);
@@ -613,6 +614,23 @@ TEST(HostPath, PaddedAndEmptySegmentsReachTheSocket) {
     ASSERT_EQ(acked.size(), 1u);
     EXPECT_EQ(acked[0].ack, 1006u);
     EXPECT_EQ(data, (std::vector<std::uint8_t>{'h', 'e', 'l', 'l', 'o'}));
+}
+
+TEST(HostPath, RstToAFinWithoutAckCountsTheFin) {
+    // RFC 793 (and Linux's tcp_v4_send_reset): the RST acknowledges the
+    // whole segment length, and FIN occupies a sequence number.
+    Crafted c;
+    net::TcpSegment fin;
+    fin.src_port = 4000;
+    fin.dst_port = 81; // closed
+    fin.seq = 5000;
+    fin.flags.fin = true;
+    fin.payload = {1, 2, 3, 4, 5};
+    const auto rst = c.send(fin);
+    ASSERT_EQ(rst.size(), 1u);
+    EXPECT_TRUE(rst[0].flags.rst && rst[0].flags.ack);
+    EXPECT_EQ(rst[0].seq, 0u);
+    EXPECT_EQ(rst[0].ack, 5000u + 5u + 1u);
 }
 
 TEST(HostPath, SynAckOptionsReachTheSocket) {
