@@ -1,7 +1,5 @@
 #include "l2/vlan_switch.hpp"
 
-#include <algorithm>
-
 #include "net/ethernet.hpp"
 #include "util/assert.hpp"
 
@@ -27,48 +25,29 @@ void VlanSwitch::connect(int port, sim::Link& link, sim::Link::Side side) {
     link.attach(side, p);
 }
 
-namespace {
-
-net::MacAddr mac_at(const sim::Frame& f, std::size_t at) {
-    std::array<std::uint8_t, 6> m{};
-    std::copy_n(f.begin() + static_cast<long>(at), 6, m.begin());
-    return net::MacAddr{m};
-}
-
-bool tagged(const sim::Frame& f) {
-    return f[12] == (net::kEtherTypeVlan >> 8) &&
-           f[13] == (net::kEtherTypeVlan & 0xff);
-}
-
-} // namespace
-
 void VlanSwitch::ingress(Port& port, sim::Frame raw) {
-    // The accept rules of EthernetFrame::parse: a full header, plus the
-    // whole tag and inner EtherType when the frame is tagged.
-    if (raw.size() < 14) return;
-    const bool has_tag = tagged(raw);
-    if (has_tag && raw.size() < 18) return;
+    const auto hdr = net::EthernetHeader::read(raw);
+    if (!hdr) return;
+    const bool tagged = hdr->vlan_id.has_value();
 
     std::uint16_t vlan = 0;
     if (port.trunk) {
-        if (!has_tag) return; // untagged on trunk: drop
-        vlan = static_cast<std::uint16_t>(((raw[14] << 8) | raw[15]) & 0x0fff);
+        if (!tagged) return; // untagged on trunk: drop
+        vlan = *hdr->vlan_id;
     } else {
-        if (has_tag) return; // tagged on access port: drop
+        if (tagged) return; // tagged on access port: drop
         vlan = port.access_vlan;
     }
-    const net::MacAddr dst = mac_at(raw, 0);
-    const net::MacAddr src = mac_at(raw, 6);
 
     // Learn the source, then forward.
-    if (!src.is_multicast()) fdb_[{vlan, src}] = port.index;
+    if (!hdr->src.is_multicast()) fdb_[{vlan, hdr->src}] = port.index;
 
-    if (!dst.is_multicast()) {
-        auto it = fdb_.find({vlan, dst});
+    if (!hdr->dst.is_multicast()) {
+        auto it = fdb_.find({vlan, hdr->dst});
         if (it != fdb_.end()) {
             Port& out = *ports_[static_cast<std::size_t>(it->second)];
             if (out.index != port.index && member(out, vlan))
-                egress(out, vlan, std::move(raw));
+                egress(out, vlan, tagged, std::move(raw));
             return;
         }
     }
@@ -77,21 +56,21 @@ void VlanSwitch::ingress(Port& port, sim::Frame raw) {
     Port* last = nullptr;
     for (auto& out : ports_) {
         if (out->index == port.index || !member(*out, vlan)) continue;
-        if (last != nullptr) egress(*last, vlan, raw);
+        if (last != nullptr) egress(*last, vlan, tagged, raw);
         last = out.get();
     }
-    if (last != nullptr) egress(*last, vlan, std::move(raw));
+    if (last != nullptr) egress(*last, vlan, tagged, std::move(raw));
 }
 
-void VlanSwitch::egress(Port& port, std::uint16_t vlan, sim::Frame frame) {
+void VlanSwitch::egress(Port& port, std::uint16_t vlan, bool tagged,
+                        sim::Frame frame) {
     if (!port.out.connected()) return;
-    const bool has_tag = tagged(frame);
     if (port.trunk) {
         // The TCI leaves with PCP/DEI zeroed, as the parse/serialize
         // round trip this replaces wrote it.
         const std::uint8_t tci[2] = {static_cast<std::uint8_t>(vlan >> 8),
                                      static_cast<std::uint8_t>(vlan)};
-        if (has_tag) {
+        if (tagged) {
             frame[14] = tci[0];
             frame[15] = tci[1];
         } else {
@@ -100,7 +79,7 @@ void VlanSwitch::egress(Port& port, std::uint16_t vlan, sim::Frame frame) {
                                          tci[1]};
             frame.insert(frame.begin() + 12, tag, tag + 4);
         }
-    } else if (has_tag) {
+    } else if (tagged) {
         frame.erase(frame.begin() + 12, frame.begin() + 16);
     }
     port.out.send(std::move(frame));

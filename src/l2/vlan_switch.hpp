@@ -48,8 +48,9 @@ private:
 
     void ingress(Port& port, sim::Frame raw);
     /// Send `frame` out of `port`, rewriting, inserting or stripping
-    /// its outer 802.1Q tag for the port's mode.
-    void egress(Port& port, std::uint16_t vlan, sim::Frame frame);
+    /// its outer 802.1Q tag (present when `tagged`) for the port's mode.
+    void egress(Port& port, std::uint16_t vlan, bool tagged,
+                sim::Frame frame);
     bool member(const Port& port, std::uint16_t vlan) const {
         return port.trunk || port.access_vlan == vlan;
     }

@@ -1,5 +1,7 @@
 #include "net/ethernet.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace gatekit::net {
@@ -43,6 +45,30 @@ EthernetFrame EthernetFrame::parse(std::span<const std::uint8_t> data) {
     const auto rest = r.rest();
     f.payload.assign(rest.begin(), rest.end());
     return f;
+}
+
+std::optional<EthernetHeader>
+EthernetHeader::read(std::span<const std::uint8_t> frame) {
+    if (frame.size() < 14) return std::nullopt;
+    const auto mac_at = [frame](std::size_t at) {
+        std::array<std::uint8_t, 6> m{};
+        std::copy_n(frame.begin() + static_cast<long>(at), 6, m.begin());
+        return MacAddr{m};
+    };
+    const auto u16 = [frame](std::size_t at) {
+        return static_cast<std::uint16_t>((frame[at] << 8) | frame[at + 1]);
+    };
+    EthernetHeader h;
+    h.dst = mac_at(0);
+    h.src = mac_at(6);
+    h.ethertype = u16(12);
+    if (h.ethertype == kEtherTypeVlan) {
+        if (frame.size() < 18) return std::nullopt;
+        h.vlan_id = static_cast<std::uint16_t>(u16(14) & 0x0fff);
+        h.ethertype = u16(16);
+        h.size = 18;
+    }
+    return h;
 }
 
 } // namespace gatekit::net

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "net/addr.hpp"
 #include "net/buffer.hpp"
@@ -30,6 +31,21 @@ struct EthernetFrame {
     /// are identical to serialize().
     Bytes serialize_into(Bytes reuse) const;
     static EthernetFrame parse(std::span<const std::uint8_t> data);
+};
+
+/// The header of an Ethernet wire frame, read in place: what a switch or
+/// a NIC demux needs, without EthernetFrame's payload copy.
+struct EthernetHeader {
+    MacAddr dst;
+    MacAddr src;
+    std::optional<std::uint16_t> vlan_id; ///< outer 802.1Q VID when tagged
+    std::uint16_t ethertype = 0;
+    std::size_t size = 14; ///< header bytes; 18 when tagged
+
+    /// Accepts what EthernetFrame::parse accepts (nullopt where it
+    /// throws): 14 bytes, or 18 when the frame is tagged.
+    static std::optional<EthernetHeader>
+    read(std::span<const std::uint8_t> frame);
 };
 
 } // namespace gatekit::net

@@ -40,10 +40,14 @@ void Iface::send_ip(const net::Ipv4Packet& pkt, net::Ipv4Addr next_hop) {
 }
 
 void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
+    send_frame(frame_with(datagram), next_hop);
+}
+
+net::Bytes Iface::frame_with(const net::Bytes& datagram) {
     net::Bytes frame = make_frame(datagram.size());
     std::copy(datagram.begin(), datagram.end(),
               frame.begin() + static_cast<long>(l2_header_len()));
-    send_frame(std::move(frame), next_hop);
+    return frame;
 }
 
 net::Bytes Iface::make_frame(std::size_t ip_len) {
@@ -140,13 +144,6 @@ void Iface::schedule_arp_retry(net::Ipv4Addr next_hop, std::uint64_t epoch) {
     });
 }
 
-void Iface::transmit_ip(const net::Bytes& datagram, net::MacAddr dst) {
-    net::Bytes frame = make_frame(datagram.size());
-    std::copy(datagram.begin(), datagram.end(),
-              frame.begin() + static_cast<long>(l2_header_len()));
-    put_on_wire(std::move(frame), dst);
-}
-
 void Iface::put_on_wire(net::Bytes frame, net::MacAddr dst) {
     std::copy(dst.octets().begin(), dst.octets().end(), frame.begin());
     parent_.send_raw_frame(std::move(frame));
@@ -197,8 +194,8 @@ void Iface::handle_arp(std::span<const std::uint8_t> payload) {
     if (it != awaiting_arp_.end()) {
         auto queued = std::move(it->second.queue);
         awaiting_arp_.erase(it);
-        for (auto& dgram : queued)
-            transmit_ip(std::move(dgram), msg.sender_mac);
+        for (const auto& dgram : queued)
+            put_on_wire(frame_with(dgram), msg.sender_mac);
     }
 }
 
@@ -233,41 +230,26 @@ void NetIf::send_raw_frame(sim::Frame frame) {
 }
 
 void NetIf::frame_in(sim::Frame raw) {
-    // One read of the Ethernet header, tagged or not, with the accept
-    // rules of EthernetFrame::parse: a full header, plus the whole tag
-    // and inner EtherType when the frame is tagged.
-    const bool tagged = raw.size() >= 14 &&
-                        raw[12] == (net::kEtherTypeVlan >> 8) &&
-                        raw[13] == (net::kEtherTypeVlan & 0xff);
-    const std::size_t l2 = tagged ? 18 : 14;
-    if (raw.size() < l2) {
+    const auto hdr = net::EthernetHeader::read(raw);
+    if (!hdr) {
         pool_.release(std::move(raw));
         return;
     }
-    std::optional<std::uint16_t> vlan;
-    if (tagged)
-        vlan = static_cast<std::uint16_t>(((raw[14] << 8) | raw[15]) & 0x0fff);
-    const auto ethertype =
-        static_cast<std::uint16_t>((raw[l2 - 2] << 8) | raw[l2 - 1]);
-    const bool to_me =
-        std::equal(raw.begin(), raw.begin() + 6, mac_.octets().begin());
-
+    const bool to_me = hdr->dst == mac_;
     // Datapath intercept: untagged IPv4 unicast addressed to this port
     // goes to the hook first; anything it declines falls through to the
     // subinterface demux below with the frame untouched.
-    if (fast_hook_ && !vlan && to_me && ethertype == net::kEtherTypeIpv4 &&
-        raw.size() >= 34) {
+    if (fast_hook_ && !hdr->vlan_id && to_me &&
+        hdr->ethertype == net::kEtherTypeIpv4 && raw.size() >= 34) {
         auto view = net::PacketView::parse(
             std::span<std::uint8_t>(raw.data() + 14, raw.size() - 14));
         if (view && fast_hook_(*view, raw)) return; // consumed (or recycled)
     }
-    const bool broadcast =
-        std::all_of(raw.begin(), raw.begin() + 6,
-                    [](std::uint8_t b) { return b == 0xff; });
-    if (to_me || broadcast) {
-        if (Iface* iface = find_iface(vlan))
-            iface->frame_in(ethertype, std::span<std::uint8_t>(
-                                           raw.data() + l2, raw.size() - l2));
+    if (to_me || hdr->dst.is_broadcast()) {
+        if (Iface* iface = find_iface(hdr->vlan_id))
+            iface->frame_in(hdr->ethertype,
+                            std::span<std::uint8_t>(raw.data() + hdr->size,
+                                                    raw.size() - hdr->size));
     }
     // Every view and span handed up died with the handlers; park the
     // buffer's capacity for the next transmit on this port.

@@ -105,7 +105,8 @@ private:
         std::uint64_t epoch = 0;
     };
 
-    void transmit_ip(const net::Bytes& datagram, net::MacAddr dst);
+    /// make_frame() holding a copy of `datagram`.
+    net::Bytes frame_with(const net::Bytes& datagram);
     void put_on_wire(net::Bytes frame, net::MacAddr dst);
     void handle_arp(std::span<const std::uint8_t> payload);
     void send_arp_request(net::Ipv4Addr next_hop);
