@@ -265,11 +265,13 @@ public:
         // Jump from one block's 16-byte stamp to the next; the bytes in
         // between are only counted.
         while (!d.empty()) {
-            const auto in_block = static_cast<std::size_t>(received_ % kBlock);
+            const auto in_block =
+                static_cast<std::size_t>(received_ % kBlock);
             const std::size_t n =
                 std::min(d.size(), (in_block < 16 ? 16 : kBlock) - in_block);
             if (in_block < 16) {
-                std::copy_n(d.begin(), n, header_.begin() + static_cast<long>(in_block));
+                std::copy_n(d.begin(), n,
+                            header_.begin() + static_cast<long>(in_block));
                 if (in_block + n == 16) consume_header();
             }
             received_ += n;

@@ -103,9 +103,11 @@ const Route* Host::egress_route(net::Ipv4Addr src,
 
 void Host::deliver_loopback(net::Bytes datagram) {
     GK_ASSERT(!ifaces_.empty());
-    loop_.after(sim::Duration::zero(), [this, raw = std::move(datagram)]() mutable {
-        deliver_local(*ifaces_.front(), net::PacketView::of(raw), raw);
-    });
+    loop_.after(sim::Duration::zero(),
+                [this, raw = std::move(datagram)]() mutable {
+                    deliver_local(*ifaces_.front(), net::PacketView::of(raw),
+                                  raw);
+                });
 }
 
 bool Host::send_ip(net::Ipv4Packet pkt) {
@@ -155,7 +157,8 @@ void Host::on_ip(Iface& iface, const net::PacketView& view,
     const bool local = view.dst().is_broadcast() || is_local_addr(view.dst());
     if (!local) {
         // The view accepted the datagram, so the owning parse cannot fail.
-        if (forward_hook_) forward_hook_(iface, net::Ipv4Packet::parse(raw), raw);
+        if (forward_hook_)
+            forward_hook_(iface, net::Ipv4Packet::parse(raw), raw);
         return; // hosts do not forward
     }
     deliver_local(iface, view, raw);
