@@ -1,27 +1,27 @@
-// journal_check: end-to-end validation of the campaign write-ahead
-// journal (schema gatekit.journal.v1) and its crash/resume determinism
-// guarantee. Every campaign runs through ShardScheduler, the executor
-// the figure benches use. On a three-device roster (one
-// sequential-allocation device, one coarse-granularity device) it:
+// journal_check: end-to-end validation of the campaign journal and its
+// crash/resume determinism guarantee. Every campaign runs through
+// ShardScheduler, the executor the figure benches use, on the full
+// measurement set (CampaignConfig::everything(), one repetition per
+// search, 300 kB transfers) over a three-device roster: al quantizes
+// binding timeouts to 40 s, ap allocates ports sequentially, be1
+// preserves source ports. For the lossless grid and for an impaired
+// grid (3% WAN loss, 2% duplication, 200 us jitter) it:
 //
 //   1. runs a baseline campaign with no journal, then the same
 //      campaign journaled, and checks the per-device results are
 //      byte-identical (journaling must not perturb the measurement);
-//   2. validates the merged journal against the schema;
-//   3. simulates a crash after EVERY unit boundary: truncates the
-//      merged journal to its first k records, resumes (the scheduler
-//      carves the prefix into per-shard segments), and checks both the
-//      per-device results and the regrown merged journal are
+//   2. validates the journal against the schema;
+//   3. simulates a crash after EVERY journal line: truncates the
+//      journal to its first k lines, resumes at 1 and at 4 workers, and
+//      checks both the per-device results and the regrown journal are
 //      byte-identical to the uninterrupted run;
-//   4. checks the failure modes: a corrupted record fails validation,
-//      and a journal from a different campaign (fingerprint mismatch)
-//      refuses to resume;
-//   5. repeats the whole sweep on an impaired grid (WAN loss, duplicate
-//      and jitter > 0). The impairment fate/jitter decisions consume
-//      per-direction RNG draws; resuming with a fresh RNG instead of
-//      the journaled (seed, draw-count) state diverges at the first
-//      post-resume draw, so this phase failed before the journal
-//      carried `rng` stamps.
+//   4. simulates a kill mid-append at every record: the journal ends
+//      in the first half of that record (a torn final line), and the
+//      resume must drop it and still reproduce the uninterrupted run;
+//
+// and on the lossless journal it checks the failure modes: a corrupted
+// record fails validation, and a journal from a different campaign
+// (fingerprint mismatch) refuses to resume.
 //
 // Exit code 0 = all of the above hold; 1 = not. Wired into ctest as
 // `journal_smoke`.
@@ -52,8 +52,6 @@ void check(bool ok, const std::string& what) {
 }
 
 std::vector<gateway::DeviceProfile> roster() {
-    // al: 40 s binding-granularity quantization; ap: sequential port
-    // allocation with the largest cap; be1: plain preserve-port device.
     std::vector<gateway::DeviceProfile> out;
     for (const auto& p : devices::all_profiles())
         if (p.tag == "al" || p.tag == "ap" || p.tag == "be1")
@@ -62,24 +60,20 @@ std::vector<gateway::DeviceProfile> roster() {
 }
 
 harness::CampaignConfig campaign() {
-    // The quick single-shot probes: every result type that isn't a
-    // multi-minute timeout search, so the boundary sweep in step 3 stays
-    // cheap while still exercising most payload codecs.
-    harness::CampaignConfig cfg;
-    cfg.udp4 = cfg.icmp = cfg.transports = cfg.dns = true;
-    cfg.quirks = cfg.stun = cfg.binding_rate = true;
-    cfg.binding_rate_count = 50;
+    // Every unit the harness implements, trimmed to one repetition per
+    // search and 300 kB transfers so a three-device campaign stays a
+    // few seconds of wall time.
+    auto cfg = harness::CampaignConfig::everything();
+    cfg.udp.repetitions = 1;
+    cfg.tcp_timeout.repetitions = 1;
+    cfg.throughput.bytes = 300'000;
     return cfg;
 }
 
 harness::CampaignConfig impaired_campaign() {
-    // Smaller unit set (the probes that push the most packets through
-    // the impairment layer) so the per-boundary resumes stay cheap even
-    // with retries, plus a lossy/duplicating/jittery WAN. Every knob
-    // here draws from the per-direction impairment RNG.
-    harness::CampaignConfig cfg;
-    cfg.udp4 = cfg.icmp = cfg.dns = cfg.binding_rate = true;
-    cfg.binding_rate_count = 50;
+    // The same campaign over a lossy, duplicating, jittery WAN: every
+    // knob here draws from the per-direction impairment RNG.
+    auto cfg = campaign();
     cfg.impair.wan.loss = 0.03;
     cfg.impair.wan.duplicate = 0.02;
     cfg.impair.wan.jitter = std::chrono::microseconds(200);
@@ -88,16 +82,18 @@ harness::CampaignConfig impaired_campaign() {
 
 std::vector<harness::DeviceResults>
 run_once(const harness::CampaignConfig& cfg,
-         const std::string& journal_path = "", bool resume = false) {
+         const std::string& journal_path = "", bool resume = false,
+         int workers = 1) {
     harness::ShardScheduler::Options opts;
     opts.roster = roster();
     opts.config = cfg;
+    opts.workers = workers;
     opts.journal_path = journal_path;
     opts.resume = resume;
     return harness::ShardScheduler::run(opts).results;
 }
 
-/// Remove a merged journal and any shard segments a failed run left.
+/// Remove a journal and any shard segments a failed run left.
 void remove_journal(const std::string& path) {
     std::remove(path.c_str());
     for (std::size_t k = 0; k < roster().size(); ++k)
@@ -133,21 +129,18 @@ std::string results_json(const std::vector<harness::DeviceResults>& rs) {
     return out;
 }
 
-/// Steps 1-3 for one campaign config: baseline vs journaled identity,
-/// schema validation, and the kill-at-every-boundary resume sweep.
-/// Returns the uninterrupted journal text (left on disk at `path`).
+/// Steps 1-4 for one campaign config. Returns the uninterrupted
+/// journal text and stores the baseline results in `baseline_json`.
 std::string run_suite(const std::string& mode,
                       const harness::CampaignConfig& cfg,
-                      const std::string& path) {
+                      const std::string& path, std::string& baseline_json) {
     remove_journal(path);
 
     std::cerr << "journal_check[" << mode << "]: baseline campaign...\n";
-    const auto baseline = run_once(cfg);
-    const std::string baseline_json = results_json(baseline);
+    baseline_json = results_json(run_once(cfg));
 
     std::cerr << "journal_check[" << mode << "]: journaled campaign...\n";
-    const auto journaled = run_once(cfg, path);
-    check(results_json(journaled) == baseline_json,
+    check(results_json(run_once(cfg, path)) == baseline_json,
           mode + ": journaling perturbed the campaign results");
 
     const std::string journal_text = slurp(path);
@@ -157,59 +150,79 @@ std::string run_suite(const std::string& mode,
 
     const auto lines = lines_of(journal_text);
     check(lines.size() > 1, mode + ": journal is unexpectedly empty");
-    int boundaries = 0;
+
+    // Every cut: the first k whole lines, then (for every record) the
+    // first k-1 lines plus half of record k.
+    struct Cut {
+        std::string name;
+        std::string text;
+    };
+    std::vector<Cut> cuts;
     for (std::size_t k = 1; k <= lines.size(); ++k) {
         std::string prefix;
         for (std::size_t i = 0; i < k; ++i) prefix += lines[i] + "\n";
-        spit(path, prefix);
-        const auto resumed = run_once(cfg, path, /*resume=*/true);
-        if (results_json(resumed) != baseline_json) {
-            // Leave both sides on disk for diffing.
-            spit(path + ".expected.json", baseline_json);
-            spit(path + ".actual.json", results_json(resumed));
-            check(false, mode + ": resume after record " +
-                             std::to_string(k - 1) +
-                             " diverged from the uninterrupted run");
-            break;
-        }
-        if (slurp(path) != journal_text) {
-            check(false, mode + ": regrown journal after record " +
-                             std::to_string(k - 1) +
-                             " is not byte-identical");
-            break;
-        }
-        ++boundaries;
+        cuts.push_back({"after line " + std::to_string(k), prefix});
     }
-    std::cerr << "journal_check[" << mode << "]: " << boundaries
-              << " kill/resume boundaries replayed byte-identically\n";
+    for (std::size_t k = 1; k < lines.size(); ++k) {
+        std::string prefix;
+        for (std::size_t i = 0; i < k; ++i) prefix += lines[i] + "\n";
+        prefix += lines[k].substr(0, lines[k].size() / 2);
+        cuts.push_back({"torn line " + std::to_string(k + 1), prefix});
+    }
+
+    int diverged = 0, total = 0;
+    for (const auto& cut : cuts) {
+        for (const int workers : {1, 4}) {
+            ++total;
+            const std::string where =
+                cut.name + " at workers=" + std::to_string(workers);
+            remove_journal(path);
+            spit(path, cut.text);
+            std::string actual, regrown;
+            try {
+                actual = results_json(run_once(cfg, path, true, workers));
+                regrown = slurp(path);
+            } catch (const std::exception& e) {
+                ++diverged;
+                check(false, mode + ": resume " + where +
+                                 " threw: " + e.what());
+                continue;
+            }
+            if (actual != baseline_json) {
+                ++diverged;
+                if (diverged == 1) {
+                    // Leave the first divergence on disk for diffing.
+                    spit(path + ".expected.json", baseline_json);
+                    spit(path + ".actual.json", actual);
+                }
+                check(false, mode + ": resume " + where +
+                                 " diverged from the uninterrupted run");
+            } else if (regrown != journal_text) {
+                ++diverged;
+                check(false, mode + ": regrown journal " + where +
+                                 " is not byte-identical");
+            }
+        }
+    }
+    std::cerr << "journal_check[" << mode << "]: " << (total - diverged)
+              << "/" << total
+              << " kill/resume cuts reproduced the uninterrupted run\n";
+    remove_journal(path);
     spit(path, journal_text);
     return journal_text;
-}
-
-/// True when at least one `"draws":N` in the text has N > 0 — i.e. the
-/// journal records an RNG that actually advanced.
-bool has_nonzero_draws(const std::string& text) {
-    const std::string needle = "\"draws\":";
-    for (std::size_t pos = text.find(needle); pos != std::string::npos;
-         pos = text.find(needle, pos + 1)) {
-        std::size_t i = pos + needle.size();
-        std::uint64_t v = 0;
-        while (i < text.size() && text[i] >= '0' && text[i] <= '9')
-            v = v * 10 + static_cast<std::uint64_t>(text[i++] - '0');
-        if (v > 0) return true;
-    }
-    return false;
 }
 
 } // namespace
 
 int main() {
-    // Phase A: the lossless grid (the original guarantee).
+    // Phase A: the lossless grid.
     const std::string path = "gatekit_journal_check.jsonl";
-    const std::string journal_text = run_suite("lossless", campaign(), path);
+    std::string lossless_json;
+    const std::string journal_text =
+        run_suite("lossless", campaign(), path, lossless_json);
     const auto lines = lines_of(journal_text);
 
-    // 4a. Corruption is caught.
+    // A corrupted record is caught.
     std::string error;
     if (lines.size() > 1) {
         auto bad = lines;
@@ -220,7 +233,7 @@ int main() {
               "corrupted journal passed validation");
     }
 
-    // 4b. A journal from a different campaign refuses to resume.
+    // A journal from a different campaign refuses to resume.
     spit(path, journal_text);
     auto other = campaign();
     other.binding_rate_count = 51; // changes the fingerprint
@@ -235,17 +248,14 @@ int main() {
     check(threw, "fingerprint mismatch was not rejected");
     remove_journal(path);
 
-    // Phase B: the impaired grid. Same sweep with loss/duplicate/jitter
-    // active on every WAN link — the regression that motivated journaling
-    // impairment-RNG state (seed + draw count) per device direction.
+    // Phase B: the impaired grid. The impairments must actually shape
+    // the measurement, or the sweep exercised nothing the lossless one
+    // did not.
     const std::string ipath = "gatekit_journal_check_impaired.jsonl";
-    const std::string itext = run_suite("impaired", impaired_campaign(),
-                                        ipath);
-    check(itext.find("\"rng\":[") != std::string::npos,
-          "impaired journal carries no rng state stamps");
-    check(has_nonzero_draws(itext),
-          "impaired journal rng stamps never saw a draw — the sweep "
-          "exercised nothing");
+    std::string impaired_json;
+    run_suite("impaired", impaired_campaign(), ipath, impaired_json);
+    check(impaired_json != lossless_json,
+          "impaired campaign measured the same as the lossless one");
     remove_journal(ipath);
 
     std::cout << "journal_check: " << (failures == 0 ? "PASS" : "FAIL")
