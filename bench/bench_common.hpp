@@ -15,10 +15,10 @@
 //                   finishes (a .csv suffix selects CSV, else JSON)
 //   GATEKIT_TRACE   stream trace events to this path as JSONL; flight-
 //                   recorder dumps land beside it at <path>.flight.<n>.jsonl
-//   GATEKIT_JOURNAL write-ahead campaign journal path (JSONL, schema
-//                   gatekit.journal.v1), one record per completed unit
-//   GATEKIT_RESUME  when set, replay GATEKIT_JOURNAL and continue the
-//                   campaign from the first missing unit
+//   GATEKIT_JOURNAL campaign journal path (JSONL, schema
+//                   gatekit.journal.v2), one record per finished device
+//   GATEKIT_RESUME  when set, take the devices GATEKIT_JOURNAL records
+//                   from it and rerun every other device
 //   GATEKIT_WORKERS worker threads for the device-sharded campaign
 //                   scheduler (default 1). Every output artifact —
 //                   figures, CSV, journal, metrics, trace — is

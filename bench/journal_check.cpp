@@ -93,13 +93,10 @@ run_once(const harness::CampaignConfig& cfg,
     return harness::ShardScheduler::run(opts).results;
 }
 
-/// Remove a journal and any shard segments a failed run left.
+/// Remove a journal and the temp file a failed rewrite may leave.
 void remove_journal(const std::string& path) {
     std::remove(path.c_str());
-    for (std::size_t k = 0; k < roster().size(); ++k)
-        std::remove(harness::ShardScheduler::segment_path(
-                        path, static_cast<int>(k))
-                        .c_str());
+    std::remove((path + ".tmp").c_str());
 }
 
 std::string slurp(const std::string& path) {

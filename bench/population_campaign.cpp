@@ -14,7 +14,7 @@
 // Gates (exit non-zero on violation):
 //   * DETERMINISM GATE, always on: a prefix of the sampled roster is
 //     re-run at a different worker count; per-device result JSON and
-//     the merged journal must be byte-identical. Nondeterministic
+//     the journal must be byte-identical. Nondeterministic
 //     sampling or merging fails the run, not just a ctest label.
 //   * MEMORY GATE, always on: results are streamed (on_result), so
 //     peak RSS must stay flat in the roster size — the run fails if

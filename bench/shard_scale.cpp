@@ -4,8 +4,8 @@
 // shard-scale entry is generated from this output).
 //
 // Gates (exit non-zero on violation):
-//   * BYTE GATE, always on: the per-device results and the merged
-//     journal must be byte-identical at every worker count. A worker
+//   * BYTE GATE, always on: the per-device results and the journal
+//     must be byte-identical at every worker count. A worker
 //     count that changes a single campaign byte is a determinism bug,
 //     not a tuning knob.
 //   * SPEEDUP GATE, only when the host has >= 8 hardware threads: the

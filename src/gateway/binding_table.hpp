@@ -144,13 +144,6 @@ public:
         return host_budget_refusals_;
     }
 
-    /// Sequential-allocation pool cursor. Journaled by the campaign
-    /// supervisor: devices that hand out pool ports in order would
-    /// otherwise start a resumed run from the pool base and diverge from
-    /// the straight-through port sequence.
-    std::uint16_t pool_cursor() const { return next_pool_port_; }
-    void set_pool_cursor(std::uint16_t port) { next_pool_port_ = port; }
-
     /// Register this table's instruments (create/expire/refuse counters,
     /// occupancy + wheel-cascade gauges) under `device`. Without a bind
     /// every instrumentation site stays a branch-on-null no-op.

@@ -121,8 +121,6 @@ template <Is<BindingRateResult> R, class V> void fields(R& r, V&& v) {
     v("bindings_per_sec", r.bindings_per_sec);
 }
 
-/// Supervisor reports are written (device_results_json) but never read
-/// back: the journal carries them in its own entry fields.
 template <Is<UnitReport> R, class V> void fields(R& r, V&& v) {
     v("unit", r.unit);
     v("status", r.status);
@@ -174,32 +172,42 @@ struct Writer {
 
 /// Field-list visitor that decodes. Absent fields keep their current
 /// values; an array shorter than a fixed-size member fills its prefix.
+/// An unknown unit status clears `ok`.
 struct Reader {
     const JsonValue& v;
+    bool& ok;
 
     template <class T> void operator()(std::string_view key, T& x) const {
         if (const JsonValue* f = v.find(key)) get(*f, x);
     }
 
-    static void get(const JsonValue& j, bool& b) { b = j.as_bool(); }
-    static void get(const JsonValue& j, double& d) { d = j.as_double(); }
-    template <Scalar T> static void get(const JsonValue& j, T& x) {
+    void get(const JsonValue& j, bool& b) const { b = j.as_bool(); }
+    void get(const JsonValue& j, double& d) const { d = j.as_double(); }
+    template <Scalar T> void get(const JsonValue& j, T& x) const {
         x = static_cast<T>(j.as_int());
     }
-    template <class T>
-    static void get(const JsonValue& j, std::vector<T>& xs) {
+    void get(const JsonValue& j, UnitStatus& s) const {
+        if (!unit_status_from_string(j.as_string(), s)) ok = false;
+    }
+    void get(const JsonValue& j, std::string& s) const { s = j.as_string(); }
+    template <class T> void get(const JsonValue& j, std::vector<T>& xs) const {
         xs.clear();
         for (const auto& x : j.array) get(x, xs.emplace_back());
     }
     template <class T, std::size_t N>
-    static void get(const JsonValue& j, std::array<T, N>& xs) {
+    void get(const JsonValue& j, std::array<T, N>& xs) const {
         for (std::size_t i = 0; i < N && i < j.array.size(); ++i)
             get(j.array[i], xs[i]);
     }
     template <class T>
+    void get(const JsonValue& j, std::map<std::string, T>& by_key) const {
+        by_key.clear();
+        for (const auto& [k, x] : j.members) get(x, by_key[k]);
+    }
+    template <class T>
         requires std::is_class_v<T>
-    static void get(const JsonValue& j, T& r) {
-        fields(r, Reader{j});
+    void get(const JsonValue& j, T& r) const {
+        fields(r, Reader{j, ok});
     }
 };
 
@@ -240,19 +248,12 @@ template <class R, class Slice = R> struct Unit {
     void (*probe)(const ProbeCall&, Done<R>);
 
     /// The result `service` names in `d`: the member itself, or one entry
-    /// of the per-service map (a default result when a const `d` lacks
-    /// it).
-    template <class D> auto& slice(D& d, const std::string& service) const {
-        auto& m = d.*member;
-        if constexpr (!kPerService) {
-            return m;
-        } else if constexpr (!std::is_const_v<D>) {
-            return m[service];
-        } else {
-            static const R kEmpty{};
-            const auto it = m.find(service);
-            return it != m.end() ? it->second : kEmpty;
-        }
+    /// of the per-service map.
+    R& slice(DeviceResults& d, const std::string& service) const {
+        if constexpr (kPerService)
+            return (d.*member)[service];
+        else
+            return d.*member;
     }
 };
 
@@ -267,9 +268,9 @@ void single_shot(const ProbeCall& c, Done<R> done) {
     Measure(c.tb, c.slot, std::move(done));
 }
 
-/// The unit vocabulary, in execution order. unit_plan, launch_unit, the
-/// journal payload codecs, device_results_json and the fingerprint's
-/// flags all iterate this table; nothing else names a unit.
+/// The unit vocabulary, in execution order. unit_plan, launch_unit,
+/// device_results_json, its decoder and the fingerprint's flags all
+/// iterate this table; nothing else names a unit.
 constexpr std::tuple kUnits{
     Unit<UdpTimeoutResult>{"udp1", &CampaignConfig::udp1,
                            &DeviceResults::udp1,
@@ -382,25 +383,6 @@ void launch_unit(const std::string& unit, Testbed& tb, int slot,
     GK_EXPECTS(known); // unit_plan names only table entries
 }
 
-std::string unit_payload_json(const DeviceResults& r,
-                              const std::string& unit) {
-    std::ostringstream out;
-    JsonWriter jw(out);
-    Writer w{jw};
-    if (!with_unit(unit, [&](const auto& u, const std::string& service) {
-            w.put(u.slice(r, service));
-        }))
-        return "null";
-    return out.str();
-}
-
-bool apply_unit_payload(DeviceResults& r, const std::string& unit,
-                        const report::JsonValue& payload) {
-    return with_unit(unit, [&](const auto& u, const std::string& service) {
-        Reader::get(payload, u.slice(r, service));
-    });
-}
-
 std::string device_results_json(const DeviceResults& r) {
     std::ostringstream out;
     JsonWriter jw(out);
@@ -413,11 +395,19 @@ std::string device_results_json(const DeviceResults& r) {
     return out.str();
 }
 
+bool device_results_from_json(const report::JsonValue& v, DeviceResults& r) {
+    if (v.type != JsonValue::Type::Object) return false;
+    bool ok = true;
+    const Reader read{v, ok};
+    read("tag", r.tag);
+    for_each_unit([&](const auto& u) { read(u.name, r.*u.member); });
+    read("units", r.units);
+    return ok;
+}
+
 std::string campaign_fingerprint(const CampaignConfig& config,
                                  const std::vector<std::string>& devices) {
     // Canonical text of everything that shapes the measurement stream.
-    // The supervisor's journal knobs are deliberately absent: a journaled
-    // run and its resumed continuation share a fingerprint by design.
     std::ostringstream s;
     auto ns = [](sim::Duration d) { return d.count(); };
     s << "flags:";
@@ -459,8 +449,7 @@ std::string campaign_fingerprint(const CampaignConfig& config,
     // Impairments shape every fate draw, so they bind the fingerprint —
     // but only when installed, keeping lossless campaigns' fingerprints
     // identical to the pre-impairment format. The ShardSpec is
-    // deliberately absent: a shard's journal segment belongs to the same
-    // campaign as the merged whole.
+    // deliberately absent: it places a device, it does not measure it.
     if (config.impair.any()) {
         const auto& w = config.impair.wan;
         s << "impair:" << w.loss << ',' << w.duplicate << ',' << w.reorder

@@ -1,12 +1,12 @@
 // The measurement-unit vocabulary and its serialization. One table in
 // results_io.cpp declares every unit once — name, CampaignConfig flag,
 // DeviceResults member, probe call — and the unit plan, the runner's
-// dispatch, the journal payload codecs, device_results_json and the
-// fingerprint's flags all iterate it. Each result struct has one field
-// list that both the JsonWriter side and the JsonValue side walk.
-// Doubles go through json_double's shortest-round-trip formatting, so a
-// payload that is journaled, parsed, and re-serialized is byte-identical
-// — the property the kill/resume determinism tests assert.
+// dispatch, device_results_json, its decoder and the fingerprint's
+// flags all iterate it. Each result struct has one field list that both
+// the JsonWriter side and the JsonValue side walk. Doubles go through
+// json_double's shortest-round-trip formatting, so a record that is
+// journaled, parsed, and re-serialized is byte-identical — the property
+// the kill/resume determinism tests assert.
 #pragma once
 
 #include <functional>
@@ -40,21 +40,17 @@ void launch_unit(const std::string& unit, Testbed& tb, int slot,
                  const CampaignConfig& config,
                  std::shared_ptr<const bool> cancel, UnitDone done);
 
-/// Serialize the named unit's slice of `r` as one JSON value.
-/// Unknown unit names serialize as null.
-std::string unit_payload_json(const DeviceResults& r,
-                              const std::string& unit);
-
-/// Decode a journaled payload back into the named unit's slice of `r`.
-/// Returns false for unknown unit names; absent fields keep defaults.
-bool apply_unit_payload(DeviceResults& r, const std::string& unit,
-                        const report::JsonValue& payload);
-
-/// Whole-device serialization: tag, every unit payload, and the
-/// supervisor unit reports. This is the byte-comparison format of the
-/// journal determinism tests — a resumed campaign must reproduce the
-/// uninterrupted run's string exactly.
+/// Whole-device serialization: tag, every unit's result, and the
+/// supervisor unit reports. This is a journal record's "result" and the
+/// byte-comparison format of the journal determinism tests — a resumed
+/// campaign must reproduce the uninterrupted run's string exactly.
 std::string device_results_json(const DeviceResults& r);
+
+/// Decode a device_results_json record into `r`, so that re-serializing
+/// it reproduces the record byte for byte. Absent fields keep their
+/// values; false when `v` is not an object or names an unknown unit
+/// status.
+bool device_results_from_json(const report::JsonValue& v, DeviceResults& r);
 
 /// FNV-1a hex fingerprint over the campaign knobs that shape the
 /// measurement stream plus the device roster. A journal only resumes

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,9 +24,8 @@ namespace gatekit::harness {
 
 std::uint64_t impair_seed_for(std::uint64_t campaign_seed, int device,
                               bool wan_link, int direction) {
-    // splitmix64 finalizer over campaign_seed xor the stream tag. Masked
-    // to 62 bits: the journal stores seeds as JSON integers and int64
-    // round-trips exactly only below 2^63.
+    // splitmix64 finalizer over campaign_seed xor the stream tag, masked
+    // to 62 bits.
     std::uint64_t x = campaign_seed ^
                       (static_cast<std::uint64_t>(device) * 4ULL +
                        (wan_link ? 2ULL : 0ULL) +
@@ -108,9 +108,6 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     };
     AttackSnap attack_snap;
 
-    report::JournalWriter journal;
-    bool journaling = false;
-
     // Supervisor instruments; branch-on-null.
     obs::Counter* m_retry = nullptr;
     obs::Counter* m_degraded = nullptr;
@@ -123,26 +120,12 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
 
     bool supervision_active() const {
         return config.supervisor.soft_enabled() ||
-               config.supervisor.hard_enabled() || journaling;
+               config.supervisor.hard_enabled();
     }
 
-    /// The device's global roster index. Journal entries and impairment
-    /// RNG streams always use it, so a shard's segment stays
-    /// carve/merge-compatible with the merged journal of the campaign.
+    /// The device's global roster index; its impairment RNG streams
+    /// derive from it.
     int global_dev() const { return config.shard.device_base; }
-
-    /// The campaign fingerprint this journal binds to: precomputed by
-    /// the shard scheduler (which hashes the full roster's profile
-    /// identities once), or derived here for a one-device campaign.
-    /// Hashing profile identities rather than tags is what makes the
-    /// fingerprint cover sampled rosters, whose tags ("p0", "p1", ...)
-    /// say nothing about behavior.
-    std::string fingerprint() {
-        if (!config.shard.fingerprint.empty())
-            return config.shard.fingerprint;
-        return campaign_fingerprint(
-            config, {gateway::profile_identity(slot().gw->profile())});
-    }
 
     /// Install the campaign's declarative impairments on the device's
     /// WAN link, each direction seeded from its own derived stream. Runs
@@ -160,155 +143,15 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
             impair_seed_for(config.impair.seed, global_dev(), true, 1));
     }
 
-    std::vector<std::string> roster() { return {result.tag}; }
-
     void start() {
-        const auto& sup = config.supervisor;
-        journaling = !sup.journal_path.empty(); // gates the instruments
-        apply_impairments(); // before replay: RNG restore needs them live
+        apply_impairments(); // before any measurement traffic
         result.tag = slot().gw->profile().tag;
         if (plan.empty()) {
             finished = true; // nothing to measure
             return;
         }
         bind_instruments();
-        std::int64_t resume_at_ns = -1;
-        if (journaling) {
-            if (sup.resume) {
-                resume_at_ns = load_and_replay();
-                if (!journal.open_append(sup.journal_path))
-                    throw std::runtime_error(
-                        "campaign journal: cannot append to '" +
-                        sup.journal_path + "'");
-            } else {
-                report::JournalHeader header;
-                header.schema = report::kJournalSchema;
-                header.fingerprint = fingerprint();
-                header.devices = roster();
-                header.shard = config.shard.index;
-                if (!journal.open_new(sup.journal_path, header))
-                    throw std::runtime_error(
-                        "campaign journal: cannot create '" +
-                        sup.journal_path + "'");
-            }
-        }
-        if (unit_idx >= plan.size()) {
-            finished = true; // journal already covered every unit
-            return;
-        }
-        if (resume_at_ns >= 0) {
-            // Realign the sim clock with the uninterrupted run: the next
-            // unit must start exactly when it would have, or every
-            // granularity-quantized expiry downstream shifts.
-            const sim::TimePoint t{sim::Duration(resume_at_ns)};
-            if (t > loop().now()) {
-                loop().at(t, [self = shared_from_this()] {
-                    self->start_unit();
-                });
-                return;
-            }
-        }
         start_unit();
-    }
-
-    /// Replay the journal prefix into `result`, advancing the campaign
-    /// pointer past every completed unit. Returns the sim time (ns) at
-    /// which the first live unit must start, or -1 with nothing replayed.
-    std::int64_t load_and_replay() {
-        const auto& sup = config.supervisor;
-        report::JournalHeader header;
-        std::vector<report::JournalEntry> entries;
-        std::string err;
-        if (!report::JournalReader::load(sup.journal_path, header, entries,
-                                         &err))
-            throw std::runtime_error("campaign journal: " + err);
-        if (header.fingerprint != fingerprint())
-            throw std::runtime_error(
-                "campaign journal: fingerprint mismatch (campaign config "
-                "or roster changed since the journal was written)");
-        if (header.devices != roster())
-            throw std::runtime_error(
-                "campaign journal: device roster mismatch");
-        if (header.shard != config.shard.index)
-            throw std::runtime_error(
-                "campaign journal: shard index mismatch (journal written "
-                "by shard " + std::to_string(header.shard) +
-                ", resuming as shard " +
-                std::to_string(config.shard.index) + ")");
-        if (entries.empty()) return -1;
-
-        for (const auto& e : entries) {
-            if (unit_idx >= plan.size())
-                throw std::runtime_error(
-                    "campaign journal: more entries than planned units");
-            if (e.device != global_dev() || e.unit != unit())
-                throw std::runtime_error(
-                    "campaign journal: entry order diverges from the "
-                    "campaign plan at device " +
-                    std::to_string(global_dev()) + " unit '" + unit() +
-                    "'");
-            if (e.tag != result.tag)
-                throw std::runtime_error(
-                    "campaign journal: entry for unit '" + e.unit +
-                    "' carries tag '" + e.tag + "', device is '" +
-                    result.tag + "'");
-            UnitReport rep{e.unit,   UnitStatus::Ok, e.attempts,
-                           e.reason, e.t_start_ns,   e.t_end_ns};
-            if (!unit_status_from_string(e.status, rep.status))
-                throw std::runtime_error(
-                    "campaign journal: unknown status '" + e.status + "'");
-            if (e.payload.type != report::JsonValue::Type::Null)
-                apply_unit_payload(result, e.unit, e.payload);
-            result.units.push_back(std::move(rep));
-            note_unit_outcome(result.units.back().status);
-            ++unit_idx;
-        }
-        const auto& last = entries.back();
-        // Restore the allocator cursors the probes observe across unit
-        // boundaries.
-        auto& s = slot();
-        auto& gw = *s.gw;
-        tb.client().set_ephemeral_cursor(
-            static_cast<std::uint16_t>(last.state.client_eph));
-        tb.server().set_ephemeral_cursor(
-            static_cast<std::uint16_t>(last.state.server_eph));
-        gw.nat().udp_table().set_pool_cursor(
-            static_cast<std::uint16_t>(last.state.udp_pool));
-        gw.nat().tcp_table().set_pool_cursor(
-            static_cast<std::uint16_t>(last.state.tcp_pool));
-        // Restore the impairment RNG streams exactly where the replayed
-        // traffic left them. The impairers were installed by
-        // apply_impairments() before replay; a stamp for a link with no
-        // impairer means the campaign configs diverged.
-        for (const auto& st : last.state.rng) {
-            if (st.device != global_dev())
-                throw std::runtime_error(
-                    "campaign journal: rng stamp for another device");
-            sim::Link* link = st.link == "wan"   ? s.wan_link.get()
-                              : st.link == "lan" ? s.lan_link.get()
-                                                 : nullptr;
-            if (link == nullptr || (st.dir != "a2b" && st.dir != "b2a"))
-                throw std::runtime_error(
-                    "campaign journal: malformed rng stamp (link '" +
-                    st.link + "', dir '" + st.dir + "')");
-            const auto side = st.dir == "a2b" ? sim::Link::Side::A
-                                              : sim::Link::Side::B;
-            if (!link->restore_impair_rng(side, st.seed, st.draws))
-                throw std::runtime_error(
-                    "campaign journal: rng stamp for an uninstalled "
-                    "impairer (campaign impairments changed since the "
-                    "journal was written)");
-        }
-        // Re-warm the ARP state the replayed traffic left behind: the
-        // first unit resolves the client<->gateway and gateway<->server
-        // pairs, and entries never expire. Without this the first live
-        // unit pays ARP exchanges the uninterrupted run already paid,
-        // shifting every later timestamp.
-        s.client_if->arp_cache().insert(gw.lan_addr(), gw.lan_if().mac());
-        gw.lan_if().arp_cache().insert(s.client_addr, s.client_if->mac());
-        gw.wan_if().arp_cache().insert(s.server_addr, s.server_if->mac());
-        s.server_if->arp_cache().insert(s.gw_wan_addr, gw.wan_if().mac());
-        return last.t_end_ns;
     }
 
     void bind_instruments() {
@@ -331,14 +174,12 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
 
     void start_unit() {
         if (device_quarantined) {
-            // Skipped wholesale; recorded and journaled so a resumed
-            // campaign replays the same verdict.
+            // Skipped wholesale, but still recorded.
             const std::int64_t now_ns = loop().now().count();
             UnitReport rep{unit(),  UnitStatus::Quarantined,
                            0,       "device_quarantined",
                            now_ns,  now_ns};
             result.units.push_back(rep);
-            journal_unit(rep);
             if (config.profiler != nullptr) {
                 config.profiler->begin_unit(); // zero-length span
                 config.profiler->end_unit(label(), rep.unit,
@@ -399,8 +240,7 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     }
 
     /// ";attack=<comma-list>" naming the hardening counter groups that
-    /// moved during this unit, or empty. Journal replay copies the
-    /// composite reason verbatim, so resumed campaigns keep the verdict.
+    /// moved during this unit, or empty.
     std::string attack_annotation() {
         const AttackSnap now = attack_counters();
         std::string list;
@@ -427,7 +267,6 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
                        attempts,  std::move(reason),
                        unit_start.count(), loop().now().count()};
         result.units.push_back(rep);
-        journal_unit(rep);
         if (config.profiler != nullptr)
             config.profiler->end_unit(label(), rep.unit,
                                       to_string(rep.status), rep.attempts,
@@ -436,9 +275,8 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
         next_unit();
     }
 
-    /// Shared by live completion and journal replay: quarantine counting
-    /// must evolve identically in both, or a resumed campaign would run
-    /// units the original would have skipped.
+    /// Quarantine counting: consecutive non-ok units quarantine the
+    /// device once they reach the policy's threshold.
     void note_unit_outcome(UnitStatus status) {
         if (status == UnitStatus::Ok) {
             device_failures = 0;
@@ -490,48 +328,6 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
             });
     }
 
-    /// Append the unit's entry when journaling. The payload is built
-    /// only here, so an unjournaled campaign never serializes one; a
-    /// quarantined unit measured nothing and journals null.
-    void journal_unit(const UnitReport& rep) {
-        if (!journaling) return;
-        report::JournalEntry e;
-        e.device = global_dev();
-        e.tag = result.tag;
-        e.unit = rep.unit;
-        e.status = to_string(rep.status);
-        e.attempts = rep.attempts;
-        e.reason = rep.reason;
-        e.t_start_ns = rep.t_start_ns;
-        e.t_end_ns = rep.t_end_ns;
-        e.state.client_eph = tb.client().ephemeral_cursor();
-        e.state.server_eph = tb.server().ephemeral_cursor();
-        auto& s = slot();
-        auto& gw = *s.gw;
-        e.state.udp_pool = gw.nat().udp_table().pool_cursor();
-        e.state.tcp_pool = gw.nat().tcp_table().pool_cursor();
-        // Stamp the device's impairment RNG streams.
-        auto stamp = [&](sim::Link& link, const char* lname,
-                         sim::Link::Side side, const char* dname) {
-            std::uint64_t seed = 0, draws = 0;
-            if (link.impair_rng_state(side, seed, draws))
-                e.state.rng.push_back(
-                    {global_dev(), lname, dname, seed, draws});
-        };
-        stamp(*s.wan_link, "wan", sim::Link::Side::A, "a2b");
-        stamp(*s.wan_link, "wan", sim::Link::Side::B, "b2a");
-        stamp(*s.lan_link, "lan", sim::Link::Side::A, "a2b");
-        stamp(*s.lan_link, "lan", sim::Link::Side::B, "b2a");
-        const std::string payload =
-            rep.status == UnitStatus::Quarantined
-                ? "null"
-                : unit_payload_json(result, rep.unit);
-        if (!journal.append(e, payload))
-            throw std::runtime_error(
-                "campaign journal: write failed for '" +
-                config.supervisor.journal_path + "'");
-    }
-
     void dispatch(std::uint64_t g) {
         launch_unit(unit(), tb, kSlot, config, cancel,
                     [self = shared_from_this(), g](const UnitStore& store) {
@@ -570,38 +366,22 @@ std::string ShardScheduler::segment_path(const std::string& path,
 
 namespace {
 
-bool file_exists(const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    return f.good();
-}
-
 /// Fixed-size copy chunk for every streaming merge. Nothing in the
-/// merge path may allocate proportionally to a segment or journal.
+/// merge path may allocate proportionally to a segment.
 constexpr std::size_t kMergeChunk = 64 * 1024;
 
-/// Streaming segment concatenator shared by the incremental journal and
-/// trace merges. Appends segments one by one in fixed-size chunks,
-/// deleting each segment only after its bytes are flushed to the merged
-/// file — so a kill at any instant leaves either the segment (resumable
-/// state) or its merged copy on disk, never neither.
+/// Streaming segment concatenator shared by the incremental trace and
+/// time-series merges. Appends segments one by one in fixed-size
+/// chunks, deleting each segment only after its bytes are flushed to the
+/// merged file.
 class SegmentMerger {
 public:
-    /// Journal mode: `header_line` is written first and every segment's
-    /// own header line is validated against `fingerprint`, then
-    /// skipped. Trace mode (empty header_line): raw concatenation.
-    SegmentMerger(std::string path, const std::string& header_line,
-                  std::string fingerprint)
-        : path_(std::move(path)), fingerprint_(std::move(fingerprint)),
-          journal_mode_(!header_line.empty()) {
+    explicit SegmentMerger(std::string path) : path_(std::move(path)) {
         out_.open(path_, std::ios::binary | std::ios::trunc);
         if (!out_.good())
             throw std::runtime_error(
                 "shard scheduler: cannot write merged file '" + path_ +
                 "'");
-        if (journal_mode_) {
-            out_ << header_line << '\n';
-            note_buffer(header_line.size());
-        }
     }
 
     void append_segment(const std::string& seg) {
@@ -609,26 +389,9 @@ public:
         if (!in.good())
             throw std::runtime_error(
                 "shard scheduler: missing segment '" + seg + "'");
-        if (journal_mode_) {
-            std::string line;
-            if (!std::getline(in, line) || line.empty())
-                throw std::runtime_error("shard scheduler: segment '" +
-                                         seg + "' is empty");
-            note_buffer(line.size());
-            std::string err;
-            auto v = report::json_parse(line, &err);
-            report::JournalHeader header;
-            if (!v || !report::decode_journal_header(*v, header, &err))
-                throw std::runtime_error("shard scheduler: segment '" +
-                                         seg + "': " + err);
-            if (header.fingerprint != fingerprint_)
-                throw std::runtime_error(
-                    "shard scheduler: segment '" + seg +
-                    "' fingerprint differs from the campaign (segments "
-                    "from different campaigns?)");
-        }
         char buf[kMergeChunk];
-        note_buffer(sizeof buf);
+        stats_.peak_buffer_bytes =
+            std::max(stats_.peak_buffer_bytes, sizeof buf);
         while (in.read(buf, sizeof buf) || in.gcount() > 0) {
             out_.write(buf, in.gcount());
             stats_.bytes += static_cast<std::uint64_t>(in.gcount());
@@ -655,140 +418,16 @@ public:
     const ShardScheduler::MergeStats& stats() const { return stats_; }
 
 private:
-    void note_buffer(std::size_t n) {
-        stats_.peak_buffer_bytes = std::max(stats_.peak_buffer_bytes, n);
-    }
-
     std::string path_;
-    std::string fingerprint_;
-    bool journal_mode_;
     std::ofstream out_;
     ShardScheduler::MergeStats stats_;
 };
 
-/// Carve every shard in `need` out of a merged journal in ONE streaming
-/// pass. Entry lines are copied verbatim — merging is a byte-level
-/// concatenation, so carve + re-merge round-trips exactly — and each
-/// segment gets a fresh header naming its own device with the shard
-/// index added. Segments are written to "<seg>.tmp" and renamed whole,
-/// so a kill mid-carve never leaves a truncated segment shadowing the
-/// still-intact merged journal. Only devices with at least one entry
-/// get a segment (their shard resumes from it; entry-less shards start
-/// fresh, which is the same outcome with one less file). Sets
-/// seg_resume[k]=1 for every segment produced.
-void carve_all_segments(const std::string& merged_path,
-                        const std::string& journal_path,
-                        const std::vector<char>& need,
-                        std::vector<char>& seg_resume) {
-    std::ifstream in(merged_path, std::ios::binary);
-    if (!in.good())
-        throw std::runtime_error("shard scheduler: cannot open journal '" +
-                                 merged_path + "'");
-    report::JournalHeader merged_header;
-    std::ofstream out;
-    std::string open_tmp, open_seg;
-    int open_dev = -1, prev_dev = -1;
-    bool have_header = false;
-    std::string line;
-    std::size_t lineno = 0;
-
-    auto close_open_segment = [&] {
-        if (open_dev < 0) return;
-        out.flush();
-        if (!out.good())
-            throw std::runtime_error(
-                "shard scheduler: write failed for segment '" + open_seg +
-                "'");
-        out.close();
-        if (std::rename(open_tmp.c_str(), open_seg.c_str()) != 0)
-            throw std::runtime_error(
-                "shard scheduler: cannot finalize segment '" + open_seg +
-                "'");
-        seg_resume[static_cast<std::size_t>(open_dev)] = 1;
-        open_dev = -1;
-    };
-
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty()) continue;
-        std::string err;
-        auto v = report::json_parse(line, &err);
-        if (!v) {
-            // A torn final line is the legitimate residue of a kill
-            // mid-append; anything malformed earlier is corruption.
-            if (in.peek() == std::char_traits<char>::eof()) break;
-            throw std::runtime_error(
-                "shard scheduler: journal '" + merged_path + "' line " +
-                std::to_string(lineno) + ": " + err);
-        }
-        if (!have_header) {
-            if (!report::decode_journal_header(*v, merged_header, &err))
-                throw std::runtime_error("shard scheduler: journal '" +
-                                         merged_path + "': " + err);
-            if (merged_header.devices.size() != need.size())
-                throw std::runtime_error(
-                    "shard scheduler: journal '" + merged_path +
-                    "': device roster mismatch");
-            have_header = true;
-            continue;
-        }
-        const report::JsonValue* d = v->find("device");
-        if (d == nullptr)
-            throw std::runtime_error(
-                "shard scheduler: journal '" + merged_path + "' line " +
-                std::to_string(lineno) + ": entry lacks device");
-        const int dev = static_cast<int>(d->as_int(-1));
-        if (dev < 0 ||
-            dev >= static_cast<int>(merged_header.devices.size()))
-            throw std::runtime_error(
-                "shard scheduler: journal '" + merged_path + "' line " +
-                std::to_string(lineno) + ": device out of roster");
-        if (dev < prev_dev)
-            throw std::runtime_error(
-                "shard scheduler: journal '" + merged_path +
-                "' entries out of device order (not a merged journal?)");
-        prev_dev = dev;
-        if (!need[static_cast<std::size_t>(dev)]) continue;
-        if (dev != open_dev) {
-            close_open_segment();
-            open_seg = ShardScheduler::segment_path(journal_path, dev);
-            open_tmp = open_seg + ".tmp";
-            out.open(open_tmp, std::ios::binary | std::ios::trunc);
-            if (!out.good())
-                throw std::runtime_error(
-                    "shard scheduler: cannot create segment '" + open_seg +
-                    "'");
-            report::JournalHeader header = merged_header;
-            header.shard = dev;
-            header.devices = {
-                merged_header.devices[static_cast<std::size_t>(dev)]};
-            out << report::journal_header_line(header) << '\n';
-            open_dev = dev;
-        }
-        out << line << '\n';
-    }
-    if (!have_header)
-        throw std::runtime_error("shard scheduler: journal '" +
-                                 merged_path + "' is empty");
-    close_open_segment();
-}
-
 } // namespace
-
-void ShardScheduler::merge_segments(const std::string& path, int n_shards,
-                                    const std::string& header_line,
-                                    const std::string& fingerprint,
-                                    MergeStats* stats) {
-    SegmentMerger merger(path, header_line, fingerprint);
-    for (int k = 0; k < n_shards; ++k)
-        merger.append_segment(segment_path(path, k));
-    merger.finish();
-    if (stats != nullptr) *stats = merger.stats();
-}
 
 void ShardScheduler::merge_traces(const std::string& path, int n_segments,
                                   MergeStats* stats) {
-    SegmentMerger merger(path, "", "");
+    SegmentMerger merger(path);
     for (int k = 0; k < n_segments; ++k)
         merger.append_segment(segment_path(path, k));
     merger.finish();
@@ -801,66 +440,80 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     if (opts.metrics) out.metrics = std::make_unique<obs::MetricsRegistry>();
     if (n == 0) return out;
 
-    // Campaign identity, computed exactly once: the fingerprint hashes
-    // every roster profile's full knob identity (not just its tag), so a
-    // sampled roster binds its journal to the (seed, count) that built
-    // it, and every shard receives the precomputed value instead of
-    // re-hashing a 10k-profile roster 10k times.
-    std::vector<std::string> ids;
-    ids.reserve(opts.roster.size());
-    for (const auto& p : opts.roster)
-        ids.push_back(gateway::profile_identity(p));
-    const std::string fingerprint = campaign_fingerprint(opts.config, ids);
-    ids.clear();
-    ids.shrink_to_fit();
-    std::string merged_header_line;
-    if (!opts.journal_path.empty()) {
-        report::JournalHeader mh;
-        mh.schema = report::kJournalSchema;
-        mh.fingerprint = fingerprint;
-        for (const auto& p : opts.roster) mh.devices.push_back(p.tag);
-        mh.shard = -1;
-        merged_header_line = report::journal_header_line(mh);
-    }
+    // Hands one device's results over, in canonical device order.
+    auto emit = [&](int device, DeviceResults&& r) {
+        if (opts.on_result)
+            opts.on_result(device, std::move(r));
+        else
+            out.results.push_back(std::move(r));
+    };
 
-    // Resume preparation runs serially before any worker spawns: shard k
-    // resumes from its own segment when present, else from its device's
-    // entries carved out of a previously merged journal (written at any
-    // worker count), else starts fresh — a killed campaign legitimately
-    // leaves later shards with no segment at all. The merged journal is consumed by the
-    // carve and deleted: the incremental merge below rebuilds it from
-    // scratch as the completion frontier advances, and when a segment
-    // and the merged journal both cover a shard (a kill between segment
-    // flush and segment delete), the segment wins.
-    std::vector<char> seg_resume(static_cast<std::size_t>(n), 0);
-    if (!opts.journal_path.empty() && opts.resume) {
-        std::vector<char> need(static_cast<std::size_t>(n), 0);
-        bool any_need = false;
-        for (int k = 0; k < n; ++k) {
-            const std::string seg = segment_path(opts.journal_path, k);
-            if (file_exists(seg)) {
-                seg_resume[static_cast<std::size_t>(k)] = 1;
-            } else {
-                need[static_cast<std::size_t>(k)] = 1;
-                any_need = true;
+    // The journal, opened before any worker spawns. On resume its
+    // records are devices 0..restored-1, so their results are handed out
+    // here, with no bring-up, and the workers start at device
+    // `restored`. The file is then rewritten to its kept prefix, which
+    // drops a torn final line.
+    const bool journaling = !opts.journal_path.empty();
+    report::JournalWriter journal;
+    int restored = 0;
+    if (journaling) {
+        // The fingerprint hashes every roster profile's full knob
+        // identity (not just its tag), so a sampled roster binds its
+        // journal to the (seed, count) that built it.
+        report::JournalHeader header;
+        std::vector<std::string> ids;
+        ids.reserve(opts.roster.size());
+        for (const auto& p : opts.roster) {
+            ids.push_back(gateway::profile_identity(p));
+            header.devices.push_back(p.tag);
+        }
+        header.fingerprint = campaign_fingerprint(opts.config, ids);
+        std::string text = report::journal_header_line(header) + '\n';
+        std::size_t keep = text.size();
+        std::ifstream in;
+        if (opts.resume) in.open(opts.journal_path, std::ios::binary);
+        if (in.is_open()) {
+            text.assign(std::istreambuf_iterator<char>(in), {});
+            in.close();
+            report::Journal on_disk;
+            std::string err;
+            if (!report::parse_journal(text, on_disk, &err))
+                throw std::runtime_error("campaign journal: " + err);
+            if (on_disk.header.fingerprint != header.fingerprint)
+                throw std::runtime_error(
+                    "campaign journal: fingerprint mismatch (campaign "
+                    "config or roster changed since the journal was "
+                    "written)");
+            if (on_disk.header.devices != header.devices)
+                throw std::runtime_error(
+                    "campaign journal: device roster mismatch");
+            for (const std::string_view line : on_disk.records) {
+                DeviceResults r;
+                const auto v = report::json_parse(line);
+                if (!v || !device_results_from_json(*v->find("result"), r))
+                    throw std::runtime_error(
+                        "campaign journal: undecodable record for device " +
+                        std::to_string(restored));
+                emit(restored++, std::move(r));
             }
+            keep = on_disk.kept_bytes;
         }
-        if (file_exists(opts.journal_path)) {
-            if (any_need)
-                carve_all_segments(opts.journal_path, opts.journal_path,
-                                   need, seg_resume);
-            std::remove(opts.journal_path.c_str());
-        }
+        if (!journal.open(opts.journal_path,
+                          std::string_view(text).substr(0, keep)))
+            throw std::runtime_error("campaign journal: cannot write '" +
+                                     opts.journal_path + "'");
     }
 
     // Per-shard completion state, merged in canonical device order by a
-    // frontier that advances as shards finish: results stream out (or
-    // accumulate), metrics merge, and journal/trace segments append to
-    // the merged files — then the state is dropped. Out-of-order
-    // completions wait in `pending`, whose size the backlog bound below
-    // keeps O(workers), so memory stays flat however large the roster.
+    // frontier that advances as shards finish: journal records append,
+    // results stream out (or accumulate), metrics merge, and trace
+    // segments append to the merged files — then the state is dropped.
+    // Out-of-order completions wait in `pending`, whose size the backlog
+    // bound below keeps O(workers), so memory stays flat however large
+    // the roster.
     struct Pending {
-        std::vector<DeviceResults> results;
+        DeviceResults result;
+        std::string record; ///< device_results_json, when journaling
         std::unique_ptr<obs::MetricsRegistry> metrics;
         std::vector<obs::ProfileSpan> spans;
         std::string device_label;
@@ -872,14 +525,10 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     std::condition_variable cv;
     std::map<int, Pending> pending;
     std::map<int, std::exception_ptr> errors;
-    int frontier = 0;
-    std::optional<SegmentMerger> jmerge, tmerge, tsmerge;
-    if (!opts.journal_path.empty())
-        jmerge.emplace(opts.journal_path, merged_header_line, fingerprint);
-    if (!opts.trace_path.empty())
-        tmerge.emplace(opts.trace_path, "", "");
-    if (!opts.timeseries_path.empty())
-        tsmerge.emplace(opts.timeseries_path, "", "");
+    int frontier = restored;
+    std::optional<SegmentMerger> tmerge, tsmerge;
+    if (!opts.trace_path.empty()) tmerge.emplace(opts.trace_path);
+    if (!opts.timeseries_path.empty()) tsmerge.emplace(opts.timeseries_path);
     // Flight-recorder dumps stay per-shard files (each is a complete
     // trace window); the manifest lists them in canonical device order
     // so a reader walks dumps in the same order at any worker count.
@@ -935,8 +584,8 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
             obs->tracer().add_sink(sink.get());
         }
         // One-device testbed under the device's GLOBAL roster number:
-        // addressing, VLANs, MACs, and the journal/RNG indices all match
-        // the device's slice of a full-roster campaign, while bring-up
+        // addressing, VLANs, MACs, and the RNG streams all match the
+        // device's slice of a full-roster campaign, while bring-up
         // work across all shards stays linear in the roster instead of
         // quadratic.
         Testbed tb(loop);
@@ -969,22 +618,12 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         obs::ProfileCollector prof;
         CampaignConfig cfg = opts.config;
         if (!opts.profile_path.empty()) cfg.profiler = &prof;
-        cfg.shard.index = k;
         cfg.shard.first_device = 0;
         cfg.shard.last_device = 0;
         cfg.shard.device_base = k;
-        cfg.shard.fingerprint = fingerprint;
-        if (!opts.journal_path.empty()) {
-            cfg.supervisor.journal_path =
-                segment_path(opts.journal_path, k);
-            cfg.supervisor.resume =
-                seg_resume[static_cast<std::size_t>(k)] != 0;
-        } else {
-            cfg.supervisor.journal_path.clear();
-            cfg.supervisor.resume = false;
-        }
         Testrund rund(tb);
-        cell.results = rund.run_blocking(cfg);
+        cell.result = std::move(rund.run_blocking(cfg).front());
+        if (journaling) cell.record = device_results_json(cell.result);
         if (ts) {
             loop.set_advance_hook(nullptr);
             ts->finish(loop.now());
@@ -1020,26 +659,23 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
 
     // Fold every pending shard at the frontier into the merged outputs.
     // Caller holds the lock. Merging stops (permanently) at the first
-    // errored shard: the merged journal stays a valid prefix and later
-    // completed shards keep their segments — exactly the on-disk state a
-    // resume consumes.
+    // errored shard: the journal holds exactly the devices before it,
+    // and a resume reruns every later one.
     auto advance_frontier = [&] {
         while (frontier < n && errors.count(frontier) == 0) {
             auto it = pending.find(frontier);
             if (it == pending.end()) break;
             Pending& cell = it->second;
-            if (opts.on_result) {
-                for (auto& r : cell.results)
-                    opts.on_result(frontier, std::move(r));
-            } else {
-                for (auto& r : cell.results)
-                    out.results.push_back(std::move(r));
-            }
+            if (journaling &&
+                !journal.append(
+                    frontier, opts.roster[static_cast<std::size_t>(frontier)].tag,
+                    cell.record))
+                throw std::runtime_error(
+                    "campaign journal: write failed for '" +
+                    opts.journal_path + "'");
+            emit(frontier, std::move(cell.result));
             if (out.metrics && cell.metrics)
                 out.metrics->merge_from(*cell.metrics);
-            if (jmerge)
-                jmerge->append_segment(
-                    segment_path(opts.journal_path, frontier));
             if (tmerge) {
                 tmerge->append_segment(
                     segment_path(opts.trace_path, frontier));
@@ -1071,7 +707,7 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     const int workers = clamped_workers;
     const int backlog_limit = workers * 4 + 16;
 
-    std::atomic<int> next{0};
+    std::atomic<int> next{restored};
     auto worker_fn = [&](int worker_id) {
         for (int k; (k = next.fetch_add(1)) < n;) {
             {
@@ -1116,7 +752,6 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     }
     if (!errors.empty()) std::rethrow_exception(errors.begin()->second);
     GK_ENSURES(frontier == n && pending.empty());
-    if (jmerge) jmerge->finish();
     if (tmerge) {
         tmerge->finish();
         flight_manifest.flush();

@@ -48,11 +48,12 @@ struct UnitReport {
     std::int64_t t_end_ns = 0;
 };
 
-/// Campaign supervision: per-unit deadline budgets, retry/quarantine
-/// policy, and the write-ahead journal. Everything defaults OFF — with
-/// deadlines at zero and no journal path the supervisor schedules no
-/// events and touches no files, so an unsupervised campaign's event
+/// Campaign supervision: per-unit deadline budgets and retry/quarantine
+/// policy. Everything defaults OFF — with deadlines at zero the
+/// supervisor schedules no events, so an unsupervised campaign's event
 /// stream (and every figure built from it) is bit-for-bit unchanged.
+/// Journaling is the shard scheduler's concern
+/// (ShardScheduler::Options::journal_path).
 struct SupervisorPolicy {
     /// Soft per-unit budget: when a unit runs past this the supervisor
     /// dumps the flight recorder, cancels the attempt cooperatively, and
@@ -73,11 +74,6 @@ struct SupervisorPolicy {
     /// remaining units skipped (the campaign itself continues). <= 0
     /// disables quarantine.
     int quarantine_after = 3;
-    /// Write-ahead journal path (schema gatekit.journal.v1); empty = no
-    /// journal. With `resume` set the journal is replayed first and the
-    /// campaign continues from the first missing unit.
-    std::string journal_path;
-    bool resume = false;
 
     bool soft_enabled() const { return soft_deadline > sim::Duration::zero(); }
     bool hard_enabled() const { return hard_deadline > sim::Duration::zero(); }
@@ -90,8 +86,8 @@ struct SupervisorPolicy {
 ///
 /// so a device's fate sequence depends only on the campaign seed and its
 /// own identity — never on which devices ran before it or on how the
-/// campaign is sharded across workers. The result is masked to 62 bits
-/// so journals round-trip it through JSON integers exactly.
+/// campaign is sharded across workers. The result is masked to 62 bits;
+/// the mask is part of every impaired campaign's fate sequence.
 std::uint64_t impair_seed_for(std::uint64_t campaign_seed, int device,
                               bool wan_link, int direction);
 
@@ -100,8 +96,7 @@ std::uint64_t impair_seed_for(std::uint64_t campaign_seed, int device,
 /// before the first unit, seeded per device by impair_seed_for.
 /// Declaring impairments here — rather than poking Link::set_impairments
 /// by hand — is what lets a sharded campaign reproduce them inside each
-/// shard's private testbed, the journal fingerprint bind to them, and a
-/// resumed campaign restore each impairer's exact RNG state.
+/// shard's private testbed and the journal fingerprint bind to them.
 struct CampaignImpairments {
     sim::LinkImpairments wan;
     std::uint64_t seed = 0x6761'7465'6b69'7421ULL;
@@ -112,28 +107,26 @@ struct CampaignImpairments {
 /// one-device testbed whose slot 0 is device number `device_base + 1`
 /// of the full roster (Testbed addressing derives from the global
 /// number, so the wire bytes match the device's slice of a full-roster
-/// bring-up); journal entries and impairment RNG streams always use
-/// global indices, which is what keeps segments carve/merge-compatible
-/// with the merged journal. Deliberately excluded from the campaign
-/// fingerprint — a shard's journal segment belongs to the same campaign
-/// as the merged whole.
+/// bring-up); impairment RNG streams always use the global index.
+/// Deliberately excluded from the campaign fingerprint — it places a
+/// device, it does not measure it.
 struct ShardSpec {
-    int index = -1;       ///< shard id, recorded in the journal header
+    /// Shard id. The runner does not read it; it stays declared because
+    /// existing callers (the campaign benchmark) still assign it.
+    int index = -1;
     /// Testrund measures testbed slot 0 only and throws on any other
     /// range: first_device must be 0 and last_device 0 or -1. Both stay
     /// declared because existing callers (the campaign benchmark) still
     /// assign them.
     int first_device = 0;
     int last_device = -1;
-    /// Global device index of testbed slot 0. Journaled entry/RNG device
-    /// fields carry it.
+    /// Global device index of testbed slot 0; seeds its impairment RNG
+    /// streams.
     int device_base = 0;
-    /// Precomputed whole-campaign fingerprint; "" = the runner derives
-    /// it from its own one-device testbed. The scheduler computes it
-    /// once per campaign so a 10k-shard run does not hash a 10k-profile
-    /// roster 10k times.
+    /// Whole-campaign fingerprint. The runner does not read it either;
+    /// the journal header is the scheduler's, which hashes the roster
+    /// once per campaign.
     std::string fingerprint;
-    bool active() const { return index >= 0; }
 };
 
 /// Which measurements to run (each maps to a paper test).
@@ -248,41 +241,41 @@ private:
 /// shard owns a full private stack — EventLoop, a ONE-device Testbed
 /// whose addressing derives from the device's global roster number (so
 /// its wire bytes match that device's slice of a full-roster bring-up),
-/// optional metrics registry + tracer, per-device impairment RNG
-/// streams, and a per-shard journal segment — and measures only its own
-/// device. Because a shard's simulation never reads another shard's
-/// state, its outputs are a pure function of (device profile, config,
-/// global index): total bring-up work is linear in the roster, and the
-/// worker count changes wall-clock time and nothing else. Results,
-/// metrics, traces, and journal segments are merged incrementally in
-/// canonical device order as a completion frontier advances — per-shard
-/// state is released as soon as the frontier passes it, so memory stays
-/// flat in the roster size — and every output artifact is
-/// byte-identical at any worker count. A killed campaign resumes from
-/// whatever mix of complete shard segments and/or a previously merged
-/// journal prefix is on disk.
+/// optional metrics registry + tracer, and per-device impairment RNG
+/// streams — and measures only its own device. Because a shard's
+/// simulation never reads another shard's state, its outputs are a pure
+/// function of (device profile, config, global index): total bring-up
+/// work is linear in the roster, and the worker count changes
+/// wall-clock time and nothing else. Results, metrics, traces, and
+/// journal records are merged incrementally in canonical device order
+/// as a completion frontier advances — per-shard state is released as
+/// soon as the frontier passes it, so memory stays flat in the roster
+/// size — and every output artifact is byte-identical at any worker
+/// count. The device is the unit of resume: a killed campaign takes the
+/// journaled devices' results from their records and reruns every
+/// other device from bring-up.
 class ShardScheduler {
 public:
     struct Options {
         /// Full device roster, slot order (= canonical merge order).
         std::vector<gateway::DeviceProfile> roster;
-        /// Campaign to run. `config.shard` and the supervisor journal
-        /// path/resume fields are owned by the scheduler and overwritten
-        /// per shard; set journaling through `journal_path` below.
+        /// Campaign to run. `config.shard` is owned by the scheduler and
+        /// overwritten per shard.
         CampaignConfig config;
         /// Worker threads; clamped to [1, roster size]. 1 = run the
         /// shards sequentially on the calling thread (no threads spawn).
         int workers = 1;
-        /// Merged journal path ("" = no journal). Shard k journals to
-        /// segment_path(journal_path, k) while running; as the
-        /// completion frontier reaches it the segment is appended to
-        /// `journal_path` (header first, entries in device order) and
-        /// removed, so the merged journal is always a valid prefix.
+        /// Journal path ("" = no journal; schema gatekit.journal.v2). As
+        /// the completion frontier reaches device k, its record is
+        /// appended and flushed, so the journal is always a header plus
+        /// the records of devices 0..k.
         std::string journal_path;
-        /// Resume: shard k replays its segment if present, else carves
-        /// its device's entries out of an existing merged journal (from
-        /// a run at ANY worker count); with neither on disk it starts
-        /// fresh. A merged journal of another roster size is refused.
+        /// Resume from `journal_path` (written at ANY worker count): the
+        /// recorded devices' results are handed out from their records
+        /// with no bring-up, and every other device runs. A torn final
+        /// line is dropped; a journal of another campaign, roster or
+        /// schema, or with any other malformed line, is refused. With no
+        /// journal on disk the campaign starts fresh.
         bool resume = false;
         /// Collect per-shard metrics and merge them into Output::metrics.
         bool metrics = false;
@@ -297,10 +290,10 @@ public:
         /// gatekit.timeseries.v1). Shard k samples its private registry
         /// every `timeseries_interval` of SIM time into
         /// segment_path(timeseries_path, k); segments are concatenated
-        /// in device order as the frontier advances, exactly like
-        /// journal/trace segments, so the merged stream is
-        /// byte-identical at any worker count. Implies a per-shard
-        /// registry even when `metrics` is false.
+        /// in device order as the frontier advances, exactly like trace
+        /// segments, so the merged stream is byte-identical at any
+        /// worker count. Implies a per-shard registry even when
+        /// `metrics` is false.
         std::string timeseries_path;
         sim::Duration timeseries_interval{std::chrono::seconds(1)};
         /// Harness self-profiler sidecar path ("" = off; schema
@@ -330,8 +323,9 @@ public:
     };
 
     /// Run the campaign. Throws (after joining every worker) if any
-    /// shard fails; completed shards' journal segments stay on disk, so
-    /// a rerun with `resume` replays them instead of re-measuring.
+    /// shard fails; the journal keeps every device the frontier passed,
+    /// so a rerun with `resume` takes them from it instead of
+    /// re-measuring.
     static Output run(const Options& opts);
 
     /// Per-shard segment path: "<path>.shard<k>".
@@ -339,25 +333,12 @@ public:
 
     /// Transient-buffer accounting for a streaming merge: the merge
     /// must never hold more than one fixed-size chunk of any segment in
-    /// memory, whatever the journal size.
+    /// memory, whatever the segment size.
     struct MergeStats {
         std::size_t peak_buffer_bytes = 0; ///< largest transient buffer
         std::uint64_t segments = 0;        ///< segments consumed
         std::uint64_t bytes = 0;           ///< payload bytes written
     };
-
-    /// Concatenate journal segments 0..n_shards-1 of `path` into the
-    /// merged journal and remove them. `header_line` is written first
-    /// (the scheduler renders it from the campaign fingerprint + roster
-    /// with the shard field dropped); each segment's own header line is
-    /// checked against `fingerprint` and skipped. Segment bodies are
-    /// streamed in fixed-size chunks — peak transient memory is
-    /// O(chunk), not O(journal) — and `stats`, when non-null, reports
-    /// the high-water mark so tests can pin that property down.
-    static void merge_segments(const std::string& path, int n_shards,
-                               const std::string& header_line,
-                               const std::string& fingerprint,
-                               MergeStats* stats = nullptr);
 
     /// Concatenate trace segments 0..n_segments-1 of `path` (pure
     /// streamed concatenation — a one-device shard can only emit its

@@ -1,6 +1,10 @@
 #include "report/journal.hpp"
 
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
+
+#include "report/json.hpp"
 
 namespace gatekit::report {
 
@@ -10,8 +14,6 @@ std::string journal_header_line(const JournalHeader& header) {
     jw.begin_object();
     jw.key("schema").value(std::string_view(kJournalSchema));
     jw.key("fingerprint").value(std::string_view(header.fingerprint));
-    if (header.shard >= 0)
-        jw.key("shard").value(static_cast<std::int64_t>(header.shard));
     jw.key("devices").begin_array();
     for (const auto& tag : header.devices) jw.value(std::string_view(tag));
     jw.end_array();
@@ -26,180 +28,81 @@ bool known_status(std::string_view s) {
            s == "quarantined";
 }
 
-} // namespace
-
-bool decode_journal_header(const JsonValue& v, JournalHeader& header,
-                           std::string* error) {
+/// Empty when `v` is a valid header (decoded into `header`), else why not.
+std::string decode_header(const JsonValue& v, JournalHeader& header) {
     const JsonValue* schema = v.find("schema");
-    if (schema == nullptr || schema->as_string() != kJournalSchema) {
-        if (error) *error = "missing or wrong schema tag";
-        return false;
-    }
-    header.schema = schema->as_string();
+    if (schema == nullptr) return "header lacks a schema tag";
+    if (schema->as_string() != kJournalSchema)
+        return "journal schema '" + schema->as_string() + "' is not " +
+               kJournalSchema;
+    const JsonValue* devices = v.find("devices");
+    if (devices == nullptr || devices->type != JsonValue::Type::Array)
+        return "header lacks devices array";
     if (const JsonValue* fp = v.find("fingerprint"))
         header.fingerprint = fp->as_string();
-    if (const JsonValue* sh = v.find("shard"))
-        header.shard = static_cast<int>(sh->as_int(-1));
-    const JsonValue* devices = v.find("devices");
-    if (devices == nullptr || devices->type != JsonValue::Type::Array) {
-        if (error) *error = "header lacks devices array";
-        return false;
-    }
-    header.devices.clear();
     for (const auto& d : devices->array)
         header.devices.push_back(d.as_string());
-    return true;
+    return {};
 }
 
-namespace {
-
-bool decode_entry(JsonValue v, JournalEntry& entry, std::string* error) {
+/// Empty when `v` is a valid record for device `k` of `header`'s roster,
+/// else why not.
+std::string check_record(const JsonValue& v, std::size_t k,
+                         const JournalHeader& header) {
     const JsonValue* device = v.find("device");
-    const JsonValue* unit = v.find("unit");
-    const JsonValue* status = v.find("status");
-    if (device == nullptr || unit == nullptr || status == nullptr) {
-        if (error) *error = "entry lacks device/unit/status";
-        return false;
-    }
-    entry.device = static_cast<int>(device->as_int());
-    entry.unit = unit->as_string();
-    entry.status = status->as_string();
-    if (!known_status(entry.status)) {
-        if (error) *error = "unknown status '" + entry.status + "'";
-        return false;
-    }
-    if (const JsonValue* tag = v.find("tag")) entry.tag = tag->as_string();
-    if (const JsonValue* a = v.find("attempts"))
-        entry.attempts = static_cast<int>(a->as_int(1));
-    if (const JsonValue* r = v.find("reason"))
-        entry.reason = r->as_string();
-    if (const JsonValue* t = v.find("t_start_ns"))
-        entry.t_start_ns = t->as_int();
-    if (const JsonValue* t = v.find("t_end_ns"))
-        entry.t_end_ns = t->as_int();
-    if (const JsonValue* st = v.find("state")) {
-        if (const JsonValue* c = st->find("client_eph"))
-            entry.state.client_eph = static_cast<std::uint64_t>(c->as_int());
-        if (const JsonValue* c = st->find("server_eph"))
-            entry.state.server_eph = static_cast<std::uint64_t>(c->as_int());
-        if (const JsonValue* c = st->find("udp_pool"))
-            entry.state.udp_pool = static_cast<std::uint64_t>(c->as_int());
-        if (const JsonValue* c = st->find("tcp_pool"))
-            entry.state.tcp_pool = static_cast<std::uint64_t>(c->as_int());
-        if (const JsonValue* r = st->find("rng")) {
-            if (r->type != JsonValue::Type::Array) {
-                if (error) *error = "state.rng is not an array";
-                return false;
-            }
-            for (const auto& sv : r->array) {
-                JournalStateStamp::RngStamp stamp;
-                if (const JsonValue* c = sv.find("device"))
-                    stamp.device = static_cast<int>(c->as_int());
-                if (const JsonValue* c = sv.find("link"))
-                    stamp.link = c->as_string();
-                if (const JsonValue* c = sv.find("dir"))
-                    stamp.dir = c->as_string();
-                if (const JsonValue* c = sv.find("seed"))
-                    stamp.seed = static_cast<std::uint64_t>(c->as_int());
-                if (const JsonValue* c = sv.find("draws"))
-                    stamp.draws = static_cast<std::uint64_t>(c->as_int());
-                entry.state.rng.push_back(std::move(stamp));
-            }
+    const JsonValue* tag = v.find("tag");
+    const JsonValue* result = v.find("result");
+    if (device == nullptr || device->type != JsonValue::Type::Number ||
+        tag == nullptr || result == nullptr ||
+        result->type != JsonValue::Type::Object)
+        return "record lacks device/tag/result";
+    if (k >= header.devices.size()) return "more records than devices";
+    if (device->as_int(-1) != static_cast<std::int64_t>(k))
+        return "record for device " + std::to_string(device->as_int(-1)) +
+               " where device " + std::to_string(k) +
+               " is next (duplicate or out of order)";
+    const std::string& expected = header.devices[k];
+    if (tag->as_string() != expected)
+        return "tag '" + tag->as_string() + "' does not match roster tag '" +
+               expected + "'";
+    const JsonValue* result_tag = result->find("tag");
+    if (result_tag == nullptr || result_tag->as_string() != expected)
+        return "result.tag does not match roster tag '" + expected + "'";
+    if (const JsonValue* units = result->find("units"))
+        for (const auto& u : units->array) {
+            const JsonValue* status = u.find("status");
+            if (status == nullptr || !known_status(status->as_string()))
+                return "unknown unit status";
         }
-    }
-    if (JsonValue* p = const_cast<JsonValue*>(v.find("payload")))
-        entry.payload = std::move(*p);
-    return true;
+    return {};
 }
 
 } // namespace
 
-bool JournalWriter::open_new(const std::string& path,
-                             const JournalHeader& header) {
-    out_.open(path, std::ios::binary | std::ios::trunc);
-    if (!out_.good()) return false;
-    out_ << journal_header_line(header) << '\n';
-    out_.flush();
-    return out_.good();
-}
-
-bool JournalWriter::open_append(const std::string& path) {
-    out_.open(path, std::ios::binary | std::ios::app);
-    return out_.good();
-}
-
-bool JournalWriter::append(const JournalEntry& entry,
-                           std::string_view payload_json) {
-    if (!ok()) return false;
-    JsonWriter jw(out_);
-    jw.begin_object();
-    jw.key("device").value(static_cast<std::int64_t>(entry.device));
-    jw.key("tag").value(std::string_view(entry.tag));
-    jw.key("unit").value(std::string_view(entry.unit));
-    jw.key("status").value(std::string_view(entry.status));
-    jw.key("attempts").value(static_cast<std::int64_t>(entry.attempts));
-    jw.key("reason").value(std::string_view(entry.reason));
-    jw.key("t_start_ns").value(entry.t_start_ns);
-    jw.key("t_end_ns").value(entry.t_end_ns);
-    jw.key("state").begin_object();
-    jw.key("client_eph").value(entry.state.client_eph);
-    jw.key("server_eph").value(entry.state.server_eph);
-    jw.key("udp_pool").value(entry.state.udp_pool);
-    jw.key("tcp_pool").value(entry.state.tcp_pool);
-    if (!entry.state.rng.empty()) {
-        jw.key("rng").begin_array();
-        for (const auto& stamp : entry.state.rng) {
-            jw.begin_object();
-            jw.key("device").value(static_cast<std::int64_t>(stamp.device));
-            jw.key("link").value(std::string_view(stamp.link));
-            jw.key("dir").value(std::string_view(stamp.dir));
-            jw.key("seed").value(stamp.seed);
-            jw.key("draws").value(stamp.draws);
-            jw.end_object();
-        }
-        jw.end_array();
-    }
-    jw.end_object();
-    jw.key("payload").raw(payload_json);
-    jw.end_object();
-    out_ << '\n';
-    out_.flush(); // write-ahead: durable before the result is merged
-    return out_.good();
-}
-
-bool JournalReader::load(const std::string& path, JournalHeader& header,
-                         std::vector<JournalEntry>& entries,
-                         std::string* error) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-        if (error) *error = "cannot open journal '" + path + "'";
-        return false;
-    }
-    entries.clear();
-    std::string line;
+bool parse_journal(std::string_view text, Journal& journal,
+                   std::string* error) {
+    journal = Journal{};
+    const std::size_t last_newline = text.rfind('\n');
+    journal.kept_bytes =
+        last_newline == std::string_view::npos ? 0 : last_newline + 1;
     std::size_t lineno = 0;
-    while (std::getline(in, line)) {
+    for (std::size_t pos = 0; pos < journal.kept_bytes;) {
+        const std::size_t end = text.find('\n', pos);
+        const std::string_view line = text.substr(pos, end - pos);
+        pos = end + 1;
         ++lineno;
-        if (line.empty()) continue;
-        std::string perr;
-        auto v = json_parse(line, &perr);
-        if (!v) {
-            if (error)
-                *error = "line " + std::to_string(lineno) + ": " + perr;
+        std::string why;
+        if (const auto v = json_parse(line, &why)) {
+            why = lineno == 1
+                      ? decode_header(*v, journal.header)
+                      : check_record(*v, journal.records.size(),
+                                     journal.header);
+        }
+        if (!why.empty()) {
+            if (error) *error = "line " + std::to_string(lineno) + ": " + why;
             return false;
         }
-        if (lineno == 1) {
-            if (!decode_journal_header(*v, header, error)) return false;
-            continue;
-        }
-        JournalEntry entry;
-        std::string derr;
-        if (!decode_entry(std::move(*v), entry, &derr)) {
-            if (error)
-                *error = "line " + std::to_string(lineno) + ": " + derr;
-            return false;
-        }
-        entries.push_back(std::move(entry));
+        if (lineno > 1) journal.records.push_back(line);
     }
     if (lineno == 0) {
         if (error) *error = "empty journal";
@@ -209,59 +112,34 @@ bool JournalReader::load(const std::string& path, JournalHeader& header,
 }
 
 bool validate_journal(std::string_view text, std::string* error) {
-    std::istringstream in{std::string(text)};
-    std::string line;
-    std::size_t lineno = 0;
-    JournalHeader header;
-    int last_device = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty()) continue;
-        std::string perr;
-        auto v = json_parse(line, &perr);
-        if (!v) {
-            if (error)
-                *error = "line " + std::to_string(lineno) + ": " + perr;
-            return false;
-        }
-        if (lineno == 1) {
-            if (!decode_journal_header(*v, header, error)) return false;
-            continue;
-        }
-        JournalEntry entry;
-        std::string derr;
-        if (!decode_entry(std::move(*v), entry, &derr)) {
-            if (error)
-                *error = "line " + std::to_string(lineno) + ": " + derr;
-            return false;
-        }
-        if (entry.device < 0 ||
-            entry.device >= static_cast<int>(header.devices.size())) {
-            if (error)
-                *error = "line " + std::to_string(lineno) +
-                         ": device index out of roster";
-            return false;
-        }
-        if (header.devices[static_cast<std::size_t>(entry.device)] !=
-            entry.tag) {
-            if (error)
-                *error = "line " + std::to_string(lineno) +
-                         ": tag does not match roster";
-            return false;
-        }
-        if (entry.device < last_device) {
-            if (error)
-                *error = "line " + std::to_string(lineno) +
-                         ": device order regressed";
-            return false;
-        }
-        last_device = entry.device;
+    Journal journal;
+    return parse_journal(text, journal, error);
+}
+
+bool JournalWriter::open(const std::string& path, std::string_view prefix) {
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        out.write(prefix.data(), static_cast<std::streamsize>(prefix.size()));
+        out.flush();
+        if (!out.good()) return false;
     }
-    if (lineno == 0) {
-        if (error) *error = "empty journal";
-        return false;
-    }
-    return true;
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) return false;
+    out_.open(path, std::ios::binary | std::ios::app);
+    return out_.good();
+}
+
+bool JournalWriter::append(int device, std::string_view tag,
+                           std::string_view result_json) {
+    JsonWriter jw(out_);
+    jw.begin_object();
+    jw.key("device").value(static_cast<std::int64_t>(device));
+    jw.key("tag").value(tag);
+    jw.key("result").raw(result_json);
+    jw.end_object();
+    out_ << '\n';
+    out_.flush(); // durable before the result is handed out
+    return out_.good();
 }
 
 } // namespace gatekit::report

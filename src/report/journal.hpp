@@ -1,127 +1,82 @@
-// Campaign journal (schema "gatekit.journal.v1"): a write-ahead JSONL
-// log of completed (device, test) measurement units. Line 1 is a header
-// binding the journal to one campaign (config fingerprint + device
-// roster); each following line is one completed unit with its full
-// result payload and the resume-state stamp (sim clock + allocator
-// cursors) needed to replay the rest of the campaign byte-identically.
+// Campaign journal (schema "gatekit.journal.v2"): a JSONL log of the
+// devices a campaign has finished. Line 1 is a header binding the
+// journal to one campaign (config fingerprint + device roster); each
+// following line is one finished device, in roster order:
 //
-// The report layer stays harness-agnostic: units and statuses are
-// strings here, payloads are opaque JSON. src/harness/results_io.*
-// owns the mapping to the typed result structs.
+//   {"device":k,"tag":"<roster tag k>","result":<device results>}
+//
+// A device's results are a pure function of (profile, config, global
+// device number), so a resumed campaign takes every recorded device's
+// results from its record and reruns every other device from bring-up.
+//
+// The report layer stays harness-agnostic: a record's result is opaque
+// JSON here apart from its "tag" and the status strings of its "units".
+// src/harness/results_io.* owns the mapping to the typed result structs.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "report/json.hpp"
-
 namespace gatekit::report {
 
-inline constexpr const char* kJournalSchema = "gatekit.journal.v1";
+inline constexpr const char* kJournalSchema = "gatekit.journal.v2";
 
 struct JournalHeader {
-    std::string schema;
     std::string fingerprint; ///< campaign config hash, hex
-    std::vector<std::string> devices; ///< profile tags, slot order
-    /// Shard index when this journal is one shard's segment of a
-    /// device-sharded campaign, -1 for a merged whole-campaign journal.
-    /// The field is omitted from the header line when absent, so merged
-    /// journals keep the pre-shard format.
-    int shard = -1;
+    std::vector<std::string> devices; ///< profile tags, roster order
 };
 
-/// Allocator cursors captured at a unit boundary. Restoring them (plus
-/// aligning the sim clock to `t_end`) is what makes a resumed campaign's
-/// remaining units reproduce the uninterrupted run exactly: sequential
-/// port pools and ephemeral-port counters are the only cross-unit state
-/// the probes observe.
-struct JournalStateStamp {
-    std::uint64_t client_eph = 0; ///< test client's next ephemeral port
-    std::uint64_t server_eph = 0; ///< test server's next ephemeral port
-    std::uint64_t udp_pool = 0;   ///< device's UDP pool cursor
-    std::uint64_t tcp_pool = 0;   ///< device's TCP pool cursor
-    /// Exact state of one link-impairment RNG at the unit boundary, as
-    /// the compact (seed, draw-count) pair util::Rng restores from.
-    /// Without these a resumed impaired campaign re-seeds every
-    /// impairer from scratch and diverges from the uninterrupted run at
-    /// the first fate draw.
-    struct RngStamp {
-        int device = 0;    ///< global roster index of the link's device
-        std::string link;  ///< "wan" | "lan"
-        std::string dir;   ///< "a2b" | "b2a" (Link::Side A/B transmit)
-        std::uint64_t seed = 0;
-        std::uint64_t draws = 0;
-    };
-    /// One stamp per installed impairer, capture order (device, then
-    /// wan/lan, then a2b/b2a). Empty for unimpaired campaigns, and the
-    /// "rng" key is then omitted so lossless journals keep the
-    /// pre-impairment byte format.
-    std::vector<RngStamp> rng;
+/// Canonical rendering of a journal header line (no trailing newline).
+std::string journal_header_line(const JournalHeader& header);
+
+/// A parsed journal. Record k is device k's line: the records are
+/// exactly the devices 0..records.size()-1, in order.
+struct Journal {
+    JournalHeader header;
+    std::vector<std::string_view> records; ///< views into the parsed text
+    /// Length of the text's prefix the journal keeps: every whole line.
+    /// Bytes after the last newline are a torn final line — a kill
+    /// mid-append — and are dropped.
+    std::size_t kept_bytes = 0;
 };
 
-struct JournalEntry {
-    int device = 0;      ///< global roster index of the device
-    std::string tag;     ///< profile tag (cross-checked on resume)
-    std::string unit;    ///< e.g. "udp1", "tcp2", "binding_rate"
-    std::string status;  ///< "ok" | "degraded" | "gave_up" | "quarantined"
-    int attempts = 1;
-    std::string reason;  ///< machine-readable failure reason, "" when ok
-    // Sim-clock bounds of the unit, integer nanoseconds: a resumed
-    // campaign realigns its clock to the last entry's t_end exactly
-    // (doubles in seconds would round and shift every later event).
-    std::int64_t t_start_ns = 0;
-    std::int64_t t_end_ns = 0;
-    JournalStateStamp state;
-    JsonValue payload;   ///< unit result, opaque to the report layer
-};
+/// The one journal reader, used by resume and validate_journal. Drops a
+/// torn final line (bytes after the last newline); refuses anything else
+/// malformed, with a line-numbered description in `error` when non-null:
+/// an empty journal, a header of another schema (named in the message)
+/// or without a devices array, a record that is not JSON or lacks its
+/// device/tag/result, a record for any device but the next one (a
+/// duplicate, a gap or a regression), a tag or result.tag that differs
+/// from the roster, and an unknown unit status.
+bool parse_journal(std::string_view text, Journal& journal,
+                   std::string* error = nullptr);
+
+/// parse_journal without keeping the result. Used by the journal_smoke
+/// ctest.
+bool validate_journal(std::string_view text, std::string* error = nullptr);
 
 /// Append-only journal writer. Every append is flushed before returning,
-/// so a campaign killed at any instant loses at most the in-flight unit.
+/// so a campaign killed at any instant loses at most the devices that
+/// had not reached the completion frontier.
 class JournalWriter {
 public:
-    /// Start a fresh journal (truncates) and write the header line.
-    bool open_new(const std::string& path, const JournalHeader& header);
+    /// Make `prefix` — a header line plus newline, or the whole-line
+    /// prefix parse_journal kept — the journal at `path`, then open it
+    /// for appending. The prefix is written to "<path>.tmp" and renamed
+    /// over `path`, so a kill at any instant leaves either the old
+    /// journal or the new one. False on any I/O failure.
+    bool open(const std::string& path, std::string_view prefix);
 
-    /// Reopen an existing journal for appending (resumed campaign).
-    bool open_append(const std::string& path);
-
-    bool ok() const { return out_.is_open() && out_.good(); }
-
-    /// Append one completed unit. `payload_json` is spliced verbatim as
-    /// the entry's "payload" member.
-    bool append(const JournalEntry& entry, std::string_view payload_json);
+    /// Append device `device`'s record; `result_json` is spliced
+    /// verbatim as its "result" member. False on a write failure.
+    bool append(int device, std::string_view tag,
+                std::string_view result_json);
 
 private:
     std::ofstream out_;
 };
-
-/// Canonical rendering of a journal header line (no trailing newline).
-/// Shared by the journal writer and the shard scheduler's segment
-/// carve/merge, so header bytes have exactly one authority.
-std::string journal_header_line(const JournalHeader& header);
-
-/// Decode a parsed header line; false (with a description in `error`
-/// when non-null) on a missing/wrong schema tag or devices array.
-bool decode_journal_header(const JsonValue& v, JournalHeader& header,
-                           std::string* error = nullptr);
-
-/// Journal reader: load + structural decode of header and entries.
-class JournalReader {
-public:
-    /// Parse the journal at `path`. Returns false (with a description in
-    /// `error` when non-null) on I/O failure or any malformed line.
-    static bool load(const std::string& path, JournalHeader& header,
-                     std::vector<JournalEntry>& entries,
-                     std::string* error = nullptr);
-};
-
-/// Structural + schema validation of journal text: header line with the
-/// v1 schema tag, every entry line carrying the required fields with a
-/// known status, device indices within the roster, and units appearing
-/// in non-decreasing device order. Used by the journal_smoke ctest.
-bool validate_journal(std::string_view text, std::string* error = nullptr);
 
 } // namespace gatekit::report

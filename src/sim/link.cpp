@@ -130,23 +130,6 @@ const ImpairmentStats& Link::impairment_stats(Side from) const {
     return d.impair ? d.impair->stats : kZero;
 }
 
-bool Link::impair_rng_state(Side from, std::uint64_t& seed,
-                            std::uint64_t& draws) const {
-    const Direction& d = dir(from);
-    if (!d.impair) return false;
-    seed = d.impair->rng.seed();
-    draws = d.impair->rng.draws();
-    return true;
-}
-
-bool Link::restore_impair_rng(Side from, std::uint64_t seed,
-                              std::uint64_t draws) {
-    Direction& d = dir(from);
-    if (!d.impair) return false;
-    d.impair->rng.restore(seed, draws);
-    return true;
-}
-
 // Impairments apply after serialization: the frame occupied the wire, then
 // the medium lost/garbled/delayed it. Draw order is fixed (loss, corrupt,
 // jitter, reorder, duplicate) so a given seed replays the same fate

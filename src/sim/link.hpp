@@ -105,18 +105,6 @@ public:
     const LinkImpairments& impairments(Side from) const;
     const ImpairmentStats& impairment_stats(Side from) const;
 
-    /// Exact impairment RNG state for the direction transmitting from
-    /// `from`, as the compact (seed, draw-count) pair the campaign
-    /// journal records. False when the direction is unimpaired.
-    bool impair_rng_state(Side from, std::uint64_t& seed,
-                          std::uint64_t& draws) const;
-    /// Restore a previously captured impairment RNG state onto an
-    /// installed impairer; the direction's future fate draws become
-    /// bit-identical to the run the state was captured from. False
-    /// (no-op) when the direction has no impairer.
-    bool restore_impair_rng(Side from, std::uint64_t seed,
-                            std::uint64_t draws);
-
     /// Index of the most recent frame the attached capture recorded, or
     /// -1. Supplied by whoever owns the pcap tap (the harness) so trace
     /// lines can cross-reference capture frames without the sim layer

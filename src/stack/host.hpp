@@ -139,12 +139,6 @@ public:
 
     std::uint16_t alloc_ephemeral_port();
 
-    /// Ephemeral-port allocation cursor. Journaled by the campaign
-    /// supervisor so a resumed run hands out the same local ports a
-    /// straight-through run would (TCP probes connect with port 0).
-    std::uint16_t ephemeral_cursor() const { return next_ephemeral_; }
-    void set_ephemeral_cursor(std::uint16_t port) { next_ephemeral_ = port; }
-
     /// Register host-level transport counters (TCP retransmits, stale-SYN
     /// re-ACKs) labeled with this host's name, and hand the host's TCP
     /// sockets a tracer for retransmit events. Either argument may be

@@ -7,31 +7,19 @@
 namespace gatekit {
 
 /// Seeded pseudo-random generator. Every component that needs randomness
-/// takes an Rng& so runs are reproducible from a single seed.
-///
-/// The generator counts its raw engine draws, so its exact state is the
-/// compact pair (seed, draws): `restore()` reseeds and fast-forwards with
-/// `discard`, landing on bit-identical output. The campaign journal
-/// records impairment RNGs this way — two integers per direction instead
-/// of the ~6 KB textual mt19937_64 state — and a resumed run replays the
-/// uninterrupted run's draw sequence exactly. For the count to be exact,
-/// Rng itself is the UniformRandomBitGenerator handed to distributions;
-/// the raw engine is deliberately not exposed.
+/// takes an Rng& so runs are reproducible from a single seed. Rng itself
+/// is the UniformRandomBitGenerator handed to distributions.
 class Rng {
 public:
     using result_type = std::mt19937_64::result_type;
 
-    explicit Rng(std::uint64_t seed = 0x67617465'6b697421ULL)
-        : eng_(seed), seed_(seed) {}
+    explicit Rng(std::uint64_t seed = 0x67617465'6b697421ULL) : eng_(seed) {}
 
     static constexpr result_type min() { return std::mt19937_64::min(); }
     static constexpr result_type max() { return std::mt19937_64::max(); }
 
     /// One raw engine draw (UniformRandomBitGenerator requirement).
-    result_type operator()() {
-        ++draws_;
-        return eng_();
-    }
+    result_type operator()() { return eng_(); }
 
     /// Uniform integer in [lo, hi] (inclusive).
     std::uint32_t uniform(std::uint32_t lo, std::uint32_t hi) {
@@ -45,25 +33,8 @@ public:
 
     std::uint64_t next_u64() { return (*this)(); }
 
-    /// The seed this generator was (re)started from.
-    std::uint64_t seed() const { return seed_; }
-    /// Raw engine draws consumed since that seed.
-    std::uint64_t draws() const { return draws_; }
-
-    /// Rewind to `seed`, then fast-forward exactly `draws` raw draws.
-    /// After restore(s, d) the generator's future output is bit-identical
-    /// to a generator seeded with s that already produced d draws.
-    void restore(std::uint64_t seed, std::uint64_t draws) {
-        eng_.seed(seed);
-        eng_.discard(draws);
-        seed_ = seed;
-        draws_ = draws;
-    }
-
 private:
     std::mt19937_64 eng_;
-    std::uint64_t seed_;
-    std::uint64_t draws_ = 0;
 };
 
 } // namespace gatekit

@@ -24,7 +24,6 @@
 #include "harness/results_io.hpp"
 #include "harness/testbed.hpp"
 #include "harness/testrund.hpp"
-#include "report/journal.hpp"
 
 using namespace gatekit;
 using gateway::DeviceProfile;
@@ -340,55 +339,32 @@ TEST(Population, ResumeRejectsForeignSampledJournal) {
 // --- Streaming merge stays bounded -----------------------------------------
 
 TEST(Population, MergeBufferStaysFixedOnLargeJournals) {
-    // Three synthetic segments, ~2 MB each: the merge must copy them
-    // with its fixed 64 KiB chunk, never a per-segment buffer. Before
-    // the streaming rewrite the merge read whole segments through a
-    // std::ostringstream, making peak memory proportional to journal
+    // Three synthetic trace segments, ~2 MB each: the merge must copy
+    // them with its fixed 64 KiB chunk, never a per-segment buffer.
+    // Before the streaming rewrite the merge read whole segments through
+    // a std::ostringstream, making peak memory proportional to segment
     // size — exactly what a 10k-device campaign cannot afford.
     const std::string path = "test_pop_merge.jsonl";
-    report::JournalHeader header;
-    header.schema = "gatekit.journal.v1";
-    header.fingerprint = "feedc0de";
-    header.devices = {"p0", "p1", "p2"};
-    const std::string merged_header = report::journal_header_line(header);
-
-    const std::string entry =
-        "{\"device\":0,\"unit\":\"synthetic\",\"pad\":\"" +
+    const std::string event =
+        "{\"t_ns\":0,\"event\":\"synthetic\",\"pad\":\"" +
         std::string(200, 'x') + "\"}";
     std::uint64_t body_bytes = 0;
     for (int k = 0; k < 3; ++k) {
-        report::JournalHeader seg = header;
-        seg.shard = k;
-        seg.devices = {header.devices[static_cast<std::size_t>(k)]};
         std::ofstream out(ShardScheduler::segment_path(path, k),
                           std::ios::binary | std::ios::trunc);
-        out << report::journal_header_line(seg) << "\n";
-        for (int i = 0; i < 10000; ++i) out << entry << "\n";
-        body_bytes += 10000 * (entry.size() + 1);
+        for (int i = 0; i < 10000; ++i) out << event << "\n";
+        body_bytes += 10000 * (event.size() + 1);
     }
 
     ShardScheduler::MergeStats stats;
-    ShardScheduler::merge_segments(path, 3, merged_header,
-                                   header.fingerprint, &stats);
+    ShardScheduler::merge_traces(path, 3, &stats);
     EXPECT_EQ(stats.segments, 3u);
     EXPECT_EQ(stats.bytes, body_bytes);
-    // The gate: fixed chunk + one header line, regardless of 6 MB in.
+    // The gate: one fixed chunk, regardless of 6 MB in.
     EXPECT_LE(stats.peak_buffer_bytes, 128u * 1024u);
-    EXPECT_GT(slurp(path).size(), body_bytes);
+    EXPECT_EQ(slurp(path).size(), body_bytes);
     // Segments were consumed.
     for (int k = 0; k < 3; ++k)
         EXPECT_TRUE(slurp(ShardScheduler::segment_path(path, k)).empty());
-    std::remove(path.c_str());
-
-    // Trace mode (raw concatenation) honors the same bound.
-    for (int k = 0; k < 2; ++k) {
-        std::ofstream out(ShardScheduler::segment_path(path, k),
-                          std::ios::binary | std::ios::trunc);
-        for (int i = 0; i < 5000; ++i) out << entry << "\n";
-    }
-    ShardScheduler::MergeStats tstats;
-    ShardScheduler::merge_traces(path, 2, &tstats);
-    EXPECT_EQ(tstats.segments, 2u);
-    EXPECT_LE(tstats.peak_buffer_bytes, 128u * 1024u);
     std::remove(path.c_str());
 }

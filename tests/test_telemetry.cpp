@@ -298,18 +298,18 @@ TEST(Telemetry, ResumeWithTimeseriesSinkActive) {
     const std::string ref_results = results_json(ref.results);
     const std::string ref_journal = slurp(journal);
 
-    // ...then kill at a unit boundary (header + five entries: shard 0
-    // complete, shard 1 mid-device) and resume at two worker counts.
+    // ...then kill at a device record (header + two records: devices 0
+    // and 1 finished, 2 and 3 rerun) and resume at two worker counts.
     std::vector<std::string> lines;
     {
         std::istringstream in(ref_journal);
         for (std::string l; std::getline(in, l);)
             if (!l.empty()) lines.push_back(l);
     }
-    ASSERT_GT(lines.size(), 6u);
+    ASSERT_EQ(lines.size(), 5u); // header + 4 devices
     for (const int workers : {1, 2}) {
         std::string prefix;
-        for (std::size_t i = 0; i < 6; ++i) prefix += lines[i] + "\n";
+        for (std::size_t i = 0; i < 3; ++i) prefix += lines[i] + "\n";
         spit(journal, prefix);
         ShardScheduler::Options ropts = opts;
         ropts.workers = workers;
@@ -318,8 +318,8 @@ TEST(Telemetry, ResumeWithTimeseriesSinkActive) {
         EXPECT_EQ(results_json(got.results), ref_results)
             << "workers=" << workers;
         EXPECT_EQ(slurp(journal), ref_journal) << "workers=" << workers;
-        // The resumed stream covers live units only (replayed shards
-        // contribute empty segments), but it must still validate.
+        // The resumed stream covers the rerun devices only, but it must
+        // still validate.
         std::string error;
         EXPECT_TRUE(
             obs::validate_timeseries_jsonl(slurp(ts_path), &error))
