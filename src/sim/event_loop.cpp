@@ -1,8 +1,22 @@
 #include "sim/event_loop.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace gatekit::sim {
+
+namespace {
+
+/// std::*_heap keep the largest element first; reverse for a min-heap.
+struct LaterTick {
+    template <class T>
+    bool operator()(const T& a, const T& b) const {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+};
+
+} // namespace
 
 std::uint32_t EventLoop::alloc_slot(Handler&& fn) {
     if (!free_slots_.empty()) {
@@ -14,16 +28,54 @@ std::uint32_t EventLoop::alloc_slot(Handler&& fn) {
     const std::uint32_t idx = slot_count_++;
     if ((idx >> kSlotChunkBits) == chunks_.size())
         chunks_.emplace_back(new Slot[1u << kSlotChunkBits]);
+    index_.emplace_back();
     slot(idx).fn = std::move(fn);
     return idx;
+}
+
+void EventLoop::sift_up(std::size_t i, Ref r) {
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!precedes(r, heap_[parent])) break;
+        place(i, heap_[parent]);
+        i = parent;
+    }
+    place(i, r);
+}
+
+void EventLoop::sift_down(std::size_t i, Ref r) {
+    const std::size_t n = heap_.size();
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n) break;
+        if (child + 1 < n && precedes(heap_[child + 1], heap_[child]))
+            ++child;
+        if (!precedes(heap_[child], r)) break;
+        place(i, heap_[child]);
+        i = child;
+    }
+    place(i, r);
+}
+
+void EventLoop::erase_at(std::size_t i) {
+    const Ref last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) return; // erased the last leaf
+    if (i > 0 && precedes(last, heap_[(i - 1) / 2]))
+        sift_up(i, last);
+    else
+        sift_down(i, last);
 }
 
 EventId EventLoop::at(TimePoint t, Handler fn) {
     GK_EXPECTS(t >= now_);
     GK_EXPECTS(fn != nullptr);
     const std::uint64_t seq = next_seq_++;
-    queue_.push(Ref{t, seq, alloc_slot(std::move(fn))});
-    return EventId{seq};
+    const std::uint32_t idx = alloc_slot(std::move(fn));
+    index_[idx].seq = seq;
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Ref{t, seq, idx});
+    return EventId{seq, idx};
 }
 
 EventId EventLoop::after(Duration d, Handler fn) {
@@ -32,18 +84,21 @@ EventId EventLoop::after(Duration d, Handler fn) {
 }
 
 void EventLoop::cancel(EventId id) {
-    if (!id) return;
-    cancelled_.insert(id.value());
-}
-
-bool EventLoop::is_cancelled(std::uint64_t seq) const {
-    return cancelled_.contains(seq);
+    if (!id || id.slot_ >= slot_count_) return;
+    SlotIndex& ix = index_[id.slot_];
+    if (ix.seq != id.seq_) return; // fired, running, cancelled or reused
+    ix.seq = 0;
+    const Ref ev = heap_[ix.pos];
+    erase_at(ix.pos);
+    dead_ticks_.push_back(Tick{ev.when, ev.seq});
+    std::push_heap(dead_ticks_.begin(), dead_ticks_.end(), LaterTick{});
+    slot(ev.slot).fn = nullptr; // destroy the cancelled handler
+    free_slots_.push_back(ev.slot);
 }
 
 void EventLoop::fire(const Ref& ev) {
-    if (hook_ != nullptr && ev.when >= hook_due_)
-        hook_due_ = hook_->on_advance(ev.when);
-    now_ = ev.when;
+    advance(ev.when);
+    index_[ev.slot].seq = 0; // a running event cannot be cancelled
     // Free the slot even if the handler throws (the slab reference
     // stays valid while the handler runs; reuse can only happen after).
     struct SlotGuard {
@@ -51,76 +106,44 @@ void EventLoop::fire(const Ref& ev) {
         std::uint32_t slot;
         ~SlotGuard() { loop->free_slots_.push_back(slot); }
     } guard{this, ev.slot};
-    if (!cancelled_.empty() && cancelled_.erase(ev.seq) != 0) {
-        slot(ev.slot).fn = nullptr; // destroy the skipped handler
-        return;
-    }
     ++processed_;
     // consume() fuses invoke + destroy into one indirection and leaves
     // the slot's handler empty, ready for reassignment on reuse.
     slot(ev.slot).fn.consume();
 }
 
-bool EventLoop::step() {
-    if (queue_.empty()) return false;
-    const Ref ev = queue_.top();
-    queue_.pop();
+bool EventLoop::step_until(TimePoint limit) {
+    const bool live = !heap_.empty();
+    if (!dead_ticks_.empty() &&
+        (!live || precedes(dead_ticks_.front(), heap_.front()))) {
+        const TimePoint when = dead_ticks_.front().when;
+        if (when > limit) return false;
+        std::pop_heap(dead_ticks_.begin(), dead_ticks_.end(), LaterTick{});
+        dead_ticks_.pop_back();
+        advance(when);
+        return true;
+    }
+    if (!live || heap_.front().when > limit) return false;
+    const Ref ev = heap_.front();
+    erase_at(0);
     fire(ev);
     return true;
 }
 
-void EventLoop::drain_tick(std::vector<Ref>& batch) {
-    const TimePoint t = queue_.top().when;
-    do {
-        batch.push_back(queue_.top());
-        queue_.pop();
-    } while (!queue_.empty() && queue_.top().when == t);
-}
+bool EventLoop::step() { return step_until(TimePoint::max()); }
 
 void EventLoop::run() {
-    // Lone-event ticks (the per-packet pipeline's common case) fire
-    // straight off the heap; dense ticks drain into a scratch vector
-    // first, amortizing percolation when many events share a timestamp.
-    // The member buffer is moved to a local so a handler that re-enters
-    // run()/run_until() gets its own (briefly heap-fresh) buffer instead
-    // of corrupting the one being iterated.
-    std::vector<Ref> batch = std::move(batch_);
-    while (!queue_.empty()) {
-        if (queue_.size() == 1) {
-            const Ref ev = queue_.top();
-            queue_.pop();
-            fire(ev);
-            continue;
-        }
-        batch.clear();
-        drain_tick(batch);
-        for (const Ref& ev : batch) fire(ev);
+    while (step_until(TimePoint::max())) {
     }
-    batch.clear();
-    batch_ = std::move(batch);
 }
 
 void EventLoop::run_until(TimePoint t) {
     GK_EXPECTS(t >= now_);
-    std::vector<Ref> batch = std::move(batch_);
-    while (!queue_.empty() && queue_.top().when <= t) {
-        if (queue_.size() == 1) {
-            const Ref ev = queue_.top();
-            queue_.pop();
-            fire(ev);
-            continue;
-        }
-        batch.clear();
-        drain_tick(batch);
-        for (const Ref& ev : batch) fire(ev);
+    while (step_until(t)) {
     }
-    batch.clear();
-    batch_ = std::move(batch);
     // The clock can advance past due boundaries with no event to carry
     // the hook; the idle jump to `t` observes them here.
-    if (hook_ != nullptr && t >= hook_due_)
-        hook_due_ = hook_->on_advance(t);
-    now_ = t;
+    advance(t);
 }
 
 void EventLoop::run_for(Duration d) { run_until(now_ + d); }

@@ -5,8 +5,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -14,8 +12,9 @@
 
 namespace gatekit::sim {
 
-/// Handle that allows cancelling a scheduled event. Cancellation is lazy:
-/// the event stays queued but its handler is not invoked.
+/// Handle that allows cancelling a scheduled event: its sequence number
+/// and the handler slot it occupies. The slot is reused once the event
+/// fires or is cancelled; the sequence number tells a stale handle apart.
 class EventId {
 public:
     EventId() = default;
@@ -25,8 +24,9 @@ public:
 
 private:
     friend class EventLoop;
-    explicit EventId(std::uint64_t seq) : seq_(seq) {}
+    EventId(std::uint64_t seq, std::uint32_t slot) : seq_(seq), slot_(slot) {}
     std::uint64_t seq_ = 0;
+    std::uint32_t slot_ = 0;
 };
 
 /// Observer of virtual-time advancement, for samplers that need a
@@ -64,8 +64,11 @@ public:
     /// Schedule `fn` after `d` has elapsed (d >= 0).
     EventId after(Duration d, Handler fn);
 
-    /// Cancel a scheduled event. Idempotent; cancelling a fired or unknown
-    /// event is a no-op.
+    /// Cancel a scheduled event: its handler is destroyed and it leaves
+    /// the queue. Idempotent; cancelling a fired, running or unknown event
+    /// is a no-op. The cancelled deadline still advances now() and the
+    /// advance hook when the loop reaches it, exactly as if the event had
+    /// stayed queued and been skipped.
     void cancel(EventId id);
 
     /// Run a single event if any is pending. Returns false when idle.
@@ -83,8 +86,8 @@ public:
     /// Number of handlers executed so far (diagnostics).
     std::uint64_t events_processed() const { return processed_; }
 
-    /// Number of events currently queued (including cancelled ones).
-    std::size_t pending() const { return queue_.size(); }
+    /// Number of events currently queued: live events only.
+    std::size_t pending() const { return heap_.size(); }
 
     /// Install (or, with nullptr, remove) the advance hook. The hook
     /// fires at the next advance and thereafter per its own returned
@@ -97,11 +100,10 @@ public:
 
 private:
     /// Handlers live in stable slots (chunked slab: references survive
-    /// growth); the priority queue orders 24-byte POD refs. Heap
-    /// percolation then shuffles trivially-copyable refs instead of
-    /// moving ~100-byte events through the handlers' indirect move
-    /// operations — the dominant scheduling cost on the per-packet
-    /// forwarding path.
+    /// growth); the heap orders 24-byte POD refs. Percolation then
+    /// shuffles trivially-copyable refs instead of moving ~100-byte
+    /// events through the handlers' indirect move operations — the
+    /// dominant scheduling cost on the per-packet forwarding path.
     struct Slot {
         Handler fn;
     };
@@ -116,31 +118,57 @@ private:
         std::uint64_t seq; // tie-break: FIFO among equal timestamps
         std::uint32_t slot;
     };
-    struct Later {
-        bool operator()(const Ref& a, const Ref& b) const {
-            if (a.when != b.when) return a.when > b.when;
-            return a.seq > b.seq;
-        }
+    /// What a slot records for cancel(): the seq of the event it holds
+    /// (0 while free or running) and that event's index in heap_. Kept
+    /// beside the slab, not in it, so percolation writes a dense array.
+    struct SlotIndex {
+        std::uint64_t seq = 0;
+        std::uint32_t pos = 0;
     };
+    /// A cancelled event's place in the (when, seq) order.
+    struct Tick {
+        TimePoint when;
+        std::uint64_t seq;
+    };
+    template <class A, class B>
+    static bool precedes(const A& a, const B& b) {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
 
     Slot& slot(std::uint32_t idx) {
         return chunks_[idx >> kSlotChunkBits][idx & kSlotChunkMask];
     }
     std::uint32_t alloc_slot(Handler&& fn);
+    /// Process the next queued entry in (when, seq) order if it is due
+    /// at or before `limit`: pass a cancelled tick, or fire a live event.
+    bool step_until(TimePoint limit);
     void fire(const Ref& ev);
-    bool is_cancelled(std::uint64_t seq) const;
-    /// Pop every event sharing the front timestamp into `batch` (seq
-    /// order). Events a handler schedules at the same instant carry later
-    /// seqs and land in the next batch, preserving global (when, seq)
-    /// FIFO order exactly.
-    void drain_tick(std::vector<Ref>& batch);
+    /// Consult the hook, then move the clock to `t`.
+    void advance(TimePoint t) {
+        if (hook_ != nullptr && t >= hook_due_)
+            hook_due_ = hook_->on_advance(t);
+        now_ = t;
+    }
 
-    std::priority_queue<Ref, std::vector<Ref>, Later> queue_;
-    std::vector<Ref> batch_; ///< recycled drain buffer for run loops
+    // Indexed binary min-heap over heap_ by (when, seq); every write
+    // through place() keeps the slot's SlotIndex::pos current.
+    void place(std::size_t i, const Ref& r) {
+        heap_[i] = r;
+        index_[r.slot].pos = static_cast<std::uint32_t>(i);
+    }
+    void sift_up(std::size_t i, Ref r);
+    void sift_down(std::size_t i, Ref r);
+    void erase_at(std::size_t i);
+
+    std::vector<Ref> heap_;
+    /// Min-heap (std::push_heap with a reversed order) of cancelled events.
+    /// ticks. The loop passes through each one in order, so a cancelled
+    /// deadline moves the clock and the hook as a skipped event did.
+    std::vector<Tick> dead_ticks_;
     std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::vector<SlotIndex> index_; ///< per slot, beside chunks_
     std::uint32_t slot_count_ = 0; ///< high-water mark of allocated slots
     std::vector<std::uint32_t> free_slots_;
-    std::unordered_set<std::uint64_t> cancelled_;
     TimePoint now_{0};
     std::uint64_t next_seq_ = 1;
     std::uint64_t processed_ = 0;

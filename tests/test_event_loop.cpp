@@ -94,6 +94,41 @@ TEST(EventLoop, CancelIsIdempotent) {
     EXPECT_EQ(fired, 0);
 }
 
+TEST(EventLoop, CancelAfterFireLeavesNoState) {
+    // The deadline-whose-handler-is-running shape: cancel from inside
+    // the handler, and again after it fired. Neither may leave anything
+    // behind, and the stale handle must not reach the event that reuses
+    // its slot.
+    EventLoop loop;
+    EventId self;
+    self = loop.after(1_sec, [&] { loop.cancel(self); });
+    loop.run();
+    loop.cancel(self);
+    EXPECT_EQ(loop.pending(), 0u);
+    EXPECT_EQ(loop.now(), TimePoint{1_sec});
+
+    int fired = 0;
+    loop.after(1_sec, [&] { ++fired; }); // reuses the freed slot
+    EXPECT_EQ(loop.pending(), 1u);
+    loop.cancel(self);
+    EXPECT_EQ(loop.pending(), 1u);
+    loop.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, CancelledDeadlineStillAdvancesTheClock) {
+    EventLoop loop;
+    int fired = 0;
+    loop.after(1_sec, [&] { ++fired; });
+    const auto far = loop.after(10_sec, [&] { ++fired; });
+    loop.cancel(far);
+    EXPECT_EQ(loop.pending(), 1u); // live events only
+    loop.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(loop.now(), TimePoint{10_sec});
+}
+
 TEST(EventLoop, SchedulingInThePastViolatesContract) {
     EventLoop loop;
     loop.after(2_sec, [] {});
