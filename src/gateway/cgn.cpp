@@ -1,5 +1,7 @@
 #include "gateway/cgn.hpp"
 
+#include <algorithm>
+
 #include "net/icmp.hpp"
 #include "util/assert.hpp"
 
@@ -121,51 +123,55 @@ CgnEngine::Slice* CgnEngine::slice_for_port(std::uint16_t external_port) {
     return blocks_[idx].get();
 }
 
-std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
+NatEngine::Verdict CgnEngine::outbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    if (pkt.h.ttl <= 1) return std::nullopt; // caller emits Time Exceeded
-    if (!on_access_subnet(pkt.h.src)) {
+    using Verdict = NatEngine::Verdict;
+    if (v.ttl() <= 1) return Verdict::kDropped; // caller emits Time Exceeded
+    if (!on_access_subnet(v.src())) {
         ++stats_.dropped_policy;
-        return std::nullopt;
+        return Verdict::kDropped;
     }
-    switch (pkt.h.protocol) {
+    switch (v.protocol()) {
     case net::proto::kUdp:
     case net::proto::kTcp: {
-        Slice* s = slice_for_subscriber(pkt.h.src);
-        if (s == nullptr) return std::nullopt; // block collision (counted)
-        net::Bytes bytes = pkt.serialize();
-        auto v = net::PacketView::of(bytes);
+        Slice* s = slice_for_subscriber(v.src());
+        if (s == nullptr) return Verdict::kDropped; // block collision (counted)
         const auto refused = s->nat.stats().dropped_capacity;
-        if (s->nat.outbound(v) != NatEngine::Verdict::kForwarded) {
+        if (s->nat.outbound(v) != Verdict::kForwarded) {
             if (s->nat.stats().dropped_capacity != refused)
                 ++stats_.pool_exhausted;
-            return std::nullopt;
+            return Verdict::kDropped;
         }
         ++stats_.translated_out;
-        return bytes;
+        return Verdict::kForwarded;
     }
     case net::proto::kIcmp: {
-        net::Bytes bytes = pkt.serialize();
-        auto v = net::PacketView::of(bytes);
         const bool error = quote_external_view(v.payload());
         NatEngine& nat = queries_->nat;
         const auto refused = nat.stats().dropped_capacity;
-        if (nat.outbound(v) != NatEngine::Verdict::kForwarded) {
+        if (nat.outbound(v) != Verdict::kForwarded) {
             // A full query table refuses by policy; a message shorter
             // than its header is the engine's counted malformed drop.
             if (nat.stats().dropped_capacity != refused)
                 ++stats_.dropped_policy;
-            return std::nullopt;
+            return Verdict::kDropped;
         }
         ++(error ? stats_.icmp_relayed : stats_.translated_out);
-        return bytes;
+        return Verdict::kForwarded;
     }
     default:
         // RFC 6888 scopes a CGN to the transports it can multiplex;
         // anything else cannot share the external address and is dropped.
         ++stats_.dropped_policy;
-        return std::nullopt;
+        return Verdict::kDropped;
     }
+}
+
+std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    if (outbound(v) != NatEngine::Verdict::kForwarded) return std::nullopt;
+    return bytes;
 }
 
 bool CgnEngine::quote_external_view(std::span<std::uint8_t> icmp) {
@@ -205,46 +211,49 @@ bool CgnEngine::quote_external_view(std::span<std::uint8_t> icmp) {
     return true;
 }
 
-std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
-                                             bool& handled) {
+NatEngine::Verdict CgnEngine::inbound(net::PacketView& v) {
     GK_EXPECTS(configured());
-    handled = false;
-    if (pkt.h.dst != external_addr_) return std::nullopt;
-    switch (pkt.h.protocol) {
+    using Verdict = NatEngine::Verdict;
+    if (v.dst() != external_addr_) return Verdict::kNotOurs;
+    switch (v.protocol()) {
     case net::proto::kUdp:
     case net::proto::kTcp: {
-        net::Bytes bytes = pkt.serialize();
-        auto v = net::PacketView::of(bytes);
-        if (!v.has_l4()) return std::nullopt;
+        if (!v.has_l4()) return Verdict::kNotOurs;
         Slice* s = slice_for_port(v.dst_port());
-        if (s == nullptr) return std::nullopt; // outside the pool: host-local
+        if (s == nullptr) return Verdict::kNotOurs; // outside the pool
         // The block profile forwards WAN SYNs, so a packet is either
         // translated or claimed by no binding.
-        if (s->nat.inbound(v) != NatEngine::Verdict::kForwarded) {
+        if (s->nat.inbound(v) != Verdict::kForwarded) {
             ++stats_.dropped_no_binding;
-            return std::nullopt; // unsolicited: falls to the CGN's own stack
+            return Verdict::kNotOurs; // unsolicited: the CGN's own stack
         }
-        handled = true;
         ++stats_.translated_in;
-        return bytes;
+        return Verdict::kForwarded;
     }
     case net::proto::kIcmp: {
-        net::Bytes bytes = pkt.serialize();
-        auto v = net::PacketView::of(bytes);
         NatEngine* nat = icmp_engine(v.payload());
-        if (nat == nullptr) return std::nullopt; // outside the pool
+        if (nat == nullptr) return Verdict::kNotOurs; // outside the pool
         const auto relayed = nat->stats().icmp_translated;
         const auto verdict = nat->inbound(v);
-        handled = verdict != NatEngine::Verdict::kNotOurs;
-        if (verdict == NatEngine::Verdict::kDropped) ++stats_.icmp_dropped;
-        if (verdict != NatEngine::Verdict::kForwarded) return std::nullopt;
-        ++(nat->stats().icmp_translated != relayed ? stats_.icmp_relayed
-                                                   : stats_.translated_in);
-        return bytes;
+        if (verdict == Verdict::kDropped) ++stats_.icmp_dropped;
+        if (verdict == Verdict::kForwarded)
+            ++(nat->stats().icmp_translated != relayed ? stats_.icmp_relayed
+                                                       : stats_.translated_in);
+        return verdict;
     }
     default:
-        return std::nullopt; // CGN-host local (none expected)
+        return Verdict::kNotOurs; // CGN-host local (none expected)
     }
+}
+
+std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
+                                             bool& handled) {
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    const auto verdict = inbound(v);
+    handled = verdict != NatEngine::Verdict::kNotOurs;
+    if (verdict != NatEngine::Verdict::kForwarded) return std::nullopt;
+    return bytes;
 }
 
 NatEngine* CgnEngine::icmp_engine(std::span<const std::uint8_t> icmp) {
@@ -330,33 +339,38 @@ CgnGateway::CgnGateway(sim::EventLoop& loop, Config config)
     host_.add_route(config_.access_addr, config_.access_prefix_len,
                     access_if_);
 
-    host_.set_forward_hook([this](stack::Iface& in,
-                                  const net::Ipv4Packet& pkt,
-                                  std::span<const std::uint8_t>) {
-        // WAN-side packets for non-local destinations are not ours: a
-        // CGN translates toward its external address, it does not
-        // transit-route.
-        if (&in == &access_if_) on_access_ip(pkt);
+    // The NIC frame hooks translate; the host stack's hooks keep what is
+    // not translation. An access datagram reaching the forward hook never
+    // passed the access frame hook: it takes the frame code on one copy.
+    // WAN-side datagrams for other destinations are not ours: a CGN
+    // translates toward its external address, it does not transit-route.
+    host_.set_forward_hook([this](stack::Iface& in, const net::Ipv4Packet&,
+                                  std::span<const std::uint8_t> raw) {
+        if (&in == &access_if_ && engine_.configured()) from_access_copy(raw);
     });
     host_.set_local_intercept([this](stack::Iface& in,
                                      const net::Ipv4Packet& pkt,
-                                     std::span<const std::uint8_t>) {
-        if (!engine_.configured()) return false;
-        if (&in == &wan_if_) return on_wan_local(pkt);
-        if (&in == &access_if_ && pkt.h.dst == engine_.external_addr()) {
-            // Subscriber traffic addressed to the shared external
-            // address: hairpin candidate (RFC 6888 REQ-9).
-            if (pkt.h.ttl <= 1) {
-                ttl_expired(pkt);
-                return true;
-            }
-            auto out = engine_.hairpin(pkt);
-            if (!out) return false; // e.g. pinging the external address
-            const auto dst = net::ipv4_dst(*out);
-            emit(std::move(*out), dst);
+                                     std::span<const std::uint8_t> raw) {
+        // Subscriber traffic addressed to the shared external address:
+        // hairpin candidate (RFC 6888 REQ-9).
+        if (!engine_.configured() || &in != &access_if_ ||
+            pkt.h.dst != engine_.external_addr())
+            return false;
+        if (pkt.h.ttl <= 1) {
+            ttl_expired(raw.first(pkt.h.header_len() + pkt.payload.size()));
             return true;
         }
-        return false;
+        auto out = engine_.hairpin(pkt);
+        if (!out) return false; // e.g. pinging the external address
+        const auto dst = net::ipv4_dst(*out);
+        emit(std::move(*out), dst);
+        return true;
+    });
+    host_.nic().set_fast_ip_hook([this](net::PacketView& v, sim::Frame& f) {
+        return frame_from_access(v, f);
+    });
+    wan_nic_.set_fast_ip_hook([this](net::PacketView& v, sim::Frame& f) {
+        return frame_from_wan(v, f);
     });
 }
 
@@ -395,35 +409,71 @@ void CgnGateway::start(std::function<void(net::Ipv4Addr)> on_ready) {
     });
 }
 
-void CgnGateway::on_access_ip(const net::Ipv4Packet& pkt) {
-    if (!engine_.configured()) return;
+bool CgnGateway::frame_from_access(net::PacketView& v, sim::Frame& frame) {
+    if (!engine_.configured()) return false;
+    const net::Ipv4Addr dst = v.dst();
+    if (dst.is_broadcast() || host_.is_local_addr(dst))
+        return false; // CGN-local / hairpin
+    stack::NetIf& rx = host_.nic();
     // Forwarding-path TTL check precedes translation (Linux order), so
-    // the Time Exceeded quote embeds the pristine received packet.
-    if (pkt.h.ttl <= 1) {
-        ttl_expired(pkt);
-        return;
-    }
-    const auto dst = pkt.h.dst;
-    auto out = engine_.outbound(pkt);
-    if (!out) return;
-    emit(std::move(*out), dst);
-}
-
-bool CgnGateway::on_wan_local(const net::Ipv4Packet& pkt) {
-    bool handled = false;
-    auto out = engine_.inbound(pkt, handled);
-    if (!handled) return false; // CGN-host local (DHCP toward the ISP)
-    // Only a packet the engine attributes to a subscriber flow is a
-    // forwarding event; its TTL expiring here draws a Time Exceeded.
-    if (out && pkt.h.ttl <= 1) {
-        ttl_expired(pkt);
+    // the Time Exceeded quote embeds the datagram as it arrived.
+    if (v.ttl() <= 1) {
+        ttl_expired({v.data(), v.total_len()});
+        rx.pool().release(std::move(frame));
         return true;
     }
-    if (out) {
-        const auto dst = net::ipv4_dst(*out);
-        emit(std::move(*out), dst);
+    if (engine_.outbound(v) != NatEngine::Verdict::kForwarded) {
+        rx.pool().release(std::move(frame));
+        return true;
     }
+    frame.resize(14u + v.total_len()); // shed any trailing link padding
+    emit_frame(std::move(frame), dst, rx);
     return true;
+}
+
+bool CgnGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
+    if (!engine_.configured() || v.dst() != engine_.external_addr())
+        return false;
+    // Only a packet the engine attributes to a subscriber flow is a
+    // forwarding event, so an expiring TTL is known only after
+    // translation: keep the datagram as it arrived for the quote.
+    net::Bytes arrived;
+    if (v.ttl() <= 1) arrived.assign(v.data(), v.data() + v.total_len());
+    const auto verdict = engine_.inbound(v);
+    if (verdict == NatEngine::Verdict::kNotOurs)
+        return false; // CGN-host local (DHCP toward the ISP, unsolicited)
+    if (verdict == NatEngine::Verdict::kDropped || !arrived.empty()) {
+        if (verdict == NatEngine::Verdict::kForwarded) ttl_expired(arrived);
+        wan_nic_.pool().release(std::move(frame));
+        return true;
+    }
+    frame.resize(14u + v.total_len());
+    emit_frame(std::move(frame), v.dst(), wan_nic_);
+    return true;
+}
+
+void CgnGateway::from_access_copy(std::span<const std::uint8_t> datagram) {
+    sim::Frame frame = host_.nic().pool().acquire();
+    frame.assign(14, 0); // MACs are written at egress
+    frame[12] = 0x08;    // ethertype IPv4
+    frame.insert(frame.end(), datagram.begin(), datagram.end());
+    // The host stack parsed the same bytes, so the view parses too.
+    auto v = net::PacketView::of({frame.data() + 14, datagram.size()});
+    if (!frame_from_access(v, frame))
+        host_.nic().pool().release(std::move(frame));
+}
+
+void CgnGateway::emit_frame(sim::Frame frame, net::Ipv4Addr dst,
+                            stack::NetIf& rx) {
+    const stack::Route* route = host_.lookup_route(dst);
+    if (route == nullptr) {
+        rx.pool().release(std::move(frame));
+        return;
+    }
+    stack::Iface& out = *route->iface;
+    const auto src = out.mac().octets();
+    std::copy(src.begin(), src.end(), frame.begin() + 6);
+    out.send_frame(std::move(frame), route->via ? *route->via : dst);
 }
 
 void CgnGateway::emit(net::Bytes datagram, net::Ipv4Addr dst) {
@@ -433,13 +483,13 @@ void CgnGateway::emit(net::Bytes datagram, net::Ipv4Addr dst) {
                    route->via ? *route->via : dst);
 }
 
-void CgnGateway::ttl_expired(const net::Ipv4Packet& pkt) {
-    if (pkt.h.src.is_unspecified() || pkt.h.src.is_broadcast()) return;
-    const auto original = pkt.serialize();
+void CgnGateway::ttl_expired(std::span<const std::uint8_t> datagram) {
+    const net::Ipv4Addr src = net::ipv4_src(datagram);
+    if (src.is_unspecified() || src.is_broadcast()) return;
     const auto err = net::IcmpMessage::make_error(
         net::IcmpType::TimeExceeded, net::icmp_code::kTtlExceeded, 0,
-        original);
-    host_.send_icmp(net::Ipv4Addr::any(), pkt.h.src, err);
+        datagram);
+    host_.send_icmp(net::Ipv4Addr::any(), src, err);
 }
 
 } // namespace gatekit::gateway

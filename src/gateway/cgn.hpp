@@ -14,9 +14,13 @@
 // each built from the block's DeviceProfile, as do inbound errors
 // quoting them; echo queries and all other ICMP through one more engine
 // built from the full-pool profile. The only ICMP step of the CGN's own
-// is the external view of the quote in errors subscribers send. The
-// gateway's datapath rides the same Host/NetIf packet-pool stack as
-// every other device.
+// is the external view of the quote in errors subscribers send.
+//
+// CgnGateway translates on its NICs, as HomeGateway does: a frame hook
+// on each port rewrites the received frame in place and sends the same
+// buffer out of the route's interface. Only what the hooks decline
+// climbs the host stack: the CGN's own traffic, hairpin, and access-side
+// datagrams the access hook never saw (taken on one pool-frame copy).
 #pragma once
 
 #include <functional>
@@ -98,6 +102,17 @@ public:
     std::optional<BlockInfo> block_of(net::Ipv4Addr subscriber) const;
     int num_blocks() const;
 
+    /// Translate a subscriber datagram in place. Every refusal (an
+    /// expiring TTL, which the caller answers, policy, a block
+    /// collision, exhaustion) is kDropped; outbound is never kNotOurs.
+    NatEngine::Verdict outbound(net::PacketView& v);
+    /// Translate a WAN datagram in place. kNotOurs leaves the bytes
+    /// untouched for the CGN's own stack: not addressed to the external
+    /// address, outside the pool, or claimed by no binding.
+    NatEngine::Verdict inbound(net::PacketView& v);
+    /// Serialize-and-translate adapters over the two above, for engine
+    /// tests and benches that hold parsed packets. `handled` is false
+    /// exactly when inbound(PacketView&) says kNotOurs.
     std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
     std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
                                       bool& handled);
@@ -184,9 +199,9 @@ private:
 /// The deployable middle box: a Host with an access-side interface (it
 /// runs the access network's DHCP server, handing each home gateway its
 /// WAN lease) and a WAN interface (DHCP client toward the ISP), with a
-/// CgnEngine spliced into forwarding and local delivery the same way
-/// HomeGateway splices its NatEngine. No FwdPath: carrier boxes forward
-/// at line rate relative to the CPE devices under study.
+/// CgnEngine on NIC frame hooks the same way HomeGateway hooks its
+/// NatEngine. No FwdPath: carrier boxes forward at line rate relative
+/// to the CPE devices under study.
 class CgnGateway {
 public:
     struct Config {
@@ -220,10 +235,24 @@ public:
     stack::Iface& wan_if() { return wan_if_; }
 
 private:
-    void on_access_ip(const net::Ipv4Packet& pkt);
-    bool on_wan_local(const net::Ipv4Packet& pkt);
+    /// NIC frame hooks: unicast frames to the CGN's MACs are translated
+    /// in place and leave in the same buffer. The access hook declines
+    /// traffic to the CGN itself (local delivery, hairpin); the WAN hook
+    /// declines everything CgnEngine::inbound calls kNotOurs, and is the
+    /// only place WAN traffic is translated.
+    bool frame_from_access(net::PacketView& v, sim::Frame& frame);
+    bool frame_from_wan(net::PacketView& v, sim::Frame& frame);
+    /// frame_from_access on a copy of a datagram the access hook never
+    /// saw (a broadcast-MAC frame, say).
+    void from_access_copy(std::span<const std::uint8_t> datagram);
+    /// Send a translated frame out of `dst`'s route with that interface's
+    /// source MAC (both ports are untagged, so the L2 header carries
+    /// over); `rx` takes the frame back when there is no route.
+    void emit_frame(sim::Frame frame, net::Ipv4Addr dst, stack::NetIf& rx);
     void emit(net::Bytes datagram, net::Ipv4Addr dst);
-    void ttl_expired(const net::Ipv4Packet& pkt);
+    /// ICMP Time Exceeded toward `datagram`'s source, quoting it as it
+    /// arrived (before translation).
+    void ttl_expired(std::span<const std::uint8_t> datagram);
 
     sim::EventLoop& loop_;
     Config config_;

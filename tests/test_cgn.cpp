@@ -757,3 +757,124 @@ TEST(Nat444, HolePunchSameCgnRidesHairpin) {
     EXPECT_TRUE(r2.registered);
     EXPECT_FALSE(r2.success);
 }
+
+// --- CgnGateway frame path ------------------------------------------------
+
+// A reply whose TTL expires at the CGN is a forwarding event only once
+// the engine claims it, so its Time Exceeded must quote the datagram as
+// it arrived: addressed to the external address and port, TTL 1.
+TEST(Nat444, InboundTtlExpiryQuotesTheArrivedDatagram) {
+    sim::EventLoop loop;
+    Testbed tb(loop);
+    const int g = tb.add_cgn_group();
+    const int i = tb.add_device_behind_cgn(member_profile("m1"), g);
+    tb.start_and_wait();
+    const auto& group = tb.cgn_group(g);
+
+    net::Endpoint seen;
+    std::optional<net::IcmpMessage> err;
+    net::Ipv4Addr err_from;
+    auto& echo = tb.server().udp_open(net::Ipv4Addr::any(), 7000);
+    echo.set_receive_handler([&](net::Endpoint src,
+                                 std::span<const std::uint8_t>,
+                                 const net::Ipv4Packet&) {
+        seen = src;
+        stack::UdpSocket::SendOptions opts;
+        opts.ttl = 1; // the CGN is the first hop back
+        echo.send_to(src, {'r'}, opts);
+    });
+    echo.set_icmp_handler(
+        [&](const net::IcmpMessage& msg, const net::Ipv4Packet& outer) {
+            err = msg;
+            err_from = outer.h.src;
+        });
+    int replies = 0;
+    auto& sock = tb.client().udp_open(tb.slot(i).client_addr, 46000,
+                                      tb.slot(i).client_if);
+    sock.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
+                                 const net::Ipv4Packet&) { ++replies; });
+    sock.send_to({tb.slot(i).server_addr, 7000}, {'q'});
+    loop.run_for(std::chrono::milliseconds(100));
+
+    EXPECT_EQ(replies, 0);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->type, net::IcmpType::TimeExceeded);
+    EXPECT_EQ(err_from, group.external_addr);
+    const auto quote = net::Ipv4Packet::parse_prefix(err->payload);
+    EXPECT_EQ(quote.h.ttl, 1);
+    EXPECT_EQ(quote.h.src, tb.slot(i).server_addr);
+    EXPECT_EQ(quote.h.dst, group.external_addr);
+    EXPECT_EQ(quote.h.dst, seen.addr);
+    ASSERT_GE(quote.payload.size(), 4u);
+    EXPECT_EQ((quote.payload[2] << 8) | quote.payload[3], seen.port);
+    EXPECT_TRUE(ip_header_checksum_ok(err->payload));
+}
+
+// Unsolicited WAN traffic to the external address falls through to the
+// CGN's own stack. The engine looks at it exactly once: the WAN frame
+// hook is the only place WAN traffic is translated.
+TEST(Nat444, UnsolicitedInboundReachesTheCgnStackCountedOnce) {
+    sim::EventLoop loop;
+    Testbed tb(loop);
+    const int g = tb.add_cgn_group();
+    const int i = tb.add_device_behind_cgn(member_profile("m1"), g);
+    tb.start_and_wait();
+    auto& group = tb.cgn_group(g);
+    CgnEngine& engine = group.cgn->engine();
+
+    // One outbound flow creates the member's block; a port at its far
+    // end carries no binding.
+    auto& sock = tb.client().udp_open(tb.slot(i).client_addr, 46000,
+                                      tb.slot(i).client_if);
+    sock.send_to({tb.slot(i).server_addr, 7000}, {'q'});
+    loop.run_for(std::chrono::milliseconds(50));
+    const auto block = engine.block_of(tb.slot(i).gw_wan_addr);
+    ASSERT_TRUE(block.has_value());
+    ASSERT_NE(engine.engine_for(tb.slot(i).gw_wan_addr), nullptr);
+    const std::uint16_t port = block->end;
+
+    int delivered = 0;
+    auto& local = group.cgn->host().udp_open(net::Ipv4Addr::any(), port);
+    local.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
+                                  const net::Ipv4Packet&) { ++delivered; });
+    const auto before = engine.stats().dropped_no_binding;
+    auto& probe = tb.server().udp_open(net::Ipv4Addr::any(), 7001);
+    probe.send_to({group.external_addr, port}, {'u'});
+    loop.run_for(std::chrono::milliseconds(50));
+
+    EXPECT_EQ(delivered, 1);
+    EXPECT_EQ(engine.stats().dropped_no_binding, before + 1);
+}
+
+// Translated traffic never climbs the CGN's host stack: both directions
+// of a TCP-2 transfer are rewritten on the NICs' frame hooks.
+TEST(Nat444, CgnStackSeesNoTranslatedDatagram) {
+    sim::EventLoop loop;
+    Testbed tb(loop);
+    const int g = tb.add_cgn_group();
+    const int m = tb.add_device_behind_cgn(devices::all_profiles()[0], g);
+    tb.start_and_wait();
+    auto& cgn = *tb.cgn_group(g).cgn;
+
+    std::uint64_t observed = 0;
+    cgn.host().set_ip_observer(
+        [&](stack::Iface&, const net::Ipv4Packet& pkt,
+            std::span<const std::uint8_t>) {
+            if (pkt.h.protocol == net::proto::kTcp) ++observed;
+        });
+    const auto out_before = cgn.engine().stats().translated_out;
+    const auto in_before = cgn.engine().stats().translated_in;
+
+    harness::ThroughputConfig cfg;
+    cfg.bytes = 200'000;
+    std::optional<harness::ThroughputResult> r;
+    harness::measure_throughput(
+        tb, m, cfg, [&r](harness::ThroughputResult res) { r = res; });
+    for (int s = 0; s < 600 && !r; ++s) loop.run_for(std::chrono::seconds(1));
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(r->upload.completed);
+    EXPECT_TRUE(r->download.completed);
+    EXPECT_GT(cgn.engine().stats().translated_out, out_before + 100);
+    EXPECT_GT(cgn.engine().stats().translated_in, in_before + 100);
+    EXPECT_EQ(observed, 0u);
+}
