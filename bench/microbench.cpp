@@ -107,6 +107,43 @@ void BM_EventLoopCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopCancel);
 
+/// TCP's RTO shape: every fired event cancels the retransmit timer and
+/// re-arms it 1 ms out, as each ACK does. 63 self-rescheduling lanes
+/// plus the timer keep 64 events live; the cancelled deadlines pile up
+/// behind them until their time passes. Report-only; one op is one
+/// fired event (steps that pass a cancelled deadline included).
+class RearmBench {
+public:
+    RearmBench() {
+        for (int lane = 0; lane < 63; ++lane) arm(lane);
+        loop_.run_for(std::chrono::milliseconds(2)); // reach steady state
+    }
+    void fire_one() {
+        const auto fired = loop_.events_processed();
+        while (loop_.events_processed() == fired) loop_.step();
+    }
+
+private:
+    void arm(int lane) {
+        loop_.after(std::chrono::nanoseconds(1000 + 997 * (lane % 8)),
+                    [this, lane] { fire(lane); });
+    }
+    void fire(int lane) {
+        loop_.cancel(rto_);
+        rto_ = loop_.after(std::chrono::milliseconds(1), [] {});
+        arm(lane);
+    }
+
+    sim::EventLoop loop_;
+    sim::EventId rto_;
+};
+
+void BM_EventLoopRearm(benchmark::State& state) {
+    RearmBench bench;
+    for (auto _ : state) bench.fire_one();
+}
+BENCHMARK(BM_EventLoopRearm);
+
 /// Timer-wheel schedule + harvest: 4096 timers spread over 4 s of virtual
 /// time, collected in 1 ms steps — the shape of a busy NAT's expiry load.
 void BM_TimerWheel(benchmark::State& state) {
