@@ -26,9 +26,10 @@ std::uint32_t EventLoop::alloc_slot(Handler&& fn) {
         return idx;
     }
     const std::uint32_t idx = slot_count_++;
-    if ((idx >> kSlotChunkBits) == chunks_.size())
+    if ((idx >> kSlotChunkBits) == chunks_.size()) {
         chunks_.emplace_back(new Slot[1u << kSlotChunkBits]);
-    index_.emplace_back();
+        index_.resize(chunks_.size() << kSlotChunkBits);
+    }
     slot(idx).fn = std::move(fn);
     return idx;
 }
@@ -43,28 +44,21 @@ void EventLoop::sift_up(std::size_t i, Ref r) {
     place(i, r);
 }
 
-void EventLoop::sift_down(std::size_t i, Ref r) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n) break;
-        if (child + 1 < n && precedes(heap_[child + 1], heap_[child]))
-            ++child;
-        if (!precedes(heap_[child], r)) break;
-        place(i, heap_[child]);
-        i = child;
-    }
-    place(i, r);
-}
-
 void EventLoop::erase_at(std::size_t i) {
     const Ref last = heap_.back();
     heap_.pop_back();
-    if (i == heap_.size()) return; // erased the last leaf
-    if (i > 0 && precedes(last, heap_[(i - 1) / 2]))
-        sift_up(i, last);
-    else
-        sift_down(i, last);
+    const std::size_t n = heap_.size();
+    if (i == n) return; // erased the last leaf
+    // Walk the hole down to a leaf along the earlier child, then sift
+    // the former last leaf up from there: one comparison per level on
+    // the way down, and usually one on the way up (it is a late event).
+    for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+        if (child + 1 < n && precedes(heap_[child + 1], heap_[child]))
+            ++child;
+        place(i, heap_[child]);
+        i = child;
+    }
+    sift_up(i, last);
 }
 
 EventId EventLoop::at(TimePoint t, Handler fn) {

@@ -157,7 +157,6 @@ private:
         index_[r.slot].pos = static_cast<std::uint32_t>(i);
     }
     void sift_up(std::size_t i, Ref r);
-    void sift_down(std::size_t i, Ref r);
     void erase_at(std::size_t i);
 
     std::vector<Ref> heap_;
