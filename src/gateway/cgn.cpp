@@ -448,15 +448,14 @@ bool CgnGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
         return true;
     }
     frame.resize(14u + v.total_len());
-    emit_frame(std::move(frame), v.dst(), wan_nic_);
+    const net::Ipv4Addr dst = v.dst(); // the subscriber, post-rewrite
+    emit_frame(std::move(frame), dst, wan_nic_);
     return true;
 }
 
 void CgnGateway::from_access_copy(std::span<const std::uint8_t> datagram) {
-    sim::Frame frame = host_.nic().pool().acquire();
-    frame.assign(14, 0); // MACs are written at egress
-    frame[12] = 0x08;    // ethertype IPv4
-    frame.insert(frame.end(), datagram.begin(), datagram.end());
+    sim::Frame frame = access_if_.make_frame(datagram.size());
+    std::copy(datagram.begin(), datagram.end(), frame.begin() + 14);
     // The host stack parsed the same bytes, so the view parses too.
     auto v = net::PacketView::of({frame.data() + 14, datagram.size()});
     if (!frame_from_access(v, frame))

@@ -160,9 +160,10 @@ private:
     void erase_at(std::size_t i);
 
     std::vector<Ref> heap_;
-    /// Min-heap (std::push_heap with a reversed order) of cancelled events.
-    /// ticks. The loop passes through each one in order, so a cancelled
-    /// deadline moves the clock and the hook as a skipped event did.
+    /// Min-heap (std::push_heap, reversed order) of cancelled events'
+    /// ticks. The loop passes through each one in (when, seq) order with
+    /// the live events, so a cancelled deadline still moves the clock and
+    /// the hook, and counts as one step(), at its own instant.
     std::vector<Tick> dead_ticks_;
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::vector<SlotIndex> index_; ///< per slot, beside chunks_

@@ -878,3 +878,39 @@ TEST(Nat444, CgnStackSeesNoTranslatedDatagram) {
     EXPECT_GT(cgn.engine().stats().translated_in, in_before + 100);
     EXPECT_EQ(observed, 0u);
 }
+
+// A subscriber datagram in a broadcast-MAC frame misses the access
+// frame hook (it is not addressed to the CGN's MAC) and reaches the
+// forward hook, which runs the same frame code on a pool-frame copy.
+TEST(Nat444, BroadcastFramedDatagramIsTranslatedOnACopy) {
+    sim::EventLoop loop;
+    Testbed tb(loop);
+    const int g = tb.add_cgn_group();
+    const int i = tb.add_device_behind_cgn(member_profile("m1"), g);
+    tb.start_and_wait();
+    auto& group = tb.cgn_group(g);
+
+    std::vector<net::Endpoint> seen;
+    auto& sink = tb.server().udp_open(net::Ipv4Addr::any(), 7000);
+    sink.set_receive_handler([&](net::Endpoint src,
+                                 std::span<const std::uint8_t>,
+                                 const net::Ipv4Packet&) {
+        seen.push_back(src);
+    });
+    const auto before = group.cgn->engine().stats().translated_out;
+
+    const net::Bytes dgram =
+        udp_pkt(tb.slot(i).gw_wan_addr, 40000, tb.slot(i).server_addr, 7000)
+            .serialize();
+    sim::Frame frame(12, 0xff);
+    frame[6] = 0x02; // a locally administered source MAC
+    frame.push_back(0x08);
+    frame.push_back(0x00);
+    frame.insert(frame.end(), dgram.begin(), dgram.end());
+    group.access_link->send(sim::Link::Side::B, std::move(frame));
+    loop.run_for(std::chrono::milliseconds(50));
+
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].addr, group.external_addr);
+    EXPECT_EQ(group.cgn->engine().stats().translated_out, before + 1);
+}

@@ -392,8 +392,10 @@ TEST(EventLoop, RandomScriptsMatchLazyCancelModel) {
         const Trace got = Script<EventLoop>(seed).run();
         std::size_t i = 0;
         while (i < want.size() && i < got.size() && want[i] == got[i]) ++i;
-        ASSERT_EQ(i, want.size()) << "seed " << seed << ": first divergence at "
-                                  << i << " of " << want.size();
+        if (i < want.size() && i < got.size())
+            FAIL() << "seed " << seed << ": entry " << i << " of "
+                   << want.size() << " is " << got[i] << ", model says "
+                   << want[i];
         ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
         fires += static_cast<std::size_t>(
             std::count_if(got.begin(), got.end(),
