@@ -198,7 +198,8 @@ public:
     }
     void run_until(TimePoint t) {
         while (!queue_.empty() && queue_.begin()->first.first <= t) step();
-        if (hook_ != nullptr && t >= hook_due_) hook_due_ = hook_->on_advance(t);
+        if (hook_ != nullptr && t >= hook_due_)
+            hook_due_ = hook_->on_advance(t);
         now_ = t;
     }
     void set_advance_hook(AdvanceHook* hook) {
@@ -225,7 +226,13 @@ struct SplitMix {
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
         return z ^ (z >> 31);
     }
-    int below(int n) { return static_cast<int>(next() % static_cast<std::uint64_t>(n)); }
+    int below(int n) {
+        return static_cast<int>(next() % static_cast<std::uint64_t>(n));
+    }
+    template <class T>
+    const T& pick(const std::vector<T>& v) {
+        return v[next() % v.size()];
+    }
 };
 
 /// One observable step of a script run.
@@ -274,18 +281,14 @@ public:
                 break;
             case 5: // an instant that already has events queued
                 if (!when_.empty())
-                    schedule(std::max(loop_.now(),
-                                      when_[static_cast<std::size_t>(
-                                          rng.below(static_cast<int>(when_.size())))]));
+                    schedule(std::max(loop_.now(), rng.pick(when_)));
                 break;
             case 6: case 7:
                 cancel_any(rng);
                 break;
             case 8: // a fired handle, whose slot a later event may reuse
                 if (!fired_.empty()) {
-                    loop_.cancel(handles_[static_cast<std::size_t>(
-                        fired_[static_cast<std::size_t>(
-                            rng.below(static_cast<int>(fired_.size())))])]);
+                    loop_.cancel(handles_[rng.pick(fired_)]);
                     schedule(loop_.now() + delay(rng));
                 }
                 break;
@@ -310,8 +313,9 @@ public:
             }
         }
         loop_.run();
-        trace_.push_back({'R', static_cast<std::int64_t>(loop_.events_processed()),
-                          loop_.now().count()});
+        trace_.push_back(
+            {'R', static_cast<std::int64_t>(loop_.events_processed()),
+             loop_.now().count()});
         return trace_;
     }
 
@@ -334,9 +338,7 @@ private:
     }
 
     void cancel_any(SplitMix& rng) {
-        if (!handles_.empty())
-            loop_.cancel(handles_[static_cast<std::size_t>(
-                rng.below(static_cast<int>(handles_.size())))]);
+        if (!handles_.empty()) loop_.cancel(rng.pick(handles_));
     }
 
     void fire(std::size_t label) {
@@ -365,8 +367,7 @@ private:
             cancel_any(rng);
             break;
         case 3: // an already-fired event, then reuse its slot
-            loop_.cancel(handles_[fired_[static_cast<std::size_t>(
-                rng.below(static_cast<int>(fired_.size())))]]);
+            loop_.cancel(handles_[rng.pick(fired_)]);
             schedule(loop_.now() + delay(rng));
             break;
         default:
