@@ -154,7 +154,8 @@ public:
     /// receives a parsed view aliasing `frame` and may rewrite it in place
     /// and take ownership (return true = consumed); returning false falls
     /// through to the demux with the frame untouched. Installed by
-    /// HomeGateway on its LAN/WAN ports; plain hosts have none.
+    /// HomeGateway and CgnGateway on both their ports; plain hosts have
+    /// none.
     using FastIpHook = std::function<bool(net::PacketView&, sim::Frame&)>;
     void set_fast_ip_hook(FastIpHook hook) { fast_hook_ = std::move(hook); }
 
