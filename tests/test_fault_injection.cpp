@@ -9,6 +9,7 @@
 #include "gateway/nat_engine.hpp"
 #include "harness/testbed.hpp"
 #include "harness/udp_probes.hpp"
+#include "net/dhcp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
 #include "obs/obs.hpp"
@@ -279,6 +280,55 @@ struct FaultBed {
         slot().wan_link->set_impairments(sim::Link::Side::A, imp);
         slot().wan_link->set_impairments(sim::Link::Side::B, imp);
     }
+
+    /// Put `datagram` on the gateway's LAN port in a broadcast-MAC frame.
+    void send_broadcast_framed(const net::Bytes& datagram) {
+        sim::Frame frame(12, 0xff);
+        frame[6] = 0x02; // a locally administered source MAC
+        frame.push_back(0x08);
+        frame.push_back(0x00);
+        frame.insert(frame.end(), datagram.begin(), datagram.end());
+        slot().lan_link->send(sim::Link::Side::B, std::move(frame));
+    }
+
+    /// A UDP datagram from the LAN client toward the server's port 7000.
+    net::Bytes client_datagram() {
+        net::Ipv4Packet pkt;
+        pkt.h.protocol = net::proto::kUdp;
+        pkt.h.src = slot().client_addr;
+        pkt.h.dst = slot().server_addr;
+        pkt.h.ttl = 64;
+        net::UdpDatagram d;
+        d.src_port = 40000;
+        d.dst_port = 7000;
+        d.payload = {1};
+        pkt.payload = d.serialize(pkt.h.src, pkt.h.dst);
+        return pkt.serialize();
+    }
+
+    /// A DHCPDISCOVER as a fresh LAN host broadcasts it.
+    static net::Bytes dhcp_discover() {
+        net::DhcpMessage msg;
+        msg.xid = 0x5eed;
+        msg.chaddr = net::MacAddr::from_index(777);
+        msg.set_type(net::DhcpMessageType::Discover);
+        net::Ipv4Packet pkt;
+        pkt.h.protocol = net::proto::kUdp;
+        pkt.h.dst = net::Ipv4Addr::broadcast();
+        pkt.h.ttl = 64;
+        net::UdpDatagram d;
+        d.src_port = net::kDhcpClientPort;
+        d.dst_port = net::kDhcpServerPort;
+        d.payload = msg.serialize();
+        pkt.payload = d.serialize(pkt.h.src, pkt.h.dst);
+        return pkt.serialize();
+    }
+
+    /// Frames the gateway has put on either of its links.
+    std::uint64_t gateway_frames_sent() {
+        return slot().lan_link->frames_sent(sim::Link::Side::A) +
+               slot().wan_link->frames_sent(sim::Link::Side::A);
+    }
 };
 
 } // namespace
@@ -357,6 +407,63 @@ TEST(GatewayFaults, StallDropsTrafficThenRecovers) {
     client_sock.send_to({slot.server_addr, 7000}, {3});
     bed.loop.run();
     EXPECT_EQ(server_got, 2);
+}
+
+// A LAN datagram in a broadcast-MAC frame is not addressed to the
+// gateway's MAC, yet the gateway forwards it like any other: translated,
+// and exactly once.
+TEST(GatewayFaults, BroadcastFramedDatagramIsTranslatedOnce) {
+    FaultBed bed;
+    auto& slot = bed.slot();
+    std::vector<net::Endpoint> seen;
+    auto& sink = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
+    sink.set_receive_handler([&](net::Endpoint src,
+                                 std::span<const std::uint8_t>,
+                                 const net::Ipv4Packet&) {
+        seen.push_back(src);
+    });
+
+    bed.send_broadcast_framed(bed.client_datagram());
+    bed.loop.run_for(std::chrono::milliseconds(50));
+
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].addr, slot.gw_wan_addr);
+    EXPECT_EQ(slot.gw->nat().udp_table().size(), 1u);
+}
+
+// A stalled gateway is dead to broadcast frames too: neither a
+// broadcast-framed datagram nor a LAN DHCP broadcast draws a frame out
+// of it. Both work again once the stall ends.
+TEST(GatewayFaults, StallSwallowsBroadcastFramesThenRecovers) {
+    FaultBed bed;
+    auto& slot = bed.slot();
+    int server_got = 0;
+    auto& sink = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
+    sink.set_receive_handler(
+        [&](net::Endpoint, std::span<const std::uint8_t>,
+            const net::Ipv4Packet&) { ++server_got; });
+
+    gateway::GatewayFault fault;
+    fault.flush_nat = false;
+    fault.stall = std::chrono::seconds(2);
+    slot.gw->inject_fault(fault);
+    const auto sent_before = bed.gateway_frames_sent();
+    bed.send_broadcast_framed(bed.client_datagram());
+    bed.send_broadcast_framed(FaultBed::dhcp_discover());
+    bed.loop.run_for(std::chrono::seconds(1));
+    EXPECT_EQ(server_got, 0);
+    EXPECT_EQ(bed.gateway_frames_sent(), sent_before);
+    EXPECT_EQ(slot.gw->nat().udp_table().size(), 0u);
+
+    bed.loop.run_for(std::chrono::seconds(2));
+    ASSERT_FALSE(slot.gw->stalled());
+    const auto lan_before = slot.lan_link->frames_sent(sim::Link::Side::A);
+    bed.send_broadcast_framed(FaultBed::dhcp_discover());
+    bed.loop.run_for(std::chrono::milliseconds(50));
+    EXPECT_GT(slot.lan_link->frames_sent(sim::Link::Side::A), lan_before);
+    bed.send_broadcast_framed(bed.client_datagram());
+    bed.loop.run_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(server_got, 1);
 }
 
 // --- end-to-end: UDP-1 measurement across an impaired WAN -------------------
