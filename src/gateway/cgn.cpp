@@ -270,27 +270,24 @@ NatEngine* CgnEngine::icmp_engine(std::span<const std::uint8_t> icmp) {
     return &queries_->nat;
 }
 
-std::optional<net::Bytes> CgnEngine::hairpin(const net::Ipv4Packet& pkt) {
+bool CgnEngine::hairpin(net::PacketView& v) {
     GK_EXPECTS(configured());
-    if (!cfg_.hairpin || pkt.h.protocol != net::proto::kUdp)
-        return std::nullopt;
-    net::Bytes bytes = pkt.serialize();
-    auto v = net::PacketView::of(bytes);
-    if (!v.has_l4()) return std::nullopt;
+    if (!cfg_.hairpin || v.protocol() != net::proto::kUdp || !v.has_l4())
+        return false;
     Slice* ts = slice_for_port(v.dst_port());
     const Binding* target =
         ts != nullptr ? ts->nat.udp_table().find_by_external(v.dst_port())
                       : nullptr;
-    if (target == nullptr) return std::nullopt;
+    if (target == nullptr) return false;
 
-    Slice* ss = slice_for_subscriber(pkt.h.src);
-    if (ss == nullptr) return std::nullopt;
+    Slice* ss = slice_for_subscriber(v.src());
+    if (ss == nullptr) return false;
     if (!ss->nat.hairpin_to(v, target->key.internal)) {
         ++stats_.pool_exhausted;
-        return std::nullopt;
+        return false;
     }
     ++stats_.hairpinned;
-    return bytes;
+    return true;
 }
 
 std::size_t CgnEngine::live_bindings(net::Ipv4Addr subscriber) {
@@ -339,33 +336,9 @@ CgnGateway::CgnGateway(sim::EventLoop& loop, Config config)
     host_.add_route(config_.access_addr, config_.access_prefix_len,
                     access_if_);
 
-    // The NIC frame hooks translate; the host stack's hooks keep what is
-    // not translation. An access datagram reaching the forward hook never
-    // passed the access frame hook: it takes the frame code on one copy.
-    // WAN-side datagrams for other destinations are not ours: a CGN
-    // translates toward its external address, it does not transit-route.
-    host_.set_forward_hook([this](stack::Iface& in, const net::Ipv4Packet&,
-                                  std::span<const std::uint8_t> raw) {
-        if (&in == &access_if_ && engine_.configured()) from_access_copy(raw);
-    });
-    host_.set_local_intercept([this](stack::Iface& in,
-                                     const net::Ipv4Packet& pkt,
-                                     std::span<const std::uint8_t> raw) {
-        // Subscriber traffic addressed to the shared external address:
-        // hairpin candidate (RFC 6888 REQ-9).
-        if (!engine_.configured() || &in != &access_if_ ||
-            pkt.h.dst != engine_.external_addr())
-            return false;
-        if (pkt.h.ttl <= 1) {
-            ttl_expired(raw.first(pkt.h.header_len() + pkt.payload.size()));
-            return true;
-        }
-        auto out = engine_.hairpin(pkt);
-        if (!out) return false; // e.g. pinging the external address
-        const auto dst = net::ipv4_dst(*out);
-        emit(std::move(*out), dst);
-        return true;
-    });
+    // The NIC frame hooks are the whole datapath. WAN-side datagrams for
+    // other destinations are not ours: a CGN translates toward its
+    // external address, it does not transit-route.
     host_.nic().set_fast_ip_hook([this](net::PacketView& v, sim::Frame& f) {
         return frame_from_access(v, f);
     });
@@ -412,8 +385,11 @@ void CgnGateway::start(std::function<void(net::Ipv4Addr)> on_ready) {
 bool CgnGateway::frame_from_access(net::PacketView& v, sim::Frame& frame) {
     if (!engine_.configured()) return false;
     const net::Ipv4Addr dst = v.dst();
-    if (dst.is_broadcast() || host_.is_local_addr(dst))
-        return false; // CGN-local / hairpin
+    // Subscriber traffic addressed to the shared external address is a
+    // hairpin candidate (RFC 6888 REQ-9).
+    const bool hairpin = dst == engine_.external_addr();
+    if (dst.is_broadcast() || (!hairpin && host_.is_local_addr(dst)))
+        return false; // CGN-local
     stack::NetIf& rx = host_.nic();
     // Forwarding-path TTL check precedes translation (Linux order), so
     // the Time Exceeded quote embeds the datagram as it arrived.
@@ -422,12 +398,14 @@ bool CgnGateway::frame_from_access(net::PacketView& v, sim::Frame& frame) {
         rx.pool().release(std::move(frame));
         return true;
     }
-    if (engine_.outbound(v) != NatEngine::Verdict::kForwarded) {
+    if (hairpin) {
+        if (!engine_.hairpin(v)) return false; // e.g. pinging the address
+    } else if (engine_.outbound(v) != NatEngine::Verdict::kForwarded) {
         rx.pool().release(std::move(frame));
         return true;
     }
     frame.resize(14u + v.total_len()); // shed any trailing link padding
-    emit_frame(std::move(frame), dst, rx);
+    emit_frame(std::move(frame), v.dst(), rx);
     return true;
 }
 
@@ -453,15 +431,6 @@ bool CgnGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
     return true;
 }
 
-void CgnGateway::from_access_copy(std::span<const std::uint8_t> datagram) {
-    sim::Frame frame = access_if_.make_frame(datagram.size());
-    std::copy(datagram.begin(), datagram.end(), frame.begin() + 14);
-    // The host stack parsed the same bytes, so the view parses too.
-    auto v = net::PacketView::of({frame.data() + 14, datagram.size()});
-    if (!frame_from_access(v, frame))
-        host_.nic().pool().release(std::move(frame));
-}
-
 void CgnGateway::emit_frame(sim::Frame frame, net::Ipv4Addr dst,
                             stack::NetIf& rx) {
     const stack::Route* route = host_.lookup_route(dst);
@@ -473,13 +442,6 @@ void CgnGateway::emit_frame(sim::Frame frame, net::Ipv4Addr dst,
     const auto src = out.mac().octets();
     std::copy(src.begin(), src.end(), frame.begin() + 6);
     out.send_frame(std::move(frame), route->via ? *route->via : dst);
-}
-
-void CgnGateway::emit(net::Bytes datagram, net::Ipv4Addr dst) {
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr) return;
-    host_.send_raw(*route->iface, std::move(datagram),
-                   route->via ? *route->via : dst);
 }
 
 void CgnGateway::ttl_expired(std::span<const std::uint8_t> datagram) {

@@ -17,10 +17,9 @@
 // is the external view of the quote in errors subscribers send.
 //
 // CgnGateway translates on its NICs, as HomeGateway does: a frame hook
-// on each port rewrites the received frame in place and sends the same
-// buffer out of the route's interface. Only what the hooks decline
-// climbs the host stack: the CGN's own traffic, hairpin, and access-side
-// datagrams the access hook never saw (taken on one pool-frame copy).
+// on each port rewrites the received frame in place (hairpin included)
+// and sends the same buffer out of the route's interface. Only what the
+// hooks decline climbs the host stack: the CGN's own traffic.
 #pragma once
 
 #include <functional>
@@ -117,8 +116,9 @@ public:
     std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
                                       bool& handled);
     /// Subscriber-to-subscriber traffic addressed to the external
-    /// address (UDP only, like the consumer devices' hairpin).
-    std::optional<net::Bytes> hairpin(const net::Ipv4Packet& pkt);
+    /// address, rewritten in place (UDP only, like the consumer devices'
+    /// hairpin). False, with the bytes untouched, when nothing hairpins.
+    bool hairpin(net::PacketView& v);
 
     /// Live bindings a subscriber currently holds (UDP + TCP).
     std::size_t live_bindings(net::Ipv4Addr subscriber);
@@ -235,21 +235,18 @@ public:
     stack::Iface& wan_if() { return wan_if_; }
 
 private:
-    /// NIC frame hooks: unicast frames to the CGN's MACs are translated
-    /// in place and leave in the same buffer. The access hook declines
-    /// traffic to the CGN itself (local delivery, hairpin); the WAN hook
-    /// declines everything CgnEngine::inbound calls kNotOurs, and is the
-    /// only place WAN traffic is translated.
+    /// NIC frame hooks, the CGN's whole datapath: IPv4 frames to a port's
+    /// MAC or broadcast are translated (or hairpinned) in place and leave
+    /// in the same buffer. The access hook declines traffic for the CGN
+    /// itself (IP broadcast, its own addresses, and what hairpin refuses
+    /// at the external address); the WAN hook declines everything
+    /// CgnEngine::inbound calls kNotOurs. Both go to the CGN's own stack.
     bool frame_from_access(net::PacketView& v, sim::Frame& frame);
     bool frame_from_wan(net::PacketView& v, sim::Frame& frame);
-    /// frame_from_access on a copy of a datagram the access hook never
-    /// saw (a broadcast-MAC frame, say).
-    void from_access_copy(std::span<const std::uint8_t> datagram);
     /// Send a translated frame out of `dst`'s route with that interface's
     /// source MAC (both ports are untagged, so the L2 header carries
     /// over); `rx` takes the frame back when there is no route.
     void emit_frame(sim::Frame frame, net::Ipv4Addr dst, stack::NetIf& rx);
-    void emit(net::Bytes datagram, net::Ipv4Addr dst);
     /// ICMP Time Exceeded toward `datagram`'s source, quoting it as it
     /// arrived (before translation).
     void ttl_expired(std::span<const std::uint8_t> datagram);

@@ -25,66 +25,8 @@ HomeGateway::HomeGateway(sim::EventLoop& loop, Config config)
         filter_.add_rule(r);
     filter_compiled_ = config_.profile.firewall_compiled;
 
-    // The NIC frame hooks translate; the host stack's hooks keep what
-    // is not translation. A LAN packet reaching the forward hook never
-    // passed the LAN frame hook (a broadcast-MAC frame, say): it takes
-    // the frame code on one copy.
-    host_.set_forward_hook([this](stack::Iface& in,
-                                  const net::Ipv4Packet& pkt,
-                                  std::span<const std::uint8_t> raw) {
-        if (stalled()) return; // faulted device forwards nothing
-        if (&in == &lan_if_) {
-            if (nat_.configured()) from_lan_copy(raw);
-        }
-        // WAN-side packets for non-local destinations: only the plain
-        // router fallback forwards into the LAN subnet.
-        else if (config_.profile.unknown_proto ==
-                     UnknownProtocolPolicy::Untranslated &&
-                 pkt.h.dst.same_subnet(config_.lan_addr,
-                                       config_.lan_prefix_len)) {
-            net::Ipv4Packet out = pkt;
-            if (config_.profile.decrement_ttl) {
-                if (pkt.h.ttl <= 1) {
-                    ttl_expired(raw.first(pkt.h.header_len() +
-                                          pkt.payload.size()));
-                    return;
-                }
-                out.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-            }
-            auto bytes = out.serialize();
-            const auto dst = out.h.dst;
-            const std::size_t len = bytes.size();
-            fwd_.submit(Direction::Down, len,
-                        [this, bytes = std::move(bytes), dst]() mutable {
-                            emit_lan(std::move(bytes), dst);
-                        });
-        }
-    });
-    host_.set_local_intercept([this](stack::Iface& in,
-                                     const net::Ipv4Packet& pkt,
-                                     std::span<const std::uint8_t>) {
-        // During a fault stall the device is dead to the wire: swallow
-        // everything (NAT'd and gateway-local alike) until it recovers.
-        if (stalled()) return true;
-        // WAN-side packets here are the gateway's own: the WAN frame
-        // hook already offered them to the NAT. LAN-side packets
-        // addressed to the WAN address: hairpin candidates on devices
-        // that support it; otherwise they reach the gateway's own stack
-        // (e.g. pinging the WAN address).
-        if (nat_.configured() && &in == &lan_if_ &&
-            pkt.h.dst == nat_.wan_addr()) {
-            auto out = nat_.hairpin(pkt);
-            if (!out) return false;
-            const auto dst = net::ipv4_dst(*out);
-            const std::size_t len = out->size();
-            fwd_.submit(Direction::Down, len,
-                        [this, bytes = std::move(*out), dst]() mutable {
-                            emit_lan(std::move(bytes), dst);
-                        });
-            return true;
-        }
-        return false;
-    });
+    // The NIC frame hooks are the whole datapath; the host stack only
+    // sees what is the gateway's own.
     host_.nic().set_fast_ip_hook(
         [this](net::PacketView& v, sim::Frame& f) {
             return frame_from_lan(v, f);
@@ -108,15 +50,19 @@ static bool filter_active(const RuleChain& f) {
 }
 
 bool HomeGateway::frame_from_lan(net::PacketView& v, sim::Frame& frame) {
-    // Like the packet-path hooks, swallow everything during a stall.
+    // A stalled device is dead to the wire: swallow everything, the
+    // gateway's own traffic included, until it recovers.
     if (stalled()) {
         host_.nic().pool().release(std::move(frame));
         return true;
     }
     if (!nat_.configured()) return false;
     const net::Ipv4Addr dst = v.dst();
-    if (dst.is_broadcast() || host_.is_local_addr(dst))
-        return false; // gateway-local / hairpin
+    // LAN traffic to the WAN address is a hairpin candidate on devices
+    // that hairpin; elsewhere it is the gateway's own.
+    const bool hairpin = config_.profile.hairpin && dst == nat_.wan_addr();
+    if (dst.is_broadcast() || (!hairpin && host_.is_local_addr(dst)))
+        return false; // gateway-local
     // Linux order: the forwarding path's TTL check precedes the FORWARD
     // chain and the NAT, and its Time Exceeded quotes the datagram as it
     // arrived (the NAT's own ttl<=1 drop is a backstop for direct
@@ -124,6 +70,17 @@ bool HomeGateway::frame_from_lan(net::PacketView& v, sim::Frame& frame) {
     if (config_.profile.decrement_ttl && v.ttl() <= 1) {
         ttl_expired({v.data(), v.total_len()});
         host_.nic().pool().release(std::move(frame));
+        return true;
+    }
+    if (hairpin) {
+        // Hairpin bypasses the FORWARD chain; what it refuses (pinging
+        // the WAN address, say) reaches the gateway's own stack.
+        if (!nat_.hairpin(v)) return false;
+        frame.resize(14u + v.total_len());
+        fwd_.submit(Direction::Down, v.total_len(),
+                    [this, f = std::move(frame), to = v.dst()]() mutable {
+                        emit_frame(std::move(f), to, lan_if_);
+                    });
         return true;
     }
     if ((filter_active(filter_) && !filter_pass(RuleChain::key_of(v))) ||
@@ -134,7 +91,7 @@ bool HomeGateway::frame_from_lan(net::PacketView& v, sim::Frame& frame) {
     frame.resize(14u + v.total_len()); // shed any trailing link padding
     fwd_.submit(Direction::Up, v.total_len(),
                 [this, f = std::move(frame), dst]() mutable {
-                    emit_wan_frame(std::move(f), dst);
+                    emit_frame(std::move(f), dst, wan_if_);
                 });
     return true;
 }
@@ -144,10 +101,32 @@ bool HomeGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
         wan_nic_.pool().release(std::move(frame));
         return true;
     }
-    if (!nat_.configured()) return false;
     const net::Ipv4Addr wire_dst = v.dst();
-    if (wire_dst.is_broadcast() || !host_.is_local_addr(wire_dst))
-        return false; // plain-router fallback (or not ours)
+    if (wire_dst.is_broadcast()) return false; // gateway-local
+    if (!host_.is_local_addr(wire_dst)) {
+        // Not addressed to the gateway: only the plain router fallback
+        // forwards it, into the LAN subnet. Anything else the host stack
+        // drops, as hosts do not forward.
+        if (config_.profile.unknown_proto !=
+                UnknownProtocolPolicy::Untranslated ||
+            !wire_dst.same_subnet(config_.lan_addr, config_.lan_prefix_len))
+            return false;
+        if (config_.profile.decrement_ttl) {
+            if (v.ttl() <= 1) {
+                ttl_expired({v.data(), v.total_len()});
+                wan_nic_.pool().release(std::move(frame));
+                return true;
+            }
+            v.decrement_ttl();
+        }
+        frame.resize(14u + v.total_len());
+        fwd_.submit(Direction::Down, v.total_len(),
+                    [this, f = std::move(frame), wire_dst]() mutable {
+                        emit_frame(std::move(f), wire_dst, lan_if_);
+                    });
+        return true;
+    }
+    if (!nat_.configured()) return false;
     // Only a packet the NAT claims is a forwarding event, so an expiring
     // TTL is known only after translation: keep the datagram as it
     // arrived for the Time Exceeded quote.
@@ -172,61 +151,26 @@ bool HomeGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
     const net::Ipv4Addr dst = v.dst(); // internal destination post-rewrite
     fwd_.submit(Direction::Down, v.total_len(),
                 [this, f = std::move(frame), dst]() mutable {
-                    emit_lan_frame(std::move(f), dst);
+                    emit_frame(std::move(f), dst, lan_if_);
                 });
     return true;
 }
 
-void HomeGateway::from_lan_copy(std::span<const std::uint8_t> datagram) {
-    sim::Frame frame = host_.nic().pool().acquire();
-    frame.assign(14, 0); // MACs are written at egress
-    frame[12] = 0x08;    // ethertype IPv4
-    frame.insert(frame.end(), datagram.begin(), datagram.end());
-    // The host stack parsed the same bytes, so the view parses too.
-    auto v = net::PacketView::of({frame.data() + 14, datagram.size()});
-    if (!frame_from_lan(v, frame)) host_.nic().pool().release(std::move(frame));
-}
-
-void HomeGateway::emit_wan_frame(sim::Frame frame, net::Ipv4Addr dst) {
+void HomeGateway::emit_frame(sim::Frame frame, net::Ipv4Addr dst,
+                             stack::Iface& out) {
+    // Route-table-driven: anything whose best route does not leave by
+    // `out` is dropped here, which keeps each direction on its own port
+    // while allowing routed LAN-side subnets.
     const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr || route->iface != &wan_if_) {
-        wan_nic_.pool().release(std::move(frame));
+    if (route == nullptr || route->iface != &out) {
+        (&out == &wan_if_ ? wan_nic_ : host_.nic())
+            .pool()
+            .release(std::move(frame));
         return;
     }
-    const auto next_hop = route->via ? *route->via : dst;
-    if (const auto mac = wan_if_.arp_cache().lookup(next_hop)) {
-        std::copy(mac->octets().begin(), mac->octets().end(), frame.begin());
-        // mac() returns by value; copy the octets out rather than
-        // binding a reference into the dead temporary.
-        const auto src = wan_nic_.mac().octets();
-        std::copy(src.begin(), src.end(), frame.begin() + 6);
-        wan_nic_.send_raw_frame(std::move(frame));
-        return;
-    }
-    // ARP miss: the queue-and-resolve machinery owns datagram bytes, not
-    // frames; copy the datagram out and recycle the frame shell.
-    net::Bytes dgram(frame.begin() + 14, frame.end());
-    wan_nic_.pool().release(std::move(frame));
-    wan_if_.send_ip_raw(std::move(dgram), next_hop);
-}
-
-void HomeGateway::emit_lan_frame(sim::Frame frame, net::Ipv4Addr dst) {
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr || route->iface != &lan_if_) {
-        host_.nic().pool().release(std::move(frame));
-        return;
-    }
-    const auto next_hop = route->via ? *route->via : dst;
-    if (const auto mac = lan_if_.arp_cache().lookup(next_hop)) {
-        std::copy(mac->octets().begin(), mac->octets().end(), frame.begin());
-        const auto src = host_.nic().mac().octets();
-        std::copy(src.begin(), src.end(), frame.begin() + 6);
-        host_.nic().send_raw_frame(std::move(frame));
-        return;
-    }
-    net::Bytes dgram(frame.begin() + 14, frame.end());
-    host_.nic().pool().release(std::move(frame));
-    lan_if_.send_ip_raw(std::move(dgram), next_hop);
+    const auto src = out.mac().octets();
+    std::copy(src.begin(), src.end(), frame.begin() + 6);
+    out.send_frame(std::move(frame), route->via ? *route->via : dst);
 }
 
 void HomeGateway::connect_lan(sim::Link& link, sim::Link::Side side) {
@@ -305,16 +249,6 @@ void HomeGateway::ttl_expired(std::span<const std::uint8_t> datagram) {
     // Routed back toward the source; the egress interface's address
     // becomes the ICMP source (LAN address upstream, WAN downstream).
     host_.send_icmp(net::Ipv4Addr::any(), src, err);
-}
-
-void HomeGateway::emit_lan(net::Bytes datagram, net::Ipv4Addr dst) {
-    // Route-table-driven (mirrors emit_wan): anything whose best route
-    // does not leave via the LAN port is dropped here, which preserves
-    // the old on-link-only gate while allowing routed LAN-side subnets.
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr || route->iface != &lan_if_) return;
-    host_.send_raw(lan_if_, std::move(datagram),
-                   route->via ? *route->via : dst);
 }
 
 } // namespace gatekit::gateway

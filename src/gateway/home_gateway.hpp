@@ -1,7 +1,7 @@
 // HomeGateway: a complete simulated CPE device. Internally it is a Host
 // (giving it ARP, DHCP client/server, a DNS proxy and its own sockets)
-// plus a NAT datapath hooked in front of forwarding and local delivery,
-// and a forwarding-performance model. Behavior is entirely driven by its
+// plus a NAT datapath on its two NICs' frame hooks, in front of the host
+// stack, and a forwarding-performance model. Behavior is entirely driven by its
 // DeviceProfile; src/devices instantiates the paper's 34 models.
 #pragma once
 
@@ -91,18 +91,19 @@ public:
     RuleChain& filter() { return filter_; }
 
 private:
-    /// NIC frame hooks: every protocol in untagged unicast frames to the
-    /// gateway's MAC is translated in place and forwarded in the same
-    /// buffer, and an expiring TTL draws its Time Exceeded here. They
-    /// decline gateway-local traffic, hairpin and kNotOurs, which take
-    /// the host stack: local delivery, hairpin, and (WAN side, to a LAN
-    /// host) the Untranslated router fallback.
+    /// NIC frame hooks, the gateway's whole datapath: every protocol in
+    /// untagged IPv4 frames to a port's MAC or broadcast is translated,
+    /// hairpinned or (WAN side, to a LAN host) routed by the
+    /// Untranslated fallback in place, and forwarded in the same buffer;
+    /// an expiring TTL draws its Time Exceeded here, and a stall
+    /// swallows everything. They decline only the gateway's own traffic
+    /// (IP broadcast, its own addresses, what hairpin refuses, and
+    /// kNotOurs), which the host stack delivers locally.
     bool frame_from_lan(net::PacketView& v, sim::Frame& frame);
     bool frame_from_wan(net::PacketView& v, sim::Frame& frame);
-    /// frame_from_lan on a copy of a datagram the LAN hook never saw.
-    void from_lan_copy(std::span<const std::uint8_t> datagram);
-    void emit_wan_frame(sim::Frame frame, net::Ipv4Addr dst);
-    void emit_lan_frame(sim::Frame frame, net::Ipv4Addr dst);
+    /// Send a forwarded frame toward `dst` with `out`'s source MAC; the
+    /// frame is dropped unless `dst`'s route leaves by `out`.
+    void emit_frame(sim::Frame frame, net::Ipv4Addr dst, stack::Iface& out);
     bool filter_pass(const RuleChain::Key& key);
 
     /// Emit ICMP Time Exceeded toward `datagram`'s source (RFC 792),
@@ -111,7 +112,6 @@ private:
     /// chains report the expiring hop instead of silently eating
     /// traceroute probes.
     void ttl_expired(std::span<const std::uint8_t> datagram);
-    void emit_lan(net::Bytes datagram, net::Ipv4Addr dst);
 
     sim::EventLoop& loop_;
     Config config_;

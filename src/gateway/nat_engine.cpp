@@ -282,16 +282,11 @@ NatEngine::Verdict NatEngine::other_outbound(net::PacketView& v) {
     return Verdict::kForwarded;
 }
 
-std::optional<net::Bytes> NatEngine::hairpin(const net::Ipv4Packet& pkt) {
-    if (!profile_.hairpin || pkt.h.protocol != net::proto::kUdp)
-        return std::nullopt;
-    net::Bytes bytes = pkt.serialize();
-    auto v = net::PacketView::of(bytes);
-    if (!v.has_l4()) return std::nullopt;
+bool NatEngine::hairpin(net::PacketView& v) {
+    if (!profile_.hairpin || v.protocol() != net::proto::kUdp || !v.has_l4())
+        return false;
     const Binding* target = udp_.find_by_external(v.dst_port());
-    if (target == nullptr || !hairpin_to(v, target->key.internal))
-        return std::nullopt;
-    return bytes;
+    return target != nullptr && hairpin_to(v, target->key.internal);
 }
 
 bool NatEngine::hairpin_to(net::PacketView& v, net::Endpoint target) {

@@ -60,10 +60,11 @@ public:
     /// error with a 40-byte RST in the same buffer and re-points `view`.
     Verdict inbound(net::PacketView& view);
 
-    /// Hairpin a LAN->WAN-address datagram back into the LAN (UDP only;
-    /// returns nullopt when the device does not hairpin or no binding
-    /// matches the targeted external port).
-    std::optional<net::Bytes> hairpin(const net::Ipv4Packet& pkt);
+    /// Hairpin a LAN->WAN-address datagram back into the LAN in place
+    /// (UDP only). False, with the bytes untouched, when the device does
+    /// not hairpin, no binding matches the targeted external port, or no
+    /// mapping is left for the sender.
+    bool hairpin(net::PacketView& view);
     /// Hairpin's sender half, in place: give the sender its own external
     /// mapping (so the target sees it as an outside peer would) and
     /// rewrite `view` toward `target`. False when no mapping is left.

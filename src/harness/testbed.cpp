@@ -32,16 +32,15 @@ Testbed::Testbed(sim::EventLoop& loop)
     // route *between* the per-device WAN subnets — that is "the Internet"
     // as far as two homes talking to each other are concerned (the
     // hole-punching example depends on it).
-    server_.set_forward_hook([this](stack::Iface&,
-                                    const net::Ipv4Packet& pkt,
-                                    std::span<const std::uint8_t>) {
-        if (pkt.h.ttl <= 1) return;
-        const stack::Route* route = server_.lookup_route(pkt.h.dst);
+    server_.set_forward_hook([this](stack::Iface&, const net::PacketView& v,
+                                    std::span<const std::uint8_t> raw) {
+        if (v.ttl() <= 1) return;
+        const stack::Route* route = server_.lookup_route(v.dst());
         if (route == nullptr || !route->iface->configured()) return;
-        net::Ipv4Packet fwd = pkt;
-        fwd.h.ttl = static_cast<std::uint8_t>(pkt.h.ttl - 1);
-        server_.send_raw(*route->iface, fwd.serialize(),
-                         route->via ? *route->via : pkt.h.dst);
+        net::Bytes fwd(raw.begin(), raw.begin() + v.total_len());
+        net::PacketView::of(fwd).decrement_ttl();
+        server_.send_raw(*route->iface, std::move(fwd),
+                         route->via ? *route->via : v.dst());
     });
 }
 

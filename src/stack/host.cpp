@@ -156,9 +156,7 @@ void Host::on_ip(Iface& iface, const net::PacketView& view,
                  std::span<const std::uint8_t> raw) {
     const bool local = view.dst().is_broadcast() || is_local_addr(view.dst());
     if (!local) {
-        // The view accepted the datagram, so the owning parse cannot fail.
-        if (forward_hook_)
-            forward_hook_(iface, net::Ipv4Packet::parse(raw), raw);
+        if (forward_hook_) forward_hook_(iface, view, raw);
         return; // hosts do not forward
     }
     deliver_local(iface, view, raw);
@@ -171,7 +169,6 @@ void Host::deliver_local(Iface& iface, const net::PacketView& view,
         if (!owned) owned = net::Ipv4Packet::parse(raw);
         return *owned;
     };
-    if (local_intercept_ && local_intercept_(iface, pkt(), raw)) return;
     if (ip_observer_) ip_observer_(iface, pkt(), raw);
     switch (view.protocol()) {
     case net::proto::kIcmp:

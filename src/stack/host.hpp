@@ -1,7 +1,8 @@
 // A Linux-like end host: interfaces, longest-prefix routing, ICMP, and
 // transport demux for UDP, TCP, SCTP and DCCP. Both testbed hosts (test
-// client, test server) and the home gateway's control plane are Hosts;
-// the gateway adds a forwarding hook for its NAT datapath.
+// client, test server) and the gateways' control planes are Hosts; the
+// gateways forward on their NIC frame hooks, the test server through a
+// forwarding hook.
 #pragma once
 
 #include <functional>
@@ -118,21 +119,12 @@ public:
     void set_ip_observer(IpObserver obs) { ip_observer_ = std::move(obs); }
 
     /// Forwarding hook: invoked for datagrams that arrive addressed to
-    /// some other host. Default behavior without a hook is to drop, as
-    /// hosts do not forward.
-    using ForwardHook = std::function<void(Iface&, const net::Ipv4Packet&,
+    /// some other host, with the view and the frame payload as
+    /// Iface::IpHandler has them. Default behavior without a hook is to
+    /// drop, as hosts do not forward.
+    using ForwardHook = std::function<void(Iface&, const net::PacketView&,
                                            std::span<const std::uint8_t>)>;
     void set_forward_hook(ForwardHook hook) { forward_hook_ = std::move(hook); }
-
-    /// Pre-delivery intercept for datagrams addressed to this host.
-    /// Returning true consumes the packet. A NAT uses this on its WAN
-    /// interface: inbound packets for active bindings are addressed to
-    /// the WAN address, yet must be translated rather than delivered.
-    using LocalIntercept = std::function<bool(Iface&, const net::Ipv4Packet&,
-                                              std::span<const std::uint8_t>)>;
-    void set_local_intercept(LocalIntercept fn) {
-        local_intercept_ = std::move(fn);
-    }
 
     /// Whether this host answers ICMP echo and emits ICMP errors.
     void set_icmp_enabled(bool on) { icmp_enabled_ = on; }
@@ -159,7 +151,7 @@ private:
     void on_ip(Iface& iface, const net::PacketView& view,
                std::span<const std::uint8_t> raw);
     /// Local delivery. TCP is demuxed straight from `view`; everything
-    /// else, and every hook or observer, gets an owning Ipv4Packet.
+    /// else, and the IP observer, gets an owning Ipv4Packet.
     void deliver_local(Iface& iface, const net::PacketView& view,
                        std::span<const std::uint8_t> raw);
     /// Deliver a datagram this host addressed to itself, as the next
@@ -221,7 +213,6 @@ private:
     IcmpObserver icmp_observer_;
     IpObserver ip_observer_;
     ForwardHook forward_hook_;
-    LocalIntercept local_intercept_;
     bool icmp_enabled_ = true;
     std::uint16_t next_ephemeral_ = 33000;
     std::uint16_t ip_id_ = 1;

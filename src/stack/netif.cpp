@@ -235,17 +235,17 @@ void NetIf::frame_in(sim::Frame raw) {
         pool_.release(std::move(raw));
         return;
     }
-    const bool to_me = hdr->dst == mac_;
-    // Datapath intercept: untagged IPv4 unicast addressed to this port
-    // goes to the hook first; anything it declines falls through to the
-    // subinterface demux below with the frame untouched.
-    if (fast_hook_ && !hdr->vlan_id && to_me &&
+    const bool accepted = hdr->dst == mac_ || hdr->dst.is_broadcast();
+    // Datapath intercept: untagged IPv4 the port accepts goes to the hook
+    // first; anything it declines falls through to the subinterface
+    // demux below with the frame untouched.
+    if (fast_hook_ && !hdr->vlan_id && accepted &&
         hdr->ethertype == net::kEtherTypeIpv4 && raw.size() >= 34) {
         auto view = net::PacketView::parse(
             std::span<std::uint8_t>(raw.data() + 14, raw.size() - 14));
         if (view && fast_hook_(*view, raw)) return; // consumed (or recycled)
     }
-    if (to_me || hdr->dst.is_broadcast()) {
+    if (accepted) {
         if (Iface* iface = find_iface(hdr->vlan_id))
             iface->frame_in(hdr->ethertype,
                             std::span<std::uint8_t>(raw.data() + hdr->size,

@@ -146,16 +146,17 @@ public:
     void transmit(net::EthernetFrame frame);
 
     /// Transmit pre-serialized frame bytes verbatim — the zero-copy
-    /// egress used by the gateway datapath after an in-place rewrite.
+    /// egress under every Iface IPv4 send.
     void send_raw_frame(sim::Frame frame);
 
-    /// Datapath intercept, tried before the subinterface demux on
-    /// untagged unicast IPv4 frames addressed to this port. The hook
-    /// receives a parsed view aliasing `frame` and may rewrite it in place
-    /// and take ownership (return true = consumed); returning false falls
-    /// through to the demux with the frame untouched. Installed by
-    /// HomeGateway and CgnGateway on both their ports; plain hosts have
-    /// none.
+    /// Datapath intercept, tried before the subinterface demux on every
+    /// untagged IPv4 frame the port accepts: addressed to its MAC, or
+    /// broadcast. The hook receives a parsed view aliasing `frame` and
+    /// may rewrite it in place and take ownership (return true =
+    /// consumed); returning false falls through to the demux with the
+    /// frame untouched. Installed by HomeGateway and CgnGateway on both
+    /// their ports, where it is the whole forwarding path; plain hosts
+    /// have none.
     using FastIpHook = std::function<bool(net::PacketView&, sim::Frame&)>;
     void set_fast_ip_hook(FastIpHook hook) { fast_hook_ = std::move(hook); }
 

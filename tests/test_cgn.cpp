@@ -83,9 +83,9 @@ TEST(Netif, OffSubnetSendResolvesGatewayNotDestination) {
 
     const net::Ipv4Addr far(192, 168, 7, 7);
     bool forwarded = false;
-    net.b.set_forward_hook([&](stack::Iface&, const net::Ipv4Packet& pkt,
+    net.b.set_forward_hook([&](stack::Iface&, const net::PacketView& v,
                                std::span<const std::uint8_t>) {
-        if (pkt.h.dst == far) forwarded = true;
+        if (v.dst() == far) forwarded = true;
     });
 
     const auto bytes =
@@ -210,10 +210,10 @@ TEST(CgnEngine, HairpinConnectsTwoSubscribers) {
     ASSERT_TRUE(out.has_value());
     const auto alice_ext = udp_src_port(*out);
 
-    const auto pinned =
-        bed.engine.hairpin(udp_pkt(bob, 41000, kExternal, alice_ext));
-    ASSERT_TRUE(pinned.has_value());
-    const auto pkt = net::Ipv4Packet::parse(*pinned);
+    net::Bytes pinned = udp_pkt(bob, 41000, kExternal, alice_ext).serialize();
+    auto v = net::PacketView::of(pinned);
+    ASSERT_TRUE(bed.engine.hairpin(v));
+    const auto pkt = net::Ipv4Packet::parse(pinned);
     // Bob's packet arrives at Alice from the external address (RFC 4787
     // REQ-9 "external source" presentation), on her internal endpoint.
     EXPECT_EQ(pkt.h.src, kExternal);
@@ -234,10 +234,13 @@ TEST(CgnEngine, HairpinDisabledByConfig) {
     const net::Ipv4Addr alice(100, 64, 0, 5);
     const auto out = bed.engine.outbound(udp_pkt(alice, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
-    EXPECT_FALSE(bed.engine
-                     .hairpin(udp_pkt(net::Ipv4Addr(100, 64, 0, 6), 41000,
-                                      kExternal, udp_src_port(*out)))
-                     .has_value());
+    const net::Bytes sent = udp_pkt(net::Ipv4Addr(100, 64, 0, 6), 41000,
+                                    kExternal, udp_src_port(*out))
+                                .serialize();
+    net::Bytes bytes = sent;
+    auto v = net::PacketView::of(bytes);
+    EXPECT_FALSE(bed.engine.hairpin(v));
+    EXPECT_EQ(bytes, sent); // a refusal leaves the datagram untouched
 }
 
 TEST(CgnEngine, UnsolicitedInboundIsNotHandled) {
@@ -879,9 +882,8 @@ TEST(Nat444, CgnStackSeesNoTranslatedDatagram) {
     EXPECT_EQ(observed, 0u);
 }
 
-// A subscriber datagram in a broadcast-MAC frame misses the access
-// frame hook (it is not addressed to the CGN's MAC) and reaches the
-// forward hook, which runs the same frame code on a pool-frame copy.
+// A subscriber datagram in a broadcast-MAC frame is not addressed to the
+// CGN's MAC, yet the access frame hook translates it like any other.
 TEST(Nat444, BroadcastFramedDatagramIsTranslatedOnACopy) {
     sim::EventLoop loop;
     Testbed tb(loop);

@@ -393,13 +393,16 @@ TEST(NatEngine, HairpinRequiresKnobAndBinding) {
     d.src_port = 40001;
     d.dst_port = 40000;
     probe.payload = d.serialize(probe.h.src, probe.h.dst);
-    EXPECT_FALSE(nat.hairpin(probe).has_value());
+    const net::Bytes sent = probe.serialize();
+    net::Bytes bytes = sent;
+    auto v = net::PacketView::of(bytes);
+    EXPECT_FALSE(nat.hairpin(v));
+    EXPECT_EQ(bytes, sent); // a refusal leaves the datagram untouched
 
     // Create the target binding, then hairpin succeeds.
     ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
-    const auto hp = nat.hairpin(probe);
-    ASSERT_TRUE(hp.has_value());
-    const auto pkt = net::Ipv4Packet::parse(*hp);
+    ASSERT_TRUE(nat.hairpin(v));
+    const auto pkt = net::Ipv4Packet::parse(bytes);
     EXPECT_EQ(pkt.h.src, kWan);
     EXPECT_EQ(pkt.h.dst, kClient);
 }

@@ -214,6 +214,38 @@ TEST(Hairpin, UdpReachesSiblingSocketThroughWanAddress) {
     (void)server_sock;
 }
 
+// Hairpin is forwarding: a datagram whose TTL would expire at the
+// gateway draws a Time Exceeded and never reaches the sibling socket.
+TEST(Hairpin, ExpiringTtlDrawsTimeExceeded) {
+    FwBed bed;
+    auto& slot = bed.tb.slot(0);
+    bed.tb.start_and_wait();
+
+    auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 5600);
+    auto& a = bed.tb.client().udp_open(slot.client_addr, 50001);
+    int a_rx = 0;
+    a.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
+                              const net::Ipv4Packet&) { ++a_rx; });
+    a.send_to({slot.server_addr, 5600}, {'a'});
+    bed.loop.run();
+
+    auto& b = bed.tb.client().udp_open(slot.client_addr, 50002);
+    int time_exceeded = 0;
+    b.set_icmp_handler([&](const net::IcmpMessage& msg,
+                           const net::Ipv4Packet&) {
+        if (msg.type == net::IcmpType::TimeExceeded) ++time_exceeded;
+    });
+    for (const std::uint8_t ttl : {1, 0}) {
+        stack::UdpSocket::SendOptions opts;
+        opts.ttl = ttl;
+        b.send_to({slot.gw_wan_addr, 50001}, {'b'}, opts);
+        bed.loop.run();
+    }
+    EXPECT_EQ(a_rx, 0);
+    EXPECT_EQ(time_exceeded, 2);
+    (void)server_sock;
+}
+
 TEST(Hairpin, DisabledDeviceDeliversToGatewayInstead) {
     auto p = fw_profile();
     p.hairpin = false;

@@ -796,6 +796,17 @@ private:
 
 // --- engine-direct: NatEngine's packet API ----------------------------------
 
+/// `engine`'s in-place hairpin on a serialized copy of `pkt`: the
+/// rewritten bytes, or nullopt when it refuses.
+template <class Engine>
+std::optional<net::Bytes> hairpin_copy(Engine& engine,
+                                       const net::Ipv4Packet& pkt) {
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    if (!engine.hairpin(v)) return std::nullopt;
+    return bytes;
+}
+
 const net::Ipv4Addr kWan(10, 0, 1, 10);
 
 class EngineBed : public Bed {
@@ -813,7 +824,8 @@ public:
         const auto pkt = net::Ipv4Packet::parse(d);
         // HomeGateway's dispatch: traffic to the external address is a
         // hairpin candidate, everything else translates outbound.
-        record(pkt.h.dst == kWan ? nat_.hairpin(pkt) : nat_.outbound(pkt),
+        record(pkt.h.dst == kWan ? hairpin_copy(nat_, pkt)
+                                 : nat_.outbound(pkt),
                2);
     }
     void wan(const net::Bytes& d) override {
@@ -861,7 +873,7 @@ public:
     void lan(const net::Bytes& d) override {
         const auto pkt = net::Ipv4Packet::parse(d);
         const bool pin = pkt.h.dst == kExternal;
-        auto out = pin ? cgn_.hairpin(pkt) : cgn_.outbound(pkt);
+        auto out = pin ? hairpin_copy(cgn_, pkt) : cgn_.outbound(pkt);
         record(out, 2);
         // Learn external ports from what the translator emitted.
         if (!pin && out && (pkt.h.protocol == net::proto::kUdp ||
