@@ -105,15 +105,18 @@ void StunClient::query(net::Ipv4Addr local_addr, net::Endpoint server,
     request.transaction = txn;
     const auto wire = request.serialize();
 
+    // The pending retransmit timer owns the round; the round refers to
+    // itself weakly, or the two would keep each other alive for good.
     auto send_round = std::make_shared<std::function<void()>>();
-    *send_round = [st, finish, server, wire, timeout, send_round] {
+    *send_round = [st, finish, server, wire, timeout,
+                   self = std::weak_ptr(send_round)] {
         if (st->done) return;
         st->sock.send_to(server, wire);
         st->timer = st->host.loop().after(timeout, [st, finish,
-                                                    send_round] {
+                                                    round = self.lock()] {
             if (st->done) return;
             if (st->tries_left-- > 0) {
-                (*send_round)();
+                (*round)();
             } else {
                 finish(StunResult{false, {}, {}, Mapping::Blocked, false,
                                   "timeout"});
