@@ -119,39 +119,34 @@ bool HomeGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
             }
             v.decrement_ttl();
         }
-        frame.resize(14u + v.total_len());
-        fwd_.submit(Direction::Down, v.total_len(),
-                    [this, f = std::move(frame), wire_dst]() mutable {
-                        emit_frame(std::move(f), wire_dst, lan_if_);
-                    });
-        return true;
-    }
-    if (!nat_.configured()) return false;
-    // Only a packet the NAT claims is a forwarding event, so an expiring
-    // TTL is known only after translation: keep the datagram as it
-    // arrived for the Time Exceeded quote.
-    net::Bytes arrived;
-    if (config_.profile.decrement_ttl && v.ttl() <= 1)
-        arrived.assign(v.data(), v.data() + v.total_len());
-    const auto verdict = nat_.inbound(v);
-    if (verdict == NatEngine::Verdict::kNotOurs)
-        return false; // gateway-local delivery via the host stack
-    if (verdict == NatEngine::Verdict::kForwarded && !arrived.empty()) {
-        ttl_expired(arrived);
-        wan_nic_.pool().release(std::move(frame));
-        return true;
-    }
-    // The FORWARD chain sees the internal (post-DNAT) view of the flow.
-    if (verdict == NatEngine::Verdict::kDropped ||
-        (filter_active(filter_) && !filter_pass(RuleChain::key_of(v)))) {
-        wan_nic_.pool().release(std::move(frame));
-        return true;
+    } else {
+        if (!nat_.configured()) return false;
+        // Only a packet the NAT claims is a forwarding event, so an
+        // expiring TTL is known only after translation: keep the
+        // datagram as it arrived for the Time Exceeded quote.
+        net::Bytes arrived;
+        if (config_.profile.decrement_ttl && v.ttl() <= 1)
+            arrived.assign(v.data(), v.data() + v.total_len());
+        const auto verdict = nat_.inbound(v);
+        if (verdict == NatEngine::Verdict::kNotOurs)
+            return false; // gateway-local delivery via the host stack
+        if (verdict == NatEngine::Verdict::kForwarded && !arrived.empty()) {
+            ttl_expired(arrived);
+            wan_nic_.pool().release(std::move(frame));
+            return true;
+        }
+        // The FORWARD chain sees the internal (post-DNAT) view of the
+        // flow.
+        if (verdict == NatEngine::Verdict::kDropped ||
+            (filter_active(filter_) && !filter_pass(RuleChain::key_of(v)))) {
+            wan_nic_.pool().release(std::move(frame));
+            return true;
+        }
     }
     frame.resize(14u + v.total_len());
-    const net::Ipv4Addr dst = v.dst(); // internal destination post-rewrite
     fwd_.submit(Direction::Down, v.total_len(),
-                [this, f = std::move(frame), dst]() mutable {
-                    emit_frame(std::move(f), dst, lan_if_);
+                [this, f = std::move(frame), to = v.dst()]() mutable {
+                    emit_frame(std::move(f), to, lan_if_);
                 });
     return true;
 }

@@ -1,8 +1,8 @@
 // HomeGateway: a complete simulated CPE device. Internally it is a Host
 // (giving it ARP, DHCP client/server, a DNS proxy and its own sockets)
 // plus a NAT datapath on its two NICs' frame hooks, in front of the host
-// stack, and a forwarding-performance model. Behavior is entirely driven by its
-// DeviceProfile; src/devices instantiates the paper's 34 models.
+// stack, and a forwarding-performance model. Behavior is entirely driven
+// by its DeviceProfile; src/devices instantiates the paper's 34 models.
 #pragma once
 
 #include <functional>
