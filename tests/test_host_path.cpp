@@ -6,9 +6,12 @@
 //       EthernetFrame -> Ipv4Packet -> TcpSegment parse chain does, on a
 //       corpus captured from a TCP-2 run plus seeded damage;
 //   (c) a 2-device TCP-2 run's client-trunk and WAN captures hash to
-//       fixed digests.
+//       fixed digests;
+//   (d) PacketView::parse accepts exactly the datagrams Ipv4Packet::parse
+//       accepts and reads the same fields from them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -21,8 +24,12 @@
 #include "harness/testbed.hpp"
 #include "l2/vlan_switch.hpp"
 #include "net/ethernet.hpp"
+#include "net/icmp.hpp"
 #include "net/ipv4.hpp"
+#include "net/packet_view.hpp"
+#include "net/sctp.hpp"
 #include "net/tcp_header.hpp"
+#include "net/udp.hpp"
 #include "stack/host.hpp"
 #include "stack/tcp_socket.hpp"
 #include "util/rng.hpp"
@@ -442,6 +449,79 @@ std::vector<sim::Frame> receive_corpus() {
     return corpus;
 }
 
+// --- (d) PacketView against Ipv4Packet::parse -----------------------------
+
+/// UDP (plain, with Record Route, first and later fragments), ICMP-error
+/// and SCTP datagrams, each with link padding, truncations and bit flips.
+std::vector<net::Bytes> datagram_corpus() {
+    const net::Ipv4Addr a(192, 168, 1, 10), b(203, 0, 113, 5);
+    std::vector<net::Ipv4Packet> base;
+
+    net::Ipv4Packet udp;
+    udp.h.protocol = net::proto::kUdp;
+    udp.h.src = a;
+    udp.h.dst = b;
+    net::UdpDatagram dgram;
+    dgram.src_port = 40000;
+    dgram.dst_port = 3478;
+    dgram.payload = {1, 2, 3, 4, 5, 6, 7};
+    udp.payload = dgram.serialize(a, b);
+    base.push_back(udp);
+
+    net::Ipv4Packet rr = udp;
+    rr.h.ttl = 3;
+    rr.h.options = net::Ipv4Packet::make_record_route_option(4);
+    base.push_back(rr);
+
+    net::Ipv4Packet first = udp;
+    first.h.more_fragments = true;
+    base.push_back(first);
+    net::Ipv4Packet later = udp;
+    later.h.frag_offset = 185;
+    base.push_back(later);
+
+    net::Ipv4Packet icmp;
+    icmp.h.protocol = net::proto::kIcmp;
+    icmp.h.src = b;
+    icmp.h.dst = a;
+    icmp.payload = net::IcmpMessage::make_error(
+                       net::IcmpType::DestUnreachable,
+                       net::icmp_code::kPortUnreachable, 0, rr.serialize())
+                       .serialize();
+    base.push_back(icmp);
+
+    net::SctpPacket init;
+    init.src_port = 5000;
+    init.dst_port = 5001;
+    init.chunks.push_back({net::SctpChunkType::Init, 0, net::Bytes(16, 0x11)});
+    net::Ipv4Packet sctp;
+    sctp.h.protocol = net::proto::kSctp;
+    sctp.h.src = a;
+    sctp.h.dst = b;
+    sctp.payload = init.serialize();
+    base.push_back(sctp);
+
+    Draw rng(0xd47a6e4dULL);
+    std::vector<net::Bytes> out;
+    for (const auto& pkt : base) {
+        const net::Bytes wire = pkt.serialize();
+        const auto size = static_cast<std::uint32_t>(wire.size());
+        out.push_back(wire);
+        for (int k = 0; k < 24; ++k) {
+            net::Bytes padded = wire;
+            padded.resize(wire.size() + 1 + rng.below(40), 0xee);
+            out.push_back(std::move(padded));
+            net::Bytes cut = wire;
+            cut.resize(rng.below(size));
+            out.push_back(std::move(cut));
+            net::Bytes flip = wire;
+            flip[rng.below(size)] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+            out.push_back(std::move(flip));
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(HostPath, SwitchForwardMatchesParseSerialize) {
@@ -526,6 +606,49 @@ TEST(HostPath, ReceiveAcceptsAndDecodesLikeTheParseChain) {
     }
     EXPECT_GT(replies, 500u);
     EXPECT_GT(drops, 500u);
+}
+
+TEST(HostPath, PacketViewAgreesWithIpv4PacketParse) {
+    auto datagrams = datagram_corpus();
+    for (const auto& f : receive_corpus()) {
+        try {
+            const auto eth = net::EthernetFrame::parse(f);
+            if (eth.ethertype == net::kEtherTypeIpv4)
+                datagrams.push_back(eth.payload);
+        } catch (const net::ParseError&) {
+        }
+    }
+    std::size_t accepted = 0, refused = 0;
+    for (std::size_t i = 0; i < datagrams.size(); ++i) {
+        net::Bytes bytes = datagrams[i];
+        const auto view = net::PacketView::parse(bytes);
+        std::optional<net::Ipv4Packet> pkt;
+        try {
+            pkt = net::Ipv4Packet::parse(datagrams[i]);
+        } catch (const net::ParseError&) {
+        }
+        ASSERT_EQ(view.has_value(), pkt.has_value()) << "datagram " << i;
+        if (!view) {
+            ++refused;
+            continue;
+        }
+        ++accepted;
+        EXPECT_EQ(view->src(), pkt->h.src) << "datagram " << i;
+        EXPECT_EQ(view->dst(), pkt->h.dst) << "datagram " << i;
+        EXPECT_EQ(view->protocol(), pkt->h.protocol) << "datagram " << i;
+        EXPECT_EQ(view->ttl(), pkt->h.ttl) << "datagram " << i;
+        EXPECT_EQ(view->is_fragment(),
+                  pkt->h.more_fragments || pkt->h.frag_offset != 0)
+            << "datagram " << i;
+        const auto payload = view->payload();
+        EXPECT_TRUE(std::ranges::equal(payload, pkt->payload)) << "datagram " << i;
+        const std::span<const std::uint8_t> options{
+            view->data() + 20, view->header_len() - 20u};
+        EXPECT_TRUE(std::ranges::equal(options, pkt->h.options))
+            << "datagram " << i;
+    }
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(refused, 300u);
 }
 
 /// One host on a tagged vlan-if, fed crafted frames from a peer whose
