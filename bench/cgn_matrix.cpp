@@ -106,7 +106,7 @@ ChainRow measure_chain_timeout(const gateway::DeviceProfile& prof) {
     auto& server = tb.server().udp_open(net::Ipv4Addr::any(), kServerPort);
     server.set_receive_handler([&](net::Endpoint src,
                                    std::span<const std::uint8_t>,
-                                   const net::Ipv4Packet&) {
+                                   const net::PacketView&) {
         const std::uint64_t e = epoch;
         loop.after(cur_gap, [&, e, src] {
             if (e == epoch) server.send_to(src, {'p'});
@@ -125,7 +125,7 @@ ChainRow measure_chain_timeout(const gateway::DeviceProfile& prof) {
             &tb.client().udp_open(slot.client_addr, next_port++, slot.client_if);
         client->set_receive_handler([&](net::Endpoint,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
             alive = true;
         });
         client->send_to({slot.server_addr, kServerPort}, {'s'});
@@ -191,7 +191,9 @@ FairnessOutcome run_fairness(std::uint16_t block_size, int n_subs) {
         d.dst_port = 7000;
         d.payload = {1};
         pkt.payload = d.serialize(src, remote);
-        return engine.outbound(pkt).has_value();
+        net::Bytes bytes = pkt.serialize();
+        auto v = net::PacketView::of(bytes);
+        return engine.outbound(v) == gateway::NatEngine::Verdict::kForwarded;
     };
 
     const net::Ipv4Addr churner(100, 64, 0, 100);

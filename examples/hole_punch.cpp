@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     auto& rendezvous = tb.server().udp_open(net::Ipv4Addr::any(), 9987);
     rendezvous.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t> payload,
-            const net::Ipv4Packet&) {
+            const net::PacketView&) {
             if (payload.empty()) return;
             Peer& p = payload[0] == 'A' ? a : b;
             p.reflexive = src;
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
                                         slot.client_if);
         p->sock->set_receive_handler(
             [p](net::Endpoint src, std::span<const std::uint8_t> payload,
-                const net::Ipv4Packet&) {
+                const net::PacketView&) {
                 if (!payload.empty() && payload[0] == 'P') {
                     p->heard_from_peer = true;
                     std::cout << p->name << " <- punch from "

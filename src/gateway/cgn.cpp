@@ -167,13 +167,6 @@ NatEngine::Verdict CgnEngine::outbound(net::PacketView& v) {
     }
 }
 
-std::optional<net::Bytes> CgnEngine::outbound(const net::Ipv4Packet& pkt) {
-    net::Bytes bytes = pkt.serialize();
-    auto v = net::PacketView::of(bytes);
-    if (outbound(v) != NatEngine::Verdict::kForwarded) return std::nullopt;
-    return bytes;
-}
-
 bool CgnEngine::quote_external_view(std::span<std::uint8_t> icmp) {
     if (icmp.size() < 8 || !net::is_icmp_error(icmp[0])) return false;
     // A subscriber-originated error (a home gateway's Time Exceeded, a
@@ -244,16 +237,6 @@ NatEngine::Verdict CgnEngine::inbound(net::PacketView& v) {
     default:
         return Verdict::kNotOurs; // CGN-host local (none expected)
     }
-}
-
-std::optional<net::Bytes> CgnEngine::inbound(const net::Ipv4Packet& pkt,
-                                             bool& handled) {
-    net::Bytes bytes = pkt.serialize();
-    auto v = net::PacketView::of(bytes);
-    const auto verdict = inbound(v);
-    handled = verdict != NatEngine::Verdict::kNotOurs;
-    if (verdict != NatEngine::Verdict::kForwarded) return std::nullopt;
-    return bytes;
 }
 
 NatEngine* CgnEngine::icmp_engine(std::span<const std::uint8_t> icmp) {

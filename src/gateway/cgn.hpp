@@ -109,12 +109,6 @@ public:
     /// untouched for the CGN's own stack: not addressed to the external
     /// address, outside the pool, or claimed by no binding.
     NatEngine::Verdict inbound(net::PacketView& v);
-    /// Serialize-and-translate adapters over the two above, for engine
-    /// tests and benches that hold parsed packets. `handled` is false
-    /// exactly when inbound(PacketView&) says kNotOurs.
-    std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
-    std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
-                                      bool& handled);
     /// Subscriber-to-subscriber traffic addressed to the external
     /// address, rewritten in place (UDP only, like the consumer devices'
     /// hairpin). False, with the bytes untouched, when nothing hairpins.

@@ -27,11 +27,11 @@ void DnsProxy::start(net::Endpoint upstream, net::Ipv4Addr wan_addr) {
         lan_sock_ = &host_.udp_open(net::Ipv4Addr::any(), net::kDnsPort);
         lan_sock_->set_receive_handler(
             [this](net::Endpoint src, std::span<const std::uint8_t> payload,
-                   const net::Ipv4Packet&) { on_lan_query(src, payload); });
+                   const net::PacketView&) { on_lan_query(src, payload); });
         upstream_sock_ = &host_.udp_open(net::Ipv4Addr::any(), 0);
         upstream_sock_->set_receive_handler(
             [this](net::Endpoint, std::span<const std::uint8_t> payload,
-                   const net::Ipv4Packet&) { on_upstream_response(payload); });
+                   const net::PacketView&) { on_upstream_response(payload); });
     }
 
     if (profile_.dns_tcp != DnsTcpMode::NoListen) {
@@ -170,7 +170,7 @@ void DnsProxy::forward_tcp_query(stack::TcpSocket& client_conn,
         sock.set_receive_handler(
             [this, sock_ptr = &sock](net::Endpoint,
                                      std::span<const std::uint8_t> payload,
-                                     const net::Ipv4Packet&) {
+                                     const net::PacketView&) {
                 for (std::size_t i = 0; i < udp_inflight_.size(); ++i) {
                     if (udp_inflight_[i].sock != sock_ptr) continue;
                     udp_inflight_[i].client->send(stack::DnsTcpFramer::frame(

@@ -95,13 +95,6 @@ void NatEngine::bind_observability(obs::MetricsRegistry& reg,
     m_to_granted_ns_ = reg.log_histogram("nat.timeout.granted_ns", labels);
 }
 
-std::optional<net::Bytes> NatEngine::outbound(const net::Ipv4Packet& pkt) {
-    net::Bytes bytes = pkt.serialize();
-    auto v = net::PacketView::of(bytes);
-    if (outbound(v) != Verdict::kForwarded) return std::nullopt;
-    return bytes;
-}
-
 NatEngine::Verdict NatEngine::outbound(net::PacketView& v) {
     GK_EXPECTS(configured());
     if (profile_.decrement_ttl && v.ttl() <= 1) return Verdict::kDropped;
@@ -303,17 +296,6 @@ bool NatEngine::hairpin_to(net::PacketView& v, net::Endpoint target) {
     v.set_dst_port(target.port);
     finish(v);
     return true;
-}
-
-std::optional<net::Bytes> NatEngine::inbound(const net::Ipv4Packet& pkt,
-                                             bool& handled) {
-    net::Bytes bytes = pkt.serialize();
-    auto v = net::PacketView::of(bytes);
-    const Verdict verdict = inbound(v);
-    handled = verdict != Verdict::kNotOurs;
-    if (verdict != Verdict::kForwarded) return std::nullopt;
-    bytes.resize(v.total_len()); // an error may have become a shorter RST
-    return bytes;
 }
 
 std::optional<IcmpKind> NatEngine::classify_icmp(std::uint8_t type,

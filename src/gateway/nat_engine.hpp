@@ -26,20 +26,6 @@ public:
     bool configured() const { return !wan_addr_.is_unspecified(); }
     net::Ipv4Addr wan_addr() const { return wan_addr_; }
 
-    /// Translate a LAN->WAN datagram. Returns the datagram to emit on the
-    /// WAN side, or nullopt when the packet is dropped (no binding
-    /// capacity, unknown protocol policy, TTL exhausted, ...). The packet
-    /// is serialized once and run through the in-place translator.
-    std::optional<net::Bytes> outbound(const net::Ipv4Packet& pkt);
-
-    /// Translate a WAN->LAN datagram addressed to the WAN address.
-    /// Returns the datagram to emit on the LAN side. `handled` is set when
-    /// the packet belonged to the NAT (even if dropped); when false the
-    /// caller should deliver it to the gateway's own stack. One copy, as
-    /// outbound().
-    std::optional<net::Bytes> inbound(const net::Ipv4Packet& pkt,
-                                      bool& handled);
-
     /// Verdicts of the in-place translator. kNotOurs (inbound only) means
     /// no NAT flow claims the packet: it is untouched and belongs to the
     /// gateway's own stack.
@@ -198,10 +184,12 @@ private:
     std::map<IpOnlyKey, IpOnlyBinding> ip_only_;
 };
 
-/// The datagram prefix an ICMP error quotes, located in place with the
-/// acceptance rules of Ipv4Packet::parse_prefix: the quote may stop
-/// anywhere after its IP header, and `l4` holds the transport bytes that
-/// made it in (never past the quoted total length).
+/// The datagram prefix an ICMP error quotes, located in place. A quote
+/// is accepted when it holds a whole IPv4 header: version 4, an IHL of
+/// at least 20 bytes that fits the quote, and a total length no shorter
+/// than that header. It may stop anywhere after the header, and `l4`
+/// holds the transport bytes that made it in (never past the quoted
+/// total length). The header checksum is not checked.
 struct IcmpQuote {
     std::uint8_t protocol = 0;
     std::uint16_t frag_offset = 0; ///< in 8-byte units

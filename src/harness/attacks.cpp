@@ -108,17 +108,11 @@ public:
                    std::uint16_t dport)
         : tb_(tb) {
         tb.server().set_ip_observer(
-            [this, &s, dport](stack::Iface&, const net::Ipv4Packet& pkt,
+            [this, &s, dport](stack::Iface&, const net::PacketView& v,
                               std::span<const std::uint8_t>) {
-                if (pkt.h.protocol != net::proto::kUdp ||
-                    pkt.h.src != s.gw_wan_addr)
-                    return;
-                try {
-                    const auto d = net::UdpDatagram::parse(
-                        pkt.payload, pkt.h.src, pkt.h.dst);
-                    if (d.dst_port == dport) port_ = d.src_port;
-                } catch (const net::ParseError&) {
-                }
+                if (v.protocol() == net::proto::kUdp && v.has_l4() &&
+                    v.src() == s.gw_wan_addr && v.dst_port() == dport)
+                    port_ = v.src_port();
             });
     }
     ~ExtPortCapture() { tb_.server().set_ip_observer({}); }
@@ -134,7 +128,7 @@ class ErrorCounter {
 public:
     explicit ErrorCounter(Testbed& tb) : tb_(tb) {
         tb.client().set_icmp_observer(
-            [this](const net::Ipv4Packet&, const net::IcmpMessage& m) {
+            [this](const net::PacketView&, const net::IcmpMessage& m) {
                 if (m.is_error()) ++count_;
             });
     }
@@ -157,7 +151,7 @@ void attack_icmp_teardown(Testbed& tb, Testbed::DeviceSlot& s,
     std::uint64_t victim_rx = 0;
     victim.set_receive_handler([&victim_rx](net::Endpoint,
                                             std::span<const std::uint8_t>,
-                                            const net::Ipv4Packet&) {
+                                            const net::PacketView&) {
         ++victim_rx;
     });
 

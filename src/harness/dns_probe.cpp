@@ -54,7 +54,7 @@ private:
         big_sock_ = &sock;
         sock.set_receive_handler(
             [self](net::Endpoint, std::span<const std::uint8_t> payload,
-                   const net::Ipv4Packet&) {
+                   const net::PacketView&) {
                 net::DnsMessage resp;
                 try {
                     resp = net::DnsMessage::parse(payload);

@@ -22,9 +22,9 @@ public:
         server_sock_->set_receive_handler(
             [self = shared_from_this()](net::Endpoint,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet& pkt) {
-                self->last_ttl_ = pkt.h.ttl;
-                self->last_route_ = pkt.recorded_route();
+                                        const net::PacketView& v) {
+                self->last_ttl_ = v.ttl();
+                self->last_route_ = net::recorded_route(v.options());
                 ++self->server_rx_;
             });
         client_sock_ = &tb_.client().udp_open(slot_.client_addr, 47001);
@@ -65,7 +65,7 @@ private:
         hp_target_->set_receive_handler(
             [self = shared_from_this()](net::Endpoint,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
                 self->result_.hairpins_udp = true;
             });
         hp_target_->send_to({slot_.server_addr, kPort}, {'a'});
@@ -83,7 +83,7 @@ private:
         server_sock_->set_receive_handler(
             [self = shared_from_this()](net::Endpoint src,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
                 self->last_ext_port_ = src.port;
             });
     }
@@ -157,7 +157,7 @@ void measure_binding_rate(Testbed& tb, int slot, int count,
     server->set_receive_handler(
         [established, last_rx, &loop](net::Endpoint,
                                       std::span<const std::uint8_t>,
-                                      const net::Ipv4Packet&) {
+                                      const net::PacketView&) {
             ++*established;
             *last_rx = loop.now();
         });

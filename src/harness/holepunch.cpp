@@ -17,7 +17,7 @@ HolePunchResult drive_punch(Testbed& tb, sim::EventLoop& loop, int ia,
     auto& rendezvous = tb.server().udp_open(net::Ipv4Addr::any(), 9987);
     rendezvous.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t> payload,
-            const net::Ipv4Packet&) {
+            const net::PacketView&) {
             if (payload.empty()) return;
             if (payload[0] == 'A') result.reflexive_a = src;
             if (payload[0] == 'B') result.reflexive_b = src;
@@ -31,12 +31,12 @@ HolePunchResult drive_punch(Testbed& tb, sim::EventLoop& loop, int ia,
     bool heard_a = false, heard_b = false;
     sock_a.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t> p,
-            const net::Ipv4Packet&) {
+            const net::PacketView&) {
             if (!p.empty() && p[0] == 'P') heard_a = true;
         });
     sock_b.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t> p,
-            const net::Ipv4Packet&) {
+            const net::PacketView&) {
             if (!p.empty() && p[0] == 'P') heard_b = true;
         });
 
@@ -142,7 +142,7 @@ P2pResult establish_p2p(const gateway::DeviceProfile& a,
         });
     bob.set_receive_handler([&](net::Endpoint src,
                                 std::span<const std::uint8_t> payload,
-                                const net::Ipv4Packet&) {
+                                const net::PacketView&) {
         if (src == relay && !payload.empty() && payload[0] == 'A')
             bob_heard = true;
     });

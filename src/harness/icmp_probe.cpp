@@ -71,23 +71,23 @@ public:
         // Capture client->server datagrams as they leave the NAT.
         tb_.server().set_ip_observer(
             [self = shared_from_this()](stack::Iface&,
-                                        const net::Ipv4Packet& pkt,
+                                        const net::PacketView& v,
                                         std::span<const std::uint8_t> raw) {
-                if (pkt.h.src == self->slot_.gw_wan_addr)
+                if (v.src() == self->slot_.gw_wan_addr)
                     self->captured_.assign(raw.begin(), raw.end());
             });
 
         // Watch everything that reaches the client.
         tb_.client().set_icmp_observer(
-            [self = shared_from_this()](const net::Ipv4Packet& pkt,
+            [self = shared_from_this()](const net::PacketView&,
                                         const net::IcmpMessage& msg) {
-                self->on_client_icmp(pkt, msg);
+                self->on_client_icmp(msg);
             });
         tb_.client().set_ip_observer(
             [self = shared_from_this()](stack::Iface&,
-                                        const net::Ipv4Packet& pkt,
+                                        const net::PacketView& v,
                                         std::span<const std::uint8_t>) {
-                self->on_client_ip(pkt);
+                self->on_client_ip(v);
             });
 
         case_index_ = 0;
@@ -250,24 +250,18 @@ private:
         });
     }
 
-    void on_client_icmp(const net::Ipv4Packet&, const net::IcmpMessage& msg) {
+    void on_client_icmp(const net::IcmpMessage& msg) {
         if (!msg.is_error()) return;
         got_error_ = true;
         analyze_embedded(msg);
     }
 
-    void on_client_ip(const net::Ipv4Packet& pkt) {
+    void on_client_ip(const net::PacketView& v) {
         // Detect ls2-style fabricated RSTs toward our TCP flow.
-        if (pkt.h.protocol != net::proto::kTcp ||
-            expected_client_port_ == 0)
-            return;
-        try {
-            const auto seg =
-                net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
-            if (seg.flags.rst && seg.dst_port == expected_client_port_)
-                got_rst_ = true;
-        } catch (const net::ParseError&) {
-        }
+        if (v.protocol() == net::proto::kTcp && v.has_l4() &&
+            expected_client_port_ != 0 && (v.tcp_flags() & 0x04) != 0 &&
+            v.dst_port() == expected_client_port_)
+            got_rst_ = true;
     }
 
     void analyze_embedded(const net::IcmpMessage& msg) {

@@ -46,7 +46,7 @@ public:
         server_sock_->set_receive_handler(
             [self = shared_from_this()](net::Endpoint src,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
                 self->on_server_rx(src);
             });
         next_repetition();
@@ -91,7 +91,7 @@ private:
         client_sock_->set_receive_handler(
             [self = shared_from_this()](net::Endpoint,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
                 self->on_client_rx();
             });
         prev_trial_alive_ = false;
@@ -170,7 +170,7 @@ private:
         client_sock_->set_receive_handler(
             [self = shared_from_this()](net::Endpoint,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
                 self->on_client_rx();
             });
         have_peer_ = false; // the old mapping is dead to this trial
@@ -359,7 +359,7 @@ public:
         server_sock_->set_receive_handler(
             [self = shared_from_this()](net::Endpoint src,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
                 self->last_peer_ = src;
                 self->have_peer_ = true;
                 self->port_this_trial_ = src.port;
@@ -368,7 +368,7 @@ public:
         client_sock_->set_receive_handler(
             [self = shared_from_this()](net::Endpoint,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
                 ++self->client_rx_in_trial_;
             });
 

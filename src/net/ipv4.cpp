@@ -34,11 +34,7 @@ Bytes Ipv4Packet::serialize() const {
     return w.take();
 }
 
-namespace {
-
-/// Shared header parser; `truncated_ok` relaxes the total-length check for
-/// datagram prefixes quoted inside ICMP errors.
-Ipv4Packet parse_impl(std::span<const std::uint8_t> data, bool truncated_ok) {
+Ipv4Packet Ipv4Packet::parse(std::span<const std::uint8_t> data) {
     BufferReader r(data);
     const std::uint8_t ver_ihl = r.u8();
     if ((ver_ihl >> 4) != 4) throw ParseError("not IPv4");
@@ -49,7 +45,7 @@ Ipv4Packet parse_impl(std::span<const std::uint8_t> data, bool truncated_ok) {
     Ipv4Packet p;
     p.h.tos = r.u8();
     const std::uint16_t total = r.u16();
-    if (total < hlen || (!truncated_ok && total > data.size()))
+    if (total < hlen || total > data.size())
         throw ParseError("bad IPv4 total length");
     p.h.id = r.u16();
     const std::uint16_t flags_frag = r.u16();
@@ -68,17 +64,9 @@ Ipv4Packet parse_impl(std::span<const std::uint8_t> data, bool truncated_ok) {
         p.h.options.assign(opts.begin(), opts.end());
     }
     p.h.checksum_ok = internet_checksum(data.subspan(0, hlen)) == 0;
-    const std::size_t body_len =
-        std::min<std::size_t>(total - hlen, data.size() - hlen);
-    const auto body = data.subspan(hlen, body_len);
+    const auto body = data.subspan(hlen, total - hlen);
     p.payload.assign(body.begin(), body.end());
     return p;
-}
-
-} // namespace
-
-Ipv4Packet Ipv4Packet::parse(std::span<const std::uint8_t> data) {
-    return parse_impl(data, /*truncated_ok=*/false);
 }
 
 namespace {
@@ -96,10 +84,6 @@ Ipv4Addr ipv4_dst(std::span<const std::uint8_t> data) {
 
 Ipv4Addr ipv4_src(std::span<const std::uint8_t> data) {
     return addr_at(data, 12);
-}
-
-Ipv4Packet Ipv4Packet::parse_prefix(std::span<const std::uint8_t> data) {
-    return parse_impl(data, /*truncated_ok=*/true);
 }
 
 Bytes Ipv4Packet::make_record_route_option(int slots) {
@@ -136,17 +120,17 @@ std::size_t find_record_route(std::span<const std::uint8_t> options) {
 
 } // namespace
 
-std::vector<Ipv4Addr> Ipv4Packet::recorded_route() const {
+std::vector<Ipv4Addr> recorded_route(std::span<const std::uint8_t> options) {
     std::vector<Ipv4Addr> out;
-    const auto at = find_record_route(h.options);
+    const auto at = find_record_route(options);
     if (at == static_cast<std::size_t>(-1)) return out;
-    const std::uint8_t len = h.options[at + 1];
-    const std::uint8_t ptr = h.options[at + 2];
+    const std::uint8_t len = options[at + 1];
+    const std::uint8_t ptr = options[at + 2];
     // Entries occupy [4, ptr) relative to the option start.
     for (std::size_t off = 3; off + 4 <= std::min<std::size_t>(ptr - 1, len);
          off += 4) {
         std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v = (v << 8) | h.options[at + off + i];
+        for (int i = 0; i < 4; ++i) v = (v << 8) | options[at + off + i];
         out.emplace_back(v);
     }
     return out;

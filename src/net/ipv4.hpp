@@ -47,6 +47,10 @@ struct Ipv4Header {
     }
 };
 
+/// The addresses recorded so far in the Record Route option found in raw
+/// IPv4 option bytes; empty when there is none.
+std::vector<Ipv4Addr> recorded_route(std::span<const std::uint8_t> options);
+
 struct Ipv4Packet {
     Ipv4Header h;
     Bytes payload;
@@ -58,17 +62,13 @@ struct Ipv4Packet {
     /// the study inspects it); throws ParseError on structural damage.
     static Ipv4Packet parse(std::span<const std::uint8_t> data);
 
-    /// Parse a possibly truncated datagram prefix, as quoted inside ICMP
-    /// error payloads (IP header + first 8 transport bytes). The payload
-    /// holds however many bytes follow the header, regardless of the
-    /// total-length field.
-    static Ipv4Packet parse_prefix(std::span<const std::uint8_t> data);
-
     /// Build a Record Route option body with `slots` empty entries.
     static Bytes make_record_route_option(int slots);
 
     /// Extract the addresses recorded in a Record Route option, if present.
-    std::vector<Ipv4Addr> recorded_route() const;
+    std::vector<Ipv4Addr> recorded_route() const {
+        return net::recorded_route(h.options);
+    }
 
     /// Append this router's address into the Record Route option (if one
     /// exists and has space), as a cooperating router would.

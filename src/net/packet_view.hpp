@@ -43,6 +43,10 @@ public:
     std::uint8_t protocol() const { return proto_; }
     std::uint8_t ttl() const { return data_[8]; }
     bool has_options() const { return ihl_ > 20; }
+    /// The raw option bytes (padding included); empty without options.
+    std::span<const std::uint8_t> options() const {
+        return {data_ + 20, ihl_ - 20u};
+    }
     bool is_fragment() const { return fragment_; }
 
     /// Everything after the IP header, up to total_len.

@@ -30,7 +30,7 @@ DhcpServer::DhcpServer(Host& host, Iface& iface, DhcpServerConfig config)
                             &iface_);
     sock_->set_receive_handler([this](net::Endpoint,
                                       std::span<const std::uint8_t> payload,
-                                      const net::Ipv4Packet&) {
+                                      const net::PacketView&) {
         bool ok = false;
         const auto msg = parse_or_empty(payload, ok);
         if (ok && msg.op == 1) on_datagram(msg);
@@ -126,7 +126,7 @@ void DhcpClient::start(ConfiguredHandler on_configured,
                             &iface_);
     sock_->set_receive_handler([this](net::Endpoint,
                                       std::span<const std::uint8_t> payload,
-                                      const net::Ipv4Packet&) {
+                                      const net::PacketView&) {
         bool ok = false;
         const auto msg = parse_or_empty(payload, ok);
         if (ok && msg.op == 2 && msg.xid == xid_ &&

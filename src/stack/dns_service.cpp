@@ -12,7 +12,7 @@ DnsServer::DnsServer(Host& host, net::Ipv4Addr listen_addr, bool with_tcp)
     udp_ = &host_.udp_open(listen_addr, net::kDnsPort);
     udp_->set_receive_handler([this](net::Endpoint src,
                                      std::span<const std::uint8_t> payload,
-                                     const net::Ipv4Packet&) {
+                                     const net::PacketView&) {
         net::DnsMessage query;
         try {
             query = net::DnsMessage::parse(payload);
@@ -181,7 +181,7 @@ void DnsClient::query_udp(net::Endpoint server, const std::string& name,
 
     sock.set_receive_handler([finish, id](net::Endpoint,
                                           std::span<const std::uint8_t> pl,
-                                          const net::Ipv4Packet&) {
+                                          const net::PacketView&) {
         net::DnsMessage resp;
         try {
             resp = net::DnsMessage::parse(pl);

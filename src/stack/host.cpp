@@ -164,40 +164,38 @@ void Host::on_ip(Iface& iface, const net::PacketView& view,
 
 void Host::deliver_local(Iface& iface, const net::PacketView& view,
                          std::span<const std::uint8_t> raw) {
-    std::optional<net::Ipv4Packet> owned;
-    const auto pkt = [&owned, raw]() -> const net::Ipv4Packet& {
-        if (!owned) owned = net::Ipv4Packet::parse(raw);
-        return *owned;
-    };
-    if (ip_observer_) ip_observer_(iface, pkt(), raw);
+    if (ip_observer_) ip_observer_(iface, view, raw);
+    // Hosts do not reassemble, and a fragment is no datagram a
+    // transport can take (nor one to answer with an error).
+    if (view.is_fragment()) return;
     switch (view.protocol()) {
     case net::proto::kIcmp:
-        handle_icmp(iface, pkt());
+        handle_icmp(iface, view);
         break;
     case net::proto::kUdp:
-        handle_udp(iface, pkt());
+        handle_udp(iface, view);
         break;
     case net::proto::kTcp:
         handle_tcp(view);
         break;
     case net::proto::kSctp:
-        handle_sctp(iface, pkt());
+        handle_sctp(view);
         break;
     case net::proto::kDccp:
-        handle_dccp(iface, pkt());
+        handle_dccp(view);
         break;
     default:
         if (icmp_enabled_)
-            send_icmp_error(pkt(), net::IcmpType::DestUnreachable,
+            send_icmp_error(view, net::IcmpType::DestUnreachable,
                             net::icmp_code::kProtoUnreachable);
         break;
     }
 }
 
-void Host::handle_icmp(Iface& iface, const net::Ipv4Packet& pkt) {
+void Host::handle_icmp(Iface& iface, const net::PacketView& view) {
     net::IcmpMessage msg;
     try {
-        msg = net::IcmpMessage::parse(pkt.payload);
+        msg = net::IcmpMessage::parse(view.payload());
     } catch (const net::ParseError&) {
         return;
     }
@@ -206,39 +204,16 @@ void Host::handle_icmp(Iface& iface, const net::Ipv4Packet& pkt) {
     if (msg.type == net::IcmpType::Echo && icmp_enabled_) {
         net::IcmpMessage reply = net::IcmpMessage::make_echo(
             true, msg.echo_id(), msg.echo_seq(), msg.payload);
-        send_icmp(iface.addr(), pkt.h.src, reply);
+        send_icmp(iface.addr(), view.src(), reply);
     }
-    if (icmp_observer_) icmp_observer_(pkt, msg);
-    if (msg.is_error()) dispatch_icmp_to_transport(pkt, msg);
+    if (icmp_observer_) icmp_observer_(view, msg);
 }
 
-void Host::dispatch_icmp_to_transport(const net::Ipv4Packet& outer,
-                                      const net::IcmpMessage& msg) {
-    net::Ipv4Packet inner;
-    try {
-        inner = net::Ipv4Packet::parse_prefix(msg.payload);
-    } catch (const net::ParseError&) {
-        return;
-    }
-    if (inner.h.protocol == net::proto::kUdp && inner.payload.size() >= 4) {
-        const auto src_port = static_cast<std::uint16_t>(
-            (inner.payload[0] << 8) | inner.payload[1]);
-        for (auto& sock : udp_socks_) {
-            if (sock->local().port == src_port &&
-                (sock->local().addr.is_unspecified() ||
-                 sock->local().addr == inner.h.src)) {
-                if (sock->on_icmp_) sock->on_icmp_(msg, outer);
-            }
-        }
-    }
-    // TCP ICMP errors are observable via the observer; the paper's Linux
-    // config treats most of them as soft errors, so sockets ignore them.
-}
-
-void Host::handle_udp(Iface& iface, const net::Ipv4Packet& pkt) {
+void Host::handle_udp(Iface& iface, const net::PacketView& view) {
     net::UdpDatagram dgram;
     try {
-        dgram = net::UdpDatagram::parse(pkt.payload, pkt.h.src, pkt.h.dst);
+        dgram =
+            net::UdpDatagram::parse(view.payload(), view.src(), view.dst());
     } catch (const net::ParseError&) {
         return;
     }
@@ -248,17 +223,17 @@ void Host::handle_udp(Iface& iface, const net::Ipv4Packet& pkt) {
         if (sock->closed_) continue;
         const auto local = sock->local();
         if (local.port != dgram.dst_port) continue;
-        const bool addr_match =
-            local.addr.is_unspecified() || local.addr == pkt.h.dst ||
-            pkt.h.dst.is_broadcast();
+        const bool addr_match = local.addr.is_unspecified() ||
+                                local.addr == view.dst() ||
+                                view.dst().is_broadcast();
         if (!addr_match) continue;
         // Iface-bound sockets only see traffic from their interface.
         if (sock->iface_ != nullptr && sock->iface_ != &iface) continue;
-        sock->deliver({pkt.h.src, dgram.src_port}, dgram.payload, pkt);
+        sock->deliver({view.src(), dgram.src_port}, dgram.payload, view);
         return;
     }
-    if (icmp_enabled_ && !pkt.h.dst.is_broadcast())
-        send_icmp_error(pkt, net::IcmpType::DestUnreachable,
+    if (icmp_enabled_)
+        send_icmp_error(view, net::IcmpType::DestUnreachable,
                         net::icmp_code::kPortUnreachable);
 }
 
@@ -295,39 +270,37 @@ void Host::handle_tcp(const net::PacketView& view) {
     if (!seg->flags.rst) send_tcp_rst(view.dst(), view.src(), *seg);
 }
 
-void Host::handle_sctp(Iface&, const net::Ipv4Packet& pkt) {
+void Host::handle_sctp(const net::PacketView& view) {
     net::SctpPacket sp;
     try {
-        sp = net::SctpPacket::parse(pkt.payload);
+        sp = net::SctpPacket::parse(view.payload());
     } catch (const net::ParseError&) {
         return;
     }
     if (!sp.crc_ok) return;
     for (auto& ep : sctp_eps_) {
         if (ep->local_port_ != sp.dst_port) continue;
-        if (!ep->local_addr_.is_unspecified() &&
-            ep->local_addr_ != pkt.h.dst)
+        if (!ep->local_addr_.is_unspecified() && ep->local_addr_ != view.dst())
             continue;
-        ep->on_packet(sp, pkt.h.src);
+        ep->on_packet(sp, view.src());
         return;
     }
     // RFC 4960 would ABORT here; for the study, silence is equivalent.
 }
 
-void Host::handle_dccp(Iface&, const net::Ipv4Packet& pkt) {
+void Host::handle_dccp(const net::PacketView& view) {
     net::DccpPacket dp;
     try {
-        dp = net::DccpPacket::parse(pkt.payload, pkt.h.src, pkt.h.dst);
+        dp = net::DccpPacket::parse(view.payload(), view.src(), view.dst());
     } catch (const net::ParseError&) {
         return;
     }
     if (!dp.checksum_ok) return; // pseudo-header mismatch lands here
     for (auto& ep : dccp_eps_) {
         if (ep->local_port_ != dp.dst_port) continue;
-        if (!ep->local_addr_.is_unspecified() &&
-            ep->local_addr_ != pkt.h.dst)
+        if (!ep->local_addr_.is_unspecified() && ep->local_addr_ != view.dst())
             continue;
-        ep->on_packet(dp, pkt.h.src);
+        ep->on_packet(dp, view.src());
         return;
     }
 }
@@ -343,13 +316,16 @@ void Host::send_icmp(net::Ipv4Addr src, net::Ipv4Addr dst,
     send_ip(std::move(pkt));
 }
 
-void Host::send_icmp_error(const net::Ipv4Packet& offending,
+void Host::send_icmp_error(const net::PacketView& offending,
                            net::IcmpType type, std::uint8_t code) {
-    if (offending.h.src.is_unspecified() || offending.h.src.is_broadcast())
+    // RFC 1122 §3.2.2: never about a datagram from no single host or to a
+    // broadcast address.
+    if (offending.src().is_unspecified() || offending.src().is_broadcast() ||
+        offending.dst().is_broadcast())
         return;
-    const auto original = offending.serialize();
-    const auto err = net::IcmpMessage::make_error(type, code, 0, original);
-    send_icmp(offending.h.dst, offending.h.src, err);
+    const auto err = net::IcmpMessage::make_error(
+        type, code, 0, {offending.data(), offending.total_len()});
+    send_icmp(offending.dst(), offending.src(), err);
 }
 
 void Host::send_tcp_rst(net::Ipv4Addr local, net::Ipv4Addr remote,

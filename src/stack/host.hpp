@@ -2,7 +2,9 @@
 // transport demux for UDP, TCP, SCTP and DCCP. Both testbed hosts (test
 // client, test server) and the gateways' control planes are Hosts; the
 // gateways forward on their NIC frame hooks, the test server through a
-// forwarding hook.
+// forwarding hook. A received datagram stays the net::PacketView its
+// interface parsed, aliasing the frame, from the interface up to every
+// socket and observer; Ipv4Packet appears only on the send side.
 #pragma once
 
 #include <functional>
@@ -15,6 +17,7 @@
 #include "net/icmp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/ipv4.hpp"
+#include "net/packet_view.hpp"
 #include "net/route_table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -108,13 +111,18 @@ public:
                    const net::IcmpMessage& msg, std::uint8_t ttl = 64);
 
     /// Observe every ICMP message this host receives (after the echo
-    /// responder). Outer IP packet + parsed ICMP.
-    using IcmpObserver = std::function<void(const net::Ipv4Packet&,
+    /// responder): the outer datagram and the parsed ICMP. ICMP errors
+    /// reach no socket; this observer is where they are read. The view
+    /// aliases the received frame and is valid only during the call.
+    using IcmpObserver = std::function<void(const net::PacketView&,
                                             const net::IcmpMessage&)>;
     void set_icmp_observer(IcmpObserver obs) { icmp_observer_ = std::move(obs); }
 
-    /// Observe every IP datagram delivered locally (diagnostics/probes).
-    using IpObserver = std::function<void(Iface&, const net::Ipv4Packet&,
+    /// Observe every IP datagram delivered locally, fragments included
+    /// (diagnostics/probes). The view and `raw` (the frame payload, which
+    /// link padding can make longer than the view's total_len()) are
+    /// valid only during the call.
+    using IpObserver = std::function<void(Iface&, const net::PacketView&,
                                           std::span<const std::uint8_t>)>;
     void set_ip_observer(IpObserver obs) { ip_observer_ = std::move(obs); }
 
@@ -150,8 +158,9 @@ private:
 
     void on_ip(Iface& iface, const net::PacketView& view,
                std::span<const std::uint8_t> raw);
-    /// Local delivery. TCP is demuxed straight from `view`; everything
-    /// else, and the IP observer, gets an owning Ipv4Packet.
+    /// Local delivery: the IP observer sees every datagram, then each
+    /// transport is demuxed from `view`. Fragments stop after the
+    /// observer (no reassembly).
     void deliver_local(Iface& iface, const net::PacketView& view,
                        std::span<const std::uint8_t> raw);
     /// Deliver a datagram this host addressed to itself, as the next
@@ -162,12 +171,15 @@ private:
     /// unconfigured. When several interfaces carry the winning prefix,
     /// a bound source address picks the one that owns it.
     const Route* egress_route(net::Ipv4Addr src, net::Ipv4Addr dst) const;
-    void handle_icmp(Iface& iface, const net::Ipv4Packet& pkt);
-    void handle_udp(Iface& iface, const net::Ipv4Packet& pkt);
+    void handle_icmp(Iface& iface, const net::PacketView& view);
+    void handle_udp(Iface& iface, const net::PacketView& view);
     void handle_tcp(const net::PacketView& view);
-    void handle_sctp(Iface& iface, const net::Ipv4Packet& pkt);
-    void handle_dccp(Iface& iface, const net::Ipv4Packet& pkt);
-    void send_icmp_error(const net::Ipv4Packet& offending,
+    void handle_sctp(const net::PacketView& view);
+    void handle_dccp(const net::PacketView& view);
+    /// Answer `offending` with an ICMP error quoting it as it arrived.
+    /// Nothing is sent about a datagram from an unspecified or broadcast
+    /// source or to a broadcast destination.
+    void send_icmp_error(const net::PacketView& offending,
                          net::IcmpType type, std::uint8_t code);
     /// Answer `seg`, which arrived from `remote` for `local` and found no
     /// connection or listener, with a RST.
@@ -176,9 +188,6 @@ private:
     /// Remove a finished connection from the table (deferred from socket
     /// state transitions so handlers never delete a live socket).
     void tcp_reap(net::Endpoint local, net::Endpoint remote);
-    /// Route ICMP errors to the transport socket they concern.
-    void dispatch_icmp_to_transport(const net::Ipv4Packet& outer,
-                                    const net::IcmpMessage& msg);
 
     /// Re-index the LPM trie from routes_ (route removal shifts slab
     /// indexes, so bulk removals rebuild rather than patch).

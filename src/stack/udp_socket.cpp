@@ -55,9 +55,9 @@ bool UdpSocket::send_to(net::Endpoint dst, net::Bytes payload,
 
 void UdpSocket::deliver(net::Endpoint src,
                         std::span<const std::uint8_t> payload,
-                        const net::Ipv4Packet& pkt) {
+                        const net::PacketView& view) {
     ++rx_count_;
-    if (on_receive_) on_receive_(src, payload, pkt);
+    if (on_receive_) on_receive_(src, payload, view);
 }
 
 } // namespace gatekit::stack

@@ -1,4 +1,5 @@
-// Event-driven UDP socket bound to a Host.
+// Event-driven UDP socket bound to a Host. ICMP errors about its
+// datagrams are not delivered here; read them with Host::set_icmp_observer.
 #pragma once
 
 #include <functional>
@@ -6,8 +7,7 @@
 
 #include "net/addr.hpp"
 #include "net/buffer.hpp"
-#include "net/icmp.hpp"
-#include "net/ipv4.hpp"
+#include "net/packet_view.hpp"
 
 namespace gatekit::stack {
 
@@ -16,17 +16,14 @@ class Iface;
 
 class UdpSocket {
 public:
-    /// (source endpoint, payload, full IP packet)
+    /// (source endpoint, payload, the datagram as received). The view
+    /// aliases the received frame and is valid only during the call.
     using ReceiveHandler = std::function<void(
-        net::Endpoint, std::span<const std::uint8_t>, const net::Ipv4Packet&)>;
-    /// ICMP error concerning a datagram this socket sent.
-    using IcmpHandler =
-        std::function<void(const net::IcmpMessage&, const net::Ipv4Packet&)>;
+        net::Endpoint, std::span<const std::uint8_t>, const net::PacketView&)>;
 
     net::Endpoint local() const { return {local_addr_, local_port_}; }
 
     void set_receive_handler(ReceiveHandler h) { on_receive_ = std::move(h); }
-    void set_icmp_handler(IcmpHandler h) { on_icmp_ = std::move(h); }
 
     /// Send a datagram. Options customize probe traffic:
     /// `ttl` overrides the default 64; `ip_options` adds raw IPv4 options
@@ -51,7 +48,7 @@ private:
           iface_(iface) {}
 
     void deliver(net::Endpoint src, std::span<const std::uint8_t> payload,
-                 const net::Ipv4Packet& pkt);
+                 const net::PacketView& view);
 
     Host& host_;
     net::Ipv4Addr local_addr_;
@@ -59,7 +56,6 @@ private:
     std::uint16_t local_port_;
     Iface* iface_; ///< bound interface (broadcast sends); may be null
     ReceiveHandler on_receive_;
-    IcmpHandler on_icmp_;
     std::uint64_t rx_count_ = 0;
 };
 

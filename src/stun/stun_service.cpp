@@ -26,7 +26,7 @@ StunServer::StunServer(stack::Host& host, std::uint16_t port) : host_(host) {
     sock_ = &host_.udp_open(net::Ipv4Addr::any(), port);
     sock_->set_receive_handler([this](net::Endpoint src,
                                       std::span<const std::uint8_t> payload,
-                                      const net::Ipv4Packet&) {
+                                      const net::PacketView&) {
         Message request;
         try {
             request = Message::parse(payload);
@@ -81,7 +81,7 @@ void StunClient::query(net::Ipv4Addr local_addr, net::Endpoint server,
 
     sock.set_receive_handler([finish, txn](net::Endpoint,
                                            std::span<const std::uint8_t> pl,
-                                           const net::Ipv4Packet&) {
+                                           const net::PacketView&) {
         Message resp;
         try {
             resp = Message::parse(pl);
@@ -178,7 +178,7 @@ void StunClient::discover(net::Ipv4Addr local_addr, net::Endpoint server_a,
 
     sock.set_receive_handler([st, finish](net::Endpoint,
                                           std::span<const std::uint8_t> pl,
-                                          const net::Ipv4Packet&) {
+                                          const net::PacketView&) {
         Message resp;
         try {
             resp = Message::parse(pl);

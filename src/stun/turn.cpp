@@ -12,7 +12,7 @@ TurnServer::TurnServer(stack::Host& host, net::Ipv4Addr relay_addr,
     control_ = &host_.udp_open(net::Ipv4Addr::any(), port);
     control_->set_receive_handler(
         [this](net::Endpoint src, std::span<const std::uint8_t> payload,
-               const net::Ipv4Packet&) { on_control(src, payload); });
+               const net::PacketView&) { on_control(src, payload); });
 }
 
 TurnServer::~TurnServer() {
@@ -53,7 +53,7 @@ void TurnServer::handle_allocate(net::Endpoint src, const Message& request) {
         alloc->relay->set_receive_handler(
             [this, raw](net::Endpoint peer,
                         std::span<const std::uint8_t> payload,
-                        const net::Ipv4Packet&) {
+                        const net::PacketView&) {
                 Message ind;
                 ind.type = MessageType::DataIndication;
                 ind.xor_peer = peer;
@@ -85,7 +85,7 @@ TurnClient::TurnClient(stack::Host& host, net::Ipv4Addr local_addr,
     sock_ = &host_.udp_open(local_addr, 0, iface);
     sock_->set_receive_handler([this](net::Endpoint,
                                       std::span<const std::uint8_t> payload,
-                                      const net::Ipv4Packet&) {
+                                      const net::PacketView&) {
         Message msg;
         try {
             msg = Message::parse(payload);

@@ -12,9 +12,12 @@
 #include "net/icmp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
+#include "testutil.hpp"
 
 using namespace gatekit;
 using namespace gatekit::gateway;
+using testutil::inbound_copy;
+using testutil::outbound_copy;
 
 namespace {
 
@@ -87,7 +90,7 @@ TEST(AttackParsing, FragmentQuoteIsDropped) {
     auto profile = base_profile();
     NatEngine nat(loop, profile);
     nat.set_wan_addr(kWan);
-    ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
+    ASSERT_TRUE(outbound_copy(nat, udp_packet(40000, 7000)).has_value());
 
     net::Ipv4Packet q;
     q.h.protocol = net::proto::kUdp;
@@ -97,7 +100,8 @@ TEST(AttackParsing, FragmentQuoteIsDropped) {
     q.payload = {0x9c, 0x40, 0x1b, 0x58, 0x00, 0x10, 0xbe, 0xef};
 
     bool handled = false;
-    const auto out = nat.inbound(port_unreachable(q.serialize()), handled);
+    const auto out =
+        inbound_copy(nat, port_unreachable(q.serialize()), handled);
     EXPECT_FALSE(out.has_value());
     EXPECT_TRUE(handled); // consumed, not passed to the gateway stack
     EXPECT_EQ(nat.stats().icmp_dropped, 1u);
@@ -111,19 +115,19 @@ TEST(AttackParsing, BogusTimeExceededCodeDoesNotClassify) {
     auto profile = base_profile();
     NatEngine nat(loop, profile);
     nat.set_wan_addr(kWan);
-    ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
+    ASSERT_TRUE(outbound_copy(nat, udp_packet(40000, 7000)).has_value());
 
     const auto quote = well_formed_quote(40000, 7000);
     const auto bogus = error_packet(net::IcmpMessage::make_error(
         net::IcmpType::TimeExceeded, 7, 0, quote));
     bool handled = false;
-    EXPECT_FALSE(nat.inbound(bogus, handled).has_value());
+    EXPECT_FALSE(inbound_copy(nat, bogus, handled).has_value());
     EXPECT_FALSE(handled); // unclassifiable: never reaches the binding
 
     const auto valid = error_packet(net::IcmpMessage::make_error(
         net::IcmpType::TimeExceeded, net::icmp_code::kTtlExceeded, 0, quote));
     handled = false;
-    nat.inbound(valid, handled);
+    inbound_copy(nat, valid, handled);
     EXPECT_TRUE(handled); // same quote, defined code: attributed
 }
 
@@ -135,12 +139,12 @@ TEST(AttackKnobs, IcmpErrorRateLimitWindow) {
     profile.icmp_error_rate_limit = 2;
     NatEngine nat(loop, profile);
     nat.set_wan_addr(kWan);
-    ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
+    ASSERT_TRUE(outbound_copy(nat, udp_packet(40000, 7000)).has_value());
 
     const auto err = port_unreachable(well_formed_quote(40000, 7000));
     for (int i = 0; i < 5; ++i) {
         bool handled = false;
-        nat.inbound(err, handled);
+        inbound_copy(nat, err, handled);
         EXPECT_TRUE(handled);
     }
     EXPECT_EQ(nat.stats().icmp_rate_limited, 3u);
@@ -148,7 +152,7 @@ TEST(AttackKnobs, IcmpErrorRateLimitWindow) {
     // A fresh one-second window re-arms the budget.
     loop.run_until(loop.now() + std::chrono::milliseconds(1100));
     bool handled = false;
-    nat.inbound(err, handled);
+    inbound_copy(nat, err, handled);
     EXPECT_EQ(nat.stats().icmp_rate_limited, 3u);
 }
 
@@ -158,7 +162,7 @@ TEST(AttackKnobs, ValidateEmbeddedBindingRejectsStubQuote) {
     profile.validate_embedded_binding = true;
     NatEngine nat(loop, profile);
     nat.set_wan_addr(kWan);
-    ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
+    ASSERT_TRUE(outbound_copy(nat, udp_packet(40000, 7000)).has_value());
 
     // Four transport bytes: enough for the lax port-pair lookup, too
     // short to be a real RFC 792 quote.
@@ -168,14 +172,15 @@ TEST(AttackKnobs, ValidateEmbeddedBindingRejectsStubQuote) {
     stub.h.dst = kServer;
     stub.payload = {0x9c, 0x40, 0x1b, 0x58};
     bool handled = false;
-    EXPECT_FALSE(
-        nat.inbound(port_unreachable(stub.serialize()), handled).has_value());
+    EXPECT_FALSE(inbound_copy(nat, port_unreachable(stub.serialize()), handled)
+                     .has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(nat.stats().icmp_quote_rejected, 1u);
 
     // A full 8-byte quote with a sane length still gets through.
     handled = false;
-    nat.inbound(port_unreachable(well_formed_quote(40000, 7000)), handled);
+    inbound_copy(nat, port_unreachable(well_formed_quote(40000, 7000)),
+                 handled);
     EXPECT_TRUE(handled);
     EXPECT_EQ(nat.stats().icmp_quote_rejected, 1u);
 }
@@ -203,7 +208,8 @@ TEST(AttackKnobs, WanSynPolicyDropTarpitAndStrictStrays) {
 
     // Unsolicited SYN: swallowed before any binding state is touched.
     bool handled = false;
-    EXPECT_FALSE(nat.inbound(tcp_in(41000, true, false), handled).has_value());
+    EXPECT_FALSE(
+        inbound_copy(nat, tcp_in(41000, true, false), handled).has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(nat.stats().wan_syn_dropped, 1u);
 
@@ -217,16 +223,18 @@ TEST(AttackKnobs, WanSynPolicyDropTarpitAndStrictStrays) {
     seg.dst_port = 80;
     seg.flags.syn = true;
     syn.payload = seg.serialize(syn.h.src, syn.h.dst);
-    ASSERT_TRUE(nat.outbound(syn).has_value());
+    ASSERT_TRUE(outbound_copy(nat, syn).has_value());
 
     handled = false;
-    EXPECT_FALSE(nat.inbound(tcp_in(41000, false, true), handled).has_value());
+    EXPECT_FALSE(
+        inbound_copy(nat, tcp_in(41000, false, true), handled).has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(nat.stats().wan_stray_dropped, 1u);
 
     // The legitimate SYN-ACK is accepted and unlocks the binding.
     handled = false;
-    EXPECT_TRUE(nat.inbound(tcp_in(41000, true, true), handled).has_value());
+    EXPECT_TRUE(
+        inbound_copy(nat, tcp_in(41000, true, true), handled).has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(nat.stats().wan_stray_dropped, 1u);
 
@@ -237,7 +245,7 @@ TEST(AttackKnobs, WanSynPolicyDropTarpitAndStrictStrays) {
     tarpit.set_wan_addr(kWan);
     handled = false;
     EXPECT_FALSE(
-        tarpit.inbound(tcp_in(42000, true, false), handled).has_value());
+        inbound_copy(tarpit, tcp_in(42000, true, false), handled).has_value());
     EXPECT_TRUE(handled);
     EXPECT_EQ(tarpit.stats().wan_syn_tarpitted, 1u);
 }
@@ -250,7 +258,8 @@ TEST(AttackKnobs, PerHostBindingBudgetRefusesAndReleases) {
     nat.set_wan_addr(kWan);
 
     for (std::uint16_t i = 0; i < 5; ++i)
-        nat.outbound(udp_packet(static_cast<std::uint16_t>(40000 + i), 7000));
+        outbound_copy(
+            nat, udp_packet(static_cast<std::uint16_t>(40000 + i), 7000));
     EXPECT_EQ(nat.udp_table().size(), 3u);
     EXPECT_EQ(nat.udp_table().host_budget_refusals(), 2u);
 
@@ -264,13 +273,13 @@ TEST(AttackKnobs, PerHostBindingBudgetRefusesAndReleases) {
         d.payload = {1};
         other.payload = d.serialize(other.h.src, other.h.dst);
     }
-    EXPECT_TRUE(nat.outbound(other).has_value());
+    EXPECT_TRUE(outbound_copy(nat, other).has_value());
 
     // Releasing a binding frees budget for the refused host.
     Binding* b = nat.udp_table().find_inbound(40000, {kServer, 7000});
     ASSERT_NE(b, nullptr);
     nat.udp_table().remove(b->key);
-    EXPECT_TRUE(nat.outbound(udp_packet(40005, 7000)).has_value());
+    EXPECT_TRUE(outbound_copy(nat, udp_packet(40005, 7000)).has_value());
     EXPECT_EQ(nat.udp_table().host_budget_refusals(), 2u);
 }
 

@@ -23,6 +23,8 @@ using namespace gatekit;
 using namespace gatekit::gateway;
 using harness::Testbed;
 using testutil::Net2;
+using testutil::inbound_copy;
+using testutil::outbound_copy;
 
 namespace {
 
@@ -127,7 +129,8 @@ TEST(CgnEngine, DeterministicBlocksComputableOffline) {
 
     // The translation draws from exactly the block the offline formula
     // names — the RFC 7422 "no per-flow logging" property.
-    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    const auto out =
+        outbound_copy(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     const auto port = udp_src_port(*out);
     EXPECT_GE(port, info->begin);
@@ -140,14 +143,15 @@ TEST(CgnEngine, BlockCollisionRefusesSecondSubscriber) {
     // Host ids 5 and 36 are congruent mod 31: same deterministic block.
     const net::Ipv4Addr first(100, 64, 0, 5);
     const net::Ipv4Addr second(100, 64, 0, 36);
-    ASSERT_TRUE(
-        bed.engine.outbound(udp_pkt(first, 40000, kRemote, 7000)).has_value());
+    ASSERT_TRUE(outbound_copy(bed.engine, udp_pkt(first, 40000, kRemote, 7000))
+                    .has_value());
     EXPECT_FALSE(
-        bed.engine.outbound(udp_pkt(second, 41000, kRemote, 7000)).has_value());
+        outbound_copy(bed.engine, udp_pkt(second, 41000, kRemote, 7000))
+            .has_value());
     EXPECT_EQ(bed.engine.stats().block_collisions, 1u);
     // The owner is unaffected — no port leakage across the collision.
-    EXPECT_TRUE(
-        bed.engine.outbound(udp_pkt(first, 40001, kRemote, 7000)).has_value());
+    EXPECT_TRUE(outbound_copy(bed.engine, udp_pkt(first, 40001, kRemote, 7000))
+                    .has_value());
     EXPECT_EQ(bed.engine.live_bindings(second), 0u);
 }
 
@@ -161,30 +165,33 @@ TEST(CgnEngine, SharedPoolExhaustionHitsTheVictim) {
     // A churning subscriber takes the whole pool...
     const net::Ipv4Addr churner(100, 64, 0, 10);
     for (std::uint16_t i = 0; i < 4; ++i)
-        ASSERT_TRUE(bed.engine
-                        .outbound(udp_pkt(churner, 40000 + i, kRemote, 7000))
+        ASSERT_TRUE(outbound_copy(bed.engine,
+                                  udp_pkt(churner, 40000 + i, kRemote, 7000))
                         .has_value());
     // ...and an unrelated subscriber's first flow is refused: the ReDAN
     // victim scenario deterministic blocks exist to prevent.
     const net::Ipv4Addr victim(100, 64, 0, 20);
     EXPECT_FALSE(
-        bed.engine.outbound(udp_pkt(victim, 40000, kRemote, 7000)).has_value());
+        outbound_copy(bed.engine, udp_pkt(victim, 40000, kRemote, 7000))
+            .has_value());
     EXPECT_GE(bed.engine.stats().pool_exhausted, 1u);
 }
 
 TEST(CgnEngine, EimSharesOnePortAcrossRemotes) {
     EngineBed bed; // eim = true
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    const auto a = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
-    const auto b =
-        bed.engine.outbound(udp_pkt(sub, 40000, net::Ipv4Addr(10, 0, 8, 8), 9));
+    const auto a =
+        outbound_copy(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
+    const auto b = outbound_copy(
+        bed.engine, udp_pkt(sub, 40000, net::Ipv4Addr(10, 0, 8, 8), 9));
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     // Endpoint-independent: both flows ride one external port (what makes
     // hole punching through the CGN layer possible)...
     EXPECT_EQ(udp_src_port(*a), udp_src_port(*b));
     // ...while a different internal port draws a fresh one.
-    const auto c = bed.engine.outbound(udp_pkt(sub, 40001, kRemote, 7000));
+    const auto c =
+        outbound_copy(bed.engine, udp_pkt(sub, 40001, kRemote, 7000));
     ASSERT_TRUE(c.has_value());
     EXPECT_NE(udp_src_port(*a), udp_src_port(*c));
 }
@@ -194,9 +201,10 @@ TEST(CgnEngine, EdmDrawsFreshPortPerFlow) {
     cfg.eim = false;
     EngineBed bed(cfg);
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    const auto a = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
-    const auto b =
-        bed.engine.outbound(udp_pkt(sub, 40000, net::Ipv4Addr(10, 0, 8, 8), 9));
+    const auto a =
+        outbound_copy(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
+    const auto b = outbound_copy(
+        bed.engine, udp_pkt(sub, 40000, net::Ipv4Addr(10, 0, 8, 8), 9));
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     EXPECT_NE(udp_src_port(*a), udp_src_port(*b)); // symmetric mapping
@@ -206,7 +214,8 @@ TEST(CgnEngine, HairpinConnectsTwoSubscribers) {
     EngineBed bed;
     const net::Ipv4Addr alice(100, 64, 0, 5);
     const net::Ipv4Addr bob(100, 64, 0, 6);
-    const auto out = bed.engine.outbound(udp_pkt(alice, 40000, kRemote, 7000));
+    const auto out =
+        outbound_copy(bed.engine, udp_pkt(alice, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     const auto alice_ext = udp_src_port(*out);
 
@@ -232,7 +241,8 @@ TEST(CgnEngine, HairpinDisabledByConfig) {
     cfg.hairpin = false;
     EngineBed bed(cfg);
     const net::Ipv4Addr alice(100, 64, 0, 5);
-    const auto out = bed.engine.outbound(udp_pkt(alice, 40000, kRemote, 7000));
+    const auto out =
+        outbound_copy(bed.engine, udp_pkt(alice, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     const net::Bytes sent = udp_pkt(net::Ipv4Addr(100, 64, 0, 6), 41000,
                                     kExternal, udp_src_port(*out))
@@ -247,20 +257,22 @@ TEST(CgnEngine, UnsolicitedInboundIsNotHandled) {
     EngineBed bed;
     // A pool port whose block was never activated: nothing to deliver to.
     bool handled = true;
-    EXPECT_FALSE(
-        bed.engine.inbound(udp_pkt(kRemote, 7000, kExternal, 30000), handled)
-            .has_value());
+    EXPECT_FALSE(inbound_copy(bed.engine,
+                              udp_pkt(kRemote, 7000, kExternal, 30000),
+                              handled)
+                     .has_value());
     EXPECT_FALSE(handled); // falls through to the CGN's own stack
 
     // With a live binding, a packet from the WRONG remote endpoint is
     // still refused: the CGN filters endpoint-dependently (RFC 6888's
     // default posture) and counts the drop.
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    const auto out =
+        outbound_copy(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     handled = true;
-    EXPECT_FALSE(bed.engine
-                     .inbound(udp_pkt(net::Ipv4Addr(10, 0, 8, 8), 7000,
+    EXPECT_FALSE(inbound_copy(bed.engine,
+                              udp_pkt(net::Ipv4Addr(10, 0, 8, 8), 7000,
                                       kExternal, udp_src_port(*out)),
                               handled)
                      .has_value());
@@ -304,18 +316,20 @@ TEST(CgnEngine, FragmentsAreAnOutboundDropAndNotOursInbound) {
     const net::Ipv4Addr sub(100, 64, 0, 5);
     auto frag = udp_pkt(sub, 40000, kRemote, 7000);
     frag.h.more_fragments = true;
-    EXPECT_FALSE(bed.engine.outbound(frag).has_value());
+    EXPECT_FALSE(outbound_copy(bed.engine, frag).has_value());
     ASSERT_NE(bed.engine.engine_for(sub), nullptr);
     EXPECT_EQ(bed.engine.engine_for(sub)->stats().dropped_malformed, 1u);
     EXPECT_EQ(bed.engine.stats().pool_exhausted, 0u);
     EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
 
-    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    const auto out =
+
+        outbound_copy(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     auto reply = udp_pkt(kRemote, 7000, kExternal, udp_src_port(*out));
     reply.h.more_fragments = true;
     bool handled = true;
-    EXPECT_FALSE(bed.engine.inbound(reply, handled).has_value());
+    EXPECT_FALSE(inbound_copy(bed.engine, reply, handled).has_value());
     EXPECT_FALSE(handled);
 }
 
@@ -324,11 +338,11 @@ TEST(CgnEngine, UnsoundTransportGeometryIsACountedDrop) {
     const net::Ipv4Addr sub(100, 64, 0, 5);
     auto udp = udp_pkt(sub, 40000, kRemote, 7000, {1, 2, 3});
     udp.payload[5] = static_cast<std::uint8_t>(udp.payload[5] - 1);
-    EXPECT_FALSE(bed.engine.outbound(udp).has_value());
+    EXPECT_FALSE(outbound_copy(bed.engine, udp).has_value());
 
     auto tcp = tcp_syn(sub, 41000, kRemote, 80);
     tcp.payload[12] = 0xf0; // data offset 60 over a 20-byte segment
-    EXPECT_FALSE(bed.engine.outbound(tcp).has_value());
+    EXPECT_FALSE(outbound_copy(bed.engine, tcp).has_value());
 
     EXPECT_EQ(bed.engine.engine_for(sub)->stats().dropped_malformed, 2u);
     EXPECT_EQ(bed.engine.live_bindings(sub), 0u);
@@ -339,7 +353,7 @@ TEST(CgnEngine, ChecksumlessUdpStaysChecksumless) {
     const net::Ipv4Addr sub(100, 64, 0, 5);
     auto pkt = udp_pkt(sub, 40000, kRemote, 7000);
     pkt.payload[6] = pkt.payload[7] = 0;
-    const auto out = bed.engine.outbound(pkt);
+    const auto out = outbound_copy(bed.engine, pkt);
     ASSERT_TRUE(out.has_value());
     const auto wire = net::Ipv4Packet::parse(*out);
     EXPECT_EQ(wire.h.src, kExternal);
@@ -354,7 +368,7 @@ TEST(CgnEngine, WrongTcpChecksumKeepsItsError) {
     pkt.payload[16] ^= 0x5a; // damaged in flight
     const auto in_error = l4_residual(pkt.serialize());
     ASSERT_NE(in_error, 0);
-    const auto out = bed.engine.outbound(pkt);
+    const auto out = outbound_copy(bed.engine, pkt);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(l4_residual(*out), in_error);
 }
@@ -372,7 +386,7 @@ TEST(CgnEngine, InboundErrorQuoteRewrittenWithValidChecksums) {
     // Empty payload: the whole datagram fits the RFC 792 8-byte quote,
     // so the UDP checksum is verifiable end-to-end after rewriting.
     const auto out =
-        bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000, {}));
+        outbound_copy(bed.engine, udp_pkt(sub, 40000, kRemote, 7000, {}));
     ASSERT_TRUE(out.has_value());
 
     net::Ipv4Packet err;
@@ -386,18 +400,18 @@ TEST(CgnEngine, InboundErrorQuoteRewrittenWithValidChecksums) {
                       .serialize();
 
     bool handled = false;
-    const auto relayed = bed.engine.inbound(err, handled);
+    const auto relayed = inbound_copy(bed.engine, err, handled);
     ASSERT_TRUE(handled);
     ASSERT_TRUE(relayed.has_value());
 
     const auto outer = net::Ipv4Packet::parse(*relayed);
     EXPECT_EQ(outer.h.dst, sub);
     const auto msg = net::IcmpMessage::parse(outer.payload);
-    const auto quote = net::Ipv4Packet::parse_prefix(msg.payload);
-    EXPECT_EQ(quote.h.src, sub); // internal view restored
-    ASSERT_GE(quote.payload.size(), 8u);
-    const auto d = net::UdpDatagram::parse(quote.payload, quote.h.src,
-                                           quote.h.dst);
+    const auto quote = IcmpQuote::parse(msg.payload);
+    ASSERT_TRUE(quote.has_value());
+    EXPECT_EQ(quote->src, sub); // internal view restored
+    ASSERT_GE(quote->l4.size(), 8u);
+    const auto d = net::UdpDatagram::parse(quote->l4, quote->src, quote->dst);
     EXPECT_EQ(d.src_port, 40000);
     EXPECT_TRUE(ip_header_checksum_ok(msg.payload));
     EXPECT_TRUE(d.checksum_ok);
@@ -435,17 +449,17 @@ net::Ipv4Packet error_pkt(net::IcmpType type, std::uint8_t code,
 TEST(CgnEngine, ErrorAboutAnExpiredEchoQueryIsNotRelayed) {
     EngineBed bed;
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    ASSERT_TRUE(bed.engine.outbound(echo_pkt(sub, kRemote, 0x5151)));
+    ASSERT_TRUE(outbound_copy(bed.engine, echo_pkt(sub, kRemote, 0x5151)));
     const auto err = error_pkt(net::IcmpType::DestUnreachable,
                                net::icmp_code::kHostUnreachable,
                                echo_pkt(kExternal, kRemote, 0x5151).serialize());
     bool handled = false;
-    EXPECT_TRUE(bed.engine.inbound(err, handled).has_value());
+    EXPECT_TRUE(inbound_copy(bed.engine, err, handled).has_value());
     EXPECT_TRUE(handled);
 
     bed.loop.run_until(bed.loop.now() + std::chrono::seconds(61));
     handled = true;
-    EXPECT_FALSE(bed.engine.inbound(err, handled).has_value());
+    EXPECT_FALSE(inbound_copy(bed.engine, err, handled).has_value());
     EXPECT_FALSE(handled); // the CGN's own stack gets it
     EXPECT_EQ(bed.engine.stats().icmp_relayed, 1u);
 }
@@ -455,22 +469,22 @@ TEST(CgnEngine, ErrorAboutAnExpiredEchoQueryIsNotRelayed) {
 TEST(CgnEngine, UndefinedErrorCodesAreNotRelayed) {
     EngineBed bed;
     const net::Ipv4Addr sub(100, 64, 0, 5);
-    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    const auto out =
+        outbound_copy(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     for (const auto& [type, code] :
          {std::pair{net::IcmpType::TimeExceeded, std::uint8_t{2}},
           std::pair{net::IcmpType::DestUnreachable, std::uint8_t{13}}}) {
         bool handled = true;
         EXPECT_FALSE(
-            bed.engine.inbound(error_pkt(type, code, *out), handled)
+            inbound_copy(bed.engine, error_pkt(type, code, *out), handled)
                 .has_value());
         EXPECT_FALSE(handled);
     }
     EXPECT_EQ(bed.engine.stats().icmp_relayed, 0u);
 
     bool handled = false;
-    EXPECT_TRUE(bed.engine
-                    .inbound(error_pkt(net::IcmpType::TimeExceeded,
+    EXPECT_TRUE(inbound_copy(bed.engine, error_pkt(net::IcmpType::TimeExceeded,
                                        net::icmp_code::kTtlExceeded, *out),
                              handled)
                     .has_value());
@@ -497,18 +511,20 @@ TEST(CgnEngine, RelayedErrorsGetAFreshIcmpChecksumQueriesKeepTheirs) {
     auto echo = echo_pkt(sub, kRemote, 0x6161);
     echo.payload[2] ^= 0x11; // wrong ICMP checksum
     const auto echo_error = net::internet_checksum(echo.payload);
-    const auto sent = bed.engine.outbound(echo);
+    const auto sent = outbound_copy(bed.engine, echo);
     ASSERT_TRUE(sent.has_value());
     EXPECT_EQ(icmp_residual(*sent), echo_error);
     EXPECT_EQ(bed.engine.stats().translated_out, 1u);
 
-    const auto out = bed.engine.outbound(udp_pkt(sub, 40000, kRemote, 7000));
+    const auto out =
+
+        outbound_copy(bed.engine, udp_pkt(sub, 40000, kRemote, 7000));
     ASSERT_TRUE(out.has_value());
     auto in_err = error_pkt(net::IcmpType::DestUnreachable,
                             net::icmp_code::kPortUnreachable, *out);
     in_err.payload[3] ^= 0x22;
     bool handled = false;
-    const auto relayed_in = bed.engine.inbound(in_err, handled);
+    const auto relayed_in = inbound_copy(bed.engine, in_err, handled);
     ASSERT_TRUE(relayed_in.has_value());
     EXPECT_EQ(icmp_residual(*relayed_in), 0);
 
@@ -520,7 +536,7 @@ TEST(CgnEngine, RelayedErrorsGetAFreshIcmpChecksumQueriesKeepTheirs) {
                                      net::icmp_code::kPortUnreachable, 0,
                                      received));
     out_err.payload[2] ^= 0x44;
-    const auto relayed_out = bed.engine.outbound(out_err);
+    const auto relayed_out = outbound_copy(bed.engine, out_err);
     ASSERT_TRUE(relayed_out.has_value());
     EXPECT_EQ(icmp_residual(*relayed_out), 0);
     EXPECT_EQ(bed.engine.stats().icmp_relayed, 2u);
@@ -535,12 +551,12 @@ TEST(CgnEngine, TruncatedIcmpIsDroppedOutAndNotOursIn) {
     stub.h.src = net::Ipv4Addr(100, 64, 0, 5);
     stub.h.dst = kRemote;
     stub.payload = {8, 0, 0, 0};
-    EXPECT_FALSE(bed.engine.outbound(stub).has_value());
+    EXPECT_FALSE(outbound_copy(bed.engine, stub).has_value());
     stub.h.src = kRemote;
     stub.h.dst = kExternal;
     stub.payload = {0, 0, 0};
     bool handled = true;
-    EXPECT_FALSE(bed.engine.inbound(stub, handled).has_value());
+    EXPECT_FALSE(inbound_copy(bed.engine, stub, handled).has_value());
     EXPECT_FALSE(handled);
     const auto& s = bed.engine.stats();
     EXPECT_EQ(s.translated_out + s.translated_in + s.dropped_policy +
@@ -554,12 +570,12 @@ TEST(CgnEngine, EchoQueryCapIsNatEngines) {
     EngineBed bed;
     const net::Ipv4Addr sub(100, 64, 0, 5);
     for (std::uint16_t id = 0; id < 1024; ++id)
-        ASSERT_TRUE(bed.engine.outbound(echo_pkt(sub, kRemote, id)));
-    EXPECT_FALSE(bed.engine.outbound(echo_pkt(sub, kRemote, 1024)));
+        ASSERT_TRUE(outbound_copy(bed.engine, echo_pkt(sub, kRemote, id)));
+    EXPECT_FALSE(outbound_copy(bed.engine, echo_pkt(sub, kRemote, 1024)));
     EXPECT_EQ(bed.engine.stats().dropped_policy, 1u);
     // Once the queries time out, the table has room again.
     bed.loop.run_until(bed.loop.now() + std::chrono::seconds(61));
-    EXPECT_TRUE(bed.engine.outbound(echo_pkt(sub, kRemote, 1024)));
+    EXPECT_TRUE(outbound_copy(bed.engine, echo_pkt(sub, kRemote, 1024)));
 }
 
 // --- NAT444 end-to-end ----------------------------------------------------
@@ -600,7 +616,7 @@ TEST(Nat444, BringUpAndEchoThroughBothLayers) {
     auto& echo = tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     echo.set_receive_handler([&](net::Endpoint src,
                                  std::span<const std::uint8_t> p,
-                                 const net::Ipv4Packet&) {
+                                 const net::PacketView&) {
         seen_by_server = src.addr;
         echo.send_to(src, net::Bytes(p.begin(), p.end()));
     });
@@ -611,9 +627,9 @@ TEST(Nat444, BringUpAndEchoThroughBothLayers) {
     auto& sock_b = tb.client().udp_open(tb.slot(ib).client_addr, 46000,
                                         tb.slot(ib).client_if);
     sock_a.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
-                                   const net::Ipv4Packet&) { ++echoed; });
+                                   const net::PacketView&) { ++echoed; });
     sock_b.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
-                                   const net::Ipv4Packet&) { ++echoed; });
+                                   const net::PacketView&) { ++echoed; });
     sock_a.send_to({tb.slot(ia).server_addr, 7000}, {'a'});
     loop.run_for(std::chrono::milliseconds(50));
     sock_b.send_to({tb.slot(ib).server_addr, 7000}, {'b'});
@@ -636,9 +652,9 @@ TEST(Nat444, TracerouteSeesBothNatHops) {
     auto& sock = tb.client().udp_open(tb.slot(i).client_addr, 46000,
                                       tb.slot(i).client_if);
     std::vector<std::pair<net::Ipv4Addr, net::IcmpType>> hops;
-    sock.set_icmp_handler(
-        [&](const net::IcmpMessage& msg, const net::Ipv4Packet& outer) {
-            hops.emplace_back(outer.h.src, msg.type);
+    tb.client().set_icmp_observer(
+        [&](const net::PacketView& outer, const net::IcmpMessage& msg) {
+            if (msg.is_error()) hops.emplace_back(outer.src(), msg.type);
         });
 
     stack::UdpSocket::SendOptions opts;
@@ -653,8 +669,8 @@ TEST(Nat444, TracerouteSeesBothNatHops) {
     EXPECT_EQ(hops[0].first, net::Ipv4Addr(192, 168, 2, 1));
     EXPECT_EQ(hops[0].second, net::IcmpType::TimeExceeded);
     // Hop 2: the CGN. Its Time Exceeded quotes the member gateway's
-    // translated packet, so delivery to the client's socket proves the
-    // home NAT attributed and re-translated the quote.
+    // translated packet, so delivery to the client proves the home NAT
+    // attributed and re-translated the quote.
     EXPECT_EQ(hops[1].first, tb.cgn_group(g).cgn->access_addr());
     EXPECT_EQ(hops[1].second, net::IcmpType::TimeExceeded);
 }
@@ -673,9 +689,9 @@ TEST(Nat444, PortUnreachableQuoteSurvivesDoubleTranslation) {
     auto& sock = tb.client().udp_open(tb.slot(i).client_addr, 46000,
                                       tb.slot(i).client_if);
     std::optional<net::IcmpMessage> got;
-    sock.set_icmp_handler(
-        [&](const net::IcmpMessage& msg, const net::Ipv4Packet&) {
-            got = msg;
+    tb.client().set_icmp_observer(
+        [&](const net::PacketView&, const net::IcmpMessage& msg) {
+            if (msg.is_error()) got = msg;
         });
     // Empty payload so the UDP checksum is verifiable from the 8-byte
     // quote; port 9 has no listener on the test server.
@@ -684,11 +700,11 @@ TEST(Nat444, PortUnreachableQuoteSurvivesDoubleTranslation) {
 
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->type, net::IcmpType::DestUnreachable);
-    const auto quote = net::Ipv4Packet::parse_prefix(got->payload);
-    EXPECT_EQ(quote.h.src, tb.slot(i).client_addr);
-    EXPECT_EQ(quote.h.dst, tb.slot(i).server_addr);
-    const auto d =
-        net::UdpDatagram::parse(quote.payload, quote.h.src, quote.h.dst);
+    const auto quote = IcmpQuote::parse(got->payload);
+    ASSERT_TRUE(quote.has_value());
+    EXPECT_EQ(quote->src, tb.slot(i).client_addr);
+    EXPECT_EQ(quote->dst, tb.slot(i).server_addr);
+    const auto d = net::UdpDatagram::parse(quote->l4, quote->src, quote->dst);
     EXPECT_EQ(d.src_port, 46000);
     EXPECT_TRUE(ip_header_checksum_ok(got->payload));
     EXPECT_TRUE(d.checksum_ok);
@@ -780,22 +796,23 @@ TEST(Nat444, InboundTtlExpiryQuotesTheArrivedDatagram) {
     auto& echo = tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     echo.set_receive_handler([&](net::Endpoint src,
                                  std::span<const std::uint8_t>,
-                                 const net::Ipv4Packet&) {
+                                 const net::PacketView&) {
         seen = src;
         stack::UdpSocket::SendOptions opts;
         opts.ttl = 1; // the CGN is the first hop back
         echo.send_to(src, {'r'}, opts);
     });
-    echo.set_icmp_handler(
-        [&](const net::IcmpMessage& msg, const net::Ipv4Packet& outer) {
+    tb.server().set_icmp_observer(
+        [&](const net::PacketView& outer, const net::IcmpMessage& msg) {
+            if (!msg.is_error()) return;
             err = msg;
-            err_from = outer.h.src;
+            err_from = outer.src();
         });
     int replies = 0;
     auto& sock = tb.client().udp_open(tb.slot(i).client_addr, 46000,
                                       tb.slot(i).client_if);
     sock.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
-                                 const net::Ipv4Packet&) { ++replies; });
+                                 const net::PacketView&) { ++replies; });
     sock.send_to({tb.slot(i).server_addr, 7000}, {'q'});
     loop.run_for(std::chrono::milliseconds(100));
 
@@ -803,13 +820,14 @@ TEST(Nat444, InboundTtlExpiryQuotesTheArrivedDatagram) {
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->type, net::IcmpType::TimeExceeded);
     EXPECT_EQ(err_from, group.external_addr);
-    const auto quote = net::Ipv4Packet::parse_prefix(err->payload);
-    EXPECT_EQ(quote.h.ttl, 1);
-    EXPECT_EQ(quote.h.src, tb.slot(i).server_addr);
-    EXPECT_EQ(quote.h.dst, group.external_addr);
-    EXPECT_EQ(quote.h.dst, seen.addr);
-    ASSERT_GE(quote.payload.size(), 4u);
-    EXPECT_EQ((quote.payload[2] << 8) | quote.payload[3], seen.port);
+    const auto quote = IcmpQuote::parse(err->payload);
+    ASSERT_TRUE(quote.has_value());
+    EXPECT_EQ(err->payload[8], 1); // the quoted TTL
+    EXPECT_EQ(quote->src, tb.slot(i).server_addr);
+    EXPECT_EQ(quote->dst, group.external_addr);
+    EXPECT_EQ(quote->dst, seen.addr);
+    ASSERT_GE(quote->l4.size(), 4u);
+    EXPECT_EQ(quote->word(2), seen.port);
     EXPECT_TRUE(ip_header_checksum_ok(err->payload));
 }
 
@@ -839,7 +857,7 @@ TEST(Nat444, UnsolicitedInboundReachesTheCgnStackCountedOnce) {
     int delivered = 0;
     auto& local = group.cgn->host().udp_open(net::Ipv4Addr::any(), port);
     local.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
-                                  const net::Ipv4Packet&) { ++delivered; });
+                                  const net::PacketView&) { ++delivered; });
     const auto before = engine.stats().dropped_no_binding;
     auto& probe = tb.server().udp_open(net::Ipv4Addr::any(), 7001);
     probe.send_to({group.external_addr, port}, {'u'});
@@ -861,9 +879,9 @@ TEST(Nat444, CgnStackSeesNoTranslatedDatagram) {
 
     std::uint64_t observed = 0;
     cgn.host().set_ip_observer(
-        [&](stack::Iface&, const net::Ipv4Packet& pkt,
+        [&](stack::Iface&, const net::PacketView& v,
             std::span<const std::uint8_t>) {
-            if (pkt.h.protocol == net::proto::kTcp) ++observed;
+            if (v.protocol() == net::proto::kTcp) ++observed;
         });
     const auto out_before = cgn.engine().stats().translated_out;
     const auto in_before = cgn.engine().stats().translated_in;
@@ -896,7 +914,7 @@ TEST(Nat444, BroadcastFramedDatagramIsTranslatedOnACopy) {
     auto& sink = tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     sink.set_receive_handler([&](net::Endpoint src,
                                  std::span<const std::uint8_t>,
-                                 const net::Ipv4Packet&) {
+                                 const net::PacketView&) {
         seen.push_back(src);
     });
     const auto before = group.cgn->engine().stats().translated_out;

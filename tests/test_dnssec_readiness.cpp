@@ -50,7 +50,7 @@ TEST(Edns, ServerTruncatesWithoutEdnsAndDeliversWithIt) {
         auto& sock = net.a.udp_open(net::Ipv4Addr::any(), 0);
         sock.set_receive_handler(
             [&out](net::Endpoint, std::span<const std::uint8_t> p,
-                   const net::Ipv4Packet&) {
+                   const net::PacketView&) {
                 const auto resp = net::DnsMessage::parse(p);
                 out.got = true;
                 out.truncated = resp.truncated;

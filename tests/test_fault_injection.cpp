@@ -17,10 +17,13 @@
 #include "stack/tcp_socket.hpp"
 #include "stack/udp_socket.hpp"
 #include "util/rng.hpp"
+#include "testutil.hpp"
 
 using namespace gatekit;
 using namespace gatekit::harness;
 using gateway::DeviceProfile;
+using testutil::inbound_copy;
+using testutil::outbound_copy;
 
 // --- link impairments -------------------------------------------------------
 
@@ -342,7 +345,7 @@ TEST(GatewayFaults, RebootFlushesNatState) {
     auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     server_sock.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) {
+            const net::PacketView&) {
             client_ext = src;
             ++server_got;
         });
@@ -350,7 +353,7 @@ TEST(GatewayFaults, RebootFlushesNatState) {
     auto& client_sock = bed.tb.client().udp_open(slot.client_addr, 40000);
     client_sock.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) { ++client_got; });
+            const net::PacketView&) { ++client_got; });
 
     client_sock.send_to({slot.server_addr, 7000}, {1});
     bed.loop.run();
@@ -385,7 +388,7 @@ TEST(GatewayFaults, StallDropsTrafficThenRecovers) {
     auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     server_sock.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) { ++server_got; });
+            const net::PacketView&) { ++server_got; });
     auto& client_sock = bed.tb.client().udp_open(slot.client_addr, 41000);
     client_sock.send_to({slot.server_addr, 7000}, {1});
     bed.loop.run();
@@ -419,7 +422,7 @@ TEST(GatewayFaults, BroadcastFramedDatagramIsTranslatedOnce) {
     auto& sink = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     sink.set_receive_handler([&](net::Endpoint src,
                                  std::span<const std::uint8_t>,
-                                 const net::Ipv4Packet&) {
+                                 const net::PacketView&) {
         seen.push_back(src);
     });
 
@@ -441,7 +444,7 @@ TEST(GatewayFaults, StallSwallowsBroadcastFramesThenRecovers) {
     auto& sink = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     sink.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) { ++server_got; });
+            const net::PacketView&) { ++server_got; });
 
     gateway::GatewayFault fault;
     fault.flush_nat = false;
@@ -582,7 +585,7 @@ TEST(DnsProxyRegression, OversizeDropConsumesPendingEntry) {
     auto& sock = bed.tb.client().udp_open(slot.client_addr, 50000);
     sock.set_receive_handler([&](net::Endpoint,
                                  std::span<const std::uint8_t>,
-                                 const net::Ipv4Packet&) { ++client_got; });
+                                 const net::PacketView&) { ++client_got; });
     auto query = net::DnsMessage::make_query(0x6b1d, Testbed::kBigName,
                                              net::kDnsTypeTxt);
     query.edns_udp_size = 4096;
@@ -601,9 +604,9 @@ TEST(DnsProxyRegression, CollidingIdsServeBothClients) {
     auto& s1 = bed.tb.client().udp_open(slot.client_addr, 50001);
     auto& s2 = bed.tb.client().udp_open(slot.client_addr, 50002);
     s1.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
-                               const net::Ipv4Packet&) { ++got1; });
+                               const net::PacketView&) { ++got1; });
     s2.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
-                               const net::Ipv4Packet&) { ++got2; });
+                               const net::PacketView&) { ++got2; });
     const auto query =
         net::DnsMessage::make_query(0x1234, Testbed::kTestName);
     s1.send_to({slot.gw->lan_addr(), net::kDnsPort}, query.serialize());
@@ -731,14 +734,14 @@ TEST(NatEngineRegression, SynRetransmitDoesNotEstablishOnSynAck) {
 
     // Original SYN plus one retransmission (lossy WAN ate the SYN-ACK).
     const auto syn = tcp_packet(kClient, kServer, 41000, 80, true, false);
-    ASSERT_TRUE(nat.outbound(syn).has_value());
-    ASSERT_TRUE(nat.outbound(syn).has_value());
+    ASSERT_TRUE(outbound_copy(nat, syn).has_value());
+    ASSERT_TRUE(outbound_copy(nat, syn).has_value());
 
     // The server's SYN-ACK alone is not a completed handshake: two
     // outbound packets have been seen, but both carried SYN.
     const auto synack = tcp_packet(kServer, kWan, 80, 41000, true, true);
     bool handled = false;
-    ASSERT_TRUE(nat.inbound(synack, handled).has_value());
+    ASSERT_TRUE(inbound_copy(nat, synack, handled).has_value());
     EXPECT_TRUE(handled);
     auto* b = nat.tcp_table().find_inbound(41000, {kServer, 80});
     ASSERT_NE(b, nullptr);
@@ -746,7 +749,7 @@ TEST(NatEngineRegression, SynRetransmitDoesNotEstablishOnSynAck) {
 
     // The client's final ACK completes it.
     const auto ackpkt = tcp_packet(kClient, kServer, 41000, 80, false, true);
-    ASSERT_TRUE(nat.outbound(ackpkt).has_value());
+    ASSERT_TRUE(outbound_copy(nat, ackpkt).has_value());
     EXPECT_TRUE(b->established);
 }
 
@@ -765,10 +768,10 @@ TEST(NatEngineRegression, FlushForgetsEveryTable) {
     d.dst_port = 7000;
     d.payload = {1};
     udp.payload = d.serialize(udp.h.src, udp.h.dst);
-    ASSERT_TRUE(nat.outbound(udp).has_value());
-    ASSERT_TRUE(
-        nat.outbound(tcp_packet(kClient, kServer, 41000, 80, true, false))
-            .has_value());
+    ASSERT_TRUE(outbound_copy(nat, udp).has_value());
+    ASSERT_TRUE(outbound_copy(nat, tcp_packet(kClient, kServer, 41000, 80,
+                                              true, false))
+                    .has_value());
     ASSERT_EQ(nat.udp_table().size(), 1u);
     ASSERT_EQ(nat.tcp_table().size(), 1u);
 
@@ -779,7 +782,7 @@ TEST(NatEngineRegression, FlushForgetsEveryTable) {
 
     // The tables keep working after a flush, and the popped timer-wheel
     // entries of the cleared bindings fire harmlessly.
-    ASSERT_TRUE(nat.outbound(udp).has_value());
+    ASSERT_TRUE(outbound_copy(nat, udp).has_value());
     EXPECT_EQ(nat.udp_table().size(), 1u);
     loop.run_until(loop.now() + std::chrono::minutes(2));
     EXPECT_EQ(nat.udp_table().size(), 0u); // expired normally

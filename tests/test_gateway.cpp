@@ -60,7 +60,7 @@ TEST(GatewayNat, UdpOutboundAndReply) {
     auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     server_sock.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) {
+            const net::PacketView&) {
             seen_src = src;
             server_sock.send_to(src, {'o', 'k'});
         });
@@ -70,7 +70,7 @@ TEST(GatewayNat, UdpOutboundAndReply) {
         bed.tb.client().udp_open(slot.client_addr, 40000);
     client_sock.set_receive_handler([&](net::Endpoint,
                                         std::span<const std::uint8_t> p,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
         reply.assign(p.begin(), p.end());
     });
     client_sock.send_to({slot.server_addr, 7000}, {'h', 'i'});
@@ -91,13 +91,13 @@ TEST(GatewayNat, UdpBindingExpires) {
     net::Endpoint client_ext;
     server_sock.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) { client_ext = src; });
+            const net::PacketView&) { client_ext = src; });
 
     int client_got = 0;
     auto& client_sock = bed.tb.client().udp_open(slot.client_addr, 41000);
     client_sock.set_receive_handler([&](net::Endpoint,
                                         std::span<const std::uint8_t>,
-                                        const net::Ipv4Packet&) {
+                                        const net::PacketView&) {
         ++client_got;
     });
     client_sock.send_to({slot.server_addr, 7000}, {1});
@@ -134,7 +134,7 @@ TEST(GatewayNat, SequentialPortAllocation) {
     auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     server_sock.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) { seen_ports.push_back(src.port); });
+            const net::PacketView&) { seen_ports.push_back(src.port); });
 
     auto& s1 = bed.tb.client().udp_open(slot.client_addr, 40001);
     auto& s2 = bed.tb.client().udp_open(slot.client_addr, 40002);
@@ -157,7 +157,7 @@ TEST(GatewayNat, BindingCapacityLimit) {
     int server_got = 0;
     server_sock.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) { ++server_got; });
+            const net::PacketView&) { ++server_got; });
 
     for (int i = 0; i < 8; ++i) {
         auto& sock = bed.tb.client().udp_open(
@@ -241,10 +241,10 @@ TEST(GatewayNat, PingThroughNat) {
     Bed bed;
     auto& slot = bed.slot();
     bool got_reply = false;
-    bed.tb.client().set_icmp_observer([&](const net::Ipv4Packet& pkt,
+    bed.tb.client().set_icmp_observer([&](const net::PacketView& pkt,
                                           const net::IcmpMessage& msg) {
         if (msg.type == net::IcmpType::EchoReply &&
-            pkt.h.src == slot.server_addr)
+            pkt.src() == slot.server_addr)
             got_reply = true;
     });
     bed.tb.client().send_icmp(slot.client_addr, slot.server_addr,
@@ -260,7 +260,7 @@ TEST(GatewayNat, TtlDecrementedWhenEnabled) {
     auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     server_sock.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t>,
-            const net::Ipv4Packet& pkt) { seen_ttl = pkt.h.ttl; });
+            const net::PacketView& pkt) { seen_ttl = pkt.ttl(); });
     auto& sock = bed.tb.client().udp_open(slot.client_addr, 0);
     stack::UdpSocket::SendOptions opts;
     opts.ttl = 10;
@@ -278,7 +278,7 @@ TEST(GatewayNat, TtlNotDecrementedWhenDisabled) {
     auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     server_sock.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t>,
-            const net::Ipv4Packet& pkt) { seen_ttl = pkt.h.ttl; });
+            const net::PacketView& pkt) { seen_ttl = pkt.ttl(); });
     auto& sock = bed.tb.client().udp_open(slot.client_addr, 0);
     stack::UdpSocket::SendOptions opts;
     opts.ttl = 10;
@@ -431,9 +431,9 @@ TEST(GatewayNat, TtlExpiringPacketDropsCleanlyOnBothPaths) {
     auto& server_sock = bed.tb.server().udp_open(net::Ipv4Addr::any(), 7000);
     server_sock.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t>,
-            const net::Ipv4Packet& pkt) {
+            const net::PacketView& pkt) {
             ++received;
-            seen_ttl = pkt.h.ttl;
+            seen_ttl = pkt.ttl();
         });
     auto& sock = bed.tb.client().udp_open(slot.client_addr, 0);
 

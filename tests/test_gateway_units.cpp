@@ -10,9 +10,12 @@
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
 #include "util/assert.hpp"
+#include "testutil.hpp"
 
 using namespace gatekit;
 using namespace gatekit::gateway;
+using testutil::inbound_copy;
+using testutil::outbound_copy;
 
 namespace {
 
@@ -278,7 +281,7 @@ TEST(NatEngine, UdpOutboundTranslatesAndFixesChecksums) {
     NatEngine nat(loop, profile);
     nat.set_wan_addr(kWan);
 
-    const auto out = nat.outbound(udp_packet(40000, 7000, {'h', 'i'}));
+    const auto out = outbound_copy(nat, udp_packet(40000, 7000, {'h', 'i'}));
     ASSERT_TRUE(out.has_value());
     const auto pkt = net::Ipv4Packet::parse(*out);
     EXPECT_EQ(pkt.h.src, kWan);
@@ -297,7 +300,7 @@ TEST(NatEngine, RoundTripIsInvertible) {
     NatEngine nat(loop, profile);
     nat.set_wan_addr(kWan);
 
-    const auto out = nat.outbound(udp_packet(40000, 7000, {'q'}));
+    const auto out = outbound_copy(nat, udp_packet(40000, 7000, {'q'}));
     ASSERT_TRUE(out.has_value());
 
     // Fabricate the server's reply to the translated packet.
@@ -312,7 +315,7 @@ TEST(NatEngine, RoundTripIsInvertible) {
     reply.payload = rd.serialize(reply.h.src, reply.h.dst);
 
     bool handled = false;
-    const auto in = nat.inbound(reply, handled);
+    const auto in = inbound_copy(nat, reply, handled);
     EXPECT_TRUE(handled);
     ASSERT_TRUE(in.has_value());
     const auto pkt = net::Ipv4Packet::parse(*in);
@@ -337,7 +340,7 @@ TEST(NatEngine, InboundWithoutBindingIsNotHandled) {
     d.dst_port = 68; // the gateway's own DHCP client port
     stray.payload = d.serialize(stray.h.src, stray.h.dst);
     bool handled = true;
-    const auto in = nat.inbound(stray, handled);
+    const auto in = inbound_copy(nat, stray, handled);
     EXPECT_FALSE(handled); // falls through to the gateway's own stack
     EXPECT_FALSE(in.has_value());
 }
@@ -349,7 +352,7 @@ TEST(NatEngine, TtlExhaustionDrops) {
     nat.set_wan_addr(kWan);
     auto pkt = udp_packet(40000, 7000);
     pkt.h.ttl = 1;
-    EXPECT_FALSE(nat.outbound(pkt).has_value());
+    EXPECT_FALSE(outbound_copy(nat, pkt).has_value());
 }
 
 TEST(NatEngine, TcpRstRemovesBindingImmediately) {
@@ -367,13 +370,13 @@ TEST(NatEngine, TcpRstRemovesBindingImmediately) {
     seg.dst_port = 80;
     seg.flags.syn = true;
     syn.payload = seg.serialize(syn.h.src, syn.h.dst);
-    ASSERT_TRUE(nat.outbound(syn).has_value());
+    ASSERT_TRUE(outbound_copy(nat, syn).has_value());
     EXPECT_EQ(nat.tcp_table().size(), 1u);
 
     seg.flags = {};
     seg.flags.rst = true;
     syn.payload = seg.serialize(syn.h.src, syn.h.dst);
-    ASSERT_TRUE(nat.outbound(syn).has_value());
+    ASSERT_TRUE(outbound_copy(nat, syn).has_value());
     EXPECT_EQ(nat.tcp_table().size(), 0u);
 }
 
@@ -400,7 +403,7 @@ TEST(NatEngine, HairpinRequiresKnobAndBinding) {
     EXPECT_EQ(bytes, sent); // a refusal leaves the datagram untouched
 
     // Create the target binding, then hairpin succeeds.
-    ASSERT_TRUE(nat.outbound(udp_packet(40000, 7000)).has_value());
+    ASSERT_TRUE(outbound_copy(nat, udp_packet(40000, 7000)).has_value());
     ASSERT_TRUE(nat.hairpin(v));
     const auto pkt = net::Ipv4Packet::parse(bytes);
     EXPECT_EQ(pkt.h.src, kWan);
@@ -411,7 +414,8 @@ TEST(NatEngine, UnconfiguredEngineViolatesContract) {
     sim::EventLoop loop;
     auto profile = quick_profile();
     NatEngine nat(loop, profile);
-    EXPECT_THROW(nat.outbound(udp_packet(1, 2)), gatekit::ContractViolation);
+    EXPECT_THROW(outbound_copy(nat, udp_packet(1, 2)),
+                 gatekit::ContractViolation);
 }
 
 // --- The cases the in-place translator defines ------------------------------
@@ -424,19 +428,19 @@ TEST(NatEngine, FragmentsAreAnOutboundDropAndNotOursInbound) {
 
     auto first = udp_packet(40000, 7000);
     first.h.more_fragments = true;
-    EXPECT_FALSE(nat.outbound(first).has_value());
+    EXPECT_FALSE(outbound_copy(nat, first).has_value());
     auto later = udp_packet(40000, 7000);
     later.h.frag_offset = 185;
-    EXPECT_FALSE(nat.outbound(later).has_value());
+    EXPECT_FALSE(outbound_copy(nat, later).has_value());
     EXPECT_EQ(nat.stats().dropped_malformed, 2u);
     EXPECT_EQ(nat.udp_table().size(), 0u); // no state for a drop
 
-    const auto out = nat.outbound(udp_packet(40000, 7000));
+    const auto out = outbound_copy(nat, udp_packet(40000, 7000));
     ASSERT_TRUE(out.has_value());
     auto frag = reply_to(*out, {'r'});
     frag.h.more_fragments = true;
     bool handled = true;
-    EXPECT_FALSE(nat.inbound(frag, handled).has_value());
+    EXPECT_FALSE(inbound_copy(nat, frag, handled).has_value());
     EXPECT_FALSE(handled); // the gateway's own stack gets it
 }
 
@@ -449,11 +453,11 @@ TEST(NatEngine, UnsoundTransportGeometryIsACountedDrop) {
     // UDP length one short of the IP payload (a trailing byte).
     auto udp = udp_packet(40000, 7000, {1, 2, 3});
     udp.payload[5] = static_cast<std::uint8_t>(udp.payload[5] - 1);
-    EXPECT_FALSE(nat.outbound(udp).has_value());
+    EXPECT_FALSE(outbound_copy(nat, udp).has_value());
     // TCP data offset of 60 bytes over a 21-byte segment.
     auto tcp = tcp_packet(41000, 80, true);
     tcp.payload[12] = 0xf0;
-    EXPECT_FALSE(nat.outbound(tcp).has_value());
+    EXPECT_FALSE(outbound_copy(nat, tcp).has_value());
 
     EXPECT_EQ(nat.stats().dropped_malformed, 2u);
     EXPECT_EQ(nat.udp_table().size() + nat.tcp_table().size(), 0u);
@@ -467,7 +471,7 @@ TEST(NatEngine, ChecksumlessUdpStaysChecksumless) {
 
     auto pkt = udp_packet(40000, 7000, {'z'});
     pkt.payload[6] = pkt.payload[7] = 0; // sender disabled the checksum
-    const auto out = nat.outbound(pkt);
+    const auto out = outbound_copy(nat, pkt);
     ASSERT_TRUE(out.has_value());
     const auto wire = net::Ipv4Packet::parse(*out);
     EXPECT_EQ(wire.payload[6], 0);
@@ -476,7 +480,7 @@ TEST(NatEngine, ChecksumlessUdpStaysChecksumless) {
     auto reply = reply_to(*out, {'y'});
     reply.payload[6] = reply.payload[7] = 0;
     bool handled = false;
-    const auto in = nat.inbound(reply, handled);
+    const auto in = inbound_copy(nat, reply, handled);
     ASSERT_TRUE(in.has_value());
     const auto lan = net::Ipv4Packet::parse(*in);
     EXPECT_EQ(lan.h.dst, kClient);
@@ -494,7 +498,7 @@ TEST(NatEngine, WrongTcpChecksumKeepsItsError) {
     pkt.payload[16] ^= 0x5a; // damaged in flight
     const auto in_error = l4_residual(pkt.serialize());
     ASSERT_NE(in_error, 0);
-    const auto out = nat.outbound(pkt);
+    const auto out = outbound_copy(nat, pkt);
     ASSERT_TRUE(out.has_value()); // forwarded, not repaired
     EXPECT_EQ(net::Ipv4Packet::parse(*out).h.src, kWan);
     EXPECT_EQ(l4_residual(*out), in_error);
@@ -509,7 +513,7 @@ TEST(NatEngine, RecordRouteIsStampedInPlace) {
 
     auto pkt = udp_packet(40000, 7000, {'r'});
     pkt.h.options = net::Ipv4Packet::make_record_route_option(2);
-    const auto out = nat.outbound(pkt);
+    const auto out = outbound_copy(nat, pkt);
     ASSERT_TRUE(out.has_value());
     const auto wire = net::Ipv4Packet::parse(*out);
     EXPECT_TRUE(wire.h.checksum_ok);
@@ -519,7 +523,7 @@ TEST(NatEngine, RecordRouteIsStampedInPlace) {
     // A full route is left as it came; the header stays valid.
     pkt.h.options = wire.h.options;
     pkt.h.options[2] = static_cast<std::uint8_t>(pkt.h.options[1] + 1);
-    const auto full = nat.outbound(pkt);
+    const auto full = outbound_copy(nat, pkt);
     ASSERT_TRUE(full.has_value());
     const auto again = net::Ipv4Packet::parse(*full);
     EXPECT_TRUE(again.h.checksum_ok);

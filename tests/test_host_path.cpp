@@ -359,6 +359,7 @@ std::optional<ExpectedRst> reference_reply(StandIn& si, const sim::Frame& raw) {
         pkt = net::Ipv4Packet::parse(eth.payload);
         if (!pkt.h.dst.is_broadcast() && !si.host.is_local_addr(pkt.h.dst))
             return std::nullopt;
+        if (pkt.h.more_fragments || pkt.h.frag_offset != 0) return std::nullopt;
         if (pkt.h.protocol != net::proto::kTcp) return std::nullopt;
         seg = net::TcpSegment::parse(pkt.payload, pkt.h.src, pkt.h.dst);
     } catch (const net::ParseError&) {

@@ -9,9 +9,12 @@
 #include "net/icmp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
+#include "testutil.hpp"
 
 using namespace gatekit;
 using namespace gatekit::gateway;
+using testutil::inbound_copy;
+using testutil::outbound_copy;
 
 namespace {
 
@@ -96,14 +99,14 @@ struct NatBed {
 TEST(NatEngineCaps, EchoQueryTableHoldsAt1024) {
     NatBed bed;
     for (std::uint16_t id = 0; id < kSideTableCap + 100; ++id)
-        bed.nat.outbound(echo_request(id));
+        outbound_copy(bed.nat, echo_request(id));
     EXPECT_EQ(bed.nat.icmp_query_count(), kSideTableCap);
     EXPECT_EQ(bed.nat.stats().dropped_capacity, 100u);
     // A live query still crosses a full table.
-    EXPECT_TRUE(bed.nat.outbound(echo_request(7)).has_value());
+    EXPECT_TRUE(outbound_copy(bed.nat, echo_request(7)).has_value());
     // Past the 60 s query timeout the full table prunes itself.
     bed.wait(std::chrono::seconds(61));
-    EXPECT_TRUE(bed.nat.outbound(echo_request(0xbeef)).has_value());
+    EXPECT_TRUE(outbound_copy(bed.nat, echo_request(0xbeef)).has_value());
     EXPECT_EQ(bed.nat.icmp_query_count(), 1u);
 }
 
@@ -112,12 +115,13 @@ TEST(NatEngineCaps, IpOnlyTableHoldsAt1024) {
     p.unknown_proto = UnknownProtocolPolicy::TranslateIpOnly;
     NatBed bed(p);
     for (int k = 0; k < static_cast<int>(kSideTableCap) + 100; ++k)
-        bed.nat.outbound(unknown_proto_packet(k));
+        outbound_copy(bed.nat, unknown_proto_packet(k));
     EXPECT_EQ(bed.nat.ip_only_count(), kSideTableCap);
     EXPECT_EQ(bed.nat.stats().dropped_capacity, 100u);
-    EXPECT_TRUE(bed.nat.outbound(unknown_proto_packet(3)).has_value());
+    EXPECT_TRUE(outbound_copy(bed.nat, unknown_proto_packet(3)).has_value());
     bed.wait(p.unknown_proto_timeout + std::chrono::seconds(1));
-    EXPECT_TRUE(bed.nat.outbound(unknown_proto_packet(5000)).has_value());
+    EXPECT_TRUE(
+        outbound_copy(bed.nat, unknown_proto_packet(5000)).has_value());
     EXPECT_EQ(bed.nat.ip_only_count(), 1u);
 }
 
@@ -125,10 +129,11 @@ TEST(NatEngineCaps, RebootFlushesBothSideTables) {
     DeviceProfile p;
     p.unknown_proto = UnknownProtocolPolicy::TranslateIpOnly;
     NatBed bed(p);
-    ASSERT_TRUE(bed.nat.outbound(udp_packet(kClient, 4000, kServer, 53)));
-    ASSERT_TRUE(bed.nat.outbound(tcp_syn(kClient, 4001, kServer, 80)));
-    ASSERT_TRUE(bed.nat.outbound(echo_request(1)));
-    ASSERT_TRUE(bed.nat.outbound(unknown_proto_packet(0)));
+    ASSERT_TRUE(
+        outbound_copy(bed.nat, udp_packet(kClient, 4000, kServer, 53)));
+    ASSERT_TRUE(outbound_copy(bed.nat, tcp_syn(kClient, 4001, kServer, 80)));
+    ASSERT_TRUE(outbound_copy(bed.nat, echo_request(1)));
+    ASSERT_TRUE(outbound_copy(bed.nat, unknown_proto_packet(0)));
     ASSERT_EQ(bed.nat.icmp_query_count(), 1u);
     ASSERT_EQ(bed.nat.ip_only_count(), 1u);
 
@@ -144,7 +149,7 @@ TEST(NatEngineCaps, FloodsStopAtTheCapAndAnEstablishedFlowSurvives) {
     p.max_tcp_bindings = 32;
     NatBed bed(p);
     const auto victim_out =
-        bed.nat.outbound(udp_packet(kClient, 45000, kServer, 7000));
+        outbound_copy(bed.nat, udp_packet(kClient, 45000, kServer, 7000));
     ASSERT_TRUE(victim_out.has_value());
     const std::uint16_t victim_ext = external_udp_port(*victim_out);
 
@@ -152,9 +157,10 @@ TEST(NatEngineCaps, FloodsStopAtTheCapAndAnEstablishedFlowSurvives) {
     int udp_refused = 0, tcp_refused = 0;
     for (int k = 0; k < kFlood; ++k) {
         const auto port = static_cast<std::uint16_t>(1024 + k);
-        if (!bed.nat.outbound(udp_packet(lan_host(k), port, kServer, 53)))
+        if (!outbound_copy(bed.nat,
+                           udp_packet(lan_host(k), port, kServer, 53)))
             ++udp_refused;
-        if (!bed.nat.outbound(tcp_syn(lan_host(k), port, kServer, 80)))
+        if (!outbound_copy(bed.nat, tcp_syn(lan_host(k), port, kServer, 80)))
             ++tcp_refused;
     }
     EXPECT_EQ(bed.nat.udp_table().size(), 32u);
@@ -166,7 +172,7 @@ TEST(NatEngineCaps, FloodsStopAtTheCapAndAnEstablishedFlowSurvives) {
 
     // The victim's binding still translates inbound on a full table.
     bool handled = false;
-    const auto in = bed.nat.inbound(
+    const auto in = inbound_copy(bed.nat, 
         udp_packet(kServer, 7000, kWan, victim_ext), handled);
     ASSERT_TRUE(in.has_value());
     EXPECT_TRUE(handled);
@@ -187,8 +193,8 @@ TEST(NatEngineCaps, CollidingSourcePortsMapToDistinctExternalPorts) {
         std::set<std::uint16_t> ports;
         constexpr int kHosts = 64;
         for (int h = 0; h < kHosts; ++h) {
-            const auto out =
-                bed.nat.outbound(udp_packet(lan_host(h), 7777, kServer, 9000));
+            const auto out = outbound_copy(
+                bed.nat, udp_packet(lan_host(h), 7777, kServer, 9000));
             ASSERT_TRUE(out.has_value()) << static_cast<int>(alloc);
             ports.insert(external_udp_port(*out));
         }

@@ -16,9 +16,12 @@
 #include "net/sctp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
+#include "testutil.hpp"
 
 using namespace gatekit;
 using namespace gatekit::gateway;
+using testutil::inbound_copy;
+using testutil::outbound_copy;
 
 namespace {
 
@@ -71,16 +74,17 @@ struct NatBed {
 // naming an echo query that had timed out was still relayed inside.
 TEST(NatEngineIcmp, ErrorAboutAnExpiredEchoQueryIsNotOurs) {
     NatBed bed;
-    ASSERT_TRUE(bed.nat.outbound(echo_request(kClient, kServer, 0x4242)));
+    ASSERT_TRUE(
+        outbound_copy(bed.nat, echo_request(kClient, kServer, 0x4242)));
     const auto err = host_unreachable(kServer, kWan,
                                       echo_request(kWan, kServer, 0x4242));
     bool handled = false;
-    EXPECT_TRUE(bed.nat.inbound(err, handled).has_value());
+    EXPECT_TRUE(inbound_copy(bed.nat, err, handled).has_value());
     EXPECT_TRUE(handled);
 
     bed.wait(std::chrono::seconds(61)); // the 60 s query timeout
     handled = true;
-    EXPECT_FALSE(bed.nat.inbound(err, handled).has_value());
+    EXPECT_FALSE(inbound_copy(bed.nat, err, handled).has_value());
     EXPECT_FALSE(handled);
     EXPECT_EQ(bed.nat.stats().icmp_translated, 1u);
 }
@@ -91,18 +95,17 @@ TEST(NatEngineIcmp, ErrorAboutAnExpiredEchoQueryIsNotOurs) {
 TEST(NatEngineIcmp, ErrorAboutNoLiveEchoQueryIsNotOurs) {
     NatBed bed;
     bool handled = true;
-    EXPECT_FALSE(bed.nat
-                     .inbound(host_unreachable(
+    EXPECT_FALSE(inbound_copy(bed.nat, host_unreachable(
                                   kServer, kWan,
                                   echo_request(kWan, kServer, 0x1111)),
                               handled)
                      .has_value());
     EXPECT_FALSE(handled);
 
-    ASSERT_TRUE(bed.nat.outbound(echo_request(kClient, kServer, 0x1111)));
+    ASSERT_TRUE(
+        outbound_copy(bed.nat, echo_request(kClient, kServer, 0x1111)));
     handled = true;
-    EXPECT_FALSE(bed.nat
-                     .inbound(host_unreachable(
+    EXPECT_FALSE(inbound_copy(bed.nat, host_unreachable(
                                   kServer, kWan,
                                   echo_request(kWan, kServer, 0x1111), 4),
                               handled)
@@ -119,8 +122,7 @@ TEST(NatEngineIcmp, UntranslatedQueryErrorsStayACountedDrop) {
     p.icmp_query_errors_translated = false;
     NatBed bed(p);
     bool handled = false;
-    EXPECT_FALSE(bed.nat
-                     .inbound(host_unreachable(
+    EXPECT_FALSE(inbound_copy(bed.nat, host_unreachable(
                                   kServer, kWan,
                                   echo_request(kWan, kServer, 0x2222)),
                               handled)
@@ -144,7 +146,7 @@ TEST(NatEngineIcmp, GatewayOwnPingHearsItsErrors) {
     auto& s = tb.slot(idx);
     int heard = 0;
     s.gw->host().set_icmp_observer(
-        [&](const net::Ipv4Packet&, const net::IcmpMessage& m) {
+        [&](const net::PacketView&, const net::IcmpMessage& m) {
             if (m.type == net::IcmpType::DestUnreachable) ++heard;
         });
     const auto err = host_unreachable(
@@ -277,14 +279,15 @@ TEST(NatEngineIcmp, RelayedErrorsGetAFreshIcmpChecksumQueriesKeepTheirs) {
 // drop; coming in it is not the NAT's.
 TEST(NatEngineIcmp, TruncatedIcmpIsAMalformedDropOutAndNotOursIn) {
     NatBed bed;
-    EXPECT_FALSE(bed.nat.outbound(raw_packet(net::proto::kIcmp, kClient,
+    EXPECT_FALSE(outbound_copy(bed.nat, raw_packet(net::proto::kIcmp, kClient,
                                              kServer, {8, 0, 0, 0})));
     EXPECT_EQ(bed.nat.stats().dropped_malformed, 1u);
     EXPECT_EQ(bed.nat.icmp_query_count(), 0u);
     bool handled = true;
-    EXPECT_FALSE(bed.nat.inbound(raw_packet(net::proto::kIcmp, kServer, kWan,
-                                            {0, 0, 0, 0, 0, 0, 0}),
-                                 handled));
+    EXPECT_FALSE(inbound_copy(bed.nat,
+                              raw_packet(net::proto::kIcmp, kServer, kWan,
+                                         {0, 0, 0, 0, 0, 0, 0}),
+                              handled));
     EXPECT_FALSE(handled);
 }
 
@@ -299,7 +302,7 @@ TEST(NatEngineIcmp, Ls2RstReplacesTheErrorInPlace) {
     syn.src_port = 41000;
     syn.dst_port = 80;
     syn.flags.syn = true;
-    const auto out = bed.nat.outbound(raw_packet(
+    const auto out = outbound_copy(bed.nat, raw_packet(
         net::proto::kTcp, kClient, kServer, syn.serialize(kClient, kServer)));
     ASSERT_TRUE(out);
     auto err =
@@ -327,7 +330,7 @@ TEST(NatEngineIcmp, TimeExceededQuotesTheDatagramAsItArrived) {
     tb.start_and_wait();
     auto& s = tb.slot(idx);
     std::vector<net::Bytes> quotes;
-    const auto collect = [&](const net::Ipv4Packet&,
+    const auto collect = [&](const net::PacketView&,
                              const net::IcmpMessage& m) {
         if (m.type == net::IcmpType::TimeExceeded) quotes.push_back(m.payload);
     };

@@ -12,7 +12,7 @@ TEST(Netif, ArpResolutionAndDelivery) {
     auto& sock_b = net.b.udp_open(net::Ipv4Addr::any(), 7777);
     sock_b.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t> p,
-            const net::Ipv4Packet&) {
+            const net::PacketView&) {
             got = true;
             EXPECT_EQ(src.addr, net::Ipv4Addr(10, 0, 0, 1));
             EXPECT_EQ(p.size(), 3u);
@@ -32,7 +32,7 @@ TEST(Netif, PacketsQueueBehindArp) {
     auto& sock_b = net.b.udp_open(net::Ipv4Addr::any(), 7777);
     sock_b.set_receive_handler(
         [&](net::Endpoint, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) { ++got; });
+            const net::PacketView&) { ++got; });
     auto& sock_a = net.a.udp_open(net::Ipv4Addr::any(), 0);
     // Three sends before any ARP reply can arrive: all must be delivered.
     for (int i = 0; i < 3; ++i)
@@ -110,7 +110,7 @@ TEST(VlanSwitch, TrunkToAccessDelivery) {
     auto& sock = net.h1.udp_open(net::Ipv4Addr::any(), 5000);
     sock.set_receive_handler([&](net::Endpoint,
                                  std::span<const std::uint8_t>,
-                                 const net::Ipv4Packet&) { got = true; });
+                                 const net::PacketView&) { got = true; });
     auto& out = net.trunk_host.udp_open(net::Ipv4Addr::any(), 0);
     out.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {9});
     net.loop.run();
@@ -126,12 +126,12 @@ TEST(VlanSwitch, VlansAreIsolated) {
     auto& sock2 = net.h2.udp_open(net::Ipv4Addr::any(), 5000);
     sock2.set_receive_handler([&](net::Endpoint,
                                   std::span<const std::uint8_t>,
-                                  const net::Ipv4Packet&) { ++got_h2; });
+                                  const net::PacketView&) { ++got_h2; });
     int got_h1 = 0;
     auto& sock1 = net.h1.udp_open(net::Ipv4Addr::any(), 5000);
     sock1.set_receive_handler([&](net::Endpoint,
                                   std::span<const std::uint8_t>,
-                                  const net::Ipv4Packet&) { ++got_h1; });
+                                  const net::PacketView&) { ++got_h1; });
     auto& out = net.trunk_host.udp_open(net::Ipv4Addr::any(), 0);
     out.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {9});
     net.loop.run();
@@ -146,13 +146,13 @@ TEST(VlanSwitch, BidirectionalAcrossTrunk) {
     auto& server = net.trunk_host.udp_open(net::Ipv4Addr::any(), 6000);
     server.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) {
+            const net::PacketView&) {
             server.send_to(src, {7, 7});
         });
     auto& client = net.h2.udp_open(net::Ipv4Addr::any(), 0);
     client.set_receive_handler([&](net::Endpoint,
                                    std::span<const std::uint8_t> p,
-                                   const net::Ipv4Packet&) {
+                                   const net::PacketView&) {
         reply_seen = p.size() == 2;
     });
     client.send_to({net::Ipv4Addr(192, 168, 200, 1), 6000}, {1});
@@ -165,7 +165,7 @@ TEST(VlanSwitch, LearnsAndStopsFlooding) {
     auto& server = net.h1.udp_open(net::Ipv4Addr::any(), 5000);
     server.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t>,
-            const net::Ipv4Packet&) { server.send_to(src, {1}); });
+            const net::PacketView&) { server.send_to(src, {1}); });
     auto& client = net.trunk_host.udp_open(net::Ipv4Addr::any(), 0);
     client.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {1});
     net.loop.run();

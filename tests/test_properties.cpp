@@ -13,9 +13,12 @@
 #include "net/sctp.hpp"
 #include "net/udp.hpp"
 #include "util/stats.hpp"
+#include "testutil.hpp"
 
 using namespace gatekit;
 using namespace gatekit::harness;
+using testutil::inbound_copy;
+using testutil::outbound_copy;
 
 // --- property: the timeout probe recovers any configured timeout ------------
 
@@ -73,7 +76,7 @@ TEST_P(NatInvertibility, RandomDatagramsSurviveBothDirections) {
         d.payload = payload;
         pkt.payload = d.serialize(pkt.h.src, pkt.h.dst);
 
-        const auto out = nat.outbound(pkt);
+        const auto out = outbound_copy(nat, pkt);
         ASSERT_TRUE(out.has_value());
         const auto outer = net::Ipv4Packet::parse(*out);
         ASSERT_TRUE(outer.h.checksum_ok);
@@ -94,7 +97,7 @@ TEST_P(NatInvertibility, RandomDatagramsSurviveBothDirections) {
         reply.payload = rd.serialize(reply.h.src, reply.h.dst);
 
         bool handled = false;
-        const auto in = nat.inbound(reply, handled);
+        const auto in = inbound_copy(nat, reply, handled);
         ASSERT_TRUE(handled);
         ASSERT_TRUE(in.has_value());
         const auto inner = net::Ipv4Packet::parse(*in);

@@ -196,7 +196,7 @@ TEST(Hairpin, UdpReachesSiblingSocketThroughWanAddress) {
     int a_rx = 0;
     a.set_receive_handler([&](net::Endpoint src,
                               std::span<const std::uint8_t>,
-                              const net::Ipv4Packet&) {
+                              const net::PacketView&) {
         a_seen_from = src;
         ++a_rx;
     });
@@ -225,16 +225,16 @@ TEST(Hairpin, ExpiringTtlDrawsTimeExceeded) {
     auto& a = bed.tb.client().udp_open(slot.client_addr, 50001);
     int a_rx = 0;
     a.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
-                              const net::Ipv4Packet&) { ++a_rx; });
+                              const net::PacketView&) { ++a_rx; });
     a.send_to({slot.server_addr, 5600}, {'a'});
     bed.loop.run();
 
     auto& b = bed.tb.client().udp_open(slot.client_addr, 50002);
     int time_exceeded = 0;
-    b.set_icmp_handler([&](const net::IcmpMessage& msg,
-                           const net::Ipv4Packet&) {
-        if (msg.type == net::IcmpType::TimeExceeded) ++time_exceeded;
-    });
+    bed.tb.client().set_icmp_observer(
+        [&](const net::PacketView&, const net::IcmpMessage& msg) {
+            if (msg.type == net::IcmpType::TimeExceeded) ++time_exceeded;
+        });
     for (const std::uint8_t ttl : {1, 0}) {
         stack::UdpSocket::SendOptions opts;
         opts.ttl = ttl;
@@ -257,7 +257,7 @@ TEST(Hairpin, DisabledDeviceDeliversToGatewayInstead) {
     auto& a = bed.tb.client().udp_open(slot.client_addr, 50001);
     int a_rx = 0;
     a.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
-                              const net::Ipv4Packet&) { ++a_rx; });
+                              const net::PacketView&) { ++a_rx; });
     a.send_to({slot.server_addr, 5600}, {'a'});
     bed.loop.run();
 
@@ -284,7 +284,7 @@ bool punch(const DeviceProfile& pa, const DeviceProfile& pb) {
     net::Endpoint refl_a, refl_b;
     rv.set_receive_handler([&](net::Endpoint src,
                                std::span<const std::uint8_t> p,
-                               const net::Ipv4Packet&) {
+                               const net::PacketView&) {
         if (!p.empty() && p[0] == 'A') refl_a = src;
         if (!p.empty() && p[0] == 'B') refl_b = src;
     });
@@ -295,11 +295,11 @@ bool punch(const DeviceProfile& pa, const DeviceProfile& pb) {
                                     tb.slot(ib).client_if);
     bool heard_a = false, heard_b = false;
     sa.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t> p,
-                               const net::Ipv4Packet&) {
+                               const net::PacketView&) {
         if (!p.empty() && p[0] == 'P') heard_a = true;
     });
     sb.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t> p,
-                               const net::Ipv4Packet&) {
+                               const net::PacketView&) {
         if (!p.empty() && p[0] == 'P') heard_b = true;
     });
 
@@ -371,7 +371,7 @@ TEST(Turn, AllocateAndRelayBothDirections) {
     bool peer_heard = false;
     peer.set_receive_handler([&](net::Endpoint src,
                                  std::span<const std::uint8_t> p,
-                                 const net::Ipv4Packet&) {
+                                 const net::PacketView&) {
         if (src == relay && !p.empty() && p[0] == 'x') peer_heard = true;
     });
     net::Endpoint peer_as_seen;

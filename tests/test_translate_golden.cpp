@@ -37,9 +37,12 @@
 #include "net/sctp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
+#include "testutil.hpp"
 
 using namespace gatekit;
 using gateway::FlowKey;
+using testutil::inbound_copy;
+using testutil::outbound_copy;
 
 namespace {
 
@@ -825,12 +828,12 @@ public:
         // HomeGateway's dispatch: traffic to the external address is a
         // hairpin candidate, everything else translates outbound.
         record(pkt.h.dst == kWan ? hairpin_copy(nat_, pkt)
-                                 : nat_.outbound(pkt),
+                                 : outbound_copy(nat_, pkt),
                2);
     }
     void wan(const net::Bytes& d) override {
         bool handled = false;
-        auto out = nat_.inbound(net::Ipv4Packet::parse(d), handled);
+        auto out = inbound_copy(nat_, net::Ipv4Packet::parse(d), handled);
         record(out, handled ? 1 : 0);
     }
     void wait(sim::Duration d) override { loop_.run_until(loop_.now() + d); }
@@ -873,7 +876,7 @@ public:
     void lan(const net::Bytes& d) override {
         const auto pkt = net::Ipv4Packet::parse(d);
         const bool pin = pkt.h.dst == kExternal;
-        auto out = pin ? hairpin_copy(cgn_, pkt) : cgn_.outbound(pkt);
+        auto out = pin ? hairpin_copy(cgn_, pkt) : outbound_copy(cgn_, pkt);
         record(out, 2);
         // Learn external ports from what the translator emitted.
         if (!pin && out && (pkt.h.protocol == net::proto::kUdp ||
@@ -889,7 +892,7 @@ public:
     }
     void wan(const net::Bytes& d) override {
         bool handled = false;
-        auto out = cgn_.inbound(net::Ipv4Packet::parse(d), handled);
+        auto out = inbound_copy(cgn_, net::Ipv4Packet::parse(d), handled);
         record(out, handled ? 1 : 0);
     }
     void wait(sim::Duration d) override { loop_.run_until(loop_.now() + d); }

@@ -3,6 +3,7 @@
 
 #include "util/assert.hpp"
 
+#include "gateway/nat_engine.hpp"
 #include "net/checksum.hpp"
 #include "net/icmp.hpp"
 #include "net/ipv4.hpp"
@@ -148,11 +149,12 @@ TEST(Icmp, ErrorQuotesHeaderPlus8Bytes) {
 
     // The embedded bytes must carry the original ports.
     const auto g = IcmpMessage::parse(err.serialize());
-    const auto inner = Ipv4Packet::parse_prefix(g.payload);
-    EXPECT_EQ(inner.h.src, kSrc);
-    EXPECT_EQ(inner.payload.size(), 8u);
-    EXPECT_EQ((inner.payload[0] << 8) | inner.payload[1], 1234);
-    EXPECT_EQ((inner.payload[2] << 8) | inner.payload[3], 5678);
+    const auto inner = gatekit::gateway::IcmpQuote::parse(g.payload);
+    ASSERT_TRUE(inner.has_value());
+    EXPECT_EQ(inner->src, kSrc);
+    EXPECT_EQ(inner->l4.size(), 8u);
+    EXPECT_EQ(inner->word(0), 1234);
+    EXPECT_EQ(inner->word(2), 5678);
 }
 
 TEST(Icmp, FragNeededCarriesMtu) {

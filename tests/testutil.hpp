@@ -2,7 +2,9 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 
+#include "gateway/nat_engine.hpp"
 #include "l2/vlan_switch.hpp"
 #include "sim/link.hpp"
 #include "stack/host.hpp"
@@ -31,6 +33,35 @@ struct Net2 {
         b.add_route(net::Ipv4Addr(10, 0, 0, 0), 24, ib);
     }
 };
+
+/// Serialize `pkt` and translate the copy in place with a NatEngine or
+/// CgnEngine: the datagram to emit, or nullopt unless it was forwarded.
+template <class Engine>
+std::optional<net::Bytes> outbound_copy(Engine& engine,
+                                        const net::Ipv4Packet& pkt) {
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    if (engine.outbound(v) != gateway::NatEngine::Verdict::kForwarded)
+        return std::nullopt;
+    return bytes;
+}
+
+/// outbound_copy's WAN-side counterpart. `handled` is false exactly when
+/// the engine says kNotOurs. The copy is cut to the translated total
+/// length: an ICMP error may have become a shorter RST.
+template <class Engine>
+std::optional<net::Bytes> inbound_copy(Engine& engine,
+                                       const net::Ipv4Packet& pkt,
+                                       bool& handled) {
+    net::Bytes bytes = pkt.serialize();
+    auto v = net::PacketView::of(bytes);
+    const auto verdict = engine.inbound(v);
+    using Verdict = gateway::NatEngine::Verdict;
+    handled = verdict != Verdict::kNotOurs;
+    if (verdict != Verdict::kForwarded) return std::nullopt;
+    bytes.resize(v.total_len());
+    return bytes;
+}
 
 /// A frame filter placed bump-in-the-wire between two links, used to
 /// inject loss:   a --linkA-- [filter] --linkB-- b
