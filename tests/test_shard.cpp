@@ -1,9 +1,10 @@
 // Device-sharded campaign scheduling (harness::ShardScheduler): the
 // merged artifacts of an N-worker run — per-device results, the merged
-// journal, the merged metrics snapshot — must be byte-identical to the
-// one-worker run for every N, and a truncated journal must resume
-// correctly at any worker count. These are the invariants that
-// make GATEKIT_WORKERS a pure wall-clock knob.
+// journal, the merged metrics snapshot, the merged trace and time
+// series — must be byte-identical to the one-worker run for every N,
+// and a truncated journal must resume correctly at any worker count.
+// These are the invariants that make GATEKIT_WORKERS a pure wall-clock
+// knob.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -58,7 +59,22 @@ struct Artifacts {
     std::string results;
     std::string journal;
     std::string metrics;
+    std::string trace;      ///< merged trace JSONL
+    std::string timeseries; ///< merged time-series JSONL
 };
+
+// Removes a run's trace and time-series sidecars, the flight manifest and
+// every flight dump the manifest lists.
+void remove_sidecars(const std::string& trace_path,
+                     const std::string& timeseries_path) {
+    const std::string manifest = trace_path + ".flight.manifest";
+    std::istringstream dumps(slurp(manifest));
+    for (std::string dump; std::getline(dumps, dump);)
+        std::remove(dump.c_str());
+    std::remove(manifest.c_str());
+    std::remove(trace_path.c_str());
+    std::remove(timeseries_path.c_str());
+}
 
 Artifacts run_sharded(int workers, const std::string& journal_path,
                       bool resume = false) {
@@ -69,11 +85,16 @@ Artifacts run_sharded(int workers, const std::string& journal_path,
     opts.journal_path = journal_path;
     opts.resume = resume;
     opts.metrics = true;
+    opts.trace_path = journal_path + ".trace";
+    opts.timeseries_path = journal_path + ".ts";
     auto out = ShardScheduler::run(opts);
     Artifacts a;
     a.results = results_json(out.results);
     a.journal = slurp(journal_path);
     a.metrics = out.metrics != nullptr ? out.metrics->to_csv() : "";
+    a.trace = slurp(opts.trace_path);
+    a.timeseries = slurp(opts.timeseries_path);
+    remove_sidecars(opts.trace_path, opts.timeseries_path);
     return a;
 }
 
@@ -86,6 +107,8 @@ TEST(Shard, MergedOutputMatchesSequentialAtAnyWorkerCount) {
     ASSERT_FALSE(ref.results.empty());
     ASSERT_FALSE(ref.journal.empty());
     ASSERT_FALSE(ref.metrics.empty());
+    ASSERT_FALSE(ref.trace.empty());
+    ASSERT_FALSE(ref.timeseries.empty());
 
     for (const int workers : {2, 7, 34}) {
         const std::string path =
@@ -95,6 +118,8 @@ TEST(Shard, MergedOutputMatchesSequentialAtAnyWorkerCount) {
         EXPECT_EQ(got.results, ref.results) << "workers=" << workers;
         EXPECT_EQ(got.journal, ref.journal) << "workers=" << workers;
         EXPECT_EQ(got.metrics, ref.metrics) << "workers=" << workers;
+        EXPECT_EQ(got.trace, ref.trace) << "workers=" << workers;
+        EXPECT_EQ(got.timeseries, ref.timeseries) << "workers=" << workers;
         std::remove(path.c_str());
     }
     std::remove(ref_path.c_str());
