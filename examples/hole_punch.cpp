@@ -21,7 +21,7 @@ struct Peer {
     const char* name;
     int slot;
     stack::UdpSocket* sock = nullptr;
-    net::Endpoint reflexive;   ///< learned by the rendezvous server
+    net::Endpoint reflexive{}; ///< learned by the rendezvous server
     bool heard_from_peer = false;
 };
 

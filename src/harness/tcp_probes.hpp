@@ -24,7 +24,8 @@ struct TcpTimeoutConfig {
                         .resolution = std::chrono::seconds(1),
                         .retry = {},
                         .tracer = nullptr,
-                        .trace_device = {}};
+                        .trace_device = {},
+                        .cancel = {}};
     /// Extra whole-trial attempts when the connection cannot even be
     /// established (lossy links exhausting the stack's own SYN
     /// retransmissions, stalled gateways). Default-off: a failed connect

@@ -43,12 +43,8 @@ struct UdpProbeConfig {
     int repetitions = 9; ///< paper used 55-100; each is a full search
     std::uint16_t server_port = 34567;
     sim::Duration grace{std::chrono::seconds(3)}; ///< inbound-probe wait
-    SearchParams search{.first_guess = std::chrono::seconds(16),
-                        .hi_limit = std::chrono::hours(1),
-                        .resolution = std::chrono::seconds(1),
-                        .retry = {},
-                        .tracer = nullptr,
-                        .trace_device = {}};
+    /// First guess 16 s, cutoff 1 h, 1 s resolution: the defaults.
+    SearchParams search;
     UdpRetryPolicy retry;
 };
 
