@@ -4,13 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -359,80 +359,40 @@ Testrund::run_blocking(const CampaignConfig& config) {
     return out;
 }
 
-std::string ShardScheduler::segment_path(const std::string& path,
-                                         int shard) {
-    return path + ".shard" + std::to_string(shard);
-}
-
 namespace {
 
-/// Fixed-size copy chunk for every streaming merge. Nothing in the
-/// merge path may allocate proportionally to a segment.
-constexpr std::size_t kMergeChunk = 64 * 1024;
+/// A merged sidecar, opened before any worker starts.
+void open_sidecar(std::ofstream& out, const std::string& path,
+                  const char* what) {
+    out.open(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        throw std::runtime_error("shard scheduler: cannot open " +
+                                 std::string(what) + " '" + path + "'");
+}
 
-/// Streaming segment concatenator shared by the incremental trace and
-/// time-series merges. Appends segments one by one in fixed-size
-/// chunks, deleting each segment only after its bytes are flushed to the
-/// merged file.
-class SegmentMerger {
-public:
-    explicit SegmentMerger(std::string path) : path_(std::move(path)) {
-        out_.open(path_, std::ios::binary | std::ios::trunc);
-        if (!out_.good())
-            throw std::runtime_error(
-                "shard scheduler: cannot write merged file '" + path_ +
-                "'");
-    }
+/// Appends one device's bytes at the frontier.
+void append_sidecar(std::ofstream& out, const std::string& bytes,
+                    const std::string& path) {
+    out << bytes;
+    if (!out)
+        throw std::runtime_error("shard scheduler: write failed for '" +
+                                 path + "'");
+}
 
-    void append_segment(const std::string& seg) {
-        std::ifstream in(seg, std::ios::binary);
-        if (!in.good())
-            throw std::runtime_error(
-                "shard scheduler: missing segment '" + seg + "'");
-        char buf[kMergeChunk];
-        stats_.peak_buffer_bytes =
-            std::max(stats_.peak_buffer_bytes, sizeof buf);
-        while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-            out_.write(buf, in.gcount());
-            stats_.bytes += static_cast<std::uint64_t>(in.gcount());
-        }
-        out_.flush();
-        if (!out_.good())
-            throw std::runtime_error(
-                "shard scheduler: write failed for merged file '" + path_ +
-                "'");
-        in.close();
-        std::remove(seg.c_str());
-        ++stats_.segments;
-    }
+void close_sidecar(std::ofstream& out, const std::string& path) {
+    if (!out.is_open()) return;
+    out.close();
+    if (out.fail())
+        throw std::runtime_error("shard scheduler: cannot finalize '" +
+                                 path + "'");
+}
 
-    void finish() {
-        out_.flush();
-        out_.close();
-        if (out_.fail())
-            throw std::runtime_error(
-                "shard scheduler: cannot finalize merged file '" + path_ +
-                "'");
-    }
-
-    const ShardScheduler::MergeStats& stats() const { return stats_; }
-
-private:
-    std::string path_;
-    std::ofstream out_;
-    ShardScheduler::MergeStats stats_;
-};
+/// Device k's flight-recorder dumps land at `<base>.<n>.jsonl`.
+std::string flight_base(const std::string& trace_path, int device) {
+    return trace_path + ".shard" + std::to_string(device) + ".flight";
+}
 
 } // namespace
-
-void ShardScheduler::merge_traces(const std::string& path, int n_segments,
-                                  MergeStats* stats) {
-    SegmentMerger merger(path);
-    for (int k = 0; k < n_segments; ++k)
-        merger.append_segment(segment_path(path, k));
-    merger.finish();
-    if (stats != nullptr) *stats = merger.stats();
-}
 
 ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     const int n = static_cast<int>(opts.roster.size());
@@ -506,8 +466,9 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
 
     // Per-shard completion state, merged in canonical device order by a
     // frontier that advances as shards finish: journal records append,
-    // results stream out (or accumulate), metrics merge, and trace
-    // segments append to the merged files — then the state is dropped.
+    // results stream out (or accumulate), metrics merge, and the trace
+    // and time-series buffers append to the merged files — then the
+    // state is dropped.
     // Out-of-order completions wait in `pending`, whose size the backlog
     // bound below keeps O(workers), so memory stays flat however large
     // the roster.
@@ -516,6 +477,8 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         std::string record; ///< device_results_json, when journaling
         std::unique_ptr<obs::MetricsRegistry> metrics;
         std::vector<obs::ProfileSpan> spans;
+        std::string trace;      ///< the shard's trace JSONL
+        std::string timeseries; ///< the shard's time-series JSONL
         std::string device_label;
         std::int64_t wall_ns = 0;
         int worker = 0;
@@ -526,21 +489,18 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     std::map<int, Pending> pending;
     std::map<int, std::exception_ptr> errors;
     int frontier = restored;
-    std::optional<SegmentMerger> tmerge, tsmerge;
-    if (!opts.trace_path.empty()) tmerge.emplace(opts.trace_path);
-    if (!opts.timeseries_path.empty()) tsmerge.emplace(opts.timeseries_path);
     // Flight-recorder dumps stay per-shard files (each is a complete
     // trace window); the manifest lists them in canonical device order
     // so a reader walks dumps in the same order at any worker count.
-    std::ofstream flight_manifest;
+    const std::string manifest_path = opts.trace_path + ".flight.manifest";
+    std::ofstream trace_out, timeseries_out, flight_manifest;
     if (!opts.trace_path.empty()) {
-        flight_manifest.open(opts.trace_path + ".flight.manifest",
-                             std::ios::binary | std::ios::trunc);
-        if (!flight_manifest)
-            throw std::runtime_error(
-                "shard scheduler: cannot open flight manifest '" +
-                opts.trace_path + ".flight.manifest'");
+        open_sidecar(trace_out, opts.trace_path, "merged trace");
+        open_sidecar(flight_manifest, manifest_path, "flight manifest");
     }
+    if (!opts.timeseries_path.empty())
+        open_sidecar(timeseries_out, opts.timeseries_path,
+                     "merged time series");
     const int clamped_workers =
         std::clamp(opts.workers, 1, std::max(n, 1));
     std::ofstream profile_out;
@@ -548,12 +508,7 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     std::vector<std::int64_t> worker_busy_ns(
         static_cast<std::size_t>(clamped_workers), 0);
     if (!opts.profile_path.empty()) {
-        profile_out.open(opts.profile_path,
-                         std::ios::binary | std::ios::trunc);
-        if (!profile_out)
-            throw std::runtime_error(
-                "shard scheduler: cannot open profile sidecar '" +
-                opts.profile_path + "'");
+        open_sidecar(profile_out, opts.profile_path, "profile sidecar");
         pwrite.emplace(profile_out, clamped_workers, n);
     }
     const auto campaign_wall_start = std::chrono::steady_clock::now();
@@ -566,20 +521,16 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         // obs before the testbed: components keep raw instrument
         // pointers, so the registry must outlive them.
         std::unique_ptr<obs::Observability> obs;
+        std::ostringstream trace_buf;
         std::unique_ptr<obs::JsonlSink> sink;
         std::unique_ptr<obs::FlightRecorder> recorder;
         if (opts.metrics || !opts.trace_path.empty() ||
             !opts.timeseries_path.empty())
             obs = std::make_unique<obs::Observability>(loop);
         if (!opts.trace_path.empty()) {
-            const std::string seg = segment_path(opts.trace_path, k);
-            sink = std::make_unique<obs::JsonlSink>(seg);
-            if (!sink->ok())
-                throw std::runtime_error(
-                    "shard scheduler: cannot open trace segment '" + seg +
-                    "'");
+            sink = std::make_unique<obs::JsonlSink>(trace_buf);
             recorder = std::make_unique<obs::FlightRecorder>();
-            recorder->set_dump_path(seg + ".flight");
+            recorder->set_dump_path(flight_base(opts.trace_path, k));
             obs->tracer().add_sink(recorder.get());
             obs->tracer().add_sink(sink.get());
         }
@@ -596,21 +547,15 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         // covers the whole shard, sampling on sim-time boundaries via
         // the loop's advance hook (never scheduling events — the sim's
         // behavior is identical with the sampler on or off).
-        std::ofstream ts_out;
+        std::ostringstream ts_buf;
         std::unique_ptr<obs::TimeseriesSampler> ts;
         if (!opts.timeseries_path.empty()) {
-            const std::string seg = segment_path(opts.timeseries_path, k);
-            ts_out.open(seg, std::ios::binary | std::ios::trunc);
-            if (!ts_out)
-                throw std::runtime_error(
-                    "shard scheduler: cannot open timeseries segment '" +
-                    seg + "'");
             obs::TimeseriesSampler::Options tso;
             tso.interval = opts.timeseries_interval;
             tso.device = cell.device_label;
             tso.shard = k;
             ts = std::make_unique<obs::TimeseriesSampler>(obs->metrics(),
-                                                          ts_out, tso);
+                                                          ts_buf, tso);
             loop.set_advance_hook(ts.get());
         }
         tb.start_and_wait();
@@ -627,11 +572,9 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         if (ts) {
             loop.set_advance_hook(nullptr);
             ts->finish(loop.now());
-            ts_out.flush();
-            if (!ts_out)
-                throw std::runtime_error(
-                    "shard scheduler: timeseries segment write failed");
+            cell.timeseries = std::move(ts_buf).str();
         }
+        if (sink) cell.trace = std::move(trace_buf).str();
         if (recorder) cell.flight_dumps = recorder->dumps_written();
         cell.spans = prof.take_spans();
         cell.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -676,17 +619,16 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
             emit(frontier, std::move(cell.result));
             if (out.metrics && cell.metrics)
                 out.metrics->merge_from(*cell.metrics);
-            if (tmerge) {
-                tmerge->append_segment(
-                    segment_path(opts.trace_path, frontier));
+            if (trace_out.is_open()) {
+                append_sidecar(trace_out, cell.trace, opts.trace_path);
                 const std::string base =
-                    segment_path(opts.trace_path, frontier) + ".flight";
+                    flight_base(opts.trace_path, frontier);
                 for (std::uint64_t i = 0; i < cell.flight_dumps; ++i)
                     flight_manifest << base << '.' << i << ".jsonl\n";
             }
-            if (tsmerge)
-                tsmerge->append_segment(
-                    segment_path(opts.timeseries_path, frontier));
+            if (timeseries_out.is_open())
+                append_sidecar(timeseries_out, cell.timeseries,
+                               opts.timeseries_path);
             if (pwrite) {
                 pwrite->write_shard(frontier, cell.device_label,
                                     cell.worker, cell.wall_ns, cell.spans);
@@ -752,14 +694,9 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     }
     if (!errors.empty()) std::rethrow_exception(errors.begin()->second);
     GK_ENSURES(frontier == n && pending.empty());
-    if (tmerge) {
-        tmerge->finish();
-        flight_manifest.flush();
-        if (!flight_manifest)
-            throw std::runtime_error(
-                "shard scheduler: flight manifest write failed");
-    }
-    if (tsmerge) tsmerge->finish();
+    close_sidecar(trace_out, opts.trace_path);
+    close_sidecar(flight_manifest, manifest_path);
+    close_sidecar(timeseries_out, opts.timeseries_path);
     if (pwrite) {
         pwrite->write_summary(
             std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -279,21 +279,20 @@ public:
         bool resume = false;
         /// Collect per-shard metrics and merge them into Output::metrics.
         bool metrics = false;
-        /// Merged trace JSONL path ("" = tracing off). Shard k streams
-        /// to segment_path(trace_path, k); segments are concatenated in
-        /// device order as the frontier advances. Flight-recorder dumps
-        /// land at <segment>.flight.<n>.jsonl and are listed — in
-        /// canonical device order, identical at any worker count — in
-        /// <trace_path>.flight.manifest.
+        /// Merged trace JSONL path ("" = tracing off). Shard k buffers
+        /// its trace in memory; the frontier appends the buffers in
+        /// device order. Flight-recorder dumps are files written when
+        /// their trigger fires, at <trace_path>.shard<k>.flight.<n>.jsonl,
+        /// and are listed — in canonical device order, identical at any
+        /// worker count — in <trace_path>.flight.manifest.
         std::string trace_path;
         /// Merged time-series sidecar path ("" = off; schema
         /// gatekit.timeseries.v1). Shard k samples its private registry
-        /// every `timeseries_interval` of SIM time into
-        /// segment_path(timeseries_path, k); segments are concatenated
-        /// in device order as the frontier advances, exactly like trace
-        /// segments, so the merged stream is byte-identical at any
-        /// worker count. Implies a per-shard registry even when
-        /// `metrics` is false.
+        /// every `timeseries_interval` of SIM time into an in-memory
+        /// buffer, which the frontier appends in device order like the
+        /// trace, so the merged stream is byte-identical at any worker
+        /// count. Implies a per-shard registry even when `metrics` is
+        /// false.
         std::string timeseries_path;
         sim::Duration timeseries_interval{std::chrono::seconds(1)};
         /// Harness self-profiler sidecar path ("" = off; schema
@@ -327,24 +326,6 @@ public:
     /// so a rerun with `resume` takes them from it instead of
     /// re-measuring.
     static Output run(const Options& opts);
-
-    /// Per-shard segment path: "<path>.shard<k>".
-    static std::string segment_path(const std::string& path, int shard);
-
-    /// Transient-buffer accounting for a streaming merge: the merge
-    /// must never hold more than one fixed-size chunk of any segment in
-    /// memory, whatever the segment size.
-    struct MergeStats {
-        std::size_t peak_buffer_bytes = 0; ///< largest transient buffer
-        std::uint64_t segments = 0;        ///< segments consumed
-        std::uint64_t bytes = 0;           ///< payload bytes written
-    };
-
-    /// Concatenate trace segments 0..n_segments-1 of `path` (pure
-    /// streamed concatenation — a one-device shard can only emit its
-    /// own device's and host-level events) and remove them.
-    static void merge_traces(const std::string& path, int n_segments,
-                             MergeStats* stats = nullptr);
 };
 
 } // namespace gatekit::harness

@@ -2,6 +2,7 @@
 
 #include "report/json.hpp"
 
+#include <fstream>
 #include <sstream>
 
 namespace gatekit::obs {
@@ -74,24 +75,18 @@ void FlightRecorder::on_trigger(std::string_view reason) {
     ++dumps_written_;
 }
 
-JsonlSink::JsonlSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)) {
-    if (*owned_) out_ = owned_.get();
-}
-
 void JsonlSink::on_event(const TraceEvent& ev) {
-    if (out_) *out_ << ev.to_jsonl() << '\n';
+    out_ << ev.to_jsonl() << '\n';
 }
 
 void JsonlSink::on_trigger(std::string_view reason) {
-    if (!out_) return;
     std::ostringstream line;
     report::JsonWriter w(line);
     w.begin_object();
     w.key("trigger").value(reason);
     w.end_object();
-    *out_ << line.str() << '\n';
-    out_->flush();
+    out_ << line.str() << '\n';
+    out_.flush();
 }
 
 void Tracer::trigger(std::string_view device, std::string_view reason) {

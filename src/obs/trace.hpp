@@ -12,8 +12,6 @@
 #include "sim/time.hpp"
 
 #include <cstdint>
-#include <fstream>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -94,21 +92,16 @@ private:
     std::uint64_t dumps_written_ = 0;
 };
 
-/// Streams every event as one JSONL line. Construct over an external
-/// ostream or let it own a file.
+/// Streams every event as one JSONL line to an external ostream.
 class JsonlSink : public TraceSink {
 public:
-    explicit JsonlSink(std::ostream& out) : out_(&out) {}
-    explicit JsonlSink(const std::string& path);
-
-    bool ok() const { return out_ != nullptr && static_cast<bool>(*out_); }
+    explicit JsonlSink(std::ostream& out) : out_(out) {}
 
     void on_event(const TraceEvent& ev) override;
     void on_trigger(std::string_view reason) override;
 
 private:
-    std::unique_ptr<std::ofstream> owned_;
-    std::ostream* out_ = nullptr;
+    std::ostream& out_;
 };
 
 /// Front door for instrumented components: stamps events with the loop's
