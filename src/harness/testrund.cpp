@@ -658,6 +658,10 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
                     return !errors.empty() ||
                            k - frontier <= backlog_limit;
                 });
+                // The frontier never passes a failed shard, so a shard
+                // above one could only wait in `pending` until run()
+                // throws: stop taking shards instead.
+                if (!errors.empty() && errors.begin()->first < k) return;
             }
             Pending cell;
             std::exception_ptr error;

@@ -322,9 +322,9 @@ public:
     };
 
     /// Run the campaign. Throws (after joining every worker) if any
-    /// shard fails; the journal keeps every device the frontier passed,
-    /// so a rerun with `resume` takes them from it instead of
-    /// re-measuring.
+    /// shard fails; no shard above a failed one starts. The journal
+    /// keeps every device the frontier passed, so a rerun with `resume`
+    /// takes them from it instead of re-measuring.
     static Output run(const Options& opts);
 };
 

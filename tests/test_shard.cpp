@@ -4,10 +4,12 @@
 // series — must be byte-identical to the one-worker run for every N,
 // and a truncated journal must resume correctly at any worker count.
 // These are the invariants that make GATEKIT_WORKERS a pure wall-clock
-// knob.
+// knob. A failed shard stops the campaign: no later device runs and no
+// per-shard file is left behind.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -190,4 +192,41 @@ TEST(Shard, WorkerCountIsClampedNotRejected) {
     EXPECT_EQ(at34.journal, at7.journal);
     std::remove(a.c_str());
     std::remove(b.c_str());
+}
+
+TEST(Shard, FailedShardStopsTheCampaign) {
+    // Device 1's profile fails DeviceProfile::validate, so its shard
+    // throws at bring-up. The frontier never passes a failed shard, so a
+    // later device could only wait in memory until run() throws: none
+    // may start.
+    const auto& all = devices::all_profiles();
+    ShardScheduler::Options opts;
+    opts.roster = {all.begin(), all.begin() + 6};
+    opts.roster[1].udp.initial = sim::Duration::zero();
+    opts.config = quick_campaign();
+    opts.workers = 1;
+    opts.verbose = true;
+    opts.trace_path = "test_shard_fail.trace";
+    opts.timeseries_path = "test_shard_fail.ts";
+    int handed_out = 0;
+    opts.on_result = [&](int, harness::DeviceResults&&) { ++handed_out; };
+
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(ShardScheduler::run(opts), std::invalid_argument);
+    const std::string log = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(handed_out, 1);
+    int done_lines = 0;
+    for (std::size_t at = 0; (at = log.find(") done\n", at)) !=
+                             std::string::npos;
+         ++at)
+        ++done_lines;
+    EXPECT_EQ(done_lines, 1) << log;
+    for (const auto& entry : std::filesystem::directory_iterator(".")) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_FALSE(name.rfind("test_shard_fail", 0) == 0 &&
+                     name.find(".shard") != std::string::npos)
+            << "left behind: " << name;
+    }
+    remove_sidecars(opts.trace_path, opts.timeseries_path);
 }
