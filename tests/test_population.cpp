@@ -6,7 +6,7 @@
 // rejection predicate and Testbed::add_device's admission gate, so each
 // invariant gets a failing-before case here. A 10k-device campaign's
 // memory is bounded by the scheduler's pending map (workers*4 + 16
-// finished shards) and gated by population_smoke's RSS limit.
+// finished shards) and gated by population_campaign's 256 MB RSS limit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
