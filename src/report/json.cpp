@@ -492,8 +492,13 @@ private:
         if (peek() == '-') ++pos_;
         if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
             return fail("bad number");
-        while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
+        // A leading 0 is the whole integer part (RFC 8259 section 6).
+        if (peek() == '0') {
             ++pos_;
+        } else {
+            while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
+                ++pos_;
+        }
         bool integral = true;
         if (!eof() && peek() == '.') {
             integral = false;

@@ -204,12 +204,16 @@ TEST(Json, WriterPlacesCommasAutomatically) {
 TEST(Json, ValidatorAcceptsAndRejects) {
     for (const char* good :
          {"{}", "[]", "0", "-1.5e3", "\"a\\u00ff\\n\"", "true", "null",
-          " { \"k\" : [ 1 , { } , null ] } "})
+          " { \"k\" : [ 1 , { } , null ] } "}) {
         EXPECT_TRUE(report::json_valid(good)) << good;
+        EXPECT_TRUE(report::json_parse(good).has_value()) << good;
+    }
     for (const char* bad :
-         {"", "{", "[1,]", "{\"k\":}", "01", "\"\\x\"", "{} extra",
-          "'single'", "{\"k\" 1}", "\"unterminated"})
+         {"", "{", "[1,]", "{\"k\":}", "01", "-00", "0123", "\"\\x\"",
+          "{} extra", "'single'", "{\"k\" 1}", "\"unterminated"}) {
         EXPECT_FALSE(report::json_valid(bad)) << bad;
+        EXPECT_FALSE(report::json_parse(bad).has_value()) << bad;
+    }
 }
 
 TEST(Json, DoubleFormattingRoundTripsAndStaysJson) {
