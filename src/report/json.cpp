@@ -464,14 +464,18 @@ private:
                     std::uint32_t cp = 0;
                     if (!hex4(cp)) return false;
                     // Surrogate pair: combine when a low surrogate follows.
+                    // Any other escape is left for the next iteration.
                     if (cp >= 0xd800 && cp <= 0xdbff &&
                         text_.substr(pos_, 2) == "\\u") {
+                        const std::size_t next = pos_;
                         pos_ += 2;
                         std::uint32_t lo = 0;
                         if (!hex4(lo)) return false;
                         if (lo >= 0xdc00 && lo <= 0xdfff)
                             cp = 0x10000 + ((cp - 0xd800) << 10) +
                                  (lo - 0xdc00);
+                        else
+                            pos_ = next;
                     }
                     append_utf8(out, cp);
                     break;

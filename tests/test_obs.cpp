@@ -216,6 +216,18 @@ TEST(Json, ValidatorAcceptsAndRejects) {
     }
 }
 
+TEST(Json, LoneHighSurrogateKeepsTheNextEscape) {
+    // A high surrogate not followed by a low one is decoded on its own;
+    // the escape after it must survive as its own character.
+    const auto lone = report::json_parse("\"\\ud800\\u0041\"");
+    ASSERT_TRUE(lone.has_value());
+    EXPECT_EQ(lone->str, "\xED\xA0\x80"
+                         "A");
+    const auto pair = report::json_parse("\"\\ud83d\\ude00\"");
+    ASSERT_TRUE(pair.has_value());
+    EXPECT_EQ(pair->str, "\xF0\x9F\x98\x80");
+}
+
 TEST(Json, DoubleFormattingRoundTripsAndStaysJson) {
     EXPECT_EQ(report::json_double(2.0), "2.0");
     EXPECT_EQ(report::json_double(0.5), "0.5");
