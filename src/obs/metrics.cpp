@@ -303,34 +303,28 @@ bool MetricsRegistry::save_json(const std::string& path) const {
 }
 
 bool validate_metrics_json(std::string_view text, std::string* error) {
-    if (!report::json_valid(text, error)) return false;
+    const auto doc = report::json_parse(text, error);
+    if (!doc) return false;
     auto fail = [&](const char* what) {
         if (error) *error = what;
         return false;
     };
-    if (text.find("\"schema\":\"gatekit.metrics.v1\"") == std::string_view::npos)
+    const auto* schema = doc->find("schema");
+    if (schema == nullptr || schema->as_string() != "gatekit.metrics.v1")
         return fail("missing or wrong schema tag");
-    if (text.find("\"metrics\":[") == std::string_view::npos)
+    const auto* metrics = doc->find("metrics");
+    if (metrics == nullptr || metrics->type != report::JsonValue::Type::Array)
         return fail("missing metrics array");
-    // Every metric entry must carry a recognized kind and a name. The
-    // emitter is ours, so field order is fixed; this is a smoke-level
-    // schema check, not a general parser.
-    std::size_t kinds = 0, pos = 0;
-    while ((pos = text.find("\"kind\":\"", pos)) != std::string_view::npos) {
-        pos += 8;
-        std::string_view rest = text.substr(pos);
-        if (rest.rfind("counter\"", 0) != 0 && rest.rfind("gauge\"", 0) != 0 &&
-            rest.rfind("log_histogram\"", 0) != 0)
+    for (const report::JsonValue& entry : metrics->array) {
+        const auto* name = entry.find("name");
+        const auto* kind = entry.find("kind");
+        if (name == nullptr || name->type != report::JsonValue::Type::String ||
+            kind == nullptr)
+            return fail("metric entry missing name or kind");
+        const std::string& k = kind->as_string();
+        if (k != "counter" && k != "gauge" && k != "log_histogram")
             return fail("unknown metric kind");
-        ++kinds;
     }
-    std::size_t names = 0;
-    pos = 0;
-    while ((pos = text.find("\"name\":\"", pos)) != std::string_view::npos) {
-        pos += 8;
-        ++names;
-    }
-    if (names != kinds) return fail("metric entries missing name or kind");
     return true;
 }
 

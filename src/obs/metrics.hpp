@@ -190,9 +190,10 @@ private:
     std::map<Key, Entry*> index_;
 };
 
-/// Structural + schema check for a metrics sidecar produced by to_json():
-/// valid JSON, correct schema tag, every metric carries name/kind and the
-/// kind-appropriate value fields. Used by the metrics_smoke ctest.
+/// Schema check for a metrics sidecar produced by to_json(), made on the
+/// parsed document: the schema tag is gatekit.metrics.v1, `metrics` is an
+/// array, and every entry has a string `name` and a `kind` of counter,
+/// gauge or log_histogram. Used by the telemetry_smoke ctest.
 bool validate_metrics_json(std::string_view text, std::string* error = nullptr);
 
 } // namespace gatekit::obs

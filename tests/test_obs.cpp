@@ -63,6 +63,12 @@ TEST(Metrics, JsonSnapshotValidatesAgainstSchema) {
     EXPECT_NE(json.find("\"gatekit.metrics.v1\""), std::string::npos);
     EXPECT_NE(json.find("\"nat.binding.created\""), std::string::npos);
     EXPECT_NE(json.find("\"device\":\"we#1\""), std::string::npos);
+
+    // Label keys may collide with entry fields; only the entry's own
+    // name and kind count.
+    MetricsRegistry colliding;
+    colliding.counter("c", {{"name", "x"}, {"kind", "y"}})->value = 1;
+    EXPECT_TRUE(validate_metrics_json(colliding.to_json(), &error)) << error;
 }
 
 TEST(Metrics, JsonEscapesAwkwardLabelValues) {
@@ -182,6 +188,10 @@ TEST(Metrics, ValidatorRejectsGarbage) {
     EXPECT_FALSE(validate_metrics_json(
         "{\"schema\":\"gatekit.metrics.v1\",\"metrics\":[", &error));
     EXPECT_FALSE(error.empty());
+    // A label keyed `kind` does not stand in for the entry's kind.
+    EXPECT_FALSE(validate_metrics_json(
+        "{\"schema\":\"gatekit.metrics.v1\",\"metrics\":[{\"name\":\"c\","
+        "\"labels\":{\"kind\":\"counter\"},\"value\":1}]}"));
 }
 
 // --- report::JsonWriter / json_valid ---------------------------------------
