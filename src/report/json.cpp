@@ -129,203 +129,6 @@ JsonWriter& JsonWriter::raw(std::string_view json) {
     return *this;
 }
 
-namespace {
-
-// Recursive-descent structural check. `pos` always points at the next
-// unconsumed byte.
-class Validator {
-public:
-    Validator(std::string_view text, std::string* error)
-        : text_(text), error_(error) {}
-
-    bool run() {
-        skip_ws();
-        if (!value()) return false;
-        skip_ws();
-        if (pos_ != text_.size()) return fail("trailing data");
-        return true;
-    }
-
-private:
-    bool fail(const char* what) {
-        if (error_) {
-            *error_ = what;
-            *error_ += " at byte ";
-            *error_ += std::to_string(pos_);
-        }
-        return false;
-    }
-
-    void skip_ws() {
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-                ++pos_;
-            else
-                break;
-        }
-    }
-
-    bool eof() const { return pos_ >= text_.size(); }
-    char peek() const { return text_[pos_]; }
-
-    bool literal(std::string_view word) {
-        if (text_.substr(pos_, word.size()) != word)
-            return fail("bad literal");
-        pos_ += word.size();
-        return true;
-    }
-
-    bool string() {
-        // Caller saw the opening quote.
-        ++pos_;
-        while (!eof()) {
-            unsigned char c = static_cast<unsigned char>(text_[pos_]);
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (eof()) return fail("unterminated escape");
-                char e = text_[pos_];
-                if (e == 'u') {
-                    for (int i = 1; i <= 4; ++i) {
-                        if (pos_ + i >= text_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text_[pos_ + i])))
-                            return fail("bad \\u escape");
-                    }
-                    pos_ += 5;
-                    continue;
-                }
-                if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                    e != 'f' && e != 'n' && e != 'r' && e != 't')
-                    return fail("bad escape");
-                ++pos_;
-                continue;
-            }
-            if (c < 0x20) return fail("control char in string");
-            ++pos_;
-        }
-        return fail("unterminated string");
-    }
-
-    bool number() {
-        if (peek() == '-') ++pos_;
-        if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-            return fail("bad number");
-        if (peek() == '0') {
-            ++pos_;
-        } else {
-            while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        if (!eof() && peek() == '.') {
-            ++pos_;
-            if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-                return fail("bad fraction");
-            while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        if (!eof() && (peek() == 'e' || peek() == 'E')) {
-            ++pos_;
-            if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-            if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-                return fail("bad exponent");
-            while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        return true;
-    }
-
-    bool object() {
-        ++pos_; // '{'
-        if (++depth_ > kMaxDepth) return fail("nesting too deep");
-        skip_ws();
-        if (!eof() && peek() == '}') {
-            ++pos_;
-            --depth_;
-            return true;
-        }
-        while (true) {
-            skip_ws();
-            if (eof() || peek() != '"') return fail("expected object key");
-            if (!string()) return false;
-            skip_ws();
-            if (eof() || peek() != ':') return fail("expected ':'");
-            ++pos_;
-            skip_ws();
-            if (!value()) return false;
-            skip_ws();
-            if (eof()) return fail("unterminated object");
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                --depth_;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool array() {
-        ++pos_; // '['
-        if (++depth_ > kMaxDepth) return fail("nesting too deep");
-        skip_ws();
-        if (!eof() && peek() == ']') {
-            ++pos_;
-            --depth_;
-            return true;
-        }
-        while (true) {
-            skip_ws();
-            if (!value()) return false;
-            skip_ws();
-            if (eof()) return fail("unterminated array");
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                --depth_;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool value() {
-        if (eof()) return fail("expected value");
-        switch (peek()) {
-        case '{': return object();
-        case '[': return array();
-        case '"': return string();
-        case 't': return literal("true");
-        case 'f': return literal("false");
-        case 'n': return literal("null");
-        default: return number();
-        }
-    }
-
-    static constexpr int kMaxDepth = 64;
-
-    std::string_view text_;
-    std::string* error_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
-};
-
-} // namespace
-
-bool json_valid(std::string_view text, std::string* error) {
-    return Validator(text, error).run();
-}
-
 const JsonValue* JsonValue::find(std::string_view key) const {
     if (type != Type::Object) return nullptr;
     for (const auto& [k, v] : members)
@@ -354,8 +157,8 @@ const std::string& JsonValue::as_string() const {
 
 namespace {
 
-/// Recursive-descent parser building a JsonValue. Grammar checks mirror
-/// the Validator above; this one also materializes the tree.
+/// Recursive-descent parser building a JsonValue: the one JSON grammar
+/// every sidecar reader goes through.
 class Parser {
 public:
     Parser(std::string_view text, std::string* error)

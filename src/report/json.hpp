@@ -1,7 +1,8 @@
-// Minimal JSON output support for the report sidecars (metrics snapshots,
-// trace JSONL lines). A streaming writer with automatic comma placement —
-// no DOM, no allocation beyond the output stream — plus a structural
-// validator used by the metrics_smoke schema check.
+// Minimal JSON support for the report sidecars (metrics snapshots, trace
+// and time-series JSONL lines, the campaign journal). A streaming writer
+// with automatic comma placement — no DOM, no allocation beyond the output
+// stream — plus json_parse, the one JSON reader: every sidecar validator
+// and reader parses through it.
 #pragma once
 
 #include <cstdint>
@@ -53,16 +54,10 @@ private:
     bool after_key_ = false;
 };
 
-/// Structural validation: true when `text` is exactly one well-formed
-/// JSON value (plus surrounding whitespace). On failure `error` (when
-/// non-null) receives a short description with a byte offset. This is a
-/// validator, not a parser — nothing is materialized.
-bool json_valid(std::string_view text, std::string* error = nullptr);
-
 /// Parsed JSON value (DOM). Object member order is preserved, so a
 /// document written by JsonWriter, parsed, and re-written member-by-
-/// member round-trips byte-identically — the property the campaign
-/// journal's replay path depends on. Numbers remember whether their
+/// member round-trips byte-identically — the property bench_gate's
+/// trajectory rewrite depends on. Numbers remember whether their
 /// source token was integral: `value(int64)` output re-serializes via
 /// the integer path, `value(double)` output via json_double (shortest
 /// round-trip, so parse + re-format is exact).
@@ -97,9 +92,9 @@ std::optional<JsonValue> json_parse(std::string_view text,
 
 /// Re-serialize a parsed value member-by-member through JsonWriter.
 /// Because the DOM preserves member order and integer-ness, a document
-/// produced by JsonWriter round-trips byte-identically — what lets the
-/// shard scheduler carve journal segments out of a merged journal
-/// without touching payload bytes.
+/// produced by JsonWriter round-trips byte-identically — what lets
+/// bench_gate append to results/BENCH_trajectory.json without touching
+/// the entries already there.
 std::string json_serialize(const JsonValue& v);
 
 } // namespace gatekit::report

@@ -1,5 +1,5 @@
 // Observability layer: registry semantics, JSON/CSV snapshots, the
-// streaming JSON writer + validator, trace events, the flight recorder's
+// streaming JSON writer + parser, trace events, the flight recorder's
 // ring/dump behavior, and an end-to-end campaign with metrics and tracing
 // attached (which must also leave the measured physics untouched).
 #include <gtest/gtest.h>
@@ -58,7 +58,7 @@ TEST(Metrics, JsonSnapshotValidatesAgainstSchema) {
     const std::string json = reg.to_json();
 
     std::string error;
-    EXPECT_TRUE(report::json_valid(json, &error)) << error;
+    EXPECT_TRUE(report::json_parse(json, &error).has_value()) << error;
     EXPECT_TRUE(validate_metrics_json(json, &error)) << error;
     EXPECT_NE(json.find("\"gatekit.metrics.v1\""), std::string::npos);
     EXPECT_NE(json.find("\"nat.binding.created\""), std::string::npos);
@@ -76,7 +76,7 @@ TEST(Metrics, JsonEscapesAwkwardLabelValues) {
     reg.counter("c", {{"model", "say \"hi\"\\\n"}});
     const std::string json = reg.to_json();
     std::string error;
-    EXPECT_TRUE(report::json_valid(json, &error)) << error;
+    EXPECT_TRUE(report::json_parse(json, &error).has_value()) << error;
 }
 
 TEST(Metrics, CsvSnapshotHasHeaderAndRows) {
@@ -194,7 +194,7 @@ TEST(Metrics, ValidatorRejectsGarbage) {
         "\"labels\":{\"kind\":\"counter\"},\"value\":1}]}"));
 }
 
-// --- report::JsonWriter / json_valid ---------------------------------------
+// --- report::JsonWriter / json_parse ---------------------------------------
 
 TEST(Json, WriterPlacesCommasAutomatically) {
     std::ostringstream out;
@@ -208,22 +208,18 @@ TEST(Json, WriterPlacesCommasAutomatically) {
     w.end_object();
     EXPECT_EQ(out.str(), "{\"a\":1,\"b\":[\"x\",true,2.5],\"c\":{}}");
     std::string error;
-    EXPECT_TRUE(report::json_valid(out.str(), &error)) << error;
+    EXPECT_TRUE(report::json_parse(out.str(), &error).has_value()) << error;
 }
 
 TEST(Json, ValidatorAcceptsAndRejects) {
     for (const char* good :
          {"{}", "[]", "0", "-1.5e3", "\"a\\u00ff\\n\"", "true", "null",
-          " { \"k\" : [ 1 , { } , null ] } "}) {
-        EXPECT_TRUE(report::json_valid(good)) << good;
+          " { \"k\" : [ 1 , { } , null ] } "})
         EXPECT_TRUE(report::json_parse(good).has_value()) << good;
-    }
     for (const char* bad :
          {"", "{", "[1,]", "{\"k\":}", "01", "-00", "0123", "\"\\x\"",
-          "{} extra", "'single'", "{\"k\" 1}", "\"unterminated"}) {
-        EXPECT_FALSE(report::json_valid(bad)) << bad;
+          "{} extra", "'single'", "{\"k\" 1}", "\"unterminated"})
         EXPECT_FALSE(report::json_parse(bad).has_value()) << bad;
-    }
 }
 
 TEST(Json, LoneHighSurrogateKeepsTheNextEscape) {
@@ -242,8 +238,9 @@ TEST(Json, DoubleFormattingRoundTripsAndStaysJson) {
     EXPECT_EQ(report::json_double(2.0), "2.0");
     EXPECT_EQ(report::json_double(0.5), "0.5");
     // Non-finite values cannot appear in JSON; clamped.
-    EXPECT_TRUE(report::json_valid(
-        report::json_double(std::numeric_limits<double>::infinity())));
+    const std::string inf =
+        report::json_double(std::numeric_limits<double>::infinity());
+    EXPECT_TRUE(report::json_parse(inf).has_value()) << inf;
 }
 
 // --- Tracing ---------------------------------------------------------------
@@ -258,7 +255,7 @@ TEST(Trace, EventLinesAreValidJson) {
     ev.frame = 42;
     const std::string line = ev.to_jsonl();
     std::string error;
-    EXPECT_TRUE(report::json_valid(line, &error)) << error;
+    EXPECT_TRUE(report::json_parse(line, &error).has_value()) << error;
     EXPECT_NE(line.find("\"t_ns\":3000000000"), std::string::npos);
     EXPECT_NE(line.find("\"frame\":42"), std::string::npos);
     EXPECT_NE(line.find("\"direction\":\"a2b\""), std::string::npos);
@@ -306,7 +303,7 @@ TEST(Trace, FlightRecorderDumpIsJsonlWithHeader) {
     int n = 0;
     while (std::getline(lines, line)) {
         std::string error;
-        EXPECT_TRUE(report::json_valid(line, &error)) << error;
+        EXPECT_TRUE(report::json_parse(line, &error).has_value()) << error;
         ++n;
     }
     EXPECT_EQ(n, 3); // header + two events
