@@ -43,6 +43,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "devices/profiles.hpp"
@@ -52,6 +54,15 @@
 #include "report/table.hpp"
 
 namespace gatekit::bench {
+
+/// Whole contents of the file at `path`; nullopt when it cannot be opened.
+inline std::optional<std::string> read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return std::nullopt;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return std::move(buf).str();
+}
 
 inline int env_int(const char* name, int def) {
     const char* v = std::getenv(name);

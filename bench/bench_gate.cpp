@@ -19,8 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "report/json.hpp"
 
+using gatekit::bench::read_file;
 using gatekit::report::JsonValue;
 
 namespace {
@@ -44,14 +46,6 @@ constexpr Gate kGates[] = {
     {"BM_TimeseriesSampleDisabled", 0.0},
 };
 constexpr double kMaxRegression = 0.15;
-
-std::optional<std::string> read_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return std::nullopt;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 /// CPU time (ns) for `bench` from a google-benchmark JSON document.
 /// Prefers the `_median` aggregate (repetition runs); falls back to the

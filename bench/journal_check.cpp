@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "devices/profiles.hpp"
 #include "harness/results_io.hpp"
 #include "harness/testrund.hpp"
@@ -99,13 +100,6 @@ void remove_journal(const std::string& path) {
     std::remove((path + ".tmp").c_str());
 }
 
-std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
 void spit(const std::string& path, const std::string& text) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
@@ -140,7 +134,7 @@ std::string run_suite(const std::string& mode,
     check(results_json(run_once(cfg, path)) == baseline_json,
           mode + ": journaling perturbed the campaign results");
 
-    const std::string journal_text = slurp(path);
+    const std::string journal_text = bench::read_file(path).value_or("");
     std::string error;
     check(report::validate_journal(journal_text, &error),
           mode + ": journal failed validation: " + error);
@@ -178,7 +172,7 @@ std::string run_suite(const std::string& mode,
             std::string actual, regrown;
             try {
                 actual = results_json(run_once(cfg, path, true, workers));
-                regrown = slurp(path);
+                regrown = bench::read_file(path).value_or("");
             } catch (const std::exception& e) {
                 ++diverged;
                 check(false, mode + ": resume " + where +

@@ -32,13 +32,6 @@ using namespace gatekit;
 
 namespace {
 
-std::string slurp_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
 std::string results_json(const std::vector<harness::DeviceResults>& rs) {
     std::string out;
     for (const auto& r : rs) out += harness::device_results_json(r) + "\n";
@@ -91,7 +84,7 @@ int main() {
                                           start)
                 .count();
         const std::string results = results_json(out.results);
-        const std::string journal = slurp_file(path);
+        const std::string journal = bench::read_file(path).value_or("");
         std::remove(path.c_str());
 
         bool same = true;
