@@ -58,13 +58,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t def) {
     return n;
 }
 
-std::string slurp_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
 long max_rss_kb() {
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
@@ -194,19 +187,19 @@ int main() {
             std::string results;
             for (const auto& r : out.results)
                 results += harness::device_results_json(r) + "\n";
-            const std::string journal = slurp_file(path);
+            const std::string journal = bench::read_file(path).value_or("");
             std::remove(path.c_str());
             if (leg.telemetry) {
                 std::string error;
-                if (!obs::validate_timeseries_jsonl(slurp_file(ts_path),
-                                                    &error)) {
+                std::ifstream ts_in(ts_path, std::ios::binary);
+                if (!obs::validate_timeseries(ts_in, &error)) {
                     ++failures;
                     std::cerr << "[population] FAIL: gate time-series "
                                  "sidecar invalid: "
                               << error << "\n";
                 }
-                if (!obs::validate_profile_jsonl(slurp_file(prof_path),
-                                                 &error)) {
+                std::ifstream prof_in(prof_path, std::ios::binary);
+                if (!obs::validate_profile(prof_in, &error)) {
                     ++failures;
                     std::cerr << "[population] FAIL: gate profile "
                                  "sidecar invalid: "
@@ -319,15 +312,15 @@ int main() {
     };
     if (!ts_path.empty() || !prof_path.empty()) {
         std::string error;
-        if (!ts_path.empty() &&
-            !obs::validate_timeseries_file(ts_path, &error)) {
+        std::ifstream ts_in(ts_path, std::ios::binary);
+        if (!ts_path.empty() && !obs::validate_timeseries(ts_in, &error)) {
             ++failures;
             std::cerr << "[population] FAIL: time-series sidecar "
                          "invalid: "
                       << error << "\n";
         }
-        if (!prof_path.empty() &&
-            !obs::validate_profile_file(prof_path, &error)) {
+        std::ifstream prof_in(prof_path, std::ios::binary);
+        if (!prof_path.empty() && !obs::validate_profile(prof_in, &error)) {
             ++failures;
             std::cerr << "[population] FAIL: profile sidecar invalid: "
                       << error << "\n";

@@ -15,19 +15,22 @@
 //       analyze existing sidecars (missing files are skipped with a
 //       note; at least one must exist).
 //   telemetry_report --smoke <figure-bench-binary>
-//       run the bench with all three sidecars enabled, schema-validate
-//       every artifact, then analyze. Exit-code gated; wired into ctest
-//       as `telemetry_smoke`.
+//       run the bench (normally fig03_udp1) on two devices with all
+//       three sidecars enabled, schema-validate every artifact, check
+//       the series, labels, samples and profile lines a UDP-1 campaign
+//       cannot help but produce, then analyze. Exit-code gated; wired
+//       into ctest as `telemetry_smoke`.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
@@ -35,21 +38,13 @@
 
 namespace {
 
+using gatekit::bench::read_file;
 using gatekit::obs::LogHistogram;
 using gatekit::report::JsonValue;
 
 int fail(const std::string& why) {
     std::cerr << "telemetry_report: FAIL: " << why << "\n";
     return 1;
-}
-
-bool read_file(const std::string& path, std::string& out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out = buf.str();
-    return true;
 }
 
 // ---------------------------------------------------------------- metrics
@@ -168,17 +163,50 @@ int report_metrics(const std::string& text) {
     return static_cast<int>(order.size());
 }
 
+/// What a two-device UDP-1 campaign's snapshot cannot help but hold: it
+/// created NAT bindings, forwarded packets and ran probe trials on both
+/// devices, and its log-histogram sites (packet sizes, granted timeouts,
+/// probe timeouts) snapshot with percentiles. `text` has passed
+/// validate_metrics_json. Returns what is missing, or an empty string.
+std::string missing_from_udp1_snapshot(const std::string& text) {
+    const auto doc = gatekit::report::json_parse(text);
+    std::set<std::string> names;
+    bool device = false, probe_udp1 = false, percentiles = false;
+    for (const JsonValue& entry : doc->find("metrics")->array) {
+        names.insert(entry.find("name")->as_string());
+        if (const auto* labels = entry.find("labels")) {
+            device = device || labels->find("device") != nullptr;
+            const auto* probe = labels->find("probe");
+            probe_udp1 = probe_udp1 ||
+                         (probe != nullptr && probe->as_string() == "udp1");
+        }
+        percentiles = percentiles ||
+                      (entry.find("kind")->as_string() == "log_histogram" &&
+                       entry.find("p50") != nullptr &&
+                       entry.find("p999") != nullptr);
+    }
+    for (const char* series :
+         {"nat.binding.created", "fwd.forwarded", "probe.trials",
+          "nat.binding.occupancy", "fwd.packet.bytes"})
+        if (names.count(series) == 0)
+            return std::string("expected series missing: ") + series;
+    if (!device) return "expected label missing: device";
+    if (!probe_udp1) return "expected label missing: probe=udp1";
+    if (!percentiles) return "no log_histogram entry with p50 and p999";
+    return {};
+}
+
 // ------------------------------------------------------------- timeseries
 
 /// Summarize the merged time-series stream: segments (one per shard),
 /// declared series, sample lines, and sim-time span. The stream was
-/// schema-validated before this runs, so parsing is best-effort.
-void report_timeseries(const std::string& text) {
+/// schema-validated before this runs, so parsing is best-effort. Returns
+/// the number of sample lines.
+std::uint64_t report_timeseries(std::istream& in) {
     int segments = 0, series = 0;
     std::uint64_t samples = 0, points = 0;
     std::int64_t t_min = 0, t_max = 0;
     bool have_t = false;
-    std::istringstream in(text);
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty()) continue;
@@ -207,6 +235,7 @@ void report_timeseries(const std::string& text) {
         std::printf("  sim-time span: %.3f s .. %.3f s\n",
                     static_cast<double>(t_min) / 1e9,
                     static_cast<double>(t_max) / 1e9);
+    return samples;
 }
 
 // ---------------------------------------------------------------- profile
@@ -216,8 +245,9 @@ struct Span {
     std::int64_t wall_ns = 0;
 };
 
-/// Shard-skew and slowest-unit tables from the profile sidecar.
-void report_profile(const std::string& text, int top_n) {
+/// Shard-skew and slowest-unit tables from the profile sidecar. Returns
+/// the line types seen.
+std::set<std::string> report_profile(std::istream& in, int top_n) {
     std::vector<Span> spans;
     struct Shard {
         int shard = 0, worker = 0;
@@ -227,7 +257,7 @@ void report_profile(const std::string& text, int top_n) {
     std::vector<Shard> shards;
     const JsonValue* summary_doc = nullptr;
     std::vector<JsonValue> docs;
-    std::istringstream in(text);
+    std::set<std::string> types;
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty()) continue;
@@ -238,6 +268,7 @@ void report_profile(const std::string& text, int top_n) {
     for (const JsonValue& doc : docs) {
         const auto* type = doc.find("type");
         if (type == nullptr) continue;
+        types.insert(type->as_string());
         if (type->as_string() == "span") {
             Span s;
             if (const auto* d = doc.find("device")) s.device = d->as_string();
@@ -321,44 +352,56 @@ void report_profile(const std::string& text, int top_n) {
                         spans[i].status.c_str(), spans[i].unit.c_str(),
                         spans[i].device.c_str());
     }
+    return types;
 }
 
 // ------------------------------------------------------------------ modes
 
 int analyze(const std::string& metrics_path, const std::string& ts_path,
             const std::string& profile_path, bool strict) {
-    std::string text;
     int artifacts = 0;
-    if (read_file(metrics_path, text)) {
+    std::string error;
+    if (const auto text = read_file(metrics_path)) {
         ++artifacts;
-        std::string error;
-        if (!gatekit::obs::validate_metrics_json(text, &error))
+        if (!gatekit::obs::validate_metrics_json(*text, &error))
             return fail("metrics snapshot invalid: " + error);
-        if (report_metrics(text) < 0) return 1;
-        if (strict && text.find("\"log_histogram\"") == std::string::npos)
-            return fail("no log_histogram series in metrics snapshot");
+        if (report_metrics(*text) < 0) return 1;
+        if (strict) {
+            const std::string missing = missing_from_udp1_snapshot(*text);
+            if (!missing.empty()) return fail(missing);
+        }
     } else if (strict) {
         return fail("missing metrics snapshot " + metrics_path);
     } else {
         std::printf("(no metrics snapshot at %s)\n", metrics_path.c_str());
     }
-    if (read_file(ts_path, text)) {
+    // The JSONL sidecars are read twice, a line at a time: validated,
+    // then reported.
+    if (std::ifstream in(ts_path, std::ios::binary); in) {
         ++artifacts;
-        std::string error;
-        if (!gatekit::obs::validate_timeseries_jsonl(text, &error))
+        if (!gatekit::obs::validate_timeseries(in, &error))
             return fail("time-series stream invalid: " + error);
-        report_timeseries(text);
+        in.clear();
+        in.seekg(0);
+        if (report_timeseries(in) == 0 && strict)
+            return fail("time-series stream has no sample lines");
     } else if (strict) {
         return fail("missing time-series stream " + ts_path);
     } else {
         std::printf("(no time-series stream at %s)\n", ts_path.c_str());
     }
-    if (read_file(profile_path, text)) {
+    if (std::ifstream in(profile_path, std::ios::binary); in) {
         ++artifacts;
-        std::string error;
-        if (!gatekit::obs::validate_profile_jsonl(text, &error))
+        if (!gatekit::obs::validate_profile(in, &error))
             return fail("profile sidecar invalid: " + error);
-        report_profile(text, 10);
+        in.clear();
+        in.seekg(0);
+        const auto types = report_profile(in, 10);
+        if (strict)
+            for (const char* type : {"span", "shard", "summary"})
+                if (types.count(type) == 0)
+                    return fail(std::string("profile sidecar has no ") +
+                                type + " line");
     } else if (strict) {
         return fail("missing profile sidecar " + profile_path);
     } else {

@@ -3,7 +3,7 @@
 #include "report/json.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <istream>
 #include <numeric>
 #include <ostream>
 
@@ -89,42 +89,31 @@ void ProfileWriter::write_summary(
     out_ << '\n';
 }
 
-namespace {
-
-/// Per-line validation state machine shared by the in-memory and
-/// streaming-file validators.
-struct ProfileValidator {
+bool validate_profile(std::istream& in, std::string* error) {
     bool have_header = false;
     std::size_t line_no = 0;
-
-    bool fail(std::string* error, const std::string& what) {
-        if (error) *error = what;
+    const auto fail = [&](const std::string& what) {
+        if (error) *error = "line " + std::to_string(line_no) + ": " + what;
         return false;
-    }
-
-    bool line(std::string_view l, std::string* error) {
+    };
+    for (std::string l; std::getline(in, l);) {
         ++line_no;
-        if (l.empty()) return true;
-        const auto doc = report::json_parse(l, error);
-        if (!doc)
-            return fail(error, "line " + std::to_string(line_no) +
-                                   ": invalid JSON");
+        if (l.empty()) continue;
+        const auto doc = report::json_parse(l);
+        if (!doc) return fail("invalid JSON");
         if (!have_header) {
             const auto* schema = doc->find("schema");
             if (schema == nullptr ||
                 schema->as_string() != "gatekit.profile.v1")
-                return fail(error, "first line is not a gatekit.profile.v1 "
-                                   "header");
+                return fail("first line is not a gatekit.profile.v1 header");
             if (doc->find("workers") == nullptr ||
                 doc->find("devices") == nullptr)
-                return fail(error, "header missing workers/devices");
+                return fail("header missing workers/devices");
             have_header = true;
-            return true;
+            continue;
         }
         const auto* type = doc->find("type");
-        if (type == nullptr)
-            return fail(error, "line " + std::to_string(line_no) +
-                                   ": missing type");
+        if (type == nullptr) return fail("missing type");
         const std::string& t = type->as_string();
         auto need = [&](std::initializer_list<const char*> keys) {
             for (const char* k : keys)
@@ -134,55 +123,23 @@ struct ProfileValidator {
         if (t == "span") {
             if (!need({"shard", "device", "unit", "status", "attempts",
                        "sim_start_ns", "sim_end_ns", "wall_ns"}))
-                return fail(error, "line " + std::to_string(line_no) +
-                                       ": span missing fields");
+                return fail("span missing fields");
         } else if (t == "shard") {
             if (!need({"shard", "device", "worker", "units", "wall_ns"}))
-                return fail(error, "line " + std::to_string(line_no) +
-                                       ": shard missing fields");
+                return fail("shard missing fields");
         } else if (t == "summary") {
             if (!need({"elapsed_wall_ns", "worker_busy_ns", "utilization",
                        "shard_wall_max_ns", "skew"}))
-                return fail(error, "line " + std::to_string(line_no) +
-                                       ": summary missing fields");
+                return fail("summary missing fields");
         } else {
-            return fail(error, "line " + std::to_string(line_no) +
-                                   ": unknown type '" + t + "'");
+            return fail("unknown type '" + t + "'");
         }
-        return true;
     }
-
-    bool finish(std::string* error) {
-        if (!have_header) return fail(error, "no profile header found");
-        return true;
-    }
-};
-
-} // namespace
-
-bool validate_profile_jsonl(std::string_view text, std::string* error) {
-    ProfileValidator v;
-    while (!text.empty()) {
-        const std::size_t nl = text.find('\n');
-        const std::string_view line =
-            nl == std::string_view::npos ? text : text.substr(0, nl);
-        text = nl == std::string_view::npos ? std::string_view{}
-                                            : text.substr(nl + 1);
-        if (!v.line(line, error)) return false;
-    }
-    return v.finish(error);
-}
-
-bool validate_profile_file(const std::string& path, std::string* error) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error) *error = "cannot open '" + path + "'";
+    if (!have_header) {
+        if (error) *error = "no profile header found";
         return false;
     }
-    ProfileValidator v;
-    for (std::string l; std::getline(in, l);)
-        if (!v.line(l, error)) return false;
-    return v.finish(error);
+    return true;
 }
 
 } // namespace gatekit::obs

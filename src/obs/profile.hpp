@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace gatekit::obs {
@@ -95,13 +94,9 @@ private:
 
 /// Structural check for a profile sidecar: header first with the right
 /// schema tag, every line valid JSON, span/shard/summary lines carry
-/// their required fields. Used by the telemetry_smoke ctest.
-bool validate_profile_jsonl(std::string_view text,
-                            std::string* error = nullptr);
-
-/// Same check, streaming from a file one line at a time — memory stays
-/// O(longest line) however large the sidecar.
-bool validate_profile_file(const std::string& path,
-                           std::string* error = nullptr);
+/// their required fields. Reads one line at a time, so memory stays
+/// O(longest line) however large the sidecar. Pass an std::ifstream for
+/// a sidecar file or an std::istringstream for a stream in memory.
+bool validate_profile(std::istream& in, std::string* error = nullptr);
 
 } // namespace gatekit::obs

@@ -4,7 +4,7 @@
 #include "util/assert.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <istream>
 #include <ostream>
 #include <vector>
 
@@ -109,113 +109,64 @@ void TimeseriesSampler::sample(sim::TimePoint stamp, bool force) {
     ++lines_;
 }
 
-namespace {
-
-/// Per-line validation state machine shared by the in-memory and
-/// streaming-file validators. One instance per stream; feed lines in
-/// order, then call finish().
-struct TimeseriesValidator {
+bool validate_timeseries(std::istream& in, std::string* error) {
     bool in_segment = false;
     std::int64_t last_t = -1;
-    std::vector<char> declared; ///< series id declared this segment
+    std::vector<char> declared; // series id declared this segment
     std::size_t line_no = 0;
-
-    bool fail(std::string* error, const std::string& what) {
-        if (error) *error = what;
+    const auto fail = [&](const std::string& what) {
+        if (error) *error = "line " + std::to_string(line_no) + ": " + what;
         return false;
-    }
-
-    bool line(std::string_view l, std::string* error) {
+    };
+    // One line in memory at a time: a multi-gigabyte campaign sidecar
+    // validates in O(longest line), not O(file).
+    for (std::string l; std::getline(in, l);) {
         ++line_no;
-        if (l.empty()) return true;
-        const auto doc = report::json_parse(l, error);
-        if (!doc)
-            return fail(error, "line " + std::to_string(line_no) +
-                                   ": invalid JSON");
+        if (l.empty()) continue;
+        const auto doc = report::json_parse(l);
+        if (!doc) return fail("invalid JSON");
         if (const auto* schema = doc->find("schema")) {
             if (schema->as_string() != "gatekit.timeseries.v1")
-                return fail(error, "line " + std::to_string(line_no) +
-                                       ": wrong schema tag");
+                return fail("wrong schema tag");
             if (doc->find("interval_ms") == nullptr)
-                return fail(error, "header missing interval_ms");
+                return fail("header missing interval_ms");
             in_segment = true;
             last_t = -1;
             declared.assign(declared.size(), 0);
-            return true;
+            continue;
         }
-        if (!in_segment)
-            return fail(error, "line " + std::to_string(line_no) +
-                                   ": data before segment header");
+        if (!in_segment) return fail("data before segment header");
         if (const auto* series = doc->find("series")) {
-            if (doc->find("name") == nullptr ||
-                doc->find("kind") == nullptr)
-                return fail(error, "line " + std::to_string(line_no) +
-                                       ": declaration missing name/kind");
+            if (doc->find("name") == nullptr || doc->find("kind") == nullptr)
+                return fail("declaration missing name/kind");
             const auto id = static_cast<std::size_t>(series->as_int());
             if (id >= declared.size()) declared.resize(id + 1, 0);
             declared[id] = 1;
-            return true;
+            continue;
         }
         const auto* t = doc->find("t_ns");
         const auto* v = doc->find("v");
         if (t == nullptr || v == nullptr ||
             v->type != report::JsonValue::Type::Array)
-            return fail(error, "line " + std::to_string(line_no) +
-                                   ": expected header, declaration, or "
-                                   "sample");
+            return fail("expected header, declaration, or sample");
         if (t->as_int() < last_t)
-            return fail(error, "line " + std::to_string(line_no) +
-                                   ": timestamps regress within a segment");
+            return fail("timestamps regress within a segment");
         last_t = t->as_int();
         for (const auto& pair : v->array) {
             if (pair.type != report::JsonValue::Type::Array ||
                 pair.array.size() != 2)
-                return fail(error, "line " + std::to_string(line_no) +
-                                       ": sample pair is not [id, value]");
-            const auto id =
-                static_cast<std::size_t>(pair.array[0].as_int());
+                return fail("sample pair is not [id, value]");
+            const auto id = static_cast<std::size_t>(pair.array[0].as_int());
             if (id >= declared.size() || declared[id] == 0)
-                return fail(error,
-                            "line " + std::to_string(line_no) +
-                                ": sample references undeclared series " +
-                                std::to_string(id));
+                return fail("sample references undeclared series " +
+                            std::to_string(id));
         }
-        return true;
     }
-
-    bool finish(std::string* error) {
-        if (!in_segment) return fail(error, "no segment header found");
-        return true;
-    }
-};
-
-} // namespace
-
-bool validate_timeseries_jsonl(std::string_view text, std::string* error) {
-    TimeseriesValidator v;
-    while (!text.empty()) {
-        const std::size_t nl = text.find('\n');
-        const std::string_view line =
-            nl == std::string_view::npos ? text : text.substr(0, nl);
-        text = nl == std::string_view::npos ? std::string_view{}
-                                            : text.substr(nl + 1);
-        if (!v.line(line, error)) return false;
-    }
-    return v.finish(error);
-}
-
-bool validate_timeseries_file(const std::string& path, std::string* error) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error) *error = "cannot open '" + path + "'";
+    if (!in_segment) {
+        if (error) *error = "no segment header found";
         return false;
     }
-    // One line in memory at a time: a multi-gigabyte campaign sidecar
-    // validates in O(longest line), not O(file).
-    TimeseriesValidator v;
-    for (std::string l; std::getline(in, l);)
-        if (!v.line(l, error)) return false;
-    return v.finish(error);
+    return true;
 }
 
 } // namespace gatekit::obs

@@ -78,14 +78,10 @@ private:
 /// Structural check for a (possibly multi-segment) timeseries stream:
 /// every line is valid JSON, the first line of each segment carries the
 /// schema tag, declarations precede use, and sample timestamps are
-/// non-decreasing within a segment. Used by the telemetry_smoke ctest.
-bool validate_timeseries_jsonl(std::string_view text,
-                               std::string* error = nullptr);
-
-/// Same check, streaming from a file one line at a time — memory stays
-/// O(longest line) however large the sidecar (population-scale streams
-/// reach tens of MB; slurping them would dominate the campaign's RSS).
-bool validate_timeseries_file(const std::string& path,
-                              std::string* error = nullptr);
+/// non-decreasing within a segment. Reads one line at a time, so memory
+/// stays O(longest line) however large the sidecar (population-scale
+/// streams reach tens of MB). Pass an std::ifstream for a sidecar file or
+/// an std::istringstream for a stream in memory.
+bool validate_timeseries(std::istream& in, std::string* error = nullptr);
 
 } // namespace gatekit::obs

@@ -186,6 +186,11 @@ TEST(LogHistogram, PercentilesClampToObservedRange) {
 // ------------------------------------------------------------ validators
 
 TEST(Timeseries, ValidatorAcceptsConcatenatedSegmentsAndCatchesDamage) {
+    std::string error;
+    const auto valid = [&error](const std::string& text) {
+        std::istringstream in(text);
+        return obs::validate_timeseries(in, &error);
+    };
     const std::string good =
         R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"a","shard":0})"
         "\n"
@@ -202,8 +207,7 @@ TEST(Timeseries, ValidatorAcceptsConcatenatedSegmentsAndCatchesDamage) {
         "\n"
         R"({"t_ns":5,"v":[[0,7]]})"
         "\n";
-    std::string error;
-    EXPECT_TRUE(obs::validate_timeseries_jsonl(good, &error)) << error;
+    EXPECT_TRUE(valid(good)) << error;
 
     const std::string regressing =
         R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"a","shard":0})"
@@ -214,16 +218,38 @@ TEST(Timeseries, ValidatorAcceptsConcatenatedSegmentsAndCatchesDamage) {
         "\n"
         R"({"t_ns":999,"v":[[0,2]]})"
         "\n";
-    EXPECT_FALSE(obs::validate_timeseries_jsonl(regressing, &error));
+    EXPECT_FALSE(valid(regressing));
 
     const std::string undeclared =
         R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"a","shard":0})"
         "\n"
         R"({"t_ns":0,"v":[[3,1]]})"
         "\n";
-    EXPECT_FALSE(obs::validate_timeseries_jsonl(undeclared, &error));
+    EXPECT_FALSE(valid(undeclared));
 
-    EXPECT_FALSE(obs::validate_timeseries_jsonl("{\"t_ns\":0}\n", &error));
+    EXPECT_FALSE(valid("{\"t_ns\":0}\n"));
+}
+
+TEST(Profile, ValidatorRequiresHeaderAndTypedFields) {
+    std::string error;
+    const auto valid = [&error](const std::string& text) {
+        std::istringstream in(text);
+        return obs::validate_profile(in, &error);
+    };
+    const std::string header =
+        R"({"schema":"gatekit.profile.v1","workers":1,"devices":1})"
+        "\n";
+    const std::string shard =
+        R"({"type":"shard","shard":0,"device":"a","worker":0,"units":1,"wall_ns":5})"
+        "\n";
+    EXPECT_TRUE(valid(header + shard)) << error;
+
+    EXPECT_FALSE(valid(shard)); // no header
+    EXPECT_FALSE(valid(""));
+    EXPECT_FALSE(valid(header + R"({"type":"shard","shard":0})" "\n"));
+    EXPECT_FALSE(valid(header + R"({"type":"bogus"})" "\n"));
+    EXPECT_FALSE(valid(header + "{\"type\":\"shard\",\n"));
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
 // ----------------------------------------------------- campaign identity
@@ -263,7 +289,8 @@ TEST(Telemetry, CampaignBytesIdenticalWithTelemetryOnAtAnyWorkerCount) {
 
         std::string error;
         const std::string ts = slurp(opts.timeseries_path);
-        EXPECT_TRUE(obs::validate_timeseries_jsonl(ts, &error)) << error;
+        std::istringstream ts_in(ts);
+        EXPECT_TRUE(obs::validate_timeseries(ts_in, &error)) << error;
         EXPECT_NE(ts.find("\"t_ns\""), std::string::npos)
             << "time-series stream carries no samples";
         // Sim-time-stamped output is itself byte-gated across workers.
@@ -273,7 +300,8 @@ TEST(Telemetry, CampaignBytesIdenticalWithTelemetryOnAtAnyWorkerCount) {
             EXPECT_EQ(ts, ts_ref) << "workers=" << workers;
 
         const std::string prof = slurp(opts.profile_path);
-        EXPECT_TRUE(obs::validate_profile_jsonl(prof, &error)) << error;
+        std::istringstream prof_in(prof);
+        EXPECT_TRUE(obs::validate_profile(prof_in, &error)) << error;
         EXPECT_NE(prof.find("\"type\":\"span\""), std::string::npos);
         EXPECT_NE(prof.find("\"type\":\"summary\""), std::string::npos);
 
@@ -321,9 +349,8 @@ TEST(Telemetry, ResumeWithTimeseriesSinkActive) {
         // The resumed stream covers the rerun devices only, but it must
         // still validate.
         std::string error;
-        EXPECT_TRUE(
-            obs::validate_timeseries_jsonl(slurp(ts_path), &error))
-            << error;
+        std::ifstream ts_in(ts_path, std::ios::binary);
+        EXPECT_TRUE(obs::validate_timeseries(ts_in, &error)) << error;
     }
     std::remove(journal.c_str());
     std::remove(ts_path.c_str());
