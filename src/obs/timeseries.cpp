@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <unordered_set>
 #include <vector>
 
 namespace gatekit::obs {
@@ -112,8 +113,16 @@ void TimeseriesSampler::sample(sim::TimePoint stamp, bool force) {
 bool validate_timeseries(std::istream& in, std::string* error) {
     bool in_segment = false;
     std::int64_t last_t = -1;
-    std::vector<char> declared; // series id declared this segment
+    std::unordered_set<std::int64_t> declared; // series ids this segment
     std::size_t line_no = 0;
+    // Series ids and timestamps are non-negative integer tokens; anything
+    // else reads as -1, which is never a declared id.
+    const auto nonneg_int = [](const report::JsonValue& v) -> std::int64_t {
+        return v.type == report::JsonValue::Type::Number && v.is_integer &&
+                       v.integer >= 0
+                   ? v.integer
+                   : -1;
+    };
     const auto fail = [&](const std::string& what) {
         if (error) *error = "line " + std::to_string(line_no) + ": " + what;
         return false;
@@ -132,16 +141,16 @@ bool validate_timeseries(std::istream& in, std::string* error) {
                 return fail("header missing interval_ms");
             in_segment = true;
             last_t = -1;
-            declared.assign(declared.size(), 0);
+            declared.clear();
             continue;
         }
         if (!in_segment) return fail("data before segment header");
         if (const auto* series = doc->find("series")) {
             if (doc->find("name") == nullptr || doc->find("kind") == nullptr)
                 return fail("declaration missing name/kind");
-            const auto id = static_cast<std::size_t>(series->as_int());
-            if (id >= declared.size()) declared.resize(id + 1, 0);
-            declared[id] = 1;
+            const std::int64_t id = nonneg_int(*series);
+            if (id < 0) return fail("series id is not a non-negative integer");
+            declared.insert(id);
             continue;
         }
         const auto* t = doc->find("t_ns");
@@ -149,17 +158,19 @@ bool validate_timeseries(std::istream& in, std::string* error) {
         if (t == nullptr || v == nullptr ||
             v->type != report::JsonValue::Type::Array)
             return fail("expected header, declaration, or sample");
-        if (t->as_int() < last_t)
+        const std::int64_t t_ns = nonneg_int(*t);
+        if (t_ns < 0) return fail("t_ns is not a non-negative integer");
+        if (t_ns < last_t)
             return fail("timestamps regress within a segment");
-        last_t = t->as_int();
+        last_t = t_ns;
         for (const auto& pair : v->array) {
             if (pair.type != report::JsonValue::Type::Array ||
                 pair.array.size() != 2)
                 return fail("sample pair is not [id, value]");
-            const auto id = static_cast<std::size_t>(pair.array[0].as_int());
-            if (id >= declared.size() || declared[id] == 0)
+            const std::int64_t id = nonneg_int(pair.array[0]);
+            if (declared.count(id) == 0)
                 return fail("sample references undeclared series " +
-                            std::to_string(id));
+                            report::json_serialize(pair.array[0]));
         }
     }
     if (!in_segment) {

@@ -147,7 +147,10 @@ double JsonValue::as_double(double def) const {
 
 std::int64_t JsonValue::as_int(std::int64_t def) const {
     if (type != Type::Number) return def;
-    return is_integer ? integer : static_cast<std::int64_t>(number);
+    if (is_integer) return integer;
+    // Converting a double outside int64's range is undefined behaviour.
+    if (!(number >= -0x1p63 && number < 0x1p63)) return def;
+    return static_cast<std::int64_t>(number);
 }
 
 const std::string& JsonValue::as_string() const {

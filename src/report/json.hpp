@@ -77,7 +77,8 @@ public:
     /// Object member lookup; nullptr when absent or not an object.
     const JsonValue* find(std::string_view key) const;
 
-    // Typed accessors with defaults (wrong-type reads yield the default).
+    // Typed accessors with defaults (wrong-type reads, and as_int of a
+    // number outside int64's range, yield the default).
     bool as_bool(bool def = false) const;
     double as_double(double def = 0.0) const;
     std::int64_t as_int(std::int64_t def = 0) const;

@@ -234,6 +234,15 @@ TEST(Json, LoneHighSurrogateKeepsTheNextEscape) {
     EXPECT_EQ(pair->str, "\xF0\x9F\x98\x80");
 }
 
+TEST(Json, AsIntOfANumberOutsideInt64YieldsTheDefault) {
+    EXPECT_EQ(report::json_parse("2.5")->as_int(-7), 2);
+    EXPECT_EQ(report::json_parse("-9007199254740992")->as_int(-7),
+              -9007199254740992);
+    for (const char* big : {"1e300", "-1e300", "99999999999999999999",
+                            "9223372036854775808.0"})
+        EXPECT_EQ(report::json_parse(big)->as_int(-7), -7) << big;
+}
+
 TEST(Json, DoubleFormattingRoundTripsAndStaysJson) {
     EXPECT_EQ(report::json_double(2.0), "2.0");
     EXPECT_EQ(report::json_double(0.5), "0.5");

@@ -228,6 +228,21 @@ TEST(Timeseries, ValidatorAcceptsConcatenatedSegmentsAndCatchesDamage) {
     EXPECT_FALSE(valid(undeclared));
 
     EXPECT_FALSE(valid("{\"t_ns\":0}\n"));
+
+    // Ids and timestamps that are not non-negative integer tokens are
+    // rejected, not cast.
+    const std::string declared =
+        R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"a","shard":0})"
+        "\n"
+        R"({"series":0,"name":"x","labels":{},"kind":"counter"})"
+        "\n";
+    EXPECT_TRUE(valid(declared + R"({"t_ns":0,"v":[[0,1]]})" "\n")) << error;
+    EXPECT_FALSE(valid(
+        declared + R"({"series":-1,"name":"y","labels":{},"kind":"counter"})"
+                   "\n"));
+    EXPECT_FALSE(valid(declared + R"({"t_ns":0,"v":[[1e300,1]]})" "\n"));
+    EXPECT_FALSE(valid(declared + R"({"t_ns":0,"v":[[0.5,1]]})" "\n"));
+    EXPECT_FALSE(valid(declared + R"({"t_ns":1e300,"v":[[0,1]]})" "\n"));
 }
 
 TEST(Profile, ValidatorRequiresHeaderAndTypedFields) {
