@@ -77,8 +77,9 @@ private:
 
 /// Structural check for a (possibly multi-segment) timeseries stream:
 /// every line is valid JSON, the first line of each segment carries the
-/// schema tag, declarations precede use, and sample timestamps are
-/// non-decreasing within a segment. Reads one line at a time, so memory
+/// schema tag, declarations precede use, series ids and timestamps are
+/// non-negative integers, and sample timestamps are non-decreasing
+/// within a segment. Reads one line at a time, so memory
 /// stays O(longest line) however large the sidecar (population-scale
 /// streams reach tens of MB). Pass an std::ifstream for a sidecar file or
 /// an std::istringstream for a stream in memory.
