@@ -26,6 +26,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -255,17 +256,16 @@ std::set<std::string> report_profile(std::istream& in, int top_n) {
         std::int64_t wall_ns = 0;
     };
     std::vector<Shard> shards;
-    const JsonValue* summary_doc = nullptr;
-    std::vector<JsonValue> docs;
+    // Only the summary line is kept whole; spans and shards keep the
+    // fields the tables print.
+    std::optional<JsonValue> summary;
     std::set<std::string> types;
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty()) continue;
-        auto doc = gatekit::report::json_parse(line);
-        if (!doc) continue;
-        docs.push_back(std::move(*doc));
-    }
-    for (const JsonValue& doc : docs) {
+        auto parsed = gatekit::report::json_parse(line);
+        if (!parsed) continue;
+        const JsonValue& doc = *parsed;
         const auto* type = doc.find("type");
         if (type == nullptr) continue;
         types.insert(type->as_string());
@@ -288,9 +288,10 @@ std::set<std::string> report_profile(std::istream& in, int top_n) {
             if (const auto* w = doc.find("wall_ns")) sh.wall_ns = w->as_int();
             shards.push_back(std::move(sh));
         } else if (type->as_string() == "summary") {
-            summary_doc = &doc;
+            summary = std::move(parsed);
         }
     }
+    const JsonValue* summary_doc = summary ? &*summary : nullptr;
 
     std::printf("\n== Harness self-profile ==\n");
     if (summary_doc != nullptr) {
