@@ -6,6 +6,8 @@
 // a kill/resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
+#include "report/json.hpp"
 
 using namespace gatekit;
 using harness::ShardScheduler;
@@ -243,6 +246,285 @@ TEST(Timeseries, ValidatorAcceptsConcatenatedSegmentsAndCatchesDamage) {
     EXPECT_FALSE(valid(declared + R"({"t_ns":0,"v":[[1e300,1]]})" "\n"));
     EXPECT_FALSE(valid(declared + R"({"t_ns":0,"v":[[0.5,1]]})" "\n"));
     EXPECT_FALSE(valid(declared + R"({"t_ns":1e300,"v":[[0,1]]})" "\n"));
+}
+
+// ------------------------------------------------ push vs poll sampler
+
+namespace {
+
+/// The time-series sampler as it first shipped, kept as the reference
+/// for the push-based one: at every boundary it visits every registered
+/// counter and gauge and emits those whose value differs from the last
+/// value it emitted for that series.
+class PollReference final : public sim::AdvanceHook {
+public:
+    PollReference(const obs::MetricsRegistry& reg, std::ostream& out,
+                  obs::TimeseriesSampler::Options opts)
+        : reg_(reg), out_(out), opts_(std::move(opts)) {
+        report::JsonWriter w(out_);
+        w.begin_object();
+        w.key("schema").value("gatekit.timeseries.v1");
+        w.key("interval_ms")
+            .value(static_cast<std::int64_t>(
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    opts_.interval)
+                    .count()));
+        w.key("device").value(opts_.device);
+        w.key("shard").value(static_cast<std::int64_t>(opts_.shard));
+        w.end_object();
+        out_ << '\n';
+    }
+
+    sim::TimePoint on_advance(sim::TimePoint t) override {
+        const std::int64_t iv = opts_.interval.count();
+        const std::int64_t k = t.count() / iv;
+        sample(sim::TimePoint(sim::Duration(k * iv)));
+        return sim::TimePoint(sim::Duration((k + 1) * iv));
+    }
+
+    void finish(sim::TimePoint end) { sample(end, /*force=*/true); }
+
+private:
+    void sample(sim::TimePoint stamp, bool force = false) {
+        if (!force && stamp.count() <= last_stamp_ns_) return;
+        struct Changed {
+            std::size_t id;
+            double value;
+            bool integral;
+        };
+        std::vector<Changed> changed;
+        std::size_t id = 0;
+        reg_.visit_scalars([&](const obs::MetricsRegistry::ScalarRef& s) {
+            if (id >= prev_.size()) {
+                prev_.resize(id + 1, 0.0);
+                declared_.resize(id + 1, 0);
+            }
+            const bool integral = s.counter != nullptr;
+            const double v = integral ? static_cast<double>(s.counter->value)
+                                      : s.gauge->value;
+            if (v != prev_[id]) {
+                changed.push_back({id, v, integral});
+                prev_[id] = v;
+                if (declared_[id] == 0) {
+                    declared_[id] = 1;
+                    report::JsonWriter w(out_);
+                    w.begin_object();
+                    w.key("series").value(static_cast<std::uint64_t>(id));
+                    w.key("name").value(s.name);
+                    w.key("labels").begin_object();
+                    for (const auto& [lk, lv] : s.labels) w.key(lk).value(lv);
+                    w.end_object();
+                    w.key("kind").value(integral ? "counter" : "gauge");
+                    w.end_object();
+                    out_ << '\n';
+                }
+            }
+            ++id;
+        });
+        if (changed.empty()) return;
+        last_stamp_ns_ = std::max(last_stamp_ns_, stamp.count());
+        report::JsonWriter w(out_);
+        w.begin_object();
+        w.key("t_ns").value(static_cast<std::int64_t>(stamp.count()));
+        w.key("v").begin_array();
+        for (const Changed& c : changed) {
+            w.begin_array();
+            w.value(static_cast<std::uint64_t>(c.id));
+            if (c.integral)
+                w.value(static_cast<std::uint64_t>(c.value));
+            else
+                w.value(c.value);
+            w.end_array();
+        }
+        w.end_array();
+        w.end_object();
+        out_ << '\n';
+    }
+
+    const obs::MetricsRegistry& reg_;
+    std::ostream& out_;
+    obs::TimeseriesSampler::Options opts_;
+    std::vector<double> prev_;
+    std::vector<char> declared_;
+    std::int64_t last_stamp_ns_ = -1;
+};
+
+struct SamplerStreams {
+    std::string push;
+    std::string poll;
+    std::uint64_t push_lines = 0;
+};
+
+/// One seeded script against a sampled registry, observed by both
+/// samplers at the same boundaries: counters, gauges and histograms
+/// registered in mixed order (some after sampling has begun, some twice),
+/// writes that change nothing (add 0, a gauge set away and back), merges
+/// into the sampled registry, clock steps from zero to idle jumps across
+/// hundreds of boundaries, and a final flush at the last boundary.
+SamplerStreams run_sampler_script(std::uint64_t seed) {
+    std::uint64_t state = seed;
+    const auto pick = [&state](std::uint64_t n) {
+        return static_cast<std::int64_t>(mix64(state) % n);
+    };
+    static const std::int64_t kIntervals[] = {1'000'000, 7'000'000,
+                                              1'000'000'000};
+    static const double kGaugeValues[] = {0.0,  0.5,  1.0,    2.25,
+                                          -3.0, 1e-9, 12345.678};
+    const std::vector<obs::Labels> label_sets = {
+        {},
+        {{"device", "a"}},
+        {{"device", "b"}, {"k", "x=y;z"}},
+        {{"q\"", "\\"}, {"device", "a"}},
+    };
+
+    obs::MetricsRegistry reg;
+    obs::TimeseriesSampler::Options opts;
+    opts.interval = sim::Duration(kIntervals[pick(3)]);
+    opts.device = "dev\"" + std::to_string(seed);
+    opts.shard = static_cast<int>(pick(5)) - 1;
+    const std::int64_t iv = opts.interval.count();
+
+    std::ostringstream push_out;
+    std::ostringstream poll_out;
+    obs::TimeseriesSampler push(reg, push_out, opts);
+    PollReference poll(reg, poll_out, opts);
+
+    std::vector<obs::Counter*> counters;
+    std::vector<obs::Gauge*> gauges;
+    std::vector<obs::LogHistogram*> hists;
+    const auto name = [&pick](char kind) {
+        return std::string(1, kind) + std::to_string(pick(4));
+    };
+    const auto register_one = [&] {
+        const obs::Labels& labels =
+            label_sets[static_cast<std::size_t>(pick(4))];
+        switch (pick(3)) {
+        case 0: counters.push_back(reg.counter(name('c'), labels)); break;
+        case 1: gauges.push_back(reg.gauge(name('g'), labels)); break;
+        default: hists.push_back(reg.log_histogram(name('h'), labels)); break;
+        }
+    };
+    const auto merge_one = [&] {
+        obs::MetricsRegistry other;
+        for (std::int64_t i = 1 + pick(4); i > 0; --i) {
+            const obs::Labels& labels =
+                label_sets[static_cast<std::size_t>(pick(4))];
+            switch (pick(3)) {
+            case 0:
+                obs::add(other.counter(name('c'), labels),
+                         static_cast<std::uint64_t>(pick(3)));
+                break;
+            case 1:
+                obs::set(other.gauge(name('g'), labels),
+                         kGaugeValues[pick(7)]);
+                break;
+            default:
+                obs::observe(other.log_histogram(name('h'), labels),
+                             static_cast<double>(pick(5000)));
+                break;
+            }
+        }
+        if (pick(2) == 0) {
+            reg.merge_from(other);
+        } else {
+            reg.merge_from(other, [](std::string_view n, const obs::Labels&) {
+                return n.back() != '1';
+            });
+        }
+    };
+
+    for (std::int64_t i = 1 + pick(4); i > 0; --i) register_one();
+
+    sim::TimePoint now{};
+    sim::TimePoint due{};
+    const auto advance = [&](sim::TimePoint t) {
+        now = t;
+        if (now < due) return;
+        due = push.on_advance(now);
+        EXPECT_EQ(poll.on_advance(now), due);
+    };
+    const auto step_op = [&] {
+        switch (pick(8)) {
+        case 0: register_one(); break;
+        case 1:
+            if (!counters.empty())
+                obs::inc(counters[static_cast<std::size_t>(
+                    pick(static_cast<std::uint64_t>(counters.size())))]);
+            break;
+        case 2:
+            if (!counters.empty())
+                obs::add(counters[static_cast<std::size_t>(
+                             pick(static_cast<std::uint64_t>(
+                                 counters.size())))],
+                         pick(3) == 0 ? 0 : static_cast<std::uint64_t>(
+                                                pick(1000)));
+            break;
+        case 3:
+        case 4:
+            if (!gauges.empty()) {
+                obs::Gauge* g = gauges[static_cast<std::size_t>(
+                    pick(static_cast<std::uint64_t>(gauges.size())))];
+                const double old = g->value;
+                obs::set(g, kGaugeValues[pick(7)]);
+                if (pick(3) == 0) obs::set(g, old); // away and back
+            }
+            break;
+        case 5:
+            if (!hists.empty())
+                obs::observe(hists[static_cast<std::size_t>(
+                                 pick(static_cast<std::uint64_t>(
+                                     hists.size())))],
+                             static_cast<double>(pick(100000)));
+            break;
+        default: merge_one(); break;
+        }
+    };
+
+    for (std::int64_t steps = 50 + pick(150); steps > 0; --steps) {
+        switch (pick(10)) {
+        case 0: break; // another write at the same instant
+        case 1:
+        case 2: advance(due); break; // exactly on a boundary
+        case 3:
+        case 4:
+        case 5: advance(now + sim::Duration(pick(iv / 2 + 1))); break;
+        case 6:
+        case 7: advance(now + sim::Duration(pick(3 * iv))); break;
+        case 8: // idle jump across many boundaries
+            advance(now + sim::Duration(iv * (10 + pick(1000)) + pick(iv)));
+            break;
+        default: advance(now + sim::Duration(iv)); break;
+        }
+        step_op();
+    }
+    // End on a boundary with writes at it, as a campaign's last handlers
+    // run at the boundary its final sample stamped.
+    advance(due);
+    step_op();
+    push.finish(now);
+    poll.finish(now);
+    return {std::move(push_out).str(), std::move(poll_out).str(),
+            push.lines_emitted()};
+}
+
+} // namespace
+
+TEST(Timeseries, PushSamplerMatchesPollReference) {
+    std::size_t with_samples = 0;
+    for (std::uint64_t seed = 0; seed < 240; ++seed) {
+        const SamplerStreams s = run_sampler_script(seed);
+        ASSERT_EQ(s.push, s.poll) << "seed " << seed;
+        EXPECT_EQ(s.push_lines, static_cast<std::uint64_t>(std::count(
+                                    s.push.begin(), s.push.end(), '\n')))
+            << "seed " << seed;
+        std::istringstream in(s.push);
+        std::string error;
+        EXPECT_TRUE(obs::validate_timeseries(in, &error))
+            << "seed " << seed << ": " << error;
+        if (s.push.find("\"t_ns\"") != std::string::npos) ++with_samples;
+    }
+    // The scripts must exercise emission, not just agree on silence.
+    EXPECT_GT(with_samples, 200u);
 }
 
 TEST(Profile, ValidatorRequiresHeaderAndTypedFields) {

@@ -102,4 +102,49 @@ TEST(TimerWheel, RandomizedAgainstOracle) {
     }
 }
 
+TEST(TimerWheel, DueOrderAndBucketVisitsPinned) {
+    // The unsorted due order and cascades() for a seeded script, pinned:
+    // nat.wheel.cascades (and through it the metrics snapshots and time
+    // series) reports cascades(), so how the wheel walks its buckets is
+    // part of the campaign bytes. Horizons run from the current tick past
+    // the top level's ~2.3-year range; advances from sub-tick steps to
+    // ~100-day jumps.
+    TimerWheel w;
+    std::uint64_t state = 7;
+    const auto next = [&state] {
+        std::uint64_t x = (state += 0x9e3779b97f4a7c15ULL);
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return x ^ (x >> 31);
+    };
+    static const std::int64_t kScale[] = {
+        1, 1'000, 1'000'000, 1'000'000'000, 60'000'000'000,
+        86'400'000'000'000};
+    std::int64_t now = 0;
+    std::uint64_t next_id = 0;
+    std::uint64_t collected = 0;
+    std::uint64_t digest = 14695981039346656037ULL; // FNV-1a over due ids
+    for (int step = 0; step < 4000; ++step) {
+        if (next() % 3 != 0) {
+            const auto delta = static_cast<std::int64_t>(next() % 1000) *
+                               kScale[next() % 6];
+            w.schedule(next_id++, at_ns(now + delta));
+            continue;
+        }
+        const auto r = next();
+        now += r % 20 == 0
+                   ? static_cast<std::int64_t>(next() % 100) * kScale[5]
+                   : static_cast<std::int64_t>(next() % 2'000'000) *
+                         (r % 4 == 0 ? 10'000 : 1);
+        for (const std::uint64_t id : w.collect_due(at_ns(now))) {
+            digest = (digest ^ id) * 1099511628211ULL;
+            ++collected;
+        }
+    }
+    EXPECT_EQ(collected, 2573u);
+    EXPECT_EQ(digest, 516089928732972406ULL);
+    EXPECT_EQ(w.cascades(), 58744u);
+    EXPECT_EQ(w.scheduled(), next_id - collected);
+}
+
 } // namespace
