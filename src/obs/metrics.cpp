@@ -59,24 +59,63 @@ double LogHistogram::percentile(double q) const {
     return max;
 }
 
+void ChangeMark::queue() {
+    queued = true;
+    dirty->push_back(id);
+}
+
+namespace {
+
+void append_field(std::string& key, std::string_view s) {
+    const auto n = static_cast<std::uint32_t>(s.size());
+    key.append(reinterpret_cast<const char*>(&n), sizeof n);
+    key.append(s);
+}
+
+/// One string per (name, labels): each field length-prefixed, so a
+/// separator inside a name or label cannot make two keys collide.
+void key_of(std::string& key, std::string_view name, const Labels& labels) {
+    key.clear();
+    append_field(key, name);
+    for (const auto& [k, v] : labels) {
+        append_field(key, k);
+        append_field(key, v);
+    }
+}
+
+} // namespace
+
 MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
                                                Labels labels, Kind kind) {
-    Key key{std::string(name), labels};
-    if (auto it = index_.find(key); it != index_.end()) return *it->second;
+    key_of(key_, name, labels);
+    if (auto it = index_.find(key_); it != index_.end()) return *it->second;
     auto e = std::make_unique<Entry>();
     e->name = std::string(name);
     e->labels = std::move(labels);
     e->kind = kind;
+    ChangeMark* mark = nullptr;
     switch (kind) {
-    case Kind::kCounter: e->counter = std::make_unique<Counter>(); break;
-    case Kind::kGauge: e->gauge = std::make_unique<Gauge>(); break;
+    case Kind::kCounter:
+        e->counter = std::make_unique<Counter>();
+        mark = &e->counter->mark;
+        break;
+    case Kind::kGauge:
+        e->gauge = std::make_unique<Gauge>();
+        mark = &e->gauge->mark;
+        break;
     case Kind::kLogHistogram:
         e->log_histogram = std::make_unique<LogHistogram>();
         break;
     }
     Entry* raw = e.get();
+    if (mark != nullptr) {
+        mark->dirty = &dirty_;
+        mark->id = static_cast<std::uint32_t>(scalars_.size());
+        mark->queued = false;
+        scalars_.push_back(raw);
+    }
     entries_.push_back(std::move(e));
-    index_.emplace(std::move(key), raw);
+    index_.emplace(key_, raw);
     return *raw;
 }
 
@@ -97,7 +136,9 @@ LogHistogram* MetricsRegistry::log_histogram(std::string_view name,
 const MetricsRegistry::Entry*
 MetricsRegistry::find(std::string_view name, const Labels& labels,
                       Kind kind) const {
-    auto it = index_.find(Key{std::string(name), labels});
+    std::string key;
+    key_of(key, name, labels);
+    auto it = index_.find(key);
     if (it == index_.end() || it->second->kind != kind) return nullptr;
     return it->second;
 }
@@ -121,14 +162,20 @@ MetricsRegistry::find_log_histogram(std::string_view name,
     return e ? e->log_histogram.get() : nullptr;
 }
 
-void MetricsRegistry::visit_scalars(
-    const std::function<void(const ScalarRef&)>& fn) const {
-    for (const auto& e : entries_) {
-        if (e->kind == Kind::kCounter)
-            fn(ScalarRef{e->name, e->labels, e->counter.get(), nullptr});
-        else if (e->kind == Kind::kGauge)
-            fn(ScalarRef{e->name, e->labels, nullptr, e->gauge.get()});
-    }
+MetricsRegistry::ScalarRef MetricsRegistry::scalar(std::uint32_t id) const {
+    const Entry& e = *scalars_[id];
+    return ScalarRef{e.name, e.labels, e.counter.get(), e.gauge.get()};
+}
+
+ChangeMark& MetricsRegistry::mark(std::uint32_t id) {
+    Entry& e = *scalars_[id];
+    return e.counter ? e.counter->mark : e.gauge->mark;
+}
+
+void MetricsRegistry::take_dirty(std::vector<std::uint32_t>& out) {
+    out.clear();
+    out.swap(dirty_);
+    for (const std::uint32_t id : out) mark(id).queued = false;
 }
 
 std::uint64_t MetricsRegistry::counter_value(std::string_view name,
@@ -145,17 +192,14 @@ std::uint64_t MetricsRegistry::counter_total(std::string_view name) const {
     return total;
 }
 
-void MetricsRegistry::merge_from(
-    const MetricsRegistry& other,
-    const std::function<bool(std::string_view name, const Labels&)>& keep) {
+void MetricsRegistry::merge_from(const MetricsRegistry& other) {
     for (const auto& e : other.entries_) {
-        if (keep && !keep(e->name, e->labels)) continue;
         switch (e->kind) {
         case Kind::kCounter:
-            counter(e->name, e->labels)->value += e->counter->value;
+            add(counter(e->name, e->labels), e->counter->value);
             break;
         case Kind::kGauge:
-            gauge(e->name, e->labels)->value = e->gauge->value;
+            set(gauge(e->name, e->labels), e->gauge->value);
             break;
         case Kind::kLogHistogram:
             log_histogram(e->name, e->labels)->merge(*e->log_histogram);

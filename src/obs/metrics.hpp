@@ -7,25 +7,45 @@
 // nullptr. The free helpers below (`inc`, `add`, `set`, `observe`) branch
 // on null, so with no registry attached the cost of an instrumentation
 // site is one predictable untaken branch.
+//
+// Counters and gauges also report their own writes: the first write
+// after each MetricsRegistry::take_dirty puts the instrument's scalar id
+// on its registry's dirty list, so the time-series sampler visits only
+// what changed instead of every registered scalar.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace gatekit::obs {
 
+/// Write tracking for one counter or gauge. The owning registry sets
+/// `dirty` and `id` and clears `queued`; a free-standing instrument keeps
+/// `queued` true and never queues.
+struct ChangeMark {
+    std::vector<std::uint32_t>* dirty = nullptr; ///< owner's dirty list
+    std::uint32_t id = 0;                        ///< scalar id in the owner
+    bool queued = true; ///< on the dirty list since the last take_dirty
+
+    void note() {
+        if (!queued) queue();
+    }
+    void queue(); ///< out of line: taken once per id between boundaries
+};
+
 struct Counter {
     std::uint64_t value = 0;
+    ChangeMark mark;
 };
 
 struct Gauge {
     double value = 0.0;
+    ChangeMark mark;
 };
 
 /// Log2-bucketed histogram with linear sub-buckets (HDR style): no
@@ -77,14 +97,26 @@ struct LogHistogram {
 };
 
 // Null-safe instrumentation helpers: the disabled path is branch-on-null.
+// They and MetricsRegistry::merge_from note each change for the
+// time-series sampler, so write a sampled counter or gauge only through
+// them: a direct store to `value` never reaches the stream.
 inline void inc(Counter* c) {
-    if (c) ++c->value;
+    if (c) {
+        ++c->value;
+        c->mark.note();
+    }
 }
 inline void add(Counter* c, std::uint64_t n) {
-    if (c) c->value += n;
+    if (c) {
+        c->value += n;
+        c->mark.note();
+    }
 }
 inline void set(Gauge* g, double v) {
-    if (g) g->value = v;
+    if (g) {
+        g->value = v;
+        g->mark.note();
+    }
 }
 inline void observe(LogHistogram* h, double v) {
     if (h) h->observe(v);
@@ -106,9 +138,15 @@ bool parse_label_cell(std::string_view cell, Labels& out);
 
 /// Registry of named instruments. Registration dedups on (name, labels):
 /// asking twice for the same instrument returns the same pointer.
-/// Pointers are stable for the registry's lifetime (deque storage).
+/// Pointers are stable for the registry's lifetime (each instrument is
+/// its own heap allocation); counters and gauges point back at the
+/// registry's dirty list, so a registry is neither copied nor moved.
 class MetricsRegistry {
 public:
+    MetricsRegistry() = default;
+    MetricsRegistry(const MetricsRegistry&) = delete;
+    MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
     Counter* counter(std::string_view name, Labels labels = {});
     Gauge* gauge(std::string_view name, Labels labels = {});
     LogHistogram* log_histogram(std::string_view name, Labels labels = {});
@@ -131,8 +169,7 @@ public:
 
     std::size_t size() const { return entries_.size(); }
 
-    /// One counter-or-gauge entry, as seen by visit_scalars. Exactly one
-    /// of counter/gauge is non-null.
+    /// One counter or gauge. Exactly one of counter/gauge is non-null.
     struct ScalarRef {
         const std::string& name;
         const Labels& labels;
@@ -140,24 +177,27 @@ public:
         const Gauge* gauge;
     };
 
-    /// Walk every counter and gauge in registration order (histograms
-    /// are skipped). Registration order is append-only and preserved by
-    /// merge_from, so a visitor may key per-entry state by visitation
-    /// index — the time-series sampler's change-detection relies on
-    /// exactly that.
-    void visit_scalars(const std::function<void(const ScalarRef&)>& fn) const;
+    /// Counters and gauges get scalar ids 0, 1, ... in registration
+    /// order (histograms take none). The order is append-only and
+    /// merge_from preserves it, so ids are stable for the registry's
+    /// lifetime; the time-series stream uses them as series ids.
+    std::size_t scalar_count() const { return scalars_.size(); }
+    ScalarRef scalar(std::uint32_t id) const;
+
+    /// Move the ids of the counters and gauges written since the last
+    /// call into `out` (each once, in first-write order) and re-arm
+    /// them. A write that leaves the value as it was is still listed.
+    /// One consumer per registry: the time-series sampler.
+    void take_dirty(std::vector<std::uint32_t>& out);
 
     /// Fold another registry into this one: counters add, gauges take
     /// the other's value (last writer wins), log histograms merge
-    /// exactly (LogHistogram::merge). Series unseen
-    /// here are appended in `other`'s registration order, so merging
-    /// shard registries in canonical device order yields one
-    /// deterministic, worker-count-independent snapshot. `keep` (when
-    /// set) selects which of `other`'s series participate.
-    void merge_from(
-        const MetricsRegistry& other,
-        const std::function<bool(std::string_view name, const Labels&)>&
-            keep = {});
+    /// exactly (LogHistogram::merge). Series unseen here are appended in
+    /// `other`'s registration order, so merging shard registries in
+    /// canonical device order yields one deterministic,
+    /// worker-count-independent snapshot. Counters and gauges it writes
+    /// are marked dirty like any other write.
+    void merge_from(const MetricsRegistry& other);
 
     /// Snapshot as one JSON document (schema "gatekit.metrics.v1").
     std::string to_json() const;
@@ -180,14 +220,18 @@ private:
         std::unique_ptr<LogHistogram> log_histogram;
     };
 
-    using Key = std::pair<std::string, Labels>;
-
     Entry& entry(std::string_view name, Labels labels, Kind kind);
     const Entry* find(std::string_view name, const Labels& labels,
                       Kind kind) const;
+    ChangeMark& mark(std::uint32_t id);
 
     std::vector<std::unique_ptr<Entry>> entries_; ///< registration order
-    std::map<Key, Entry*> index_;
+    std::vector<Entry*> scalars_; ///< counters and gauges by scalar id
+    /// Keyed by key_of(name, labels): every string length-prefixed, so
+    /// no name or label text can make two keys collide.
+    std::unordered_map<std::string, Entry*> index_;
+    std::string key_; ///< entry()'s reused key buffer
+    std::vector<std::uint32_t> dirty_; ///< scalar ids written, each once
 };
 
 /// Schema check for a metrics sidecar produced by to_json(), made on the

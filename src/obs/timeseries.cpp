@@ -4,6 +4,7 @@
 #include "util/assert.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <unordered_set>
@@ -11,7 +12,7 @@
 
 namespace gatekit::obs {
 
-TimeseriesSampler::TimeseriesSampler(const MetricsRegistry& reg,
+TimeseriesSampler::TimeseriesSampler(MetricsRegistry& reg,
                                      std::ostream& out, Options opts)
     : reg_(reg), out_(out), opts_(std::move(opts)) {
     GK_EXPECTS(opts_.interval > sim::Duration::zero());
@@ -50,63 +51,81 @@ void TimeseriesSampler::finish(sim::TimePoint end) {
     sample(end, /*force=*/true);
 }
 
+namespace {
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_quoted(std::string& out, std::string_view s) {
+    out += '"';
+    out += report::json_escape(s);
+    out += '"';
+}
+
+} // namespace
+
 void TimeseriesSampler::sample(sim::TimePoint stamp, bool force) {
     if (!force && stamp.count() <= last_stamp_ns_) return;
 
-    struct Changed {
-        std::size_t id;
-        double value;
-        bool integral;
-    };
-    std::vector<Changed> changed;
-    std::size_t id = 0;
-    reg_.visit_scalars([&](const MetricsRegistry::ScalarRef& s) {
+    // Only scalars written since the last sample can differ from what
+    // was last emitted; ascending ids keep the stream in registration
+    // order. A write that restored the emitted value emits nothing.
+    reg_.take_dirty(dirty_);
+    if (dirty_.empty()) return;
+    std::sort(dirty_.begin(), dirty_.end());
+    line_.assign("{\"t_ns\":");
+    append_int(line_, static_cast<std::int64_t>(stamp.count()));
+    line_ += ",\"v\":[";
+    const std::size_t no_values = line_.size();
+    for (const std::uint32_t id : dirty_) {
+        const MetricsRegistry::ScalarRef s = reg_.scalar(id);
+        const bool integral = s.counter != nullptr;
+        const double v = integral ? static_cast<double>(s.counter->value)
+                                  : s.gauge->value;
         if (id >= prev_.size()) {
             prev_.resize(id + 1, 0.0);
             declared_.resize(id + 1, 0);
         }
-        const bool integral = s.counter != nullptr;
-        const double v = integral
-                             ? static_cast<double>(s.counter->value)
-                             : s.gauge->value;
-        if (v != prev_[id]) {
-            changed.push_back({id, v, integral});
-            prev_[id] = v;
-            if (declared_[id] == 0) {
-                declared_[id] = 1;
-                report::JsonWriter w(out_);
-                w.begin_object();
-                w.key("series").value(static_cast<std::uint64_t>(id));
-                w.key("name").value(s.name);
-                w.key("labels").begin_object();
-                for (const auto& [lk, lv] : s.labels) w.key(lk).value(lv);
-                w.end_object();
-                w.key("kind").value(integral ? "counter" : "gauge");
-                w.end_object();
-                out_ << '\n';
-                ++lines_;
+        if (v == prev_[id]) continue;
+        prev_[id] = v;
+        if (declared_[id] == 0) {
+            declared_[id] = 1;
+            decl_.assign("{\"series\":");
+            append_int(decl_, id);
+            decl_ += ",\"name\":";
+            append_quoted(decl_, s.name);
+            decl_ += ",\"labels\":{";
+            const char* sep = "";
+            for (const auto& [lk, lv] : s.labels) {
+                decl_ += sep;
+                sep = ",";
+                append_quoted(decl_, lk);
+                decl_ += ':';
+                append_quoted(decl_, lv);
             }
+            decl_ += integral ? "},\"kind\":\"counter\"}\n"
+                              : "},\"kind\":\"gauge\"}\n";
+            out_.write(decl_.data(),
+                       static_cast<std::streamsize>(decl_.size()));
+            ++lines_;
         }
-        ++id;
-    });
-    if (changed.empty()) return;
-    last_stamp_ns_ = std::max(last_stamp_ns_, stamp.count());
-    report::JsonWriter w(out_);
-    w.begin_object();
-    w.key("t_ns").value(static_cast<std::int64_t>(stamp.count()));
-    w.key("v").begin_array();
-    for (const Changed& c : changed) {
-        w.begin_array();
-        w.value(static_cast<std::uint64_t>(c.id));
-        if (c.integral)
-            w.value(static_cast<std::uint64_t>(c.value));
+        if (line_.size() != no_values) line_ += ',';
+        line_ += '[';
+        append_int(line_, id);
+        line_ += ',';
+        if (integral)
+            append_int(line_, static_cast<std::uint64_t>(v));
         else
-            w.value(c.value);
-        w.end_array();
+            line_ += report::json_double(v);
+        line_ += ']';
     }
-    w.end_array();
-    w.end_object();
-    out_ << '\n';
+    if (line_.size() == no_values) return;
+    last_stamp_ns_ = std::max(last_stamp_ns_, stamp.count());
+    line_ += "]}\n";
+    out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
     ++lines_;
 }
 

@@ -6,11 +6,15 @@
 // behavior (and every byte-gated artifact) is identical with the
 // sampler on or off.
 //
-// Memory and output are bounded: the sampler keeps one double per
-// registered scalar (change detection), emits at most one line per
-// crossed interval boundary, and emits nothing at all for boundaries
-// where no sampled value changed — a 24-hour idle binding-timeout gap
-// costs zero lines, not 86,400.
+// Work, memory and output are bounded by what changes. Counters and
+// gauges put their scalar id on the registry's dirty list at their first
+// write after a boundary (MetricsRegistry::take_dirty), so a boundary
+// visits only the series written since the last one, not every
+// registered scalar. The sampler keeps the last emitted value per
+// series, emits a series only when its value differs from that, emits
+// at most one line per crossed interval boundary, and emits nothing at
+// all for boundaries where no value changed — a 24-hour idle
+// binding-timeout gap costs zero lines, not 86,400.
 //
 // Stream layout (one JSON object per line):
 //   {"schema":"gatekit.timeseries.v1","interval_ms":...,
@@ -48,7 +52,7 @@ public:
     /// Writes the header line immediately. The registry and stream must
     /// outlive the sampler; install with loop.set_advance_hook(&s) and
     /// clear the hook before destroying the sampler.
-    TimeseriesSampler(const MetricsRegistry& reg, std::ostream& out,
+    TimeseriesSampler(MetricsRegistry& reg, std::ostream& out,
                       Options opts);
 
     TimeseriesSampler(const TimeseriesSampler&) = delete;
@@ -66,11 +70,14 @@ public:
 private:
     void sample(sim::TimePoint stamp, bool force = false);
 
-    const MetricsRegistry& reg_;
+    MetricsRegistry& reg_; ///< the sampler takes its dirty list
     std::ostream& out_;
     Options opts_;
     std::vector<double> prev_;     ///< last emitted value per series id
     std::vector<char> declared_;   ///< series id has a declaration line
+    std::vector<std::uint32_t> dirty_; ///< ids taken at this boundary
+    std::string line_;                 ///< sample line being rendered
+    std::string decl_;                 ///< declaration line being rendered
     std::uint64_t lines_ = 0;
     std::int64_t last_stamp_ns_ = -1;
 };

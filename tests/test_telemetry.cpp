@@ -293,8 +293,8 @@ private:
             bool integral;
         };
         std::vector<Changed> changed;
-        std::size_t id = 0;
-        reg_.visit_scalars([&](const obs::MetricsRegistry::ScalarRef& s) {
+        for (std::uint32_t id = 0; id < reg_.scalar_count(); ++id) {
+            const obs::MetricsRegistry::ScalarRef s = reg_.scalar(id);
             if (id >= prev_.size()) {
                 prev_.resize(id + 1, 0.0);
                 declared_.resize(id + 1, 0);
@@ -319,8 +319,7 @@ private:
                     out_ << '\n';
                 }
             }
-            ++id;
-        });
+        }
         if (changed.empty()) return;
         last_stamp_ns_ = std::max(last_stamp_ns_, stamp.count());
         report::JsonWriter w(out_);
@@ -424,13 +423,7 @@ SamplerStreams run_sampler_script(std::uint64_t seed) {
                 break;
             }
         }
-        if (pick(2) == 0) {
-            reg.merge_from(other);
-        } else {
-            reg.merge_from(other, [](std::string_view n, const obs::Labels&) {
-                return n.back() != '1';
-            });
-        }
+        reg.merge_from(other);
     };
 
     for (std::int64_t i = 1 + pick(4); i > 0; --i) register_one();
