@@ -1,6 +1,7 @@
 #include "sim/timer_wheel.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace gatekit::sim {
 
@@ -19,15 +20,17 @@ void TimerWheel::place(const Item& item) {
     // top-level slot and re-bucket when it comes around.
     if (delta >= span) t = cur_tick_ + span - 1;
 
-    slot(level, t >> (kSlotBits * level)).push_back(item);
+    const std::uint64_t index = t >> (kSlotBits * level);
+    slot(level, index).push_back(item);
+    occupied_[level] |= std::uint64_t{1} << (index & kSlotMask);
 }
 
-void TimerWheel::cascade(std::vector<Item>& bucket, std::int64_t now_ns) {
-    ++cascades_;
+void TimerWheel::cascade(int level, std::uint64_t index, std::int64_t now_ns) {
     // place() may re-bucket an item into the very slot being drained
     // (tick indices alias mod 64), so drain via a scratch copy.
     scratch_.clear();
-    scratch_.swap(bucket);
+    scratch_.swap(slot(level, index));
+    occupied_[level] &= ~(std::uint64_t{1} << (index & kSlotMask));
     for (const Item& item : scratch_) {
         if (item.deadline_ns <= now_ns) {
             due_.push_back(item.id);
@@ -47,8 +50,10 @@ const std::vector<std::uint64_t>& TimerWheel::collect_due(TimePoint now) {
         const std::uint64_t old = cur_tick_;
         cur_tick_ = target;
         // The old current slot may hold sub-tick stragglers whose tick has
-        // now fully elapsed.
-        cascade(slot(0, old), now_ns);
+        // now fully elapsed. Every slot stepped over counts as a visit in
+        // cascades(); only occupied ones are drained, in stepping order.
+        ++cascades_;
+        cascade(0, old, now_ns);
         for (int level = 0; level < kLevels; ++level) {
             const int shift = kSlotBits * level;
             const std::uint64_t from = old >> shift;
@@ -56,8 +61,17 @@ const std::vector<std::uint64_t>& TimerWheel::collect_due(TimePoint now) {
             if (from == to) break; // higher levels unchanged too
             const std::uint64_t steps =
                 std::min<std::uint64_t>(to - from, kSlots);
-            for (std::uint64_t s = 1; s <= steps; ++s)
-                cascade(slot(level, from + s), now_ns);
+            cascades_ += steps;
+            // Re-read the bitmap after each drain: a drained item may be
+            // re-placed into a slot still ahead in this sweep.
+            for (std::uint64_t s = 1; s <= steps; ++s) {
+                const std::uint64_t ahead = std::rotr(
+                    occupied_[level], static_cast<int>((from + s) & kSlotMask));
+                if (ahead == 0) break;
+                s += static_cast<std::uint64_t>(std::countr_zero(ahead));
+                if (s > steps) break;
+                cascade(level, from + s, now_ns);
+            }
         }
     }
 
@@ -75,6 +89,8 @@ const std::vector<std::uint64_t>& TimerWheel::collect_due(TimePoint now) {
             }
         }
         cur.erase(keep, cur.end());
+        if (cur.empty())
+            occupied_[0] &= ~(std::uint64_t{1} << (target & kSlotMask));
     }
     return due_;
 }

@@ -3,7 +3,8 @@
 // retires many timestamped items). The discrete-event loop can jump hours
 // of virtual time in one step, so advancing the wheel is bounded by slots
 // per level (not elapsed ticks): a 24-hour leap costs at most
-// levels * slots bucket visits.
+// levels * slots bucket visits, and a per-level occupancy bitmap lets it
+// drain only the occupied buckets among them.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,8 @@ public:
     /// Items currently parked in the wheel.
     std::size_t scheduled() const { return size_; }
 
-    /// Cumulative bucket-drain (cascade) operations since construction.
+    /// Cumulative bucket visits since construction: every bucket an
+    /// advance steps over counts, whether or not it held items to drain.
     /// Cheap enough to count unconditionally; the observability layer
     /// snapshots this into `nat.wheel.cascades`.
     std::uint64_t cascades() const { return cascades_; }
@@ -61,10 +63,13 @@ private:
     }
     /// Bucket `item` relative to the wheel's current tick.
     void place(const Item& item);
-    /// Empty `bucket`: due items land in due_, the rest re-bucket.
-    void cascade(std::vector<Item>& bucket, std::int64_t now_ns);
+    /// Empty a bucket: due items land in due_, the rest re-bucket.
+    void cascade(int level, std::uint64_t index, std::int64_t now_ns);
 
     std::vector<Item> slots_[static_cast<std::size_t>(kLevels) * kSlots];
+    /// Per level, bit i set when slot i may hold items (never clear while
+    /// it does), so an advance skips empty buckets without touching them.
+    std::uint64_t occupied_[kLevels] = {};
     std::vector<Item> scratch_; ///< drain buffer (see cascade)
     std::vector<std::uint64_t> due_;
     std::uint64_t cur_tick_ = 0;
