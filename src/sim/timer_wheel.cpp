@@ -62,8 +62,9 @@ const std::vector<std::uint64_t>& TimerWheel::collect_due(TimePoint now) {
             const std::uint64_t steps =
                 std::min<std::uint64_t>(to - from, kSlots);
             cascades_ += steps;
-            // Re-read the bitmap after each drain: a drained item may be
-            // re-placed into a slot still ahead in this sweep.
+            // Read the bitmap afresh at each step, so the sweep drains
+            // exactly the buckets a bucket-by-bucket walk would find
+            // occupied, including any a drain re-placed items into.
             for (std::uint64_t s = 1; s <= steps; ++s) {
                 const std::uint64_t ahead = std::rotr(
                     occupied_[level], static_cast<int>((from + s) & kSlotMask));
@@ -89,8 +90,6 @@ const std::vector<std::uint64_t>& TimerWheel::collect_due(TimePoint now) {
             }
         }
         cur.erase(keep, cur.end());
-        if (cur.empty())
-            occupied_[0] &= ~(std::uint64_t{1} << (target & kSlotMask));
     }
     return due_;
 }

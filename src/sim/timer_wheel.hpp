@@ -69,6 +69,7 @@ private:
     std::vector<Item> slots_[static_cast<std::size_t>(kLevels) * kSlots];
     /// Per level, bit i set when slot i may hold items (never clear while
     /// it does), so an advance skips empty buckets without touching them.
+    /// A bit may stay set on an emptied bucket until a drain clears it.
     std::uint64_t occupied_[kLevels] = {};
     std::vector<Item> scratch_; ///< drain buffer (see cascade)
     std::vector<std::uint64_t> due_;
