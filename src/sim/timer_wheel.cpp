@@ -50,8 +50,7 @@ const std::vector<std::uint64_t>& TimerWheel::collect_due(TimePoint now) {
         const std::uint64_t old = cur_tick_;
         cur_tick_ = target;
         // The old current slot may hold sub-tick stragglers whose tick has
-        // now fully elapsed. Every slot stepped over counts as a visit in
-        // cascades(); only occupied ones are drained, in stepping order.
+        // now fully elapsed.
         ++cascades_;
         cascade(0, old, now_ns);
         for (int level = 0; level < kLevels; ++level) {
@@ -61,13 +60,15 @@ const std::vector<std::uint64_t>& TimerWheel::collect_due(TimePoint now) {
             if (from == to) break; // higher levels unchanged too
             const std::uint64_t steps =
                 std::min<std::uint64_t>(to - from, kSlots);
+            // cascades() counts every slot stepped over; only occupied
+            // ones are drained, in stepping order. The bitmap is read
+            // afresh at each step, so the sweep drains exactly the buckets
+            // a bucket-by-bucket walk would find occupied, including any a
+            // drain re-placed items into.
             cascades_ += steps;
-            // Read the bitmap afresh at each step, so the sweep drains
-            // exactly the buckets a bucket-by-bucket walk would find
-            // occupied, including any a drain re-placed items into.
             for (std::uint64_t s = 1; s <= steps; ++s) {
-                const std::uint64_t ahead = std::rotr(
-                    occupied_[level], static_cast<int>((from + s) & kSlotMask));
+                const int pos = static_cast<int>((from + s) & kSlotMask);
+                const std::uint64_t ahead = std::rotr(occupied_[level], pos);
                 if (ahead == 0) break;
                 s += static_cast<std::uint64_t>(std::countr_zero(ahead));
                 if (s > steps) break;
