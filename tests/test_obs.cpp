@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <sstream>
+#include <tuple>
 
 #include "harness/testrund.hpp"
 #include "obs/obs.hpp"
+#include "report/csv.hpp"
 #include "report/json.hpp"
 
 using namespace gatekit;
@@ -179,6 +182,293 @@ TEST(Metrics, CsvSnapshotRoundTripsAdversarialLabels) {
     EXPECT_EQ(back, awkward);
     ASSERT_TRUE(parse_label_cell(rows[2][2], back));
     EXPECT_EQ(back, plain);
+}
+
+namespace {
+
+/// splitmix64, so the registry scripts are reproducible.
+std::uint64_t mix64(std::uint64_t& state) {
+    std::uint64_t x = (state += 0x9e3779b97f4a7c15ULL);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/// MetricsRegistry's contract as a plain std::map: entries keyed by
+/// (name, labels) in registration order, a kind mismatch yields no
+/// instrument, counters and gauges take scalar ids in registration
+/// order, and the snapshots render every entry in that order.
+struct RegistryModel {
+    enum Kind { kCounter, kGauge, kHist };
+    struct Entry {
+        std::string name;
+        Labels labels;
+        Kind kind;
+        std::uint64_t count = 0;
+        double gauge = 0.0;
+        LogHistogram hist;
+        std::int64_t scalar = -1;
+    };
+    std::vector<Entry> entries;
+    std::map<std::pair<std::string, Labels>, std::size_t> index;
+    std::int64_t scalars = 0;
+
+    /// Entry index for (name, labels) of `kind`; -1 on a kind mismatch.
+    std::int64_t ask(const std::string& name, const Labels& labels,
+                     Kind kind) {
+        const auto [it, fresh] =
+            index.try_emplace({name, labels}, entries.size());
+        if (fresh) {
+            entries.push_back({name, labels, kind, 0, 0.0, {}, -1});
+            if (kind != kHist) entries.back().scalar = scalars++;
+        }
+        return entries[it->second].kind == kind
+                   ? static_cast<std::int64_t>(it->second)
+                   : -1;
+    }
+    void merge(const RegistryModel& other) {
+        for (const Entry& e : other.entries) {
+            const std::int64_t i = ask(e.name, e.labels, e.kind);
+            if (i < 0) continue;
+            Entry& mine = entries[static_cast<std::size_t>(i)];
+            mine.count += e.count;
+            if (e.kind == kGauge) mine.gauge = e.gauge;
+            mine.hist.merge(e.hist);
+        }
+    }
+    std::uint64_t total(const std::string& name) const {
+        std::uint64_t sum = 0;
+        for (const Entry& e : entries)
+            if (e.kind == kCounter && e.name == name) sum += e.count;
+        return sum;
+    }
+    std::string json() const {
+        std::ostringstream out;
+        report::JsonWriter w(out);
+        w.begin_object();
+        w.key("schema").value("gatekit.metrics.v1");
+        w.key("metrics").begin_array();
+        for (const Entry& e : entries) {
+            w.begin_object();
+            w.key("name").value(e.name);
+            w.key("labels").begin_object();
+            for (const auto& [k, v] : e.labels) w.key(k).value(v);
+            w.end_object();
+            const LogHistogram& h = e.hist;
+            if (e.kind == kCounter) {
+                w.key("kind").value("counter").key("value").value(e.count);
+            } else if (e.kind == kGauge) {
+                w.key("kind").value("gauge").key("value").value(e.gauge);
+            } else {
+                w.key("kind").value("log_histogram");
+                w.key("count").value(h.total).key("sum").value(h.sum);
+                w.key("min").value(h.total ? h.min : 0.0);
+                w.key("max").value(h.total ? h.max : 0.0);
+                for (const auto& [key, q] :
+                     {std::pair{"p50", 0.50}, std::pair{"p90", 0.90},
+                      std::pair{"p99", 0.99}, std::pair{"p999", 0.999}})
+                    w.key(key).value(h.percentile(q));
+                w.key("buckets").begin_array();
+                for (std::size_t i = 0; i < h.counts.size(); ++i)
+                    if (h.counts[i] != 0)
+                        w.begin_array()
+                            .value(static_cast<std::uint64_t>(i))
+                            .value(h.counts[i])
+                            .end_array();
+                w.end_array();
+            }
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        return out.str();
+    }
+    std::string csv() const {
+        report::CsvWriter csv({"name", "kind", "labels", "value", "sum",
+                               "count", "p50", "p90", "p99", "p999"});
+        for (const Entry& e : entries) {
+            const std::string cell = format_label_cell(e.labels);
+            const LogHistogram& h = e.hist;
+            const auto p = [&h](double q) {
+                return report::json_double(h.percentile(q));
+            };
+            if (e.kind == kCounter)
+                csv.add_row({e.name, "counter", cell,
+                             std::to_string(e.count), "", "", "", "", "",
+                             ""});
+            else if (e.kind == kGauge)
+                csv.add_row({e.name, "gauge", cell,
+                             report::json_double(e.gauge), "", "", "", "",
+                             "", ""});
+            else
+                csv.add_row({e.name, "log_histogram", cell, "",
+                             report::json_double(h.sum),
+                             std::to_string(h.total), p(0.50), p(0.90),
+                             p(0.99), p(0.999)});
+        }
+        return csv.to_string();
+    }
+};
+
+/// A registry and its model driven by the same script, plus the
+/// instrument each model entry's first ask returned.
+struct ModelledRegistry {
+    MetricsRegistry reg;
+    RegistryModel model;
+    std::vector<const void*> first; ///< by model entry index
+
+    /// Ask both for (name, labels) of `kind`; the registry must answer
+    /// with the model entry's instrument, or with nullptr on a mismatch.
+    /// Returns the model entry's index, -1 on a mismatch.
+    std::int64_t ask(const std::string& name, const Labels& labels,
+                     RegistryModel::Kind kind) {
+        void* got = nullptr;
+        switch (kind) {
+        case RegistryModel::kCounter: got = reg.counter(name, labels); break;
+        case RegistryModel::kGauge: got = reg.gauge(name, labels); break;
+        case RegistryModel::kHist: got = reg.log_histogram(name, labels); break;
+        }
+        const std::int64_t i = model.ask(name, labels, kind);
+        if (first.size() < model.entries.size()) first.push_back(got);
+        EXPECT_EQ(first.size(), model.entries.size());
+        EXPECT_EQ(got, i < 0 ? nullptr
+                             : first[static_cast<std::size_t>(i)]);
+        return i;
+    }
+};
+
+/// Names and label text built to break a naive key: the label-cell and
+/// CSV separators, JSON escapes, control bytes, embedded NULs and bytes
+/// that read as a little-endian length prefix.
+const std::vector<std::string>& hostile_strings() {
+    static const std::vector<std::string> kStrings = {
+        "",        "a",       "device",       "a=b",     "a;b",
+        "k=v;k=v", "\\",      "\\=",          "\"q\"",   "\x01\x02",
+        "\n\t\r",  "\x1f",    "nat.binding.created",
+        std::string("\0", 1), std::string("\x01\0\0\0a", 5),
+        std::string("\x03\0\0\0abc", 7), "p\xc3\xa4ket",
+    };
+    return kStrings;
+}
+
+void run_registry_script(std::uint64_t seed) {
+    std::uint64_t state = seed;
+    const auto pick = [&state](std::uint64_t n) {
+        return static_cast<std::size_t>(mix64(state) % n);
+    };
+    const auto& pool = hostile_strings();
+    const auto text = [&] { return pool[pick(pool.size())]; };
+    // Names carry their kind in a prefix byte, so a merge never asks a
+    // histogram for a counter's key (merge_from dereferences the
+    // histogram it gets back); counter and gauge names cross over.
+    const auto name = [&](RegistryModel::Kind kind) {
+        const char* prefix = kind == RegistryModel::kHist ? "h" : "s";
+        return prefix + text();
+    };
+    const auto labels = [&] {
+        Labels out;
+        for (std::size_t n = pick(4); n > 0; --n)
+            out.emplace_back(text(), text());
+        return out;
+    };
+    const auto fill = [&](ModelledRegistry& r, std::size_t ops) {
+        // Keys asked so far, so repeats ask for existing entries.
+        std::vector<std::tuple<std::string, Labels, RegistryModel::Kind>>
+            asked;
+        for (; ops > 0; --ops) {
+            auto kind = static_cast<RegistryModel::Kind>(pick(3));
+            std::string n;
+            Labels l;
+            if (!asked.empty() && pick(3) == 0) {
+                std::tie(n, l, kind) = asked[pick(asked.size())];
+                if (kind != RegistryModel::kHist && pick(4) == 0)
+                    kind = kind == RegistryModel::kCounter
+                               ? RegistryModel::kGauge
+                               : RegistryModel::kCounter;
+            } else {
+                n = name(kind);
+                l = labels();
+                asked.emplace_back(n, l, kind);
+            }
+            const std::int64_t i = r.ask(n, l, kind);
+            if (i < 0) continue;
+            const auto at = static_cast<std::size_t>(i);
+            auto& e = r.model.entries[at];
+            void* got = const_cast<void*>(r.first[at]);
+            const auto v = static_cast<std::uint64_t>(pick(1000));
+            switch (kind) {
+            case RegistryModel::kCounter:
+                add(static_cast<Counter*>(got), v);
+                e.count += v;
+                break;
+            case RegistryModel::kGauge:
+                set(static_cast<Gauge*>(got), 0.25 * static_cast<double>(v));
+                e.gauge = 0.25 * static_cast<double>(v);
+                break;
+            case RegistryModel::kHist:
+                observe(static_cast<LogHistogram*>(got),
+                        static_cast<double>(v * v));
+                e.hist.observe(static_cast<double>(v * v));
+                break;
+            }
+        }
+    };
+
+    ModelledRegistry r;
+    for (std::size_t round = 1 + pick(4); round > 0; --round) {
+        fill(r, 5 + pick(40));
+        ModelledRegistry other;
+        fill(other, pick(30));
+        r.reg.merge_from(other.reg);
+        const std::size_t before = r.model.entries.size();
+        r.model.merge(other.model);
+        // Entries the merge appended: their first ask is this one.
+        for (std::size_t i = before; i < r.model.entries.size(); ++i) {
+            const auto& e = r.model.entries[i];
+            r.first.push_back(nullptr);
+            r.first[i] =
+                e.kind == RegistryModel::kCounter
+                    ? static_cast<void*>(r.reg.counter(e.name, e.labels))
+                : e.kind == RegistryModel::kGauge
+                    ? static_cast<void*>(r.reg.gauge(e.name, e.labels))
+                    : static_cast<void*>(
+                          r.reg.log_histogram(e.name, e.labels));
+            EXPECT_NE(r.first[i], nullptr);
+        }
+    }
+    // Every entry reached through its key is the first-returned one.
+    for (std::size_t i = 0; i < r.model.entries.size(); ++i) {
+        const auto& e = r.model.entries[i];
+        r.ask(e.name, e.labels, e.kind);
+    }
+
+    ASSERT_EQ(r.reg.size(), r.model.entries.size());
+    ASSERT_EQ(r.reg.scalar_count(),
+              static_cast<std::size_t>(r.model.scalars));
+    for (std::size_t i = 0; i < r.model.entries.size(); ++i) {
+        const auto& e = r.model.entries[i];
+        if (e.scalar < 0) continue;
+        const auto s = r.reg.scalar(static_cast<std::uint32_t>(e.scalar));
+        EXPECT_EQ(s.name, e.name);
+        EXPECT_EQ(s.labels, e.labels);
+        EXPECT_EQ(e.kind == RegistryModel::kCounter
+                      ? static_cast<const void*>(s.counter)
+                      : static_cast<const void*>(s.gauge),
+                  r.first[i]);
+        EXPECT_EQ(r.reg.counter_total(e.name), r.model.total(e.name));
+    }
+    EXPECT_EQ(r.reg.to_json(), r.model.json());
+    EXPECT_EQ(r.reg.to_csv(), r.model.csv());
+}
+
+} // namespace
+
+TEST(Metrics, RegistryMatchesReferenceModel) {
+    for (std::uint64_t seed = 0; seed < 240; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        run_registry_script(seed);
+        if (HasFatalFailure()) return;
+    }
 }
 
 TEST(Metrics, ValidatorRejectsGarbage) {

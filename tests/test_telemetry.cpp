@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -367,8 +368,14 @@ SamplerStreams run_sampler_script(std::uint64_t seed) {
     };
     static const std::int64_t kIntervals[] = {1'000'000, 7'000'000,
                                               1'000'000'000};
-    static const double kGaugeValues[] = {0.0,  0.5,  1.0,    2.25,
-                                          -3.0, 1e-9, 12345.678};
+    // Gauge values around the edges of the shortest-form rendering:
+    // 10000 prints as "10000.0" but 100000 as "1e+05", -0.0 keeps its
+    // sign, and large integral values switch to exponent form.
+    static const double kGaugeValues[] = {
+        0.0,    0.5,    1.0,      2.25,      -3.0,  1e-9,  12345.678,
+        9999.0, 10000.0, 99999.0, 100000.0, 123456.0, 1e15, 1e16,
+        -0.0,   -7.0,   -99999.0, -100000.0, -0.125, 3.5e-7, 1e21};
+    constexpr auto kGaugeCount = std::size(kGaugeValues);
     const std::vector<obs::Labels> label_sets = {
         {},
         {{"device", "a"}},
@@ -415,7 +422,7 @@ SamplerStreams run_sampler_script(std::uint64_t seed) {
                 break;
             case 1:
                 obs::set(other.gauge(name('g'), labels),
-                         kGaugeValues[pick(7)]);
+                         kGaugeValues[pick(kGaugeCount)]);
                 break;
             default:
                 obs::observe(other.log_histogram(name('h'), labels),
@@ -445,12 +452,19 @@ SamplerStreams run_sampler_script(std::uint64_t seed) {
                     pick(static_cast<std::uint64_t>(counters.size())))]);
             break;
         case 2:
-            if (!counters.empty())
-                obs::add(counters[static_cast<std::size_t>(
-                             pick(static_cast<std::uint64_t>(
-                                 counters.size())))],
-                         pick(3) == 0 ? 0 : static_cast<std::uint64_t>(
-                                                pick(1000)));
+            if (!counters.empty()) {
+                // Now and then a jump past 2^53, where a counter's
+                // double image no longer holds every value.
+                const std::uint64_t n =
+                    pick(3) == 0   ? 0
+                    : pick(8) == 0 ? (std::uint64_t{1} << 53) +
+                                         static_cast<std::uint64_t>(
+                                             pick(1000))
+                                   : static_cast<std::uint64_t>(pick(1000));
+                obs::add(counters[static_cast<std::size_t>(pick(
+                             static_cast<std::uint64_t>(counters.size())))],
+                         n);
+            }
             break;
         case 3:
         case 4:
@@ -458,7 +472,7 @@ SamplerStreams run_sampler_script(std::uint64_t seed) {
                 obs::Gauge* g = gauges[static_cast<std::size_t>(
                     pick(static_cast<std::uint64_t>(gauges.size())))];
                 const double old = g->value;
-                obs::set(g, kGaugeValues[pick(7)]);
+                obs::set(g, kGaugeValues[pick(kGaugeCount)]);
                 if (pick(3) == 0) obs::set(g, old); // away and back
             }
             break;
