@@ -15,7 +15,7 @@ BindingTable::BindingTable(sim::EventLoop& loop,
 void BindingTable::bind_observability(obs::MetricsRegistry& reg,
                                       const std::string& device) {
     const std::string proto = proto_ == net::proto::kUdp ? "udp" : "tcp";
-    obs::Labels labels{{"device", device}, {"proto", proto}};
+    const auto labels = reg.label_set({{"device", device}, {"proto", proto}});
     m_created_ = reg.counter("nat.binding.created", labels);
     m_expired_ = reg.counter("nat.binding.expired", labels);
     m_refused_ = reg.counter("nat.binding.refused", labels);

@@ -43,7 +43,7 @@ void DnsProxy::start(net::Endpoint upstream, net::Ipv4Addr wan_addr) {
 
 void DnsProxy::bind_observability(obs::MetricsRegistry& reg,
                                   const std::string& device) {
-    obs::Labels labels{{"device", device}};
+    const auto labels = reg.label_set({{"device", device}});
     m_udp_queries_ = reg.counter("dns.udp.queries", labels);
     m_tcp_accepted_ = reg.counter("dns.tcp.accepted", labels);
     m_oversize_drops_ = reg.counter("dns.oversize.drops", labels);

@@ -16,7 +16,8 @@ void FwdPath::bind_observability(obs::MetricsRegistry& reg,
                                  const std::string& device) {
     for (Direction dir : {Direction::Down, Direction::Up}) {
         const std::string d = dir == Direction::Down ? "down" : "up";
-        obs::Labels labels{{"device", device}, {"direction", d}};
+        const auto labels =
+            reg.label_set({{"device", device}, {"direction", d}});
         Queue& queue = q(dir);
         queue.m_forwarded = reg.counter("fwd.forwarded", labels);
         queue.m_dropped = reg.counter(

@@ -74,7 +74,7 @@ void NatEngine::bind_observability(obs::MetricsRegistry& reg,
                                    const std::string& device) {
     udp_.bind_observability(reg, device);
     tcp_.bind_observability(reg, device);
-    obs::Labels labels{{"device", device}};
+    const auto labels = reg.label_set({{"device", device}});
     m_drop_capacity_ = reg.counter("nat.drop.capacity", labels);
     m_drop_policy_ = reg.counter("nat.drop.policy", labels);
     m_icmp_translated_ = reg.counter("nat.icmp.translated", labels);

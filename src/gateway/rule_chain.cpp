@@ -159,9 +159,10 @@ RuleVerdict RuleChain::evaluate_compiled(const Key& k) {
 
 void RuleChain::attach_metrics(obs::MetricsRegistry& reg,
                                const std::string& chain) {
-    obs_default_ = reg.counter("rule_chain_default_hits", {{"chain", chain}});
-    obs_accepted_ = reg.counter("rule_chain_accepted", {{"chain", chain}});
-    obs_dropped_ = reg.counter("rule_chain_dropped", {{"chain", chain}});
+    const auto labels = reg.label_set({{"chain", chain}});
+    obs_default_ = reg.counter("rule_chain_default_hits", labels);
+    obs_accepted_ = reg.counter("rule_chain_accepted", labels);
+    obs_dropped_ = reg.counter("rule_chain_dropped", labels);
     obs::add(obs_default_, default_hits_);
     for (std::size_t i = 0; i < rules_.size(); ++i) {
         Entry& e = rules_[i];

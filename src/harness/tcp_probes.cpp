@@ -22,7 +22,8 @@ public:
           done_(std::move(done)), loop_(tb.loop()) {
         if (obs::Observability* o = tb_.observability()) {
             const std::string device = Testbed::device_label(slot_);
-            obs::Labels labels{{"device", device}, {"probe", "tcp1"}};
+            const auto labels = o->metrics().label_set(
+                {{"device", device}, {"probe", "tcp1"}});
             m_trials_ = o->metrics().counter("probe.trials", labels);
             m_retries_ = o->metrics().counter("probe.retries", labels);
             m_giveups_ = o->metrics().counter("probe.giveups", labels);

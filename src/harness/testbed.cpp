@@ -226,16 +226,23 @@ void Testbed::attach_observability(obs::Observability* obs) {
 void Testbed::bind_slot_observability(DeviceSlot& slot) {
     const std::string device = device_label(slot);
     slot.gw->bind_observability(&obs_->metrics(), &obs_->tracer(), device);
-    // The WAN link's trace events cross-reference the slot's capture: the
-    // tap records at wire time before any impairment draw, so at the
-    // moment an impairment event fires, the affected frame is the last
-    // record. The tap outlives the link (both live in the slot).
-    if (!slot.wan_tap.attached()) slot.wan_tap.attach(*slot.wan_link);
-    const pcap::CaptureTap* tap = &slot.wan_tap;
-    slot.wan_link->bind_observability(
-        &obs_->metrics(), &obs_->tracer(), device + ".wan", [tap] {
+    // With a trace sink on, the WAN link's trace events cross-reference
+    // the slot's capture: the tap records at wire time before any
+    // impairment draw, so at the moment an impairment event fires, the
+    // affected frame is the last record. The tap outlives the link (both
+    // live in the slot). With no sink nothing reads the capture, so the
+    // tap stays unarmed rather than copying every WAN frame.
+    sim::Link::FrameIndexFn frame_index;
+    if (obs_->tracer().enabled()) {
+        if (!slot.wan_tap.attached()) slot.wan_tap.attach(*slot.wan_link);
+        const pcap::CaptureTap* tap = &slot.wan_tap;
+        frame_index = [tap] {
             return static_cast<std::int64_t>(tap->records().size()) - 1;
-        });
+        };
+    }
+    slot.wan_link->bind_observability(&obs_->metrics(), &obs_->tracer(),
+                                      device + ".wan",
+                                      std::move(frame_index));
     slot.lan_link->bind_observability(&obs_->metrics(), &obs_->tracer(),
                                       device + ".lan");
 }

@@ -37,9 +37,10 @@ public:
         net::Ipv4Addr client_addr; ///< leased from the gateway
         net::Ipv4Addr gw_wan_addr; ///< leased from the test server
         /// Capture on the gateway's WAN link. It copies every frame, so
-        /// it records only once attached to wan_link: trace frame refs
-        /// (attach_observability) and the transport-support probe arm
-        /// it, and anything else that reads it must arm it too.
+        /// it records only once attached to wan_link. Two users arm it:
+        /// attach_observability when its tracer has a sink (trace events
+        /// carry frame refs into it), and the transport-support probe.
+        /// Anything else that reads it must arm it too.
         pcap::CaptureTap wan_tap;
         /// CGN group (0-based) this gateway's WAN sits behind, or -1 for
         /// a direct (single-NAT) uplink to the test server.
@@ -126,8 +127,9 @@ public:
 
     /// Attach an observability session (owned by the caller, must outlive
     /// the testbed): binds every device slot created so far and any added
-    /// later — gateways, test hosts, and the per-slot links, whose trace
-    /// events cross-reference the slot's WAN capture frame indices.
+    /// later — gateways, test hosts, and the per-slot links. Add trace
+    /// sinks before attaching: only a tracer with a sink arms each slot's
+    /// WAN capture, whose frame indices the link's trace events carry.
     void attach_observability(obs::Observability* obs);
     obs::Observability* observability() { return obs_; }
 

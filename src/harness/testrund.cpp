@@ -157,10 +157,10 @@ struct Testrund::Runner : std::enable_shared_from_this<Testrund::Runner> {
     void bind_instruments() {
         if (auto* o = tb.observability(); o && supervision_active()) {
             auto& reg = o->metrics();
-            m_retry = reg.counter("unit.retry", {{"device", label()}});
-            m_degraded = reg.counter("unit.degraded", {{"device", label()}});
-            m_quarantined =
-                reg.counter("device.quarantined", {{"device", label()}});
+            const auto labels = reg.label_set({{"device", label()}});
+            m_retry = reg.counter("unit.retry", labels);
+            m_degraded = reg.counter("unit.degraded", labels);
+            m_quarantined = reg.counter("device.quarantined", labels);
         }
     }
 
@@ -475,7 +475,9 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
     struct Pending {
         DeviceResults result;
         std::string record; ///< device_results_json, when journaling
-        std::unique_ptr<obs::MetricsRegistry> metrics;
+        /// The shard's own observability, kept when metrics merge; the
+        /// frontier reads only its registry.
+        std::unique_ptr<obs::Observability> obs;
         std::vector<obs::ProfileSpan> spans;
         std::string trace;      ///< the shard's trace JSONL
         std::string timeseries; ///< the shard's time-series JSONL
@@ -582,14 +584,9 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
                            shard_wall_start)
                            .count();
 
-        if (opts.metrics) {
-            // A one-device shard's registry holds only its own device's
-            // and host-level series, so it merges whole — the old
-            // own-device filter existed to discard the other 33 devices'
-            // bring-up, which no longer happens.
-            cell.metrics = std::make_unique<obs::MetricsRegistry>();
-            cell.metrics->merge_from(obs->metrics());
-        }
+        // A one-device shard's registry holds only its own device's and
+        // host-level series, so the frontier merges it whole, once.
+        if (opts.metrics) cell.obs = std::move(obs);
         if (opts.verbose) {
             static std::mutex io_mutex;
             const std::lock_guard<std::mutex> lock(io_mutex);
@@ -617,8 +614,8 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
                     "campaign journal: write failed for '" +
                     opts.journal_path + "'");
             emit(frontier, std::move(cell.result));
-            if (out.metrics && cell.metrics)
-                out.metrics->merge_from(*cell.metrics);
+            if (out.metrics && cell.obs)
+                out.metrics->merge_from(cell.obs->metrics());
             if (trace_out.is_open()) {
                 append_sidecar(trace_out, cell.trace, opts.trace_path);
                 const std::string base =

@@ -27,7 +27,8 @@ public:
                 pattern_ == UdpPattern::SolitaryOutbound  ? "udp1"
                 : pattern_ == UdpPattern::InboundRefresh ? "udp2"
                                                          : "udp3";
-            obs::Labels labels{{"device", device}, {"probe", probe}};
+            const auto labels = o->metrics().label_set(
+                {{"device", device}, {"probe", probe}});
             m_trials_ = o->metrics().counter("probe.trials", labels);
             m_retries_ = o->metrics().counter("probe.retries", labels);
             m_giveups_ = o->metrics().counter("probe.giveups", labels);
@@ -340,7 +341,8 @@ public:
           done_(std::move(done)), loop_(tb.loop()) {
         if (obs::Observability* o = tb_.observability()) {
             const std::string device = Testbed::device_label(slot_);
-            obs::Labels labels{{"device", device}, {"probe", "udp4"}};
+            const auto labels = o->metrics().label_set(
+                {{"device", device}, {"probe", "udp4"}});
             m_trials_ = o->metrics().counter("probe.trials", labels);
             m_retries_ = o->metrics().counter("probe.retries", labels);
             m_giveups_ = o->metrics().counter("probe.giveups", labels);

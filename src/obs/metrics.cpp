@@ -66,93 +66,154 @@ void ChangeMark::queue() {
 
 namespace {
 
-void append_field(std::string& key, std::string_view s) {
-    const auto n = static_cast<std::uint32_t>(s.size());
-    key.append(reinterpret_cast<const char*>(&n), sizeof n);
-    key.append(s);
+/// splitmix64's finalizer: spreads a packed key over the table.
+std::uint64_t mix(std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
 }
 
-/// One string per (name, labels): each field length-prefixed, so a
-/// separator inside a name or label cannot make two keys collide.
-void key_of(std::string& key, std::string_view name, const Labels& labels) {
-    key.clear();
-    append_field(key, name);
+std::uint64_t hash_name(std::string_view name) {
+    return std::hash<std::string_view>{}(name);
+}
+
+std::uint64_t hash_labels(const Labels& labels) {
+    std::uint64_t h = mix(labels.size());
     for (const auto& [k, v] : labels) {
-        append_field(key, k);
-        append_field(key, v);
+        h = mix(h ^ std::hash<std::string_view>{}(k));
+        h = mix(h ^ std::hash<std::string_view>{}(v));
     }
+    return h;
+}
+
+std::uint64_t hash_key(std::uint32_t name, std::uint32_t labels) {
+    return mix((std::uint64_t{name} << 32) | labels);
 }
 
 } // namespace
 
-MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
-                                               Labels labels, Kind kind) {
-    key_of(key_, name, labels);
-    if (auto it = index_.find(key_); it != index_.end()) return *it->second;
-    auto e = std::make_unique<Entry>();
-    e->name = std::string(name);
-    e->labels = std::move(labels);
-    e->kind = kind;
+std::uint32_t MetricsRegistry::IdIndex::add(std::uint64_t h) {
+    const auto id = static_cast<std::uint32_t>(hashes_.size());
+    hashes_.push_back(h);
+    if (2 * hashes_.size() <= slots_.size()) {
+        place(id);
+        return id;
+    }
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
+    hashes_.reserve(slots_.size() / 2);
+    for (std::uint32_t i = 0; i <= id; ++i) place(i);
+    return id;
+}
+
+void MetricsRegistry::IdIndex::place(std::uint32_t id) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hashes_[id] & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = id + 1;
+}
+
+std::uint32_t MetricsRegistry::find_name(std::string_view name) const {
+    return name_index_.find(hash_name(name), [&](std::uint32_t id) {
+        return names_[id] == name;
+    });
+}
+
+std::uint32_t MetricsRegistry::name_id(std::string_view name) {
+    const std::uint32_t id = find_name(name);
+    if (id != IdIndex::kNone) return id;
+    names_.emplace_back(name);
+    return name_index_.add(hash_name(name));
+}
+
+std::uint32_t MetricsRegistry::find_labels(const Labels& labels) const {
+    return label_index_.find(hash_labels(labels), [&](std::uint32_t id) {
+        return label_sets_[id] == labels;
+    });
+}
+
+MetricsRegistry::LabelSet MetricsRegistry::label_set(const Labels& labels) {
+    const std::uint32_t id = find_labels(labels);
+    if (id != IdIndex::kNone) return LabelSet(id);
+    label_sets_.push_back(labels);
+    return LabelSet(label_index_.add(hash_labels(labels)));
+}
+
+MetricsRegistry::Entry* MetricsRegistry::entry(std::uint32_t name,
+                                               std::uint32_t labels,
+                                               Kind kind) {
+    const std::uint64_t h = hash_key(name, labels);
+    const std::uint32_t found = entry_index_.find(h, [&](std::uint32_t i) {
+        const Entry& e = at(i);
+        return e.name == name && e.labels == labels;
+    });
+    if (found != IdIndex::kNone) {
+        Entry& e = at(found);
+        return e.kind == kind ? &e : nullptr;
+    }
+    if (size_ == chunks_.size() * kChunk)
+        chunks_.push_back(std::make_unique<Entry[]>(kChunk));
+    Entry& e = at(size_++);
+    entry_index_.add(h);
+    e.name = name;
+    e.labels = labels;
+    e.kind = kind;
     ChangeMark* mark = nullptr;
     switch (kind) {
-    case Kind::kCounter:
-        e->counter = std::make_unique<Counter>();
-        mark = &e->counter->mark;
-        break;
-    case Kind::kGauge:
-        e->gauge = std::make_unique<Gauge>();
-        mark = &e->gauge->mark;
-        break;
+    case Kind::kCounter: mark = &e.counter.mark; break;
+    case Kind::kGauge: mark = &e.gauge.mark; break;
     case Kind::kLogHistogram:
-        e->log_histogram = std::make_unique<LogHistogram>();
+        e.log_histogram = std::make_unique<LogHistogram>();
         break;
     }
-    Entry* raw = e.get();
     if (mark != nullptr) {
         mark->dirty = &dirty_;
         mark->id = static_cast<std::uint32_t>(scalars_.size());
         mark->queued = false;
-        scalars_.push_back(raw);
+        scalars_.push_back(&e);
     }
-    entries_.push_back(std::move(e));
-    index_.emplace(key_, raw);
-    return *raw;
+    return &e;
 }
 
-Counter* MetricsRegistry::counter(std::string_view name, Labels labels) {
-    return entry(name, std::move(labels), Kind::kCounter).counter.get();
+Counter* MetricsRegistry::counter(std::string_view name, LabelSet labels) {
+    Entry* e = entry(name_id(name), labels.id_, Kind::kCounter);
+    return e ? &e->counter : nullptr;
 }
 
-Gauge* MetricsRegistry::gauge(std::string_view name, Labels labels) {
-    return entry(name, std::move(labels), Kind::kGauge).gauge.get();
+Gauge* MetricsRegistry::gauge(std::string_view name, LabelSet labels) {
+    Entry* e = entry(name_id(name), labels.id_, Kind::kGauge);
+    return e ? &e->gauge : nullptr;
 }
 
 LogHistogram* MetricsRegistry::log_histogram(std::string_view name,
-                                             Labels labels) {
-    return entry(name, std::move(labels), Kind::kLogHistogram)
-        .log_histogram.get();
+                                             LabelSet labels) {
+    Entry* e = entry(name_id(name), labels.id_, Kind::kLogHistogram);
+    return e ? e->log_histogram.get() : nullptr;
 }
 
 const MetricsRegistry::Entry*
 MetricsRegistry::find(std::string_view name, const Labels& labels,
                       Kind kind) const {
-    std::string key;
-    key_of(key, name, labels);
-    auto it = index_.find(key);
-    if (it == index_.end() || it->second->kind != kind) return nullptr;
-    return it->second;
+    const std::uint32_t n = find_name(name);
+    const std::uint32_t l = find_labels(labels);
+    if (n == IdIndex::kNone || l == IdIndex::kNone) return nullptr;
+    const std::uint32_t i =
+        entry_index_.find(hash_key(n, l), [&](std::uint32_t id) {
+            return at(id).name == n && at(id).labels == l;
+        });
+    if (i == IdIndex::kNone || at(i).kind != kind) return nullptr;
+    return &at(i);
 }
 
 const Counter* MetricsRegistry::find_counter(std::string_view name,
                                              const Labels& labels) const {
     const Entry* e = find(name, labels, Kind::kCounter);
-    return e ? e->counter.get() : nullptr;
+    return e ? &e->counter : nullptr;
 }
 
 const Gauge* MetricsRegistry::find_gauge(std::string_view name,
                                          const Labels& labels) const {
     const Entry* e = find(name, labels, Kind::kGauge);
-    return e ? e->gauge.get() : nullptr;
+    return e ? &e->gauge : nullptr;
 }
 
 const LogHistogram*
@@ -164,12 +225,15 @@ MetricsRegistry::find_log_histogram(std::string_view name,
 
 MetricsRegistry::ScalarRef MetricsRegistry::scalar(std::uint32_t id) const {
     const Entry& e = *scalars_[id];
-    return ScalarRef{e.name, e.labels, e.counter.get(), e.gauge.get()};
+    const bool counter = e.kind == Kind::kCounter;
+    return ScalarRef{names_[e.name], label_sets_[e.labels],
+                     counter ? &e.counter : nullptr,
+                     counter ? nullptr : &e.gauge};
 }
 
 ChangeMark& MetricsRegistry::mark(std::uint32_t id) {
     Entry& e = *scalars_[id];
-    return e.counter ? e.counter->mark : e.gauge->mark;
+    return e.kind == Kind::kCounter ? e.counter.mark : e.gauge.mark;
 }
 
 void MetricsRegistry::take_dirty(std::vector<std::uint32_t>& out) {
@@ -185,24 +249,34 @@ std::uint64_t MetricsRegistry::counter_value(std::string_view name,
 }
 
 std::uint64_t MetricsRegistry::counter_total(std::string_view name) const {
+    const std::uint32_t n = find_name(name);
     std::uint64_t total = 0;
-    for (const auto& e : entries_)
-        if (e->kind == Kind::kCounter && e->name == name)
-            total += e->counter->value;
+    for (std::size_t i = 0; i < size_; ++i)
+        if (const Entry& e = at(i); e.kind == Kind::kCounter && e.name == n)
+            total += e.counter.value;
     return total;
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-    for (const auto& e : other.entries_) {
-        switch (e->kind) {
-        case Kind::kCounter:
-            add(counter(e->name, e->labels), e->counter->value);
-            break;
-        case Kind::kGauge:
-            set(gauge(e->name, e->labels), e->gauge->value);
-            break;
+    // Each of other's names and label sets is interned here once.
+    constexpr std::uint32_t kUnmapped = IdIndex::kNone;
+    std::vector<std::uint32_t> names(other.names_.size(), kUnmapped);
+    std::vector<std::uint32_t> label_sets(other.label_sets_.size(),
+                                          kUnmapped);
+    for (std::size_t i = 0; i < other.size_; ++i) {
+        const Entry& e = other.at(i);
+        std::uint32_t& name = names[e.name];
+        if (name == kUnmapped) name = name_id(other.names_[e.name]);
+        std::uint32_t& labels = label_sets[e.labels];
+        if (labels == kUnmapped)
+            labels = label_set(other.label_sets_[e.labels]).id_;
+        Entry* mine = entry(name, labels, e.kind);
+        if (mine == nullptr) continue;
+        switch (e.kind) {
+        case Kind::kCounter: add(&mine->counter, e.counter.value); break;
+        case Kind::kGauge: set(&mine->gauge, e.gauge.value); break;
         case Kind::kLogHistogram:
-            log_histogram(e->name, e->labels)->merge(*e->log_histogram);
+            mine->log_histogram->merge(*e.log_histogram);
             break;
         }
     }
@@ -214,23 +288,24 @@ std::string MetricsRegistry::to_json() const {
     w.begin_object();
     w.key("schema").value("gatekit.metrics.v1");
     w.key("metrics").begin_array();
-    for (const auto& e : entries_) {
+    for (std::size_t i = 0; i < size_; ++i) {
+        const Entry& e = at(i);
         w.begin_object();
-        w.key("name").value(e->name);
+        w.key("name").value(names_[e.name]);
         w.key("labels").begin_object();
-        for (const auto& [k, v] : e->labels) w.key(k).value(v);
+        for (const auto& [k, v] : label_sets_[e.labels]) w.key(k).value(v);
         w.end_object();
-        switch (e->kind) {
+        switch (e.kind) {
         case Kind::kCounter:
             w.key("kind").value("counter");
-            w.key("value").value(e->counter->value);
+            w.key("value").value(e.counter.value);
             break;
         case Kind::kGauge:
             w.key("kind").value("gauge");
-            w.key("value").value(e->gauge->value);
+            w.key("value").value(e.gauge.value);
             break;
         case Kind::kLogHistogram: {
-            const LogHistogram& h = *e->log_histogram;
+            const LogHistogram& h = *e.log_histogram;
             w.key("kind").value("log_histogram");
             w.key("count").value(h.total);
             w.key("sum").value(h.sum);
@@ -311,25 +386,27 @@ bool parse_label_cell(std::string_view cell, Labels& out) {
 std::string MetricsRegistry::to_csv() const {
     report::CsvWriter csv({"name", "kind", "labels", "value", "sum", "count",
                            "p50", "p90", "p99", "p999"});
-    for (const auto& e : entries_) {
-        const std::string labels = format_label_cell(e->labels);
-        switch (e->kind) {
+    for (std::size_t i = 0; i < size_; ++i) {
+        const Entry& e = at(i);
+        const std::string& name = names_[e.name];
+        const std::string labels = format_label_cell(label_sets_[e.labels]);
+        switch (e.kind) {
         case Kind::kCounter:
-            csv.add_row({e->name, "counter", labels,
-                         std::to_string(e->counter->value), "", "", "", "",
+            csv.add_row({name, "counter", labels,
+                         std::to_string(e.counter.value), "", "", "", "",
                          "", ""});
             break;
         case Kind::kGauge:
-            csv.add_row({e->name, "gauge", labels,
-                         report::json_double(e->gauge->value), "", "", "",
+            csv.add_row({name, "gauge", labels,
+                         report::json_double(e.gauge.value), "", "", "",
                          "", "", ""});
             break;
         case Kind::kLogHistogram: {
-            const LogHistogram& h = *e->log_histogram;
+            const LogHistogram& h = *e.log_histogram;
             const auto p = [&h](double q) {
                 return report::json_double(h.percentile(q));
             };
-            csv.add_row({e->name, "log_histogram", labels, "",
+            csv.add_row({name, "log_histogram", labels, "",
                          report::json_double(h.sum), std::to_string(h.total),
                          p(0.50), p(0.90), p(0.99), p(0.999)});
             break;

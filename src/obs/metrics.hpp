@@ -18,7 +18,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -137,19 +136,47 @@ std::string format_label_cell(const Labels& labels);
 bool parse_label_cell(std::string_view cell, Labels& out);
 
 /// Registry of named instruments. Registration dedups on (name, labels):
-/// asking twice for the same instrument returns the same pointer.
-/// Pointers are stable for the registry's lifetime (each instrument is
-/// its own heap allocation); counters and gauges point back at the
+/// asking twice for the same instrument returns the same pointer, and
+/// asking for a registered key under another kind returns nullptr.
+///
+/// Layout: each name and each label set is interned once, and the entry
+/// index is keyed by the pair of their ids. Entries live in a chunked
+/// arena with their counter and gauge inline, so pointers stay stable
+/// for the registry's lifetime and a registration allocates nothing once
+/// its name and label set are known. A component that registers several
+/// instruments under one label set interns it once (label_set) and
+/// registers against the handle. Counters and gauges point back at the
 /// registry's dirty list, so a registry is neither copied nor moved.
 class MetricsRegistry {
 public:
+    /// An interned label set: a handle valid only with the registry
+    /// that made it.
+    class LabelSet {
+        friend class MetricsRegistry;
+        explicit LabelSet(std::uint32_t id) : id_(id) {}
+        std::uint32_t id_;
+    };
+
     MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-    Counter* counter(std::string_view name, Labels labels = {});
-    Gauge* gauge(std::string_view name, Labels labels = {});
-    LogHistogram* log_histogram(std::string_view name, Labels labels = {});
+    /// Intern `labels` (copied only the first time the set is seen).
+    LabelSet label_set(const Labels& labels);
+
+    Counter* counter(std::string_view name, LabelSet labels);
+    Gauge* gauge(std::string_view name, LabelSet labels);
+    LogHistogram* log_histogram(std::string_view name, LabelSet labels);
+    Counter* counter(std::string_view name, const Labels& labels = {}) {
+        return counter(name, label_set(labels));
+    }
+    Gauge* gauge(std::string_view name, const Labels& labels = {}) {
+        return gauge(name, label_set(labels));
+    }
+    LogHistogram* log_histogram(std::string_view name,
+                                const Labels& labels = {}) {
+        return log_histogram(name, label_set(labels));
+    }
 
     /// Lookup without creating; nullptr when absent. Used by tests.
     const Counter* find_counter(std::string_view name,
@@ -167,9 +194,10 @@ public:
     /// Sum of all counters whose name matches, across label sets.
     std::uint64_t counter_total(std::string_view name) const;
 
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return size_; }
 
     /// One counter or gauge. Exactly one of counter/gauge is non-null.
+    /// `name` and `labels` stay valid until the next registration.
     struct ScalarRef {
         const std::string& name;
         const Labels& labels;
@@ -212,25 +240,63 @@ private:
     enum class Kind { kCounter, kGauge, kLogHistogram };
 
     struct Entry {
-        std::string name;
-        Labels labels;
+        std::uint32_t name;   ///< interned name id
+        std::uint32_t labels; ///< interned label-set id
         Kind kind;
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
+        Counter counter; ///< live when kind == kCounter
+        Gauge gauge;     ///< live when kind == kGauge
         std::unique_ptr<LogHistogram> log_histogram;
     };
 
-    Entry& entry(std::string_view name, Labels labels, Kind kind);
+    /// Open-addressing index over dense ids 0, 1, ... (linear probing,
+    /// power-of-two table at most half full). It keeps each id's hash;
+    /// the caller decides what equal means.
+    class IdIndex {
+    public:
+        static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+        /// The id of hash `h` for which `same(id)` holds, or kNone.
+        template <typename Same>
+        std::uint32_t find(std::uint64_t h, Same same) const {
+            if (slots_.empty()) return kNone;
+            const std::size_t mask = slots_.size() - 1;
+            for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+                const std::uint32_t s = slots_[i];
+                if (s == 0) return kNone;
+                if (hashes_[s - 1] == h && same(s - 1)) return s - 1;
+            }
+        }
+        /// Add the next id with hash `h` (absent, per find) and return it.
+        std::uint32_t add(std::uint64_t h);
+
+    private:
+        void place(std::uint32_t id);
+        std::vector<std::uint64_t> hashes_; ///< by id
+        std::vector<std::uint32_t> slots_;  ///< id + 1; 0 = empty
+    };
+
+    static constexpr std::size_t kChunk = 64; ///< entries per arena chunk
+
+    std::uint32_t name_id(std::string_view name);
+    std::uint32_t find_name(std::string_view name) const;
+    std::uint32_t find_labels(const Labels& labels) const;
+    /// The one registration path: the entry for (name, labels), made of
+    /// `kind` on first ask; nullptr when the key holds another kind.
+    Entry* entry(std::uint32_t name, std::uint32_t labels, Kind kind);
     const Entry* find(std::string_view name, const Labels& labels,
                       Kind kind) const;
+    Entry& at(std::size_t index) const {
+        return chunks_[index / kChunk][index % kChunk];
+    }
     ChangeMark& mark(std::uint32_t id);
 
-    std::vector<std::unique_ptr<Entry>> entries_; ///< registration order
+    std::vector<std::string> names_;     ///< by name id
+    std::vector<Labels> label_sets_;     ///< by label-set id
+    IdIndex name_index_;
+    IdIndex label_index_;
+    IdIndex entry_index_; ///< entry index by (name id, label-set id)
+    std::vector<std::unique_ptr<Entry[]>> chunks_; ///< registration order
+    std::size_t size_ = 0;
     std::vector<Entry*> scalars_; ///< counters and gauges by scalar id
-    /// Keyed by key_of(name, labels): every string length-prefixed, so
-    /// no name or label text can make two keys collide.
-    std::unordered_map<std::string, Entry*> index_;
-    std::string key_; ///< entry()'s reused key buffer
     std::vector<std::uint32_t> dirty_; ///< scalar ids written, each once
 };
 

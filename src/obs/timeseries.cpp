@@ -61,11 +61,36 @@ void append_int(std::string& out, Int v) {
 
 void append_quoted(std::string& out, std::string_view s) {
     out += '"';
-    out += report::json_escape(s);
+    report::append_json_escaped(out, s);
     out += '"';
 }
 
+char* put(char* p, std::string_view s) {
+    return std::copy(s.begin(), s.end(), p);
+}
+
 } // namespace
+
+void TimeseriesSampler::declare(std::uint32_t id,
+                                const MetricsRegistry::ScalarRef& s) {
+    decl_.assign("{\"series\":");
+    append_int(decl_, id);
+    decl_ += ",\"name\":";
+    append_quoted(decl_, s.name);
+    decl_ += ",\"labels\":{";
+    const char* sep = "";
+    for (const auto& [lk, lv] : s.labels) {
+        decl_ += sep;
+        sep = ",";
+        append_quoted(decl_, lk);
+        decl_ += ':';
+        append_quoted(decl_, lv);
+    }
+    decl_ += s.counter != nullptr ? "},\"kind\":\"counter\"}\n"
+                                  : "},\"kind\":\"gauge\"}\n";
+    out_.write(decl_.data(), static_cast<std::streamsize>(decl_.size()));
+    ++lines_;
+}
 
 void TimeseriesSampler::sample(sim::TimePoint stamp, bool force) {
     if (!force && stamp.count() <= last_stamp_ns_) return;
@@ -76,10 +101,18 @@ void TimeseriesSampler::sample(sim::TimePoint stamp, bool force) {
     reg_.take_dirty(dirty_);
     if (dirty_.empty()) return;
     std::sort(dirty_.begin(), dirty_.end());
-    line_.assign("{\"t_ns\":");
-    append_int(line_, static_cast<std::int64_t>(stamp.count()));
-    line_ += ",\"v\":[";
-    const std::size_t no_values = line_.size();
+    // The line is written straight into line_, sized for the longest
+    // possible one: a 20-digit stamp and, per pair, "[id,value],"
+    // with a 10-digit id and a value of up to kJsonDoubleMax chars.
+    constexpr std::size_t kPairMax = 14 + report::kJsonDoubleMax;
+    const std::size_t need = 48 + dirty_.size() * kPairMax;
+    if (line_.size() < need) line_.resize(need);
+    char* const first = line_.data();
+    char* const end = first + need;
+    char* p = put(first, "{\"t_ns\":");
+    p = std::to_chars(p, end, static_cast<std::int64_t>(stamp.count())).ptr;
+    p = put(p, ",\"v\":[");
+    char* const no_values = p;
     for (const std::uint32_t id : dirty_) {
         const MetricsRegistry::ScalarRef s = reg_.scalar(id);
         const bool integral = s.counter != nullptr;
@@ -93,39 +126,20 @@ void TimeseriesSampler::sample(sim::TimePoint stamp, bool force) {
         prev_[id] = v;
         if (declared_[id] == 0) {
             declared_[id] = 1;
-            decl_.assign("{\"series\":");
-            append_int(decl_, id);
-            decl_ += ",\"name\":";
-            append_quoted(decl_, s.name);
-            decl_ += ",\"labels\":{";
-            const char* sep = "";
-            for (const auto& [lk, lv] : s.labels) {
-                decl_ += sep;
-                sep = ",";
-                append_quoted(decl_, lk);
-                decl_ += ':';
-                append_quoted(decl_, lv);
-            }
-            decl_ += integral ? "},\"kind\":\"counter\"}\n"
-                              : "},\"kind\":\"gauge\"}\n";
-            out_.write(decl_.data(),
-                       static_cast<std::streamsize>(decl_.size()));
-            ++lines_;
+            declare(id, s);
         }
-        if (line_.size() != no_values) line_ += ',';
-        line_ += '[';
-        append_int(line_, id);
-        line_ += ',';
-        if (integral)
-            append_int(line_, static_cast<std::uint64_t>(v));
-        else
-            line_ += report::json_double(v);
-        line_ += ']';
+        if (p != no_values) *p++ = ',';
+        *p++ = '[';
+        p = std::to_chars(p, end, id).ptr;
+        *p++ = ',';
+        p = integral ? std::to_chars(p, end, static_cast<std::uint64_t>(v)).ptr
+                     : report::write_json_double(p, v);
+        *p++ = ']';
     }
-    if (line_.size() == no_values) return;
+    if (p == no_values) return;
     last_stamp_ns_ = std::max(last_stamp_ns_, stamp.count());
-    line_ += "]}\n";
-    out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+    p = put(p, "]}\n");
+    out_.write(first, static_cast<std::streamsize>(p - first));
     ++lines_;
 }
 

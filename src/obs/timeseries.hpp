@@ -69,6 +69,8 @@ public:
 
 private:
     void sample(sim::TimePoint stamp, bool force = false);
+    /// Write series `id`'s declaration line.
+    void declare(std::uint32_t id, const MetricsRegistry::ScalarRef& s);
 
     MetricsRegistry& reg_; ///< the sampler takes its dirty list
     std::ostream& out_;
@@ -76,7 +78,7 @@ private:
     std::vector<double> prev_;     ///< last emitted value per series id
     std::vector<char> declared_;   ///< series id has a declaration line
     std::vector<std::uint32_t> dirty_; ///< ids taken at this boundary
-    std::string line_;                 ///< sample line being rendered
+    std::string line_; ///< buffer the sample line is rendered into
     std::string decl_;                 ///< declaration line being rendered
     std::uint64_t lines_ = 0;
     std::int64_t last_stamp_ns_ = -1;

@@ -1,6 +1,6 @@
 #include "report/json.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -34,16 +34,55 @@ std::string json_escape(std::string_view s) {
     return out;
 }
 
+void append_json_escaped(std::string& out, std::string_view s) {
+    const bool verbatim = std::none_of(s.begin(), s.end(), [](char c) {
+        const auto u = static_cast<unsigned char>(c);
+        return u < 0x20 || u == '"' || u == '\\';
+    });
+    if (verbatim)
+        out.append(s);
+    else
+        out += json_escape(s);
+}
+
 std::string json_double(double v) {
-    if (!std::isfinite(v)) return "0";
-    std::array<char, 32> buf{};
-    auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-    if (ec != std::errc{}) return "0";
-    std::string out(buf.data(), ptr);
-    // Bare integers are valid JSON numbers, but keep them recognizably
-    // floating-point so downstream readers don't flip types run-to-run.
-    if (out.find_first_of(".eE") == std::string::npos) out += ".0";
-    return out;
+    char buf[kJsonDoubleMax];
+    return std::string(buf, write_json_double(buf, v));
+}
+
+char* write_json_double(char* first, double v) {
+    if (!std::isfinite(v)) {
+        *first = '0';
+        return first + 1;
+    }
+    // An integral value below 1e5 in magnitude has at most five digits,
+    // and the shortest exponent form ("1e+04") has at least five chars,
+    // so to_chars picks the plain digits (it prefers them on a tie):
+    // print them as an integer. -0.0 keeps its sign, so it goes the
+    // general way.
+    char* last = nullptr;
+    if (std::fabs(v) < 1e5 && v == std::trunc(v) &&
+        !(v == 0.0 && std::signbit(v))) {
+        last = std::to_chars(first, first + kJsonDoubleMax,
+                             static_cast<std::int32_t>(v))
+                   .ptr;
+    } else {
+        const auto [ptr, ec] = std::to_chars(first, first + kJsonDoubleMax, v);
+        if (ec != std::errc{}) {
+            *first = '0';
+            return first + 1;
+        }
+        last = ptr;
+        // Bare integers are valid JSON numbers, but keep them
+        // recognizably floating-point so downstream readers don't flip
+        // types run-to-run.
+        if (std::any_of(first, last,
+                        [](char c) { return c == '.' || c == 'e'; }))
+            return last;
+    }
+    *last++ = '.';
+    *last++ = '0';
+    return last;
 }
 
 void JsonWriter::pre_value() {

@@ -19,9 +19,20 @@ namespace gatekit::report {
 /// added). Control characters become \u00XX.
 std::string json_escape(std::string_view s);
 
+/// Append json_escape(s) to `out`. A string with no byte to escape is
+/// copied verbatim, with no temporary.
+void append_json_escaped(std::string& out, std::string_view s);
+
 /// Shortest round-trip decimal for a double. Non-finite values (which
 /// JSON cannot represent) are clamped to null-like "0".
 std::string json_double(double v);
+
+/// Room write_json_double needs at its destination.
+inline constexpr std::size_t kJsonDoubleMax = 32;
+
+/// Write json_double(v) at `first`, which has room for kJsonDoubleMax
+/// chars, and return the end of what was written.
+char* write_json_double(char* first, double v);
 
 /// Streaming JSON writer: explicit begin/end calls, commas inserted
 /// automatically. The caller is responsible for well-formed nesting

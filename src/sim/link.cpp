@@ -22,7 +22,8 @@ void Link::bind_observability(obs::MetricsRegistry* reg, obs::Tracer* tracer,
     b_to_a_.label = "b2a";
     if (reg == nullptr) return;
     for (Direction* d : {&a_to_b_, &b_to_a_}) {
-        obs::Labels labels{{"device", device}, {"direction", d->label}};
+        const auto labels =
+            reg->label_set({{"device", device}, {"direction", d->label}});
         d->m_lost = reg->counter("link.impair.lost", labels);
         d->m_dup = reg->counter("link.impair.duplicated", labels);
         d->m_reordered = reg->counter("link.impair.reordered", labels);

@@ -140,7 +140,7 @@ bool Host::is_local_addr(net::Ipv4Addr addr) const {
 void Host::bind_observability(obs::MetricsRegistry* reg, obs::Tracer* tracer) {
     tracer_ = tracer;
     if (reg == nullptr) return;
-    obs::Labels labels{{"device", name_}};
+    const auto labels = reg->label_set({{"device", name_}});
     m_tcp_retransmits_ = reg->counter("tcp.retransmits", labels);
     m_tcp_stale_syn_ = reg->counter("tcp.stale_syn_reacks", labels);
 }

@@ -4,6 +4,8 @@
 // attached (which must also leave the measured physics untouched).
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -533,6 +535,58 @@ TEST(Json, AsIntOfANumberOutsideInt64YieldsTheDefault) {
         EXPECT_EQ(report::json_parse(big)->as_int(-7), -7) << big;
 }
 
+TEST(Json, AppendEscapedMatchesJsonEscape) {
+    // The verbatim path must take exactly the strings json_escape leaves
+    // alone: every single byte, and hostile mixtures with the escapable
+    // byte first, last or absent.
+    std::vector<std::string> cases = {
+        "", "plain.name", "say \"hi\"", "back\\slash", "tab\there",
+        "nl\n", "\x7f del", "p\xc3\xa4ket", std::string("nul\0x", 5),
+        "k=v;k2=v2", "\x1f", "ends with quote\"", "\\"};
+    for (int b = 0; b < 256; ++b) {
+        cases.emplace_back(1, static_cast<char>(b));
+        cases.push_back("ab" + std::string(1, static_cast<char>(b)) + "cd");
+    }
+    for (const std::string& c : cases) {
+        std::string out = "prefix";
+        report::append_json_escaped(out, c);
+        EXPECT_EQ(out, "prefix" + report::json_escape(c));
+    }
+}
+
+TEST(Json, DoubleFastPathMatchesShortestForm) {
+    // write_json_double prints small integral values as integers; the
+    // bytes must equal the shortest round-trip form json_double always
+    // promised: to_chars, plus ".0" when that reads as an integer.
+    const auto reference = [](double v) {
+        if (!std::isfinite(v)) return std::string("0");
+        char buf[64];
+        std::string out(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+        if (out.find_first_of(".eE") == std::string::npos) out += ".0";
+        return out;
+    };
+    std::vector<double> values = {0.0,      -0.0,     1e5,    -1e5,
+                                  99999.0,  -99999.0, 1e15,   1e16,
+                                  1e21,     0.5,      -0.125, 123456.0,
+                                  99999.5,  1e-9,     4e9,    -4e9,
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::denorm_min(),
+                                  std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::quiet_NaN()};
+    for (int i = -120000; i <= 120000; i += 7) {
+        values.push_back(i);
+        values.push_back(i * 10.0);
+        values.push_back(i + 0.25);
+    }
+    for (int e = 0; e <= 20; ++e) values.push_back(std::pow(10.0, e));
+    for (const double v : values) {
+        char buf[report::kJsonDoubleMax];
+        const std::string got(buf, report::write_json_double(buf, v));
+        EXPECT_EQ(got, reference(v)) << v;
+        EXPECT_EQ(report::json_double(v), got) << v;
+    }
+}
+
 TEST(Json, DoubleFormattingRoundTripsAndStaysJson) {
     EXPECT_EQ(report::json_double(2.0), "2.0");
     EXPECT_EQ(report::json_double(0.5), "0.5");
@@ -688,4 +742,52 @@ TEST(ObsEndToEnd, CampaignPopulatesRegistryWithoutChangingResults) {
 
     std::string error;
     EXPECT_TRUE(validate_metrics_json(reg.to_json(), &error)) << error;
+}
+
+TEST(ObsEndToEnd, WanTapArmedOnlyWhenTraced) {
+    const auto run_udp1 = [](Observability& obs, harness::Testbed& tb,
+                             bool lossy) {
+        tb.add_device(obs_profile());
+        tb.attach_observability(&obs);
+        if (lossy) {
+            sim::LinkImpairments imp;
+            imp.loss = 0.2;
+            tb.slot(0).wan_link->set_impairments(sim::Link::Side::A, imp, 5);
+            tb.slot(0).wan_link->set_impairments(sim::Link::Side::B, imp, 6);
+        }
+        harness::Testrund rund(tb);
+        harness::CampaignConfig cfg;
+        cfg.udp1 = true;
+        cfg.udp.repetitions = 1;
+        rund.run_blocking(cfg);
+    };
+    {
+        // No sink: nothing would read the capture, so it stays unarmed.
+        sim::EventLoop loop;
+        Observability obs(loop);
+        harness::Testbed tb(loop);
+        run_udp1(obs, tb, false);
+        EXPECT_FALSE(tb.slot(0).wan_tap.attached());
+        EXPECT_TRUE(tb.slot(0).wan_tap.records().empty());
+        EXPECT_GT(obs.metrics().counter_total("fwd.forwarded"), 0u);
+    }
+    // A sink added before attaching arms the tap, and the WAN link's
+    // impairment events point at the captured frame they hit.
+    sim::EventLoop loop;
+    Observability obs(loop);
+    FlightRecorder rec(1 << 16);
+    obs.tracer().add_sink(&rec);
+    harness::Testbed tb(loop);
+    run_udp1(obs, tb, true);
+    const auto& records = tb.slot(0).wan_tap.records();
+    ASSERT_TRUE(tb.slot(0).wan_tap.attached());
+    ASSERT_FALSE(records.empty());
+    std::size_t lost = 0;
+    for (const auto& ev : rec.snapshot()) {
+        if (ev.category != "link" || ev.name != "impair.lost") continue;
+        ++lost;
+        ASSERT_GE(ev.frame, 0);
+        ASSERT_LT(ev.frame, static_cast<std::int64_t>(records.size()));
+    }
+    EXPECT_GT(lost, 0u);
 }
