@@ -138,22 +138,23 @@ MetricsRegistry::LabelSet MetricsRegistry::label_set(const Labels& labels) {
     return LabelSet(label_index_.add(hash_labels(labels)));
 }
 
+std::uint32_t MetricsRegistry::find_entry(std::uint32_t name,
+                                          std::uint32_t labels) const {
+    return entry_index_.find(hash_key(name, labels), [&](std::uint32_t i) {
+        return at(i).name == name && at(i).labels == labels;
+    });
+}
+
 MetricsRegistry::Entry* MetricsRegistry::entry(std::uint32_t name,
                                                std::uint32_t labels,
                                                Kind kind) {
-    const std::uint64_t h = hash_key(name, labels);
-    const std::uint32_t found = entry_index_.find(h, [&](std::uint32_t i) {
-        const Entry& e = at(i);
-        return e.name == name && e.labels == labels;
-    });
-    if (found != IdIndex::kNone) {
-        Entry& e = at(found);
-        return e.kind == kind ? &e : nullptr;
-    }
+    if (const std::uint32_t i = find_entry(name, labels);
+        i != IdIndex::kNone)
+        return at(i).kind == kind ? &at(i) : nullptr;
     if (size_ == chunks_.size() * kChunk)
         chunks_.push_back(std::make_unique<Entry[]>(kChunk));
     Entry& e = at(size_++);
-    entry_index_.add(h);
+    entry_index_.add(hash_key(name, labels));
     e.name = name;
     e.labels = labels;
     e.kind = kind;
@@ -196,10 +197,7 @@ MetricsRegistry::find(std::string_view name, const Labels& labels,
     const std::uint32_t n = find_name(name);
     const std::uint32_t l = find_labels(labels);
     if (n == IdIndex::kNone || l == IdIndex::kNone) return nullptr;
-    const std::uint32_t i =
-        entry_index_.find(hash_key(n, l), [&](std::uint32_t id) {
-            return at(id).name == n && at(id).labels == l;
-        });
+    const std::uint32_t i = find_entry(n, l);
     if (i == IdIndex::kNone || at(i).kind != kind) return nullptr;
     return &at(i);
 }

@@ -279,6 +279,7 @@ private:
     std::uint32_t name_id(std::string_view name);
     std::uint32_t find_name(std::string_view name) const;
     std::uint32_t find_labels(const Labels& labels) const;
+    std::uint32_t find_entry(std::uint32_t name, std::uint32_t labels) const;
     /// The one registration path: the entry for (name, labels), made of
     /// `kind` on first ask; nullptr when the key holds another kind.
     Entry* entry(std::uint32_t name, std::uint32_t labels, Kind kind);
