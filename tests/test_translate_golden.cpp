@@ -5,7 +5,9 @@
 // shared-pool modes × EIM/EDM. Each leg folds everything observable
 // (translated bytes, verdicts, drop counters, wire timing) into one
 // FNV-1a digest, and the committed digests pin the translator's
-// behaviour across refactors of its internals.
+// behaviour across refactors of its internals. A NAT444 leg runs both
+// mixes over the wire through each profile behind a CgnGateway, which
+// pins the CGN's frame hooks as the first leg pins HomeGateway's.
 //
 // The mix: UDP and TCP with and without a Record Route option; TTL 1, 2
 // and 64; SYN/FIN/RST sequences; inbound ICMP errors quoting the full
@@ -797,6 +799,80 @@ private:
     pcap::CaptureTap lan_tap_;
 };
 
+// --- over the wire: NAT444, a HomeGateway behind a CgnGateway --------------
+
+void hash_cgn_stats(Fnv& f, const gateway::CgnEngine::Stats& s) {
+    for (const auto v :
+         {s.translated_out, s.translated_in, s.pool_exhausted,
+          s.block_collisions, s.dropped_no_binding, s.dropped_policy,
+          s.icmp_relayed, s.icmp_dropped, s.hairpinned})
+        f.u64(v);
+}
+
+/// One calibrated gateway behind one CGN on a Testbed. The inside is the
+/// test client's vlan-if, the outside the group's test-server interface,
+/// and the external address the CGN's: every datagram crosses both
+/// gateways' frame hooks. Taps on the member's LAN link, its WAN link
+/// (on the access network) and the group's uplink see every hop.
+class Nat444Bed : public Bed {
+public:
+    explicit Nat444Bed(const gateway::DeviceProfile& profile)
+        : tb_(loop_), grp_(tb_.add_cgn_group()),
+          idx_(tb_.add_device_behind_cgn(profile, grp_)) {
+        auto& s = tb_.slot(idx_);
+        lan_tap_.attach(*s.lan_link);
+        s.wan_tap.attach(*s.wan_link);
+        uplink_tap_.attach(*tb_.cgn_group(grp_).wan_link);
+        tb_.start_and_wait();
+        clients = {s.client_addr};
+        remotes = {tb_.cgn_group(grp_).server_addr};
+        external = tb_.cgn_group(grp_).external_addr;
+    }
+
+    void lan(const net::Bytes& d) override {
+        auto& s = tb_.slot(idx_);
+        tb_.client().send_raw(*s.client_if, d, s.gw->lan_addr());
+    }
+    void wan(const net::Bytes& d) override {
+        auto& g = tb_.cgn_group(grp_);
+        tb_.server().send_raw(*g.server_if, d, g.external_addr);
+    }
+    void wait(sim::Duration d) override { loop_.run_until(loop_.now() + d); }
+    /// The CGN's port for the home gateway's translation of `key`.
+    std::optional<std::uint16_t> external_port(const FlowKey& key) override {
+        auto& s = tb_.slot(idx_);
+        const auto home = table_port(s.gw->nat(), key);
+        const auto* cgn =
+            tb_.cgn_group(grp_).cgn->engine().engine_for(s.gw_wan_addr);
+        if (!home || cgn == nullptr) return std::nullopt;
+        // find_outbound is a pure lookup; the engine itself is not const.
+        return table_port(const_cast<gateway::NatEngine&>(*cgn),
+                          {key.proto, {s.gw_wan_addr, *home}, key.remote});
+    }
+
+    std::uint64_t digest() {
+        wait(std::chrono::seconds(5));
+        Fnv f;
+        for (const auto* tap :
+             {&lan_tap_, &tb_.slot(idx_).wan_tap, &uplink_tap_})
+            for (const auto& r : tap->records()) {
+                f.u64(static_cast<std::uint64_t>(r.timestamp.count()));
+                f.bytes(r.frame);
+            }
+        hash_nat_stats(f, tb_.slot(idx_).gw->nat().stats());
+        hash_cgn_stats(f, tb_.cgn_group(grp_).cgn->engine().stats());
+        return f.h;
+    }
+
+private:
+    sim::EventLoop loop_;
+    harness::Testbed tb_;
+    int grp_;
+    int idx_;
+    pcap::CaptureTap lan_tap_;
+    pcap::CaptureTap uplink_tap_;
+};
+
 // --- engine-direct: NatEngine's packet API ----------------------------------
 
 /// `engine`'s in-place hairpin on a serialized copy of `pkt`: the
@@ -905,12 +981,7 @@ public:
     }
 
     std::uint64_t digest() {
-        const auto& s = cgn_.stats();
-        for (const auto v :
-             {s.translated_out, s.translated_in, s.pool_exhausted,
-              s.block_collisions, s.dropped_no_binding, s.dropped_policy,
-              s.icmp_relayed, s.icmp_dropped, s.hairpinned})
-            f_.u64(v);
+        hash_cgn_stats(f_, cgn_.stats());
         return f_.h;
     }
 
@@ -1034,6 +1105,52 @@ constexpr CgnGolden kIcmpCgnGolden[] = {
     {"shared/edm", 0xbf44cc3df2fe5bc6ULL},
 };
 
+// NAT444 over the wire: each calibrated profile behind a default CGN,
+// Mix and IcmpMix (seeds seed_for(2000 + i) and seed_for(3000 + i)).
+// Generated with GATEKIT_GOLDEN_PRINT=1.
+struct Nat444Golden {
+    const char* tag;
+    std::uint64_t mix;
+    std::uint64_t icmp_mix;
+};
+
+constexpr Nat444Golden kNat444Golden[] = {
+    {"al", 0x471cd5019d546adcULL, 0x77aee00c8af1f813ULL},
+    {"ap", 0x78d12063130c3fabULL, 0x1a9bbbd2230e877eULL},
+    {"as1", 0x38071e9a295ab3bcULL, 0xe81b0a435dd358b0ULL},
+    {"be1", 0xe210bf2208a44b83ULL, 0x7857807e69b39d1dULL},
+    {"be2", 0xc5213c23a339b952ULL, 0xdcf0938aadb71824ULL},
+    {"bu1", 0xf0cf1dad84f6e7b7ULL, 0x397360c604934cefULL},
+    {"dl1", 0x557447a47aac4002ULL, 0x96d6682f24d2cbb5ULL},
+    {"dl2", 0x2e90e003916cd464ULL, 0xfd3dbffeee743db5ULL},
+    {"dl3", 0x269573e882c279cbULL, 0x4c35fc0f8a747b70ULL},
+    {"dl4", 0x3b6e0bc64b22c733ULL, 0x3bc15d5ad273f643ULL},
+    {"dl5", 0xab5f5fe4ca552344ULL, 0x2e51ba0f9de2e108ULL},
+    {"dl6", 0xf8b3e87bf0c9ba2dULL, 0x8ffdcddd9275e5d9ULL},
+    {"dl7", 0x2cc9d32df6e3e962ULL, 0x6d57d8befd1138eaULL},
+    {"dl8", 0x523ee287c449f75cULL, 0x4a7dd92a106c2dcdULL},
+    {"dl9", 0x277ad15d62897409ULL, 0xe99ae483568d6462ULL},
+    {"dl10", 0x63e3f155655cdcf0ULL, 0x21fa6ef4dc060e11ULL},
+    {"ed", 0xc611ee03e5316866ULL, 0x23e571ddf460e255ULL},
+    {"je", 0x2e1cf6620b2c5401ULL, 0xb30f45ada70a4458ULL},
+    {"ls1", 0x50a79fb502b04816ULL, 0xbbe66f1e9cc8b2ccULL},
+    {"ls2", 0x9064cfc48e52be62ULL, 0x3cc8193d3cb48dddULL},
+    {"ls3", 0x75e35f8327221eb0ULL, 0x8fdff4dfb16cab1fULL},
+    {"ls5", 0x19150f3ff0c0e45cULL, 0x6fa858db4d310708ULL},
+    {"owrt", 0x4ee90a6bac6cdf74ULL, 0xb360e56180367156ULL},
+    {"to", 0xb5c87c3b2748f56fULL, 0x8de49128af7a34b7ULL},
+    {"ng1", 0x45de4af69ee8c5e8ULL, 0xdbd93a0eb34f8b1eULL},
+    {"ng2", 0x7d285c99c9d8964cULL, 0x18aabf425e496486ULL},
+    {"ng3", 0xf9685c036afdea6cULL, 0x1d73593cee60897cULL},
+    {"ng4", 0x89bdbc6d4ce114bfULL, 0xa481dc2106750a6bULL},
+    {"ng5", 0xc3caf817d9376dc0ULL, 0x1ba78ad83b4060feULL},
+    {"nw1", 0x153e35c95eebe34cULL, 0x624403f5c858d2efULL},
+    {"smc", 0x9562466960e15700ULL, 0x951cf02eedc5eccaULL},
+    {"te", 0xee90bfbf90e9b3c9ULL, 0xc2609c8b06029c0fULL},
+    {"we", 0xaf3bb4fc3145cc0dULL, 0x060164a6f5f24bf9ULL},
+    {"zy1", 0xa038f1b92b679337ULL, 0x9b109d8092e0028aULL},
+};
+
 bool printing() { return std::getenv("GATEKIT_GOLDEN_PRINT") != nullptr; }
 
 /// Run mix M over every calibrated profile, on the wire and engine-direct
@@ -1108,4 +1225,30 @@ TEST(TranslateGolden, CgnBlockAndSharedTimesEimEdm) {
 TEST(TranslateGolden, IcmpAndOtherTransportsWireEngineAndCgn) {
     check_profiles<IcmpMix>(kIcmpProfileGolden, 1000, "kIcmpProfileGolden");
     check_cgn<IcmpMix>(kIcmpCgnGolden, 1100, "kIcmpCgnGolden");
+}
+
+TEST(TranslateGolden, Nat444WireThroughCgnGateway) {
+    const auto& profiles = devices::all_profiles();
+    if (printing()) std::printf("constexpr Nat444Golden kNat444Golden[] = {\n");
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        Nat444Bed mix(profiles[i]);
+        Mix(mix, seed_for(2000 + i)).run(kFlows);
+        Nat444Bed icmp(profiles[i]);
+        IcmpMix(icmp, seed_for(3000 + i)).run(kFlows);
+        const auto m = mix.digest();
+        const auto c = icmp.digest();
+        if (printing()) {
+            std::printf("    {\"%s\", 0x%016llxULL, 0x%016llxULL},\n",
+                        profiles[i].tag.c_str(),
+                        static_cast<unsigned long long>(m),
+                        static_cast<unsigned long long>(c));
+            continue;
+        }
+        ASSERT_EQ(std::size(kNat444Golden), profiles.size());
+        EXPECT_EQ(profiles[i].tag, kNat444Golden[i].tag);
+        EXPECT_EQ(m, kNat444Golden[i].mix) << profiles[i].tag << " (Mix)";
+        EXPECT_EQ(c, kNat444Golden[i].icmp_mix)
+            << profiles[i].tag << " (IcmpMix)";
+    }
+    if (printing()) std::printf("};\n");
 }
