@@ -1,7 +1,7 @@
-// Exact work counts for the observability binding. Wall-clock timings on
-// a shared host swing too far to gate a change, but the number of heap
-// allocations a fixed piece of work makes repeats exactly, so it is
-// pinned here. The executable replaces the global operator new with a
+// Exact work counts for the observability binding and the NAT444
+// datapath. Wall-clock timings on a shared host swing too far to gate a
+// change, but the number of heap allocations a fixed piece of work makes
+// repeats exactly, so it is pinned here. The executable replaces the global operator new with a
 // counting one (no LD_PRELOAD); it is built only without sanitizers,
 // whose runtimes own the allocator.
 #include <gtest/gtest.h>
@@ -11,8 +11,10 @@
 #include <new>
 
 #include "devices/population.hpp"
+#include "devices/profiles.hpp"
 #include "harness/testbed.hpp"
 #include "obs/obs.hpp"
+#include "stack/udp_socket.hpp"
 
 namespace {
 
@@ -67,4 +69,58 @@ TEST(AllocCount, PopulationDeviceAttachObservability) {
     // says why; a decrease re-pins it.
     EXPECT_EQ(obs.metrics().size(), 73u);
     EXPECT_EQ(attach, 116u);
+}
+
+// The first calibrated gateway behind a default CGN, warmed up (leases,
+// ARP caches, a binding at each NAT), then a fixed run of UDP datagrams
+// each way through both gateways' frame hooks. The count covers the two
+// hosts' sends and receives as well; what it pins is that forwarding adds
+// no allocation per frame beyond what the datapath already makes, such
+// as FwdPath's queue node every few frames.
+TEST(AllocCount, Nat444UdpExchange) {
+    sim::EventLoop loop;
+    harness::Testbed tb(loop);
+    const int g = tb.add_cgn_group();
+    const int i = tb.add_device_behind_cgn(devices::all_profiles()[0], g);
+    tb.start_and_wait();
+    auto& slot = tb.slot(i);
+
+    net::Endpoint peer;
+    std::uint64_t at_server = 0;
+    std::uint64_t at_client = 0;
+    auto& server = tb.server().udp_open(net::Ipv4Addr::any(), 7000);
+    server.set_receive_handler([&](net::Endpoint src,
+                                   std::span<const std::uint8_t>,
+                                   const net::PacketView&) {
+        peer = src;
+        ++at_server;
+    });
+    auto& client =
+        tb.client().udp_open(slot.client_addr, 46000, slot.client_if);
+    client.set_receive_handler([&](net::Endpoint,
+                                   std::span<const std::uint8_t>,
+                                   const net::PacketView&) { ++at_client; });
+    const net::Bytes payload(64, 0x5a);
+    client.send_to({slot.server_addr, 7000}, payload);
+    loop.run_for(std::chrono::milliseconds(50));
+    server.send_to(peer, payload);
+    loop.run_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(at_server, 1u);
+    ASSERT_EQ(at_client, 1u);
+
+    constexpr int kDatagrams = 300;
+    const std::uint64_t before = g_allocations;
+    for (int k = 0; k < kDatagrams; ++k) {
+        client.send_to({slot.server_addr, 7000}, payload);
+        server.send_to(peer, payload);
+        loop.run_for(std::chrono::milliseconds(1));
+    }
+    loop.run_for(std::chrono::milliseconds(50));
+    const std::uint64_t exchange = g_allocations - before;
+
+    EXPECT_EQ(at_server, 1u + kDatagrams);
+    EXPECT_EQ(at_client, 1u + kDatagrams);
+    // 2401 on the gateways' own per-gateway frame hooks, before they
+    // shared one forwarding skeleton; the skeleton must not move it.
+    EXPECT_EQ(exchange, 2401u);
 }
