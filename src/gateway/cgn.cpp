@@ -1,7 +1,5 @@
 #include "gateway/cgn.hpp"
 
-#include <algorithm>
-
 #include "net/icmp.hpp"
 #include "util/assert.hpp"
 
@@ -309,131 +307,25 @@ void CgnEngine::flush() {
 }
 
 CgnGateway::CgnGateway(sim::EventLoop& loop, Config config)
-    : loop_(loop), config_(std::move(config)),
-      host_(loop, "cgn", net::MacAddr::from_index(config_.mac_index)),
-      wan_nic_(host_.add_nic(
-          net::MacAddr::from_index(config_.mac_index + 1))),
-      access_if_(host_.add_iface()), wan_if_(host_.add_iface_on(wan_nic_)),
+    : config_(std::move(config)),
+      forwarder_(loop,
+                 {.name = "cgn",
+                  .inside_mac = net::MacAddr::from_index(config_.mac_index),
+                  .wan_mac = net::MacAddr::from_index(config_.mac_index + 1),
+                  .inside_addr = config_.access_addr,
+                  .inside_prefix_len = config_.access_prefix_len,
+                  .inside_pool_base = config_.access_pool_base}),
       engine_(loop, config_.cgn) {
-    access_if_.configure(config_.access_addr, config_.access_prefix_len);
-    host_.add_route(config_.access_addr, config_.access_prefix_len,
-                    access_if_);
-
-    // The NIC frame hooks are the whole datapath. WAN-side datagrams for
-    // other destinations are not ours: a CGN translates toward its
-    // external address, it does not transit-route.
-    host_.nic().set_fast_ip_hook([this](net::PacketView& v, sim::Frame& f) {
-        return frame_from_access(v, f);
-    });
-    wan_nic_.set_fast_ip_hook([this](net::PacketView& v, sim::Frame& f) {
-        return frame_from_wan(v, f);
-    });
-}
-
-void CgnGateway::connect_access(sim::Link& link, sim::Link::Side side) {
-    host_.nic().connect(link, side);
-}
-
-void CgnGateway::connect_wan(sim::Link& link, sim::Link::Side side) {
-    wan_nic_.connect(link, side);
+    forwarder_.attach(*this);
 }
 
 void CgnGateway::start(std::function<void(net::Ipv4Addr)> on_ready) {
-    on_ready_ = std::move(on_ready);
-    wan_dhcp_ = std::make_unique<stack::DhcpClient>(host_, wan_if_);
-    wan_dhcp_->start([this](const stack::DhcpLease& lease) {
-        host_.add_route(lease.addr, lease.prefix_len, wan_if_);
-        if (!lease.router.is_unspecified()) {
-            host_.add_route(net::Ipv4Addr::any(), 0, wan_if_, lease.router);
-            wan_if_.set_gateway(lease.router);
-        }
+    forwarder_.start([this, on_ready = std::move(on_ready)](
+                         const stack::DhcpLease& lease) {
         engine_.set_addresses(config_.access_addr,
                               config_.access_prefix_len, lease.addr);
-
-        // The access side comes up once the external address is known:
-        // the CGN is the access network's DHCP server and router, and
-        // passes the ISP's resolver through (no DNS proxy of its own —
-        // subscriber gateways already proxy for their LANs).
-        stack::DhcpServerConfig acc;
-        acc.pool_base = config_.access_pool_base;
-        acc.prefix_len = config_.access_prefix_len;
-        acc.router = config_.access_addr;
-        acc.dns_server = lease.dns_server;
-        access_dhcp_ =
-            std::make_unique<stack::DhcpServer>(host_, access_if_, acc);
-        if (on_ready_) on_ready_(lease.addr);
+        if (on_ready) on_ready(lease.addr);
     });
-}
-
-bool CgnGateway::frame_from_access(net::PacketView& v, sim::Frame& frame) {
-    if (!engine_.configured()) return false;
-    const net::Ipv4Addr dst = v.dst();
-    // Subscriber traffic addressed to the shared external address is a
-    // hairpin candidate (RFC 6888 REQ-9).
-    const bool hairpin = dst == engine_.external_addr();
-    if (dst.is_broadcast() || (!hairpin && host_.is_local_addr(dst)))
-        return false; // CGN-local
-    stack::NetIf& rx = host_.nic();
-    // Forwarding-path TTL check precedes translation (Linux order), so
-    // the Time Exceeded quote embeds the datagram as it arrived.
-    if (v.ttl() <= 1) {
-        ttl_expired({v.data(), v.total_len()});
-        rx.pool().release(std::move(frame));
-        return true;
-    }
-    if (hairpin) {
-        if (!engine_.hairpin(v)) return false; // e.g. pinging the address
-    } else if (engine_.outbound(v) != NatEngine::Verdict::kForwarded) {
-        rx.pool().release(std::move(frame));
-        return true;
-    }
-    frame.resize(14u + v.total_len()); // shed any trailing link padding
-    emit_frame(std::move(frame), v.dst(), rx);
-    return true;
-}
-
-bool CgnGateway::frame_from_wan(net::PacketView& v, sim::Frame& frame) {
-    if (!engine_.configured() || v.dst() != engine_.external_addr())
-        return false;
-    // Only a packet the engine attributes to a subscriber flow is a
-    // forwarding event, so an expiring TTL is known only after
-    // translation: keep the datagram as it arrived for the quote.
-    net::Bytes arrived;
-    if (v.ttl() <= 1) arrived.assign(v.data(), v.data() + v.total_len());
-    const auto verdict = engine_.inbound(v);
-    if (verdict == NatEngine::Verdict::kNotOurs)
-        return false; // CGN-host local (DHCP toward the ISP, unsolicited)
-    if (verdict == NatEngine::Verdict::kDropped || !arrived.empty()) {
-        if (verdict == NatEngine::Verdict::kForwarded) ttl_expired(arrived);
-        wan_nic_.pool().release(std::move(frame));
-        return true;
-    }
-    frame.resize(14u + v.total_len());
-    const net::Ipv4Addr dst = v.dst(); // the subscriber, post-rewrite
-    emit_frame(std::move(frame), dst, wan_nic_);
-    return true;
-}
-
-void CgnGateway::emit_frame(sim::Frame frame, net::Ipv4Addr dst,
-                            stack::NetIf& rx) {
-    const stack::Route* route = host_.lookup_route(dst);
-    if (route == nullptr) {
-        rx.pool().release(std::move(frame));
-        return;
-    }
-    stack::Iface& out = *route->iface;
-    const auto src = out.mac().octets();
-    std::copy(src.begin(), src.end(), frame.begin() + 6);
-    out.send_frame(std::move(frame), route->via ? *route->via : dst);
-}
-
-void CgnGateway::ttl_expired(std::span<const std::uint8_t> datagram) {
-    const net::Ipv4Addr src = net::ipv4_src(datagram);
-    if (src.is_unspecified() || src.is_broadcast()) return;
-    const auto err = net::IcmpMessage::make_error(
-        net::IcmpType::TimeExceeded, net::icmp_code::kTtlExceeded, 0,
-        datagram);
-    host_.send_icmp(net::Ipv4Addr::any(), src, err);
 }
 
 } // namespace gatekit::gateway

@@ -16,10 +16,12 @@
 // built from the full-pool profile. The only ICMP step of the CGN's own
 // is the external view of the quote in errors subscribers send.
 //
-// CgnGateway translates on its NICs, as HomeGateway does: a frame hook
-// on each port rewrites the received frame in place (hairpin included)
-// and sends the same buffer out of the route's interface. Only what the
-// hooks decline climbs the host stack: the CGN's own traffic.
+// CgnGateway is HomeGateway's shape with a carrier's policy: the same
+// Forwarder skeleton (forwarder.hpp) rewrites each received frame in
+// place on its NIC hooks and sends the same buffer out of the port the
+// exit names, with CgnEngine as translator, every frame sent at once,
+// and no stall or FORWARD chain. Only what the hooks decline climbs the
+// host stack: the CGN's own traffic.
 #pragma once
 
 #include <functional>
@@ -28,10 +30,9 @@
 #include <span>
 #include <vector>
 
+#include "gateway/forwarder.hpp"
 #include "gateway/nat_engine.hpp"
 #include "gateway/profile.hpp"
-#include "stack/dhcp_service.hpp"
-#include "stack/host.hpp"
 
 namespace gatekit::gateway {
 
@@ -190,12 +191,12 @@ private:
     Stats stats_;
 };
 
-/// The deployable middle box: a Host with an access-side interface (it
-/// runs the access network's DHCP server, handing each home gateway its
-/// WAN lease) and a WAN interface (DHCP client toward the ISP), with a
-/// CgnEngine on NIC frame hooks the same way HomeGateway hooks its
-/// NatEngine. No FwdPath: carrier boxes forward at line rate relative
-/// to the CPE devices under study.
+/// The deployable middle box: a Forwarder whose inside port faces the
+/// access network (it runs the access network's DHCP server, handing
+/// each home gateway its WAN lease) and whose WAN port leases the
+/// external address from the ISP, with a CgnEngine as its translator.
+/// No FwdPath: carrier boxes forward at line rate relative to the CPE
+/// devices under study, so a frame leaves as soon as it is translated.
 class CgnGateway {
 public:
     struct Config {
@@ -211,50 +212,42 @@ public:
     CgnGateway(const CgnGateway&) = delete;
     CgnGateway& operator=(const CgnGateway&) = delete;
 
-    void connect_access(sim::Link& link, sim::Link::Side side);
-    void connect_wan(sim::Link& link, sim::Link::Side side);
+    void connect_access(sim::Link& link, sim::Link::Side side) {
+        forwarder_.connect(Port::kInside, link, side);
+    }
+    void connect_wan(sim::Link& link, sim::Link::Side side) {
+        forwarder_.connect(Port::kWan, link, side);
+    }
 
     /// Bring the box up: WAN DHCP first; once the external address is
-    /// leased the engine configures and the access-side DHCP server
-    /// starts serving subscriber (home-gateway WAN) leases.
+    /// leased the access-side DHCP server starts serving subscriber
+    /// (home-gateway WAN) leases, passing the ISP's resolver through
+    /// (subscriber gateways already proxy DNS for their LANs), and the
+    /// engine configures.
     void start(std::function<void(net::Ipv4Addr)> on_ready = {});
 
     bool ready() const { return engine_.configured(); }
     net::Ipv4Addr access_addr() const { return config_.access_addr; }
     net::Ipv4Addr external_addr() const { return engine_.external_addr(); }
 
-    stack::Host& host() { return host_; }
+    stack::Host& host() { return forwarder_.host(); }
     CgnEngine& engine() { return engine_; }
-    stack::Iface& access_if() { return access_if_; }
-    stack::Iface& wan_if() { return wan_if_; }
 
 private:
-    /// NIC frame hooks, the CGN's whole datapath: IPv4 frames to a port's
-    /// MAC or broadcast are translated (or hairpinned) in place and leave
-    /// in the same buffer. The access hook declines traffic for the CGN
-    /// itself (IP broadcast, its own addresses, and what hairpin refuses
-    /// at the external address); the WAN hook declines everything
-    /// CgnEngine::inbound calls kNotOurs. Both go to the CGN's own stack.
-    bool frame_from_access(net::PacketView& v, sim::Frame& frame);
-    bool frame_from_wan(net::PacketView& v, sim::Frame& frame);
-    /// Send a translated frame out of `dst`'s route with that interface's
-    /// source MAC (both ports are untagged, so the L2 header carries
-    /// over); `rx` takes the frame back when there is no route.
-    void emit_frame(sim::Frame frame, net::Ipv4Addr dst, stack::NetIf& rx);
-    /// ICMP Time Exceeded toward `datagram`'s source, quoting it as it
-    /// arrived (before translation).
-    void ttl_expired(std::span<const std::uint8_t> datagram);
+    // The policy Forwarder's frame hooks call (see forwarder.hpp). A
+    // CGN translates toward its external address and does not
+    // transit-route: WAN datagrams for other destinations are its own.
+    friend class Forwarder;
+    static constexpr bool stalled() { return false; }
+    CgnEngine& translator() { return engine_; }
+    static constexpr bool admit(const net::PacketView&) { return true; }
+    void forward(sim::Frame frame, net::Ipv4Addr dst, Port out) {
+        forwarder_.emit(std::move(frame), dst, out);
+    }
 
-    sim::EventLoop& loop_;
     Config config_;
-    stack::Host host_;
-    stack::NetIf& wan_nic_;
-    stack::Iface& access_if_;
-    stack::Iface& wan_if_;
+    Forwarder forwarder_;
     CgnEngine engine_;
-    std::unique_ptr<stack::DhcpClient> wan_dhcp_;
-    std::unique_ptr<stack::DhcpServer> access_dhcp_;
-    std::function<void(net::Ipv4Addr)> on_ready_;
 };
 
 } // namespace gatekit::gateway

@@ -1,20 +1,21 @@
-// HomeGateway: a complete simulated CPE device. Internally it is a Host
-// (giving it ARP, DHCP client/server, a DNS proxy and its own sockets)
-// plus a NAT datapath on its two NICs' frame hooks, in front of the host
-// stack, and a forwarding-performance model. Behavior is entirely driven
-// by its DeviceProfile; src/devices instantiates the paper's 34 models.
+// HomeGateway: a complete simulated CPE device. A Forwarder skeleton
+// (a Host with ARP, DHCP client/server and its own sockets, plus the NIC
+// frame hooks that are the whole datapath) carries this device's
+// policy: a stall window, the FORWARD chain, the NatEngine, the FwdPath
+// forwarding-performance model and the Untranslated router fallback,
+// with a DNS proxy on the host. Behavior is entirely driven by its
+// DeviceProfile; src/devices instantiates the paper's 34 models.
 #pragma once
 
 #include <functional>
 #include <memory>
 
 #include "gateway/dns_proxy.hpp"
+#include "gateway/forwarder.hpp"
 #include "gateway/fwd_path.hpp"
 #include "gateway/nat_engine.hpp"
 #include "gateway/profile.hpp"
 #include "gateway/rule_chain.hpp"
-#include "stack/dhcp_service.hpp"
-#include "stack/host.hpp"
 
 namespace gatekit::gateway {
 
@@ -46,8 +47,12 @@ public:
     HomeGateway(const HomeGateway&) = delete;
     HomeGateway& operator=(const HomeGateway&) = delete;
 
-    void connect_lan(sim::Link& link, sim::Link::Side side);
-    void connect_wan(sim::Link& link, sim::Link::Side side);
+    void connect_lan(sim::Link& link, sim::Link::Side side) {
+        forwarder_.connect(Port::kInside, link, side);
+    }
+    void connect_wan(sim::Link& link, sim::Link::Side side) {
+        forwarder_.connect(Port::kWan, link, side);
+    }
 
     /// Bring the device up: run the WAN DHCP client; once a lease arrives
     /// the NAT, LAN DHCP server, and DNS proxy become operational and
@@ -72,16 +77,10 @@ public:
     void bind_observability(obs::MetricsRegistry* reg, obs::Tracer* tracer,
                             const std::string& device);
 
-    stack::Host& host() { return host_; }
-    /// The gateway's interfaces. Exposed so the campaign supervisor can
-    /// restore their ARP caches on journal resume (entries never expire,
-    /// so warm state is part of replayed history).
-    stack::Iface& lan_if() { return lan_if_; }
-    stack::Iface& wan_if() { return wan_if_; }
+    stack::Host& host() { return forwarder_.host(); }
     NatEngine& nat() { return nat_; }
     FwdPath& fwd() { return fwd_; }
     DnsProxy& dns_proxy() { return dns_proxy_; }
-    stack::DhcpServer* lan_dhcp() { return lan_dhcp_.get(); }
 
     /// Netfilter-style FORWARD chain applied to NAT'd traffic in both
     /// directions (keys are always the internal/LAN view of the flow:
@@ -91,42 +90,23 @@ public:
     RuleChain& filter() { return filter_; }
 
 private:
-    /// NIC frame hooks, the gateway's whole datapath: every protocol in
-    /// untagged IPv4 frames to a port's MAC or broadcast is translated,
-    /// hairpinned or (WAN side, to a LAN host) routed by the
-    /// Untranslated fallback in place, and forwarded in the same buffer;
-    /// an expiring TTL draws its Time Exceeded here, and a stall
-    /// swallows everything. They decline only the gateway's own traffic
-    /// (IP broadcast, its own addresses, what hairpin refuses, and
-    /// kNotOurs), which the host stack delivers locally.
-    bool frame_from_lan(net::PacketView& v, sim::Frame& frame);
-    bool frame_from_wan(net::PacketView& v, sim::Frame& frame);
-    /// Send a forwarded frame toward `dst` with `out`'s source MAC; the
-    /// frame is dropped unless `dst`'s route leaves by `out`.
-    void emit_frame(sim::Frame frame, net::Ipv4Addr dst, stack::Iface& out);
-    bool filter_pass(const RuleChain::Key& key);
-
-    /// Emit ICMP Time Exceeded toward `datagram`'s source (RFC 792),
-    /// quoting it as it arrived: this hop would have decremented the TTL
-    /// to zero. Both datapath directions land here, so cascaded (NAT444)
-    /// chains report the expiring hop instead of silently eating
-    /// traceroute probes.
-    void ttl_expired(std::span<const std::uint8_t> datagram);
+    // The policy Forwarder's frame hooks call (see forwarder.hpp).
+    friend class Forwarder;
+    NatEngine& translator() { return nat_; }
+    /// The FORWARD chain; an unconfigured empty-accept chain costs
+    /// nothing and counts nothing.
+    bool admit(const net::PacketView& v);
+    /// Queue on FwdPath (Up toward the WAN, Down into the LAN, hairpin
+    /// included), then emit.
+    void forward(sim::Frame frame, net::Ipv4Addr dst, Port out);
 
     sim::EventLoop& loop_;
     Config config_;
-    stack::Host host_;
-    stack::NetIf& wan_nic_;
-    stack::Iface& lan_if_;
-    stack::Iface& wan_if_;
+    Forwarder forwarder_;
     NatEngine nat_;
     FwdPath fwd_;
     RuleChain filter_;
-    bool filter_compiled_ = false; ///< profile.firewall_compiled
     DnsProxy dns_proxy_;
-    std::unique_ptr<stack::DhcpClient> wan_dhcp_;
-    std::unique_ptr<stack::DhcpServer> lan_dhcp_;
-    std::function<void(net::Ipv4Addr)> on_ready_;
     sim::TimePoint stalled_until_{0};
     std::uint64_t faults_injected_ = 0;
 

@@ -120,7 +120,8 @@ TEST(AllocCount, Nat444UdpExchange) {
 
     EXPECT_EQ(at_server, 1u + kDatagrams);
     EXPECT_EQ(at_client, 1u + kDatagrams);
-    // 2401 on the gateways' own per-gateway frame hooks, before they
-    // shared one forwarding skeleton; the skeleton must not move it.
+    // 2401 when each gateway still had its own frame hooks; the shared
+    // Forwarder skeleton keeps it. A change that moves this count says
+    // why.
     EXPECT_EQ(exchange, 2401u);
 }

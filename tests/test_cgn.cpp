@@ -934,3 +934,86 @@ TEST(Nat444, BroadcastFramedDatagramIsTranslatedOnACopy) {
     EXPECT_EQ(seen[0].addr, group.external_addr);
     EXPECT_EQ(group.cgn->engine().stats().translated_out, before + 1);
 }
+
+// The one emit rule: a translated frame leaves by the port its exit
+// names. A subscriber frame for another access-network address is
+// translated outbound, so it must leave by the WAN port; its route
+// points back into the access network, and the frame is dropped there,
+// as a home gateway drops a frame whose route leaves by the wrong port.
+// Subscribers reach each other on-link, never through the CGN.
+TEST(Nat444, AccessFrameRoutedBackToTheAccessPortIsDropped) {
+    sim::EventLoop loop;
+    Testbed tb(loop);
+    const int g = tb.add_cgn_group();
+    const int i = tb.add_device_behind_cgn(member_profile("m1"), g);
+    tb.start_and_wait();
+    auto& group = tb.cgn_group(g);
+    const auto access_out = group.access_link->frames_sent(sim::Link::Side::A);
+    const auto uplink_out = group.wan_link->frames_sent(sim::Link::Side::A);
+    const auto before = group.cgn->engine().stats().translated_out;
+
+    const net::Ipv4Addr neighbour(100, 64, static_cast<std::uint8_t>(
+                                               group.index), 77);
+    const net::Bytes dgram =
+        udp_pkt(tb.slot(i).gw_wan_addr, 40000, neighbour, 7000).serialize();
+    const auto mac = group.cgn->host().nic().mac().octets();
+    sim::Frame frame(mac.begin(), mac.end());
+    frame.insert(frame.end(), {0x02, 0, 0, 0, 0, 0x42, 0x08, 0x00});
+    frame.insert(frame.end(), dgram.begin(), dgram.end());
+    group.access_link->send(sim::Link::Side::B, std::move(frame));
+    loop.run_for(std::chrono::milliseconds(50));
+
+    EXPECT_EQ(group.cgn->engine().stats().translated_out, before + 1);
+    EXPECT_EQ(group.access_link->frames_sent(sim::Link::Side::A), access_out);
+    EXPECT_EQ(group.wan_link->frames_sent(sim::Link::Side::A), uplink_out);
+}
+
+// A translated frame with no route at all is released with nothing on
+// either wire. The ISP's lease names no router here, so the CGN holds no
+// default route and an off-link destination has none.
+TEST(Nat444, RoutelessTranslatedFrameLeavesNothingOnEitherWire) {
+    sim::EventLoop loop;
+    const auto rate = 100'000'000;
+    const auto prop = std::chrono::microseconds(1);
+    sim::Link uplink(loop, rate, prop);
+    sim::Link access(loop, rate, prop);
+    stack::Host isp(loop, "isp", net::MacAddr::from_index(1));
+    stack::Host sub(loop, "sub", net::MacAddr::from_index(2));
+    stack::Iface& isp_if = isp.add_iface();
+    stack::Iface& sub_if = sub.add_iface();
+    isp.nic().connect(uplink, sim::Link::Side::A);
+    sub.nic().connect(access, sim::Link::Side::B);
+    isp_if.configure(net::Ipv4Addr(10, 0, 0, 1), 24);
+    isp.add_route(net::Ipv4Addr(10, 0, 0, 0), 24, isp_if);
+    stack::DhcpServerConfig lease;
+    lease.pool_base = net::Ipv4Addr(10, 0, 0, 10);
+    lease.dns_server = net::Ipv4Addr(10, 0, 0, 1); // no router
+    stack::DhcpServer dhcp(isp, isp_if, lease);
+
+    CgnGateway cgn(loop, {});
+    cgn.connect_wan(uplink, sim::Link::Side::B);
+    cgn.connect_access(access, sim::Link::Side::A);
+    bool ready = false;
+    cgn.start([&ready](net::Ipv4Addr) { ready = true; });
+    loop.run_for(std::chrono::seconds(10));
+    ASSERT_TRUE(ready);
+
+    const net::Ipv4Addr subscriber(100, 64, 0, 50);
+    sub_if.configure(subscriber, 24);
+    sub.add_route(net::Ipv4Addr(100, 64, 0, 0), 24, sub_if);
+    const net::Ipv4Addr far(203, 0, 113, 9);
+    const auto send = [&] {
+        sub.send_raw(sub_if, udp_pkt(subscriber, 40000, far, 7000).serialize(),
+                     cgn.access_addr());
+        loop.run_for(std::chrono::milliseconds(50));
+    };
+    send(); // resolves the CGN's MAC first
+    const auto access_out = access.frames_sent(sim::Link::Side::A);
+    const auto uplink_out = uplink.frames_sent(sim::Link::Side::B);
+    const auto before = cgn.engine().stats().translated_out;
+    send();
+
+    EXPECT_EQ(cgn.engine().stats().translated_out, before + 1);
+    EXPECT_EQ(access.frames_sent(sim::Link::Side::A), access_out);
+    EXPECT_EQ(uplink.frames_sent(sim::Link::Side::B), uplink_out);
+}
