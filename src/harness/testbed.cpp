@@ -93,37 +93,33 @@ Testbed::make_slot(gateway::DeviceProfile profile, int number) {
     return slot;
 }
 
+template <class Owner> void Testbed::add_uplink(Owner& o, int n) {
+    const auto n8 = static_cast<std::uint8_t>(n);
+    const auto vlan = static_cast<std::uint16_t>(1000 + (n - 1) % 1000 + 1);
+    wan_switch_.connect(wan_switch_.add_access_port(vlan), *o.wan_link,
+                        sim::Link::Side::B);
+    o.server_if = &server_.add_iface(vlan);
+    o.server_addr = net::Ipv4Addr(10, 0, n8, 1);
+    o.server_if->configure(o.server_addr, 24);
+    server_.add_route(net::Ipv4Addr(10, 0, n8, 0), 24, *o.server_if);
+
+    // The test server leases 10.0.n.10.. to the WAN port, pointing it at
+    // the server for routing and DNS (the global DNS server answers on
+    // every server address).
+    stack::DhcpServerConfig wan_dhcp_cfg;
+    wan_dhcp_cfg.pool_base = net::Ipv4Addr(10, 0, n8, 10);
+    wan_dhcp_cfg.router = o.server_addr;
+    wan_dhcp_cfg.dns_server = o.server_addr;
+    o.wan_dhcp = std::make_unique<stack::DhcpServer>(server_, *o.server_if,
+                                                     wan_dhcp_cfg);
+    dns_->add_record(kTestName, o.server_addr);
+}
+
 int Testbed::add_device(gateway::DeviceProfile profile, int number) {
     next_number_ = std::max(next_number_, number + 1);
     auto slot = make_slot(std::move(profile), number);
-    const int n = number;
-    const auto n8 = static_cast<std::uint8_t>(n);
-    const auto vlan_slot = static_cast<std::uint16_t>((n - 1) % 1000 + 1);
-
-    // WAN side: access port on VLAN 1000+vlan_slot, server vlan-if
-    // 10.0.n.1/24.
-    wan_switch_.connect(
-        wan_switch_.add_access_port(
-            static_cast<std::uint16_t>(1000 + vlan_slot)),
-        *slot->wan_link, sim::Link::Side::B);
-    slot->server_if =
-        &server_.add_iface(static_cast<std::uint16_t>(1000 + vlan_slot));
-    slot->server_addr = net::Ipv4Addr(10, 0, n8, 1);
-    slot->server_if->configure(slot->server_addr, 24);
-    server_.add_route(net::Ipv4Addr(10, 0, n8, 0), 24, *slot->server_if);
-
-    // Test server leases 10.0.n.10.. to the gateway's WAN port, pointing
-    // the gateway at itself for routing and DNS (the global DNS server
-    // answers on every server address).
-    stack::DhcpServerConfig wan_dhcp_cfg;
-    wan_dhcp_cfg.pool_base = net::Ipv4Addr(10, 0, n8, 10);
-    wan_dhcp_cfg.router = slot->server_addr;
-    wan_dhcp_cfg.dns_server = slot->server_addr;
-    slot->wan_dhcp = std::make_unique<stack::DhcpServer>(
-        server_, *slot->server_if, wan_dhcp_cfg);
-
+    add_uplink(*slot, number);
     slots_.push_back(std::move(slot));
-    dns_->add_record(kTestName, slots_.back()->server_addr);
     if (obs_ != nullptr) bind_slot_observability(*slots_.back());
     return static_cast<int>(slots_.size()) - 1;
 }
@@ -158,29 +154,11 @@ int Testbed::add_cgn_group(gateway::CgnConfig cgn) {
             static_cast<std::uint16_t>(3000 + vlan_slot)),
         *grp->access_link, sim::Link::Side::B);
 
-    // Uplink: byte-for-byte a home gateway's WAN slot — VLAN
-    // 1000+vlan_slot, server vlan-if 10.0.c.1/24, server-side DHCP.
+    // Uplink: byte-for-byte a home gateway's WAN slot.
     grp->wan_link = std::make_unique<sim::Link>(loop_, kLinkRate, kLinkProp);
     grp->cgn->connect_wan(*grp->wan_link, sim::Link::Side::A);
-    wan_switch_.connect(
-        wan_switch_.add_access_port(
-            static_cast<std::uint16_t>(1000 + vlan_slot)),
-        *grp->wan_link, sim::Link::Side::B);
-    grp->server_if =
-        &server_.add_iface(static_cast<std::uint16_t>(1000 + vlan_slot));
-    grp->server_addr = net::Ipv4Addr(10, 0, c8, 1);
-    grp->server_if->configure(grp->server_addr, 24);
-    server_.add_route(net::Ipv4Addr(10, 0, c8, 0), 24, *grp->server_if);
-
-    stack::DhcpServerConfig wan_dhcp_cfg;
-    wan_dhcp_cfg.pool_base = net::Ipv4Addr(10, 0, c8, 10);
-    wan_dhcp_cfg.router = grp->server_addr;
-    wan_dhcp_cfg.dns_server = grp->server_addr;
-    grp->wan_dhcp = std::make_unique<stack::DhcpServer>(
-        server_, *grp->server_if, wan_dhcp_cfg);
-
+    add_uplink(*grp, c);
     cgn_groups_.push_back(std::move(grp));
-    dns_->add_record(kTestName, cgn_groups_.back()->server_addr);
     return static_cast<int>(cgn_groups_.size()) - 1;
 }
 

@@ -148,6 +148,11 @@ private:
     /// the WAN link to its segment (server VLAN or CGN access network).
     std::unique_ptr<DeviceSlot> make_slot(gateway::DeviceProfile profile,
                                           int number);
+    /// The test-server side of device number n's direct uplink, for a
+    /// DeviceSlot or a CgnGroup: `o.wan_link`'s far end on a VLAN
+    /// 1000+n access port, the server vlan-if 10.0.n.1/24 and its route,
+    /// the server-side DHCP service and the kTestName record.
+    template <class Owner> void add_uplink(Owner& o, int n);
     void start_slot(DeviceSlot& slot);
     void bind_slot_observability(DeviceSlot& slot);
 
