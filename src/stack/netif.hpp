@@ -154,9 +154,9 @@ public:
     /// broadcast. The hook receives a parsed view aliasing `frame` and
     /// may rewrite it in place and take ownership (return true =
     /// consumed); returning false falls through to the demux with the
-    /// frame untouched. Installed by HomeGateway and CgnGateway on both
-    /// their ports, where it is the whole forwarding path; plain hosts
-    /// have none.
+    /// frame untouched. gateway::Forwarder installs it on both ports of
+    /// HomeGateway and CgnGateway, where it is the whole forwarding path;
+    /// plain hosts have none.
     using FastIpHook = std::function<bool(net::PacketView&, sim::Frame&)>;
     void set_fast_ip_hook(FastIpHook hook) { fast_hook_ = std::move(hook); }
 
