@@ -81,24 +81,23 @@ public:
     void start(std::function<void(const stack::DhcpLease&)> on_lease);
 
     stack::Host& host() { return host_; }
+
+    /// Send a forwarded frame toward `dst` with `out`'s source MAC; the
+    /// frame is dropped unless `dst`'s route leaves by `out`.
+    void emit(sim::Frame frame, net::Ipv4Addr dst, Port out);
+
+private:
     stack::NetIf& nic(Port port) {
         return port == Port::kWan ? wan_nic_ : host_.nic();
     }
     stack::Iface& iface(Port port) {
         return port == Port::kWan ? wan_if_ : inside_if_;
     }
-
-    /// Send a forwarded frame toward `dst` with `out`'s source MAC; the
-    /// frame is dropped unless `dst`'s route leaves by `out`.
-    void emit(sim::Frame frame, net::Ipv4Addr dst, Port out);
-
     /// Return `frame` to `port`'s pool. True: the frame is consumed.
     bool drop(Port port, sim::Frame& frame) {
         nic(port).pool().release(std::move(frame));
         return true;
     }
-
-private:
     template <class Policy>
     bool from_inside(Policy& p, net::PacketView& v, sim::Frame& frame);
     template <class Policy>
