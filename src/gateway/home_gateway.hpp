@@ -8,7 +8,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "gateway/dns_proxy.hpp"
 #include "gateway/forwarder.hpp"
