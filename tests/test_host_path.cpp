@@ -8,7 +8,9 @@
 //   (c) a 2-device TCP-2 run's client-trunk and WAN captures hash to
 //       fixed digests;
 //   (d) PacketView::parse accepts exactly the datagrams Ipv4Packet::parse
-//       accepts and reads the same fields from them.
+//       accepts and reads the same fields from them;
+//   (e) every kind of datagram a Host sends hashes to a fixed digest as
+//       it leaves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,8 +33,11 @@
 #include "net/sctp.hpp"
 #include "net/tcp_header.hpp"
 #include "net/udp.hpp"
+#include "stack/dccp_endpoint.hpp"
 #include "stack/host.hpp"
+#include "stack/sctp_endpoint.hpp"
 #include "stack/tcp_socket.hpp"
+#include "stack/udp_socket.hpp"
 #include "util/rng.hpp"
 
 using namespace gatekit;
@@ -811,4 +817,137 @@ TEST(HostPath, Tcp2CaptureDigestsArePinned) {
     EXPECT_EQ(trunk, 0x90e0c93a9ef45dd6ULL);
     EXPECT_EQ(wan0, 0x604f7096d3f99f8dULL);
     EXPECT_EQ(wan1, 0xa0b5a6fdf187782eULL);
+}
+
+// --- (e) the host send path -------------------------------------------------
+
+// Every kind of datagram a Host sends, hashed as it leaves: the frames on
+// the wire (side, time, bytes), the datagrams delivered into host a (its
+// loopback traffic included) and each send's return value. Two hosts on
+// one link, a (10.0.0.1/24, gateway 10.0.0.2, plus an unconfigured VLAN
+// 7 iface) and b (10.0.0.2/24). Senders interleave within one event, so
+// the IP id sequence is in the hash too.
+TEST(HostPath, SendPathWireBytesArePinned) {
+    using net::Ipv4Addr;
+    sim::EventLoop loop;
+    sim::Link link{loop, 100'000'000, std::chrono::microseconds(1)};
+    stack::Host a{loop, "a", net::MacAddr::from_index(1)};
+    stack::Host b{loop, "b", net::MacAddr::from_index(2)};
+    stack::Iface& ia = a.add_iface();
+    stack::Iface& iv = a.add_iface(std::uint16_t{7});
+    stack::Iface& ib = b.add_iface();
+    a.nic().connect(link, sim::Link::Side::A);
+    b.nic().connect(link, sim::Link::Side::B);
+    ia.configure(Ipv4Addr(10, 0, 0, 1), 24);
+    ia.set_gateway(Ipv4Addr(10, 0, 0, 2));
+    ib.configure(Ipv4Addr(10, 0, 0, 2), 24);
+    a.add_route(Ipv4Addr(10, 0, 0, 0), 24, ia);
+    a.add_route(Ipv4Addr(198, 51, 100, 0), 24, iv); // unconfigured egress
+    b.add_route(Ipv4Addr(10, 0, 0, 0), 24, ib);
+
+    Fnv f;
+    link.set_tap([&f](sim::Link::Side from, sim::TimePoint at,
+                      std::span<const std::uint8_t> frame) {
+        f.byte(from == sim::Link::Side::A ? 0 : 1);
+        f.u64(static_cast<std::uint64_t>(at.count()));
+        f.bytes(frame);
+    });
+    std::size_t delivered = 0;
+    a.set_ip_observer([&](stack::Iface&, const net::PacketView& view,
+                          std::span<const std::uint8_t>) {
+        ++delivered;
+        f.byte(2);
+        f.u64(static_cast<std::uint64_t>(loop.now().count()));
+        f.bytes({view.data(), view.total_len()});
+    });
+    const auto sent = [&f](bool ok) { f.byte(ok ? 0x11 : 0x10); };
+    const auto step = [&loop] { loop.run_for(std::chrono::milliseconds(50)); };
+    const net::Bytes payload{'p', 'i', 'n'};
+
+    // Receivers: b echoes UDP on 9000 and TCP on 80, takes SCTP on 7 and
+    // DCCP on 9 from any address; a takes loopback UDP on 6000 and TCP
+    // on 7000. Nothing listens on b's UDP 4444 or TCP 81.
+    auto& b_udp = b.udp_open(Ipv4Addr::any(), 9000);
+    b_udp.set_receive_handler([&b_udp](net::Endpoint src,
+                                       std::span<const std::uint8_t> p,
+                                       const net::PacketView&) {
+        b_udp.send_to(src, net::Bytes(p.begin(), p.end()));
+    });
+    b.tcp_listen(80).set_accept_handler([](stack::TcpSocket& s) {
+        s.on_data = [&s](std::span<const std::uint8_t> d) { s.send(d); };
+    });
+    b.sctp_open(Ipv4Addr::any(), 7).listen();
+    b.dccp_open(Ipv4Addr::any(), 9).listen();
+    a.udp_open(Ipv4Addr::any(), 6000);
+    a.tcp_listen(7000).set_accept_handler([](stack::TcpSocket& s) {
+        s.on_data = [&s](std::span<const std::uint8_t> d) { s.send(d); };
+    });
+
+    // UDP from an unbound socket: its first datagram and the one behind
+    // it park behind the ARP request for 10.0.0.2 and flush on the reply.
+    auto& unbound = a.udp_open(Ipv4Addr::any(), 0);
+    sent(unbound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, payload));
+    sent(unbound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, {'2'}));
+    step();
+    // From a bound socket, then to a closed port (Port Unreachable).
+    auto& bound = a.udp_open(Ipv4Addr(10, 0, 0, 1), 5000);
+    sent(bound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, payload));
+    sent(bound.send_to({Ipv4Addr(10, 0, 0, 2), 4444}, payload));
+    step();
+    // Unconfigured egress: nothing leaves.
+    sent(unbound.send_to({Ipv4Addr(198, 51, 100, 7), 9000}, payload));
+    // Iface-bound: on-link, via the iface gateway, and off-link from an
+    // iface with no gateway (false, nothing on the wire).
+    auto& on_ia = a.udp_open(Ipv4Addr::any(), 0, &ia);
+    sent(on_ia.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, payload));
+    sent(on_ia.send_to({Ipv4Addr(192, 0, 2, 9), 53}, payload));
+    step();
+    // Broadcast from the unconfigured VLAN iface (source 0.0.0.0), from
+    // the configured one, and from a socket bound to no iface (false).
+    auto& dhcp = a.udp_open(Ipv4Addr::any(), 68, &iv);
+    sent(dhcp.send_to({Ipv4Addr::broadcast(), 67}, payload));
+    sent(on_ia.send_to({Ipv4Addr::broadcast(), 67}, payload));
+    sent(unbound.send_to({Ipv4Addr::broadcast(), 67}, payload));
+    step();
+    iv.configure(Ipv4Addr(10, 9, 0, 1), 24);
+    sent(dhcp.send_to({Ipv4Addr(192, 0, 2, 9), 53}, payload));
+    sent(dhcp.send_to({Ipv4Addr::broadcast(), 67}, payload));
+    step();
+    // TTL 1 with an empty Record Route option (padded to 40 bytes).
+    stack::UdpSocket::SendOptions opts;
+    opts.ttl = 1;
+    opts.ip_options = net::Ipv4Packet::make_record_route_option(9);
+    sent(bound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, payload, opts));
+    step();
+    // Loopback: UDP from an unbound and a bound socket, then TCP.
+    sent(unbound.send_to({Ipv4Addr(10, 0, 0, 1), 6000}, payload));
+    sent(bound.send_to({Ipv4Addr(10, 0, 0, 1), 6000}, payload));
+    auto& self = a.tcp_connect(Ipv4Addr(10, 0, 0, 1), 0,
+                               {Ipv4Addr(10, 0, 0, 1), 7000});
+    self.on_established = [&self, &payload] { self.send(payload); };
+    step();
+    // TCP: SYN, data and echo, and the RST from a port with no listener.
+    auto& conn = a.tcp_connect(Ipv4Addr(10, 0, 0, 1), 0,
+                               {Ipv4Addr(10, 0, 0, 2), 80});
+    conn.on_established = [&conn, &payload] { conn.send(payload); };
+    auto& refused = a.tcp_connect(Ipv4Addr(10, 0, 0, 1), 0,
+                                  {Ipv4Addr(10, 0, 0, 2), 81});
+    refused.on_error = [](const std::string&) {};
+    step();
+    // ICMP echo (b replies), SCTP INIT, a DCCP Request from an unbound
+    // address, UDP and TCP data, all sent within one event.
+    a.send_icmp(Ipv4Addr(10, 0, 0, 1), Ipv4Addr(10, 0, 0, 2),
+                net::IcmpMessage::make_echo(false, 0x77, 3, payload));
+    a.sctp_open(Ipv4Addr(10, 0, 0, 1), 0).connect({Ipv4Addr(10, 0, 0, 2), 7});
+    a.dccp_open(Ipv4Addr::any(), 0).connect({Ipv4Addr(10, 0, 0, 2), 9});
+    sent(unbound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, payload));
+    conn.send(payload);
+    sent(bound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, payload));
+    loop.run_for(std::chrono::seconds(10));
+
+    EXPECT_EQ(delivered, 27u);
+    if (std::getenv("GATEKIT_GOLDEN_PRINT") != nullptr)
+        std::printf("send path 0x%016llx (%zu delivered)\n",
+                    static_cast<unsigned long long>(f.h), delivered);
+    EXPECT_EQ(f.h, 0x7e7a0eab6007d5dbULL);
 }
