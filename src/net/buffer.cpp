@@ -30,16 +30,12 @@ void BufferWriter::zeros(std::size_t n) { data_.insert(data_.end(), n, 0); }
 
 void BufferWriter::patch_u16(std::size_t offset, std::uint16_t v) {
     GK_EXPECTS(offset + 2 <= data_.size());
-    data_[offset] = static_cast<std::uint8_t>(v >> 8);
-    data_[offset + 1] = static_cast<std::uint8_t>(v);
+    store_u16(data_.data() + offset, v);
 }
 
 void BufferWriter::patch_u32(std::size_t offset, std::uint32_t v) {
     GK_EXPECTS(offset + 4 <= data_.size());
-    data_[offset] = static_cast<std::uint8_t>(v >> 24);
-    data_[offset + 1] = static_cast<std::uint8_t>(v >> 16);
-    data_[offset + 2] = static_cast<std::uint8_t>(v >> 8);
-    data_[offset + 3] = static_cast<std::uint8_t>(v);
+    store_u32(data_.data() + offset, v);
 }
 
 void BufferReader::need(std::size_t n) const {

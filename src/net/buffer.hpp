@@ -20,18 +20,22 @@ public:
 
 using Bytes = std::vector<std::uint8_t>;
 
+/// Big-endian stores, for writers that fill a buffer in place.
+inline void store_u16(std::uint8_t* p, std::uint16_t v) {
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
+}
+inline void store_u32(std::uint8_t* p, std::uint32_t v) {
+    store_u16(p, static_cast<std::uint16_t>(v >> 16));
+    store_u16(p + 2, static_cast<std::uint16_t>(v));
+}
+
 /// Appends big-endian integers and raw bytes; supports back-patching for
 /// length and checksum fields whose value is known only after the payload.
 class BufferWriter {
 public:
     BufferWriter() = default;
     explicit BufferWriter(std::size_t reserve) { data_.reserve(reserve); }
-    /// Adopt an existing buffer (cleared), reusing its capacity. Pairs
-    /// with net::PacketPool so serialization on the hot path appends into
-    /// recycled storage instead of growing a fresh vector.
-    explicit BufferWriter(Bytes&& reuse) : data_(std::move(reuse)) {
-        data_.clear();
-    }
 
     void u8(std::uint8_t v) { data_.push_back(v); }
     void u16(std::uint16_t v);

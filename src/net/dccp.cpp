@@ -20,9 +20,13 @@ std::size_t header_words(const DccpPacket& p) {
 
 } // namespace
 
+std::size_t DccpPacket::wire_len() const {
+    return header_words(*this) * 4 + payload.size();
+}
+
 Bytes DccpPacket::serialize(Ipv4Addr src, Ipv4Addr dst) const {
     const std::size_t offset_words = header_words(*this);
-    BufferWriter w(offset_words * 4 + payload.size());
+    BufferWriter w(wire_len());
     w.u16(src_port);
     w.u16(dst_port);
     w.u8(static_cast<std::uint8_t>(offset_words));

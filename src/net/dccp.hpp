@@ -38,6 +38,8 @@ struct DccpPacket {
     bool checksum_ok = true;           ///< parse only
 
     Bytes serialize(Ipv4Addr src, Ipv4Addr dst) const;
+    /// The number of bytes serialize() writes.
+    std::size_t wire_len() const;
     static DccpPacket parse(std::span<const std::uint8_t> data, Ipv4Addr src,
                             Ipv4Addr dst);
 

@@ -7,12 +7,7 @@
 namespace gatekit::net {
 
 Bytes EthernetFrame::serialize() const {
-    return serialize_into(Bytes{});
-}
-
-Bytes EthernetFrame::serialize_into(Bytes reuse) const {
-    reuse.reserve(payload.size() + 18);
-    BufferWriter w(std::move(reuse));
+    BufferWriter w(payload.size() + 18);
     w.bytes(dst.octets());
     w.bytes(src.octets());
     if (vlan_id) {

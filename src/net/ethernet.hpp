@@ -26,10 +26,6 @@ struct EthernetFrame {
     Bytes payload;
 
     Bytes serialize() const;
-    /// serialize() into `reuse`'s storage (cleared first), so a pooled
-    /// buffer's capacity is recycled instead of reallocated. Output bytes
-    /// are identical to serialize().
-    Bytes serialize_into(Bytes reuse) const;
     static EthernetFrame parse(std::span<const std::uint8_t> data);
 };
 

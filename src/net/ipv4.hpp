@@ -25,6 +25,11 @@ inline constexpr std::uint8_t kNop = 1;
 inline constexpr std::uint8_t kRecordRoute = 7;
 } // namespace ipopt
 
+/// An IPv4 header's length with `options_len` option bytes, padded.
+constexpr std::size_t ipv4_header_len(std::size_t options_len) {
+    return 20 + ((options_len + 3) / 4) * 4;
+}
+
 struct Ipv4Header {
     std::uint8_t tos = 0;
     std::uint16_t id = 0;
@@ -42,10 +47,16 @@ struct Ipv4Header {
     std::uint16_t stored_checksum = 0;
     bool checksum_ok = true;
 
-    std::size_t header_len() const {
-        return 20 + ((options.size() + 3) / 4) * 4;
-    }
+    std::size_t header_len() const { return ipv4_header_len(options.size()); }
 };
+
+/// Write `h` with `options` (not h.options), padded with End octets, at
+/// the front of `datagram` (size = total length), checksummed. The one
+/// IPv4 header writer: Ipv4Packet::serialize and Host's sends. Returns
+/// the header length.
+std::size_t write_ipv4_header(std::span<std::uint8_t> datagram,
+                              const Ipv4Header& h,
+                              std::span<const std::uint8_t> options);
 
 /// The addresses recorded so far in the Record Route option found in raw
 /// IPv4 option bytes; empty when there is none.

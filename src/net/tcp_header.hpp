@@ -24,6 +24,11 @@ struct TcpFlags {
         default;
 };
 
+/// A TCP header's length with `options_len` option bytes, padded.
+constexpr std::size_t tcp_header_len(std::size_t options_len) {
+    return 20 + ((options_len + 3) / 4) * 4;
+}
+
 struct TcpSegment {
     std::uint16_t src_port = 0;
     std::uint16_t dst_port = 0;
@@ -38,9 +43,7 @@ struct TcpSegment {
     std::uint16_t stored_checksum = 0; ///< parse only
     bool checksum_ok = true;           ///< parse only
 
-    std::size_t header_len() const {
-        return 20 + ((options.size() + 3) / 4) * 4;
-    }
+    std::size_t header_len() const { return tcp_header_len(options.size()); }
 
     Bytes serialize(Ipv4Addr src, Ipv4Addr dst) const;
     static TcpSegment parse(std::span<const std::uint8_t> data, Ipv4Addr src,
@@ -59,6 +62,14 @@ struct TcpSegment {
     /// Human-readable flag string, e.g. "SYN|ACK" (diagnostics).
     std::string flag_string() const;
 };
+
+/// Write `seg`'s header with `options` (not seg.options, padded with End)
+/// and `payload` into `out`, exactly their size, checksummed over the
+/// pseudo-header. TcpSegment::serialize and TcpSocket both use it.
+void write_tcp(std::span<std::uint8_t> out, const TcpSegment& seg,
+               std::span<const std::uint8_t> options,
+               std::span<const std::uint8_t> payload, Ipv4Addr src,
+               Ipv4Addr dst);
 
 /// A TCP segment read in place: the fields the socket state machine
 /// reads, with options and payload as spans of the wire buffer. It owns

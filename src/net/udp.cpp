@@ -1,29 +1,38 @@
 #include "net/udp.hpp"
 
+#include <algorithm>
+
 #include "net/checksum.hpp"
 #include "net/ipv4.hpp"
 #include "util/assert.hpp"
 
 namespace gatekit::net {
 
-Bytes UdpDatagram::serialize(Ipv4Addr src, Ipv4Addr dst) const {
+void write_udp(std::span<std::uint8_t> out, std::uint16_t src_port,
+               std::uint16_t dst_port, std::span<const std::uint8_t> payload,
+               Ipv4Addr src, Ipv4Addr dst) {
     const std::size_t total = 8 + payload.size();
-    GK_EXPECTS(total <= 0xffff);
-    BufferWriter w(total);
-    w.u16(src_port);
-    w.u16(dst_port);
-    w.u16(static_cast<std::uint16_t>(total));
-    w.u16(0); // checksum placeholder
-    w.bytes(payload);
+    GK_EXPECTS(total <= 0xffff && out.size() == total);
+    std::uint8_t* p = out.data();
+    store_u16(p, src_port);
+    store_u16(p + 2, dst_port);
+    store_u16(p + 4, static_cast<std::uint16_t>(total));
+    store_u16(p + 6, 0); // checksum placeholder
+    std::copy(payload.begin(), payload.end(), p + 8);
 
     ChecksumAccumulator acc;
     add_pseudo_header(acc, src, dst, proto::kUdp,
                       static_cast<std::uint16_t>(total));
-    acc.add_bytes(w.view());
+    acc.add_bytes(out);
     std::uint16_t ck = acc.finalize();
     if (ck == 0) ck = 0xffff; // RFC 768: 0 means "no checksum"
-    w.patch_u16(6, ck);
-    return w.take();
+    store_u16(p + 6, ck);
+}
+
+Bytes UdpDatagram::serialize(Ipv4Addr src, Ipv4Addr dst) const {
+    Bytes out(8 + payload.size());
+    write_udp(out, src_port, dst_port, payload, src, dst);
+    return out;
 }
 
 UdpDatagram UdpDatagram::parse(std::span<const std::uint8_t> data,

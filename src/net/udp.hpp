@@ -26,4 +26,11 @@ struct UdpDatagram {
                              Ipv4Addr src, Ipv4Addr dst);
 };
 
+/// Write a UDP datagram into `out` (8 + payload.size() bytes), checksummed
+/// over the pseudo-header: the one UDP writer, for UdpDatagram::serialize
+/// and UdpSocket::send_to.
+void write_udp(std::span<std::uint8_t> out, std::uint16_t src_port,
+               std::uint16_t dst_port, std::span<const std::uint8_t> payload,
+               Ipv4Addr src, Ipv4Addr dst);
+
 } // namespace gatekit::net

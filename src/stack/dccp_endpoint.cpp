@@ -1,5 +1,7 @@
 #include "stack/dccp_endpoint.hpp"
 
+#include <algorithm>
+
 #include "net/ipv4.hpp"
 #include "stack/host.hpp"
 #include "util/assert.hpp"
@@ -58,19 +60,14 @@ bool DccpEndpoint::send_data(net::Bytes payload) {
 void DccpEndpoint::send_packet(net::DccpPacket pkt) {
     pkt.src_port = local_port_;
     pkt.dst_port = remote_.port;
-    net::Ipv4Packet ip;
-    ip.h.protocol = net::proto::kDccp;
-    ip.h.src = local_addr_;
-    ip.h.dst = remote_.addr;
-    // The DCCP checksum covers the pseudo-header, so the source address
-    // must be final before serialization.
-    if (ip.h.src.is_unspecified()) {
-        const Route* route = host_.lookup_route(remote_.addr);
-        if (route == nullptr || !route->iface->configured()) return;
-        ip.h.src = route->iface->addr();
-    }
-    ip.payload = pkt.serialize(ip.h.src, ip.h.dst);
-    host_.send_ip(std::move(ip));
+    // The checksum covers the pseudo-header: it takes the host's source.
+    host_.send_datagram(
+        {.protocol = net::proto::kDccp, .src = local_addr_,
+         .dst = remote_.addr},
+        pkt.wire_len(), [&](std::span<std::uint8_t> l4, net::Ipv4Addr src) {
+            const net::Bytes bytes = pkt.serialize(src, remote_.addr);
+            std::copy(bytes.begin(), bytes.end(), l4.begin());
+        });
 }
 
 void DccpEndpoint::on_packet(const net::DccpPacket& pkt,

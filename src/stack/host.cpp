@@ -101,29 +101,76 @@ const Route* Host::egress_route(net::Ipv4Addr src,
     return route;
 }
 
-void Host::deliver_loopback(net::Bytes datagram) {
+std::optional<Host::Outgoing> Host::open_datagram(const Datagram& d,
+                                                  std::size_t l4_len) {
+    Outgoing out;
+    std::uint16_t id = 0;
+    if (d.dst.is_broadcast() ||
+        (d.bound != nullptr && d.bound->configured())) {
+        // A bound interface sends without the routing table: broadcast
+        // (only this way) from its address or, unconfigured, 0.0.0.0 as
+        // DHCP DISCOVER does; unicast on-link directly, else via its
+        // gateway, so hole-punching peers traverse their own NAT.
+        if (d.bound == nullptr) return std::nullopt;
+        out.iface = d.bound;
+        out.src = d.bound->configured() ? d.bound->addr() : net::Ipv4Addr{};
+        const bool direct = d.dst.is_broadcast() ||
+                            d.dst.same_subnet(out.src, d.bound->prefix_len());
+        out.next_hop = direct ? d.dst : d.bound->gateway();
+        if (out.next_hop.is_unspecified()) return std::nullopt;
+    } else {
+        // Routed: the source is `src` or the egress interface's address.
+        // Same-host traffic stays off the wire and takes no IP id; it
+        // needs a route only to pick an unspecified source.
+        const bool loopback = is_local_addr(d.dst);
+        out.src = d.src;
+        if (!loopback || out.src.is_unspecified()) {
+            const Route* route = egress_route(out.src, d.dst);
+            if (route == nullptr) return std::nullopt;
+            if (out.src.is_unspecified()) out.src = route->iface->addr();
+            if (!loopback) {
+                out.iface = route->iface;
+                out.next_hop = route->via.value_or(d.dst);
+                id = ip_id_++;
+            }
+        }
+    }
+
+    const std::size_t ip_len = net::ipv4_header_len(d.options.size()) + l4_len;
+    out.frame = out.iface != nullptr
+                    ? out.iface->make_frame(ip_len, net::kEtherTypeIpv4)
+                    : net::Bytes(ip_len);
+    const std::size_t at = out.iface ? out.iface->l2_header_len() : 0;
+    net::Ipv4Header h;
+    h.id = id;
+    h.ttl = d.ttl;
+    h.protocol = d.protocol;
+    h.src = out.src;
+    h.dst = d.dst;
+    const auto ip = std::span(out.frame).subspan(at, ip_len);
+    out.l4 = ip.subspan(net::write_ipv4_header(ip, h, d.options));
+    return out;
+}
+
+void Host::transmit(Outgoing out) {
+    if (out.iface != nullptr) {
+        out.iface->send_frame(std::move(out.frame), out.next_hop);
+        return;
+    }
     GK_ASSERT(!ifaces_.empty());
     loop_.after(sim::Duration::zero(),
-                [this, raw = std::move(datagram)]() mutable {
+                [this, raw = std::move(out.frame)]() mutable {
                     deliver_local(*ifaces_.front(), net::PacketView::of(raw),
                                   raw);
                 });
 }
 
-bool Host::send_ip(net::Ipv4Packet pkt) {
-    if (pkt.h.dst.is_broadcast()) return false; // needs an iface-bound send
-    // Local delivery without touching the wire (same-host traffic).
-    if (is_local_addr(pkt.h.dst)) {
-        deliver_loopback(pkt.serialize());
-        return true;
-    }
-    const Route* route = egress_route(pkt.h.src, pkt.h.dst);
-    if (route == nullptr) return false;
-    if (pkt.h.src.is_unspecified()) pkt.h.src = route->iface->addr();
-    if (pkt.h.id == 0) pkt.h.id = ip_id_++;
-    const net::Ipv4Addr next_hop = route->via ? *route->via : pkt.h.dst;
-    route->iface->send_ip(pkt, next_hop);
-    return true;
+bool Host::send_datagram(const Datagram& d,
+                         std::span<const std::uint8_t> l4) {
+    return send_datagram(d, l4.size(),
+                         [l4](std::span<std::uint8_t> out, net::Ipv4Addr) {
+                             std::copy(l4.begin(), l4.end(), out.begin());
+                         });
 }
 
 void Host::send_raw(Iface& iface, net::Bytes datagram,
@@ -307,13 +354,9 @@ void Host::handle_dccp(const net::PacketView& view) {
 
 void Host::send_icmp(net::Ipv4Addr src, net::Ipv4Addr dst,
                      const net::IcmpMessage& msg, std::uint8_t ttl) {
-    net::Ipv4Packet pkt;
-    pkt.h.protocol = net::proto::kIcmp;
-    pkt.h.src = src;
-    pkt.h.dst = dst;
-    pkt.h.ttl = ttl;
-    pkt.payload = msg.serialize();
-    send_ip(std::move(pkt));
+    send_datagram(
+        {.protocol = net::proto::kIcmp, .src = src, .dst = dst, .ttl = ttl},
+        msg.serialize());
 }
 
 void Host::send_icmp_error(const net::PacketView& offending,
@@ -344,12 +387,10 @@ void Host::send_tcp_rst(net::Ipv4Addr local, net::Ipv4Addr remote,
                   static_cast<std::uint32_t>(seg.payload.size()) +
                   (seg.flags.fin ? 1 : 0);
     }
-    net::Ipv4Packet out;
-    out.h.protocol = net::proto::kTcp;
-    out.h.src = local;
-    out.h.dst = remote;
-    out.payload = rst.serialize(out.h.src, out.h.dst);
-    send_ip(std::move(out));
+    // `local` is the address the segment arrived for: it stays the
+    // source, so the checksum can be computed before sending.
+    send_datagram({.protocol = net::proto::kTcp, .src = local, .dst = remote},
+                  rst.serialize(local, remote));
 }
 
 // --- socket factories ----------------------------------------------------

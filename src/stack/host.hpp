@@ -4,7 +4,8 @@
 // gateways forward on their NIC frame hooks, the test server through a
 // forwarding hook. A received datagram stays the net::PacketView its
 // interface parsed, aliasing the frame, from the interface up to every
-// socket and observer; Ipv4Packet appears only on the send side.
+// socket and observer. Every datagram it sends is written in place into
+// one frame by one sender, send_datagram.
 #pragma once
 
 #include <functional>
@@ -70,13 +71,6 @@ public:
                    std::optional<net::Ipv4Addr> via = std::nullopt);
     void remove_routes_via(const Iface& iface);
     const Route* lookup_route(net::Ipv4Addr dst) const;
-
-    /// Route and send a datagram. Fills in the source address from the
-    /// egress interface when unset. When several interfaces carry the
-    /// winning prefix, a bound source address picks the one that owns
-    /// it. Returns false when no route exists or the egress interface is
-    /// unconfigured.
-    bool send_ip(net::Ipv4Packet pkt);
 
     /// Inject pre-serialized datagram bytes out of a specific interface
     /// (used by probes that forge packets, bypassing routing).
@@ -156,6 +150,45 @@ private:
     friend class SctpEndpoint;
     friend class DccpEndpoint;
 
+    /// A datagram as its transport describes it. An unspecified `src`
+    /// takes the egress's address; `bound` is an SO_BINDTODEVICE iface.
+    struct Datagram {
+        std::uint8_t protocol = 0;
+        net::Ipv4Addr src;
+        net::Ipv4Addr dst;
+        std::uint8_t ttl = 64;
+        std::span<const std::uint8_t> options{};
+        Iface* bound = nullptr;
+    };
+    /// A frame with its IPv4 header written and `l4` left to fill.
+    struct Outgoing {
+        net::Bytes frame;
+        std::span<std::uint8_t> l4;
+        net::Ipv4Addr src;
+        Iface* iface = nullptr; ///< egress; nullptr = loopback
+        net::Ipv4Addr next_hop;
+    };
+
+    /// The sender of every datagram this host originates: decide the
+    /// egress (rules in open_datagram), write the IPv4 header into a frame
+    /// from the egress NIC's pool, let `fill(l4, src)` write the `l4_len`
+    /// transport bytes in place (`src` final, for pseudo-header
+    /// checksums), and transmit. False, writing nothing, if it can't leave.
+    template <class Fill>
+    bool send_datagram(const Datagram& d, std::size_t l4_len, Fill&& fill) {
+        std::optional<Outgoing> out = open_datagram(d, l4_len);
+        if (!out) return false;
+        fill(out->l4, out->src);
+        transmit(std::move(*out));
+        return true;
+    }
+    /// send_datagram for transport bytes that do not depend on the source.
+    bool send_datagram(const Datagram& d, std::span<const std::uint8_t> l4);
+    std::optional<Outgoing> open_datagram(const Datagram& d,
+                                          std::size_t l4_len);
+    /// Onto the wire, or, same-host, delivered as the next event.
+    void transmit(Outgoing out);
+
     void on_ip(Iface& iface, const net::PacketView& view,
                std::span<const std::uint8_t> raw);
     /// Local delivery: the IP observer sees every datagram, then each
@@ -163,9 +196,6 @@ private:
     /// observer (no reassembly).
     void deliver_local(Iface& iface, const net::PacketView& view,
                        std::span<const std::uint8_t> raw);
-    /// Deliver a datagram this host addressed to itself, as the next
-    /// event (same-host traffic never touches the wire).
-    void deliver_loopback(net::Bytes datagram);
     /// The route a datagram from `src` (unspecified: any) to `dst`
     /// leaves by, or nullptr when there is none or its iface is
     /// unconfigured. When several interfaces carry the winning prefix,

@@ -35,38 +35,31 @@ void Iface::deconfigure() {
 
 net::MacAddr Iface::mac() const { return parent_.mac(); }
 
-void Iface::send_ip(const net::Ipv4Packet& pkt, net::Ipv4Addr next_hop) {
-    send_ip_raw(pkt.serialize(), next_hop);
-}
-
 void Iface::send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop) {
-    send_frame(frame_with(datagram), next_hop);
+    send_frame(frame_with(datagram, net::kEtherTypeIpv4), next_hop);
 }
 
-net::Bytes Iface::frame_with(const net::Bytes& datagram) {
-    net::Bytes frame = make_frame(datagram.size());
-    std::copy(datagram.begin(), datagram.end(),
+net::Bytes Iface::frame_with(std::span<const std::uint8_t> payload,
+                             std::uint16_t ethertype) {
+    net::Bytes frame = make_frame(payload.size(), ethertype);
+    std::copy(payload.begin(), payload.end(),
               frame.begin() + static_cast<long>(l2_header_len()));
     return frame;
 }
 
-net::Bytes Iface::make_frame(std::size_t ip_len) {
+net::Bytes Iface::make_frame(std::size_t payload_len,
+                             std::uint16_t ethertype) {
     net::Bytes frame = parent_.pool().acquire();
-    frame.resize(l2_header_len() + ip_len);
+    frame.resize(l2_header_len() + payload_len);
     std::uint8_t* p = frame.data();
     const net::MacAddr src = mac();
     std::copy(src.octets().begin(), src.octets().end(), p + 6);
-    p += 12;
-    const auto put16 = [&p](std::uint16_t v) {
-        *p++ = static_cast<std::uint8_t>(v >> 8);
-        *p++ = static_cast<std::uint8_t>(v);
-    };
     if (vlan_) {
         GK_EXPECTS(*vlan_ < 4096);
-        put16(net::kEtherTypeVlan);
-        put16(*vlan_); // PCP/DEI zero
+        net::store_u16(p + 12, net::kEtherTypeVlan);
+        net::store_u16(p + 14, *vlan_); // PCP/DEI zero
     }
-    put16(net::kEtherTypeIpv4);
+    net::store_u16(p + l2_header_len() - 2, ethertype);
     return frame;
 }
 
@@ -116,13 +109,8 @@ void Iface::send_arp_request(net::Ipv4Addr next_hop) {
     req.sender_mac = mac();
     req.sender_ip = addr_;
     req.target_ip = next_hop;
-    net::EthernetFrame frame;
-    frame.dst = net::MacAddr::broadcast();
-    frame.src = mac();
-    frame.vlan_id = vlan_;
-    frame.ethertype = net::kEtherTypeArp;
-    frame.payload = req.serialize();
-    parent_.transmit(std::move(frame));
+    put_on_wire(frame_with(req.serialize(), net::kEtherTypeArp),
+                net::MacAddr::broadcast());
 }
 
 void Iface::schedule_arp_retry(net::Ipv4Addr next_hop, std::uint64_t epoch) {
@@ -180,13 +168,8 @@ void Iface::handle_arp(std::span<const std::uint8_t> payload) {
         reply.sender_ip = addr_;
         reply.target_mac = msg.sender_mac;
         reply.target_ip = msg.sender_ip;
-        net::EthernetFrame out;
-        out.dst = msg.sender_mac;
-        out.src = mac();
-        out.vlan_id = vlan_;
-        out.ethertype = net::kEtherTypeArp;
-        out.payload = reply.serialize();
-        parent_.transmit(std::move(out));
+        put_on_wire(frame_with(reply.serialize(), net::kEtherTypeArp),
+                    msg.sender_mac);
     }
 
     // Flush datagrams that were waiting on this resolution.
@@ -195,7 +178,8 @@ void Iface::handle_arp(std::span<const std::uint8_t> payload) {
         auto queued = std::move(it->second.queue);
         awaiting_arp_.erase(it);
         for (const auto& dgram : queued)
-            put_on_wire(frame_with(dgram), msg.sender_mac);
+            put_on_wire(frame_with(dgram, net::kEtherTypeIpv4),
+                        msg.sender_mac);
     }
 }
 
@@ -217,11 +201,6 @@ Iface* NetIf::find_iface(std::optional<std::uint16_t> vlan) {
     for (auto& iface : ifaces_)
         if (iface->vlan() == vlan) return iface.get();
     return nullptr;
-}
-
-void NetIf::transmit(net::EthernetFrame frame) {
-    GK_EXPECTS(out_.connected());
-    out_.send(frame.serialize_into(pool_.acquire()));
 }
 
 void NetIf::send_raw_frame(sim::Frame frame) {

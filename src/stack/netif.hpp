@@ -16,7 +16,6 @@
 #include "net/addr.hpp"
 #include "net/arp.hpp"
 #include "net/ethernet.hpp"
-#include "net/ipv4.hpp"
 #include "net/packet_pool.hpp"
 #include "net/packet_view.hpp"
 #include "sim/link.hpp"
@@ -36,8 +35,9 @@ private:
     std::map<net::Ipv4Addr, net::MacAddr> entries_;
 };
 
-/// An L3 (sub)interface. Owns addressing, ARP, and IP encapsulation;
-/// delivers received IP datagrams upward via a callback.
+/// An L3 (sub)interface. Owns addressing, ARP, and Ethernet framing
+/// (Host writes the IPv4 datagram); delivers received IP datagrams upward
+/// via a callback.
 class Iface {
 public:
     Iface(NetIf& parent, std::optional<std::uint16_t> vlan);
@@ -68,24 +68,19 @@ public:
                                          std::span<const std::uint8_t>)>;
     void set_ip_handler(IpHandler h) { on_ip_ = std::move(h); }
 
-    /// Send an IP datagram to `next_hop` on this interface's subnet (or an
-    /// IP broadcast). ARP-resolves the next hop, queueing the datagram
-    /// while a request is outstanding.
-    void send_ip(const net::Ipv4Packet& pkt, net::Ipv4Addr next_hop);
-
     /// Send pre-serialized datagram bytes (raw injection for probes).
     void send_ip_raw(net::Bytes datagram, net::Ipv4Addr next_hop);
 
     /// Ethernet header bytes this iface writes: 18 tagged, 14 untagged.
     std::size_t l2_header_len() const { return vlan_ ? 18 : 14; }
-    /// A frame from the NIC's pool sized for an `ip_len`-byte datagram,
-    /// with this iface's source MAC, tag and EtherType written. The
-    /// caller writes the datagram after l2_header_len() bytes and hands
-    /// the frame to send_frame, which fills in the destination MAC.
-    net::Bytes make_frame(std::size_t ip_len);
-    /// Transmit a make_frame frame toward `next_hop`, resolving it as
-    /// send_ip_raw does; a datagram that must wait for ARP is copied
-    /// out of the frame and parked.
+    /// A frame from the NIC's pool sized for a `payload_len`-byte payload,
+    /// with this iface's source MAC, tag and `ethertype` written. The
+    /// caller writes the payload after l2_header_len() bytes; an IPv4
+    /// frame goes to send_frame, which fills in the destination MAC.
+    net::Bytes make_frame(std::size_t payload_len, std::uint16_t ethertype);
+    /// Transmit a make_frame IPv4 frame toward `next_hop` (or an IP
+    /// broadcast), ARP-resolving it; a datagram that must wait for ARP is
+    /// copied out of the frame and parked.
     void send_frame(net::Bytes frame, net::Ipv4Addr next_hop);
 
     ArpCache& arp_cache() { return arp_; }
@@ -105,8 +100,9 @@ private:
         std::uint64_t epoch = 0;
     };
 
-    /// make_frame() holding a copy of `datagram`.
-    net::Bytes frame_with(const net::Bytes& datagram);
+    /// make_frame() holding a copy of `payload`.
+    net::Bytes frame_with(std::span<const std::uint8_t> payload,
+                          std::uint16_t ethertype);
     void put_on_wire(net::Bytes frame, net::MacAddr dst);
     void handle_arp(std::span<const std::uint8_t> payload);
     void send_arp_request(net::Ipv4Addr next_hop);
@@ -142,11 +138,7 @@ public:
     net::MacAddr mac() const { return mac_; }
     sim::EventLoop& loop() { return loop_; }
 
-    /// Serialize and transmit a frame (VLAN tag per `vlan`).
-    void transmit(net::EthernetFrame frame);
-
-    /// Transmit pre-serialized frame bytes verbatim — the zero-copy
-    /// egress under every Iface IPv4 send.
+    /// Transmit frame bytes verbatim: every make_frame frame, IPv4 or ARP.
     void send_raw_frame(sim::Frame frame);
 
     /// Datapath intercept, tried before the subinterface demux on every

@@ -98,12 +98,10 @@ bool SctpEndpoint::send_data(net::Bytes payload) {
 }
 
 void SctpEndpoint::send_packet(net::SctpPacket pkt) {
-    net::Ipv4Packet ip;
-    ip.h.protocol = net::proto::kSctp;
-    ip.h.src = local_addr_;
-    ip.h.dst = remote_.addr;
-    ip.payload = pkt.serialize();
-    host_.send_ip(std::move(ip));
+    host_.send_datagram({.protocol = net::proto::kSctp,
+                         .src = local_addr_,
+                         .dst = remote_.addr},
+                        pkt.serialize());
 }
 
 void SctpEndpoint::on_packet(const net::SctpPacket& pkt,

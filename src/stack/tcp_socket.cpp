@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "net/checksum.hpp"
 #include "stack/host.hpp"
 #include "util/assert.hpp"
 
@@ -424,90 +423,32 @@ void TcpSocket::try_send() {
 
 void TcpSocket::send_segment(net::TcpFlags flags, std::uint64_t seq_abs,
                              std::size_t payload_len, bool with_mss) {
-    // Routing as Host::send_ip does it, then one frame written in place:
-    // the bytes Ethernet/IPv4/TcpSegment serialization would produce.
-    if (remote_.addr.is_broadcast()) return;
-    const bool loopback = host_.is_local_addr(remote_.addr);
-    const Route* route =
-        loopback ? nullptr : host_.egress_route(local_.addr, remote_.addr);
-    if (!loopback && route == nullptr) return;
-
-    const std::size_t tcp_hlen = with_mss ? 28 : 20;
-    const std::size_t tcp_len = tcp_hlen + payload_len;
-    const std::size_t ip_len = 20 + tcp_len;
-    GK_ASSERT(ip_len <= 0xffff);
-    net::Bytes buf;
-    std::size_t at = 0;
-    if (loopback) {
-        buf.resize(ip_len);
-    } else {
-        buf = route->iface->make_frame(ip_len);
-        at = route->iface->l2_header_len();
-    }
-    std::uint8_t* ip = buf.data() + at;
-    std::uint8_t* tcp = ip + 20;
-    const auto put16 = [](std::uint8_t* p, std::uint16_t v) {
-        p[0] = static_cast<std::uint8_t>(v >> 8);
-        p[1] = static_cast<std::uint8_t>(v);
-    };
-    const auto put32 = [&put16](std::uint8_t* p, std::uint32_t v) {
-        put16(p, static_cast<std::uint16_t>(v >> 16));
-        put16(p + 2, static_cast<std::uint16_t>(v));
-    };
-
-    // IPv4: no options, TOS 0, no fragmentation, TTL 64. Same-host
-    // delivery keeps id 0, as send_ip leaves it.
-    ip[0] = 0x45;
-    ip[1] = 0;
-    put16(ip + 2, static_cast<std::uint16_t>(ip_len));
-    put16(ip + 4, loopback ? 0 : host_.ip_id_++);
-    put16(ip + 6, 0);
-    ip[8] = 64;
-    ip[9] = net::proto::kTcp;
-    put16(ip + 10, 0);
-    put32(ip + 12, local_.addr.value());
-    put32(ip + 16, remote_.addr.value());
-    put16(ip + 10, net::internet_checksum({ip, 20}));
-
-    put16(tcp, local_.port);
-    put16(tcp + 2, remote_.port);
-    put32(tcp + 4, static_cast<std::uint32_t>(seq_abs));
-    put32(tcp + 8, flags.ack ? static_cast<std::uint32_t>(rcv_nxt_) : 0u);
-    tcp[12] = static_cast<std::uint8_t>((tcp_hlen / 4) << 4);
-    tcp[13] = static_cast<std::uint8_t>(
-        (flags.urg ? 0x20 : 0) | (flags.ack ? 0x10 : 0) |
-        (flags.psh ? 0x08 : 0) | (flags.rst ? 0x04 : 0) |
-        (flags.syn ? 0x02 : 0) | (flags.fin ? 0x01 : 0));
-    put16(tcp + 14, 65535); // window
-    put16(tcp + 16, 0);     // checksum, filled below
-    put16(tcp + 18, 0);     // urgent pointer
-    if (with_mss) {
-        // MSS (kind 2) and window scale (kind 3), padded with End.
-        const std::uint8_t opts[8] = {2, 4,
-                                      static_cast<std::uint8_t>(mss_ >> 8),
-                                      static_cast<std::uint8_t>(mss_),
-                                      3, 3, kWscaleShift, 0};
-        std::copy(opts, opts + 8, tcp + 20);
-    }
+    net::TcpSegment h;
+    h.src_port = local_.port;
+    h.dst_port = remote_.port;
+    h.seq = static_cast<std::uint32_t>(seq_abs);
+    h.ack = flags.ack ? static_cast<std::uint32_t>(rcv_nxt_) : 0u;
+    h.flags = flags;
+    // MSS (kind 2) and window scale (kind 3), padded with End.
+    const std::uint8_t syn_opts[8] = {
+        2, 4, static_cast<std::uint8_t>(mss_ >> 8),
+        static_cast<std::uint8_t>(mss_), 3, 3, kWscaleShift, 0};
+    const auto opts = with_mss ? std::span<const std::uint8_t>(syn_opts)
+                               : std::span<const std::uint8_t>();
+    std::span<const std::uint8_t> payload;
     if (payload_len > 0) {
         GK_ASSERT(seq_abs >= send_buf_base_);
         const auto off = static_cast<std::size_t>(seq_abs - send_buf_base_);
         GK_ASSERT(off + payload_len <= queued());
-        const auto* src = send_buf_.data() + send_head_ + off;
-        std::copy(src, src + payload_len, tcp + tcp_hlen);
+        payload = {send_buf_.data() + send_head_ + off, payload_len};
     }
-    net::ChecksumAccumulator acc;
-    net::add_pseudo_header(acc, local_.addr, remote_.addr, net::proto::kTcp,
-                           static_cast<std::uint16_t>(tcp_len));
-    acc.add_bytes({tcp, tcp_len});
-    put16(tcp + 16, acc.finalize());
-
-    if (loopback) {
-        host_.deliver_loopback(std::move(buf));
-        return;
-    }
-    route->iface->send_frame(std::move(buf),
-                             route->via ? *route->via : remote_.addr);
+    host_.send_datagram(
+        {.protocol = net::proto::kTcp, .src = local_.addr,
+         .dst = remote_.addr},
+        net::tcp_header_len(opts.size()) + payload_len,
+        [&](std::span<std::uint8_t> seg, net::Ipv4Addr src) {
+            net::write_tcp(seg, h, opts, payload, src, remote_.addr);
+        });
 }
 
 void TcpSocket::send_ack() {

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "net/addr.hpp"
-#include "net/ipv4.hpp"
 #include "net/tcp_header.hpp"
 #include "sim/event_loop.hpp"
 
@@ -94,8 +93,8 @@ private:
     void handle_payload(const net::TcpSegmentView& seg);
     void handle_fin(const net::TcpSegmentView& seg);
     void try_send();
-    /// Write one segment straight into a frame from the egress NIC's
-    /// pool (payload from the send queue) and transmit it.
+    /// Send one segment through Host::send_datagram, written straight
+    /// into its frame (payload from the send queue).
     void send_segment(net::TcpFlags flags, std::uint64_t seq_abs,
                       std::size_t payload_len, bool with_mss);
     void send_ack();

@@ -1,4 +1,5 @@
-// Event-driven UDP socket bound to a Host. ICMP errors about its
+// Event-driven UDP socket bound to a Host, which picks each send's egress
+// (Host::send_datagram). ICMP errors about its
 // datagrams are not delivered here; read them with Host::set_icmp_observer.
 #pragma once
 
@@ -25,9 +26,9 @@ public:
 
     void set_receive_handler(ReceiveHandler h) { on_receive_ = std::move(h); }
 
-    /// Send a datagram. Options customize probe traffic:
-    /// `ttl` overrides the default 64; `ip_options` adds raw IPv4 options
-    /// (e.g. Record Route).
+    /// Send a datagram; false when it cannot leave. Options customize
+    /// probe traffic: `ttl` overrides the default 64; `ip_options` adds
+    /// raw IPv4 options (e.g. Record Route).
     struct SendOptions {
         std::uint8_t ttl = 64;
         net::Bytes ip_options;

@@ -90,7 +90,7 @@ TEST(HostIcmp, UnknownProtocolTriggersProtoUnreachable) {
     pkt.h.src = net::Ipv4Addr(10, 0, 0, 1);
     pkt.h.dst = net::Ipv4Addr(10, 0, 0, 2);
     pkt.payload = {1, 2, 3, 4, 5, 6, 7, 8};
-    net.a.send_ip(std::move(pkt));
+    net.a.send_raw(net.ia, pkt.serialize(), pkt.h.dst);
     net.loop.run();
     EXPECT_TRUE(got);
 }
@@ -125,10 +125,10 @@ TEST(HostUdp, FragmentsAreNotDelivered) {
     for (const std::uint16_t dport : {9000, 9001}) {
         auto later = udp(dport);
         later.h.frag_offset = 185;
-        net.a.send_ip(later);
+        net.a.send_raw(net.ia, later.serialize(), later.h.dst);
         auto first = udp(dport);
         first.h.more_fragments = true;
-        net.a.send_ip(first);
+        net.a.send_raw(net.ia, first.serialize(), first.h.dst);
     }
     net.loop.run();
     EXPECT_EQ(received, 0);
@@ -136,8 +136,9 @@ TEST(HostUdp, FragmentsAreNotDelivered) {
 
     // The same bytes unfragmented are a datagram, and a closed port
     // answers.
-    net.a.send_ip(udp(9000));
-    net.a.send_ip(udp(9001));
+    const net::Ipv4Addr b_addr(10, 0, 0, 2);
+    net.a.send_raw(net.ia, udp(9000).serialize(), b_addr);
+    net.a.send_raw(net.ia, udp(9001).serialize(), b_addr);
     net.loop.run();
     EXPECT_EQ(received, 1);
     EXPECT_EQ(errors, 1);
