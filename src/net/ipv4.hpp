@@ -2,10 +2,13 @@
 // notes some gateways ignore Record Route, so options are first-class).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "net/addr.hpp"
 #include "net/buffer.hpp"
+#include "net/checksum.hpp"
+#include "util/assert.hpp"
 
 namespace gatekit::net {
 
@@ -52,11 +55,34 @@ struct Ipv4Header {
 
 /// Write `h` with `options` (not h.options), padded with End octets, at
 /// the front of `datagram` (size = total length), checksummed. The one
-/// IPv4 header writer: Ipv4Packet::serialize and Host's sends. Returns
-/// the header length.
-std::size_t write_ipv4_header(std::span<std::uint8_t> datagram,
-                              const Ipv4Header& h,
-                              std::span<const std::uint8_t> options);
+/// IPv4 header writer: Ipv4Packet::serialize and Host's sends (inline:
+/// every TCP segment passes here). Returns the header length.
+inline std::size_t write_ipv4_header(std::span<std::uint8_t> datagram,
+                                     const Ipv4Header& h,
+                                     std::span<const std::uint8_t> options) {
+    const std::size_t hlen = ipv4_header_len(options.size());
+    GK_EXPECTS(hlen <= 60);
+    GK_EXPECTS(datagram.size() >= hlen && datagram.size() <= 0xffff);
+    std::uint8_t* p = datagram.data();
+    p[0] = static_cast<std::uint8_t>(0x40 | (hlen / 4)); // version 4 + IHL
+    p[1] = h.tos;
+    store_u16(p + 2, static_cast<std::uint16_t>(datagram.size()));
+    store_u16(p + 4, h.id);
+    std::uint16_t flags_frag = h.frag_offset & 0x1fff;
+    if (h.dont_fragment) flags_frag |= 0x4000;
+    if (h.more_fragments) flags_frag |= 0x2000;
+    store_u16(p + 6, flags_frag);
+    p[8] = h.ttl;
+    p[9] = h.protocol;
+    store_u16(p + 10, 0); // checksum placeholder
+    store_u32(p + 12, h.src.value());
+    store_u32(p + 16, h.dst.value());
+    // Pad options to a 4-byte boundary with End-of-Options octets.
+    std::fill(std::copy(options.begin(), options.end(), p + 20), p + hlen,
+              std::uint8_t{0});
+    store_u16(p + 10, internet_checksum({p, hlen}));
+    return hlen;
+}
 
 /// The addresses recorded so far in the Record Route option found in raw
 /// IPv4 option bytes; empty when there is none.

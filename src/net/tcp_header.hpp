@@ -3,12 +3,16 @@
 // the in-place view the host receive path reads segments through.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
 
 #include "net/addr.hpp"
 #include "net/buffer.hpp"
+#include "net/checksum.hpp"
+#include "net/ipv4.hpp"
+#include "util/assert.hpp"
 
 namespace gatekit::net {
 
@@ -65,11 +69,38 @@ struct TcpSegment {
 
 /// Write `seg`'s header with `options` (not seg.options, padded with End)
 /// and `payload` into `out`, exactly their size, checksummed over the
-/// pseudo-header. TcpSegment::serialize and TcpSocket both use it.
-void write_tcp(std::span<std::uint8_t> out, const TcpSegment& seg,
-               std::span<const std::uint8_t> options,
-               std::span<const std::uint8_t> payload, Ipv4Addr src,
-               Ipv4Addr dst);
+/// pseudo-header. TcpSegment::serialize and TcpSocket both use it
+/// (inline: every segment sent passes here).
+inline void write_tcp(std::span<std::uint8_t> out, const TcpSegment& seg,
+                      std::span<const std::uint8_t> options,
+                      std::span<const std::uint8_t> payload, Ipv4Addr src,
+                      Ipv4Addr dst) {
+    const std::size_t hlen = tcp_header_len(options.size());
+    GK_EXPECTS(hlen <= 60);
+    GK_EXPECTS(out.size() == hlen + payload.size() && out.size() <= 0xffff);
+    std::uint8_t* p = out.data();
+    store_u16(p, seg.src_port);
+    store_u16(p + 2, seg.dst_port);
+    store_u32(p + 4, seg.seq);
+    store_u32(p + 8, seg.ack);
+    p[12] = static_cast<std::uint8_t>((hlen / 4) << 4);
+    p[13] = static_cast<std::uint8_t>(
+        (seg.flags.urg ? 0x20 : 0) | (seg.flags.ack ? 0x10 : 0) |
+        (seg.flags.psh ? 0x08 : 0) | (seg.flags.rst ? 0x04 : 0) |
+        (seg.flags.syn ? 0x02 : 0) | (seg.flags.fin ? 0x01 : 0));
+    store_u16(p + 14, seg.window);
+    store_u16(p + 16, 0); // checksum placeholder
+    store_u16(p + 18, seg.urgent);
+    std::fill(std::copy(options.begin(), options.end(), p + 20), p + hlen,
+              std::uint8_t{0});
+    std::copy(payload.begin(), payload.end(), p + hlen);
+
+    ChecksumAccumulator acc;
+    add_pseudo_header(acc, src, dst, proto::kTcp,
+                      static_cast<std::uint16_t>(out.size()));
+    acc.add_bytes(out);
+    store_u16(p + 16, acc.finalize());
+}
 
 /// A TCP segment read in place: the fields the socket state machine
 /// reads, with options and payload as spans of the wire buffer. It owns

@@ -101,9 +101,8 @@ const Route* Host::egress_route(net::Ipv4Addr src,
     return route;
 }
 
-std::optional<Host::Outgoing> Host::open_datagram(const Datagram& d,
-                                                  std::size_t l4_len) {
-    Outgoing out;
+bool Host::open_datagram(const Datagram& d, std::size_t l4_len,
+                         Outgoing& out) {
     std::uint16_t id = 0;
     if (d.dst.is_broadcast() ||
         (d.bound != nullptr && d.bound->configured())) {
@@ -111,13 +110,13 @@ std::optional<Host::Outgoing> Host::open_datagram(const Datagram& d,
         // (only this way) from its address or, unconfigured, 0.0.0.0 as
         // DHCP DISCOVER does; unicast on-link directly, else via its
         // gateway, so hole-punching peers traverse their own NAT.
-        if (d.bound == nullptr) return std::nullopt;
+        if (d.bound == nullptr) return false;
         out.iface = d.bound;
         out.src = d.bound->configured() ? d.bound->addr() : net::Ipv4Addr{};
         const bool direct = d.dst.is_broadcast() ||
                             d.dst.same_subnet(out.src, d.bound->prefix_len());
         out.next_hop = direct ? d.dst : d.bound->gateway();
-        if (out.next_hop.is_unspecified()) return std::nullopt;
+        if (out.next_hop.is_unspecified()) return false;
     } else {
         // Routed: the source is `src` or the egress interface's address.
         // Same-host traffic stays off the wire and takes no IP id; it
@@ -126,7 +125,7 @@ std::optional<Host::Outgoing> Host::open_datagram(const Datagram& d,
         out.src = d.src;
         if (!loopback || out.src.is_unspecified()) {
             const Route* route = egress_route(out.src, d.dst);
-            if (route == nullptr) return std::nullopt;
+            if (route == nullptr) return false;
             if (out.src.is_unspecified()) out.src = route->iface->addr();
             if (!loopback) {
                 out.iface = route->iface;
@@ -149,10 +148,10 @@ std::optional<Host::Outgoing> Host::open_datagram(const Datagram& d,
     h.dst = d.dst;
     const auto ip = std::span(out.frame).subspan(at, ip_len);
     out.l4 = ip.subspan(net::write_ipv4_header(ip, h, d.options));
-    return out;
+    return true;
 }
 
-void Host::transmit(Outgoing out) {
+void Host::transmit(Outgoing& out) {
     if (out.iface != nullptr) {
         out.iface->send_frame(std::move(out.frame), out.next_hop);
         return;

@@ -176,18 +176,18 @@ private:
     /// checksums), and transmit. False, writing nothing, if it can't leave.
     template <class Fill>
     bool send_datagram(const Datagram& d, std::size_t l4_len, Fill&& fill) {
-        std::optional<Outgoing> out = open_datagram(d, l4_len);
-        if (!out) return false;
-        fill(out->l4, out->src);
-        transmit(std::move(*out));
+        Outgoing out;
+        if (!open_datagram(d, l4_len, out)) return false;
+        fill(out.l4, out.src);
+        transmit(out);
         return true;
     }
     /// send_datagram for transport bytes that do not depend on the source.
     bool send_datagram(const Datagram& d, std::span<const std::uint8_t> l4);
-    std::optional<Outgoing> open_datagram(const Datagram& d,
-                                          std::size_t l4_len);
+    bool open_datagram(const Datagram& d, std::size_t l4_len,
+                       Outgoing& out);
     /// Onto the wire, or, same-host, delivered as the next event.
-    void transmit(Outgoing out);
+    void transmit(Outgoing& out);
 
     void on_ip(Iface& iface, const net::PacketView& view,
                std::span<const std::uint8_t> raw);
