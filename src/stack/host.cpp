@@ -136,10 +136,10 @@ bool Host::open_datagram(const Datagram& d, std::size_t l4_len,
     }
 
     const std::size_t ip_len = net::ipv4_header_len(d.options.size()) + l4_len;
-    out.frame = out.iface != nullptr
-                    ? out.iface->make_frame(ip_len, net::kEtherTypeIpv4)
-                    : net::Bytes(ip_len);
-    const std::size_t at = out.iface ? out.iface->l2_header_len() : 0;
+    const bool wire = out.iface != nullptr;
+    out.frame = wire ? out.iface->make_frame(ip_len, net::kEtherTypeIpv4)
+                     : net::Bytes(ip_len);
+    const std::size_t at = wire ? out.iface->l2_header_len() : 0;
     net::Ipv4Header h;
     h.id = id;
     h.ttl = d.ttl;

@@ -184,6 +184,8 @@ private:
     }
     /// send_datagram for transport bytes that do not depend on the source.
     bool send_datagram(const Datagram& d, std::span<const std::uint8_t> l4);
+    /// Decide `d`'s egress and write its IPv4 header into `out`'s frame;
+    /// false when it cannot leave.
     bool open_datagram(const Datagram& d, std::size_t l4_len,
                        Outgoing& out);
     /// Onto the wire, or, same-host, delivered as the next event.
