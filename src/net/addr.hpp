@@ -45,9 +45,26 @@ public:
     }
     std::string to_string() const;
 
-    friend constexpr auto operator<=>(const MacAddr&, const MacAddr&) = default;
+    /// Lexicographic in the octets, as a defaulted comparison would be,
+    /// but on one integer instead of a memcmp.
+    friend constexpr std::strong_ordering operator<=>(const MacAddr& a,
+                                                      const MacAddr& b) {
+        return a.packed() <=> b.packed();
+    }
+    friend constexpr bool operator==(const MacAddr& a, const MacAddr& b) {
+        return a.packed() == b.packed();
+    }
 
 private:
+    /// The octets as one big-endian integer: comparing two of them
+    /// orders addresses exactly as comparing the octets in turn does.
+    constexpr std::uint64_t packed() const {
+        const auto& o = octets_;
+        return (std::uint64_t{o[0]} << 40) | (std::uint64_t{o[1]} << 32) |
+               (std::uint64_t{o[2]} << 24) | (std::uint64_t{o[3]} << 16) |
+               (std::uint64_t{o[4]} << 8) | o[5];
+    }
+
     std::array<std::uint8_t, 6> octets_{};
 };
 

@@ -8,23 +8,9 @@ namespace gatekit::net {
 
 namespace {
 
-std::uint64_t load_be64(const std::uint8_t* p) {
-    std::uint64_t x;
+std::uint32_t load_u32(const std::uint8_t* p) {
+    std::uint32_t x;
     std::memcpy(&x, p, sizeof(x));
-    if constexpr (std::endian::native == std::endian::little) {
-#if defined(__GNUC__) || defined(__clang__)
-        x = __builtin_bswap64(x);
-#else
-        x = ((x & 0x00000000000000ffULL) << 56) |
-            ((x & 0x000000000000ff00ULL) << 40) |
-            ((x & 0x0000000000ff0000ULL) << 24) |
-            ((x & 0x00000000ff000000ULL) << 8) |
-            ((x & 0x000000ff00000000ULL) >> 8) |
-            ((x & 0x0000ff0000000000ULL) >> 24) |
-            ((x & 0x00ff000000000000ULL) >> 40) |
-            ((x & 0xff00000000000000ULL) >> 56);
-#endif
-    }
     return x;
 }
 
@@ -33,41 +19,37 @@ std::uint64_t load_be64(const std::uint8_t* p) {
 void ChecksumAccumulator::add_bytes(std::span<const std::uint8_t> data) {
     const std::uint8_t* p = data.data();
     std::size_t n = data.size();
-    // Word-at-a-time RFC 1071: the one's-complement sum is associative
-    // and 2^16 == 1 (mod 0xffff), so four big-endian 16-bit words can
-    // ride one 64-bit addition with an end-around carry. Folding the
-    // 64-bit accumulator back into 16-bit lanes preserves the sum modulo
-    // 0xffff, which is all finalize() observes — results are bit-
-    // identical to the byte loop.
-    std::uint64_t wide = 0;
-    while (n >= 32) {
-        std::uint64_t x0 = load_be64(p);
-        std::uint64_t x1 = load_be64(p + 8);
-        std::uint64_t x2 = load_be64(p + 16);
-        std::uint64_t x3 = load_be64(p + 24);
-        wide += x0;
-        if (wide < x0) ++wide;
-        wide += x1;
-        if (wide < x1) ++wide;
-        wide += x2;
-        if (wide < x2) ++wide;
-        wide += x3;
-        if (wide < x3) ++wide;
-        p += 32;
-        n -= 32;
+    // RFC 1071 in native byte order: the one's-complement sum of
+    // byte-swapped words is the byte-swapped sum (RFC 1071 §2(B)), and
+    // 2^16 == 1 (mod 0xffff), so 32-bit words load as they lie in memory
+    // and add into two 64-bit accumulators with no swap and no carry
+    // test (2^32 words would be needed to overflow either). The sum is
+    // folded to 16 bits and swapped back once, so finalize() sees the
+    // same value modulo 0xffff as the big-endian byte loop, nonzero
+    // exactly when the data is: results are bit-identical.
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    for (; n >= 16; p += 16, n -= 16) {
+        a += load_u32(p);
+        b += load_u32(p + 4);
+        a += load_u32(p + 8);
+        b += load_u32(p + 12);
     }
-    while (n >= 8) {
-        const std::uint64_t x = load_be64(p);
-        wide += x;
-        if (wide < x) ++wide;
-        p += 8;
-        n -= 8;
+    for (; n >= 4; p += 4, n -= 4) a += load_u32(p);
+    // The 0-3 byte tail, zero-padded to a word where it lies in memory.
+    if (n != 0) {
+        std::uint8_t tail[4] = {};
+        std::memcpy(tail, p, n);
+        b += load_u32(tail);
     }
-    sum_ += (wide >> 48) + ((wide >> 32) & 0xffff) +
-            ((wide >> 16) & 0xffff) + (wide & 0xffff);
-    for (; n >= 2; n -= 2, p += 2)
-        sum_ += static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-    if (n != 0) sum_ += static_cast<std::uint16_t>(p[0] << 8);
+
+    std::uint64_t s = (a >> 32) + (a & 0xffffffff) + (b >> 32) +
+                      (b & 0xffffffff);
+    while (s >> 16) s = (s & 0xffff) + (s >> 16);
+    auto folded = static_cast<std::uint16_t>(s);
+    if constexpr (std::endian::native == std::endian::little)
+        folded = static_cast<std::uint16_t>((folded << 8) | (folded >> 8));
+    sum_ += folded;
 }
 
 std::uint16_t ChecksumAccumulator::finalize() const {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <random>
+#include <vector>
+
 #include "net/buffer.hpp"
 
 using namespace gatekit::net;
@@ -30,6 +35,49 @@ TEST(MacAddr, FromIndexIsInjective) {
     EXPECT_NE(MacAddr::from_index(1), MacAddr::from_index(2));
     EXPECT_NE(MacAddr::from_index(1), MacAddr::from_index(257));
     EXPECT_EQ(MacAddr::from_index(5), MacAddr::from_index(5));
+}
+
+TEST(MacAddr, OrderIsLexicographic) {
+    auto lexicographic = [](const MacAddr& a, const MacAddr& b) {
+        return std::lexicographical_compare(a.octets().begin(),
+                                            a.octets().end(),
+                                            b.octets().begin(),
+                                            b.octets().end());
+    };
+    auto check = [&](const MacAddr& a, const MacAddr& b) {
+        EXPECT_EQ(a < b, lexicographic(a, b)) << a.to_string() << " "
+                                              << b.to_string();
+        EXPECT_EQ(b < a, lexicographic(b, a));
+        EXPECT_EQ(a == b, a.octets() == b.octets());
+        EXPECT_EQ((a <=> b) == 0, a.octets() == b.octets());
+    };
+    // Edges: all-zero, broadcast, and pairs that differ only in the first
+    // or only in the last octet, in each direction of each octet's sign
+    // bit.
+    std::vector<MacAddr> edges = {MacAddr(), MacAddr::broadcast()};
+    for (std::size_t i = 0; i < 6; ++i)
+        for (std::uint8_t v : {0x01, 0x7f, 0x80, 0xfe}) {
+            std::array<std::uint8_t, 6> o{};
+            o[i] = v;
+            edges.emplace_back(o);
+            o.fill(0xff);
+            o[i] = v;
+            edges.emplace_back(o);
+        }
+    for (const auto& a : edges)
+        for (const auto& b : edges) check(a, b);
+
+    std::mt19937 rng(48);
+    for (int trial = 0; trial < 20000; ++trial) {
+        std::array<std::uint8_t, 6> a{}, b{};
+        for (auto& x : a) x = static_cast<std::uint8_t>(rng());
+        b = a;
+        // Share a random-length prefix so that every octet decides some
+        // comparisons.
+        for (std::size_t i = rng() % 7; i < 6; ++i)
+            b[i] = static_cast<std::uint8_t>(rng());
+        check(MacAddr(a), MacAddr(b));
+    }
 }
 
 TEST(Ipv4Addr, ParseAndFormatRoundTrip) {

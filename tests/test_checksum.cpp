@@ -66,6 +66,54 @@ TEST(InternetChecksum, IncrementalUpdate32MatchesRecompute) {
     }
 }
 
+namespace {
+
+/// RFC 1071 as written: big-endian 16-bit words summed one at a time
+/// with end-around carry, an odd last byte padded with zero.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> d) {
+    std::uint32_t sum = 0;
+    for (std::size_t i = 0; i < d.size(); i += 2) {
+        const std::uint32_t hi = d[i];
+        const std::uint32_t lo = i + 1 < d.size() ? d[i + 1] : 0;
+        sum += (hi << 8) | lo;
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+} // namespace
+
+TEST(InternetChecksum, MatchesByteLoopReference) {
+    // Every length 0-2000 of all-zero and all-0xff data: the sums that
+    // fold to 0 and to 0xffff.
+    for (std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
+        const std::vector<std::uint8_t> data(2000, fill);
+        for (std::size_t len = 0; len <= data.size(); ++len) {
+            const std::span<const std::uint8_t> d(data.data(), len);
+            ASSERT_EQ(internet_checksum(d), reference_checksum(d))
+                << "fill " << int{fill} << " len " << len;
+        }
+    }
+    // Random data of random lengths at both parities, starting at every
+    // alignment, whole and fed in two parts split at an even offset.
+    std::mt19937 rng(1071);
+    std::vector<std::uint8_t> buf(2000 + 8);
+    for (int trial = 0; trial < 4000; ++trial) {
+        for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+        const std::size_t len = trial % 2 == 0 ? (rng() % 1001) * 2
+                                               : (rng() % 1000) * 2 + 1;
+        const std::size_t at = static_cast<std::size_t>(trial % 8);
+        const std::span<const std::uint8_t> d(buf.data() + at, len);
+        const std::uint16_t want = reference_checksum(d);
+        ASSERT_EQ(internet_checksum(d), want) << "len " << len << " at " << at;
+        const std::size_t cut = (rng() % (len + 1)) & ~std::size_t{1};
+        ChecksumAccumulator acc;
+        acc.add_bytes(d.first(cut));
+        acc.add_bytes(d.subspan(cut));
+        ASSERT_EQ(acc.finalize(), want) << "len " << len << " cut " << cut;
+    }
+}
+
 TEST(PseudoHeader, KnownUdpChecksum) {
     // Hand-computed UDP datagram: 10.0.0.1:1000 -> 10.0.0.2:2000,
     // payload "hi", length 10.
