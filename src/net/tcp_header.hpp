@@ -68,16 +68,19 @@ struct TcpSegment {
 };
 
 /// Write `seg`'s header with `options` (not seg.options, padded with End)
-/// and `payload` into `out`, exactly their size, checksummed over the
-/// pseudo-header. TcpSegment::serialize and TcpSocket both use it
-/// (inline: every segment sent passes here).
+/// and `payload` followed by `payload_tail` into `out`, exactly their
+/// size, checksummed over the pseudo-header. TcpSegment::serialize and
+/// TcpSocket both use it (inline: every segment sent passes here); the
+/// socket passes a segment that wraps its send ring as two spans.
 inline void write_tcp(std::span<std::uint8_t> out, const TcpSegment& seg,
                       std::span<const std::uint8_t> options,
                       std::span<const std::uint8_t> payload, Ipv4Addr src,
-                      Ipv4Addr dst) {
+                      Ipv4Addr dst,
+                      std::span<const std::uint8_t> payload_tail = {}) {
     const std::size_t hlen = tcp_header_len(options.size());
     GK_EXPECTS(hlen <= 60);
-    GK_EXPECTS(out.size() == hlen + payload.size() && out.size() <= 0xffff);
+    GK_EXPECTS(out.size() == hlen + payload.size() + payload_tail.size() &&
+               out.size() <= 0xffff);
     std::uint8_t* p = out.data();
     store_u16(p, seg.src_port);
     store_u16(p + 2, seg.dst_port);
@@ -93,7 +96,8 @@ inline void write_tcp(std::span<std::uint8_t> out, const TcpSegment& seg,
     store_u16(p + 18, seg.urgent);
     std::fill(std::copy(options.begin(), options.end(), p + 20), p + hlen,
               std::uint8_t{0});
-    std::copy(payload.begin(), payload.end(), p + hlen);
+    std::copy(payload_tail.begin(), payload_tail.end(),
+              std::copy(payload.begin(), payload.end(), p + hlen));
 
     ChecksumAccumulator acc;
     add_pseudo_header(acc, src, dst, proto::kTcp,

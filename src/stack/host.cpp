@@ -1,5 +1,8 @@
 #include "stack/host.hpp"
 
+#include <bit>
+#include <utility>
+
 #include "net/dccp.hpp"
 #include "net/sctp.hpp"
 #include "net/udp.hpp"
@@ -45,7 +48,7 @@ void Host::add_route(net::Ipv4Addr prefix, int prefix_len, Iface& iface,
     // earlier slab index — insertion-order tie-break preserved.
     route_index_.insert(prefix, prefix_len,
                         static_cast<std::int32_t>(routes_.size() - 1));
-    route_cache_idx_ = net::RouteTable::kNoValue;
+    invalidate_route_cache();
 }
 
 void Host::remove_routes_via(const Iface& iface) {
@@ -56,23 +59,23 @@ void Host::remove_routes_via(const Iface& iface) {
 
 void Host::reindex_routes() {
     route_index_.clear();
-    route_cache_idx_ = net::RouteTable::kNoValue;
+    invalidate_route_cache();
     for (std::size_t i = 0; i < routes_.size(); ++i)
         route_index_.insert(routes_[i].prefix, routes_[i].prefix_len,
                             static_cast<std::int32_t>(i));
 }
 
 const Route* Host::lookup_route(net::Ipv4Addr dst) const {
-    // One-entry LPM cache: forwarding workloads hammer the same flow's
-    // destination back to back, and the trie walk — cheap as it is —
-    // sits on the packet fast path. Any table mutation invalidates.
-    if (route_cache_idx_ != net::RouteTable::kNoValue &&
-        dst == route_cache_dst_)
-        return &routes_[static_cast<std::size_t>(route_cache_idx_)];
+    // Forwarding workloads look up the two directions of one flow in
+    // turn, and the trie walk, cheap as it is, sits on the packet fast
+    // path. A miss moves the newer entry down and takes the front.
+    for (const RouteCacheEntry& e : route_cache_)
+        if (e.idx != net::RouteTable::kNoValue && e.dst == dst)
+            return &routes_[static_cast<std::size_t>(e.idx)];
     const std::int32_t idx = route_index_.lookup(dst);
     if (idx == net::RouteTable::kNoValue) return nullptr;
-    route_cache_dst_ = dst;
-    route_cache_idx_ = idx;
+    route_cache_[1] = route_cache_[0];
+    route_cache_[0] = {dst, idx};
     return &routes_[static_cast<std::size_t>(idx)];
 }
 
@@ -453,6 +456,19 @@ void Host::tcp_reap(net::Endpoint local, net::Endpoint remote) {
         (it->second->state() == TcpSocket::State::Closed ||
          it->second->state() == TcpSocket::State::TimeWait))
         tcp_conns_.erase(it);
+}
+
+SendRing Host::take_send_ring(std::size_t need) {
+    if (spare_send_ring_.capacity >= need)
+        return std::exchange(spare_send_ring_, {});
+    const std::size_t capacity = std::bit_ceil(need);
+    return {std::make_unique_for_overwrite<std::uint8_t[]>(capacity),
+            capacity};
+}
+
+void Host::keep_send_ring(SendRing&& ring) {
+    if (ring.capacity > spare_send_ring_.capacity)
+        spare_send_ring_ = std::move(ring);
 }
 
 SctpEndpoint& Host::sctp_open(net::Ipv4Addr local_addr,

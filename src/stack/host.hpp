@@ -8,6 +8,7 @@
 // one frame by one sender, send_datagram.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -23,12 +24,11 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stack/netif.hpp"
+#include "stack/tcp_socket.hpp"
 
 namespace gatekit::stack {
 
 class UdpSocket;
-class TcpSocket;
-class TcpListener;
 class SctpEndpoint;
 class DccpEndpoint;
 
@@ -220,6 +220,11 @@ private:
     /// Remove a finished connection from the table (deferred from socket
     /// state transitions so handlers never delete a live socket).
     void tcp_reap(net::Endpoint local, net::Endpoint remote);
+    /// A send ring of at least `need` bytes: the spare when it is large
+    /// enough, else a new one of bit_ceil(need).
+    SendRing take_send_ring(std::size_t need);
+    /// Keep `ring`, a dead socket's, as the spare if it is the larger.
+    void keep_send_ring(SendRing&& ring);
 
     /// Re-index the LPM trie from routes_ (route removal shifts slab
     /// indexes, so bulk removals rebuild rather than patch).
@@ -239,12 +244,20 @@ private:
     // documented "ties broken by insertion order" contract.
     std::vector<Route> routes_;
     net::RouteTable route_index_;
-    // One-entry lookup cache (dst -> slab index), invalidated by any
-    // route mutation. kNoValue = empty; misses are never cached, so a
+    // Two-entry lookup cache (dst -> slab index), most recent first, so
+    // both directions of a forwarded flow hit. Any route mutation empties
+    // both entries; idx kNoValue = empty. Misses are never cached, so a
     // route added later for a previously-missing dst is found.
-    mutable net::Ipv4Addr route_cache_dst_;
-    mutable std::int32_t route_cache_idx_ = net::RouteTable::kNoValue;
+    struct RouteCacheEntry {
+        net::Ipv4Addr dst;
+        std::int32_t idx = net::RouteTable::kNoValue;
+    };
+    mutable std::array<RouteCacheEntry, 2> route_cache_{};
+    void invalidate_route_cache() { route_cache_ = {}; }
     std::vector<std::unique_ptr<UdpSocket>> udp_socks_;
+    /// The largest send ring a dead socket left. Declared before
+    /// tcp_conns_ so that it outlives the sockets, which leave theirs.
+    SendRing spare_send_ring_;
     std::map<std::pair<net::Endpoint, net::Endpoint>,
              std::unique_ptr<TcpSocket>>
         tcp_conns_; ///< key: (local, remote)

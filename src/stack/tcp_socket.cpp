@@ -59,8 +59,32 @@ void TcpSocket::start_passive(std::uint32_t peer_isn) {
     arm_rto();
 }
 
+TcpSocket::~TcpSocket() { host_.keep_send_ring(std::move(send_ring_)); }
+
+void TcpSocket::reserve_send(std::size_t need) {
+    if (need <= send_ring_.capacity) return;
+    SendRing next = host_.take_send_ring(need);
+    const std::size_t first =
+        std::min(send_queued_, send_ring_.capacity - send_head_);
+    std::uint8_t* out = std::copy_n(send_ring_.bytes.get() + send_head_,
+                                    first, next.bytes.get());
+    std::copy_n(send_ring_.bytes.get(), send_queued_ - first, out);
+    send_ring_ = std::move(next);
+    send_head_ = 0;
+}
+
 void TcpSocket::send(std::span<const std::uint8_t> data) {
-    send_buf_.insert(send_buf_.end(), data.begin(), data.end());
+    if (!data.empty()) {
+        reserve_send(send_queued_ + data.size());
+        const std::size_t at =
+            (send_head_ + send_queued_) & (send_ring_.capacity - 1);
+        const std::size_t first =
+            std::min(data.size(), send_ring_.capacity - at);
+        std::copy_n(data.data(), first, send_ring_.bytes.get() + at);
+        std::copy_n(data.data() + first, data.size() - first,
+                    send_ring_.bytes.get());
+        send_queued_ += data.size();
+    }
     try_send();
 }
 
@@ -185,19 +209,11 @@ void TcpSocket::handle_ack(const net::TcpSegmentView& seg) {
         const std::uint64_t data_end = send_buf_base_ + queued();
         const std::uint64_t acked_data = std::min(ack_abs, data_end);
         if (acked_data > send_buf_base_) {
-            send_head_ += static_cast<std::size_t>(acked_data - send_buf_base_);
+            const auto n =
+                static_cast<std::size_t>(acked_data - send_buf_base_);
+            send_head_ = (send_head_ + n) & (send_ring_.capacity - 1);
+            send_queued_ -= n;
             send_buf_base_ = acked_data;
-            constexpr std::size_t kCompactAt = 64 * 1024;
-            if (send_head_ == send_buf_.size()) {
-                send_buf_.clear();
-                send_head_ = 0;
-            } else if (send_head_ >= kCompactAt &&
-                       send_head_ * 2 >= send_buf_.size()) {
-                send_buf_.erase(send_buf_.begin(),
-                                send_buf_.begin() +
-                                    static_cast<long>(send_head_));
-                send_head_ = 0;
-            }
         }
         snd_una_ = ack_abs;
         dup_acks_ = 0;
@@ -435,19 +451,25 @@ void TcpSocket::send_segment(net::TcpFlags flags, std::uint64_t seq_abs,
         static_cast<std::uint8_t>(mss_), 3, 3, kWscaleShift, 0};
     const auto opts = with_mss ? std::span<const std::uint8_t>(syn_opts)
                                : std::span<const std::uint8_t>();
+    // The payload as one span of the ring, or two where it wraps.
     std::span<const std::uint8_t> payload;
+    std::span<const std::uint8_t> tail;
     if (payload_len > 0) {
         GK_ASSERT(seq_abs >= send_buf_base_);
         const auto off = static_cast<std::size_t>(seq_abs - send_buf_base_);
         GK_ASSERT(off + payload_len <= queued());
-        payload = {send_buf_.data() + send_head_ + off, payload_len};
+        const std::size_t at = (send_head_ + off) & (send_ring_.capacity - 1);
+        const std::size_t first =
+            std::min(payload_len, send_ring_.capacity - at);
+        payload = {send_ring_.bytes.get() + at, first};
+        tail = {send_ring_.bytes.get(), payload_len - first};
     }
     host_.send_datagram(
         {.protocol = net::proto::kTcp, .src = local_.addr,
          .dst = remote_.addr},
         net::tcp_header_len(opts.size()) + payload_len,
         [&](std::span<std::uint8_t> seg, net::Ipv4Addr src) {
-            net::write_tcp(seg, h, opts, payload, src, remote_.addr);
+            net::write_tcp(seg, h, opts, payload, src, remote_.addr, tail);
         });
 }
 

@@ -9,6 +9,7 @@
 #include <functional>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "net/addr.hpp"
@@ -18,6 +19,13 @@
 namespace gatekit::stack {
 
 class Host;
+
+/// Storage of a TCP send queue: a power-of-two byte array, or none. Its
+/// Host keeps the largest one a dead socket leaves for the next to take.
+struct SendRing {
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::size_t capacity = 0;
+};
 
 class TcpSocket {
 public:
@@ -79,6 +87,9 @@ public:
     std::uint32_t cwnd() const { return cwnd_; }
     std::uint64_t retransmissions() const { return retransmits_; }
 
+    /// Leaves the send ring to the host as a spare.
+    ~TcpSocket();
+
 private:
     friend class Host;
 
@@ -127,13 +138,18 @@ private:
     std::uint64_t snd_nxt_ = 0;
     std::uint64_t snd_max_ = 0; ///< highest sequence ever sent
     std::uint64_t rcv_nxt_ = 0;
-    /// Unsent + unacked app bytes: send_buf_[send_head_..] is the queue,
-    /// starting at absolute seq send_buf_base_. Acked bytes advance the
-    /// head; the dead prefix is compacted away once it outweighs the rest.
-    net::Bytes send_buf_;
+    /// Unsent + unacked app bytes: queued() bytes of send_ring_ from
+    /// index send_head_, wrapping at its end, starting at absolute seq
+    /// send_buf_base_. Acked bytes advance the head; nothing is ever
+    /// compacted. The ring grows to bit_ceil of what is queued, by a
+    /// host's spare when that is large enough.
+    SendRing send_ring_;
     std::size_t send_head_ = 0;
+    std::size_t send_queued_ = 0;
     std::uint64_t send_buf_base_ = 0;
-    std::size_t queued() const { return send_buf_.size() - send_head_; }
+    std::size_t queued() const { return send_queued_; }
+    /// Make the ring hold `need` bytes, keeping the queue.
+    void reserve_send(std::size_t need);
     /// Out-of-order reassembly queue: segment start seq -> payload.
     /// Bounded; segments beyond the bound are dropped (sender resends).
     std::map<std::uint64_t, net::Bytes> ooo_;

@@ -10,7 +10,8 @@
 //   (d) PacketView::parse accepts exactly the datagrams Ipv4Packet::parse
 //       accepts and reads the same fields from them;
 //   (e) every kind of datagram a Host sends hashes to a fixed digest as
-//       it leaves.
+//       it leaves;
+//   (f) the route lookup cache follows every change to the table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -887,7 +888,7 @@ TEST(HostPath, SendPathWireBytesArePinned) {
     // it park behind the ARP request for 10.0.0.2 and flush on the reply.
     auto& unbound = a.udp_open(Ipv4Addr::any(), 0);
     sent(unbound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, payload));
-    sent(unbound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, {'2'}));
+    sent(unbound.send_to({Ipv4Addr(10, 0, 0, 2), 9000}, {{'2'}}));
     step();
     // From a bound socket, then to a closed port (Port Unreachable).
     auto& bound = a.udp_open(Ipv4Addr(10, 0, 0, 1), 5000);
@@ -950,4 +951,69 @@ TEST(HostPath, SendPathWireBytesArePinned) {
         std::printf("send path 0x%016llx (%zu delivered)\n",
                     static_cast<unsigned long long>(f.h), delivered);
     EXPECT_EQ(f.h, 0x7e7a0eab6007d5dbULL);
+}
+
+// Host::lookup_route caches two destinations, so the two directions of a
+// flow looked up in turn both hit. Each must still resolve to its own
+// route, and add_route or remove_routes_via must reach the next lookup of
+// both cached destinations.
+TEST(HostPath, RouteCacheTwoEntries) {
+    using net::Ipv4Addr;
+    sim::EventLoop loop;
+    stack::Host host{loop, "router", net::MacAddr::from_index(1)};
+    stack::Iface& lan = host.add_iface();
+    stack::Iface& wan = host.add_iface_on(host.add_nic(net::MacAddr::from_index(2)));
+    lan.configure(Ipv4Addr(10, 0, 0, 1), 24);
+    wan.configure(Ipv4Addr(192, 0, 2, 1), 24);
+    host.add_route(Ipv4Addr(10, 0, 0, 0), 24, lan);
+    host.add_route(Ipv4Addr(0, 0, 0, 0), 0, wan, Ipv4Addr(192, 0, 2, 254));
+
+    auto route_of = [&](Ipv4Addr dst) -> std::pair<const stack::Iface*,
+                                                   std::optional<Ipv4Addr>> {
+        const stack::Route* r = host.lookup_route(dst);
+        if (r == nullptr) return {nullptr, std::nullopt};
+        return {r->iface, r->via};
+    };
+    const Ipv4Addr inside(10, 0, 0, 7);
+    const Ipv4Addr far_a(10, 0, 1, 5);
+    const Ipv4Addr far_b(10, 0, 1, 200);
+    const auto via_wan = std::make_pair<const stack::Iface*,
+                                        std::optional<Ipv4Addr>>(
+        &wan, Ipv4Addr(192, 0, 2, 254));
+    const auto on_lan = std::make_pair<const stack::Iface*,
+                                       std::optional<Ipv4Addr>>(
+        &lan, std::nullopt);
+
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(route_of(inside), on_lan);
+        EXPECT_EQ(route_of(far_a), via_wan);
+    }
+    // A third destination takes an entry; all three still resolve.
+    EXPECT_EQ(route_of(far_b), via_wan);
+    EXPECT_EQ(route_of(inside), on_lan);
+    EXPECT_EQ(route_of(far_a), via_wan);
+
+    // Both far destinations are cached behind the default route; a more
+    // specific prefix takes both at their next lookup.
+    EXPECT_EQ(route_of(far_a), via_wan);
+    EXPECT_EQ(route_of(far_b), via_wan);
+    host.add_route(Ipv4Addr(10, 0, 1, 0), 24, lan, Ipv4Addr(10, 0, 0, 254));
+    const auto via_lan = std::make_pair<const stack::Iface*,
+                                        std::optional<Ipv4Addr>>(
+        &lan, Ipv4Addr(10, 0, 0, 254));
+    EXPECT_EQ(route_of(far_a), via_lan);
+    EXPECT_EQ(route_of(far_b), via_lan);
+
+    // Removing the LAN's routes sends both cached destinations back to
+    // the default route, and leaves the LAN subnet to it too.
+    EXPECT_EQ(route_of(inside), on_lan);
+    EXPECT_EQ(route_of(far_a), via_lan);
+    host.remove_routes_via(lan);
+    EXPECT_EQ(route_of(inside), via_wan);
+    EXPECT_EQ(route_of(far_a), via_wan);
+    EXPECT_EQ(route_of(far_b), via_wan);
+    host.remove_routes_via(wan);
+    EXPECT_EQ(route_of(inside), std::make_pair<const stack::Iface*>(
+                                    nullptr, std::optional<Ipv4Addr>()));
+    EXPECT_EQ(route_of(far_a).first, nullptr);
 }
