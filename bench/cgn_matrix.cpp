@@ -109,7 +109,7 @@ ChainRow measure_chain_timeout(const gateway::DeviceProfile& prof) {
                                    const net::PacketView&) {
         const std::uint64_t e = epoch;
         loop.after(cur_gap, [&, e, src] {
-            if (e == epoch) server.send_to(src, {'p'});
+            if (e == epoch) server.send_to(src, {{'p'}});
         });
     });
 
@@ -128,7 +128,7 @@ ChainRow measure_chain_timeout(const gateway::DeviceProfile& prof) {
                                         const net::PacketView&) {
             alive = true;
         });
-        client->send_to({slot.server_addr, kServerPort}, {'s'});
+        client->send_to({slot.server_addr, kServerPort}, {{'s'}});
         loop.after(gap + std::chrono::seconds(3),
                    [&, done = std::move(done)] { done(alive); });
     };

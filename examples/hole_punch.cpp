@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
     // Phase 1: both peers register with the rendezvous server. Each peer
     // talks to ITS OWN gateway's server address (the testbed gives every
     // device its own WAN subnet; a real deployment has one global server).
-    a.sock->send_to({tb.slot(a.slot).server_addr, 9987}, {'A'});
-    b.sock->send_to({tb.slot(b.slot).server_addr, 9987}, {'B'});
+    a.sock->send_to({tb.slot(a.slot).server_addr, 9987}, {{'A'}});
+    b.sock->send_to({tb.slot(b.slot).server_addr, 9987}, {{'B'}});
     loop.run_for(std::chrono::milliseconds(100));
 
     if (a.reflexive.port == 0 || b.reflexive.port == 0) {
@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
     // own gateway, so A's punch toward B's reflexive address traverses
     // gateway A, which is exactly the hole-punching topology.)
     for (int round = 0; round < 3; ++round) {
-        a.sock->send_to(b.reflexive, {'P'});
-        b.sock->send_to(a.reflexive, {'P'});
+        a.sock->send_to(b.reflexive, {{'P'}});
+        b.sock->send_to(a.reflexive, {{'P'}});
         loop.run_for(std::chrono::milliseconds(200));
     }
 

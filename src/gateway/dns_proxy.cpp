@@ -71,8 +71,7 @@ void DnsProxy::on_lan_query(net::Endpoint client,
         upstream_sock_->send_to(upstream_, query.serialize());
         return;
     }
-    upstream_sock_->send_to(upstream_,
-                            net::Bytes(payload.begin(), payload.end()));
+    upstream_sock_->send_to(upstream_, payload);
 }
 
 void DnsProxy::on_upstream_response(std::span<const std::uint8_t> payload) {
@@ -100,7 +99,7 @@ void DnsProxy::on_upstream_response(std::span<const std::uint8_t> payload) {
         obs::inc(m_oversize_drops_);
         return;
     }
-    lan_sock_->send_to(client, net::Bytes(payload.begin(), payload.end()));
+    lan_sock_->send_to(client, payload);
 }
 
 void DnsProxy::prune_pending() {
@@ -179,7 +178,7 @@ void DnsProxy::forward_tcp_query(stack::TcpSocket& client_conn,
                     return;
                 }
             });
-        sock.send_to(upstream_, std::move(query));
+        sock.send_to(upstream_, query);
         return;
     }
 

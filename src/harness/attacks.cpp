@@ -158,7 +158,7 @@ void attack_icmp_teardown(Testbed& tb, Testbed::DeviceSlot& s,
     std::optional<std::uint16_t> ext;
     {
         ExtPortCapture cap(tb, s, 7001);
-        victim.send_to({s.server_addr, 7001}, {0x01});
+        victim.send_to({s.server_addr, 7001}, {{0x01}});
         loop.run_for(std::chrono::milliseconds(200));
         ext = cap.port();
     }
@@ -331,7 +331,7 @@ void attack_quote_abuse(Testbed& tb, Testbed::DeviceSlot& s,
     std::optional<std::uint16_t> ext;
     {
         ExtPortCapture cap(tb, s, 7002);
-        victim.send_to({s.server_addr, 7002}, {0x02});
+        victim.send_to({s.server_addr, 7002}, {{0x02}});
         loop.run_for(std::chrono::milliseconds(200));
         ext = cap.port();
     }
@@ -427,7 +427,7 @@ void attack_port_exhaustion(Testbed& tb, Testbed::DeviceSlot& s,
     std::optional<std::uint16_t> ext1;
     {
         ExtPortCapture cap1(tb, s, 9001);
-        v1.send_to({s.server_addr, 9001}, {0x01});
+        v1.send_to({s.server_addr, 9001}, {{0x01}});
         loop.run_for(std::chrono::milliseconds(100));
         ext1 = cap1.port();
     }
@@ -448,7 +448,7 @@ void attack_port_exhaustion(Testbed& tb, Testbed::DeviceSlot& s,
     std::optional<std::uint16_t> ext2;
     {
         ExtPortCapture cap2(tb, s, 9002);
-        v2.send_to({s.server_addr, 9002}, {0x02});
+        v2.send_to({s.server_addr, 9002}, {{0x02}});
         loop.run_for(std::chrono::milliseconds(100));
         ext2 = cap2.port();
     }

@@ -32,7 +32,7 @@ public:
         // Step 1: TTL observation.
         stack::UdpSocket::SendOptions opts;
         opts.ttl = 44;
-        client_sock_->send_to({slot_.server_addr, kPort}, {'t'}, opts);
+        client_sock_->send_to({slot_.server_addr, kPort}, {{'t'}}, opts);
         auto self = shared_from_this();
         loop_.after(std::chrono::milliseconds(100), [self] {
             self->result_.decrements_ttl =
@@ -47,7 +47,7 @@ private:
     void step_record_route() {
         stack::UdpSocket::SendOptions opts;
         opts.ip_options = net::Ipv4Packet::make_record_route_option(4);
-        client_sock_->send_to({slot_.server_addr, kPort}, {'r'}, opts);
+        client_sock_->send_to({slot_.server_addr, kPort}, {{'r'}}, opts);
         auto self = shared_from_this();
         loop_.after(std::chrono::milliseconds(100), [self] {
             for (const auto hop : self->last_route_)
@@ -68,14 +68,14 @@ private:
                                         const net::PacketView&) {
                 self->result_.hairpins_udp = true;
             });
-        hp_target_->send_to({slot_.server_addr, kPort}, {'a'});
+        hp_target_->send_to({slot_.server_addr, kPort}, {{'a'}});
         auto self = shared_from_this();
         loop_.after(std::chrono::milliseconds(100), [self] {
             // A's external port: preserved or not, the server saw it.
             // Use the port the server recorded from A's packet.
             self->client_sock_->send_to(
                 {self->slot_.gw_wan_addr, self->ext_port_of_target()},
-                {'b'});
+                {{'b'}});
             self->loop_.after(std::chrono::milliseconds(200), [self] {
                 self->finish();
             });
@@ -168,7 +168,7 @@ void measure_binding_rate(Testbed& tb, int slot, int count,
     for (int i = 0; i < count; ++i) {
         auto& sock = tb.client().udp_open(
             s.client_addr, static_cast<std::uint16_t>(48000 + i));
-        sock.send_to({s.server_addr, 47100}, {'x'});
+        sock.send_to({s.server_addr, 47100}, {{'x'}});
         socks.push_back(&sock);
     }
     loop.after(std::chrono::seconds(2), [&tb, server, socks, established,

@@ -40,16 +40,16 @@ HolePunchResult drive_punch(Testbed& tb, sim::EventLoop& loop, int ia,
             if (!p.empty() && p[0] == 'P') heard_b = true;
         });
 
-    sock_a.send_to({tb.slot(ia).server_addr, 9987}, {'A'});
-    sock_b.send_to({tb.slot(ib).server_addr, 9987}, {'B'});
+    sock_a.send_to({tb.slot(ia).server_addr, 9987}, {{'A'}});
+    sock_b.send_to({tb.slot(ib).server_addr, 9987}, {{'B'}});
     loop.run_for(std::chrono::milliseconds(100));
     result.registered =
         result.reflexive_a.port != 0 && result.reflexive_b.port != 0;
     if (!result.registered) return result;
 
     for (int round = 0; round < 3; ++round) {
-        sock_a.send_to(result.reflexive_b, {'P'});
-        sock_b.send_to(result.reflexive_a, {'P'});
+        sock_a.send_to(result.reflexive_b, {{'P'}});
+        sock_b.send_to(result.reflexive_a, {{'P'}});
         loop.run_for(std::chrono::milliseconds(200));
     }
     result.success = heard_a && heard_b;
@@ -149,7 +149,7 @@ P2pResult establish_p2p(const gateway::DeviceProfile& a,
 
     // Bob contacts the relay (creating his NAT binding toward it); Alice
     // answers through the relay to the endpoint the relay observed.
-    bob.send_to(relay, {'B'});
+    bob.send_to(relay, {{'B'}});
     loop.run_for(std::chrono::milliseconds(200));
     if (alice_heard) alice.send(bob_as_seen, {'A'});
     loop.run_for(std::chrono::milliseconds(200));

@@ -156,7 +156,7 @@ private:
 
     void udp_flow_attempt(IcmpKind kind, int attempt) {
         auto self = shared_from_this();
-        client_udp_->send_to({slot_.server_addr, kUdpPort}, {'f', 'l'});
+        client_udp_->send_to({slot_.server_addr, kUdpPort}, {{'f', 'l'}});
         const auto wait = attempt == 0 ? sim::Duration(
                                              std::chrono::milliseconds(100))
                                        : config_.retry_wait;

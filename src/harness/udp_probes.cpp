@@ -64,7 +64,7 @@ private:
         // forever and keep the binding alive unconditionally.
         if (server_echo_budget_ > 0) {
             --server_echo_budget_;
-            server_sock_->send_to(src, {'e', 'c', 'h', 'o'});
+            server_sock_->send_to(src, {{'e', 'c', 'h', 'o'}});
         }
     }
 
@@ -116,7 +116,7 @@ private:
         // UDP-3: answer every server packet, refreshing via outbound.
         if (pattern_ == UdpPattern::Bidirectional && trial_running_)
             client_sock_->send_to({slot_.server_addr, config_.server_port},
-                                  {'r', 'e'});
+                                  {{'r', 'e'}});
     }
 
     /// Idle long enough for any binding from an alive trial to die, so
@@ -194,7 +194,7 @@ private:
         }
         const std::uint64_t rx_before = server_rx_total_;
         client_sock_->send_to({slot_.server_addr, config_.server_port},
-                              {'s', 'y', 'n'});
+                              {{'s', 'y', 'n'}});
         auto self = shared_from_this();
         if (attempt < config_.retry.creation_retries) {
             const auto t_create = loop_.now();
@@ -237,7 +237,7 @@ private:
         }
         const int before = client_rx_in_trial_;
         if (have_peer_)
-            server_sock_->send_to(last_peer_, {'p', 'r', 'o', 'b', 'e'});
+            server_sock_->send_to(last_peer_, {{'p', 'r', 'o', 'b', 'e'}});
         auto self = shared_from_this();
         loop_.after(config_.grace, [self, gap, epoch, before,
                                     cb = std::move(cb)]() mutable {
@@ -406,11 +406,11 @@ private:
             self->client_rx_in_trial_ = 0;
             self->port_this_trial_ = 0;
             self->client_sock_->send_to(
-                {self->slot_.server_addr, self->config_.server_port}, {'s'});
+                {self->slot_.server_addr, self->config_.server_port}, {{'s'}});
             self->loop_.after(gap, [self, gap, cb = std::move(cb)]() mutable {
                 const int before = self->client_rx_in_trial_;
                 if (self->have_peer_)
-                    self->server_sock_->send_to(self->last_peer_, {'p'});
+                    self->server_sock_->send_to(self->last_peer_, {{'p'}});
                 self->loop_.after(
                     self->config_.grace,
                     [self, gap, before, cb = std::move(cb)]() mutable {

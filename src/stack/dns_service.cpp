@@ -34,7 +34,7 @@ DnsServer::DnsServer(Host& host, net::Ipv4Addr listen_addr, bool with_tcp)
             response.truncated = true;
             wire = response.serialize();
         }
-        udp_->send_to(src, std::move(wire));
+        udp_->send_to(src, wire);
     });
     if (with_tcp) {
         tcp_ = &host_.tcp_listen(net::kDnsPort);

@@ -5,7 +5,8 @@
 
 namespace gatekit::stack {
 
-bool UdpSocket::send_to(net::Endpoint dst, net::Bytes payload,
+bool UdpSocket::send_to(net::Endpoint dst,
+                        std::span<const std::uint8_t> payload,
                         const SendOptions& opts) {
     return host_.send_datagram(
         {.protocol = net::proto::kUdp, .src = local_addr_, .dst = dst.addr,

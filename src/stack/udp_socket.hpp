@@ -26,17 +26,19 @@ public:
 
     void set_receive_handler(ReceiveHandler h) { on_receive_ = std::move(h); }
 
-    /// Send a datagram; false when it cannot leave. Options customize
-    /// probe traffic: `ttl` overrides the default 64; `ip_options` adds
-    /// raw IPv4 options (e.g. Record Route).
+    /// Send a datagram; false when it cannot leave. The payload is
+    /// copied straight into the frame, so it may alias anything; a braced
+    /// byte list takes double braces, `send_to(dst, {{'A'}})`. Options
+    /// customize probe traffic: `ttl` overrides the default 64;
+    /// `ip_options` adds raw IPv4 options (e.g. Record Route).
     struct SendOptions {
         std::uint8_t ttl = 64;
         net::Bytes ip_options;
     };
-    bool send_to(net::Endpoint dst, net::Bytes payload,
+    bool send_to(net::Endpoint dst, std::span<const std::uint8_t> payload,
                  const SendOptions& opts);
-    bool send_to(net::Endpoint dst, net::Bytes payload) {
-        return send_to(dst, std::move(payload), SendOptions{});
+    bool send_to(net::Endpoint dst, std::span<const std::uint8_t> payload) {
+        return send_to(dst, payload, SendOptions{});
     }
 
     std::uint64_t datagrams_received() const { return rx_count_; }

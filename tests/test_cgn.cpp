@@ -618,7 +618,7 @@ TEST(Nat444, BringUpAndEchoThroughBothLayers) {
                                  std::span<const std::uint8_t> p,
                                  const net::PacketView&) {
         seen_by_server = src.addr;
-        echo.send_to(src, net::Bytes(p.begin(), p.end()));
+        echo.send_to(src, p);
     });
 
     int echoed = 0;
@@ -630,9 +630,9 @@ TEST(Nat444, BringUpAndEchoThroughBothLayers) {
                                    const net::PacketView&) { ++echoed; });
     sock_b.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
                                    const net::PacketView&) { ++echoed; });
-    sock_a.send_to({tb.slot(ia).server_addr, 7000}, {'a'});
+    sock_a.send_to({tb.slot(ia).server_addr, 7000}, {{'a'}});
     loop.run_for(std::chrono::milliseconds(50));
-    sock_b.send_to({tb.slot(ib).server_addr, 7000}, {'b'});
+    sock_b.send_to({tb.slot(ib).server_addr, 7000}, {{'b'}});
     loop.run_for(std::chrono::milliseconds(50));
 
     EXPECT_EQ(echoed, 2);
@@ -660,7 +660,7 @@ TEST(Nat444, TracerouteSeesBothNatHops) {
     stack::UdpSocket::SendOptions opts;
     for (std::uint8_t ttl = 1; ttl <= 2; ++ttl) {
         opts.ttl = ttl;
-        sock.send_to({tb.slot(i).server_addr, 33434}, {0xbe}, opts);
+        sock.send_to({tb.slot(i).server_addr, 33434}, {{0xbe}}, opts);
         loop.run_for(std::chrono::milliseconds(50));
     }
 
@@ -800,7 +800,7 @@ TEST(Nat444, InboundTtlExpiryQuotesTheArrivedDatagram) {
         seen = src;
         stack::UdpSocket::SendOptions opts;
         opts.ttl = 1; // the CGN is the first hop back
-        echo.send_to(src, {'r'}, opts);
+        echo.send_to(src, {{'r'}}, opts);
     });
     tb.server().set_icmp_observer(
         [&](const net::PacketView& outer, const net::IcmpMessage& msg) {
@@ -813,7 +813,7 @@ TEST(Nat444, InboundTtlExpiryQuotesTheArrivedDatagram) {
                                       tb.slot(i).client_if);
     sock.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
                                  const net::PacketView&) { ++replies; });
-    sock.send_to({tb.slot(i).server_addr, 7000}, {'q'});
+    sock.send_to({tb.slot(i).server_addr, 7000}, {{'q'}});
     loop.run_for(std::chrono::milliseconds(100));
 
     EXPECT_EQ(replies, 0);
@@ -847,7 +847,7 @@ TEST(Nat444, UnsolicitedInboundReachesTheCgnStackCountedOnce) {
     // end carries no binding.
     auto& sock = tb.client().udp_open(tb.slot(i).client_addr, 46000,
                                       tb.slot(i).client_if);
-    sock.send_to({tb.slot(i).server_addr, 7000}, {'q'});
+    sock.send_to({tb.slot(i).server_addr, 7000}, {{'q'}});
     loop.run_for(std::chrono::milliseconds(50));
     const auto block = engine.block_of(tb.slot(i).gw_wan_addr);
     ASSERT_TRUE(block.has_value());
@@ -860,7 +860,7 @@ TEST(Nat444, UnsolicitedInboundReachesTheCgnStackCountedOnce) {
                                   const net::PacketView&) { ++delivered; });
     const auto before = engine.stats().dropped_no_binding;
     auto& probe = tb.server().udp_open(net::Ipv4Addr::any(), 7001);
-    probe.send_to({group.external_addr, port}, {'u'});
+    probe.send_to({group.external_addr, port}, {{'u'}});
     loop.run_for(std::chrono::milliseconds(50));
 
     EXPECT_EQ(delivered, 1);

@@ -355,10 +355,10 @@ TEST(GatewayFaults, RebootFlushesNatState) {
         [&](net::Endpoint, std::span<const std::uint8_t>,
             const net::PacketView&) { ++client_got; });
 
-    client_sock.send_to({slot.server_addr, 7000}, {1});
+    client_sock.send_to({slot.server_addr, 7000}, {{1}});
     bed.loop.run();
     ASSERT_EQ(server_got, 1);
-    server_sock.send_to(client_ext, {2});
+    server_sock.send_to(client_ext, {{2}});
     bed.loop.run();
     ASSERT_EQ(client_got, 1);
     ASSERT_EQ(slot.gw->nat().udp_table().size(), 1u);
@@ -369,12 +369,12 @@ TEST(GatewayFaults, RebootFlushesNatState) {
     EXPECT_EQ(slot.gw->nat().udp_table().size(), 0u);
 
     // The old external mapping is gone: inbound traffic dies at the NAT.
-    server_sock.send_to(client_ext, {3});
+    server_sock.send_to(client_ext, {{3}});
     bed.loop.run();
     EXPECT_EQ(client_got, 1);
 
     // Outbound traffic re-creates a binding; the device recovered.
-    client_sock.send_to({slot.server_addr, 7000}, {4});
+    client_sock.send_to({slot.server_addr, 7000}, {{4}});
     bed.loop.run();
     EXPECT_EQ(server_got, 2);
     EXPECT_EQ(slot.gw->nat().udp_table().size(), 1u);
@@ -390,7 +390,7 @@ TEST(GatewayFaults, StallDropsTrafficThenRecovers) {
         [&](net::Endpoint, std::span<const std::uint8_t>,
             const net::PacketView&) { ++server_got; });
     auto& client_sock = bed.tb.client().udp_open(slot.client_addr, 41000);
-    client_sock.send_to({slot.server_addr, 7000}, {1});
+    client_sock.send_to({slot.server_addr, 7000}, {{1}});
     bed.loop.run();
     ASSERT_EQ(server_got, 1);
 
@@ -401,13 +401,13 @@ TEST(GatewayFaults, StallDropsTrafficThenRecovers) {
     EXPECT_TRUE(slot.gw->stalled());
     EXPECT_EQ(slot.gw->nat().udp_table().size(), 1u); // survived
 
-    client_sock.send_to({slot.server_addr, 7000}, {2});
+    client_sock.send_to({slot.server_addr, 7000}, {{2}});
     bed.loop.run_for(std::chrono::seconds(1));
     EXPECT_EQ(server_got, 1); // swallowed by the outage
 
     bed.loop.run_for(std::chrono::seconds(2));
     EXPECT_FALSE(slot.gw->stalled());
-    client_sock.send_to({slot.server_addr, 7000}, {3});
+    client_sock.send_to({slot.server_addr, 7000}, {{3}});
     bed.loop.run();
     EXPECT_EQ(server_got, 2);
 }

@@ -62,7 +62,7 @@ TEST(GatewayNat, UdpOutboundAndReply) {
         [&](net::Endpoint src, std::span<const std::uint8_t>,
             const net::PacketView&) {
             seen_src = src;
-            server_sock.send_to(src, {'o', 'k'});
+            server_sock.send_to(src, {{'o', 'k'}});
         });
 
     net::Bytes reply;
@@ -73,7 +73,7 @@ TEST(GatewayNat, UdpOutboundAndReply) {
                                         const net::PacketView&) {
         reply.assign(p.begin(), p.end());
     });
-    client_sock.send_to({slot.server_addr, 7000}, {'h', 'i'});
+    client_sock.send_to({slot.server_addr, 7000}, {{'h', 'i'}});
     bed.loop.run();
 
     // The server saw the gateway's WAN address with the preserved port.
@@ -100,25 +100,25 @@ TEST(GatewayNat, UdpBindingExpires) {
                                         const net::PacketView&) {
         ++client_got;
     });
-    client_sock.send_to({slot.server_addr, 7000}, {1});
+    client_sock.send_to({slot.server_addr, 7000}, {{1}});
     bed.loop.run();
     ASSERT_NE(client_ext.port, 0);
 
     // Within the 30 s initial timeout: response passes.
     bed.loop.run_for(std::chrono::seconds(10));
-    server_sock.send_to(client_ext, {2});
+    server_sock.send_to(client_ext, {{2}});
     bed.loop.run();
     EXPECT_EQ(client_got, 1);
 
     // The inbound packet confirmed the binding (60 s timer). 50 s later
     // it is still alive; 70 s after THAT refresh it is gone.
     bed.loop.run_for(std::chrono::seconds(50));
-    server_sock.send_to(client_ext, {3});
+    server_sock.send_to(client_ext, {{3}});
     bed.loop.run();
     EXPECT_EQ(client_got, 2);
 
     bed.loop.run_for(std::chrono::seconds(70));
-    server_sock.send_to(client_ext, {4});
+    server_sock.send_to(client_ext, {{4}});
     bed.loop.run();
     EXPECT_EQ(client_got, 2); // dropped: binding expired
 }
@@ -138,9 +138,9 @@ TEST(GatewayNat, SequentialPortAllocation) {
 
     auto& s1 = bed.tb.client().udp_open(slot.client_addr, 40001);
     auto& s2 = bed.tb.client().udp_open(slot.client_addr, 40002);
-    s1.send_to({slot.server_addr, 7000}, {1});
+    s1.send_to({slot.server_addr, 7000}, {{1}});
     bed.loop.run();
-    s2.send_to({slot.server_addr, 7000}, {1});
+    s2.send_to({slot.server_addr, 7000}, {{1}});
     bed.loop.run();
     ASSERT_EQ(seen_ports.size(), 2u);
     EXPECT_EQ(seen_ports[0], 25000);
@@ -162,7 +162,7 @@ TEST(GatewayNat, BindingCapacityLimit) {
     for (int i = 0; i < 8; ++i) {
         auto& sock = bed.tb.client().udp_open(
             slot.client_addr, static_cast<std::uint16_t>(42000 + i));
-        sock.send_to({slot.server_addr, 7000}, {1});
+        sock.send_to({slot.server_addr, 7000}, {{1}});
     }
     bed.loop.run();
     EXPECT_EQ(server_got, 4); // the other four flows had no binding
@@ -264,7 +264,7 @@ TEST(GatewayNat, TtlDecrementedWhenEnabled) {
     auto& sock = bed.tb.client().udp_open(slot.client_addr, 0);
     stack::UdpSocket::SendOptions opts;
     opts.ttl = 10;
-    sock.send_to({slot.server_addr, 7000}, {1}, opts);
+    sock.send_to({slot.server_addr, 7000}, {{1}}, opts);
     bed.loop.run();
     EXPECT_EQ(seen_ttl, 9);
 }
@@ -282,7 +282,7 @@ TEST(GatewayNat, TtlNotDecrementedWhenDisabled) {
     auto& sock = bed.tb.client().udp_open(slot.client_addr, 0);
     stack::UdpSocket::SendOptions opts;
     opts.ttl = 10;
-    sock.send_to({slot.server_addr, 7000}, {1}, opts);
+    sock.send_to({slot.server_addr, 7000}, {{1}}, opts);
     bed.loop.run();
     EXPECT_EQ(seen_ttl, 10);
 }
@@ -440,20 +440,20 @@ TEST(GatewayNat, TtlExpiringPacketDropsCleanlyOnBothPaths) {
     // TTL exhausts at the gateway: nothing may reach the WAN.
     stack::UdpSocket::SendOptions opts;
     opts.ttl = 1;
-    sock.send_to({slot.server_addr, 7000}, {1}, opts);
+    sock.send_to({slot.server_addr, 7000}, {{1}}, opts);
     bed.loop.run();
     EXPECT_EQ(received, 0);
 
     // With IP options: the same deferral, the same drop.
     opts.ip_options = {0x01, 0x01, 0x01, 0x00}; // NOP NOP NOP EOL
-    sock.send_to({slot.server_addr, 7000}, {2}, opts);
+    sock.send_to({slot.server_addr, 7000}, {{2}}, opts);
     bed.loop.run();
     EXPECT_EQ(received, 0);
 
     // The gateway state must be intact: a surviving packet on the same
     // flow still translates, routes, and decrements to TTL-1.
     opts.ttl = 2;
-    sock.send_to({slot.server_addr, 7000}, {3}, opts);
+    sock.send_to({slot.server_addr, 7000}, {{3}}, opts);
     bed.loop.run();
     EXPECT_EQ(received, 1);
     EXPECT_EQ(seen_ttl, 1);

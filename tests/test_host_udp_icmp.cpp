@@ -22,7 +22,7 @@ TEST(HostUdp, EchoRoundTrip) {
                                    const net::PacketView&) {
         reply.assign(p.begin(), p.end());
     });
-    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 9000}, {'h', 'i'});
+    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 9000}, {{'h', 'i'}});
     net.loop.run();
     EXPECT_EQ(reply, (net::Bytes{'h', 'i'}));
 }
@@ -39,7 +39,7 @@ TEST(HostUdp, ClosedPortTriggersPortUnreachable) {
         EXPECT_EQ(msg.code, net::icmp_code::kPortUnreachable);
         EXPECT_EQ(outer.src(), net::Ipv4Addr(10, 0, 0, 2));
     });
-    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 4444}, {1});
+    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 4444}, {{1}});
     net.loop.run();
     EXPECT_TRUE(got_icmp);
 }
@@ -53,7 +53,7 @@ TEST(HostUdp, IcmpErrorsSuppressible) {
         [&](const net::PacketView&, const net::IcmpMessage& msg) {
             if (msg.is_error()) got_icmp = true;
         });
-    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 4444}, {1});
+    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 4444}, {{1}});
     net.loop.run();
     EXPECT_FALSE(got_icmp);
 }
@@ -189,7 +189,7 @@ TEST(HostUdp, TtlOverrideOnWire) {
     auto& client = net.a.udp_open(net::Ipv4Addr::any(), 0);
     stack::UdpSocket::SendOptions opts;
     opts.ttl = 5;
-    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 9000}, {1}, opts);
+    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 9000}, {{1}}, opts);
     net.loop.run();
     EXPECT_EQ(seen_ttl, 5);
 }
@@ -206,7 +206,7 @@ TEST(HostUdp, RecordRouteOptionCarried) {
     auto& client = net.a.udp_open(net::Ipv4Addr::any(), 0);
     stack::UdpSocket::SendOptions opts;
     opts.ip_options = net::Ipv4Packet::make_record_route_option(4);
-    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 9000}, {1}, opts);
+    client.send_to({net::Ipv4Addr(10, 0, 0, 2), 9000}, {{1}}, opts);
     net.loop.run();
     // Direct link: no router filled anything in, but the option survived.
     EXPECT_TRUE(route.empty());
@@ -224,7 +224,7 @@ TEST(HostUdp, LocalDelivery) {
         EXPECT_EQ(src.addr, net::Ipv4Addr(10, 0, 0, 1));
     });
     auto& client = net.a.udp_open(net::Ipv4Addr(10, 0, 0, 1), 0);
-    client.send_to({net::Ipv4Addr(10, 0, 0, 1), 1234}, {1});
+    client.send_to({net::Ipv4Addr(10, 0, 0, 1), 1234}, {{1}});
     net.loop.run();
     EXPECT_TRUE(got);
     EXPECT_EQ(net.link.frames_sent(sim::Link::Side::A), 0u);

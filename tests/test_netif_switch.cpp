@@ -18,7 +18,7 @@ TEST(Netif, ArpResolutionAndDelivery) {
             EXPECT_EQ(p.size(), 3u);
         });
     auto& sock_a = net.a.udp_open(net::Ipv4Addr::any(), 0);
-    sock_a.send_to({net::Ipv4Addr(10, 0, 0, 2), 7777}, {1, 2, 3});
+    sock_a.send_to({net::Ipv4Addr(10, 0, 0, 2), 7777}, {{1, 2, 3}});
     net.loop.run();
     EXPECT_TRUE(got);
     // Both sides learned each other through the exchange.
@@ -36,7 +36,7 @@ TEST(Netif, PacketsQueueBehindArp) {
     auto& sock_a = net.a.udp_open(net::Ipv4Addr::any(), 0);
     // Three sends before any ARP reply can arrive: all must be delivered.
     for (int i = 0; i < 3; ++i)
-        sock_a.send_to({net::Ipv4Addr(10, 0, 0, 2), 7777}, {0x55});
+        sock_a.send_to({net::Ipv4Addr(10, 0, 0, 2), 7777}, {{0x55}});
     net.loop.run();
     EXPECT_EQ(got, 3);
     // Only one ARP request should have been sent for the three packets:
@@ -47,14 +47,14 @@ TEST(Netif, PacketsQueueBehindArp) {
 TEST(Netif, NoRouteFails) {
     Net2 net;
     auto& sock_a = net.a.udp_open(net::Ipv4Addr::any(), 0);
-    EXPECT_FALSE(sock_a.send_to({net::Ipv4Addr(99, 0, 0, 1), 1}, {1}));
+    EXPECT_FALSE(sock_a.send_to({net::Ipv4Addr(99, 0, 0, 1), 1}, {{1}}));
 }
 
 TEST(Netif, UnconfiguredIfaceDoesNotAnswerArp) {
     Net2 net;
     net.ib.deconfigure();
     auto& sock_a = net.a.udp_open(net::Ipv4Addr::any(), 0);
-    sock_a.send_to({net::Ipv4Addr(10, 0, 0, 2), 7777}, {1});
+    sock_a.send_to({net::Ipv4Addr(10, 0, 0, 2), 7777}, {{1}});
     net.loop.run();
     EXPECT_FALSE(net.ia.arp_cache().lookup(net::Ipv4Addr(10, 0, 0, 2)));
 }
@@ -112,7 +112,7 @@ TEST(VlanSwitch, TrunkToAccessDelivery) {
                                  std::span<const std::uint8_t>,
                                  const net::PacketView&) { got = true; });
     auto& out = net.trunk_host.udp_open(net::Ipv4Addr::any(), 0);
-    out.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {9});
+    out.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {{9}});
     net.loop.run();
     EXPECT_TRUE(got);
     EXPECT_GT(net.sw.mac_table_size(), 0u);
@@ -133,7 +133,7 @@ TEST(VlanSwitch, VlansAreIsolated) {
                                   std::span<const std::uint8_t>,
                                   const net::PacketView&) { ++got_h1; });
     auto& out = net.trunk_host.udp_open(net::Ipv4Addr::any(), 0);
-    out.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {9});
+    out.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {{9}});
     net.loop.run();
     EXPECT_EQ(got_h1, 1);
     EXPECT_EQ(got_h2, 0);
@@ -147,7 +147,7 @@ TEST(VlanSwitch, BidirectionalAcrossTrunk) {
     server.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t>,
             const net::PacketView&) {
-            server.send_to(src, {7, 7});
+            server.send_to(src, {{7, 7}});
         });
     auto& client = net.h2.udp_open(net::Ipv4Addr::any(), 0);
     client.set_receive_handler([&](net::Endpoint,
@@ -155,7 +155,7 @@ TEST(VlanSwitch, BidirectionalAcrossTrunk) {
                                    const net::PacketView&) {
         reply_seen = p.size() == 2;
     });
-    client.send_to({net::Ipv4Addr(192, 168, 200, 1), 6000}, {1});
+    client.send_to({net::Ipv4Addr(192, 168, 200, 1), 6000}, {{1}});
     net.loop.run();
     EXPECT_TRUE(reply_seen);
 }
@@ -165,9 +165,9 @@ TEST(VlanSwitch, LearnsAndStopsFlooding) {
     auto& server = net.h1.udp_open(net::Ipv4Addr::any(), 5000);
     server.set_receive_handler(
         [&](net::Endpoint src, std::span<const std::uint8_t>,
-            const net::PacketView&) { server.send_to(src, {1}); });
+            const net::PacketView&) { server.send_to(src, {{1}}); });
     auto& client = net.trunk_host.udp_open(net::Ipv4Addr::any(), 0);
-    client.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {1});
+    client.send_to({net::Ipv4Addr(192, 168, 100, 2), 5000}, {{1}});
     net.loop.run();
     const auto frames_to_h2 = net.acc2_link.frames_sent(sim::Link::Side::B);
     // The only frames h2 may have seen are the initial broadcast ARP

@@ -200,11 +200,11 @@ TEST(Hairpin, UdpReachesSiblingSocketThroughWanAddress) {
         a_seen_from = src;
         ++a_rx;
     });
-    a.send_to({slot.server_addr, 5600}, {'a'});
+    a.send_to({slot.server_addr, 5600}, {{'a'}});
     bed.loop.run();
 
     auto& b = bed.tb.client().udp_open(slot.client_addr, 50002);
-    b.send_to({slot.gw_wan_addr, 50001}, {'b'});
+    b.send_to({slot.gw_wan_addr, 50001}, {{'b'}});
     bed.loop.run();
 
     EXPECT_EQ(a_rx, 1);
@@ -226,7 +226,7 @@ TEST(Hairpin, ExpiringTtlDrawsTimeExceeded) {
     int a_rx = 0;
     a.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
                               const net::PacketView&) { ++a_rx; });
-    a.send_to({slot.server_addr, 5600}, {'a'});
+    a.send_to({slot.server_addr, 5600}, {{'a'}});
     bed.loop.run();
 
     auto& b = bed.tb.client().udp_open(slot.client_addr, 50002);
@@ -238,7 +238,7 @@ TEST(Hairpin, ExpiringTtlDrawsTimeExceeded) {
     for (const std::uint8_t ttl : {1, 0}) {
         stack::UdpSocket::SendOptions opts;
         opts.ttl = ttl;
-        b.send_to({slot.gw_wan_addr, 50001}, {'b'}, opts);
+        b.send_to({slot.gw_wan_addr, 50001}, {{'b'}}, opts);
         bed.loop.run();
     }
     EXPECT_EQ(a_rx, 0);
@@ -258,11 +258,11 @@ TEST(Hairpin, DisabledDeviceDeliversToGatewayInstead) {
     int a_rx = 0;
     a.set_receive_handler([&](net::Endpoint, std::span<const std::uint8_t>,
                               const net::PacketView&) { ++a_rx; });
-    a.send_to({slot.server_addr, 5600}, {'a'});
+    a.send_to({slot.server_addr, 5600}, {{'a'}});
     bed.loop.run();
 
     auto& b = bed.tb.client().udp_open(slot.client_addr, 50002);
-    b.send_to({slot.gw_wan_addr, 50001}, {'b'});
+    b.send_to({slot.gw_wan_addr, 50001}, {{'b'}});
     bed.loop.run();
     EXPECT_EQ(a_rx, 0);
     (void)server_sock;
@@ -303,13 +303,13 @@ bool punch(const DeviceProfile& pa, const DeviceProfile& pb) {
         if (!p.empty() && p[0] == 'P') heard_b = true;
     });
 
-    sa.send_to({tb.slot(ia).server_addr, 9987}, {'A'});
-    sb.send_to({tb.slot(ib).server_addr, 9987}, {'B'});
+    sa.send_to({tb.slot(ia).server_addr, 9987}, {{'A'}});
+    sb.send_to({tb.slot(ib).server_addr, 9987}, {{'B'}});
     loop.run_for(std::chrono::milliseconds(100));
     if (refl_a.port == 0 || refl_b.port == 0) return false;
     for (int round = 0; round < 3; ++round) {
-        sa.send_to(refl_b, {'P'});
-        sb.send_to(refl_a, {'P'});
+        sa.send_to(refl_b, {{'P'}});
+        sb.send_to(refl_a, {{'P'}});
         loop.run_for(std::chrono::milliseconds(200));
     }
     return heard_a && heard_b;
@@ -383,7 +383,7 @@ TEST(Turn, AllocateAndRelayBothDirections) {
                 peer_as_seen = from;
             }
         });
-    peer.send_to(relay, {'y'});
+    peer.send_to(relay, {{'y'}});
     net.loop.run();
     ASSERT_TRUE(alice_heard);
     EXPECT_EQ(peer_as_seen,
