@@ -37,13 +37,39 @@ sim::Duration FwdPath::service_time(std::size_t bytes, double mbps) {
     return sim::from_sec(seconds);
 }
 
-bool FwdPath::submit(Direction dir, std::size_t bytes, DeliverFn deliver) {
-    Queue& queue = q(dir);
-    if (queue.bytes + bytes > queue.limit) {
-        ++queue.drops;
-        obs::inc(queue.m_dropped);
-        return false;
+void FwdPath::JobRing::push(Job&& job) {
+    if (count_ == capacity_) {
+        const std::size_t capacity = capacity_ == 0 ? 16 : 2 * capacity_;
+        auto slots = std::make_unique<Job[]>(capacity);
+        for (std::size_t i = 0; i < count_; ++i)
+            slots[i] = std::move(slots_[(head_ + i) & (capacity_ - 1)]);
+        slots_ = std::move(slots);
+        capacity_ = capacity;
+        head_ = 0;
     }
+    slots_[(head_ + count_) & (capacity_ - 1)] = std::move(job);
+    ++count_;
+}
+
+FwdPath::Job FwdPath::JobRing::pop() {
+    GK_ASSERT(count_ != 0);
+    Job job = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --count_;
+    return job;
+}
+
+bool FwdPath::refuse(Direction dir, std::size_t bytes) {
+    Queue& queue = q(dir);
+    if (queue.bytes + bytes <= queue.limit) return false;
+    ++queue.drops;
+    obs::inc(queue.m_dropped);
+    return true;
+}
+
+bool FwdPath::submit(Direction dir, std::size_t bytes, DeliverFn deliver) {
+    if (refuse(dir, bytes)) return false;
+    Queue& queue = q(dir);
     // Idle fast path: with the CPU free, this queue empty and its line
     // ready, schedule() would pick this job immediately (the other
     // direction can hold only line-blocked work when the CPU is idle) —
@@ -55,7 +81,7 @@ bool FwdPath::submit(Direction dir, std::size_t bytes, DeliverFn deliver) {
         start_job(dir, bytes, std::move(deliver));
         return true;
     }
-    queue.jobs.push_back(Job{bytes, std::move(deliver)});
+    queue.jobs.push(Job{bytes, std::move(deliver)});
     queue.bytes += bytes;
     obs::set(queue.m_bytes, static_cast<double>(queue.bytes));
     obs::observe(queue.m_pkt_bytes, static_cast<double>(bytes));
@@ -97,9 +123,7 @@ void FwdPath::schedule() {
 
 void FwdPath::start_service(Direction dir) {
     Queue& queue = q(dir);
-    GK_ASSERT(!queue.jobs.empty());
-    Job job = std::move(queue.jobs.front());
-    queue.jobs.pop_front();
+    Job job = queue.jobs.pop();
     queue.bytes -= job.bytes;
     obs::set(queue.m_bytes, static_cast<double>(queue.bytes));
     start_job(dir, job.bytes, std::move(job.deliver));

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 
 #include "gateway/profile.hpp"
 #include "obs/metrics.hpp"
@@ -29,6 +29,10 @@ public:
     /// `dir`; `deliver` runs when the device finishes processing it.
     /// Returns false (and drops) when the ingress buffer is full.
     bool submit(Direction dir, std::size_t bytes, DeliverFn deliver);
+    /// True when `bytes` more do not fit `dir`'s ingress buffer, counting
+    /// the drop as submit would: a caller that owns the packet checks
+    /// first and disposes of it itself.
+    bool refuse(Direction dir, std::size_t bytes);
 
     std::uint64_t drops(Direction dir) const { return q(dir).drops; }
     std::uint64_t forwarded(Direction dir) const { return q(dir).forwarded; }
@@ -41,11 +45,26 @@ public:
 
 private:
     struct Job {
-        std::size_t bytes;
+        std::size_t bytes = 0;
         DeliverFn deliver;
     };
+    /// FIFO of jobs in a power-of-two ring. It doubles when full, moving
+    /// a wrapped queue across in order, and never shrinks, so a warm
+    /// queue allocates nothing.
+    class JobRing {
+    public:
+        bool empty() const { return count_ == 0; }
+        void push(Job&& job);
+        Job pop();
+
+    private:
+        std::unique_ptr<Job[]> slots_;
+        std::size_t capacity_ = 0;
+        std::size_t head_ = 0;
+        std::size_t count_ = 0;
+    };
     struct Queue {
-        std::deque<Job> jobs;
+        JobRing jobs;
         std::size_t bytes = 0;
         std::size_t limit = 0;
         double line_mbps = 100.0;

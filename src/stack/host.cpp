@@ -1,6 +1,5 @@
 #include "stack/host.hpp"
 
-#include <bit>
 #include <utility>
 
 #include "net/dccp.hpp"
@@ -456,19 +455,6 @@ void Host::tcp_reap(net::Endpoint local, net::Endpoint remote) {
         (it->second->state() == TcpSocket::State::Closed ||
          it->second->state() == TcpSocket::State::TimeWait))
         tcp_conns_.erase(it);
-}
-
-SendRing Host::take_send_ring(std::size_t need) {
-    if (spare_send_ring_.capacity >= need)
-        return std::exchange(spare_send_ring_, {});
-    const std::size_t capacity = std::bit_ceil(need);
-    return {std::make_unique_for_overwrite<std::uint8_t[]>(capacity),
-            capacity};
-}
-
-void Host::keep_send_ring(SendRing&& ring) {
-    if (ring.capacity > spare_send_ring_.capacity)
-        spare_send_ring_ = std::move(ring);
 }
 
 SctpEndpoint& Host::sctp_open(net::Ipv4Addr local_addr,

@@ -220,11 +220,6 @@ private:
     /// Remove a finished connection from the table (deferred from socket
     /// state transitions so handlers never delete a live socket).
     void tcp_reap(net::Endpoint local, net::Endpoint remote);
-    /// A send ring of at least `need` bytes: the spare when it is large
-    /// enough, else a new one of bit_ceil(need).
-    SendRing take_send_ring(std::size_t need);
-    /// Keep `ring`, a dead socket's, as the spare if it is the larger.
-    void keep_send_ring(SendRing&& ring);
 
     /// Re-index the LPM trie from routes_ (route removal shifts slab
     /// indexes, so bulk removals rebuild rather than patch).
@@ -255,9 +250,6 @@ private:
     mutable std::array<RouteCacheEntry, 2> route_cache_{};
     void invalidate_route_cache() { route_cache_ = {}; }
     std::vector<std::unique_ptr<UdpSocket>> udp_socks_;
-    /// The largest send ring a dead socket left. Declared before
-    /// tcp_conns_ so that it outlives the sockets, which leave theirs.
-    SendRing spare_send_ring_;
     std::map<std::pair<net::Endpoint, net::Endpoint>,
              std::unique_ptr<TcpSocket>>
         tcp_conns_; ///< key: (local, remote)

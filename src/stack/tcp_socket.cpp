@@ -1,6 +1,7 @@
 #include "stack/tcp_socket.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "stack/host.hpp"
 #include "util/assert.hpp"
@@ -59,17 +60,30 @@ void TcpSocket::start_passive(std::uint32_t peer_isn) {
     arm_rto();
 }
 
-TcpSocket::~TcpSocket() { host_.keep_send_ring(std::move(send_ring_)); }
+TcpSocket::~TcpSocket() {
+    net::PacketPool& pool = host_.nic().pool();
+    for (OooSegment& s : ooo_) pool.release(std::move(s.data));
+    ooo_.clear();
+    auto& spare = spare_ooo();
+    if (ooo_.capacity() > spare.capacity()) spare = std::move(ooo_);
+    RingStash::local().keep(std::move(send_ring_));
+}
+
+std::vector<TcpSocket::OooSegment>& TcpSocket::spare_ooo() {
+    thread_local std::vector<OooSegment> spare;
+    return spare;
+}
 
 void TcpSocket::reserve_send(std::size_t need) {
     if (need <= send_ring_.capacity) return;
-    SendRing next = host_.take_send_ring(need);
+    RingStash& stash = RingStash::local();
+    SendRing next = stash.take(need);
     const std::size_t first =
         std::min(send_queued_, send_ring_.capacity - send_head_);
     std::uint8_t* out = std::copy_n(send_ring_.bytes.get() + send_head_,
                                     first, next.bytes.get());
     std::copy_n(send_ring_.bytes.get(), send_queued_ - first, out);
-    send_ring_ = std::move(next);
+    stash.keep(std::exchange(send_ring_, std::move(next)));
     send_head_ = 0;
 }
 
@@ -287,11 +301,7 @@ void TcpSocket::handle_payload(const net::TcpSegmentView& seg) {
         // Out of order: buffer for reassembly (no SACK, but real
         // receivers keep the data; the cumulative ACK jumps once the
         // hole is filled) and emit a duplicate ACK.
-        if (ooo_bytes_ + len <= kOooLimit && !ooo_.contains(seq_abs)) {
-            ooo_.emplace(seq_abs,
-                         net::Bytes(seg.payload.begin(), seg.payload.end()));
-            ooo_bytes_ += len;
-        }
+        buffer_ooo(seq_abs, seg.payload);
         send_ack();
         return;
     }
@@ -300,34 +310,53 @@ void TcpSocket::handle_payload(const net::TcpSegmentView& seg) {
         send_ack(); // complete duplicate
         return;
     }
-    // In-order data goes up as a span of the wire buffer. Only a filled
-    // hole, which joins it to buffered segments, needs a buffer of its own.
-    std::span<const std::uint8_t> fresh =
+    // In-order data goes up as a span of the wire buffer. Buffered
+    // segments it reaches go up after it, each as a span of its own
+    // buffer, from the first byte not yet delivered.
+    const std::span<const std::uint8_t> fresh =
         seg.payload.subspan(static_cast<std::size_t>(overlap));
+    const std::uint64_t start = rcv_nxt_;
     rcv_nxt_ += fresh.size();
-    // Drain any now-contiguous buffered segments before acking, so the
-    // cumulative ACK reports the full jump.
-    net::Bytes joined;
-    while (!ooo_.empty()) {
-        auto it = ooo_.begin();
-        if (it->first > rcv_nxt_) break;
-        const std::uint64_t seg_end = it->first + it->second.size();
-        if (seg_end > rcv_nxt_) {
-            const auto skip =
-                static_cast<std::size_t>(rcv_nxt_ - it->first);
-            if (joined.empty()) joined.assign(fresh.begin(), fresh.end());
-            joined.insert(joined.end(),
-                          it->second.begin() + static_cast<long>(skip),
-                          it->second.end());
-            rcv_nxt_ = seg_end;
-        }
-        ooo_bytes_ -= it->second.size();
-        ooo_.erase(it);
+    // Advance over every now-contiguous buffered segment before acking,
+    // so the cumulative ACK reports the full jump.
+    std::size_t joined = 0;
+    for (; joined < ooo_.size() && ooo_[joined].seq <= rcv_nxt_; ++joined) {
+        const OooSegment& s = ooo_[joined];
+        rcv_nxt_ = std::max(rcv_nxt_, s.seq + s.data.size());
+        ooo_bytes_ -= s.data.size();
     }
-    if (!joined.empty()) fresh = joined;
-    bytes_rx_ += fresh.size();
+    bytes_rx_ += rcv_nxt_ - start;
     send_ack();
     if (on_data) on_data(fresh);
+    std::uint64_t delivered = start + fresh.size();
+    net::PacketPool& pool = host_.nic().pool();
+    for (std::size_t i = 0; i < joined; ++i) {
+        OooSegment& s = ooo_[i];
+        const std::uint64_t end = s.seq + s.data.size();
+        if (end > delivered && on_data)
+            on_data(std::span<const std::uint8_t>(s.data).subspan(
+                static_cast<std::size_t>(delivered - s.seq)));
+        delivered = std::max(delivered, end);
+        pool.release(std::move(s.data));
+    }
+    ooo_.erase(ooo_.begin(), ooo_.begin() + static_cast<long>(joined));
+}
+
+void TcpSocket::buffer_ooo(std::uint64_t seq,
+                           std::span<const std::uint8_t> payload) {
+    if (ooo_bytes_ + payload.size() > kOooLimit) return;
+    auto at = std::lower_bound(
+        ooo_.begin(), ooo_.end(), seq,
+        [](const OooSegment& s, std::uint64_t v) { return s.seq < v; });
+    if (at != ooo_.end() && at->seq == seq) return;
+    if (ooo_.capacity() == 0) {
+        ooo_ = std::exchange(spare_ooo(), {});
+        at = ooo_.begin();
+    }
+    net::Bytes data = host_.nic().pool().acquire();
+    data.assign(payload.begin(), payload.end());
+    ooo_.insert(at, OooSegment{seq, std::move(data)});
+    ooo_bytes_ += payload.size();
 }
 
 void TcpSocket::handle_fin(const net::TcpSegmentView& seg) {

@@ -8,24 +8,17 @@
 
 #include <functional>
 #include <initializer_list>
-#include <map>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "net/addr.hpp"
 #include "net/tcp_header.hpp"
 #include "sim/event_loop.hpp"
+#include "stack/ring_stash.hpp"
 
 namespace gatekit::stack {
 
 class Host;
-
-/// Storage of a TCP send queue: a power-of-two byte array, or none. Its
-/// Host keeps the largest one a dead socket leaves for the next to take.
-struct SendRing {
-    std::unique_ptr<std::uint8_t[]> bytes;
-    std::size_t capacity = 0;
-};
 
 class TcpSocket {
 public:
@@ -48,7 +41,9 @@ public:
     std::function<void()> on_established;
     /// In-order application data. The span usually aliases the received
     /// frame and dies when the callback returns: copy what must outlive
-    /// it (DESIGN.md §13).
+    /// it (DESIGN.md §13). The stream may be split at any byte: a filled
+    /// hole arrives as the wire segment's span, then each buffered
+    /// segment's, one call apiece.
     std::function<void(std::span<const std::uint8_t>)> on_data;
     /// Peer sent FIN (half close).
     std::function<void()> on_remote_close;
@@ -87,7 +82,8 @@ public:
     std::uint32_t cwnd() const { return cwnd_; }
     std::uint64_t retransmissions() const { return retransmits_; }
 
-    /// Leaves the send ring to the host as a spare.
+    /// Leaves the send ring to the thread's RingStash and the
+    /// reassembly buffers to the host NIC's pool.
     ~TcpSocket();
 
 private:
@@ -141,8 +137,8 @@ private:
     /// Unsent + unacked app bytes: queued() bytes of send_ring_ from
     /// index send_head_, wrapping at its end, starting at absolute seq
     /// send_buf_base_. Acked bytes advance the head; nothing is ever
-    /// compacted. The ring grows to bit_ceil of what is queued, by a
-    /// host's spare when that is large enough.
+    /// compacted. The ring grows to bit_ceil of what is queued, from the
+    /// thread's RingStash when that holds one large enough.
     SendRing send_ring_;
     std::size_t send_head_ = 0;
     std::size_t send_queued_ = 0;
@@ -150,11 +146,23 @@ private:
     std::size_t queued() const { return send_queued_; }
     /// Make the ring hold `need` bytes, keeping the queue.
     void reserve_send(std::size_t need);
-    /// Out-of-order reassembly queue: segment start seq -> payload.
+    /// Out-of-order reassembly queue, sorted by start seq, one segment
+    /// per start. Payloads sit in buffers from the host NIC's PacketPool;
+    /// the index itself comes from the thread's spare (spare_ooo).
     /// Bounded; segments beyond the bound are dropped (sender resends).
-    std::map<std::uint64_t, net::Bytes> ooo_;
+    struct OooSegment {
+        std::uint64_t seq;
+        net::Bytes data;
+    };
+    std::vector<OooSegment> ooo_;
     std::size_t ooo_bytes_ = 0;
     static constexpr std::size_t kOooLimit = 4 * 1024 * 1024;
+    /// Buffer an out-of-order payload unless the bound or an entry with
+    /// the same start refuses it.
+    void buffer_ooo(std::uint64_t seq, std::span<const std::uint8_t> payload);
+    /// The largest reassembly index a dead socket on this thread left:
+    /// storage only, like RingStash, taken by the next socket to buffer.
+    static std::vector<OooSegment>& spare_ooo();
 
     std::uint16_t mss_ = kDefaultMss;
     /// Window scaling (RFC 7323): both of our stacks offer shift 7,
