@@ -512,8 +512,11 @@ void TcpSocket::go_back_n() {
     // The receiver keeps no out-of-order data (no SACK), so everything
     // beyond the lost segment must be resent: roll the send pointer back.
     if (snd_nxt_ <= snd_una_) return;
-    snd_nxt_ = snd_una_;
     timed_seq_ = 0;
+    // A FIN alone in flight stays sent, for retransmit_head to resend:
+    // rolled back, it would wait for a try_send that nothing calls.
+    if (fin_sent_ && fin_seq_ == snd_una_) return;
+    snd_nxt_ = snd_una_;
     if (fin_sent_ && fin_seq_ >= snd_nxt_) fin_sent_ = false; // resend FIN
 }
 

@@ -568,3 +568,26 @@ TEST(TcpRing, GrowsWhileWrappedInFlightAndFinsAfterTheWrap) {
     EXPECT_TRUE(t.remote_closed);
     EXPECT_EQ(t.received, t.expected());
 }
+
+// A FIN that is the only segment in flight is lost: the RTO resends it
+// (go-back-N keeps it sent rather than rolling it back), and the peer
+// sees the close after that one timeout.
+TEST(TcpRing, LostLoneFinIsResentByTheRto) {
+    RingTransfer t(5000, 5000);
+    t.drop = [](const RingTransfer::Segment& s) {
+        return s.fin && s.first_copy;
+    };
+    t.run();
+
+    std::size_t fins = 0;
+    for (const auto& s : t.segments)
+        if (s.fin) {
+            ++fins;
+            EXPECT_EQ(s.offset, t.total);
+        }
+    EXPECT_EQ(fins, 2u);
+    EXPECT_EQ(t.count("rto", /*across_wrap_only=*/false), 1u);
+    EXPECT_EQ(t.retransmits.size(), 1u);
+    EXPECT_TRUE(t.remote_closed);
+    EXPECT_EQ(t.received, t.expected());
+}
