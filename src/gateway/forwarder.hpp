@@ -25,7 +25,8 @@
 // route toward `dst` must leave by the port the exit names (outbound the
 // WAN port, inbound and hairpin the inside port), or the frame is
 // dropped. A dropped frame goes back to the pool of the port holding it:
-// the arrival port in a hook, the named exit port in emit.
+// the arrival port in a hook, the named exit port in emit and in a
+// gateway's full queue.
 #pragma once
 
 #include <functional>
@@ -86,17 +87,18 @@ public:
     /// frame is dropped unless `dst`'s route leaves by `out`.
     void emit(sim::Frame frame, net::Ipv4Addr dst, Port out);
 
+    /// Return `frame` to `port`'s pool. True: the frame is consumed.
+    bool drop(Port port, sim::Frame& frame) {
+        nic(port).pool().release(std::move(frame));
+        return true;
+    }
+
 private:
     stack::NetIf& nic(Port port) {
         return port == Port::kWan ? wan_nic_ : host_.nic();
     }
     stack::Iface& iface(Port port) {
         return port == Port::kWan ? wan_if_ : inside_if_;
-    }
-    /// Return `frame` to `port`'s pool. True: the frame is consumed.
-    bool drop(Port port, sim::Frame& frame) {
-        nic(port).pool().release(std::move(frame));
-        return true;
     }
     template <class Policy>
     bool from_inside(Policy& p, net::PacketView& v, sim::Frame& frame);

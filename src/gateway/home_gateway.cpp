@@ -37,11 +37,17 @@ bool HomeGateway::admit(const net::PacketView& v) {
 }
 
 void HomeGateway::forward(sim::Frame frame, net::Ipv4Addr dst, Port out) {
+    const Direction dir = out == Port::kWan ? Direction::Up : Direction::Down;
     const std::size_t bytes = frame.size() - 14u;
-    fwd_.submit(out == Port::kWan ? Direction::Up : Direction::Down, bytes,
-                [this, f = std::move(frame), dst, out]() mutable {
-                    forwarder_.emit(std::move(f), dst, out);
-                });
+    // A full queue's drop returns the frame to a pool, as every other
+    // drop does, instead of freeing it with a discarded callback.
+    if (fwd_.refuse(dir, bytes)) {
+        forwarder_.drop(out, frame);
+        return;
+    }
+    fwd_.submit(dir, bytes, [this, f = std::move(frame), dst, out]() mutable {
+        forwarder_.emit(std::move(f), dst, out);
+    });
 }
 
 void HomeGateway::start(std::function<void(net::Ipv4Addr)> on_ready) {
