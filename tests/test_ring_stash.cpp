@@ -98,9 +98,12 @@ BulkResult bulk_transfer() {
         }
     };
     conn.on_established = top_up;
-    conn.on_progress = top_up;
+    conn.on_progress = [&] {
+        // Read while the socket lives: it is reaped after TIME-WAIT.
+        r.retransmits = conn.retransmissions();
+        top_up();
+    };
     loop.run_for(std::chrono::seconds(10));
-    r.retransmits = conn.retransmissions();
     auto& fwd = slot.gw->fwd();
     r.forwarded = fwd.forwarded(gateway::Direction::Up) +
                   fwd.forwarded(gateway::Direction::Down);
