@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "devices/population.hpp"
 #include "devices/profiles.hpp"
 #include "harness/results_io.hpp"
 #include "harness/testrund.hpp"
@@ -532,6 +534,109 @@ TEST(Timeseries, PushSamplerMatchesPollReference) {
     }
     // The scripts must exercise emission, not just agree on silence.
     EXPECT_GT(with_samples, 200u);
+}
+
+// ------------------------------------------------------- decoded stream
+
+namespace {
+
+/// FNV-1a, 64 bit.
+struct Fnv {
+    std::uint64_t h = 14695981039346656037ULL;
+    void add(std::string_view s) {
+        for (const unsigned char c : s) {
+            h ^= c;
+            h *= 1099511628211ULL;
+        }
+    }
+};
+
+/// What a time-series stream says, independent of its encoding: one
+/// "device shard stamp_ns name labels kind value" line per sampled
+/// point, in stream order, with the labels other than `device` (the
+/// segment's device column already names it) and the value token as
+/// written.
+std::vector<std::string> decode_points(const std::string& stream) {
+    struct Decl {
+        std::string name, labels, kind;
+    };
+    std::vector<std::string> points;
+    std::map<std::int64_t, Decl> decls;
+    std::string device, shard;
+    std::istringstream in(stream);
+    for (std::string l; std::getline(in, l);) {
+        const auto doc = report::json_parse(l);
+        if (!doc) {
+            ADD_FAILURE() << "undecodable line: " << l;
+            return {};
+        }
+        if (doc->find("schema") != nullptr) {
+            device = doc->find("device")->as_string();
+            shard = std::to_string(doc->find("shard")->as_int());
+            decls.clear();
+        } else if (const auto* id = doc->find("series")) {
+            Decl& d = decls[id->as_int()];
+            d.name = doc->find("name")->as_string();
+            d.kind = doc->find("kind")->as_string();
+            for (const auto& [k, v] : doc->find("labels")->members)
+                if (k != "device")
+                    d.labels += (d.labels.empty() ? "" : ",") + k + "=" +
+                                v.as_string();
+        } else {
+            const std::string stamp =
+                std::to_string(doc->find("t_ns")->as_int());
+            for (const auto& pair : doc->find("v")->array) {
+                const Decl& d = decls.at(pair.array[0].as_int());
+                points.push_back(device + ' ' + shard + ' ' + stamp + ' ' +
+                                 d.name + ' ' + d.labels + ' ' + d.kind +
+                                 ' ' + report::json_serialize(pair.array[1]));
+            }
+        }
+    }
+    return points;
+}
+
+} // namespace
+
+TEST(Timeseries, DecodedStreamIsPinned) {
+    // A small population campaign as population_campaign runs it: eight
+    // sampled gateways with two firewall rules each, UDP-1, UDP-4, TCP-1
+    // and STUN. The digest is of the decoded points, not the bytes, so an
+    // encoding change that keeps every point keeps it.
+    devices::PopulationSpec spec;
+    spec.count = 8;
+    spec.firewall_rules = 2;
+    harness::CampaignConfig cfg;
+    cfg.udp1 = cfg.udp4 = cfg.tcp1 = cfg.stun = true;
+    cfg.udp.repetitions = 1;
+    cfg.tcp_timeout.repetitions = 1;
+
+    std::string ref;
+    for (const int workers : {1, 2}) {
+        const std::string path =
+            "test_telemetry_pin_w" + std::to_string(workers) + ".jsonl";
+        ShardScheduler::Options opts;
+        opts.roster = devices::sample_roster(spec);
+        opts.config = cfg;
+        opts.workers = workers;
+        opts.timeseries_path = path;
+        ShardScheduler::run(opts);
+        const std::string stream = slurp(path);
+        std::remove(path.c_str());
+        if (ref.empty())
+            ref = stream;
+        else
+            EXPECT_EQ(stream, ref) << "workers=" << workers;
+
+        const std::vector<std::string> points = decode_points(stream);
+        Fnv f;
+        for (const std::string& p : points) {
+            f.add(p);
+            f.add("\n");
+        }
+        EXPECT_EQ(points.size(), 2711u) << "workers=" << workers;
+        EXPECT_EQ(f.h, 10130717438366840285ULL) << "workers=" << workers;
+    }
 }
 
 TEST(Profile, ValidatorRequiresHeaderAndTypedFields) {
