@@ -158,17 +158,17 @@ RuleVerdict RuleChain::evaluate_compiled(const Key& k) {
 }
 
 void RuleChain::attach_metrics(obs::MetricsRegistry& reg,
-                               const std::string& chain) {
-    const auto labels = reg.label_set({{"chain", chain}});
-    obs_default_ = reg.counter("rule_chain_default_hits", labels);
-    obs_accepted_ = reg.counter("rule_chain_accepted", labels);
-    obs_dropped_ = reg.counter("rule_chain_dropped", labels);
+                               const std::string& device) {
+    const auto labels = reg.label_set({{"device", device}});
+    obs_default_ = reg.counter("rule_chain.default_hits", labels);
+    obs_accepted_ = reg.counter("rule_chain.accepted", labels);
+    obs_dropped_ = reg.counter("rule_chain.dropped", labels);
     obs::add(obs_default_, default_hits_);
     for (std::size_t i = 0; i < rules_.size(); ++i) {
         Entry& e = rules_[i];
         e.obs_hits = reg.counter(
-            "rule_chain_rule_hits",
-            {{"chain", chain}, {"rule", std::to_string(i)}});
+            "rule_chain.rule_hits",
+            {{"device", device}, {"rule", std::to_string(i)}});
         obs::add(e.obs_hits, e.hit_count);
     }
 }

@@ -93,8 +93,9 @@ public:
     std::uint64_t default_hits() const { return default_hits_; }
 
     /// Register per-rule hit counters plus chain totals in `reg` under
-    /// `rule_chain_*` with a chain label; pre-existing counts carry over.
-    void attach_metrics(obs::MetricsRegistry& reg, const std::string& chain);
+    /// `rule_chain.*`, labelled with the owning `device` like every other
+    /// per-device series; pre-existing counts carry over.
+    void attach_metrics(obs::MetricsRegistry& reg, const std::string& device);
 
 private:
     struct Entry {

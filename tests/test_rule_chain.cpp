@@ -134,21 +134,21 @@ TEST(RuleChain, CountersWithAndWithoutObservability) {
     // values and then track new hits one-for-one.
     obs::MetricsRegistry reg;
     chain.attach_metrics(reg, "forward");
-    EXPECT_EQ(reg.counter_value("rule_chain_rule_hits",
-                                {{"chain", "forward"}, {"rule", "0"}}),
+    EXPECT_EQ(reg.counter_value("rule_chain.rule_hits",
+                                {{"device", "forward"}, {"rule", "0"}}),
               1u);
-    EXPECT_EQ(reg.counter_value("rule_chain_default_hits",
-                                {{"chain", "forward"}}),
+    EXPECT_EQ(reg.counter_value("rule_chain.default_hits",
+                                {{"device", "forward"}}),
               1u);
 
     chain.evaluate(hit);
     chain.evaluate(hit);
     EXPECT_EQ(chain.hits(0), 3u);
-    EXPECT_EQ(reg.counter_value("rule_chain_rule_hits",
-                                {{"chain", "forward"}, {"rule", "0"}}),
+    EXPECT_EQ(reg.counter_value("rule_chain.rule_hits",
+                                {{"device", "forward"}, {"rule", "0"}}),
               3u);
-    EXPECT_EQ(reg.counter_value("rule_chain_accepted",
-                                {{"chain", "forward"}}),
+    EXPECT_EQ(reg.counter_value("rule_chain.accepted",
+                                {{"device", "forward"}}),
               2u);
 }
 

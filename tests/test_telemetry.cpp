@@ -634,8 +634,15 @@ TEST(Timeseries, DecodedStreamIsPinned) {
             f.add(p);
             f.add("\n");
         }
+        // Re-pinned once, from 10130717438366840285, when the rule
+        // chain's series took the dotted names and the `device` label
+        // (rule_chain_default_hits -> rule_chain.default_hits,
+        // rule_chain_accepted -> rule_chain.accepted,
+        // rule_chain_dropped -> rule_chain.dropped,
+        // rule_chain_rule_hits -> rule_chain.rule_hits, `chain` ->
+        // `device`); the point count did not move.
         EXPECT_EQ(points.size(), 2711u) << "workers=" << workers;
-        EXPECT_EQ(f.h, 10130717438366840285ULL) << "workers=" << workers;
+        EXPECT_EQ(f.h, 5824560499665932909ULL) << "workers=" << workers;
     }
 }
 
