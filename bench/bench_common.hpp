@@ -25,7 +25,7 @@
 //                   byte-identical at any worker count; anything but an
 //                   integer in [1, 256] aborts
 //   GATEKIT_TIMESERIES  streaming time-series sidecar path (JSONL,
-//                   schema gatekit.timeseries.v1): counters/gauges
+//                   schema gatekit.timeseries.v2): counters/gauges
 //                   sampled per shard on a sim-time cadence, merged in
 //                   canonical device order (byte-identical at any
 //                   worker count)

@@ -1,12 +1,16 @@
 // telemetry_report: post-run analyzer for the campaign telemetry
 // sidecars. Reads the metrics snapshot (gatekit.metrics.v1), the
-// streaming time-series (gatekit.timeseries.v1 JSONL), and the harness
+// streaming time-series (gatekit.timeseries.v2 JSONL), and the harness
 // self-profile (gatekit.profile.v1 JSONL) and prints population tables:
 //
 //   - timeout CDFs reconstructed from the log-histogram sketches,
 //     merged across devices per series (the merge is exact, so the
 //     population percentiles equal what a single giant histogram would
 //     have reported);
+//   - a time-series summary: segments, series (declared once per
+//     stream), sample lines, points, and the sim-time span decoded from
+//     the interval ticks, read through obs::read_timeseries, which
+//     validates the stream in the same pass;
 //   - per-shard wall-clock skew and worker utilization;
 //   - the top-N slowest (device, unit) spans.
 //
@@ -199,44 +203,45 @@ std::string missing_from_udp1_snapshot(const std::string& text) {
 
 // ------------------------------------------------------------- timeseries
 
-/// Summarize the merged time-series stream: segments (one per shard),
-/// declared series, sample lines, and sim-time span. The stream was
-/// schema-validated before this runs, so parsing is best-effort. Returns
-/// the number of sample lines.
-std::uint64_t report_timeseries(std::istream& in) {
-    int segments = 0, series = 0;
-    std::uint64_t samples = 0, points = 0;
-    std::int64_t t_min = 0, t_max = 0;
-    bool have_t = false;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        const auto doc = gatekit::report::json_parse(line);
-        if (!doc) continue;
-        if (doc->find("schema") != nullptr) {
-            ++segments;
-        } else if (doc->find("series") != nullptr) {
-            ++series;
-        } else if (const auto* t = doc->find("t_ns")) {
-            ++samples;
-            if (const auto* v = doc->find("v"))
-                points += v->array.size();
-            const std::int64_t ns = t->as_int();
-            if (!have_t || ns < t_min) t_min = ns;
-            if (!have_t || ns > t_max) t_max = ns;
-            have_t = true;
-        }
-    }
+/// Validate and summarize the merged time-series stream in one pass:
+/// segments that sampled anything (one per shard), series, sample
+/// lines, points and the sim-time span. Returns the number of sample
+/// lines, or -1 with `error` set when the stream is invalid.
+long long report_timeseries(std::istream& in, std::string& error) {
+    std::uint64_t segments = 0, lines = 0, points = 0, last_line = 0;
+    std::uint32_t series = 0;
+    std::int64_t t_min = 0, t_max = 0, shard = 0;
+    std::string device;
+    const bool ok = gatekit::obs::read_timeseries(
+        in,
+        [&](const gatekit::obs::TimeseriesPoint& p) {
+            if (points == 0 || p.shard != shard || p.device != device) {
+                ++segments;
+                shard = p.shard;
+                device.assign(p.device);
+            }
+            if (p.line != last_line) {
+                ++lines;
+                last_line = p.line;
+            }
+            if (points == 0 || p.stamp_ns < t_min) t_min = p.stamp_ns;
+            if (points == 0 || p.stamp_ns > t_max) t_max = p.stamp_ns;
+            series = std::max(series, p.series + 1);
+            ++points;
+        },
+        &error);
+    if (!ok) return -1;
     std::printf("\n== Time-series stream ==\n");
-    std::printf("  segments=%d  declared series=%d  sample lines=%llu  "
+    std::printf("  segments=%llu  series=%u  sample lines=%llu  "
                 "points=%llu\n",
-                segments, series, static_cast<unsigned long long>(samples),
+                static_cast<unsigned long long>(segments), series,
+                static_cast<unsigned long long>(lines),
                 static_cast<unsigned long long>(points));
-    if (have_t)
+    if (points != 0)
         std::printf("  sim-time span: %.3f s .. %.3f s\n",
                     static_cast<double>(t_min) / 1e9,
                     static_cast<double>(t_max) / 1e9);
-    return samples;
+    return static_cast<long long>(lines);
 }
 
 // ---------------------------------------------------------------- profile
@@ -376,15 +381,14 @@ int analyze(const std::string& metrics_path, const std::string& ts_path,
     } else {
         std::printf("(no metrics snapshot at %s)\n", metrics_path.c_str());
     }
-    // The JSONL sidecars are read twice, a line at a time: validated,
-    // then reported.
+    // The JSONL sidecars are read a line at a time. The time series is
+    // validated as it is reported; the profile is validated, then
+    // reported.
     if (std::ifstream in(ts_path, std::ios::binary); in) {
         ++artifacts;
-        if (!gatekit::obs::validate_timeseries(in, &error))
-            return fail("time-series stream invalid: " + error);
-        in.clear();
-        in.seekg(0);
-        if (report_timeseries(in) == 0 && strict)
+        const long long lines = report_timeseries(in, error);
+        if (lines < 0) return fail("time-series stream invalid: " + error);
+        if (lines == 0 && strict)
             return fail("time-series stream has no sample lines");
     } else if (strict) {
         return fail("missing time-series stream " + ts_path);

@@ -370,10 +370,8 @@ void open_sidecar(std::ofstream& out, const std::string& path,
                                  std::string(what) + " '" + path + "'");
 }
 
-/// Appends one device's bytes at the frontier.
-void append_sidecar(std::ofstream& out, const std::string& bytes,
-                    const std::string& path) {
-    out << bytes;
+/// Throws when a write to a merged sidecar at the frontier failed.
+void check_sidecar(const std::ofstream& out, const std::string& path) {
     if (!out)
         throw std::runtime_error("shard scheduler: write failed for '" +
                                  path + "'");
@@ -479,8 +477,8 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         /// frontier reads only its registry.
         std::unique_ptr<obs::Observability> obs;
         std::vector<obs::ProfileSpan> spans;
-        std::string trace;      ///< the shard's trace JSONL
-        std::string timeseries; ///< the shard's time-series JSONL
+        std::string trace; ///< the shard's trace JSONL
+        obs::TimeseriesSegment timeseries; ///< the shard's samples
         std::string device_label;
         std::int64_t wall_ns = 0;
         int worker = 0;
@@ -500,9 +498,16 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         open_sidecar(trace_out, opts.trace_path, "merged trace");
         open_sidecar(flight_manifest, manifest_path, "flight manifest");
     }
-    if (!opts.timeseries_path.empty())
+    // The one renderer of the merged time series: it assigns stream-wide
+    // series ids as the frontier hands it each shard's segment, in
+    // canonical device order, so the ids and bytes are the same at any
+    // worker count.
+    std::optional<obs::TimeseriesWriter> timeseries;
+    if (!opts.timeseries_path.empty()) {
         open_sidecar(timeseries_out, opts.timeseries_path,
                      "merged time series");
+        timeseries.emplace(timeseries_out, opts.timeseries_interval);
+    }
     const int clamped_workers =
         std::clamp(opts.workers, 1, std::max(n, 1));
     std::ofstream profile_out;
@@ -545,19 +550,18 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         tb.add_device(opts.roster[static_cast<std::size_t>(k)], k + 1);
         if (obs) tb.attach_observability(obs.get());
         cell.device_label = Testbed::device_label(tb.slot(0));
-        // Time-series sampler: installed before bring-up so the stream
-        // covers the whole shard, sampling on sim-time boundaries via
-        // the loop's advance hook (never scheduling events — the sim's
-        // behavior is identical with the sampler on or off).
-        std::ostringstream ts_buf;
-        std::unique_ptr<obs::TimeseriesSampler> ts;
-        if (!opts.timeseries_path.empty()) {
-            obs::TimeseriesSampler::Options tso;
+        // Time-series recorder: installed before bring-up so the
+        // segment covers the whole shard, sampling on sim-time
+        // boundaries via the loop's advance hook (never scheduling
+        // events — the sim's behavior is identical with it on or off).
+        std::unique_ptr<obs::TimeseriesRecorder> ts;
+        if (timeseries) {
+            obs::TimeseriesOptions tso;
             tso.interval = opts.timeseries_interval;
             tso.device = cell.device_label;
             tso.shard = k;
-            ts = std::make_unique<obs::TimeseriesSampler>(obs->metrics(),
-                                                          ts_buf, tso);
+            ts = std::make_unique<obs::TimeseriesRecorder>(obs->metrics(),
+                                                           std::move(tso));
             loop.set_advance_hook(ts.get());
         }
         tb.start_and_wait();
@@ -574,7 +578,7 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
         if (ts) {
             loop.set_advance_hook(nullptr);
             ts->finish(loop.now());
-            cell.timeseries = std::move(ts_buf).str();
+            cell.timeseries = std::move(ts->segment());
         }
         if (sink) cell.trace = std::move(trace_buf).str();
         if (recorder) cell.flight_dumps = recorder->dumps_written();
@@ -617,15 +621,17 @@ ShardScheduler::Output ShardScheduler::run(const Options& opts) {
             if (out.metrics && cell.obs)
                 out.metrics->merge_from(cell.obs->metrics());
             if (trace_out.is_open()) {
-                append_sidecar(trace_out, cell.trace, opts.trace_path);
+                trace_out << cell.trace;
+                check_sidecar(trace_out, opts.trace_path);
                 const std::string base =
                     flight_base(opts.trace_path, frontier);
                 for (std::uint64_t i = 0; i < cell.flight_dumps; ++i)
                     flight_manifest << base << '.' << i << ".jsonl\n";
             }
-            if (timeseries_out.is_open())
-                append_sidecar(timeseries_out, cell.timeseries,
-                               opts.timeseries_path);
+            if (timeseries) {
+                timeseries->write(cell.timeseries);
+                check_sidecar(timeseries_out, opts.timeseries_path);
+            }
             if (pwrite) {
                 pwrite->write_shard(frontier, cell.device_label,
                                     cell.worker, cell.wall_ns, cell.spans);

@@ -287,12 +287,13 @@ public:
         /// worker count — in <trace_path>.flight.manifest.
         std::string trace_path;
         /// Merged time-series sidecar path ("" = off; schema
-        /// gatekit.timeseries.v1). Shard k samples its private registry
-        /// every `timeseries_interval` of SIM time into an in-memory
-        /// buffer, which the frontier appends in device order like the
-        /// trace, so the merged stream is byte-identical at any worker
-        /// count. Implies a per-shard registry even when `metrics` is
-        /// false.
+        /// gatekit.timeseries.v2). Shard k records its private registry
+        /// every `timeseries_interval` (whole milliseconds) of SIM time
+        /// into an in-memory segment; the frontier renders the segments
+        /// in device order through one writer, which assigns the
+        /// stream-wide series ids, so the merged stream is
+        /// byte-identical at any worker count. Implies a per-shard
+        /// registry even when `metrics` is false.
         std::string timeseries_path;
         sim::Duration timeseries_interval{std::chrono::seconds(1)};
         /// Harness self-profiler sidecar path ("" = off; schema

@@ -1,57 +1,19 @@
 #include "obs/timeseries.hpp"
 
-#include "report/json.hpp"
 #include "util/assert.hpp"
 
 #include <algorithm>
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <unordered_set>
-#include <vector>
 
 namespace gatekit::obs {
 
-TimeseriesSampler::TimeseriesSampler(MetricsRegistry& reg,
-                                     std::ostream& out, Options opts)
-    : reg_(reg), out_(out), opts_(std::move(opts)) {
-    GK_EXPECTS(opts_.interval > sim::Duration::zero());
-    report::JsonWriter w(out_);
-    w.begin_object();
-    w.key("schema").value("gatekit.timeseries.v1");
-    w.key("interval_ms")
-        .value(static_cast<std::int64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                opts_.interval)
-                .count()));
-    w.key("device").value(opts_.device);
-    w.key("shard").value(static_cast<std::int64_t>(opts_.shard));
-    w.end_object();
-    out_ << '\n';
-    ++lines_;
-}
-
-sim::TimePoint TimeseriesSampler::on_advance(sim::TimePoint t) {
-    // Stamp the last interval boundary at or below t: every handler
-    // strictly before t has run, none at t has, so the sample is the
-    // state "entering" this stretch of virtual time. Long idle jumps
-    // cross many boundaries but emit at most one line — intermediate
-    // boundaries saw no state change by construction (nothing ran).
-    const std::int64_t iv = opts_.interval.count();
-    const std::int64_t k = t.count() / iv;
-    sample(sim::TimePoint(sim::Duration(k * iv)));
-    return sim::TimePoint(sim::Duration((k + 1) * iv));
-}
-
-void TimeseriesSampler::finish(sim::TimePoint end) {
-    // Events AT the last sampled boundary run after that boundary's
-    // sample, so the final flush must not be deduplicated away — a
-    // trailing line may share its predecessor's timestamp (validators
-    // accept equal stamps, only regressions fail).
-    sample(end, /*force=*/true);
-}
-
 namespace {
+
+constexpr std::string_view kSchema = "gatekit.timeseries.v2";
 
 template <typename Int>
 void append_int(std::string& out, Int v) {
@@ -65,152 +27,352 @@ void append_quoted(std::string& out, std::string_view s) {
     out += '"';
 }
 
-char* put(char* p, std::string_view s) {
-    return std::copy(s.begin(), s.end(), p);
+/// A declaration's text after its id. `device` is left out of the
+/// labels when it is the segment's device.
+std::string declaration(const MetricsRegistry::ScalarRef& s,
+                        const std::string& segment_device) {
+    std::string d = "\"name\":";
+    append_quoted(d, s.name);
+    d += ",\"labels\":{";
+    const char* sep = "";
+    for (const auto& [lk, lv] : s.labels) {
+        if (lk == "device" && lv == segment_device) continue;
+        d += sep;
+        sep = ",";
+        append_quoted(d, lk);
+        d += ':';
+        append_quoted(d, lv);
+    }
+    d += s.counter != nullptr ? "},\"kind\":\"counter\"" : "},\"kind\":\"gauge\"";
+    return d;
 }
 
 } // namespace
 
-void TimeseriesSampler::declare(std::uint32_t id,
-                                const MetricsRegistry::ScalarRef& s) {
-    decl_.assign("{\"series\":");
-    append_int(decl_, id);
-    decl_ += ",\"name\":";
-    append_quoted(decl_, s.name);
-    decl_ += ",\"labels\":{";
-    const char* sep = "";
-    for (const auto& [lk, lv] : s.labels) {
-        decl_ += sep;
-        sep = ",";
-        append_quoted(decl_, lk);
-        decl_ += ':';
-        append_quoted(decl_, lv);
-    }
-    decl_ += s.counter != nullptr ? "},\"kind\":\"counter\"}\n"
-                                  : "},\"kind\":\"gauge\"}\n";
-    out_.write(decl_.data(), static_cast<std::streamsize>(decl_.size()));
-    ++lines_;
+// ------------------------------------------------------------- recorder
+
+TimeseriesRecorder::TimeseriesRecorder(MetricsRegistry& reg,
+                                       TimeseriesOptions opts)
+    : reg_(reg), interval_ns_(opts.interval.count()) {
+    // The stream header carries the interval in whole milliseconds, and
+    // a reader multiplies ticks by it.
+    GK_EXPECTS(opts.interval > sim::Duration::zero() &&
+               opts.interval % std::chrono::milliseconds(1) ==
+                   sim::Duration::zero());
+    seg_.device = std::move(opts.device);
+    seg_.shard = opts.shard;
 }
 
-void TimeseriesSampler::sample(sim::TimePoint stamp, bool force) {
-    if (!force && stamp.count() <= last_stamp_ns_) return;
+sim::TimePoint TimeseriesRecorder::on_advance(sim::TimePoint t) {
+    // Stamp the last interval boundary at or below t: every handler
+    // strictly before t has run, none at t has, so the sample is the
+    // state "entering" this stretch of virtual time. Long idle jumps
+    // cross many boundaries but record at most one line — intermediate
+    // boundaries saw no state change by construction (nothing ran).
+    const std::int64_t k = t.count() / interval_ns_;
+    sample(sim::TimePoint(sim::Duration(k * interval_ns_)), false);
+    return sim::TimePoint(sim::Duration((k + 1) * interval_ns_));
+}
+
+void TimeseriesRecorder::finish(sim::TimePoint end) {
+    // Events AT the last sampled boundary run after that boundary's
+    // sample, so the final flush must not be deduplicated away; it may
+    // share its predecessor's stamp (readers accept equal stamps).
+    sample(end, true);
+}
+
+std::uint32_t
+TimeseriesRecorder::series_of(std::uint32_t id,
+                              const MetricsRegistry::ScalarRef& s) {
+    if (series_[id] != 0) return series_[id] - 1;
+    const auto next = static_cast<std::uint32_t>(seg_.series.size());
+    const auto [it, fresh] =
+        by_decl_.try_emplace(declaration(s, seg_.device), next);
+    // Two scalars whose labels differ only by the segment's own device
+    // label would be one series of the stream.
+    GK_EXPECTS(fresh);
+    seg_.series.push_back({it->first, s.counter != nullptr});
+    series_[id] = next + 1;
+    return next;
+}
+
+void TimeseriesRecorder::sample(sim::TimePoint stamp, bool end) {
+    if (!end && stamp.count() <= last_stamp_ns_) return;
 
     // Only scalars written since the last sample can differ from what
-    // was last emitted; ascending ids keep the stream in registration
-    // order. A write that restored the emitted value emits nothing.
+    // was last recorded; ascending ids keep each line in registration
+    // order. A write that restored the recorded value records nothing.
     reg_.take_dirty(dirty_);
     if (dirty_.empty()) return;
     std::sort(dirty_.begin(), dirty_.end());
-    // The line is written straight into line_, sized for the longest
-    // possible one: a 20-digit stamp and, per pair, "[id,value],"
-    // with a 10-digit id and a value of up to kJsonDoubleMax chars.
-    constexpr std::size_t kPairMax = 14 + report::kJsonDoubleMax;
-    const std::size_t need = 48 + dirty_.size() * kPairMax;
-    if (line_.size() < need) line_.resize(need);
-    char* const first = line_.data();
-    char* const end = first + need;
-    char* p = put(first, "{\"t_ns\":");
-    p = std::to_chars(p, end, static_cast<std::int64_t>(stamp.count())).ptr;
-    p = put(p, ",\"v\":[");
-    char* const no_values = p;
+    const std::size_t first = seg_.points.size();
     for (const std::uint32_t id : dirty_) {
         const MetricsRegistry::ScalarRef s = reg_.scalar(id);
-        const bool integral = s.counter != nullptr;
-        const double v = integral ? static_cast<double>(s.counter->value)
-                                  : s.gauge->value;
+        const double v = s.counter != nullptr
+                             ? static_cast<double>(s.counter->value)
+                             : s.gauge->value;
         if (id >= prev_.size()) {
             prev_.resize(id + 1, 0.0);
-            declared_.resize(id + 1, 0);
+            series_.resize(id + 1, 0);
         }
         if (v == prev_[id]) continue;
         prev_[id] = v;
-        if (declared_[id] == 0) {
-            declared_[id] = 1;
-            declare(id, s);
-        }
-        if (p != no_values) *p++ = ',';
-        *p++ = '[';
-        p = std::to_chars(p, end, id).ptr;
-        *p++ = ',';
-        p = integral ? std::to_chars(p, end, static_cast<std::uint64_t>(v)).ptr
-                     : report::write_json_double(p, v);
-        *p++ = ']';
+        seg_.points.push_back({series_of(id, s), v});
     }
-    if (p == no_values) return;
+    if (seg_.points.size() == first) return;
+    std::int64_t line_stamp = stamp.count();
+    if (!end) {
+        const std::int64_t tick = stamp.count() / interval_ns_;
+        line_stamp = tick - last_tick_;
+        last_tick_ = tick;
+    }
     last_stamp_ns_ = std::max(last_stamp_ns_, stamp.count());
-    p = put(p, "]}\n");
-    out_.write(first, static_cast<std::streamsize>(p - first));
+    seg_.lines.push_back(
+        {line_stamp, end, static_cast<std::uint32_t>(seg_.points.size())});
+}
+
+// --------------------------------------------------------------- writer
+
+TimeseriesWriter::TimeseriesWriter(std::ostream& out, sim::Duration interval)
+    : out_(out) {
+    buf_ = "{\"schema\":\"";
+    buf_ += kSchema;
+    buf_ += "\",\"interval_ms\":";
+    append_int(buf_, std::chrono::duration_cast<std::chrono::milliseconds>(
+                         interval)
+                         .count());
+    buf_ += "}\n";
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
     ++lines_;
 }
 
-bool validate_timeseries(std::istream& in, std::string* error) {
-    bool in_segment = false;
-    std::int64_t last_t = -1;
-    std::unordered_set<std::int64_t> declared; // series ids this segment
-    std::size_t line_no = 0;
-    // Series ids and timestamps are non-negative integer tokens; anything
-    // else reads as -1, which is never a declared id.
-    const auto nonneg_int = [](const report::JsonValue& v) -> std::int64_t {
-        return v.type == report::JsonValue::Type::Number && v.is_integer &&
-                       v.integer >= 0
-                   ? v.integer
-                   : -1;
+void TimeseriesWriter::write(TimeseriesSegment& seg) {
+    buf_.clear();
+    if (!seg.started) {
+        seg.started = true;
+        buf_ += "{\"device\":";
+        append_quoted(buf_, seg.device);
+        buf_ += ",\"shard\":";
+        append_int(buf_, seg.shard);
+        buf_ += "}\n";
+        ++lines_;
+    }
+    seg.stream_ids.resize(seg.series.size(), 0);
+    std::uint32_t first = 0;
+    for (const TimeseriesSegment::Line& line : seg.lines) {
+        // Declarations go out before the line that first uses them.
+        for (std::uint32_t i = first; i < line.points_end; ++i) {
+            const std::uint32_t s = seg.points[i].series;
+            if (seg.stream_ids[s] != 0) continue;
+            const auto [it, fresh] = ids_.try_emplace(
+                seg.series[s].decl, static_cast<std::uint32_t>(ids_.size()));
+            seg.stream_ids[s] = it->second + 1;
+            if (!fresh) continue;
+            buf_ += "{\"series\":";
+            append_int(buf_, it->second);
+            buf_ += ',';
+            buf_ += it->first;
+            buf_ += "}\n";
+            ++lines_;
+        }
+        if (line.end) {
+            buf_ += "{\"end_ns\":";
+            append_int(buf_, line.stamp);
+            buf_ += ",\"v\":[";
+        } else {
+            buf_ += '[';
+            append_int(buf_, line.stamp);
+            buf_ += ',';
+        }
+        for (std::uint32_t i = first; i < line.points_end; ++i) {
+            const TimeseriesSegment::Point& p = seg.points[i];
+            if (i != first) buf_ += ',';
+            append_int(buf_, seg.stream_ids[p.series] - 1);
+            buf_ += ',';
+            if (seg.series[p.series].counter) {
+                append_int(buf_, static_cast<std::uint64_t>(p.value));
+            } else {
+                char num[report::kJsonDoubleMax];
+                buf_.append(num, report::write_json_double(num, p.value));
+            }
+        }
+        buf_ += line.end ? "]}\n" : "]\n";
+        ++lines_;
+        first = line.points_end;
+    }
+    seg.lines.clear();
+    seg.points.clear();
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+}
+
+// -------------------------------------------------------------- sampler
+
+TimeseriesSampler::TimeseriesSampler(MetricsRegistry& reg,
+                                     std::ostream& out, Options opts)
+    : writer_(out, opts.interval), recorder_(reg, std::move(opts)) {
+    writer_.write(recorder_.segment());
+}
+
+sim::TimePoint TimeseriesSampler::on_advance(sim::TimePoint t) {
+    const sim::TimePoint next = recorder_.on_advance(t);
+    if (!recorder_.segment().lines.empty()) writer_.write(recorder_.segment());
+    return next;
+}
+
+void TimeseriesSampler::finish(sim::TimePoint end) {
+    recorder_.finish(end);
+    writer_.write(recorder_.segment());
+}
+
+// --------------------------------------------------------------- reader
+
+bool read_timeseries(std::istream& in,
+                     const std::function<void(const TimeseriesPoint&)>&
+                         on_point,
+                     std::string* error) {
+    using report::JsonValue;
+    struct Decl {
+        std::string name, kind;
+        JsonValue labels;
     };
+    std::vector<Decl> decls;
+    std::unordered_set<std::string> keys; // each (name, labels, kind) once
+    std::int64_t interval_ns = 0;         // 0 until the stream header
+    bool in_segment = false, ended = false;
+    std::string device;
+    std::int64_t shard = -1, tick = 0, last_ns = 0;
+    std::uint64_t line_no = 0;
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
     const auto fail = [&](const std::string& what) {
         if (error) *error = "line " + std::to_string(line_no) + ": " + what;
         return false;
     };
+    // Ids, stamps and ticks are non-negative integer tokens; anything
+    // else reads as -1.
+    const auto nonneg_int = [](const JsonValue* v) -> std::int64_t {
+        return v != nullptr && v->type == JsonValue::Type::Number &&
+                       v->is_integer && v->integer >= 0
+                   ? v->integer
+                   : -1;
+    };
+    // Checks the flat [id, value, ...] run from `from` and hands its
+    // points out; "" when it is well formed.
+    const auto points = [&](const std::vector<JsonValue>& a, std::size_t from,
+                            std::int64_t stamp_ns, bool end) -> std::string {
+        if (a.size() <= from || (a.size() - from) % 2 != 0)
+            return "expected one or more id, value pairs";
+        for (std::size_t i = from; i < a.size(); i += 2) {
+            const std::int64_t id = nonneg_int(&a[i]);
+            if (id < 0 || static_cast<std::uint64_t>(id) >= decls.size())
+                return "sample references undeclared series " +
+                       report::json_serialize(a[i]);
+            if (a[i + 1].type != JsonValue::Type::Number)
+                return "series value is not a number";
+            if (!on_point) continue;
+            const Decl& d = decls[static_cast<std::size_t>(id)];
+            on_point({device, shard, stamp_ns, end,
+                      static_cast<std::uint32_t>(id), d.name, d.labels,
+                      d.kind, a[i + 1], line_no});
+        }
+        return {};
+    };
+
     // One line in memory at a time: a multi-gigabyte campaign sidecar
-    // validates in O(longest line), not O(file).
+    // reads in O(longest line), not O(file).
     for (std::string l; std::getline(in, l);) {
         ++line_no;
         if (l.empty()) continue;
         const auto doc = report::json_parse(l);
         if (!doc) return fail("invalid JSON");
-        if (const auto* schema = doc->find("schema")) {
-            if (schema->as_string() != "gatekit.timeseries.v1")
+        if (interval_ns == 0) {
+            const auto* schema = doc->find("schema");
+            if (schema == nullptr) return fail("data before stream header");
+            if (schema->as_string() != kSchema)
                 return fail("wrong schema tag");
-            if (doc->find("interval_ms") == nullptr)
-                return fail("header missing interval_ms");
+            const std::int64_t ms = nonneg_int(doc->find("interval_ms"));
+            if (ms <= 0 || ms > kMax / 1'000'000)
+                return fail("header interval_ms is not a positive integer");
+            interval_ns = ms * 1'000'000;
+            continue;
+        }
+        if (doc->type == JsonValue::Type::Array) {
+            if (!in_segment) return fail("sample before segment header");
+            if (ended) return fail("sample after the end-of-run flush");
+            const std::int64_t dt =
+                doc->array.empty() ? -1 : nonneg_int(&doc->array[0]);
+            if (dt < 0) return fail("dt is not a non-negative integer");
+            if (dt > kMax / interval_ns - tick)
+                return fail("stamp overflows");
+            tick += dt;
+            last_ns = tick * interval_ns;
+            const std::string bad = points(doc->array, 1, last_ns, false);
+            if (!bad.empty()) return fail(bad);
+            continue;
+        }
+        if (doc->find("schema") != nullptr)
+            return fail("stream header repeated");
+        if (const auto* dev = doc->find("device")) {
+            const auto* k = doc->find("shard");
+            if (dev->type != JsonValue::Type::String || k == nullptr ||
+                k->type != JsonValue::Type::Number || !k->is_integer)
+                return fail("segment header needs a device and a shard");
             in_segment = true;
-            last_t = -1;
-            declared.clear();
+            ended = false;
+            device = dev->as_string();
+            shard = k->integer;
+            tick = last_ns = 0;
             continue;
         }
-        if (!in_segment) return fail("data before segment header");
         if (const auto* series = doc->find("series")) {
-            if (doc->find("name") == nullptr || doc->find("kind") == nullptr)
-                return fail("declaration missing name/kind");
-            const std::int64_t id = nonneg_int(*series);
-            if (id < 0) return fail("series id is not a non-negative integer");
-            declared.insert(id);
+            const auto* name = doc->find("name");
+            const auto* labels = doc->find("labels");
+            const auto* kind = doc->find("kind");
+            if (name == nullptr || name->type != JsonValue::Type::String ||
+                labels == nullptr ||
+                labels->type != JsonValue::Type::Object || kind == nullptr ||
+                (kind->as_string() != "counter" &&
+                 kind->as_string() != "gauge"))
+                return fail("declaration needs a name, labels and kind");
+            if (nonneg_int(series) != static_cast<std::int64_t>(decls.size()))
+                return fail("series id is not the next id (" +
+                            std::to_string(decls.size()) + ")");
+            for (const auto& member : labels->members)
+                if (member.second.type != JsonValue::Type::String)
+                    return fail("label value is not a string");
+            if (!keys.insert(name->str + '\0' + report::json_serialize(*labels) +
+                             '\0' + kind->str)
+                     .second)
+                return fail("series declared twice");
+            decls.push_back({name->str, kind->str, *labels});
             continue;
         }
-        const auto* t = doc->find("t_ns");
-        const auto* v = doc->find("v");
-        if (t == nullptr || v == nullptr ||
-            v->type != report::JsonValue::Type::Array)
-            return fail("expected header, declaration, or sample");
-        const std::int64_t t_ns = nonneg_int(*t);
-        if (t_ns < 0) return fail("t_ns is not a non-negative integer");
-        if (t_ns < last_t)
-            return fail("timestamps regress within a segment");
-        last_t = t_ns;
-        for (const auto& pair : v->array) {
-            if (pair.type != report::JsonValue::Type::Array ||
-                pair.array.size() != 2)
-                return fail("sample pair is not [id, value]");
-            const std::int64_t id = nonneg_int(pair.array[0]);
-            if (declared.count(id) == 0)
-                return fail("sample references undeclared series " +
-                            report::json_serialize(pair.array[0]));
+        if (const auto* end_ns = doc->find("end_ns")) {
+            if (!in_segment) return fail("end flush before segment header");
+            if (ended) return fail("second end-of-run flush");
+            const std::int64_t t = nonneg_int(end_ns);
+            if (t < 0) return fail("end_ns is not a non-negative integer");
+            if (t < last_ns) return fail("end flush predates the last sample");
+            const auto* v = doc->find("v");
+            if (v == nullptr || v->type != JsonValue::Type::Array)
+                return fail("end flush has no value array");
+            ended = true;
+            last_ns = t;
+            const std::string bad = points(v->array, 0, t, true);
+            if (!bad.empty()) return fail(bad);
+            continue;
         }
+        return fail("expected a header, declaration or sample");
     }
-    if (!in_segment) {
-        if (error) *error = "no segment header found";
+    if (interval_ns == 0) {
+        if (error) *error = "no stream header found";
         return false;
     }
     return true;
+}
+
+bool validate_timeseries(std::istream& in, std::string* error) {
+    return read_timeseries(in, {}, error);
 }
 
 } // namespace gatekit::obs

@@ -191,64 +191,137 @@ TEST(LogHistogram, PercentilesClampToObservedRange) {
 
 // ------------------------------------------------------------ validators
 
+namespace {
+
+const std::string kStreamHeader =
+    R"({"schema":"gatekit.timeseries.v2","interval_ms":1000})"
+    "\n";
+const std::string kSegmentA = R"({"device":"a","shard":0})" "\n";
+const std::string kDeclX =
+    R"({"series":0,"name":"x","labels":{},"kind":"counter"})"
+    "\n";
+
+/// validate_timeseries over `text`; the error lands in `error`.
+bool valid(const std::string& text, std::string& error) {
+    std::istringstream in(text);
+    error.clear();
+    return obs::validate_timeseries(in, &error);
+}
+
+} // namespace
+
 TEST(Timeseries, ValidatorAcceptsConcatenatedSegmentsAndCatchesDamage) {
     std::string error;
-    const auto valid = [&error](const std::string& text) {
-        std::istringstream in(text);
-        return obs::validate_timeseries(in, &error);
-    };
     const std::string good =
-        R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"a","shard":0})"
-        "\n"
-        R"({"series":0,"name":"x","labels":{},"kind":"counter"})"
-        "\n"
-        R"({"t_ns":0,"v":[[0,1]]})"
-        "\n"
-        R"({"t_ns":1000000000,"v":[[0,2]]})"
-        "\n"
-        // Second segment: ids restart from 0 — still valid.
-        R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"b","shard":1})"
-        "\n"
-        R"({"series":0,"name":"x","labels":{},"kind":"counter"})"
-        "\n"
-        R"({"t_ns":5,"v":[[0,7]]})"
-        "\n";
-    EXPECT_TRUE(valid(good)) << error;
+        kStreamHeader + kSegmentA + kDeclX +
+        "[0,0,1]\n"
+        "[1,0,2]\n"
+        R"({"end_ns":1500000000,"v":[0,3]})" "\n"
+        // A second segment reuses the stream's series 0 and declares 1.
+        R"({"device":"b","shard":1})" "\n"
+        R"({"series":1,"name":"g","labels":{"k":"v"},"kind":"gauge"})" "\n"
+        "[5,0,7,1,-2.5]\n";
+    EXPECT_TRUE(valid(good, error)) << error;
 
-    const std::string regressing =
-        R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"a","shard":0})"
-        "\n"
-        R"({"series":0,"name":"x","labels":{},"kind":"counter"})"
-        "\n"
-        R"({"t_ns":1000,"v":[[0,1]]})"
-        "\n"
-        R"({"t_ns":999,"v":[[0,2]]})"
-        "\n";
-    EXPECT_FALSE(valid(regressing));
+    // The points come out with stamps decoded from the ticks.
+    std::vector<std::string> seen;
+    std::istringstream in(good);
+    ASSERT_TRUE(obs::read_timeseries(
+        in,
+        [&](const obs::TimeseriesPoint& p) {
+            seen.push_back(std::string(p.device) + ' ' +
+                           std::to_string(p.shard) + ' ' +
+                           std::to_string(p.stamp_ns) + (p.end ? " end " : " ") +
+                           std::string(p.name) + ' ' + std::string(p.kind) +
+                           ' ' + report::json_serialize(p.value));
+        },
+        &error))
+        << error;
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "a 0 0 x counter 1",
+                        "a 0 1000000000 x counter 2",
+                        "a 0 1500000000 end x counter 3",
+                        "b 1 5000000000 x counter 7",
+                        "b 1 5000000000 g gauge -2.5",
+                    }));
 
-    const std::string undeclared =
-        R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"a","shard":0})"
-        "\n"
-        R"({"t_ns":0,"v":[[3,1]]})"
-        "\n";
-    EXPECT_FALSE(valid(undeclared));
+    // Ids, ticks and stamps that are not non-negative integer tokens
+    // are rejected, not cast.
+    const std::string declared = kStreamHeader + kSegmentA + kDeclX;
+    EXPECT_TRUE(valid(declared + "[0,0,1]\n", error)) << error;
+    EXPECT_FALSE(valid(declared + "[0,1e300,1]\n", error));
+    EXPECT_FALSE(valid(declared + "[0,0.5,1]\n", error));
+    EXPECT_FALSE(valid(declared + "[1e300,0,1]\n", error));
+    EXPECT_FALSE(valid(declared + "[0.5,0,1]\n", error));
+    EXPECT_FALSE(valid(declared + R"({"end_ns":1e300,"v":[0,1]})" "\n",
+                       error));
+    EXPECT_FALSE(valid(declared + "[0,0,\"1\"]\n", error));
+    // Other schemas are refused.
+    EXPECT_FALSE(valid(R"({"schema":"gatekit.timeseries.v1","interval_ms":1000})"
+                       "\n",
+                       error));
+    EXPECT_FALSE(valid("", error));
+}
 
-    EXPECT_FALSE(valid("{\"t_ns\":0}\n"));
-
-    // Ids and timestamps that are not non-negative integer tokens are
-    // rejected, not cast.
-    const std::string declared =
-        R"({"schema":"gatekit.timeseries.v1","interval_ms":1000,"device":"a","shard":0})"
-        "\n"
-        R"({"series":0,"name":"x","labels":{},"kind":"counter"})"
-        "\n";
-    EXPECT_TRUE(valid(declared + R"({"t_ns":0,"v":[[0,1]]})" "\n")) << error;
-    EXPECT_FALSE(valid(
-        declared + R"({"series":-1,"name":"y","labels":{},"kind":"counter"})"
-                   "\n"));
-    EXPECT_FALSE(valid(declared + R"({"t_ns":0,"v":[[1e300,1]]})" "\n"));
-    EXPECT_FALSE(valid(declared + R"({"t_ns":0,"v":[[0.5,1]]})" "\n"));
-    EXPECT_FALSE(valid(declared + R"({"t_ns":1e300,"v":[[0,1]]})" "\n"));
+// Damaged and hostile streams: each fails cleanly, naming its line.
+TEST(Timeseries, HostileStreamsFailWithALineNumber) {
+    const std::string declared = kStreamHeader + kSegmentA + kDeclX;
+    struct Case {
+        const char* what;
+        std::string text;
+        const char* line; ///< expected "line N:" prefix of the error
+    };
+    const Case cases[] = {
+        {"data before any header", "[0,0,1]\n", "line 1:"},
+        {"declaration before the stream header", kDeclX + kStreamHeader,
+         "line 1:"},
+        {"sample before a segment header", kStreamHeader + kDeclX + "[0,0,1]\n",
+         "line 3:"},
+        {"stream header twice", kStreamHeader + kSegmentA + kStreamHeader,
+         "line 3:"},
+        {"zero interval", R"({"schema":"gatekit.timeseries.v2","interval_ms":0})" "\n",
+         "line 1:"},
+        {"undeclared id", declared + "[0,1,1]\n", "line 4:"},
+        {"negative id", declared + "[0,-1,1]\n", "line 4:"},
+        {"negative dt", declared + "[0,0,1]\n[-1,0,2]\n", "line 5:"},
+        {"pair without a value", declared + "[0,0,1,0]\n", "line 4:"},
+        {"sample with no pairs", declared + "[3]\n", "line 4:"},
+        {"empty sample", declared + "[]\n", "line 4:"},
+        {"end flush before the last sample",
+         declared + "[2,0,1]\n" R"({"end_ns":1999999999,"v":[0,2]})" "\n",
+         "line 5:"},
+        {"end flush with an odd value array",
+         declared + R"({"end_ns":5,"v":[0]})" "\n", "line 4:"},
+        {"sample after the end flush",
+         declared + R"({"end_ns":5,"v":[0,1]})" "\n" "[1,0,2]\n", "line 5:"},
+        {"key declared twice",
+         declared + R"({"series":1,"name":"x","labels":{},"kind":"counter"})" "\n",
+         "line 4:"},
+        {"id out of order",
+         declared + R"({"series":2,"name":"y","labels":{},"kind":"counter"})" "\n",
+         "line 4:"},
+        {"negative declaration id",
+         declared + R"({"series":-1,"name":"y","labels":{},"kind":"counter"})" "\n",
+         "line 4:"},
+        {"unknown kind",
+         declared + R"({"series":1,"name":"y","labels":{},"kind":"meter"})" "\n",
+         "line 4:"},
+        {"declaration after its use",
+         kStreamHeader + kSegmentA + "[0,0,1]\n" + kDeclX, "line 3:"},
+        {"torn line", declared + "[0,0,", "line 4:"},
+        {"garbage", declared + "\x01\xff{]\n", "line 4:"},
+        {"segment header without a shard",
+         kStreamHeader + R"({"device":"a"})" "\n", "line 2:"},
+        {"tick overflow", declared + "[9223372036854775807,0,1]\n", "line 4:"},
+        {"unknown object", declared + R"({"t_ns":0,"v":[[0,1]]})" "\n",
+         "line 4:"},
+    };
+    for (const Case& c : cases) {
+        std::string error;
+        EXPECT_FALSE(valid(c.text, error)) << c.what;
+        EXPECT_EQ(error.rfind(c.line, 0), 0u)
+            << c.what << ": " << error;
+    }
 }
 
 // ------------------------------------------------ push vs poll sampler
@@ -256,9 +329,10 @@ TEST(Timeseries, ValidatorAcceptsConcatenatedSegmentsAndCatchesDamage) {
 namespace {
 
 /// The time-series sampler as it first shipped, kept as the reference
-/// for the push-based one: at every boundary it visits every registered
-/// counter and gauge and emits those whose value differs from the last
-/// value it emitted for that series.
+/// for the push-based one and brought to the v2 layout: at every
+/// boundary it visits every registered counter and gauge, emits those
+/// whose value differs from the last value it emitted for that series,
+/// and renders every line through JsonWriter.
 class PollReference final : public sim::AdvanceHook {
 public:
     PollReference(const obs::MetricsRegistry& reg, std::ostream& out,
@@ -266,15 +340,19 @@ public:
         : reg_(reg), out_(out), opts_(std::move(opts)) {
         report::JsonWriter w(out_);
         w.begin_object();
-        w.key("schema").value("gatekit.timeseries.v1");
+        w.key("schema").value("gatekit.timeseries.v2");
         w.key("interval_ms")
             .value(static_cast<std::int64_t>(
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     opts_.interval)
                     .count()));
-        w.key("device").value(opts_.device);
-        w.key("shard").value(static_cast<std::int64_t>(opts_.shard));
         w.end_object();
+        out_ << '\n';
+        report::JsonWriter seg(out_);
+        seg.begin_object();
+        seg.key("device").value(opts_.device);
+        seg.key("shard").value(static_cast<std::int64_t>(opts_.shard));
+        seg.end_object();
         out_ << '\n';
     }
 
@@ -285,61 +363,87 @@ public:
         return sim::TimePoint(sim::Duration((k + 1) * iv));
     }
 
-    void finish(sim::TimePoint end) { sample(end, /*force=*/true); }
+    void finish(sim::TimePoint end) { sample(end, /*end=*/true); }
 
 private:
-    void sample(sim::TimePoint stamp, bool force = false) {
-        if (!force && stamp.count() <= last_stamp_ns_) return;
+    /// The series' name, labels and kind as a JSON object; `device` is
+    /// left out when it names this segment's device.
+    std::string key_of(const obs::MetricsRegistry::ScalarRef& s) const {
+        std::ostringstream text;
+        report::JsonWriter w(text);
+        w.begin_object();
+        w.key("name").value(s.name);
+        w.key("labels").begin_object();
+        for (const auto& [lk, lv] : s.labels)
+            if (lk != "device" || lv != opts_.device) w.key(lk).value(lv);
+        w.end_object();
+        w.key("kind").value(s.counter != nullptr ? "counter" : "gauge");
+        w.end_object();
+        return text.str();
+    }
+
+    /// The stream id of scalar `id`, declared at its first change.
+    std::uint64_t stream_id(std::uint32_t id,
+                            const obs::MetricsRegistry::ScalarRef& s) {
+        if (const auto it = ids_.find(id); it != ids_.end())
+            return it->second;
+        const std::string key = key_of(s);
+        const std::uint64_t sid = keys_.size();
+        keys_.emplace(key, sid);
+        ids_.emplace(id, sid);
+        const auto doc = report::json_parse(key);
+        report::JsonWriter w(out_);
+        w.begin_object();
+        w.key("series").value(sid);
+        for (const auto& [k, v] : doc->members)
+            w.key(k).raw(report::json_serialize(v));
+        w.end_object();
+        out_ << '\n';
+        return sid;
+    }
+
+    void sample(sim::TimePoint stamp, bool end = false) {
+        if (!end && stamp.count() <= last_stamp_ns_) return;
         struct Changed {
-            std::size_t id;
+            std::uint64_t id;
             double value;
             bool integral;
         };
         std::vector<Changed> changed;
         for (std::uint32_t id = 0; id < reg_.scalar_count(); ++id) {
             const obs::MetricsRegistry::ScalarRef s = reg_.scalar(id);
-            if (id >= prev_.size()) {
-                prev_.resize(id + 1, 0.0);
-                declared_.resize(id + 1, 0);
-            }
+            if (id >= prev_.size()) prev_.resize(id + 1, 0.0);
             const bool integral = s.counter != nullptr;
             const double v = integral ? static_cast<double>(s.counter->value)
                                       : s.gauge->value;
             if (v != prev_[id]) {
-                changed.push_back({id, v, integral});
                 prev_[id] = v;
-                if (declared_[id] == 0) {
-                    declared_[id] = 1;
-                    report::JsonWriter w(out_);
-                    w.begin_object();
-                    w.key("series").value(static_cast<std::uint64_t>(id));
-                    w.key("name").value(s.name);
-                    w.key("labels").begin_object();
-                    for (const auto& [lk, lv] : s.labels) w.key(lk).value(lv);
-                    w.end_object();
-                    w.key("kind").value(integral ? "counter" : "gauge");
-                    w.end_object();
-                    out_ << '\n';
-                }
+                changed.push_back({stream_id(id, s), v, integral});
             }
         }
         if (changed.empty()) return;
         last_stamp_ns_ = std::max(last_stamp_ns_, stamp.count());
         report::JsonWriter w(out_);
-        w.begin_object();
-        w.key("t_ns").value(static_cast<std::int64_t>(stamp.count()));
-        w.key("v").begin_array();
+        if (end) {
+            w.begin_object();
+            w.key("end_ns").value(static_cast<std::int64_t>(stamp.count()));
+            w.key("v");
+        }
+        w.begin_array();
+        if (!end) {
+            const std::int64_t tick = stamp.count() / opts_.interval.count();
+            w.value(tick - last_tick_);
+            last_tick_ = tick;
+        }
         for (const Changed& c : changed) {
-            w.begin_array();
-            w.value(static_cast<std::uint64_t>(c.id));
+            w.value(c.id);
             if (c.integral)
                 w.value(static_cast<std::uint64_t>(c.value));
             else
                 w.value(c.value);
-            w.end_array();
         }
         w.end_array();
-        w.end_object();
+        if (end) w.end_object();
         out_ << '\n';
     }
 
@@ -347,8 +451,10 @@ private:
     std::ostream& out_;
     obs::TimeseriesSampler::Options opts_;
     std::vector<double> prev_;
-    std::vector<char> declared_;
+    std::map<std::uint32_t, std::uint64_t> ids_; ///< scalar -> stream id
+    std::map<std::string, std::uint64_t> keys_;  ///< key -> stream id
     std::int64_t last_stamp_ns_ = -1;
+    std::int64_t last_tick_ = 0;
 };
 
 struct SamplerStreams {
@@ -378,18 +484,21 @@ SamplerStreams run_sampler_script(std::uint64_t seed) {
         9999.0, 10000.0, 99999.0, 100000.0, 123456.0, 1e15, 1e16,
         -0.0,   -7.0,   -99999.0, -100000.0, -0.125, 3.5e-7, 1e21};
     constexpr auto kGaugeCount = std::size(kGaugeValues);
-    const std::vector<obs::Labels> label_sets = {
-        {},
-        {{"device", "a"}},
-        {{"device", "b"}, {"k", "x=y;z"}},
-        {{"q\"", "\\"}, {"device", "a"}},
-    };
-
     obs::MetricsRegistry reg;
     obs::TimeseriesSampler::Options opts;
     opts.interval = sim::Duration(kIntervals[pick(3)]);
     opts.device = "dev\"" + std::to_string(seed);
     opts.shard = static_cast<int>(pick(5)) - 1;
+    // Declarations leave out the segment's own device label, and keep
+    // any other device's.
+    const std::vector<obs::Labels> label_sets = {
+        {},
+        {{"device", "a"}},
+        {{"device", "b"}, {"k", "x=y;z"}},
+        {{"q\"", "\\"}, {"device", "a"}},
+        {{"device", opts.device}, {"k", "x=y;z"}},
+        {{"q\"", "\\"}, {"device", opts.device}},
+    };
     const std::int64_t iv = opts.interval.count();
 
     std::ostringstream push_out;
@@ -405,7 +514,7 @@ SamplerStreams run_sampler_script(std::uint64_t seed) {
     };
     const auto register_one = [&] {
         const obs::Labels& labels =
-            label_sets[static_cast<std::size_t>(pick(4))];
+            label_sets[static_cast<std::size_t>(pick(label_sets.size()))];
         switch (pick(3)) {
         case 0: counters.push_back(reg.counter(name('c'), labels)); break;
         case 1: gauges.push_back(reg.gauge(name('g'), labels)); break;
@@ -415,8 +524,8 @@ SamplerStreams run_sampler_script(std::uint64_t seed) {
     const auto merge_one = [&] {
         obs::MetricsRegistry other;
         for (std::int64_t i = 1 + pick(4); i > 0; --i) {
-            const obs::Labels& labels =
-                label_sets[static_cast<std::size_t>(pick(4))];
+            const obs::Labels& labels = label_sets[static_cast<std::size_t>(
+                pick(label_sets.size()))];
             switch (pick(3)) {
             case 0:
                 obs::add(other.counter(name('c'), labels),
@@ -530,7 +639,7 @@ TEST(Timeseries, PushSamplerMatchesPollReference) {
         std::string error;
         EXPECT_TRUE(obs::validate_timeseries(in, &error))
             << "seed " << seed << ": " << error;
-        if (s.push.find("\"t_ns\"") != std::string::npos) ++with_samples;
+        if (s.push.find("\n[") != std::string::npos) ++with_samples;
     }
     // The scripts must exercise emission, not just agree on silence.
     EXPECT_GT(with_samples, 200u);
@@ -557,46 +666,42 @@ struct Fnv {
 /// segment's device column already names it) and the value token as
 /// written.
 std::vector<std::string> decode_points(const std::string& stream) {
-    struct Decl {
-        std::string name, labels, kind;
-    };
     std::vector<std::string> points;
-    std::map<std::int64_t, Decl> decls;
-    std::string device, shard;
     std::istringstream in(stream);
-    for (std::string l; std::getline(in, l);) {
-        const auto doc = report::json_parse(l);
-        if (!doc) {
-            ADD_FAILURE() << "undecodable line: " << l;
-            return {};
-        }
-        if (doc->find("schema") != nullptr) {
-            device = doc->find("device")->as_string();
-            shard = std::to_string(doc->find("shard")->as_int());
-            decls.clear();
-        } else if (const auto* id = doc->find("series")) {
-            Decl& d = decls[id->as_int()];
-            d.name = doc->find("name")->as_string();
-            d.kind = doc->find("kind")->as_string();
-            for (const auto& [k, v] : doc->find("labels")->members)
+    std::string error;
+    const bool ok = obs::read_timeseries(
+        in,
+        [&](const obs::TimeseriesPoint& p) {
+            std::string labels;
+            for (const auto& [k, v] : p.labels.members)
                 if (k != "device")
-                    d.labels += (d.labels.empty() ? "" : ",") + k + "=" +
-                                v.as_string();
-        } else {
-            const std::string stamp =
-                std::to_string(doc->find("t_ns")->as_int());
-            for (const auto& pair : doc->find("v")->array) {
-                const Decl& d = decls.at(pair.array[0].as_int());
-                points.push_back(device + ' ' + shard + ' ' + stamp + ' ' +
-                                 d.name + ' ' + d.labels + ' ' + d.kind +
-                                 ' ' + report::json_serialize(pair.array[1]));
-            }
-        }
-    }
+                    labels += (labels.empty() ? "" : ",") + k + "=" +
+                              v.as_string();
+            points.push_back(std::string(p.device) + ' ' +
+                             std::to_string(p.shard) + ' ' +
+                             std::to_string(p.stamp_ns) + ' ' +
+                             std::string(p.name) + ' ' + labels + ' ' +
+                             std::string(p.kind) + ' ' +
+                             report::json_serialize(p.value));
+        },
+        &error);
+    EXPECT_TRUE(ok) << error;
     return points;
 }
 
 } // namespace
+
+TEST(Timeseries, SeriesThatDifferOnlyByTheSegmentDeviceAreRefused) {
+    // {} and {device: <segment>} both declare as {} in the segment.
+    obs::MetricsRegistry reg;
+    obs::TimeseriesSampler::Options opts;
+    opts.device = "d";
+    std::ostringstream out;
+    obs::TimeseriesSampler ts(reg, out, opts);
+    obs::inc(reg.counter("c", {}));
+    obs::inc(reg.counter("c", {{"device", "d"}}));
+    EXPECT_THROW(ts.finish(sim::TimePoint{}), std::exception);
+}
 
 TEST(Timeseries, DecodedStreamIsPinned) {
     // A small population campaign as population_campaign runs it: eight
@@ -612,7 +717,7 @@ TEST(Timeseries, DecodedStreamIsPinned) {
     cfg.tcp_timeout.repetitions = 1;
 
     std::string ref;
-    for (const int workers : {1, 2}) {
+    for (const int workers : {1, 2, 4}) {
         const std::string path =
             "test_telemetry_pin_w" + std::to_string(workers) + ".jsonl";
         ShardScheduler::Options opts;
@@ -640,7 +745,8 @@ TEST(Timeseries, DecodedStreamIsPinned) {
         // rule_chain_accepted -> rule_chain.accepted,
         // rule_chain_dropped -> rule_chain.dropped,
         // rule_chain_rule_hits -> rule_chain.rule_hits, `chain` ->
-        // `device`); the point count did not move.
+        // `device`); the point count did not move. The v2 encoding
+        // (ids per stream, ticks) left both unchanged.
         EXPECT_EQ(points.size(), 2711u) << "workers=" << workers;
         EXPECT_EQ(f.h, 5824560499665932909ULL) << "workers=" << workers;
     }
@@ -707,7 +813,7 @@ TEST(Telemetry, CampaignBytesIdenticalWithTelemetryOnAtAnyWorkerCount) {
         const std::string ts = slurp(opts.timeseries_path);
         std::istringstream ts_in(ts);
         EXPECT_TRUE(obs::validate_timeseries(ts_in, &error)) << error;
-        EXPECT_NE(ts.find("\"t_ns\""), std::string::npos)
+        EXPECT_NE(ts.find("\n["), std::string::npos)
             << "time-series stream carries no samples";
         // Sim-time-stamped output is itself byte-gated across workers.
         if (ts_ref.empty())
@@ -741,6 +847,15 @@ TEST(Telemetry, ResumeWithTimeseriesSinkActive) {
     const auto ref = ShardScheduler::run(opts);
     const std::string ref_results = results_json(ref.results);
     const std::string ref_journal = slurp(journal);
+    // The reference's points of devices 2 and 3 (shards 2 and 3), which
+    // the resumed runs measure again.
+    std::vector<std::string> rerun_points;
+    for (const std::string& p : decode_points(slurp(ts_path))) {
+        const std::size_t shard = p.find(' ') + 1;
+        if (p.compare(shard, 2, "2 ") == 0 || p.compare(shard, 2, "3 ") == 0)
+            rerun_points.push_back(p);
+    }
+    ASSERT_FALSE(rerun_points.empty());
 
     // ...then kill at a device record (header + two records: devices 0
     // and 1 finished, 2 and 3 rerun) and resume at two worker counts.
@@ -762,11 +877,10 @@ TEST(Telemetry, ResumeWithTimeseriesSinkActive) {
         EXPECT_EQ(results_json(got.results), ref_results)
             << "workers=" << workers;
         EXPECT_EQ(slurp(journal), ref_journal) << "workers=" << workers;
-        // The resumed stream covers the rerun devices only, but it must
-        // still validate.
-        std::string error;
-        std::ifstream ts_in(ts_path, std::ios::binary);
-        EXPECT_TRUE(obs::validate_timeseries(ts_in, &error)) << error;
+        // The resumed stream covers the rerun devices only: it
+        // validates and says what the reference said about them.
+        EXPECT_EQ(decode_points(slurp(ts_path)), rerun_points)
+            << "workers=" << workers;
     }
     std::remove(journal.c_str());
     std::remove(ts_path.c_str());
