@@ -7,16 +7,23 @@
 // the thread's RingStash starts empty whatever ran before it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <new>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "devices/population.hpp"
 #include "devices/profiles.hpp"
 #include "harness/testbed.hpp"
+#include "harness/testrund.hpp"
 #include "obs/obs.hpp"
+#include "obs/timeseries.hpp"
 #include "stack/tcp_socket.hpp"
 #include "stack/udp_socket.hpp"
 
@@ -278,4 +285,50 @@ TEST(AllocCount, WarmBulkTransferThroughDroppingQueue) {
     // 0.38 per frame, now. The 4 frames more are the resent FIN's
     // exchange. A change that moves this count says why.
     EXPECT_EQ(r.second.all, 557u);
+}
+
+// Validating the merged time series of a 50-device population campaign
+// (the population bench's units and two firewall rules per gateway). The
+// reader parses one line at a time through report::json_parse, so the
+// count is that of the JSON values a line becomes, plus the reader's
+// per-stream state.
+TEST(AllocCount, ValidateTimeseries) {
+    on_fresh_thread([] {
+        devices::PopulationSpec spec;
+        spec.count = 50;
+        spec.firewall_rules = 2;
+        harness::ShardScheduler::Options opts;
+        opts.roster = devices::sample_roster(spec);
+        opts.config.udp1 = opts.config.udp4 = true;
+        opts.config.tcp1 = opts.config.stun = true;
+        opts.config.udp.repetitions = 1;
+        opts.config.tcp_timeout.repetitions = 1;
+        opts.timeseries_path = "alloc_count_timeseries.jsonl";
+        harness::ShardScheduler::run(opts);
+        std::string text;
+        {
+            std::ifstream file(opts.timeseries_path, std::ios::binary);
+            text.assign(std::istreambuf_iterator<char>(file), {});
+        }
+        std::remove(opts.timeseries_path.c_str());
+        std::istringstream in(text);
+        std::string error;
+
+        const std::uint64_t before = g_allocations;
+        const bool ok = obs::validate_timeseries(in, &error);
+        const std::uint64_t validate = g_allocations - before;
+
+        EXPECT_TRUE(ok) << error;
+        std::printf("%zu bytes in %lld lines: %llu allocations\n",
+                    text.size(),
+                    static_cast<long long>(
+                        std::count(text.begin(), text.end(), '\n')),
+                    static_cast<unsigned long long>(validate));
+        // v1, whose samples were {"t_ns":…,"v":[[id,value],…]} and whose
+        // every segment declared its own series: 62146 allocations for
+        // 344681 bytes in 4412 lines. v2 (flat [dt,id,value,…] lines,
+        // one declaration per series per stream): 17503 for 124805
+        // bytes in 3581 lines. A change that moves this count says why.
+        EXPECT_EQ(validate, 17503u);
+    });
 }
