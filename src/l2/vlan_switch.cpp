@@ -1,5 +1,7 @@
 #include "l2/vlan_switch.hpp"
 
+#include <algorithm>
+
 #include "net/ethernet.hpp"
 #include "util/assert.hpp"
 
@@ -25,6 +27,15 @@ void VlanSwitch::connect(int port, sim::Link& link, sim::Link::Side side) {
     link.attach(side, p);
 }
 
+std::vector<VlanSwitch::FdbEntry>::iterator
+VlanSwitch::fdb_slot(std::uint16_t vlan, net::MacAddr mac) {
+    using Key = std::pair<std::uint16_t, net::MacAddr>;
+    return std::lower_bound(fdb_.begin(), fdb_.end(), Key{vlan, mac},
+                            [](const FdbEntry& e, const Key& k) {
+                                return Key{e.vlan, e.mac} < k;
+                            });
+}
+
 void VlanSwitch::ingress(Port& port, sim::Frame raw) {
     const auto hdr = net::EthernetHeader::read(raw);
     if (!hdr) return;
@@ -40,12 +51,18 @@ void VlanSwitch::ingress(Port& port, sim::Frame raw) {
     }
 
     // Learn the source, then forward.
-    if (!hdr->src.is_multicast()) fdb_[{vlan, hdr->src}] = port.index;
+    if (!hdr->src.is_multicast()) {
+        const auto it = fdb_slot(vlan, hdr->src);
+        if (it != fdb_.end() && it->vlan == vlan && it->mac == hdr->src)
+            it->port = port.index;
+        else
+            fdb_.insert(it, {vlan, hdr->src, port.index});
+    }
 
     if (!hdr->dst.is_multicast()) {
-        auto it = fdb_.find({vlan, hdr->dst});
-        if (it != fdb_.end()) {
-            Port& out = *ports_[static_cast<std::size_t>(it->second)];
+        const auto it = fdb_slot(vlan, hdr->dst);
+        if (it != fdb_.end() && it->vlan == vlan && it->mac == hdr->dst) {
+            Port& out = *ports_[static_cast<std::size_t>(it->port)];
             if (out.index != port.index && member(out, vlan))
                 egress(out, vlan, tagged, std::move(raw));
             return;

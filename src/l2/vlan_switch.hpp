@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -55,9 +54,22 @@ private:
         return port.trunk || port.access_vlan == vlan;
     }
 
+    /// One learned address: where (vlan, mac) was last seen.
+    struct FdbEntry {
+        std::uint16_t vlan;
+        net::MacAddr mac;
+        int port;
+    };
+    /// The entry for (vlan, mac), or where it would go.
+    std::vector<FdbEntry>::iterator fdb_slot(std::uint16_t vlan,
+                                             net::MacAddr mac);
+
     sim::EventLoop& loop_;
     std::vector<std::unique_ptr<Port>> ports_;
-    std::map<std::pair<std::uint16_t, net::MacAddr>, int> fdb_;
+    /// The MAC table, flat and sorted by (vlan, mac): every ingress looks
+    /// up its source and its destination, and learning a new address is
+    /// rare.
+    std::vector<FdbEntry> fdb_;
 };
 
 } // namespace gatekit::l2

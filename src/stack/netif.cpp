@@ -7,14 +7,30 @@
 
 namespace gatekit::stack {
 
+namespace {
+
+/// First entry whose address is not below `ip`.
+template <typename Entries>
+auto arp_lower_bound(Entries& entries, net::Ipv4Addr ip) {
+    return std::lower_bound(
+        entries.begin(), entries.end(), ip,
+        [](const auto& e, net::Ipv4Addr key) { return e.first < key; });
+}
+
+} // namespace
+
 std::optional<net::MacAddr> ArpCache::lookup(net::Ipv4Addr ip) const {
-    auto it = entries_.find(ip);
-    if (it == entries_.end()) return std::nullopt;
+    const auto it = arp_lower_bound(entries_, ip);
+    if (it == entries_.end() || it->first != ip) return std::nullopt;
     return it->second;
 }
 
 void ArpCache::insert(net::Ipv4Addr ip, net::MacAddr mac) {
-    entries_[ip] = mac;
+    const auto it = arp_lower_bound(entries_, ip);
+    if (it != entries_.end() && it->first == ip)
+        it->second = mac;
+    else
+        entries_.insert(it, {ip, mac});
 }
 
 Iface::Iface(NetIf& parent, std::optional<std::uint16_t> vlan)

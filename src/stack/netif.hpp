@@ -24,7 +24,9 @@ namespace gatekit::stack {
 
 class NetIf;
 
-/// ARP resolution cache with a queue of datagrams awaiting resolution.
+/// ARP resolution cache: a flat table sorted by address. An interface
+/// has a handful of neighbours and looks one up per frame it sends, so a
+/// binary search over contiguous entries beats a tree walk.
 class ArpCache {
 public:
     std::optional<net::MacAddr> lookup(net::Ipv4Addr ip) const;
@@ -32,7 +34,7 @@ public:
     std::size_t size() const { return entries_.size(); }
 
 private:
-    std::map<net::Ipv4Addr, net::MacAddr> entries_;
+    std::vector<std::pair<net::Ipv4Addr, net::MacAddr>> entries_;
 };
 
 /// An L3 (sub)interface. Owns addressing, ARP, and Ethernet framing
