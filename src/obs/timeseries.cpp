@@ -27,11 +27,11 @@ void append_quoted(std::string& out, std::string_view s) {
     out += '"';
 }
 
-/// A declaration's text after its id. `device` is left out of the
-/// labels when it is the segment's device.
-std::string declaration(const MetricsRegistry::ScalarRef& s,
+/// Append a declaration's text after its id to `d`. `device` is left
+/// out of the labels when it is the segment's device.
+void append_declaration(std::string& d, const MetricsRegistry::ScalarRef& s,
                         const std::string& segment_device) {
-    std::string d = "\"name\":";
+    d += "\"name\":";
     append_quoted(d, s.name);
     d += ",\"labels\":{";
     const char* sep = "";
@@ -44,7 +44,6 @@ std::string declaration(const MetricsRegistry::ScalarRef& s,
         append_quoted(d, lv);
     }
     d += s.counter != nullptr ? "},\"kind\":\"counter\"" : "},\"kind\":\"gauge\"";
-    return d;
 }
 
 } // namespace
@@ -86,12 +85,10 @@ TimeseriesRecorder::series_of(std::uint32_t id,
                               const MetricsRegistry::ScalarRef& s) {
     if (series_[id] != 0) return series_[id] - 1;
     const auto next = static_cast<std::uint32_t>(seg_.series.size());
-    const auto [it, fresh] =
-        by_decl_.try_emplace(declaration(s, seg_.device), next);
-    // Two scalars whose labels differ only by the segment's own device
-    // label would be one series of the stream.
-    GK_EXPECTS(fresh);
-    seg_.series.push_back({it->first, s.counter != nullptr});
+    const auto begin = static_cast<std::uint32_t>(seg_.decls.size());
+    append_declaration(seg_.decls, s, seg_.device);
+    seg_.series.push_back({begin, static_cast<std::uint32_t>(seg_.decls.size()),
+                           s.counter != nullptr});
     series_[id] = next + 1;
     return next;
 }
@@ -148,8 +145,8 @@ TimeseriesWriter::TimeseriesWriter(std::ostream& out, sim::Duration interval)
 
 void TimeseriesWriter::write(TimeseriesSegment& seg) {
     buf_.clear();
-    if (!seg.started) {
-        seg.started = true;
+    if (seg.number == 0) {
+        seg.number = ++segments_;
         buf_ += "{\"device\":";
         append_quoted(buf_, seg.device);
         buf_ += ",\"shard\":";
@@ -164,16 +161,26 @@ void TimeseriesWriter::write(TimeseriesSegment& seg) {
         for (std::uint32_t i = first; i < line.points_end; ++i) {
             const std::uint32_t s = seg.points[i].series;
             if (seg.stream_ids[s] != 0) continue;
-            const auto [it, fresh] = ids_.try_emplace(
-                seg.series[s].decl, static_cast<std::uint32_t>(ids_.size()));
+            const TimeseriesSegment::Series& series = seg.series[s];
+            const std::string_view decl(seg.decls.data() + series.decl_begin,
+                                        series.decl_end - series.decl_begin);
+            auto it = ids_.find(decl);
+            if (it == ids_.end()) {
+                it = ids_.emplace(decl, static_cast<std::uint32_t>(ids_.size()))
+                         .first;
+                mapped_by_.push_back(0);
+                buf_ += "{\"series\":";
+                append_int(buf_, it->second);
+                buf_ += ',';
+                buf_ += decl;
+                buf_ += "}\n";
+                ++lines_;
+            }
+            // Two scalars whose labels differ only by the segment's own
+            // device label would be one series of the stream.
+            GK_EXPECTS(mapped_by_[it->second] != seg.number);
+            mapped_by_[it->second] = seg.number;
             seg.stream_ids[s] = it->second + 1;
-            if (!fresh) continue;
-            buf_ += "{\"series\":";
-            append_int(buf_, it->second);
-            buf_ += ',';
-            buf_ += it->first;
-            buf_ += "}\n";
-            ++lines_;
         }
         if (line.end) {
             buf_ += "{\"end_ns\":";

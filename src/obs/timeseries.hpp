@@ -68,8 +68,10 @@ struct TimeseriesOptions {
 /// TimeseriesWriter; it does not refer to the registry it came from.
 struct TimeseriesSegment {
     struct Series {
-        std::string decl; ///< `"name":…,"labels":{…},"kind":…`
-        bool counter = false;
+        /// `"name":…,"labels":{…},"kind":…`: decls[decl_begin, decl_end)
+        std::uint32_t decl_begin;
+        std::uint32_t decl_end;
+        bool counter;
     };
     struct Point {
         std::uint32_t series; ///< index into `series`
@@ -84,12 +86,13 @@ struct TimeseriesSegment {
     std::string device;
     int shard = -1;
     std::vector<Series> series;
+    std::string decls;         ///< the series' declaration texts
     std::vector<Line> lines;   ///< recorded, not yet rendered
     std::vector<Point> points; ///< the lines' points, in order
 
-    /// Writer state: the segment header is out, and each series' stream
-    /// id plus one (0 = not mapped yet).
-    bool started = false;
+    /// Writer state: the segment's number in its stream (0 = header not
+    /// out yet), and each series' stream id plus one (0 = not mapped).
+    std::uint32_t number = 0;
     std::vector<std::uint32_t> stream_ids;
 };
 
@@ -97,7 +100,7 @@ struct TimeseriesSegment {
 /// loop.set_advance_hook(&r) and clear the hook before finish(). The
 /// registry must not hold two scalars whose labels differ only by a
 /// `device` label naming the segment's device: the stream would see one
-/// series (a contract violation when both are recorded).
+/// series (a contract violation when the writer meets both).
 class TimeseriesRecorder final : public sim::AdvanceHook {
 public:
     TimeseriesRecorder(MetricsRegistry& reg, TimeseriesOptions opts);
@@ -125,9 +128,6 @@ private:
     TimeseriesSegment seg_;
     std::vector<double> prev_; ///< last recorded value per scalar id
     std::vector<std::uint32_t> series_; ///< scalar id -> series index + 1
-    /// Declaration text -> series index, to refuse two scalars that
-    /// would declare the same series.
-    std::unordered_map<std::string, std::uint32_t> by_decl_;
     std::vector<std::uint32_t> dirty_; ///< ids taken at this boundary
     std::int64_t last_stamp_ns_ = -1;
     std::int64_t last_tick_ = 0; ///< tick of the last recorded sample
@@ -149,9 +149,22 @@ public:
     std::uint64_t lines_written() const { return lines_; }
 
 private:
+    struct Hash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
     std::ostream& out_;
     std::string buf_; ///< the lines of one write(), sent at once
-    std::unordered_map<std::string, std::uint32_t> ids_; ///< decl -> id
+    /// Declaration text -> stream id.
+    std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>>
+        ids_;
+    /// Per stream id, the number of the last segment that mapped one of
+    /// its series to it: two in one segment break the recorder contract.
+    std::vector<std::uint32_t> mapped_by_;
+    std::uint32_t segments_ = 0;
     std::uint64_t lines_ = 0;
 };
 
