@@ -43,7 +43,8 @@ void append_declaration(std::string& d, const MetricsRegistry::ScalarRef& s,
         d += ':';
         append_quoted(d, lv);
     }
-    d += s.counter != nullptr ? "},\"kind\":\"counter\"" : "},\"kind\":\"gauge\"";
+    d += s.counter != nullptr ? "},\"kind\":\"counter\""
+                              : "},\"kind\":\"gauge\"";
 }
 
 } // namespace
@@ -87,8 +88,8 @@ TimeseriesRecorder::series_of(std::uint32_t id,
     const auto next = static_cast<std::uint32_t>(seg_.series.size());
     const auto begin = static_cast<std::uint32_t>(seg_.decls.size());
     append_declaration(seg_.decls, s, seg_.device);
-    seg_.series.push_back({begin, static_cast<std::uint32_t>(seg_.decls.size()),
-                           s.counter != nullptr});
+    const auto end = static_cast<std::uint32_t>(seg_.decls.size());
+    seg_.series.push_back({begin, end, s.counter != nullptr});
     series_[id] = next + 1;
     return next;
 }
@@ -166,8 +167,8 @@ void TimeseriesWriter::write(TimeseriesSegment& seg) {
                                         series.decl_end - series.decl_begin);
             auto it = ids_.find(decl);
             if (it == ids_.end()) {
-                it = ids_.emplace(decl, static_cast<std::uint32_t>(ids_.size()))
-                         .first;
+                const auto id = static_cast<std::uint32_t>(ids_.size());
+                it = ids_.emplace(decl, id).first;
                 mapped_by_.push_back(0);
                 buf_ += "{\"series\":";
                 append_int(buf_, it->second);
@@ -347,9 +348,10 @@ bool read_timeseries(std::istream& in,
             for (const auto& member : labels->members)
                 if (member.second.type != JsonValue::Type::String)
                     return fail("label value is not a string");
-            if (!keys.insert(name->str + '\0' + report::json_serialize(*labels) +
-                             '\0' + kind->str)
-                     .second)
+            std::string key = name->str + '\0' +
+                              report::json_serialize(*labels) + '\0' +
+                              kind->str;
+            if (!keys.insert(std::move(key)).second)
                 return fail("series declared twice");
             decls.push_back({name->str, kind->str, *labels});
             continue;

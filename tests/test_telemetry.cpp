@@ -231,9 +231,10 @@ TEST(Timeseries, ValidatorAcceptsConcatenatedSegmentsAndCatchesDamage) {
         [&](const obs::TimeseriesPoint& p) {
             seen.push_back(std::string(p.device) + ' ' +
                            std::to_string(p.shard) + ' ' +
-                           std::to_string(p.stamp_ns) + (p.end ? " end " : " ") +
-                           std::string(p.name) + ' ' + std::string(p.kind) +
-                           ' ' + report::json_serialize(p.value));
+                           std::to_string(p.stamp_ns) +
+                           (p.end ? " end " : " ") + std::string(p.name) +
+                           ' ' + std::string(p.kind) + ' ' +
+                           report::json_serialize(p.value));
         },
         &error))
         << error;
@@ -275,8 +276,8 @@ TEST(Timeseries, HostileStreamsFailWithALineNumber) {
         {"data before any header", "[0,0,1]\n", "line 1:"},
         {"declaration before the stream header", kDeclX + kStreamHeader,
          "line 1:"},
-        {"sample before a segment header", kStreamHeader + kDeclX + "[0,0,1]\n",
-         "line 3:"},
+        {"sample before a segment header",
+         kStreamHeader + kDeclX + "[0,0,1]\n", "line 3:"},
         {"stream header twice", kStreamHeader + kSegmentA + kStreamHeader,
          "line 3:"},
         {"zero interval", R"({"schema":"gatekit.timeseries.v2","interval_ms":0})" "\n",
